@@ -1,0 +1,56 @@
+"""Golden traces: the audited past that every later engine must reproduce.
+
+tests/golden/*.jsonl hold the traces the scenario corpus produced in plain
+mode, tests/golden/audit/*.jsonl the same scenarios run with audit_all. The
+chart_* files have no scenario left that produces them, so they are checked
+by verification only. A mismatch here means the engine no longer rebuilds a
+decision it once made: fix the engine, never regenerate these files.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fetchguard import PolicyConfig, load_scenario, read_traces, run_scenario, verify_trace
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_FILES = sorted(GOLDEN.glob("*.jsonl")) + sorted((GOLDEN / "audit").glob("*.jsonl"))
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+
+
+@pytest.fixture(scope="module")
+def default_json_config():
+    return PolicyConfig.load(ROOT / "configs" / "default.json")
+
+
+def test_every_scenario_has_golden_files_and_only_charts_are_orphans():
+    plain = {p.stem for p in GOLDEN.glob("*.jsonl")}
+    audit = {p.stem for p in (GOLDEN / "audit").glob("*.jsonl")}
+    scenarios = {load_scenario(p).name for p in SCENARIOS}
+    assert audit == scenarios
+    assert scenarios <= plain
+    assert all(name.startswith("chart_") for name in plain - scenarios)
+
+
+@pytest.mark.parametrize(
+    "path", GOLDEN_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
+)
+def test_every_golden_trace_verifies(default_json_config, path):
+    traces = read_traces(path)
+    assert traces
+    for trace in traces:
+        result = verify_trace(trace, default_json_config)
+        assert result.ok, (trace.request_id, result.mismatches)
+
+
+@pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_golden_bytes(default_json_config, path, audit_all):
+    script = load_scenario(path)
+    result = run_scenario(default_json_config, script, audit_all=audit_all)
+    golden = (GOLDEN / "audit" if audit_all else GOLDEN) / f"{script.name}.jsonl"
+    expected = golden.read_text(encoding="utf-8").splitlines()
+    assert len(result.traces) == len(expected)
+    for trace, want in zip(result.traces, expected):
+        assert trace.to_json() == want, f"trace bytes changed for {trace.request_id}"
