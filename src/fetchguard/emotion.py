@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .errors import EvaluationError
 from .model import Report
 
-SWEEP_RESOLUTION = 0.01
-
 
 class Zone(enum.IntEnum):
     """Severity bands, totally ordered: Green < Yellow < Orange < Red."""
@@ -51,9 +49,10 @@ class EmotionSample:
     def clamped(self) -> tuple["EmotionSample", bool]:
         """Pull the sample into [-1,1]^2.
 
-        Non-finite coordinates clamp to the most cautious corner (valence -1,
-        arousal +1): out-of-range sensor data must never crash or soften a
-        decision. Returns (sample, whether anything changed).
+        A NaN coordinate goes to its side of the most cautious corner
+        (valence -1, arousal +1); any other value, +-inf included, clamps to
+        the nearer boundary. Out-of-range sensor data must never crash or
+        soften a decision. Returns (sample, whether anything changed).
         """
         v = -1.0 if math.isnan(self.valence) else min(1.0, max(-1.0, self.valence))
         a = 1.0 if math.isnan(self.arousal) else min(1.0, max(-1.0, self.arousal))
@@ -101,10 +100,20 @@ def zone_of(sample: EmotionSample, table: ZoneTable) -> Zone:
     )
 
 
-def validate_zone_table(table: ZoneTable) -> Report:
-    """Sweep [-1,1]^2 at 0.01 resolution; report the first uncovered point.
+def _probes(bounds) -> list[float]:
+    """The distinct bounds on one axis and the midpoint between each pair of
+    neighbours: one point from every piece the bounds cut [-1,1] into."""
+    edges = sorted({-1.0, 1.0, *bounds})
+    return sorted(edges + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])
 
-    Also flags inverted or out-of-bounds intervals.
+
+def validate_zone_table(table: ZoneTable) -> Report:
+    """Check that the rectangles cover [-1,1]^2; report the first uncovered point.
+
+    The check is exact: the rectangle edges cut each axis into points and
+    open intervals on which every rectangle's membership is constant, so
+    probing each edge and each midpoint between neighbouring edges probes
+    every piece of the square. Also flags inverted or out-of-bounds intervals.
     """
     report = Report()
     for i, rect in enumerate(table.rects):
@@ -115,12 +124,10 @@ def validate_zone_table(table: ZoneTable) -> Report:
     if not report.ok:
         return report
 
-    steps = round(2.0 / SWEEP_RESOLUTION)
-    for iv in range(steps + 1):
-        v = -1.0 + iv * SWEEP_RESOLUTION
-        for ia in range(steps + 1):
-            a = -1.0 + ia * SWEEP_RESOLUTION
+    a_probes = _probes(b for r in table.rects for b in (r.a_lo, r.a_hi))
+    for v in _probes(b for r in table.rects for b in (r.v_lo, r.v_hi)):
+        for a in a_probes:
             if not any(r.contains(v, a) for r in table.rects):
-                report.add("uncovered-point", f"no zone covers (v={v:.2f}, a={a:.2f})")
+                report.add("uncovered-point", f"no zone covers (v={v!r}, a={a!r})")
                 return report
     return report

@@ -48,17 +48,19 @@ from .privacy import PersonalRegistry
 ALLOW = "allow"
 DENY = "deny"
 
-#: Policy stages in evaluation order; trace events follow this order.
-STAGES = ("eligibility", "ordering", "emotion", "category_context", "personal")
+#: The policy gates in evaluation order: (gate node, stage, evaluator method).
+#: This one table builds the tree, names the policy of each node's trace
+#: events and drives the audit pass.
+_GATES = (
+    ("eligibility_gate", "eligibility", "_eval_eligibility"),
+    ("ordering_check", "ordering", "_eval_ordering"),
+    ("emotion_check", "emotion", "_eval_emotion"),
+    ("category_context_check", "category_context", "_eval_category_context"),
+    ("personal_check", "personal", "_eval_personal"),
+)
 
-_STAGE_BY_POLICY = {
-    "eligibility": "eligibility",
-    "ordering": "ordering",
-    "emotion": "emotion",
-    "category": "category_context",
-    "context": "category_context",
-    "personal": "personal",
-}
+#: Policy stages in evaluation order; trace events follow this order.
+STAGES = tuple(stage for _, stage, _ in _GATES)
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -192,37 +194,43 @@ class DecisionTrace:
 
 @dataclass
 class _EvalState:
+    """What the leaves work out for one request. The request data itself
+    lives on the blackboard; gate-derived values stay here, off the board."""
+
     request: FetchRequest
-    profile: UserProfile | None = None
     known_user: bool = True
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
-    clamped_emotion: EmotionSample | None = None
     was_clamped: bool = False
-    knowledge_mode: str = "ingest"
     base_zone: Zone | None = None
     effective_zone: Zone | None = None
     active: frozenset[SafetyClass] = frozenset()
     restriction: Restriction | None = None
-    matrix_key: MatrixKey | None = None
     matrix_entry: MatrixEntry | None = None
-    pending_violation: tuple[str, str] | None = None
+    failed_stage: str | None = None
     violation: tuple[str, str] | None = None
     warnings: list[str] = field(default_factory=list)
-    stage_details: dict[str, dict] = field(default_factory=dict)
+    #: Trace-event inputs by node name, recorded by each leaf as it runs.
+    inputs: dict[str, dict] = field(default_factory=dict)
 
 
 class _Recorder(TickListener):
-    def __init__(self, engine: "DecisionEngine"):
-        self.engine = engine
-        self.entered: list[str] = []
+    """Turns every node exit into a trace event, in tick order."""
+
+    def __init__(self, policy_of: dict[str, str], inputs: dict[str, dict]):
+        self.policy_of = policy_of
+        self.inputs = inputs
         self.events: list[dict] = []
 
-    def enter(self, node: Node) -> None:
-        self.entered.append(node.name)
-
     def exit(self, node: Node, status: NodeStatus) -> None:
-        self.events.append(self.engine._event_for(node.name, status))
+        self.events.append(
+            {
+                "node": node.name,
+                "policy": self.policy_of[node.name],
+                "inputs": self.inputs.get(node.name, {}),
+                "outcome": status.value,
+            }
+        )
 
 
 class DecisionEngine:
@@ -289,50 +297,45 @@ class DecisionEngine:
     # -- tree construction ----------------------------------------------------
 
     def _build_tree(self) -> Node:
-        gates = [
-            ("eligibility_gate", "eligibility", self._eval_eligibility),
-            ("ordering_check", "ordering", self._eval_ordering),
-            ("emotion_check", "emotion", self._eval_emotion),
-            ("category_context_check", "category_context", self._eval_category_context),
-            ("personal_check", "personal", self._eval_personal),
-        ]
+        self._policy_of = {
+            "per_request": "structure",
+            "decision_sequence": "structure",
+            "knowledge_check": "knowledge",
+            "blackboard_update": "knowledge",
+            "accept": "decision",
+        }
+        self._evaluators = []  # (stage, evaluator) in gate order, for the audit pass
         children: list[Node] = [
             Action("knowledge_check", self._do_knowledge),
             Action("blackboard_update", self._do_blackboard_update),
         ]
-        for gate_name, stage, eval_fn in gates:
-            children.append(
-                Fallback(
-                    gate_name,
-                    [
-                        Condition(f"{stage}_ok", self._stage_predicate(stage, eval_fn)),
-                        Action(f"{stage}_violation", self._stage_violation()),
-                    ],
-                )
-            )
+        for gate_name, stage, method in _GATES:
+            evaluate = getattr(self, method)
+            self._evaluators.append((stage, evaluate))
+            children.append(Fallback(gate_name, self._gate_leaves(stage, evaluate)))
+            for name in (gate_name, f"{stage}_ok", f"{stage}_violation"):
+                self._policy_of[name] = stage
         children.append(Action("accept", lambda board: SUCCESS))
         return Repeat("per_request", Sequence("decision_sequence", children))
 
-    def _stage_predicate(self, stage: str, eval_fn):
-        def predicate(view) -> bool:
-            ok, details, violation = eval_fn(view)
-            st = self._st
-            st.stage_details[stage] = details
-            if not ok:
-                st.pending_violation = violation
-            return ok
+    def _gate_leaves(self, stage: str, evaluate) -> list[Node]:
+        ok_name, violation_name = f"{stage}_ok", f"{stage}_violation"
 
-        return predicate
-
-    def _stage_violation(self):
-        def effect(board) -> NodeStatus:
+        def check(view) -> bool:
+            inputs, violation = evaluate(view)
             st = self._st
-            if st.violation is None and st.pending_violation is not None:
-                st.violation = st.pending_violation
-            st.pending_violation = None
+            st.inputs[ok_name] = inputs
+            if violation is not None:
+                st.failed_stage, st.violation = stage, violation
+            return violation is None
+
+        def record_violation(board) -> NodeStatus:
+            st = self._st
+            policy, reason = st.violation
+            st.inputs[violation_name] = {"policy": policy, "reason": reason}
             return FAILURE
 
-        return effect
+        return [Condition(ok_name, check), Action(violation_name, record_violation)]
 
     # -- leaf effects ----------------------------------------------------------
 
@@ -341,11 +344,11 @@ class DecisionEngine:
         req = st.request
         # The three knowledge keys are always written together, so "the
         # blackboard already holds them" is exactly the primed flag.
-        st.knowledge_mode = "refresh" if self._primed else "ingest"
+        mode = "refresh" if self._primed else "ingest"
         self._primed = True
         profile = self.config.user_by_id(req.user_id)
+        st.known_user = profile is not None
         if profile is None:
-            st.known_user = False
             st.warnings.append(
                 f"unknown user {req.user_id!r}: treated as unknown relationship"
             )
@@ -356,17 +359,19 @@ class DecisionEngine:
                 allergies=frozenset(),
                 admin_role=AdminRole.NONE,
             )
-        else:
-            st.known_user = True
-        st.profile = profile
         st.obj = self.config.object_by_id(req.object_id)
-        st.clamped_emotion, st.was_clamped = req.emotion.clamped()
+        emotion, st.was_clamped = req.emotion.clamped()
         if st.was_clamped:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
-        st.base_zone = zone_of(st.clamped_emotion, self.config.zone_table)
+        st.base_zone = zone_of(emotion, self.config.zone_table)
         board.write("identity", profile)
-        board.write("emotion", st.clamped_emotion)
+        board.write("emotion", emotion)
         board.write("context", req.context)
+        st.inputs["knowledge_check"] = {
+            "mode": mode,
+            "request": req.to_dict(),
+            "warnings": list(st.warnings),
+        }
         return SUCCESS
 
     def _do_blackboard_update(self, board: Blackboard) -> NodeStatus:
@@ -378,10 +383,11 @@ class DecisionEngine:
             board.remove("last_request")
         else:
             board.write("last_request", last)
+        st.inputs["blackboard_update"] = {"now": st.request.now, "last_request": last}
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
-    # Each returns (ok, details-for-trace, violation-or-None) and reads its
+    # Each returns (trace-event inputs, violation-or-None) and reads its
     # canonical inputs from the blackboard.
 
     def _eval_eligibility(self, board):
@@ -394,15 +400,15 @@ class DecisionEngine:
             "known_object": st.obj is not None,
         }
         if st.obj is None:
-            return False, details, ("eligibility", f"unknown object {st.request.object_id!r}")
+            return details, ("eligibility", f"unknown object {st.request.object_id!r}")
         st.group = classify_user_group(profile, self.config.region)
         details["group"] = st.group.value
         if st.group is UserGroup.INELIGIBLE:
-            return False, details, (
+            return details, (
                 "eligibility",
                 f"requester is under the minimum age of {MIN_ELIGIBLE_AGE}",
             )
-        return True, details, None
+        return details, None
 
     def _eval_ordering(self, board):
         st = self._st
@@ -417,26 +423,24 @@ class DecisionEngine:
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
         if st.restriction.vehicle_ban:
-            return False, details, (
+            return details, (
                 "ordering",
                 "vehicle-category objects are unavailable during a mind-altering cool-down",
             )
-        return True, details, None
+        return details, None
 
     def _eval_emotion(self, board):
         st = self._st
         sample: EmotionSample = board.require("emotion")
-        base = zone_of(sample, self.config.zone_table)
         steps = st.restriction.escalation_steps if st.restriction else 0
-        st.base_zone = base
-        st.effective_zone = escalate(base, steps)
-        st.matrix_key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
-        st.matrix_entry = matrix_lookup(self.config.matrix, st.matrix_key)
+        st.effective_zone = escalate(st.base_zone, steps)
+        key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
+        st.matrix_entry = matrix_lookup(self.config.matrix, key)
         details = {
             "valence": sample.valence,
             "arousal": sample.arousal,
             "clamped": st.was_clamped,
-            "base_zone": base.as_str(),
+            "base_zone": st.base_zone.as_str(),
             "escalation_steps": steps,
             "effective_zone": st.effective_zone.as_str(),
             "cooldown_profile": sorted(c.value for c in st.active),
@@ -445,12 +449,12 @@ class DecisionEngine:
             "required_checks": sorted(st.matrix_entry.required_checks),
         }
         if st.group not in st.matrix_entry.allowed_groups:
-            return False, details, (
+            return details, (
                 "emotion",
                 f"group {st.group.value} may not receive a {st.obj.safety_class.value} "
                 f"object in the {st.effective_zone.as_str()} zone",
             )
-        return True, details, None
+        return details, None
 
     def _eval_category_context(self, board):
         st = self._st
@@ -468,24 +472,21 @@ class DecisionEngine:
                 continue
             if check == "verbal_affirmation" and not context.verbal_affirmation:
                 details["failed_check"] = check
-                return False, details, ("context", "required check failed: verbal_affirmation")
+                return details, ("context", "required check failed: verbal_affirmation")
             if check == "adult_present" and not context.adult_present:
                 details["failed_check"] = check
-                return False, details, ("context", "required check failed: adult_present")
+                return details, ("context", "required check failed: adult_present")
             if check == "room_appropriate" and not self._room_appropriate(st.obj.category, context.room):
                 details["failed_check"] = check
-                return False, details, ("context", "required check failed: room_appropriate")
+                return details, ("context", "required check failed: room_appropriate")
         result = category_checks(
-            self.config.category_rules, st.obj, st.group, context, st.profile
+            self.config.category_rules, st.obj, st.group, context, board.require("identity")
         )
         if not result.passed:
             details["failed_check"] = result.failed_check
             details["failed_rule_category"] = result.failed_rule_category
-            return False, details, (
-                "category",
-                f"category check failed: {result.failed_check}",
-            )
-        return True, details, None
+            return details, ("category", f"category check failed: {result.failed_check}")
+        return details, None
 
     def _room_appropriate(self, category: str, room: str) -> bool:
         # The matrix-level room check defers to whatever rooms the category
@@ -506,57 +507,8 @@ class DecisionEngine:
         if not ok:
             # Reason deliberately names no users: explanations must not leak
             # who tagged the object.
-            return False, details, ("personal", "personal object, access not granted")
-        return True, details, None
-
-    _EVAL_BY_STAGE = {
-        "eligibility": _eval_eligibility,
-        "ordering": _eval_ordering,
-        "emotion": _eval_emotion,
-        "category_context": _eval_category_context,
-        "personal": _eval_personal,
-    }
-
-    # -- trace events -------------------------------------------------------------
-
-    def _event_for(self, node_name: str, status: NodeStatus) -> dict:
-        st = self._st
-        policy = self._policy_for_node(node_name)
-        inputs: dict = {}
-        if node_name == "knowledge_check":
-            inputs = {
-                "mode": st.knowledge_mode,
-                "request": st.request.to_dict(),
-                "warnings": list(st.warnings),
-            }
-        elif node_name == "blackboard_update":
-            inputs = {
-                "now": st.request.now,
-                "last_request": self.cooldowns.last_requested(st.request.user_id),
-            }
-        elif node_name.endswith("_ok"):
-            inputs = st.stage_details.get(node_name[: -len("_ok")], {})
-        elif node_name.endswith("_violation") and st.violation is not None:
-            inputs = {"policy": st.violation[0], "reason": st.violation[1]}
-        return {
-            "node": node_name,
-            "policy": policy,
-            "inputs": inputs,
-            "outcome": status.value,
-        }
-
-    @staticmethod
-    def _policy_for_node(node_name: str) -> str:
-        if node_name in ("per_request", "decision_sequence"):
-            return "structure"
-        if node_name in ("knowledge_check", "blackboard_update"):
-            return "knowledge"
-        if node_name == "accept":
-            return "decision"
-        for stage in STAGES:
-            if node_name.startswith(stage):
-                return stage
-        return "structure"
+            return details, ("personal", "personal object, access not granted")
+        return details, None
 
     # -- deciding --------------------------------------------------------------
 
@@ -566,9 +518,8 @@ class DecisionEngine:
             "personal_registry": self.registry.snapshot(),
             "board_primed": self._primed,
         }
-        st = _EvalState(request=request)
-        self._st = st
-        recorder = _Recorder(self)
+        st = self._st = _EvalState(request=request)
+        recorder = _Recorder(self._policy_of, st.inputs)
         status = self.tree.tick(self._board, recorder)
 
         if status is SUCCESS:
@@ -579,13 +530,9 @@ class DecisionEngine:
                 "none",
                 "decision tree failed without a recorded violation",
             )
-        # Zone.GREEN is falsy (IntEnum 0), so explicit None checks here.
-        if st.effective_zone is not None:
-            effective_zone = st.effective_zone
-        elif st.base_zone is not None:
-            effective_zone = st.base_zone
-        else:
-            effective_zone = Zone.GREEN
+        # knowledge_check always sets the base zone. Zone.GREEN is falsy
+        # (IntEnum 0), so an explicit None check here.
+        effective_zone = st.effective_zone if st.effective_zone is not None else st.base_zone
         allowed = st.matrix_entry.allowed_groups if st.matrix_entry is not None else frozenset()
         decision = Decision(
             verdict=verdict,
@@ -595,9 +542,9 @@ class DecisionEngine:
             allowed_groups_at_leaf=allowed,
         )
 
-        events = list(recorder.events)
-        if self.audit_all and verdict == DENY:
-            events.extend(self._audit_events(deciding))
+        events = recorder.events
+        if self.audit_all and st.failed_stage is not None:
+            events.extend(self._audit_events(st.failed_stage))
 
         # Cool-down bookkeeping happens after the verdict; unknown objects
         # have no safety class and leave the state untouched.
@@ -622,27 +569,23 @@ class DecisionEngine:
         self._st = None
         return decision, trace
 
-    def _audit_events(self, deciding_policy: str) -> list[dict]:
-        """In audit mode, evaluate the stages after the deciding one purely
+    def _audit_events(self, failed_stage: str) -> list[dict]:
+        """In audit mode, evaluate the stages after the failed one purely
         for the record; the verdict is already fixed."""
-        deciding_stage = _STAGE_BY_POLICY.get(deciding_policy)
-        if deciding_stage is None:
-            return []
-        start = STAGES.index(deciding_stage) + 1
+        start = STAGES.index(failed_stage) + 1
         events = []
-        for stage in STAGES[start:]:
-            eval_fn = self._EVAL_BY_STAGE[stage]
+        for stage, evaluate in self._evaluators[start:]:
             try:
-                ok, details, _ = eval_fn(self, self._board.readonly())
-                outcome = "success" if ok else "failure"
+                inputs, violation = evaluate(self._board.readonly())
+                outcome = "success" if violation is None else "failure"
             except Exception:
-                details = {"note": "not evaluable after the deciding violation"}
+                inputs = {"note": "not evaluable after the deciding violation"}
                 outcome = "skipped"
             events.append(
                 {
                     "node": f"{stage}_ok",
                     "policy": stage,
-                    "inputs": details,
+                    "inputs": inputs,
                     "outcome": outcome,
                     "audit": True,
                 }
@@ -656,20 +599,22 @@ def build_tree(config: PolicyConfig) -> Node:
     return DecisionEngine(config).tree
 
 
+def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:
+    """Decide a recorded request again, on a fresh engine restored to the
+    recorded pre-state. Refuses when the config fingerprint differs from
+    the trace's; anything else would not be an audit."""
+    if config.fingerprint() != trace.config_fingerprint:
+        raise ReplayError("config fingerprint does not match the trace; replay refused")
+    engine = DecisionEngine(config, audit_all=trace.audit_all)
+    engine.restore_state(trace.pre_state)
+    return engine.decide(FetchRequest.from_dict(trace.request))
+
+
 def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
     """Re-decide a recorded request from its recorded pre-state.
 
-    Refuses to run when the config fingerprint differs from the trace's;
-    anything else would not be an audit."""
-    if config.fingerprint() != trace.config_fingerprint:
-        raise ReplayError(
-            "config fingerprint does not match the trace; replay refused"
-        )
-    engine = DecisionEngine(config, audit_all=trace.audit_all)
-    engine.restore_state(trace.pre_state)
-    request = FetchRequest.from_dict(trace.request)
-    decision, _ = engine.decide(request)
-    return decision
+    Raises ReplayError when the config fingerprint differs from the trace's."""
+    return _redecide(trace, config)[0]
 
 
 @dataclass
@@ -683,12 +628,10 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     """Replay and compare everything: final decision, event stream, warnings.
 
     Any tampering with the recorded snapshots shows up as a mismatch."""
-    if config.fingerprint() != trace.config_fingerprint:
+    try:
+        decision, fresh = _redecide(trace, config)
+    except ReplayError:
         return VerifyResult(False, ["config fingerprint does not match the trace"], None)
-    engine = DecisionEngine(config, audit_all=trace.audit_all)
-    engine.restore_state(trace.pre_state)
-    request = FetchRequest.from_dict(trace.request)
-    decision, fresh = engine.decide(request)
     mismatches = []
     if canonical_json(decision.to_dict()) != canonical_json(trace.decision.to_dict()):
         mismatches.append("final decision differs from the recorded decision")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fetchguard import ConfigError, PolicyConfig, default_config
+from fetchguard import ConfigError, DecisionEngine, PolicyConfig, default_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
@@ -49,6 +49,16 @@ class TestValidationFindings:
         config = broken(lambda d: d.__setitem__("zone_table", d["zone_table"][:1]))
         report = config.validate()
         assert "uncovered-point" in report.codes()
+
+    def test_thin_zone_gap_reported_and_engine_refuses_to_build(self):
+        gap_table = [
+            {"zone": "green", "v_lo": 0.005, "v_hi": 1.0, "a_lo": -1.0, "a_hi": 1.0},
+            {"zone": "yellow", "v_lo": -1.0, "v_hi": 0.0, "a_lo": -1.0, "a_hi": 1.0},
+        ]
+        config = broken(lambda d: d.__setitem__("zone_table", gap_table))
+        assert config.validate().codes() == {"uncovered-point"}
+        with pytest.raises(ConfigError, match="uncovered-point"):
+            DecisionEngine(config)
 
     def test_unknown_designator_reported(self):
         config = broken(lambda d: d["admin"]["designators"].append("ghost"))

@@ -111,13 +111,59 @@ class TestValidation:
                 else:
                     assert first is Zone.RED and second is Zone.GREEN
 
+    def test_gap_narrower_than_a_sweep_step_is_reported(self):
+        # Green from v = 0.005 and Yellow up to v = 0 leave (0, 0.005) uncovered.
+        table = ZoneTable(
+            rects=(
+                ZoneRect(Zone.GREEN, 0.005, 1.0, -1.0, 1.0),
+                ZoneRect(Zone.YELLOW, -1.0, 0.0, -1.0, 1.0),
+            )
+        )
+        with pytest.raises(EvaluationError):
+            zone_of(EmotionSample(0.002, 0.0), table)
+        report = validate_zone_table(table)
+        assert report.codes() == {"uncovered-point"}
+        assert "no zone covers (v=0.0025, a=-1.0)" in report.render()
+
     def test_hole_raises_naming_the_point(self):
         table = ZoneTable(rects=(ZoneRect(Zone.GREEN, 0.0, 1.0, -1.0, 1.0),))
         with pytest.raises(EvaluationError, match="-0.7"):
             zone_of(EmotionSample(-0.7, 0.1), table)
 
 
+@st.composite
+def grid_tables(draw):
+    """Tables cut from a grid of cells covering the square, with some cells
+    narrowed or dropped, so that both total tables and thin gaps occur."""
+    cuts = st.lists(in_range, max_size=2)
+    vs = sorted({-1.0, 1.0, *draw(cuts)})
+    as_ = sorted({-1.0, 1.0, *draw(cuts)})
+    rects = []
+    for v_lo, v_hi in zip(vs, vs[1:]):
+        for a_lo, a_hi in zip(as_, as_[1:]):
+            if draw(st.integers(0, 9)) == 0:
+                continue
+            shrink = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3, 4e-3]))
+            zone = draw(st.sampled_from(list(Zone)))
+            rects.append(ZoneRect(zone, min(v_lo + shrink, v_hi), v_hi, a_lo, a_hi))
+    return ZoneTable(rects=tuple(rects))
+
+
 class TestTotalityProperty:
+    @given(grid_tables(), st.data())
+    def test_a_table_that_validates_clean_is_total(self, table, data):
+        if not validate_zone_table(table).ok:
+            return
+        bounds = [b for r in table.rects for b in (r.v_lo, r.v_hi, r.a_lo, r.a_hi)]
+        near_bound = st.builds(
+            lambda b, d: min(1.0, max(-1.0, b + d)),
+            st.sampled_from(bounds),
+            st.floats(-0.01, 0.01),
+        )
+        point = st.one_of(in_range, near_bound)
+        for _ in range(20):
+            zone_of(EmotionSample(data.draw(point), data.draw(point)), table)
+
     @given(in_range, in_range)
     def test_every_sample_gets_a_zone(self, v, a):
         assert zone_of(EmotionSample(v, a), default_zone_table()) in set(Zone)
