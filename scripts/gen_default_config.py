@@ -4,14 +4,17 @@
 Run after changing default_config(); tests assert the two stay in sync.
 """
 
+import sys
 from pathlib import Path
-
-from fetchguard import default_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> None:
+    # Runs from a checkout without installing the package.
+    sys.path.insert(0, str(ROOT / "src"))
+    from fetchguard import default_config
+
     out = ROOT / "configs" / "default.json"
     out.parent.mkdir(exist_ok=True)
     config = default_config()

@@ -9,13 +9,15 @@ Exits nonzero on any expectation mismatch or replay divergence.
 import sys
 from pathlib import Path
 
-from fetchguard import default_config, load_scenario, run_scenario, verify_trace
-from fetchguard.scenario import write_traces
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> int:
+    # Runs from a checkout without installing the package.
+    sys.path.insert(0, str(ROOT / "src"))
+    from fetchguard import default_config, load_scenario, run_scenario, verify_trace
+    from fetchguard.scenario import write_traces
+
     config = default_config()
     out_dir = ROOT / "out"
     out_dir.mkdir(exist_ok=True)

@@ -50,6 +50,14 @@ class InitialTag:
 
 @dataclass
 class PolicyConfig:
+    """A household's whole policy.
+
+    Validation, the fingerprint, the id lookups and the engine that replays
+    traces are each worked out on first use and memoized per instance, so a
+    config must not be mutated after its first use: build a fresh one
+    instead.
+    """
+
     region: Region
     durations: CooldownDurations
     cooldown_scope: str
@@ -61,19 +69,25 @@ class PolicyConfig:
     admin: AdminHierarchy
     personal_tags: list[InitialTag] = field(default_factory=list)
 
-    _validation_cache: Report | None = field(default=None, repr=False, compare=False)
+    _validation_cache: Report | None = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint_cache: str | None = field(default=None, init=False, repr=False, compare=False)
+    _objects_by_id: dict[str, ObjectSpec] | None = field(default=None, init=False, repr=False, compare=False)
+    _users_by_id: dict[str, UserProfile] | None = field(default=None, init=False, repr=False, compare=False)
+    #: The engine verify_trace and replay restore and re-decide on; built by
+    #: fetchguard.engine on first use and never handed to a caller.
+    _replay_engine: object = field(default=None, init=False, repr=False, compare=False)
 
     def object_by_id(self, object_id: str) -> ObjectSpec | None:
-        for obj in self.objects:
-            if obj.object_id == object_id:
-                return obj
-        return None
+        if self._objects_by_id is None:
+            # Reversed, so that the first of two equal ids wins, as a scan
+            # would; validation refuses duplicates anyway.
+            self._objects_by_id = {o.object_id: o for o in reversed(self.objects)}
+        return self._objects_by_id.get(object_id)
 
     def user_by_id(self, user_id: str) -> UserProfile | None:
-        for user in self.users:
-            if user.user_id == user_id:
-                return user
-        return None
+        if self._users_by_id is None:
+            self._users_by_id = {u.user_id: u for u in reversed(self.users)}
+        return self._users_by_id.get(user_id)
 
     # -- serialization ----------------------------------------------------
 
@@ -267,13 +281,14 @@ class PolicyConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        if self._fingerprint_cache is None:
+            self._fingerprint_cache = hashlib.sha256(self.canonical_bytes()).hexdigest()
+        return self._fingerprint_cache
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> Report:
-        """All validators, memoized per instance (the config is immutable in
-        spirit; mutate-and-revalidate callers should build a fresh one)."""
+        """All validators, memoized per instance."""
         if self._validation_cache is not None:
             return self._validation_cache
         report = Report()

@@ -10,6 +10,7 @@ trace that can be replayed bit-for-bit against the same configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .bt import (
@@ -28,7 +29,7 @@ from .bt import (
 )
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
-from .errors import ConfigError, PermissionDeniedError, ReplayError
+from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
 from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     AdminRole,
@@ -77,7 +78,28 @@ _BOARD_SCHEMA = {
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+#: Traces are strict JSON, so a non-finite sensor value is written as one of
+#: these strings and read back from it.
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _sensor_to_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
+def _sensor_from_json(value) -> float:
+    if isinstance(value, str):
+        if value not in _NON_FINITE:
+            raise ValueError(f"sensor value {value!r} is neither a number nor a non-finite token")
+        return _NON_FINITE[value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"sensor value must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -94,7 +116,10 @@ class FetchRequest:
             "request_id": self.request_id,
             "user_id": self.user_id,
             "object_id": self.object_id,
-            "emotion": {"valence": self.emotion.valence, "arousal": self.emotion.arousal},
+            "emotion": {
+                "valence": _sensor_to_json(self.emotion.valence),
+                "arousal": _sensor_to_json(self.emotion.arousal),
+            },
             "context": {
                 "room": self.context.room,
                 "adult_present": self.context.adult_present,
@@ -110,7 +135,10 @@ class FetchRequest:
             request_id=data["request_id"],
             user_id=data["user_id"],
             object_id=data["object_id"],
-            emotion=EmotionSample(data["emotion"]["valence"], data["emotion"]["arousal"]),
+            emotion=EmotionSample(
+                _sensor_from_json(data["emotion"]["valence"]),
+                _sensor_from_json(data["emotion"]["arousal"]),
+            ),
             context=ContextSnapshot(
                 room=data["context"]["room"],
                 adult_present=data["context"]["adult_present"],
@@ -272,8 +300,11 @@ class DecisionEngine:
         self._primed = False
 
     def restore_state(self, pre_state: dict) -> None:
-        self.cooldowns = CooldownState.restore(pre_state["cooldowns"])
-        self.registry = PersonalRegistry.restore(pre_state["personal_registry"])
+        # Both restores run before either is installed, so a pre-state that
+        # fails to restore leaves the engine as it was.
+        cooldowns = CooldownState.restore(pre_state["cooldowns"])
+        registry = PersonalRegistry.restore(pre_state["personal_registry"])
+        self.cooldowns, self.registry = cooldowns, registry
         self._board = Blackboard(schema=_BOARD_SCHEMA)
         # Whether a prior request already primed the blackboard is session
         # state: it decides ingest-vs-refresh, so replays must restore it.
@@ -600,20 +631,39 @@ def build_tree(config: PolicyConfig) -> Node:
 
 
 def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:
-    """Decide a recorded request again, on a fresh engine restored to the
-    recorded pre-state. Refuses when the config fingerprint differs from
-    the trace's; anything else would not be an audit."""
+    """Decide a recorded request again, restored to the recorded pre-state.
+
+    The config keeps one replay engine of its own, built on first use and
+    restored whole for every trace, so no state carries over from one trace
+    to the next. Refuses with ReplayError when the config fingerprint
+    differs from the trace's (anything else would not be an audit), or when
+    the recorded request or pre-state cannot be read back."""
     if config.fingerprint() != trace.config_fingerprint:
-        raise ReplayError("config fingerprint does not match the trace; replay refused")
-    engine = DecisionEngine(config, audit_all=trace.audit_all)
-    engine.restore_state(trace.pre_state)
-    return engine.decide(FetchRequest.from_dict(trace.request))
+        raise ReplayError("config fingerprint does not match the trace")
+    try:
+        request = FetchRequest.from_dict(trace.request)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"recorded request cannot be read: {exc!r}") from exc
+    engine = config._replay_engine
+    if engine is None:
+        engine = config._replay_engine = DecisionEngine(config)
+    try:
+        engine.restore_state(trace.pre_state)
+    except (AttributeError, FetchguardError, KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"recorded pre_state cannot be restored: {exc!r}") from exc
+    engine.audit_all = trace.audit_all
+    try:
+        return engine.decide(request)
+    except (FetchguardError, TypeError, ValueError) as exc:
+        # An edited trace can hold values decide() was never meant to see.
+        raise ReplayError(f"recorded request cannot be decided again: {exc!r}") from exc
 
 
 def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
     """Re-decide a recorded request from its recorded pre-state.
 
-    Raises ReplayError when the config fingerprint differs from the trace's."""
+    Raises ReplayError when the config fingerprint differs from the trace's
+    or the trace cannot be replayed."""
     return _redecide(trace, config)[0]
 
 
@@ -627,11 +677,14 @@ class VerifyResult:
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     """Replay and compare everything: final decision, event stream, warnings.
 
-    Any tampering with the recorded snapshots shows up as a mismatch."""
+    Any tampering with the recorded snapshots shows up as a mismatch, and a
+    trace that cannot be replayed at all fails with one named mismatch. All
+    verifies on one config share that config's replay engine, so, like
+    decide(), verify_trace serves one caller at a time."""
     try:
         decision, fresh = _redecide(trace, config)
-    except ReplayError:
-        return VerifyResult(False, ["config fingerprint does not match the trace"], None)
+    except ReplayError as exc:
+        return VerifyResult(False, [str(exc)], None)
     mismatches = []
     if canonical_json(decision.to_dict()) != canonical_json(trace.decision.to_dict()):
         mismatches.append("final decision differs from the recorded decision")

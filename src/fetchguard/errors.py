@@ -38,7 +38,8 @@ class TagConflictError(FetchguardError):
 
 
 class ReplayError(FetchguardError):
-    """Trace cannot be replayed (config fingerprint mismatch)."""
+    """Trace cannot be replayed (config fingerprint mismatch, or a recorded
+    request or pre-state that cannot be read back or decided again)."""
 
 
 class ScenarioParseError(FetchguardError):

@@ -1,0 +1,261 @@
+"""verify_trace as an auditor uses it: many traces on one config, some of
+them edited, none of them allowed to crash the audit or to change what the
+next verify sees."""
+
+import json
+import math
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fetchguard import (
+    ContextSnapshot,
+    DecisionEngine,
+    DecisionTrace,
+    EmotionSample,
+    FetchRequest,
+    PolicyConfig,
+    ReplayError,
+    read_traces,
+    replay,
+    verify_trace,
+)
+from fetchguard.engine import canonical_json
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def load_default():
+    return PolicyConfig.load(ROOT / "configs" / "default.json")
+
+
+def make_request(user, obj, emotion=EmotionSample(0.5, 0.0), now=0, request_id="req-000"):
+    context = ContextSnapshot(room="kitchen", adult_present=True, verbal_affirmation=True, timestamp=now)
+    return FetchRequest(request_id, user, obj, emotion, context, now)
+
+
+def copy_of(trace):
+    return DecisionTrace.from_dict(json.loads(trace.to_json()))
+
+
+def refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def golden_traces():
+    plain = [t for p in sorted(GOLDEN.glob("*.jsonl")) for t in read_traces(p)]
+    audit = [t for p in sorted((GOLDEN / "audit").glob("*.jsonl")) for t in read_traces(p)]
+    return plain, audit
+
+
+@pytest.fixture()
+def mid_session_trace(shipped_config):
+    """A trace whose pre-state holds an active dangerous cool-down and the
+    initial personal tag."""
+    engine = DecisionEngine(shipped_config)
+    engine.decide(make_request("alice", "knife", now=0))
+    _, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
+    assert trace.pre_state["cooldowns"]["users"]["alice"]["active"] == {"dangerous": 1800}
+    assert verify_trace(trace, shipped_config).ok
+    return trace
+
+
+def _unknown_safety_class(trace):
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"] = {"spooky": 1800}
+
+
+def _missing_cooldowns(trace):
+    del trace.pre_state["cooldowns"]
+
+
+def _galaxy_scope(trace):
+    trace.pre_state["cooldowns"]["scope"] = "galaxy"
+
+
+def _non_integer_expiry(trace):
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"]["dangerous"] = "soon"
+
+
+def _null_valence(trace):
+    trace.request["emotion"]["valence"] = None
+
+
+def _half_restorable(trace):
+    # The cool-downs restore; the registry entry lacks its tagger.
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"] = {"mind_altering": 99999}
+    trace.pre_state["personal_registry"] = {"diary": {"grants": []}}
+
+
+def _undecidable(trace):
+    # Restores, then the blackboard refuses a non-string last request
+    # mid-tick, after the board has been primed.
+    trace.pre_state["cooldowns"]["users"]["alice"]["last_requested"] = 5
+    trace.pre_state["board_primed"] = True
+
+
+EDITS = [
+    (_unknown_safety_class, "recorded pre_state cannot be restored"),
+    (_missing_cooldowns, "recorded pre_state cannot be restored"),
+    (_galaxy_scope, "recorded pre_state cannot be restored"),
+    (_non_integer_expiry, "recorded pre_state cannot be restored"),
+    (_null_valence, "recorded request cannot be read"),
+    (_half_restorable, "recorded pre_state cannot be restored"),
+    (_undecidable, "recorded request cannot be decided again"),
+]
+
+
+class TestEditedTracesFailClosed:
+    @pytest.mark.parametrize("edit, named", EDITS, ids=lambda e: getattr(e, "__name__", ""))
+    def test_edit_is_a_named_mismatch_not_an_exception(self, shipped_config, mid_session_trace, edit, named):
+        edited = copy_of(mid_session_trace)
+        edit(edited)
+        result = verify_trace(edited, shipped_config)
+        assert (result.ok, result.decision) == (False, None)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith(named)
+        with pytest.raises(ReplayError):
+            replay(edited, shipped_config)
+
+    @pytest.mark.parametrize("edit, named", EDITS, ids=lambda e: getattr(e, "__name__", ""))
+    def test_next_verify_after_a_failed_one_is_unaffected(self, mid_session_trace, edit, named):
+        config = load_default()
+        first_engine = DecisionEngine(config)
+        _, first = first_engine.decide(make_request("alice", "towel"))
+        assert first.pre_state["board_primed"] is False
+        tampered = copy_of(mid_session_trace)
+        tampered.request["context"]["verbal_affirmation"] = False
+        expected = [verify_trace(t, load_default()) for t in (mid_session_trace, first, tampered)]
+
+        edited = copy_of(mid_session_trace)
+        edit(edited)
+        assert not verify_trace(edited, config).ok
+        assert [verify_trace(t, config) for t in (mid_session_trace, first, tampered)] == expected
+        assert [r.ok for r in expected] == [True, True, False]
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "valence, arousal",
+        [(math.nan, 0.0), (math.inf, -math.inf), (-math.inf, math.nan)],
+    )
+    def test_non_finite_emotion_decides_and_its_trace_is_strict_json(self, shipped_config, valence, arousal):
+        engine = DecisionEngine(shipped_config)
+        decision, trace = engine.decide(make_request("alice", "towel", emotion=EmotionSample(valence, arousal)))
+        assert decision.verdict in ("allow", "deny")
+        line = trace.to_json()
+        parsed = DecisionTrace.from_dict(json.loads(line, parse_constant=refuse_constant))
+        assert parsed.to_json() == line
+        assert verify_trace(parsed, shipped_config).ok
+        restored = FetchRequest.from_dict(parsed.request).emotion
+        for got, want in ((restored.valence, valence), (restored.arousal, arousal)):
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        valence=st.floats(allow_nan=True, allow_infinity=True),
+        arousal=st.floats(allow_nan=True, allow_infinity=True),
+        user=st.sampled_from(["alice", "bob", "dave", "grace", "stranger"]),
+        obj=st.sampled_from(["knife", "sleeping_pills", "car_keys", "diary", "anvil"]),
+    )
+    def test_any_sensor_value_gives_a_strict_trace_that_verifies(self, shipped_config, valence, arousal, user, obj):
+        engine = DecisionEngine(shipped_config)
+        _, trace = engine.decide(make_request(user, obj, emotion=EmotionSample(valence, arousal)))
+        parsed = DecisionTrace.from_dict(json.loads(trace.to_json(), parse_constant=refuse_constant))
+        assert verify_trace(parsed, shipped_config).ok
+
+    def test_canonical_json_refuses_bare_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            canonical_json({"x": math.nan})
+
+    @pytest.mark.parametrize("value", ["nan", "1.5", [0.1]])
+    def test_other_sensor_strings_and_shapes_are_refused_on_read(self, value):
+        data = make_request("alice", "towel").to_dict()
+        data["emotion"]["arousal"] = value
+        with pytest.raises((TypeError, ValueError)):
+            FetchRequest.from_dict(data)
+
+
+class TestLookups:
+    def test_lookups_match_a_scan_of_the_lists(self, shipped_config):
+        for user in shipped_config.users:
+            assert shipped_config.user_by_id(user.user_id) is user
+        for obj in shipped_config.objects:
+            assert shipped_config.object_by_id(obj.object_id) is obj
+        assert shipped_config.user_by_id("stranger") is None
+        assert shipped_config.object_by_id("anvil") is None
+
+
+class TestOneReplayEnginePerConfig:
+    def test_fifty_verifies_hash_the_config_once_and_build_one_engine(self, monkeypatch):
+        plain, audit = golden_traces()
+        traces = plain[:25] + audit[:25]
+        config = load_default()
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(DecisionEngine, "__init__", counting("init", DecisionEngine.__init__))
+        monkeypatch.setattr(PolicyConfig, "canonical_bytes", counting("hash", PolicyConfig.canonical_bytes))
+        assert all(verify_trace(t, config).ok for t in traces)
+        assert calls["init"] <= 1
+        assert calls["hash"] <= 1
+
+    def test_fingerprint_mismatch_is_refused_before_an_engine_is_built(self, monkeypatch, mid_session_trace):
+        mismatched = copy_of(mid_session_trace)
+        mismatched.config_fingerprint = "0" * 64
+        built = []
+        original = DecisionEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecisionEngine, "__init__", counting)
+        result = verify_trace(mismatched, load_default())
+        assert result.mismatches == ["config fingerprint does not match the trace"]
+        assert built == []
+
+    def test_verdicts_do_not_depend_on_what_was_verified_before(self, mid_session_trace):
+        plain, audit = golden_traces()
+        rng = random.Random(7)
+        traces = rng.sample(plain, 15) + rng.sample(audit, 15)
+        for trace in rng.sample(plain, 5) + rng.sample(audit, 5):
+            tampered = copy_of(trace)
+            tampered.request["context"]["adult_present"] = not tampered.request["context"]["adult_present"]
+            traces.append(tampered)
+        for trace in rng.sample(plain, 3):
+            mismatched = copy_of(trace)
+            mismatched.config_fingerprint = "f" * 64
+            traces.append(mismatched)
+        for edit, _ in EDITS:
+            edited = copy_of(mid_session_trace)
+            edit(edited)
+            traces.append(edited)
+        rng.shuffle(traces)
+
+        shared = load_default()
+        results = [verify_trace(t, shared) for t in traces]
+        assert results == [verify_trace(t, load_default()) for t in traces]
+        assert any(r.ok for r in results) and not all(r.ok for r in results)
+
+    def test_verifying_leaves_a_live_engine_alone(self):
+        config = load_default()
+        live = DecisionEngine(config)
+        live.decide(make_request("alice", "knife", now=0))
+        live.decide(make_request("bob", "sleeping_pills", now=10, request_id="req-001"))
+        _, last = live.decide(make_request("carol", "car_keys", now=20, request_id="req-002"))
+        before = (live.cooldowns.snapshot(), live.registry.snapshot())
+        plain, audit = golden_traces()
+        for trace in plain[:10] + audit[:10] + [last]:
+            assert verify_trace(trace, config).ok
+        assert (live.cooldowns.snapshot(), live.registry.snapshot()) == before
