@@ -8,7 +8,7 @@ leaves, each carrying a stable name that shows up verbatim in decision traces.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 from .errors import ConfigError, EvaluationError, MissingKeyError
 
@@ -36,16 +36,10 @@ ABSENT = _Absent()
 
 
 class Blackboard:
-    """String-keyed store shared by the leaves of one tree.
+    """String-keyed store shared by the leaves of one tree."""
 
-    An optional schema maps keys to the type(s) their values must have;
-    writes violating the schema raise EvaluationError. Keys outside the
-    schema are unconstrained.
-    """
-
-    def __init__(self, schema: Mapping[str, type | tuple[type, ...]] | None = None):
+    def __init__(self):
         self._data: dict[str, Any] = {}
-        self._schema = dict(schema) if schema else {}
 
     def read(self, key: str, default: Any = ABSENT) -> Any:
         return self._data.get(key, default)
@@ -56,12 +50,6 @@ class Blackboard:
         return self._data[key]
 
     def write(self, key: str, value: Any) -> None:
-        expected = self._schema.get(key)
-        if expected is not None and not isinstance(value, expected):
-            raise EvaluationError(
-                f"blackboard key {key!r} expects {expected}, got {type(value).__name__}",
-                key=key,
-            )
         self._data[key] = value
 
     def remove(self, key: str) -> None:

@@ -142,7 +142,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return _io_error(f"no such trace file: {args.trace}")
     try:
         trace = _find_trace(args.trace, args.request)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
+        # A trace line is outside input: it may be no JSON object at all, or
+        # name a zone or group that does not exist.
         return _io_error(f"cannot read trace {args.trace}: {exc}")
     if trace is None:
         print(f"error: no decision with request id {args.request!r}", file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError
-from .model import Report
+from .model import Report, require_type
 
 
 class Zone(enum.IntEnum):
@@ -43,8 +43,15 @@ def escalate(zone: Zone, steps: int) -> Zone:
 
 @dataclass(frozen=True)
 class EmotionSample:
+    """One sensor reading. Either value may be any int or float, NaN and
+    +-inf included, since clamped() pulls every reading into range."""
+
     valence: float
     arousal: float
+
+    def __post_init__(self):
+        require_type("emotion valence", self.valence, int, float)
+        require_type("emotion arousal", self.arousal, int, float)
 
     def clamped(self) -> tuple["EmotionSample", bool]:
         """Pull the sample into [-1,1]^2.

@@ -1,10 +1,12 @@
 """Compose the policies into one behaviour tree and decide fetch requests.
 
 One engine instance serves one household. Each request is one tick of the
-tree; the knowledge step ingests request data into the blackboard, the five
-policy gates (eligibility, ordering, emotion, category/context, personal)
-pass or record the deciding violation, and the whole walk is captured in a
-trace that can be replayed bit-for-bit against the same configuration.
+tree; the knowledge step looks up the requester and object and clamps the
+emotion sample, the five policy gates (eligibility, ordering, emotion,
+category/context, personal) pass or record the deciding violation, and the
+whole walk is captured in a trace that can be replayed bit-for-bit against
+the same configuration. A request's types are checked when it is built, so
+decide() takes any request that exists.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .model import (
     UserGroup,
     UserProfile,
     classify_user_group,
+    require_type,
 )
 from .ordering import CooldownState, Restriction, ordering_restrictions
 from .privacy import PersonalRegistry
@@ -67,15 +70,6 @@ STAGES = tuple(stage for _, stage, _ in _GATES)
 #: since unknown relationships classify to U at any eligible age.
 _ASSUMED_UNKNOWN_AGE = 100
 
-_BOARD_SCHEMA = {
-    "identity": UserProfile,
-    "emotion": EmotionSample,
-    "context": ContextSnapshot,
-    "last_request": str,
-    "cooldown_state": CooldownState,
-    "now": int,
-}
-
 
 def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -97,8 +91,6 @@ def _sensor_from_json(value) -> float:
         if value not in _NON_FINITE:
             raise ValueError(f"sensor value {value!r} is neither a number nor a non-finite token")
         return _NON_FINITE[value]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"sensor value must be a number, got {value!r}")
     return value
 
 
@@ -110,6 +102,13 @@ class FetchRequest:
     emotion: EmotionSample
     context: ContextSnapshot
     now: Instant
+
+    def __post_init__(self):
+        for what in ("request_id", "user_id", "object_id"):
+            require_type(what, getattr(self, what), str)
+        require_type("emotion", self.emotion, EmotionSample)
+        require_type("context", self.context, ContextSnapshot)
+        require_type("now", self.now, int)
 
     def to_dict(self) -> dict:
         return {
@@ -222,10 +221,13 @@ class DecisionTrace:
 
 @dataclass
 class _EvalState:
-    """What the leaves work out for one request. The request data itself
-    lives on the blackboard; gate-derived values stay here, off the board."""
+    """Everything one request's tick reads and works out. The request is
+    read where it lies; the knowledge step adds the requester's profile and
+    the clamped emotion, and each gate adds what it derives."""
 
     request: FetchRequest
+    profile: UserProfile | None = None
+    emotion: EmotionSample | None = None
     known_user: bool = True
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
@@ -277,7 +279,8 @@ class DecisionEngine:
         self.fingerprint = config.fingerprint()
         self.tree = self._build_tree()
         validate_tree(self.tree)
-        self._board = Blackboard(schema=_BOARD_SCHEMA)
+        # The tree's leaves read _EvalState, not the board; bt's tick takes one.
+        self._board = Blackboard()
         self._st: _EvalState | None = None
         self._primed = False
         self.cooldowns = CooldownState(scope=config.cooldown_scope)
@@ -288,7 +291,7 @@ class DecisionEngine:
 
     def reset(self) -> None:
         """Back to the configured initial state (fresh cool-downs, initial
-        personal tags, empty blackboard)."""
+        personal tags, not yet primed)."""
         self.cooldowns = CooldownState(scope=self.config.cooldown_scope)
         registry = PersonalRegistry()
         for tag in self.config.personal_tags:
@@ -296,7 +299,6 @@ class DecisionEngine:
             for grantee in sorted(tag.grants):
                 registry.grant_access(tag.tagged_by, tag.object_id, grantee)
         self.registry = registry
-        self._board = Blackboard(schema=_BOARD_SCHEMA)
         self._primed = False
 
     def restore_state(self, pre_state: dict) -> None:
@@ -305,9 +307,9 @@ class DecisionEngine:
         cooldowns = CooldownState.restore(pre_state["cooldowns"])
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         self.cooldowns, self.registry = cooldowns, registry
-        self._board = Blackboard(schema=_BOARD_SCHEMA)
-        # Whether a prior request already primed the blackboard is session
-        # state: it decides ingest-vs-refresh, so replays must restore it.
+        # Whether this engine has decided since reset or restore is session
+        # state (recorded as board_primed): it decides the knowledge step's
+        # ingest-vs-refresh mode, so replays must restore it.
         self._primed = bool(pre_state.get("board_primed", False))
 
     # -- registry operations (scenario events) -------------------------------
@@ -353,8 +355,8 @@ class DecisionEngine:
         ok_name, violation_name = f"{stage}_ok", f"{stage}_violation"
 
         def check(view) -> bool:
-            inputs, violation = evaluate(view)
             st = self._st
+            inputs, violation = evaluate(st)
             st.inputs[ok_name] = inputs
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
@@ -373,8 +375,6 @@ class DecisionEngine:
     def _do_knowledge(self, board: Blackboard) -> NodeStatus:
         st = self._st
         req = st.request
-        # The three knowledge keys are always written together, so "the
-        # blackboard already holds them" is exactly the primed flag.
         mode = "refresh" if self._primed else "ingest"
         self._primed = True
         profile = self.config.user_by_id(req.user_id)
@@ -390,14 +390,12 @@ class DecisionEngine:
                 allergies=frozenset(),
                 admin_role=AdminRole.NONE,
             )
+        st.profile = profile
         st.obj = self.config.object_by_id(req.object_id)
-        emotion, st.was_clamped = req.emotion.clamped()
+        st.emotion, st.was_clamped = req.emotion.clamped()
         if st.was_clamped:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
-        st.base_zone = zone_of(emotion, self.config.zone_table)
-        board.write("identity", profile)
-        board.write("emotion", emotion)
-        board.write("context", req.context)
+        st.base_zone = zone_of(st.emotion, self.config.zone_table)
         st.inputs["knowledge_check"] = {
             "mode": mode,
             "request": req.to_dict(),
@@ -406,24 +404,17 @@ class DecisionEngine:
         return SUCCESS
 
     def _do_blackboard_update(self, board: Blackboard) -> NodeStatus:
+        # Writes nothing to the board; the node keeps the name traces record.
         st = self._st
-        board.write("now", st.request.now)
-        board.write("cooldown_state", self.cooldowns)
         last = self.cooldowns.last_requested(st.request.user_id)
-        if last is None:
-            board.remove("last_request")
-        else:
-            board.write("last_request", last)
         st.inputs["blackboard_update"] = {"now": st.request.now, "last_request": last}
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
-    # Each returns (trace-event inputs, violation-or-None) and reads its
-    # canonical inputs from the blackboard.
+    # Each returns (trace-event inputs, violation-or-None) for one request's
+    # state.
 
-    def _eval_eligibility(self, board):
-        st = self._st
-        profile: UserProfile = board.require("identity")
+    def _eval_eligibility(self, st: _EvalState):
         details: dict = {
             "user_id": st.request.user_id,
             "known_user": st.known_user,
@@ -432,7 +423,7 @@ class DecisionEngine:
         }
         if st.obj is None:
             return details, ("eligibility", f"unknown object {st.request.object_id!r}")
-        st.group = classify_user_group(profile, self.config.region)
+        st.group = classify_user_group(st.profile, self.config.region)
         details["group"] = st.group.value
         if st.group is UserGroup.INELIGIBLE:
             return details, (
@@ -441,15 +432,12 @@ class DecisionEngine:
             )
         return details, None
 
-    def _eval_ordering(self, board):
-        st = self._st
-        state: CooldownState = board.require("cooldown_state")
-        now: Instant = board.require("now")
-        st.active = state.active_cooldowns(st.request.user_id, now)
+    def _eval_ordering(self, st: _EvalState):
+        st.active = self.cooldowns.active_cooldowns(st.request.user_id, st.request.now)
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
             "active_cooldowns": sorted(c.value for c in st.active),
-            "last_request": state.last_requested(st.request.user_id),
+            "last_request": self.cooldowns.last_requested(st.request.user_id),
             "vehicle_ban": st.restriction.vehicle_ban,
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
@@ -460,16 +448,14 @@ class DecisionEngine:
             )
         return details, None
 
-    def _eval_emotion(self, board):
-        st = self._st
-        sample: EmotionSample = board.require("emotion")
+    def _eval_emotion(self, st: _EvalState):
         steps = st.restriction.escalation_steps if st.restriction else 0
         st.effective_zone = escalate(st.base_zone, steps)
         key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
         st.matrix_entry = matrix_lookup(self.config.matrix, key)
         details = {
-            "valence": sample.valence,
-            "arousal": sample.arousal,
+            "valence": st.emotion.valence,
+            "arousal": st.emotion.arousal,
             "clamped": st.was_clamped,
             "base_zone": st.base_zone.as_str(),
             "escalation_steps": steps,
@@ -487,9 +473,8 @@ class DecisionEngine:
             )
         return details, None
 
-    def _eval_category_context(self, board):
-        st = self._st
-        context: ContextSnapshot = board.require("context")
+    def _eval_category_context(self, st: _EvalState):
+        context = st.request.context
         entry = st.matrix_entry
         details: dict = {
             "category": st.obj.category,
@@ -511,7 +496,7 @@ class DecisionEngine:
                 details["failed_check"] = check
                 return details, ("context", "required check failed: room_appropriate")
         result = category_checks(
-            self.config.category_rules, st.obj, st.group, context, board.require("identity")
+            self.config.category_rules, st.obj, st.group, context, st.profile
         )
         if not result.passed:
             details["failed_check"] = result.failed_check
@@ -528,8 +513,7 @@ class DecisionEngine:
                     return False
         return True
 
-    def _eval_personal(self, board):
-        st = self._st
+    def _eval_personal(self, st: _EvalState):
         ok = self.registry.personal_check(st.request.user_id, st.request.object_id)
         details = {
             "object_tagged": self.registry.is_tagged(st.request.object_id),
@@ -575,15 +559,13 @@ class DecisionEngine:
 
         events = recorder.events
         if self.audit_all and st.failed_stage is not None:
-            events.extend(self._audit_events(st.failed_stage))
+            events.extend(self._audit_events(st))
 
-        # Cool-down bookkeeping happens after the verdict; unknown objects
-        # have no safety class and leave the state untouched.
+        # Cool-down bookkeeping happens after the verdict and is the same for
+        # both verdicts; unknown objects have no safety class and leave the
+        # state untouched.
         if st.obj is not None:
-            if verdict == ALLOW:
-                self.cooldowns.on_granted(request.user_id, st.obj, request.now, self.config.durations)
-            else:
-                self.cooldowns.on_denied(request.user_id, st.obj, request.now, self.config.durations)
+            self.cooldowns.on_granted(request.user_id, st.obj, request.now, self.config.durations)
         else:
             st.warnings.append("cool-down state untouched: unknown object")
 
@@ -600,14 +582,14 @@ class DecisionEngine:
         self._st = None
         return decision, trace
 
-    def _audit_events(self, failed_stage: str) -> list[dict]:
+    def _audit_events(self, st: _EvalState) -> list[dict]:
         """In audit mode, evaluate the stages after the failed one purely
         for the record; the verdict is already fixed."""
-        start = STAGES.index(failed_stage) + 1
+        start = STAGES.index(st.failed_stage) + 1
         events = []
         for stage, evaluate in self._evaluators[start:]:
             try:
-                inputs, violation = evaluate(self._board.readonly())
+                inputs, violation = evaluate(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
                 inputs = {"note": "not evaluable after the deciding violation"}

@@ -13,8 +13,8 @@ class ConfigError(FetchguardError):
 
 
 class EvaluationError(FetchguardError):
-    """A runtime evaluation failed (missing blackboard key, schema type
-    mismatch, zone table hole). Carries the offending node and key when known."""
+    """A runtime evaluation failed (missing blackboard key, a write from a
+    condition, zone table hole). Carries the offending node and key when known."""
 
     def __init__(self, message: str, *, node: str | None = None, key: str | None = None):
         super().__init__(message)

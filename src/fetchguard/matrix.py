@@ -15,7 +15,7 @@ ordering stage escalates the effective zone before the lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .emotion import Zone, escalate
 from .errors import ConfigError
@@ -146,11 +146,10 @@ def matrix_lookup(matrix: Matrix, key: MatrixKey) -> MatrixEntry:
         ) from None
 
 
-def validate_matrix(matrix: Matrix, severity_order: Sequence[Zone] = ALL_ZONES) -> Report:
+def validate_matrix(matrix: Matrix) -> Report:
     """Totality, zone monotonicity, cool-down monotonicity, no Ineligible,
     and no checks on dead (empty-group) rows."""
     report = Report()
-    order = list(severity_order)
 
     for profile in ALL_PROFILES:
         for cls in ALL_CLASSES:
@@ -172,8 +171,8 @@ def validate_matrix(matrix: Matrix, severity_order: Sequence[Zone] = ALL_ZONES) 
 
     for profile in ALL_PROFILES:
         for cls in ALL_CLASSES:
-            for i, better in enumerate(order):
-                for worse in order[i + 1 :]:
+            for i, better in enumerate(ALL_ZONES):
+                for worse in ALL_ZONES[i + 1 :]:
                     got_worse = matrix[MatrixKey(profile, cls, worse)].allowed_groups
                     got_better = matrix[MatrixKey(profile, cls, better)].allowed_groups
                     if not got_worse <= got_better:

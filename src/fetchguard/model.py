@@ -19,6 +19,17 @@ TEEN_MIN_AGE = 13
 MIN_ADULT_THRESHOLD = 14
 
 
+def require_type(what: str, value, *types: type) -> None:
+    """Refuse a value that is not one of `types`, without converting it.
+
+    A bool passes only where bool is asked for, although Python counts it
+    as an int: a flag is not a clock reading or a sensor value.
+    """
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{what} must be {names}, got {value!r}")
+
+
 class Relationship(enum.Enum):
     HOUSEHOLD = "household"
     FAMILY = "family"
@@ -126,6 +137,12 @@ class ContextSnapshot:
     adult_present: bool
     verbal_affirmation: bool
     timestamp: Instant = 0
+
+    def __post_init__(self):
+        require_type("context room", self.room, str)
+        require_type("context adult_present", self.adult_present, bool)
+        require_type("context verbal_affirmation", self.verbal_affirmation, bool)
+        require_type("context timestamp", self.timestamp, int)
 
 
 def classify_user_group(profile: UserProfile, region: Region) -> UserGroup:

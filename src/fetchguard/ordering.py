@@ -76,20 +76,15 @@ class CooldownState:
     def on_granted(
         self, user_id: str, obj: ObjectSpec, now: Instant, durations: CooldownDurations
     ) -> None:
+        """Remember the request and arm a flagged object's window for a full
+        duration from now, whether or not one was already running."""
         rec = self._record(user_id)
         rec.last_requested = obj.object_id
         if obj.safety_class in _FLAGGED:
             rec.active[obj.safety_class] = now + durations.for_class(obj.safety_class)
 
-    def on_denied(
-        self, user_id: str, obj: ObjectSpec, now: Instant, durations: CooldownDurations
-    ) -> None:
-        # Denial of a flagged object resets its window to a full duration
-        # from now, whether or not one was already running.
-        rec = self._record(user_id)
-        rec.last_requested = obj.object_id
-        if obj.safety_class in _FLAGGED:
-            rec.active[obj.safety_class] = now + durations.for_class(obj.safety_class)
+    #: A denial re-arms the window just as a grant arms it.
+    on_denied = on_granted
 
     def active_cooldowns(self, user_id: str, now: Instant) -> frozenset[SafetyClass]:
         """Classes whose window is still open (expiry > now); expired entries
@@ -124,7 +119,10 @@ class CooldownState:
     def restore(cls, snapshot: dict) -> "CooldownState":
         state = cls(scope=snapshot.get("scope", "user"))
         for uid, rec in snapshot.get("users", {}).items():
-            record = _UserRecord(last_requested=rec.get("last_requested"))
+            last = rec.get("last_requested")
+            if last is not None and not isinstance(last, str):
+                raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
+            record = _UserRecord(last_requested=last)
             for cls_name, expiry in rec.get("active", {}).items():
                 record.active[SafetyClass(cls_name)] = int(expiry)
             state._records[uid] = record

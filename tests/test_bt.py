@@ -124,12 +124,6 @@ class TestBlackboard:
         board.write("last_request", "towel")
         assert board.read("last_request") == "towel"
 
-    def test_schema_rejects_wrong_type(self):
-        board = Blackboard(schema={"now": int})
-        board.write("now", 12)
-        with pytest.raises(EvaluationError):
-            board.write("now", "noon")
-
     def test_require_raises_missing_key(self):
         with pytest.raises(MissingKeyError):
             Blackboard().require("identity")

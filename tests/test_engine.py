@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -257,3 +259,29 @@ class TestZoneMonotonicity:
                         if seen_deny:
                             assert verdict == DENY
                         seen_deny = seen_deny or verdict == DENY
+
+
+class TestRequestTypes:
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [
+            (None, "now", "x"),
+            (None, "now", 1.5),
+            (None, "now", True),
+            (None, "user_id", 7),
+            ("context", "timestamp", math.nan),
+            ("context", "adult_present", "yes"),
+            ("context", "room", None),
+            ("emotion", "valence", None),
+            ("emotion", "arousal", False),
+        ],
+    )
+    def test_a_mistyped_value_is_refused_when_built(self, part, field, value):
+        request = make_request("alice", "towel")
+        built = request if part is None else getattr(request, part)
+        with pytest.raises(TypeError):
+            dataclasses.replace(built, **{field: value})
+
+    def test_checks_never_convert(self, engine):
+        _, trace = engine.decide(make_request("alice", "towel", emotion=EmotionSample(0, 1)))
+        assert '"emotion":{"arousal":1,"valence":0}' in trace.to_json()

@@ -22,6 +22,10 @@ def scenario_dict(events):
     return {"name": "t", "events": events}
 
 
+def with_decision(**changes):
+    return lambda doc: {**doc, "decision": {**doc["decision"], **changes}}
+
+
 CONTEXT = {"t": 0, "type": "set_context", "room": "kitchen", "adult_present": True, "verbal_affirmation": True}
 
 
@@ -230,6 +234,25 @@ class TestCliExplain:
     def test_unknown_request_id_exits_1(self, tmp_path, capsys):
         trace_path = self.traces_for(tmp_path, "baseline_allow.json")
         assert main(["explain", "--trace", str(trace_path), "--request", "missing:999"]) == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            with_decision(effective_zone="purple"),
+            with_decision(allowed_groups_at_leaf=["nobody"]),
+            with_decision(allowed_groups_at_leaf=5),
+            with_decision(effective_zone=3),
+            lambda doc: [doc],
+        ],
+        ids=["unknown_zone", "unknown_group", "groups_not_a_list", "zone_not_text", "line_not_an_object"],
+    )
+    def test_unreadable_trace_line_exits_2(self, tmp_path, capsys, edit):
+        trace_path = self.traces_for(tmp_path, "baseline_allow.json")
+        doc = json.loads(trace_path.read_text(encoding="utf-8").splitlines()[0])
+        trace_path.write_text(json.dumps(edit(doc)) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["explain", "--trace", str(trace_path), "--request", doc["request_id"]]) == 2
+        assert "cannot read trace" in capsys.readouterr().err
 
     def test_missing_trace_file_exits_2(self, tmp_path):
         assert main(["explain", "--trace", str(tmp_path / "ghost.jsonl"), "--request", "x"]) == 2

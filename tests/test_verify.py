@@ -92,10 +92,22 @@ def _half_restorable(trace):
 
 
 def _undecidable(trace):
-    # Restores, then the blackboard refuses a non-string last request
-    # mid-tick, after the board has been primed.
+    # A last request that is not an object id is refused when the
+    # cool-downs are restored, before anything is decided.
     trace.pre_state["cooldowns"]["users"]["alice"]["last_requested"] = 5
     trace.pre_state["board_primed"] = True
+
+
+def _text_now(trace):
+    trace.request["now"] = "x"
+
+
+def _fractional_timestamp(trace):
+    trace.request["context"]["timestamp"] = 1.5
+
+
+def _text_flag(trace):
+    trace.request["context"]["adult_present"] = "yes"
 
 
 EDITS = [
@@ -105,7 +117,10 @@ EDITS = [
     (_non_integer_expiry, "recorded pre_state cannot be restored"),
     (_null_valence, "recorded request cannot be read"),
     (_half_restorable, "recorded pre_state cannot be restored"),
-    (_undecidable, "recorded request cannot be decided again"),
+    (_undecidable, "recorded pre_state cannot be restored"),
+    (_text_now, "recorded request cannot be read"),
+    (_fractional_timestamp, "recorded request cannot be read"),
+    (_text_flag, "recorded request cannot be read"),
 ]
 
 
@@ -178,6 +193,33 @@ class TestStrictJson:
         data["emotion"]["arousal"] = value
         with pytest.raises((TypeError, ValueError)):
             FetchRequest.from_dict(data)
+
+
+ROSTER = ["alice", "bob", "carol", "dave", "erin", "grace", "henry"]
+CATALOG = ["knife", "sleeping_pills", "cough_syrup", "car_keys", "towel", "toy_block", "peanut_butter", "safety_scissors", "diary"]
+SENSOR = st.floats(allow_nan=True, allow_infinity=True)
+ANY_REQUEST = st.builds(
+    FetchRequest,
+    request_id=st.just("req"),
+    user_id=st.sampled_from(ROSTER) | st.text(),
+    object_id=st.sampled_from(CATALOG) | st.text(),
+    emotion=st.builds(EmotionSample, SENSOR, SENSOR),
+    context=st.builds(ContextSnapshot, st.text(), st.booleans(), st.booleans(), st.integers()),
+    now=st.integers(),
+)
+
+
+class TestAnyRequestDecides:
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @settings(max_examples=100, deadline=None)
+    @given(requests=st.lists(ANY_REQUEST, max_size=6))
+    def test_any_requests_decide_into_strict_traces_that_verify(self, shipped_config, audit_all, requests):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        for request in requests:
+            decision, trace = engine.decide(request)
+            assert decision.verdict in ("allow", "deny")
+            parsed = DecisionTrace.from_dict(json.loads(trace.to_json(), parse_constant=refuse_constant))
+            assert verify_trace(parsed, shipped_config).ok
 
 
 class TestLookups:
