@@ -6,7 +6,8 @@ emotion sample, the five policy gates (eligibility, ordering, emotion,
 category/context, personal) pass or record the deciding violation, and the
 whole walk is captured in a trace that can be replayed bit-for-bit against
 the same configuration. A request's types are checked when it is built, so
-decide() takes any request that exists.
+decide() takes any request that exists. A trace records only the state its
+decision reads, so its size and cost do not grow with household history.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ _GATES = (
 
 #: Policy stages in evaluation order; trace events follow this order.
 STAGES = tuple(stage for _, stage, _ in _GATES)
+
+#: Version of the traces decide() writes. Version 1 traces recorded the
+#: whole household as their pre-state; version 2 traces record only the
+#: requester's cool-down record, the requested object's registry entry and
+#: board_primed. Both restore the same way and both verify.
+TRACE_VERSION = 2
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -179,7 +186,9 @@ class Decision:
 @dataclass
 class DecisionTrace:
     """Full audit record of one decision; replaying it against the same
-    config fingerprint must reproduce the identical decision and events."""
+    config fingerprint must reproduce the identical decision and events.
+    A trace without a trace_version is version 1 and is written back
+    without one, so its bytes survive a read and a write."""
 
     request_id: str
     config_fingerprint: str
@@ -189,9 +198,10 @@ class DecisionTrace:
     warnings: list[str]
     events: list[dict]
     decision: Decision
+    trace_version: int = TRACE_VERSION
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "request_id": self.request_id,
             "config_fingerprint": self.config_fingerprint,
             "audit_all": self.audit_all,
@@ -201,12 +211,18 @@ class DecisionTrace:
             "events": self.events,
             "decision": self.decision.to_dict(),
         }
+        if self.trace_version != 1:
+            data["trace_version"] = self.trace_version
+        return data
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTrace":
+        version = data.get("trace_version", 1)
+        if type(version) is not int or version not in (1, TRACE_VERSION):
+            raise ValueError(f"unknown trace_version {version!r}")
         return cls(
             request_id=data["request_id"],
             config_fingerprint=data["config_fingerprint"],
@@ -216,6 +232,7 @@ class DecisionTrace:
             warnings=list(data.get("warnings", ())),
             events=list(data["events"]),
             decision=Decision.from_dict(data["decision"]),
+            trace_version=version,
         )
 
 
@@ -528,9 +545,10 @@ class DecisionEngine:
     # -- deciding --------------------------------------------------------------
 
     def decide(self, request: FetchRequest) -> tuple[Decision, DecisionTrace]:
+        # Only the state this decision reads (see TRACE_VERSION).
         pre_state = {
-            "cooldowns": self.cooldowns.snapshot(),
-            "personal_registry": self.registry.snapshot(),
+            "cooldowns": self.cooldowns.snapshot(request.user_id),
+            "personal_registry": self.registry.snapshot(request.object_id),
             "board_primed": self._primed,
         }
         st = self._st = _EvalState(request=request)
@@ -649,6 +667,14 @@ def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
     return _redecide(trace, config)[0]
 
 
+def _same_json(fresh, recorded) -> bool:
+    # An edited pre-state may hold values canonical JSON refuses (NaN, say).
+    try:
+        return canonical_json(fresh) == canonical_json(recorded)
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass
 class VerifyResult:
     ok: bool
@@ -657,7 +683,10 @@ class VerifyResult:
 
 
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
-    """Replay and compare everything: final decision, event stream, warnings.
+    """Replay and compare everything: final decision, event stream, warnings
+    and, for a version 2 trace, the pre-state, which must be exactly the
+    slice the decision reads (a version 1 pre-state held the whole
+    household and is not compared).
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -674,4 +703,6 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
         mismatches.append("event stream differs from the recorded events")
     if fresh.warnings != trace.warnings:
         mismatches.append("warnings differ from the recorded warnings")
+    if trace.trace_version != 1 and not _same_json(fresh.pre_state, trace.pre_state):
+        mismatches.append("pre_state differs from the recorded pre_state")
     return VerifyResult(not mismatches, mismatches, decision)

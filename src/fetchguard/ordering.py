@@ -103,7 +103,15 @@ class CooldownState:
             return None
         return rec.active.get(safety_class)
 
-    def snapshot(self) -> dict:
+    def snapshot(self, user_id: str | None = None) -> dict:
+        """The whole state, or, given a user_id, only the record a decision
+        for that user reads: theirs, or the household's under household
+        scope. A user with no record gets an empty slice."""
+        if user_id is None:
+            records = sorted(self._records.items())
+        else:
+            key = self._key(user_id)
+            records = [(key, self._records[key])] if key in self._records else []
         return {
             "scope": self.scope,
             "users": {
@@ -111,7 +119,7 @@ class CooldownState:
                     "last_requested": rec.last_requested,
                     "active": {cls.value: exp for cls, exp in sorted(rec.active.items(), key=lambda kv: kv[0].value)},
                 }
-                for uid, rec in sorted(self._records.items())
+                for uid, rec in records
             },
         }
 

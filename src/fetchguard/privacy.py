@@ -86,11 +86,14 @@ class PersonalRegistry:
         tag = self._tags.get(object_id)
         return tag.tagged_by if tag else None
 
-    def snapshot(self) -> dict:
-        return {
-            obj: {"tagged_by": tag.tagged_by, "grants": sorted(tag.grants)}
-            for obj, tag in sorted(self._tags.items())
-        }
+    def snapshot(self, object_id: str | None = None) -> dict:
+        """The whole registry, or, given an object_id, only that object's
+        entry (empty when it is untagged)."""
+        if object_id is None:
+            tags = sorted(self._tags.items())
+        else:
+            tags = [(object_id, self._tags[object_id])] if object_id in self._tags else []
+        return {obj: {"tagged_by": tag.tagged_by, "grants": sorted(tag.grants)} for obj, tag in tags}
 
     @classmethod
     def restore(cls, snapshot: dict) -> "PersonalRegistry":

@@ -53,9 +53,10 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
         etype = raw.get("type")
         if etype not in EVENT_TYPES:
             raise ScenarioParseError(f"{where}: unknown event type {etype!r}")
-        if "t" not in raw or not isinstance(raw["t"], int) or raw["t"] < 0:
+        # A JSON true/false is a Python bool, which is an int: refuse it.
+        t = raw.get("t")
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise ScenarioParseError(f"{where}: 't' must be a non-negative integer")
-        t = raw["t"]
         if t < last_t:
             raise ScenarioParseError(f"{where}: timestamps must be non-decreasing")
         last_t = t
@@ -78,7 +79,8 @@ def _check_fields(etype: str, fields: dict, where: str) -> None:
     for key, typ in _REQUIRED_FIELDS[etype].items():
         if key not in fields:
             raise ScenarioParseError(f"{where}: {etype} needs field {key!r}")
-        if not isinstance(fields[key], typ):
+        value = fields[key]
+        if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
             raise ScenarioParseError(f"{where}: field {key!r} has the wrong type")
     if etype == "request":
         expect = fields.get("expect")

@@ -174,6 +174,63 @@ class TestTraceShape:
         assert clone.to_json() == trace.to_json()
 
 
+ALICE_ON_COOLDOWN = {"last_requested": "knife", "active": {"dangerous": 1800}}
+
+
+class TestHistoryIsNotRead:
+    """A trace records the requester's cool-down record, the requested
+    object's registry entry and board_primed, nothing else."""
+
+    def decide_after(self, config, users, request):
+        engine = DecisionEngine(config)
+        engine.restore_state(
+            {
+                "cooldowns": {"scope": config.cooldown_scope, "users": users},
+                "personal_registry": engine.registry.snapshot(),
+                "board_primed": True,
+            }
+        )
+        return engine.decide(request)[1]
+
+    def test_ten_thousand_other_records_leave_the_trace_line_unchanged(self, shipped_config):
+        crowd = {
+            f"remembered-{i:05d}": {"last_requested": "sleeping_pills", "active": {"mind_altering": 20000}}
+            for i in range(10_000)
+        }
+        request = make_request("alice", "knife", now=60)
+        alone = self.decide_after(shipped_config, {"alice": ALICE_ON_COOLDOWN}, request)
+        crowded = self.decide_after(shipped_config, {**crowd, "alice": ALICE_ON_COOLDOWN}, request)
+        assert crowded.to_json() == alone.to_json()
+        assert crowded.pre_state == {
+            "cooldowns": {"scope": "user", "users": {"alice": ALICE_ON_COOLDOWN}},
+            "personal_registry": {},
+            "board_primed": True,
+        }
+
+    def test_a_requester_without_a_record_gets_an_empty_slice(self, shipped_config):
+        trace = self.decide_after(shipped_config, {"alice": ALICE_ON_COOLDOWN}, make_request("bob", "towel"))
+        assert trace.pre_state["cooldowns"] == {"scope": "user", "users": {}}
+
+    def test_the_requested_object_brings_its_registry_entry(self, engine):
+        _, towel = engine.decide(make_request("bob", "towel"))
+        _, diary = engine.decide(make_request("bob", "diary", request_id="req-001"))
+        assert towel.pre_state["personal_registry"] == {}
+        assert diary.pre_state["personal_registry"] == {"diary": {"tagged_by": "alice", "grants": []}}
+
+    def test_household_scope_records_the_household_record(self):
+        data = default_config().to_dict()
+        data["cooldown_scope"] = "household"
+        config = PolicyConfig.from_dict(data)
+        engine = DecisionEngine(config)
+        engine.decide(make_request("alice", "knife", now=0))
+        _, trace = engine.decide(make_request("bob", "knife", now=60, request_id="req-001"))
+        assert trace.pre_state["cooldowns"] == {
+            "scope": "household",
+            "users": {"__household__": ALICE_ON_COOLDOWN},
+        }
+        assert verify_trace(trace, config).ok
+
+
 class TestReplay:
     def test_replay_reproduces_decision(self, shipped_config, engine):
         decision, trace = engine.decide(make_request("alice", "knife", emotion=RED))

@@ -5,13 +5,21 @@ mode, tests/golden/audit/*.jsonl the same scenarios run with audit_all. The
 chart_* files have no scenario left that produces them, so they are checked
 by verification only. A mismatch here means the engine no longer rebuilds a
 decision it once made: fix the engine, never regenerate these files.
+
+The committed lines are version 1 traces, whose pre_state holds the whole
+household. The engine now writes version 2 traces, whose pre_state holds
+only what the decision reads, so a re-run is compared with its golden line
+cut down to that slice, byte for byte.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from fetchguard import PolicyConfig, load_scenario, read_traces, run_scenario, verify_trace
+from fetchguard.engine import canonical_json
+from fetchguard.ordering import HOUSEHOLD_SCOPE_KEY
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -53,4 +61,21 @@ def test_rerunning_a_scenario_reproduces_its_golden_bytes(default_json_config, p
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == want, f"trace bytes changed for {trace.request_id}"
+        assert trace.to_json() == as_version_2(want), f"trace bytes changed for {trace.request_id}"
+
+
+def as_version_2(v1_line: str) -> str:
+    """A committed version 1 line as the engine writes it today: its
+    pre_state cut down to the requester's cool-down record (the household's
+    under household scope) and the requested object's registry entry."""
+    data = json.loads(v1_line)
+    assert "trace_version" not in data
+    request, cooldowns = data["request"], data["pre_state"]["cooldowns"]
+    key = HOUSEHOLD_SCOPE_KEY if cooldowns["scope"] == "household" else request["user_id"]
+    cooldowns["users"] = {uid: rec for uid, rec in cooldowns["users"].items() if uid == key}
+    registry = data["pre_state"]["personal_registry"]
+    data["pre_state"]["personal_registry"] = {
+        obj: tag for obj, tag in registry.items() if obj == request["object_id"]
+    }
+    data["trace_version"] = 2
+    return canonical_json(data)

@@ -62,6 +62,14 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="unknown fields"):
             parse_scenario(scenario_dict([dict(CONTEXT, color="red")]))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("field", ["valence", "arousal", "t"])
+    def test_a_json_bool_is_not_a_number(self, field, flag):
+        event = {"t": 0, "type": "set_emotion", "user": "alice", "valence": 0, "arousal": 0.5}
+        parse_scenario(scenario_dict([event]))
+        with pytest.raises(ScenarioParseError, match=f"'{field}'"):
+            parse_scenario(scenario_dict([dict(event, **{field: flag})]))
+
 
 class TestRunner:
     def test_requests_default_to_neutral_emotion_and_bare_context(self, shipped_config):

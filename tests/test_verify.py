@@ -222,6 +222,103 @@ class TestAnyRequestDecides:
             assert verify_trace(parsed, shipped_config).ok
 
 
+def whole_household(engine, board_primed):
+    """What a version 1 trace recorded as its pre-state: every cool-down
+    record and the whole registry."""
+    return {
+        "cooldowns": engine.cooldowns.snapshot(),
+        "personal_registry": engine.registry.snapshot(),
+        "board_primed": board_primed,
+    }
+
+
+def as_version_1(trace, pre_state):
+    v1 = copy_of(trace)
+    v1.pre_state, v1.trace_version = pre_state, 1
+    return v1
+
+
+@pytest.fixture()
+def bob_after_alice(shipped_config):
+    """Bob's trace at now=60, after alice armed a dangerous window that
+    expires at 1800, and the whole household just before bob's decision."""
+    live = DecisionEngine(shipped_config)
+    live.decide(make_request("alice", "knife", now=0))
+    whole = whole_household(live, board_primed=True)
+    _, trace = live.decide(make_request("bob", "towel", now=60, request_id="req-001"))
+    assert whole["cooldowns"]["users"]["alice"]["active"] == {"dangerous": 1800}
+    assert trace.pre_state["cooldowns"]["users"] == {}
+    return whole, trace
+
+
+def _alice_expiry_moved(whole, trace):
+    whole["cooldowns"]["users"]["alice"]["active"]["dangerous"] = 1799
+    trace.pre_state = whole
+
+
+def _record_added_for_carol(whole, trace):
+    trace.pre_state["cooldowns"]["users"]["carol"] = {"last_requested": "towel", "active": {}}
+
+
+def _tag_added_for_another_object(whole, trace):
+    trace.pre_state["personal_registry"]["knife"] = {"tagged_by": "alice", "grants": []}
+
+
+class TestVersion2PreState:
+    @pytest.mark.parametrize(
+        "edit",
+        [_alice_expiry_moved, _record_added_for_carol, _tag_added_for_another_object],
+        ids=lambda e: e.__name__,
+    )
+    def test_an_edit_the_decision_does_not_read_is_a_mismatch(self, shipped_config, bob_after_alice, edit):
+        whole, trace = bob_after_alice
+        edited = copy_of(trace)
+        edit(whole, edited)
+        result = verify_trace(edited, shipped_config)
+        assert result.mismatches == ["pre_state differs from the recorded pre_state"]
+        # A version 1 trace is not compared this way: the same edit verifies,
+        # as it did when every trace held the whole household.
+        assert verify_trace(as_version_1(edited, edited.pre_state), shipped_config).ok
+
+    def test_a_pre_state_canonical_json_refuses_is_a_mismatch(self, shipped_config, bob_after_alice):
+        _, trace = bob_after_alice
+        edited = copy_of(trace)
+        # bool() restores it, but canonical JSON refuses it.
+        edited.pre_state["board_primed"] = math.nan
+        assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
+
+    def test_new_traces_are_version_2(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 2
+        assert '"trace_version":2' in mid_session_trace.to_json()
+
+    def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
+        for path in sorted(GOLDEN.glob("*.jsonl")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                trace = DecisionTrace.from_dict(json.loads(line))
+                assert trace.trace_version == 1
+                assert trace.to_json() == line
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, 2.0, None])
+    def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
+        data = json.loads(mid_session_trace.to_json())
+        data["trace_version"] = version
+        with pytest.raises(ValueError, match="trace_version"):
+            DecisionTrace.from_dict(data)
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(ANY_REQUEST, max_size=8))
+    def test_each_trace_verifies_sliced_and_as_a_whole_household(self, shipped_config, audit_all, requests):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        for request in requests:
+            before = whole_household(engine, board_primed=None)
+            _, trace = engine.decide(request)
+            assert trace.trace_version == 2
+            assert verify_trace(copy_of(trace), shipped_config).ok
+            before["board_primed"] = trace.pre_state["board_primed"]
+            assert verify_trace(as_version_1(trace, before), shipped_config).ok
+
+
 class TestLookups:
     def test_lookups_match_a_scan_of_the_lists(self, shipped_config):
         for user in shipped_config.users:
