@@ -1,9 +1,7 @@
 """Deterministic decision engine for household-robot fetch requests."""
 
 from .bt import (
-    ABSENT,
     Action,
-    Blackboard,
     Condition,
     FAILURE,
     Fallback,
@@ -43,7 +41,6 @@ from .errors import (
     ConfigError,
     EvaluationError,
     FetchguardError,
-    MissingKeyError,
     PermissionDeniedError,
     ReplayError,
     ScenarioParseError,

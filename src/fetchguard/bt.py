@@ -1,8 +1,10 @@
-"""Minimal behaviour-tree interpreter: node algebra, tick semantics, blackboard.
+"""Minimal behaviour-tree interpreter: node algebra and tick semantics.
 
 Content-free: nothing in here knows about fetch policies. Trees are built from
 Sequence / Fallback composites, a Repeat decorator and Condition / Action
 leaves, each carrying a stable name that shows up verbatim in decision traces.
+A tick takes one state object and hands it, unchanged, to every leaf it
+reaches; what that state is belongs to the caller.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Iterable
 
-from .errors import ConfigError, EvaluationError, MissingKeyError
+from .errors import ConfigError, EvaluationError
 
 
 class NodeStatus(enum.Enum):
@@ -22,74 +24,6 @@ class NodeStatus(enum.Enum):
 SUCCESS = NodeStatus.SUCCESS
 FAILURE = NodeStatus.FAILURE
 RUNNING = NodeStatus.RUNNING
-
-
-class _Absent:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ABSENT"
-
-
-#: Sentinel distinguishing "key not present" from any stored value (incl. None).
-ABSENT = _Absent()
-
-
-class Blackboard:
-    """String-keyed store shared by the leaves of one tree."""
-
-    def __init__(self):
-        self._data: dict[str, Any] = {}
-
-    def read(self, key: str, default: Any = ABSENT) -> Any:
-        return self._data.get(key, default)
-
-    def require(self, key: str) -> Any:
-        if key not in self._data:
-            raise MissingKeyError(key)
-        return self._data[key]
-
-    def write(self, key: str, value: Any) -> None:
-        self._data[key] = value
-
-    def remove(self, key: str) -> None:
-        self._data.pop(key, None)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def readonly(self) -> "ReadOnlyBlackboard":
-        return ReadOnlyBlackboard(self)
-
-
-class ReadOnlyBlackboard:
-    """View handed to Condition predicates; any write attempt raises."""
-
-    __slots__ = ("_board",)
-
-    def __init__(self, board: Blackboard):
-        self._board = board
-
-    def read(self, key: str, default: Any = ABSENT) -> Any:
-        return self._board.read(key, default)
-
-    def require(self, key: str) -> Any:
-        return self._board.require(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._board
-
-    def keys(self) -> list[str]:
-        return self._board.keys()
-
-    def write(self, key: str, value: Any) -> None:
-        raise EvaluationError("conditions may not write to the blackboard", key=key)
-
-    def remove(self, key: str) -> None:
-        raise EvaluationError("conditions may not write to the blackboard", key=key)
 
 
 class TickListener:
@@ -113,7 +47,7 @@ class Node:
     def children(self) -> tuple["Node", ...]:
         return ()
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         raise NotImplementedError
 
 
@@ -129,12 +63,12 @@ class Sequence(Node):
     def children(self) -> tuple[Node, ...]:
         return self._children
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
         status = SUCCESS
         for child in self._children:
-            status = child.tick(board, listener)
+            status = child.tick(state, listener)
             if status is not SUCCESS:
                 break
         if listener:
@@ -154,12 +88,12 @@ class Fallback(Node):
     def children(self) -> tuple[Node, ...]:
         return self._children
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
         status = FAILURE
         for child in self._children:
-            status = child.tick(board, listener)
+            status = child.tick(state, listener)
             if status is not FAILURE:
                 break
         if listener:
@@ -178,27 +112,27 @@ class Repeat(Node):
     def children(self) -> tuple[Node, ...]:
         return (self._child,)
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
-        status = self._child.tick(board, listener)
+        status = self._child.tick(state, listener)
         if listener:
             listener.exit(self, status)
         return status
 
 
 class Condition(Node):
-    """Leaf evaluating a predicate against a read-only blackboard view."""
+    """Leaf evaluating a predicate of the tick's state."""
 
-    def __init__(self, name: str, predicate: Callable[[ReadOnlyBlackboard], bool]):
+    def __init__(self, name: str, predicate: Callable[[Any], bool]):
         super().__init__(name)
         self.predicate = predicate
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
         try:
-            ok = self.predicate(board.readonly())
+            ok = self.predicate(state)
         except EvaluationError as exc:
             if exc.node is None:
                 raise EvaluationError(str(exc), node=self.name, key=exc.key) from exc
@@ -210,17 +144,17 @@ class Condition(Node):
 
 
 class Action(Node):
-    """Leaf executing an effect; the effect may write and returns its status."""
+    """Leaf executing an effect on the tick's state; returns its status."""
 
-    def __init__(self, name: str, effect: Callable[[Blackboard], NodeStatus]):
+    def __init__(self, name: str, effect: Callable[[Any], NodeStatus]):
         super().__init__(name)
         self.effect = effect
 
-    def tick(self, board: Blackboard, listener: TickListener | None = None) -> NodeStatus:
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
         try:
-            status = self.effect(board)
+            status = self.effect(state)
         except EvaluationError as exc:
             if exc.node is None:
                 raise EvaluationError(str(exc), node=self.name, key=exc.key) from exc

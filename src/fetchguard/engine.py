@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .bt import (
     Action,
-    Blackboard,
     Condition,
     FAILURE,
     Fallback,
@@ -33,7 +32,7 @@ from .bt import (
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
-from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import MATRIX_CHECKS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     AdminRole,
     ContextSnapshot,
@@ -66,6 +65,20 @@ _GATES = (
 
 #: Policy stages in evaluation order; trace events follow this order.
 STAGES = tuple(stage for _, stage, _ in _GATES)
+
+#: The policy each node's trace events name.
+_POLICY_OF = {
+    "per_request": "structure",
+    "decision_sequence": "structure",
+    "knowledge_check": "knowledge",
+    "blackboard_update": "knowledge",
+    "accept": "decision",
+    **{
+        name: stage
+        for gate, stage, _ in _GATES
+        for name in (gate, f"{stage}_ok", f"{stage}_violation")
+    },
+}
 
 #: Version of the traces decide() writes. Version 1 traces recorded the
 #: whole household as their pre-state; version 2 traces record only the
@@ -238,9 +251,10 @@ class DecisionTrace:
 
 @dataclass
 class _EvalState:
-    """Everything one request's tick reads and works out. The request is
-    read where it lies; the knowledge step adds the requester's profile and
-    the clamped emotion, and each gate adds what it derives."""
+    """Everything one request's tick reads and works out; the tree is ticked
+    on it. The request is read where it lies; the knowledge step adds the
+    requester's profile and the clamped emotion, and each gate adds what it
+    derives."""
 
     request: FetchRequest
     profile: UserProfile | None = None
@@ -264,8 +278,7 @@ class _EvalState:
 class _Recorder(TickListener):
     """Turns every node exit into a trace event, in tick order."""
 
-    def __init__(self, policy_of: dict[str, str], inputs: dict[str, dict]):
-        self.policy_of = policy_of
+    def __init__(self, inputs: dict[str, dict]):
         self.inputs = inputs
         self.events: list[dict] = []
 
@@ -273,7 +286,7 @@ class _Recorder(TickListener):
         self.events.append(
             {
                 "node": node.name,
-                "policy": self.policy_of[node.name],
+                "policy": _POLICY_OF[node.name],
                 "inputs": self.inputs.get(node.name, {}),
                 "outcome": status.value,
             }
@@ -296,12 +309,6 @@ class DecisionEngine:
         self.fingerprint = config.fingerprint()
         self.tree = self._build_tree()
         validate_tree(self.tree)
-        # The tree's leaves read _EvalState, not the board; bt's tick takes one.
-        self._board = Blackboard()
-        self._st: _EvalState | None = None
-        self._primed = False
-        self.cooldowns = CooldownState(scope=config.cooldown_scope)
-        self.registry = PersonalRegistry()
         self.reset()
 
     # -- lifecycle ----------------------------------------------------------
@@ -347,40 +354,26 @@ class DecisionEngine:
     # -- tree construction ----------------------------------------------------
 
     def _build_tree(self) -> Node:
-        self._policy_of = {
-            "per_request": "structure",
-            "decision_sequence": "structure",
-            "knowledge_check": "knowledge",
-            "blackboard_update": "knowledge",
-            "accept": "decision",
-        }
-        self._evaluators = []  # (stage, evaluator) in gate order, for the audit pass
         children: list[Node] = [
             Action("knowledge_check", self._do_knowledge),
             Action("blackboard_update", self._do_blackboard_update),
         ]
         for gate_name, stage, method in _GATES:
-            evaluate = getattr(self, method)
-            self._evaluators.append((stage, evaluate))
-            children.append(Fallback(gate_name, self._gate_leaves(stage, evaluate)))
-            for name in (gate_name, f"{stage}_ok", f"{stage}_violation"):
-                self._policy_of[name] = stage
-        children.append(Action("accept", lambda board: SUCCESS))
+            children.append(Fallback(gate_name, self._gate_leaves(stage, getattr(self, method))))
+        children.append(Action("accept", lambda st: SUCCESS))
         return Repeat("per_request", Sequence("decision_sequence", children))
 
     def _gate_leaves(self, stage: str, evaluate) -> list[Node]:
         ok_name, violation_name = f"{stage}_ok", f"{stage}_violation"
 
-        def check(view) -> bool:
-            st = self._st
+        def check(st: _EvalState) -> bool:
             inputs, violation = evaluate(st)
             st.inputs[ok_name] = inputs
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
             return violation is None
 
-        def record_violation(board) -> NodeStatus:
-            st = self._st
+        def record_violation(st: _EvalState) -> NodeStatus:
             policy, reason = st.violation
             st.inputs[violation_name] = {"policy": policy, "reason": reason}
             return FAILURE
@@ -389,8 +382,7 @@ class DecisionEngine:
 
     # -- leaf effects ----------------------------------------------------------
 
-    def _do_knowledge(self, board: Blackboard) -> NodeStatus:
-        st = self._st
+    def _do_knowledge(self, st: _EvalState) -> NodeStatus:
         req = st.request
         mode = "refresh" if self._primed else "ingest"
         self._primed = True
@@ -420,9 +412,9 @@ class DecisionEngine:
         }
         return SUCCESS
 
-    def _do_blackboard_update(self, board: Blackboard) -> NodeStatus:
-        # Writes nothing to the board; the node keeps the name traces record.
-        st = self._st
+    def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
+        # The node keeps the name traces record; it reads the requester's
+        # last request for the trace.
         last = self.cooldowns.last_requested(st.request.user_id)
         st.inputs["blackboard_update"] = {"now": st.request.now, "last_request": last}
         return SUCCESS
@@ -450,7 +442,10 @@ class DecisionEngine:
         return details, None
 
     def _eval_ordering(self, st: _EvalState):
-        st.active = self.cooldowns.active_cooldowns(st.request.user_id, st.request.now)
+        # The audit pass (a stage already failed) only reads the state.
+        st.active = self.cooldowns.active_cooldowns(
+            st.request.user_id, st.request.now, prune=st.failed_stage is None
+        )
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
             "active_cooldowns": sorted(c.value for c in st.active),
@@ -500,18 +495,24 @@ class DecisionEngine:
             "adult_present": context.adult_present,
             "verbal_affirmation": context.verbal_affirmation,
         }
-        for check in ("verbal_affirmation", "adult_present", "room_appropriate"):
+        for check in MATRIX_CHECKS:
             if check not in entry.required_checks:
                 continue
-            if check == "verbal_affirmation" and not context.verbal_affirmation:
+            if check == "room_appropriate":
+                # Defers to whatever rooms the category rules declare; with
+                # no declared rooms it passes vacuously.
+                passed = all(
+                    rule.admits_room(context.room)
+                    for rule in self.config.category_rules
+                    if rule.applies_to(st.obj.category)
+                )
+            else:
+                # The other matrix checks are named after the context flag
+                # they read.
+                passed = getattr(context, check)
+            if not passed:
                 details["failed_check"] = check
-                return details, ("context", "required check failed: verbal_affirmation")
-            if check == "adult_present" and not context.adult_present:
-                details["failed_check"] = check
-                return details, ("context", "required check failed: adult_present")
-            if check == "room_appropriate" and not self._room_appropriate(st.obj.category, context.room):
-                details["failed_check"] = check
-                return details, ("context", "required check failed: room_appropriate")
+                return details, ("context", f"required check failed: {check}")
         result = category_checks(
             self.config.category_rules, st.obj, st.group, context, st.profile
         )
@@ -520,15 +521,6 @@ class DecisionEngine:
             details["failed_rule_category"] = result.failed_rule_category
             return details, ("category", f"category check failed: {result.failed_check}")
         return details, None
-
-    def _room_appropriate(self, category: str, room: str) -> bool:
-        # The matrix-level room check defers to whatever rooms the category
-        # rules declare; with no declared rooms it passes vacuously.
-        for rule in self.config.category_rules:
-            if rule.applies_to(category) and rule.appropriate_rooms is not None:
-                if room not in rule.appropriate_rooms:
-                    return False
-        return True
 
     def _eval_personal(self, st: _EvalState):
         ok = self.registry.personal_check(st.request.user_id, st.request.object_id)
@@ -551,9 +543,9 @@ class DecisionEngine:
             "personal_registry": self.registry.snapshot(request.object_id),
             "board_primed": self._primed,
         }
-        st = self._st = _EvalState(request=request)
-        recorder = _Recorder(self._policy_of, st.inputs)
-        status = self.tree.tick(self._board, recorder)
+        st = _EvalState(request=request)
+        recorder = _Recorder(st.inputs)
+        status = self.tree.tick(st, recorder)
 
         if status is SUCCESS:
             verdict, deciding, reason = ALLOW, "none", "no policy violation"
@@ -597,7 +589,6 @@ class DecisionEngine:
             events=events,
             decision=decision,
         )
-        self._st = None
         return decision, trace
 
     def _audit_events(self, st: _EvalState) -> list[dict]:
@@ -605,9 +596,9 @@ class DecisionEngine:
         for the record; the verdict is already fixed."""
         start = STAGES.index(st.failed_stage) + 1
         events = []
-        for stage, evaluate in self._evaluators[start:]:
+        for _, stage, method in _GATES[start:]:
             try:
-                inputs, violation = evaluate(st)
+                inputs, violation = getattr(self, method)(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
                 inputs = {"note": "not evaluable after the deciding violation"}

@@ -13,20 +13,13 @@ class ConfigError(FetchguardError):
 
 
 class EvaluationError(FetchguardError):
-    """A runtime evaluation failed (missing blackboard key, a write from a
-    condition, zone table hole). Carries the offending node and key when known."""
+    """A runtime evaluation failed (a leaf's check could not be made, a zone
+    table hole). Carries the offending node and key when known."""
 
     def __init__(self, message: str, *, node: str | None = None, key: str | None = None):
         super().__init__(message)
         self.node = node
         self.key = key
-
-
-class MissingKeyError(EvaluationError):
-    """A required blackboard key is absent."""
-
-    def __init__(self, key: str):
-        super().__init__(f"missing blackboard key: {key!r}", key=key)
 
 
 class PermissionDeniedError(FetchguardError):

@@ -89,6 +89,10 @@ class CategoryRule:
     def applies_to(self, category: str) -> bool:
         return self.category == "*" or self.category == category
 
+    def admits_room(self, room: str) -> bool:
+        """A rule that declares no rooms admits every room."""
+        return self.appropriate_rooms is None or room in self.appropriate_rooms
+
 
 def _base_entries() -> dict[tuple[SafetyClass, Zone], MatrixEntry]:
     g = UserGroup
@@ -240,6 +244,6 @@ def category_checks(
         if "verbal_affirmation" in rule.extra_checks:
             if not context.verbal_affirmation:
                 return CheckResult(False, "verbal_affirmation", rule.category)
-        if rule.appropriate_rooms is not None and context.room not in rule.appropriate_rooms:
+        if not rule.admits_room(context.room):
             return CheckResult(False, "room_appropriate", rule.category)
     return CheckResult(True)

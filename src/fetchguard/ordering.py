@@ -86,12 +86,17 @@ class CooldownState:
     #: A denial re-arms the window just as a grant arms it.
     on_denied = on_granted
 
-    def active_cooldowns(self, user_id: str, now: Instant) -> frozenset[SafetyClass]:
-        """Classes whose window is still open (expiry > now); expired entries
-        are pruned as a side effect."""
+    def active_cooldowns(
+        self, user_id: str, now: Instant, prune: bool = True
+    ) -> frozenset[SafetyClass]:
+        """Classes whose window is still open (expiry > now). Expired entries
+        are pruned as a side effect unless prune is false, in which case the
+        state is only read."""
         rec = self._records.get(self._key(user_id))
         if rec is None:
             return frozenset()
+        if not prune:
+            return frozenset(cls for cls, expiry in rec.active.items() if expiry > now)
         expired = [cls for cls, expiry in rec.active.items() if expiry <= now]
         for cls in expired:
             del rec.active[cls]

@@ -11,26 +11,26 @@ S = NodeStatus.SUCCESS
 F = NodeStatus.FAILURE
 
 
-def reference_tick(node, board, visits):
+def reference_tick(node, state, visits):
     visits.append(node.name)
     if isinstance(node, Sequence):
         for child in node.children():
-            status = reference_tick(child, board, visits)
+            status = reference_tick(child, state, visits)
             if status is not S:
                 return status
         return S
     if isinstance(node, Fallback):
         for child in node.children():
-            status = reference_tick(child, board, visits)
+            status = reference_tick(child, state, visits)
             if status is not F:
                 return status
         return F
     if isinstance(node, Repeat):
-        return reference_tick(node.children()[0], board, visits)
+        return reference_tick(node.children()[0], state, visits)
     if isinstance(node, Condition):
-        return S if node.predicate(board.readonly()) else F
+        return S if node.predicate(state) else F
     if isinstance(node, Action):
-        return node.effect(board)
+        return node.effect(state)
     raise AssertionError(f"unknown node kind: {node!r}")
 
 
@@ -46,12 +46,12 @@ def random_tree(rng, max_depth=5, max_nodes=20):
         counter[0] += 1
         if rng.random() < 0.5:
             result = rng.random() < 0.5
-            return Condition(fresh_name("c"), lambda view, r=result: r)
+            return Condition(fresh_name("c"), lambda state, r=result: r)
         status = rng.choices(
             [NodeStatus.SUCCESS, NodeStatus.FAILURE, NodeStatus.RUNNING],
             weights=[5, 4, 1],
         )[0]
-        return Action(fresh_name("a"), lambda board, s=status: s)
+        return Action(fresh_name("a"), lambda state, s=status: s)
 
     def build(depth):
         if depth >= max_depth or counter[0] >= max_nodes:

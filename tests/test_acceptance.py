@@ -9,7 +9,6 @@ from pathlib import Path
 
 from fetchguard import (
     AdminHierarchy,
-    Blackboard,
     ContextSnapshot,
     CooldownDurations,
     CooldownState,
@@ -241,9 +240,9 @@ def test_criterion_7_bt_oracle_equivalence_500_trees():
     for i in range(500):
         tree = random_tree(rng, max_depth=5, max_nodes=20)
         listener = Visits()
-        status = tree.tick(Blackboard(), listener)
+        status = tree.tick({}, listener)
         ref_visits: list = []
-        ref_status = reference_tick(tree, Blackboard(), ref_visits)
+        ref_status = reference_tick(tree, {}, ref_visits)
         assert status is ref_status, f"tree #{i}"
         assert listener.entered == ref_visits, f"tree #{i}"
     print("ACCEPTANCE PASS 7: 500 random trees match the reference interpreter exactly")

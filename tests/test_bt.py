@@ -1,18 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fetchguard import (
-    ABSENT,
     Action,
-    Blackboard,
     Condition,
     ConfigError,
     EvaluationError,
     Fallback,
-    MissingKeyError,
     NodeStatus,
     Repeat,
     Sequence,
@@ -29,7 +24,7 @@ R = NodeStatus.RUNNING
 
 
 def const_condition(name, value, calls=None):
-    def predicate(view):
+    def predicate(state):
         if calls is not None:
             calls.append(name)
         return value
@@ -60,33 +55,33 @@ class TestComposites:
                 const_condition("c", True, calls),
             ],
         )
-        assert tree.tick(Blackboard()) is F
+        assert tree.tick(None) is F
         assert calls == ["a", "b"]  # third child never evaluated
 
     def test_fallback_returns_first_success(self):
         calls = []
         tree = Fallback("root", [const_condition("a", False, calls), const_condition("b", True, calls)])
-        assert tree.tick(Blackboard()) is S
+        assert tree.tick(None) is S
         assert calls == ["a", "b"]
 
     def test_fallback_fails_when_all_fail(self):
         tree = Fallback("root", [const_condition("a", False), const_condition("b", False)])
-        assert tree.tick(Blackboard()) is F
+        assert tree.tick(None) is F
 
     def test_sequence_succeeds_when_all_succeed(self):
         tree = Sequence("root", [const_condition("a", True), const_condition("b", True)])
-        assert tree.tick(Blackboard()) is S
+        assert tree.tick(None) is S
 
     def test_running_propagates_and_short_circuits(self):
         calls = []
         tree = Sequence(
             "root",
             [
-                Action("r", lambda b: R),
+                Action("r", lambda state: R),
                 const_condition("never", True, calls),
             ],
         )
-        assert tree.tick(Blackboard()) is R
+        assert tree.tick(None) is R
         assert calls == []
 
     def test_empty_composite_is_a_config_error(self):
@@ -98,51 +93,58 @@ class TestComposites:
 
 class TestRepeat:
     def test_one_tick_per_request_with_state_carried(self):
-        def bump(board):
-            n = board.read("count", 0)
-            board.write("count", n + 1)
+        def bump(state):
+            state["count"] = state.get("count", 0) + 1
             return S
 
         tree = Repeat("rep", Sequence("seq", [Action("bump", bump)]))
-        board = Blackboard()
+        state = {}
         for expected in (1, 2, 3):
-            assert tree.tick(board) is S
-            assert board.read("count") == expected
+            assert tree.tick(state) is S
+            assert state["count"] == expected
 
 
-class TestBlackboard:
-    def test_absent_reads_are_distinguishable(self):
-        board = Blackboard()
-        assert board.read("last_request") is ABSENT
-        board.write("last_request", None)
-        assert board.read("last_request") is None
+class TestTickState:
+    def test_every_leaf_receives_the_ticked_object(self):
+        state = object()
+        seen = []
 
-    def test_read_your_write_and_last_write_wins(self):
-        board = Blackboard()
-        board.write("last_request", "knife")
-        assert board.read("last_request") == "knife"
-        board.write("last_request", "towel")
-        assert board.read("last_request") == "towel"
+        def condition(name, result):
+            def predicate(got):
+                seen.append((name, got))
+                return result
 
-    def test_require_raises_missing_key(self):
-        with pytest.raises(MissingKeyError):
-            Blackboard().require("identity")
+            return Condition(name, predicate)
 
-    def test_conditions_get_a_readonly_view(self):
-        board = Blackboard()
+        def action(name, status):
+            def effect(got):
+                seen.append((name, got))
+                return status
 
-        def sneaky(view):
-            view.write("x", 1)
-            return True
+            return Action(name, effect)
 
-        with pytest.raises(EvaluationError):
-            Condition("sneaky", sneaky).tick(board)
-        assert "x" not in board
+        tree = Repeat(
+            "rep",
+            Sequence(
+                "seq",
+                [
+                    Fallback("fb", [condition("no", False), action("act_fail", F), condition("yes", True)]),
+                    action("act_ok", S),
+                ],
+            ),
+        )
+        assert tree.tick(state) is S
+        assert [name for name, _ in seen] == ["no", "act_fail", "yes", "act_ok"]
+        assert all(got is state for _, got in seen)
 
-    def test_missing_key_error_names_node_and_key(self):
-        tree = Condition("needs_identity", lambda view: view.require("identity") is not None)
+    @pytest.mark.parametrize("kind", [Condition, Action], ids=["condition", "action"])
+    def test_leaf_evaluation_error_names_the_leaf(self, kind):
+        def fails(state):
+            raise EvaluationError("cannot evaluate", key="identity")
+
+        tree = Sequence("root", [const_condition("first", True), kind("needs_identity", fails)])
         with pytest.raises(EvaluationError) as exc:
-            tree.tick(Blackboard())
+            tree.tick({})
         assert exc.value.node == "needs_identity"
         assert exc.value.key == "identity"
 
@@ -170,11 +172,10 @@ class TestOracleEquivalence:
         rng = random.Random(20260809)
         for _ in range(100):
             tree = random_tree(rng)
-            board = Blackboard()
             listener = Visits()
-            status = tree.tick(board, listener)
+            status = tree.tick({}, listener)
             ref_visits = []
-            ref_status = reference_tick(tree, Blackboard(), ref_visits)
+            ref_status = reference_tick(tree, {}, ref_visits)
             assert status is ref_status
             assert listener.entered == ref_visits
 
@@ -184,31 +185,8 @@ class TestOracleEquivalence:
             tree = random_tree(rng)
             first = Visits()
             second = Visits()
-            s1 = tree.tick(Blackboard(), first)
-            s2 = tree.tick(Blackboard(), second)
+            s1 = tree.tick({}, first)
+            s2 = tree.tick({}, second)
             assert s1 is s2
             assert first.entered == second.entered
             assert first.exited == second.exited
-
-
-@given(
-    st.dictionaries(
-        st.text(min_size=1, max_size=8),
-        st.one_of(st.integers(), st.text(max_size=5), st.booleans()),
-        max_size=6,
-    ),
-    st.lists(st.booleans(), min_size=1, max_size=6),
-)
-def test_conditions_never_write(contents, results):
-    board = Blackboard()
-    for key, value in contents.items():
-        board.write(key, value)
-    before = {k: board.read(k) for k in board.keys()}
-    children = [const_condition(f"c{i}", value) for i, value in enumerate(results)]
-    Fallback("fb", children).tick(board)
-    Sequence("seq", children_copy(results)).tick(board)
-    assert {k: board.read(k) for k in board.keys()} == before
-
-
-def children_copy(results):
-    return [const_condition(f"s{i}", value) for i, value in enumerate(results)]

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fetchguard import (
     ALLOW,
@@ -24,7 +26,7 @@ from fetchguard import (
     replay,
     verify_trace,
 )
-from fetchguard.engine import STAGES
+from fetchguard.engine import STAGES, canonical_json
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -100,6 +102,32 @@ class TestDecideExamples:
         decision, _ = engine.decide(make_request("grace", "towel"))
         assert decision.verdict == ALLOW
         assert UserGroup.FRA in decision.allowed_groups_at_leaf
+
+    @pytest.mark.parametrize(
+        "room, adult, verbal, failed",
+        [
+            ("kitchen", True, True, None),
+            ("kitchen", True, False, "verbal_affirmation"),
+            ("kitchen", False, True, "adult_present"),
+            ("garage", True, True, "room_appropriate"),
+            ("garage", False, False, "verbal_affirmation"),
+        ],
+    )
+    def test_each_matrix_check_names_itself_when_it_fails(self, shipped_config, room, adult, verbal, failed):
+        data = shipped_config.to_dict()
+        for row in data["matrix"]:
+            if (row["request_class"], row["zone"], row["cooldown"]) == ("dangerous", "green", []):
+                row["required_checks"] = ["adult_present", "room_appropriate", "verbal_affirmation"]
+        engine = DecisionEngine(PolicyConfig.from_dict(data))
+        context = ContextSnapshot(room=room, adult_present=adult, verbal_affirmation=verbal, timestamp=0)
+        decision, trace = engine.decide(make_request("alice", "knife", context=context))
+        if failed is None:
+            assert decision.verdict == ALLOW
+            return
+        assert (decision.verdict, decision.deciding_policy) == (DENY, "context")
+        assert decision.reason == f"required check failed: {failed}"
+        ok_event = next(e for e in trace.events if e["node"] == "category_context_ok")
+        assert ok_event["inputs"]["failed_check"] == failed
 
 
 class TestStateCoupling:
@@ -291,6 +319,42 @@ class TestAuditMode:
         engine = DecisionEngine(shipped_config, audit_all=True)
         _, trace = engine.decide(make_request("alice", "knife", emotion=RED))
         assert verify_trace(trace, shipped_config).ok
+
+    @staticmethod
+    def pre_states(config, stream, audit_all):
+        engine = DecisionEngine(config, audit_all=audit_all)
+        return [canonical_json(engine.decide(request)[1].pre_state) for request in stream]
+
+    def test_the_audit_pass_leaves_expired_windows_as_plain_mode_does(self, shipped_config):
+        # alice's knife window has expired when the unknown object is denied
+        # at eligibility, and the audit pass then evaluates ordering.
+        stream = [
+            make_request("alice", "knife", now=0),
+            make_request("alice", "unicorn", now=2000),
+            make_request("alice", "towel", now=2100),
+        ]
+        plain = self.pre_states(shipped_config, stream, audit_all=False)
+        assert '"dangerous":1800' in plain[2]
+        assert self.pre_states(shipped_config, stream, audit_all=True) == plain
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream=st.lists(
+            st.builds(
+                make_request,
+                st.sampled_from(["alice", "bob", "dave", "stranger"]),
+                st.sampled_from(["knife", "sleeping_pills", "car_keys", "towel", "unicorn"]),
+                emotion=st.sampled_from(ZONE_SAMPLES),
+                now=st.integers(min_value=0, max_value=20_000),
+            ),
+            max_size=8,
+        )
+    )
+    def test_plain_and_audit_runs_record_the_same_pre_states(self, shipped_config, stream):
+        stream.sort(key=lambda request: request.now)
+        assert self.pre_states(shipped_config, stream, audit_all=True) == self.pre_states(
+            shipped_config, stream, audit_all=False
+        )
 
 
 class TestZoneMonotonicity:

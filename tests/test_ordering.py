@@ -88,6 +88,16 @@ class TestActiveWindows:
         state.active_cooldowns("alice", 5000)
         assert state.snapshot()["users"]["alice"]["active"] == {}
 
+    def test_without_pruning_the_state_is_only_read(self):
+        state = CooldownState()
+        state.on_granted("alice", KNIFE, 0, DEFAULTS)
+        state.on_granted("alice", PILLS, 10, DEFAULTS)
+        before = state.snapshot()
+        assert state.active_cooldowns("alice", 5000, prune=False) == {M}
+        assert state.snapshot() == before
+        assert state.active_cooldowns("alice", 5000) == {M}
+        assert state.snapshot()["users"]["alice"]["active"] == {"mind_altering": 10 + 4 * 60 * 60}
+
     def test_per_user_isolation(self):
         state = CooldownState()
         state.on_granted("alice", KNIFE, 0, DEFAULTS)
