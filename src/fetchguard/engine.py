@@ -53,8 +53,8 @@ ALLOW = "allow"
 DENY = "deny"
 
 #: The policy gates in evaluation order: (gate node, stage, evaluator method).
-#: This one table builds the tree, names the policy of each node's trace
-#: events and drives the audit pass.
+#: This one table builds the tree, names the policy of each node and drives
+#: the audit pass.
 _GATES = (
     ("eligibility_gate", "eligibility", "_eval_eligibility"),
     ("ordering_check", "ordering", "_eval_ordering"),
@@ -66,7 +66,8 @@ _GATES = (
 #: Policy stages in evaluation order; trace events follow this order.
 STAGES = tuple(stage for _, stage, _ in _GATES)
 
-#: The policy each node's trace events name.
+#: The policy of each node. Version 1 and 2 traces wrote it into every event;
+#: from version 3 on the node name gives it.
 _POLICY_OF = {
     "per_request": "structure",
     "decision_sequence": "structure",
@@ -83,8 +84,13 @@ _POLICY_OF = {
 #: Version of the traces decide() writes. Version 1 traces recorded the
 #: whole household as their pre-state; version 2 traces record only the
 #: requester's cool-down record, the requested object's registry entry and
-#: board_primed. Both restore the same way and both verify.
-TRACE_VERSION = 2
+#: board_primed. Version 3 traces keep that pre-state and write each value
+#: of the event stream once: no event names its policy (the node name gives
+#: it), a node that recorded nothing has no inputs, and the gates no longer
+#: repeat the request fields the knowledge_check echo holds or the last
+#: request blackboard_update holds. All three restore the same way and
+#: verify; _legacy_events rebuilds the older event stream for the check.
+TRACE_VERSION = 3
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -234,7 +240,7 @@ class DecisionTrace:
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTrace":
         version = data.get("trace_version", 1)
-        if type(version) is not int or version not in (1, TRACE_VERSION):
+        if type(version) is not int or not 1 <= version <= TRACE_VERSION:
             raise ValueError(f"unknown trace_version {version!r}")
         return cls(
             request_id=data["request_id"],
@@ -283,14 +289,11 @@ class _Recorder(TickListener):
         self.events: list[dict] = []
 
     def exit(self, node: Node, status: NodeStatus) -> None:
-        self.events.append(
-            {
-                "node": node.name,
-                "policy": _POLICY_OF[node.name],
-                "inputs": self.inputs.get(node.name, {}),
-                "outcome": status.value,
-            }
-        )
+        event = {"node": node.name, "outcome": status.value}
+        inputs = self.inputs.get(node.name)
+        if inputs is not None:
+            event["inputs"] = inputs
+        self.events.append(event)
 
 
 class DecisionEngine:
@@ -330,11 +333,12 @@ class DecisionEngine:
         # fails to restore leaves the engine as it was.
         cooldowns = CooldownState.restore(pre_state["cooldowns"])
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
-        self.cooldowns, self.registry = cooldowns, registry
         # Whether this engine has decided since reset or restore is session
         # state (recorded as board_primed): it decides the knowledge step's
         # ingest-vs-refresh mode, so replays must restore it.
-        self._primed = bool(pre_state.get("board_primed", False))
+        primed = pre_state.get("board_primed", False)
+        require_type("board_primed", primed, bool)
+        self.cooldowns, self.registry, self._primed = cooldowns, registry, primed
 
     # -- registry operations (scenario events) -------------------------------
 
@@ -416,20 +420,16 @@ class DecisionEngine:
         # The node keeps the name traces record; it reads the requester's
         # last request for the trace.
         last = self.cooldowns.last_requested(st.request.user_id)
-        st.inputs["blackboard_update"] = {"now": st.request.now, "last_request": last}
+        st.inputs["blackboard_update"] = {"last_request": last}
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
     # Each returns (trace-event inputs, violation-or-None) for one request's
-    # state.
+    # state. The inputs leave out what the trace holds elsewhere: the request
+    # (echoed by knowledge_check) and the last request (blackboard_update).
 
     def _eval_eligibility(self, st: _EvalState):
-        details: dict = {
-            "user_id": st.request.user_id,
-            "known_user": st.known_user,
-            "object_id": st.request.object_id,
-            "known_object": st.obj is not None,
-        }
+        details: dict = {"known_user": st.known_user, "known_object": st.obj is not None}
         if st.obj is None:
             return details, ("eligibility", f"unknown object {st.request.object_id!r}")
         st.group = classify_user_group(st.profile, self.config.region)
@@ -449,7 +449,6 @@ class DecisionEngine:
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
             "active_cooldowns": sorted(c.value for c in st.active),
-            "last_request": self.cooldowns.last_requested(st.request.user_id),
             "vehicle_ban": st.restriction.vehicle_ban,
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
@@ -488,13 +487,7 @@ class DecisionEngine:
     def _eval_category_context(self, st: _EvalState):
         context = st.request.context
         entry = st.matrix_entry
-        details: dict = {
-            "category": st.obj.category,
-            "matrix_checks": sorted(entry.required_checks),
-            "room": context.room,
-            "adult_present": context.adult_present,
-            "verbal_affirmation": context.verbal_affirmation,
-        }
+        details: dict = {"category": st.obj.category, "matrix_checks": sorted(entry.required_checks)}
         for check in MATRIX_CHECKS:
             if check not in entry.required_checks:
                 continue
@@ -603,15 +596,7 @@ class DecisionEngine:
             except Exception:
                 inputs = {"note": "not evaluable after the deciding violation"}
                 outcome = "skipped"
-            events.append(
-                {
-                    "node": f"{stage}_ok",
-                    "policy": stage,
-                    "inputs": inputs,
-                    "outcome": outcome,
-                    "audit": True,
-                }
-            )
+            events.append({"node": f"{stage}_ok", "inputs": inputs, "outcome": outcome, "audit": True})
         return events
 
 
@@ -673,11 +658,37 @@ class VerifyResult:
     decision: Decision | None
 
 
+def _legacy_events(events: list[dict], request: dict) -> list[dict]:
+    """A version 3 event stream as version 1 and 2 traces wrote it: every
+    event names its policy and has inputs, and the gates repeat the request
+    fields and the last request. Built from the re-run alone, never from the
+    recorded line, so an edit to those fields in an old trace still shows."""
+    context = request["context"]
+    last = next(e["inputs"]["last_request"] for e in events if e["node"] == "blackboard_update")
+    repeated = {
+        "blackboard_update": {"now": request["now"]},
+        "eligibility_ok": {"user_id": request["user_id"], "object_id": request["object_id"]},
+        "ordering_ok": {"last_request": last},
+        "category_context_ok": {
+            name: context[name] for name in ("room", "adult_present", "verbal_affirmation")
+        },
+    }
+    legacy = []
+    for event in events:
+        inputs = dict(event.get("inputs", {}))
+        # An audit stage that could not be evaluated recorded only its note.
+        if event["outcome"] != "skipped":
+            inputs.update(repeated.get(event["node"], {}))
+        legacy.append({**event, "policy": _POLICY_OF[event["node"]], "inputs": inputs})
+    return legacy
+
+
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     """Replay and compare everything: final decision, event stream, warnings
-    and, for a version 2 trace, the pre-state, which must be exactly the
-    slice the decision reads (a version 1 pre-state held the whole
-    household and is not compared).
+    and, from version 2 on, the pre-state, which must be exactly the slice
+    the decision reads (a version 1 pre-state held the whole household and
+    is not compared). The events of a version 1 or 2 trace are compared in
+    the shape those versions wrote.
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -690,7 +701,10 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     mismatches = []
     if canonical_json(decision.to_dict()) != canonical_json(trace.decision.to_dict()):
         mismatches.append("final decision differs from the recorded decision")
-    if fresh.events != trace.events:
+    events = fresh.events
+    if trace.trace_version < 3:
+        events = _legacy_events(events, fresh.request)
+    if events != trace.events:
         mismatches.append("event stream differs from the recorded events")
     if fresh.warnings != trace.warnings:
         mismatches.append("warnings differ from the recorded warnings")

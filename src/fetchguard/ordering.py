@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import Instant, ObjectSpec, SafetyClass
+from .model import Instant, ObjectSpec, SafetyClass, require_type
 
 DEFAULT_DANGEROUS_COOLDOWN_S = 30 * 60
 DEFAULT_MIND_ALTERING_COOLDOWN_S = 4 * 60 * 60
@@ -137,7 +137,9 @@ class CooldownState:
                 raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
             record = _UserRecord(last_requested=last)
             for cls_name, expiry in rec.get("active", {}).items():
-                record.active[SafetyClass(cls_name)] = int(expiry)
+                # Taken as recorded: converting would let an edited expiry verify.
+                require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
+                record.active[SafetyClass(cls_name)] = expiry
             state._records[uid] = record
         return state
 

@@ -26,7 +26,7 @@ from fetchguard import (
     replay,
     verify_trace,
 )
-from fetchguard.engine import STAGES, canonical_json
+from fetchguard.engine import _POLICY_OF, STAGES, canonical_json
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -176,14 +176,31 @@ class TestTraceShape:
         _, trace = engine.decide(make_request("alice", "towel"))
         stage_order = []
         for event in trace.events:
-            if event["policy"] in STAGES and event["policy"] not in stage_order:
-                stage_order.append(event["policy"])
+            policy = _POLICY_OF[event["node"]]
+            if policy in STAGES and policy not in stage_order:
+                stage_order.append(policy)
         assert stage_order == list(STAGES)
 
     def test_no_policy_events_after_the_deciding_one(self, engine):
         _, trace = engine.decide(make_request("dave", "toy_block"))
-        policies = [e["policy"] for e in trace.events if e["policy"] in STAGES]
-        assert set(policies) == {"eligibility"}
+        policies = [_POLICY_OF[e["node"]] for e in trace.events]
+        assert set(policies) & set(STAGES) == {"eligibility"}
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @pytest.mark.parametrize("user, obj", [("alice", "knife"), ("dave", "toy_block")])
+    def test_events_write_each_value_once(self, shipped_config, audit_all, user, obj):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        engine.decide(make_request(user, "knife", now=0))
+        _, trace = engine.decide(make_request(user, obj, now=60))
+        inputs = {e["node"]: e.get("inputs") for e in trace.events}
+        assert all("policy" not in e and e.get("inputs") != {} for e in trace.events)
+        assert inputs["per_request"] is inputs["eligibility_gate"] is None
+        assert inputs["knowledge_check"]["request"] == trace.request
+        assert inputs["blackboard_update"] == {"last_request": "knife"}
+        assert not {"user_id", "object_id"} & set(inputs["eligibility_ok"])
+        # Denied at eligibility, dave's plain trace has no later gate events.
+        assert "last_request" not in inputs.get("ordering_ok", {})
+        assert not {"room", "adult_present", "verbal_affirmation"} & set(inputs.get("category_context_ok", {}))
 
     def test_traces_are_byte_identical_modulo_request_id(self, shipped_config):
         def run(request_id):
@@ -312,7 +329,7 @@ class TestAuditMode:
         d2, t2 = audit.decide(request)
         assert d1.to_dict() == d2.to_dict()
         audit_events = [e for e in t2.events if e.get("audit")]
-        assert [e["policy"] for e in audit_events] == ["ordering", "emotion", "category_context", "personal"]
+        assert [e["node"] for e in audit_events] == ["ordering_ok", "emotion_ok", "category_context_ok", "personal_ok"]
         assert not any(e.get("audit") for e in t1.events)
 
     def test_audit_traces_replay_too(self, shipped_config):

@@ -24,7 +24,8 @@ from fetchguard import (
     replay,
     verify_trace,
 )
-from fetchguard.engine import canonical_json
+from fetchguard.engine import _legacy_events, canonical_json
+from test_golden import slice_pre_state
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -110,6 +111,26 @@ def _text_flag(trace):
     trace.request["context"]["adult_present"] = "yes"
 
 
+def _text_expiry(trace):
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"]["dangerous"] = "1800"
+
+
+def _fractional_expiry(trace):
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"]["dangerous"] = 1800.9
+
+
+def _flag_expiry(trace):
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"]["dangerous"] = True
+
+
+def _numeric_board_primed(trace):
+    trace.pre_state["board_primed"] = 1
+
+
+def _non_finite_board_primed(trace):
+    trace.pre_state["board_primed"] = math.nan
+
+
 EDITS = [
     (_unknown_safety_class, "recorded pre_state cannot be restored"),
     (_missing_cooldowns, "recorded pre_state cannot be restored"),
@@ -121,6 +142,11 @@ EDITS = [
     (_text_now, "recorded request cannot be read"),
     (_fractional_timestamp, "recorded request cannot be read"),
     (_text_flag, "recorded request cannot be read"),
+    (_text_expiry, "recorded pre_state cannot be restored"),
+    (_fractional_expiry, "recorded pre_state cannot be restored"),
+    (_flag_expiry, "recorded pre_state cannot be restored"),
+    (_numeric_board_primed, "recorded pre_state cannot be restored"),
+    (_non_finite_board_primed, "recorded pre_state cannot be restored"),
 ]
 
 
@@ -151,6 +177,17 @@ class TestEditedTracesFailClosed:
         assert not verify_trace(edited, config).ok
         assert [verify_trace(t, config) for t in (mid_session_trace, first, tampered)] == expected
         assert [r.ok for r in expected] == [True, True, False]
+
+    @pytest.mark.parametrize("expiry", ["1800", 1800.9, True])
+    def test_a_golden_expiry_that_is_not_an_int_is_refused(self, shipped_config, expiry):
+        line = (GOLDEN / "repeat_dangerous_green.jsonl").read_text(encoding="utf-8").splitlines()[1]
+        data = json.loads(line)
+        assert data["request_id"] == "repeat_dangerous_green:001"
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        data["pre_state"]["cooldowns"]["users"]["alice"]["active"]["dangerous"] = expiry
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
 
 class TestStrictJson:
@@ -232,10 +269,14 @@ def whole_household(engine, board_primed):
     }
 
 
-def as_version_1(trace, pre_state):
-    v1 = copy_of(trace)
-    v1.pre_state, v1.trace_version = pre_state, 1
-    return v1
+def as_legacy(trace, version, pre_state):
+    """A current trace as version 1 or 2 wrote it. The event stream is
+    rebuilt by the function verify_trace uses; the golden tests pin that
+    function to the committed version 1 lines."""
+    old = copy_of(trace)
+    old.pre_state, old.trace_version = pre_state, version
+    old.events = _legacy_events(old.events, old.request)
+    return old
 
 
 @pytest.fixture()
@@ -278,18 +319,19 @@ class TestVersion2PreState:
         assert result.mismatches == ["pre_state differs from the recorded pre_state"]
         # A version 1 trace is not compared this way: the same edit verifies,
         # as it did when every trace held the whole household.
-        assert verify_trace(as_version_1(edited, edited.pre_state), shipped_config).ok
+        assert verify_trace(as_legacy(edited, 1, edited.pre_state), shipped_config).ok
 
     def test_a_pre_state_canonical_json_refuses_is_a_mismatch(self, shipped_config, bob_after_alice):
         _, trace = bob_after_alice
         edited = copy_of(trace)
-        # bool() restores it, but canonical JSON refuses it.
-        edited.pre_state["board_primed"] = math.nan
+        # The restore ignores a key it does not know, but canonical JSON
+        # refuses the value.
+        edited.pre_state["sensor"] = math.nan
         assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
 
-    def test_new_traces_are_version_2(self, mid_session_trace):
-        assert mid_session_trace.trace_version == 2
-        assert '"trace_version":2' in mid_session_trace.to_json()
+    def test_new_traces_are_version_3(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 3
+        assert '"trace_version":3' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
         for path in sorted(GOLDEN.glob("*.jsonl")):
@@ -298,7 +340,7 @@ class TestVersion2PreState:
                 assert trace.trace_version == 1
                 assert trace.to_json() == line
 
-    @pytest.mark.parametrize("version", [0, 3, "2", True, 2.0, None])
+    @pytest.mark.parametrize("version", [0, 4, "2", True, 2.0, None])
     def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
         data = json.loads(mid_session_trace.to_json())
         data["trace_version"] = version
@@ -313,10 +355,69 @@ class TestVersion2PreState:
         for request in requests:
             before = whole_household(engine, board_primed=None)
             _, trace = engine.decide(request)
-            assert trace.trace_version == 2
+            assert trace.trace_version == 3
             assert verify_trace(copy_of(trace), shipped_config).ok
+            assert verify_trace(as_legacy(trace, 2, trace.pre_state), shipped_config).ok
             before["board_primed"] = trace.pre_state["board_primed"]
-            assert verify_trace(as_version_1(trace, before), shipped_config).ok
+            assert verify_trace(as_legacy(trace, 1, before), shipped_config).ok
+
+
+def golden_as_version_2(line):
+    data = json.loads(line)
+    slice_pre_state(data)
+    data["trace_version"] = 2
+    return DecisionTrace.from_dict(data)
+
+
+def _policy_renamed(trace):
+    event = next(e for e in trace.events if e["node"] == "emotion_ok")
+    event["policy"] = "structure"
+
+
+def _structural_inputs_added(trace):
+    event = next(e for e in trace.events if e["node"] == "decision_sequence")
+    assert event["inputs"] == {}
+    event["inputs"]["note"] = "added"
+
+
+def _gate_request_field_edited(trace):
+    event = next(e for e in trace.events if e["node"] == "eligibility_ok")
+    event["inputs"]["user_id"] = "mallory"
+
+
+class TestVersion3Events:
+    """Version 3 writes each value of a decision once; the echo of the
+    request in knowledge_check stays, and version 1 and 2 event streams are
+    rebuilt from the re-run, never taken from the recorded line."""
+
+    def test_an_edited_request_shows_in_a_line_denied_before_the_gate_that_reads_it(self, shipped_config):
+        # Nothing after the eligibility denial reads adult_present: only the
+        # knowledge_check echo of the request sees the edit.
+        engine = DecisionEngine(shipped_config)
+        decision, trace = engine.decide(make_request("alice", "unicorn"))
+        assert (decision.verdict, decision.deciding_policy) == ("deny", "eligibility")
+        assert [e["node"] for e in trace.events][2:4] == ["eligibility_ok", "eligibility_violation"]
+        edited = copy_of(trace)
+        edited.request["context"]["adult_present"] = False
+        result = verify_trace(edited, shipped_config)
+        assert result.mismatches == ["event stream differs from the recorded events"]
+
+    def test_golden_lines_as_version_2_verify(self, shipped_config):
+        for path in sorted(GOLDEN.glob("*.jsonl")) + sorted((GOLDEN / "audit").glob("*.jsonl")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                trace = golden_as_version_2(line)
+                assert trace.to_json() != line
+                assert verify_trace(trace, shipped_config).ok, trace.request_id
+
+    @pytest.mark.parametrize(
+        "edit", [_policy_renamed, _structural_inputs_added, _gate_request_field_edited], ids=lambda e: e.__name__
+    )
+    def test_an_edited_version_2_event_is_a_mismatch(self, shipped_config, edit):
+        line = (GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        trace = golden_as_version_2(line)
+        edit(trace)
+        result = verify_trace(trace, shipped_config)
+        assert result.mismatches == ["event stream differs from the recorded events"]
 
 
 class TestLookups:
