@@ -26,7 +26,7 @@ class Zone(enum.IntEnum):
     RED = 3
 
     def as_str(self) -> str:
-        return self.name.lower()
+        return _ZONE_NAMES[self]
 
     @classmethod
     def from_str(cls, s: str) -> "Zone":
@@ -34,6 +34,10 @@ class Zone(enum.IntEnum):
             return cls[s.upper()]
         except KeyError:
             raise ValueError(f"unknown zone {s!r}") from None
+
+
+#: Zone texts by rank; cheaper than the Enum `name` property on the hot path.
+_ZONE_NAMES = tuple(zone.name.lower() for zone in Zone)
 
 
 def escalate(zone: Zone, steps: int) -> Zone:

@@ -97,8 +97,11 @@ TRACE_VERSION = 3
 _ASSUMED_UNKNOWN_AGE = 100
 
 
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: One reused encoder. It skips the cycle check: trace dicts are trees, and
+#: parsed JSON cannot hold a cycle.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+).encode
 
 
 #: Traces are strict JSON, so a non-finite sensor value is written as one of
@@ -193,13 +196,18 @@ class Decision:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Decision":
-        return cls(
+        """Refuses a block the engine would not write (an upper-case zone, a
+        repeated or unsorted group), so equal decisions mean equal blocks."""
+        decision = cls(
             verdict=data["verdict"],
             deciding_policy=data["deciding_policy"],
             reason=data["reason"],
             effective_zone=Zone.from_str(data["effective_zone"]),
             allowed_groups_at_leaf=frozenset(UserGroup(g) for g in data["allowed_groups_at_leaf"]),
         )
+        if decision.to_dict() != data:
+            raise ValueError(f"decision {data!r} is not in the form the engine writes")
+        return decision
 
 
 @dataclass
@@ -281,6 +289,10 @@ class _EvalState:
     inputs: dict[str, dict] = field(default_factory=dict)
 
 
+#: Outcome texts; cheaper than the Enum `value` property on the hot path.
+_OUTCOME = {status: status.value for status in NodeStatus}
+
+
 class _Recorder(TickListener):
     """Turns every node exit into a trace event, in tick order."""
 
@@ -289,7 +301,7 @@ class _Recorder(TickListener):
         self.events: list[dict] = []
 
     def exit(self, node: Node, status: NodeStatus) -> None:
-        event = {"node": node.name, "outcome": status.value}
+        event = {"node": node.name, "outcome": _OUTCOME[status]}
         inputs = self.inputs.get(node.name)
         if inputs is not None:
             event["inputs"] = inputs
@@ -699,7 +711,7 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     except ReplayError as exc:
         return VerifyResult(False, [str(exc)], None)
     mismatches = []
-    if canonical_json(decision.to_dict()) != canonical_json(trace.decision.to_dict()):
+    if decision != trace.decision:
         mismatches.append("final decision differs from the recorded decision")
     events = fresh.events
     if trace.trace_version < 3:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PermissionDeniedError, TagConflictError
+from .model import require_type
 
 
 @dataclass(frozen=True)
@@ -99,5 +100,11 @@ class PersonalRegistry:
     def restore(cls, snapshot: dict) -> "PersonalRegistry":
         reg = cls()
         for obj, tag in snapshot.items():
-            reg._tags[obj] = PersonalTag(tagged_by=tag["tagged_by"], grants=set(tag.get("grants", ())))
+            # Taken as recorded: converting would let an edited entry verify.
+            grants = tag.get("grants", [])
+            require_type(f"tagger of {obj!r}", tag["tagged_by"], str)
+            require_type(f"grants on {obj!r}", grants, list)
+            for grantee in grants:
+                require_type(f"grantee on {obj!r}", grantee, str)
+            reg._tags[obj] = PersonalTag(tag["tagged_by"], set(grants))
         return reg

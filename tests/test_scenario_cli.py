@@ -250,9 +250,10 @@ class TestCliExplain:
             with_decision(allowed_groups_at_leaf=["nobody"]),
             with_decision(allowed_groups_at_leaf=5),
             with_decision(effective_zone=3),
+            with_decision(effective_zone="GREEN"),
             lambda doc: [doc],
         ],
-        ids=["unknown_zone", "unknown_group", "groups_not_a_list", "zone_not_text", "line_not_an_object"],
+        ids=["unknown_zone", "unknown_group", "groups_not_a_list", "zone_not_text", "zone_upper_case", "line_not_an_object"],
     )
     def test_unreadable_trace_line_exits_2(self, tmp_path, capsys, edit):
         trace_path = self.traces_for(tmp_path, "baseline_allow.json")

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from fetchguard import (
     ContextSnapshot,
+    Decision,
     DecisionEngine,
     DecisionTrace,
     EmotionSample,
     FetchRequest,
     PolicyConfig,
     ReplayError,
+    UserGroup,
     read_traces,
     replay,
     verify_trace,
@@ -131,6 +133,18 @@ def _non_finite_board_primed(trace):
     trace.pre_state["board_primed"] = math.nan
 
 
+def _numeric_tagger(trace):
+    trace.pre_state["personal_registry"] = {"knife": {"tagged_by": 7, "grants": []}}
+
+
+def _grants_as_an_object(trace):
+    trace.pre_state["personal_registry"] = {"knife": {"tagged_by": "alice", "grants": {"bob": 1}}}
+
+
+def _numeric_grantee(trace):
+    trace.pre_state["personal_registry"] = {"knife": {"tagged_by": "alice", "grants": ["bob", 7]}}
+
+
 EDITS = [
     (_unknown_safety_class, "recorded pre_state cannot be restored"),
     (_missing_cooldowns, "recorded pre_state cannot be restored"),
@@ -147,6 +161,9 @@ EDITS = [
     (_flag_expiry, "recorded pre_state cannot be restored"),
     (_numeric_board_primed, "recorded pre_state cannot be restored"),
     (_non_finite_board_primed, "recorded pre_state cannot be restored"),
+    (_numeric_tagger, "recorded pre_state cannot be restored"),
+    (_grants_as_an_object, "recorded pre_state cannot be restored"),
+    (_numeric_grantee, "recorded pre_state cannot be restored"),
 ]
 
 
@@ -190,7 +207,122 @@ class TestEditedTracesFailClosed:
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
 
+def _golden_privacy_line():
+    line = (GOLDEN / "privacy_personal.jsonl").read_text(encoding="utf-8").splitlines()[2]
+    data = json.loads(line)
+    assert data["request_id"] == "privacy_personal:002"
+    assert data["pre_state"]["personal_registry"] == {"diary": {"tagged_by": "alice", "grants": ["bob"]}}
+    return data
+
+
+def _golden_grants_as_an_object(entry):
+    entry["grants"] = {"bob": 1}
+
+
+def _golden_numeric_tagger(entry):
+    entry["tagged_by"] = 7
+
+
+class TestRegistryTakenAsRecorded:
+    @pytest.mark.parametrize("edit", [_golden_grants_as_an_object, _golden_numeric_tagger], ids=lambda e: e.__name__)
+    def test_a_golden_registry_entry_of_the_wrong_type_is_refused(self, shipped_config, edit):
+        data = _golden_privacy_line()
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        edit(data["pre_state"]["personal_registry"]["diary"])
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
+
+
+def _zone_upper_case(decision):
+    decision["effective_zone"] = decision["effective_zone"].upper()
+
+
+def _group_repeated(decision):
+    decision["allowed_groups_at_leaf"].append(decision["allowed_groups_at_leaf"][-1])
+
+
+def _groups_reversed(decision):
+    decision["allowed_groups_at_leaf"].reverse()
+
+
+GROUP_NAMES = [g.value for g in UserGroup]
+ZONE_TEXTS = ["green", "yellow", "orange", "red", "GREEN", "Red"]
+DECISION_BLOCKS = st.fixed_dictionaries(
+    {
+        "verdict": st.sampled_from(["allow", "deny"]),
+        "deciding_policy": st.sampled_from(["none", "emotion", "personal"]),
+        "reason": st.sampled_from(["no policy violation", "personal object, access not granted"]),
+        "effective_zone": st.sampled_from(ZONE_TEXTS),
+        "allowed_groups_at_leaf": st.lists(st.sampled_from(GROUP_NAMES), max_size=4)
+        | st.sets(st.sampled_from(GROUP_NAMES), max_size=4).map(sorted),
+    }
+)
+
+
+def _written_form(data):
+    """The block the engine would write for the decision `data` names."""
+    return {
+        **data,
+        "effective_zone": data["effective_zone"].lower(),
+        "allowed_groups_at_leaf": sorted(set(data["allowed_groups_at_leaf"])),
+    }
+
+
+def _read_decision(data):
+    try:
+        return Decision.from_dict(data)
+    except ValueError:
+        assert data != _written_form(data)
+        return None
+
+
+class TestDecisionBlockAsWritten:
+    @pytest.mark.parametrize("edit", [_zone_upper_case, _group_repeated, _groups_reversed], ids=lambda e: e.__name__)
+    def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, shipped_config, edit):
+        data = _golden_privacy_line()
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        edit(data["decision"])
+        with pytest.raises(ValueError, match="not in the form the engine writes"):
+            DecisionTrace.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=DECISION_BLOCKS, second=DECISION_BLOCKS)
+    def test_decisions_differ_as_values_exactly_when_their_blocks_differ(self, first, second):
+        a, b = _read_decision(first), _read_decision(second)
+        if a is not None:
+            assert canonical_json(a.to_dict()) == canonical_json(first)
+        if a is not None and b is not None:
+            assert (a != b) == (canonical_json(first) != canonical_json(second))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _outcome(dump, value):
+    try:
+        return dump(value)
+    except ValueError:
+        return ValueError
+
+
 class TestStrictJson:
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_canonical_json_writes_what_json_dumps_writes(self, value):
+        def dumps(data):
+            return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+        assert _outcome(canonical_json, value) == _outcome(dumps, value)
+
     @pytest.mark.parametrize(
         "valence, arousal",
         [(math.nan, 0.0), (math.inf, -math.inf), (-math.inf, math.nan)],
