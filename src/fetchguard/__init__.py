@@ -33,7 +33,6 @@ from .engine import (
     DecisionTrace,
     FetchRequest,
     VerifyResult,
-    build_tree,
     replay,
     verify_trace,
 )

@@ -131,13 +131,7 @@ class Condition(Node):
     def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
-        try:
-            ok = self.predicate(state)
-        except EvaluationError as exc:
-            if exc.node is None:
-                raise EvaluationError(str(exc), node=self.name, key=exc.key) from exc
-            raise
-        status = SUCCESS if ok else FAILURE
+        status = SUCCESS if self.predicate(state) else FAILURE
         if listener:
             listener.exit(self, status)
         return status
@@ -153,17 +147,9 @@ class Action(Node):
     def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
         if listener:
             listener.enter(self)
-        try:
-            status = self.effect(state)
-        except EvaluationError as exc:
-            if exc.node is None:
-                raise EvaluationError(str(exc), node=self.name, key=exc.key) from exc
-            raise
+        status = self.effect(state)
         if not isinstance(status, NodeStatus):
-            raise EvaluationError(
-                f"action {self.name!r} returned {status!r}, expected a NodeStatus",
-                node=self.name,
-            )
+            raise EvaluationError(f"action {self.name!r} returned {status!r}, expected a NodeStatus")
         if listener:
             listener.exit(self, status)
         return status

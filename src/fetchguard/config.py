@@ -32,10 +32,31 @@ from .model import (
     SafetyClass,
     UserGroup,
     UserProfile,
+    require_type,
     validate_object_catalog,
 )
 from .ordering import CooldownDurations
 from .privacy import AdminHierarchy
+
+
+def _strings(what: str, value) -> frozenset[str]:
+    """A JSON list of strings, as a set. A bare string is refused rather
+    than split into its letters."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{what} must be a list of str, got {value!r}")
+    return frozenset(value)
+
+
+def _each(section: str, entries: list, parse) -> list:
+    """parse applied to each entry of one list of a config file. A refusal
+    names the entry, as in `users[2]: allergies must be ...`."""
+    parsed = []
+    for i, entry in enumerate(entries):
+        try:
+            parsed.append(parse(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed policy config: {section}[{i}]: {exc}") from exc
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -176,85 +197,75 @@ class PolicyConfig:
     @classmethod
     def _from_dict(cls, data: dict) -> "PolicyConfig":
         region = Region(
-            name=str(data["region"]["name"]),
-            adult_age_threshold=int(data["region"]["adult_age_threshold"]),
+            name=require_type("region.name", data["region"]["name"], str),
+            adult_age_threshold=require_type(
+                "region.adult_age_threshold", data["region"]["adult_age_threshold"], int
+            ),
         )
         durations = CooldownDurations(
-            dangerous=int(data["durations"]["dangerous_s"]),
-            mind_altering=int(data["durations"]["mind_altering_s"]),
+            dangerous=require_type("durations.dangerous_s", data["durations"]["dangerous_s"], int),
+            mind_altering=require_type("durations.mind_altering_s", data["durations"]["mind_altering_s"], int),
         )
-        scope = data.get("cooldown_scope", "user")
-        rects = tuple(
-            ZoneRect(
-                zone=Zone.from_str(r["zone"]),
-                v_lo=float(r["v_lo"]),
-                v_hi=float(r["v_hi"]),
-                a_lo=float(r["a_lo"]),
-                a_hi=float(r["a_hi"]),
-            )
-            for r in data["zone_table"]
-        )
-        matrix: Matrix = {}
-        for row in data["matrix"]:
-            key = MatrixKey(
-                cooldown_profile=frozenset(SafetyClass(c) for c in row["cooldown"]),
+        scope = require_type("cooldown_scope", data.get("cooldown_scope", "user"), str)
+        rects = _each("zone_table", data["zone_table"], lambda r: ZoneRect(
+            zone=Zone.from_str(r["zone"]),
+            # Widened to float, as to_dict writes them, so that -1 and -1.0
+            # give one fingerprint.
+            **{b: float(require_type(b, r[b], int, float)) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
+        ))
+        # The enums refuse any cooldown or group that is not one of their texts.
+        rows = _each("matrix", data["matrix"], lambda row: (
+            MatrixKey(
+                cooldown_profile=frozenset(SafetyClass(c) for c in require_type("cooldown", row["cooldown"], list)),
                 request_class=SafetyClass(row["request_class"]),
                 zone=Zone.from_str(row["zone"]),
-            )
+            ),
+            MatrixEntry(
+                allowed_groups=frozenset(UserGroup(g) for g in require_type("allowed_groups", row["allowed_groups"], list)),
+                required_checks=_strings("required_checks", row["required_checks"]),
+            ),
+        ))
+        matrix: Matrix = {}
+        for row, (key, entry) in zip(data["matrix"], rows):
             if key in matrix:
                 raise ConfigError(f"duplicate matrix row: {row}")
-            matrix[key] = MatrixEntry(
-                allowed_groups=frozenset(UserGroup(g) for g in row["allowed_groups"]),
-                required_checks=frozenset(row["required_checks"]),
-            )
-        rules = [
-            CategoryRule(
-                category=str(r["category"]),
-                extra_checks=frozenset(r.get("extra_checks", ())),
-                appropriate_rooms=frozenset(r["appropriate_rooms"])
-                if r.get("appropriate_rooms") is not None
-                else None,
-            )
-            for r in data.get("category_rules", ())
-        ]
-        objects = [
-            ObjectSpec(
-                object_id=str(o["object_id"]),
-                display_name=str(o.get("display_name", o["object_id"])),
-                safety_class=SafetyClass(o["safety_class"]),
-                category=str(o["category"]),
-                allergen_tags=frozenset(o.get("allergen_tags", ())),
-                personal_owner=o.get("personal_owner"),
-            )
-            for o in data["objects"]
-        ]
-        users = [
-            UserProfile(
-                user_id=str(u["user_id"]),
-                age_years=int(u["age_years"]),
-                relationship=Relationship(u["relationship"]),
-                allergies=frozenset(u.get("allergies", ())),
-                admin_role=AdminRole(u.get("admin_role", "none")),
-            )
-            for u in data["users"]
-        ]
+            matrix[key] = entry
+        rules = _each("category_rules", data.get("category_rules", []), lambda r: CategoryRule(
+            category=require_type("category", r["category"], str),
+            extra_checks=_strings("extra_checks", r.get("extra_checks", [])),
+            appropriate_rooms=_strings("appropriate_rooms", r["appropriate_rooms"])
+            if r.get("appropriate_rooms") is not None
+            else None,
+        ))
+        objects = _each("objects", data["objects"], lambda o: ObjectSpec(
+            object_id=require_type("object_id", o["object_id"], str),
+            display_name=require_type("display_name", o.get("display_name", o["object_id"]), str),
+            safety_class=SafetyClass(o["safety_class"]),
+            category=require_type("category", o["category"], str),
+            allergen_tags=_strings("allergen_tags", o.get("allergen_tags", [])),
+            personal_owner=require_type("personal_owner", o.get("personal_owner"), str, type(None)),
+        ))
+        users = _each("users", data["users"], lambda u: UserProfile(
+            user_id=require_type("user_id", u["user_id"], str),
+            age_years=require_type("age_years", u["age_years"], int),
+            relationship=Relationship(u["relationship"]),
+            allergies=_strings("allergies", u.get("allergies", [])),
+            admin_role=AdminRole(u.get("admin_role", "none")),
+        ))
         admin = AdminHierarchy(
-            owner=str(data["admin"]["owner"]),
-            designators=frozenset(data["admin"].get("designators", ())),
+            owner=require_type("admin.owner", data["admin"]["owner"], str),
+            designators=_strings("admin.designators", data["admin"].get("designators", [])),
         )
-        tags = [
-            InitialTag(
-                object_id=str(t["object_id"]),
-                tagged_by=str(t["tagged_by"]),
-                grants=frozenset(t.get("grants", ())),
-            )
-            for t in data.get("personal_tags", ())
-        ]
+        tags = _each("personal_tags", data.get("personal_tags", []), lambda t: InitialTag(
+            object_id=require_type("object_id", t["object_id"], str),
+            tagged_by=require_type("tagged_by", t["tagged_by"], str),
+            grants=_strings("grants", t.get("grants", [])),
+        ))
         return cls(
             region=region,
             durations=durations,
             cooldown_scope=scope,
-            zone_table=ZoneTable(rects=rects),
+            zone_table=ZoneTable(rects=tuple(rects)),
             matrix=matrix,
             category_rules=rules,
             objects=objects,

@@ -32,7 +32,7 @@ class Zone(enum.IntEnum):
     def from_str(cls, s: str) -> "Zone":
         try:
             return cls[s.upper()]
-        except KeyError:
+        except (AttributeError, KeyError):
             raise ValueError(f"unknown zone {s!r}") from None
 
 

@@ -215,7 +215,8 @@ class DecisionTrace:
     """Full audit record of one decision; replaying it against the same
     config fingerprint must reproduce the identical decision and events.
     A trace without a trace_version is version 1 and is written back
-    without one, so its bytes survive a read and a write."""
+    without one, so its bytes survive a read and a write; every other key
+    is required."""
 
     request_id: str
     config_fingerprint: str
@@ -253,11 +254,11 @@ class DecisionTrace:
         return cls(
             request_id=data["request_id"],
             config_fingerprint=data["config_fingerprint"],
-            audit_all=data.get("audit_all", False),
+            audit_all=require_type("audit_all", data["audit_all"], bool),
             request=data["request"],
             pre_state=data["pre_state"],
-            warnings=list(data.get("warnings", ())),
-            events=list(data["events"]),
+            warnings=data["warnings"],
+            events=data["events"],
             decision=Decision.from_dict(data["decision"]),
             trace_version=version,
         )
@@ -348,8 +349,7 @@ class DecisionEngine:
         # Whether this engine has decided since reset or restore is session
         # state (recorded as board_primed): it decides the knowledge step's
         # ingest-vs-refresh mode, so replays must restore it.
-        primed = pre_state.get("board_primed", False)
-        require_type("board_primed", primed, bool)
+        primed = require_type("board_primed", pre_state["board_primed"], bool)
         self.cooldowns, self.registry, self._primed = cooldowns, registry, primed
 
     # -- registry operations (scenario events) -------------------------------
@@ -612,12 +612,6 @@ class DecisionEngine:
         return events
 
 
-def build_tree(config: PolicyConfig) -> Node:
-    """Build (and validate) the decision tree for a config; ticking it is
-    the engine's job, this exists for structural inspection and tests."""
-    return DecisionEngine(config).tree
-
-
 def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:
     """Decide a recorded request again, restored to the recorded pre-state.
 
@@ -653,14 +647,6 @@ def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
     Raises ReplayError when the config fingerprint differs from the trace's
     or the trace cannot be replayed."""
     return _redecide(trace, config)[0]
-
-
-def _same_json(fresh, recorded) -> bool:
-    # An edited pre-state may hold values canonical JSON refuses (NaN, say).
-    try:
-        return canonical_json(fresh) == canonical_json(recorded)
-    except (TypeError, ValueError):
-        return False
 
 
 @dataclass
@@ -699,8 +685,10 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     """Replay and compare everything: final decision, event stream, warnings
     and, from version 2 on, the pre-state, which must be exactly the slice
     the decision reads (a version 1 pre-state held the whole household and
-    is not compared). The events of a version 1 or 2 trace are compared in
-    the shape those versions wrote.
+    is not compared). The pre-state is compared as a value: its restore has
+    already refused every leaf of a type the engine does not write, so 1,
+    1.0 and True cannot stand in for one another. The events of a version 1
+    or 2 trace are compared in the shape those versions wrote.
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -720,6 +708,6 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
         mismatches.append("event stream differs from the recorded events")
     if fresh.warnings != trace.warnings:
         mismatches.append("warnings differ from the recorded warnings")
-    if trace.trace_version != 1 and not _same_json(fresh.pre_state, trace.pre_state):
+    if trace.trace_version != 1 and fresh.pre_state != trace.pre_state:
         mismatches.append("pre_state differs from the recorded pre_state")
     return VerifyResult(not mismatches, mismatches, decision)

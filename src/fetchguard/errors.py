@@ -13,13 +13,8 @@ class ConfigError(FetchguardError):
 
 
 class EvaluationError(FetchguardError):
-    """A runtime evaluation failed (a leaf's check could not be made, a zone
-    table hole). Carries the offending node and key when known."""
-
-    def __init__(self, message: str, *, node: str | None = None, key: str | None = None):
-        super().__init__(message)
-        self.node = node
-        self.key = key
+    """A runtime evaluation failed: a zone table hole, or an action that
+    returned something other than a NodeStatus."""
 
 
 class PermissionDeniedError(FetchguardError):

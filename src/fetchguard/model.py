@@ -19,8 +19,9 @@ TEEN_MIN_AGE = 13
 MIN_ADULT_THRESHOLD = 14
 
 
-def require_type(what: str, value, *types: type) -> None:
-    """Refuse a value that is not one of `types`, without converting it.
+def require_type(what: str, value, *types: type):
+    """Refuse a value that is not one of `types`, without converting it;
+    return it unchanged otherwise.
 
     A bool passes only where bool is asked for, although Python counts it
     as an int: a flag is not a clock reading or a sensor value.
@@ -28,6 +29,7 @@ def require_type(what: str, value, *types: type) -> None:
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{what} must be {names}, got {value!r}")
+    return value
 
 
 class Relationship(enum.Enum):

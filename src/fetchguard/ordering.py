@@ -130,13 +130,13 @@ class CooldownState:
 
     @classmethod
     def restore(cls, snapshot: dict) -> "CooldownState":
-        state = cls(scope=snapshot.get("scope", "user"))
-        for uid, rec in snapshot.get("users", {}).items():
-            last = rec.get("last_requested")
+        state = cls(scope=snapshot["scope"])
+        for uid, rec in snapshot["users"].items():
+            last = rec["last_requested"]
             if last is not None and not isinstance(last, str):
                 raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
             record = _UserRecord(last_requested=last)
-            for cls_name, expiry in rec.get("active", {}).items():
+            for cls_name, expiry in rec["active"].items():
                 # Taken as recorded: converting would let an edited expiry verify.
                 require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
                 record.active[SafetyClass(cls_name)] = expiry

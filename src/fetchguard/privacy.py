@@ -38,7 +38,7 @@ class PersonalTag:
 
 class PersonalRegistry:
     """Map of object_id -> (tagger, granted users). First tag wins; only the
-    tagger may grant, re-tag or untag."""
+    tagger may grant or re-tag."""
 
     def __init__(self):
         self._tags: dict[str, PersonalTag] = {}
@@ -55,14 +55,6 @@ class PersonalRegistry:
             )
         # Re-tagging by the same designator resets the grant list.
         self._tags[object_id] = PersonalTag(tagged_by=actor)
-
-    def untag(self, actor: str, object_id: str) -> None:
-        existing = self._tags.get(object_id)
-        if existing is None:
-            return
-        if existing.tagged_by != actor:
-            raise PermissionDeniedError(f"only the tagger may untag {object_id!r}")
-        del self._tags[object_id]
 
     def grant_access(self, actor: str, object_id: str, grantee: str) -> None:
         existing = self._tags.get(object_id)
@@ -83,10 +75,6 @@ class PersonalRegistry:
     def is_tagged(self, object_id: str) -> bool:
         return object_id in self._tags
 
-    def tagger_of(self, object_id: str) -> str | None:
-        tag = self._tags.get(object_id)
-        return tag.tagged_by if tag else None
-
     def snapshot(self, object_id: str | None = None) -> dict:
         """The whole registry, or, given an object_id, only that object's
         entry (empty when it is untagged)."""
@@ -101,7 +89,7 @@ class PersonalRegistry:
         reg = cls()
         for obj, tag in snapshot.items():
             # Taken as recorded: converting would let an edited entry verify.
-            grants = tag.get("grants", [])
+            grants = tag["grants"]
             require_type(f"tagger of {obj!r}", tag["tagged_by"], str)
             require_type(f"grants on {obj!r}", grants, list)
             for grantee in grants:

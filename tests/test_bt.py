@@ -138,15 +138,23 @@ class TestTickState:
         assert all(got is state for _, got in seen)
 
     @pytest.mark.parametrize("kind", [Condition, Action], ids=["condition", "action"])
-    def test_leaf_evaluation_error_names_the_leaf(self, kind):
+    @pytest.mark.parametrize(
+        "error", [EvaluationError("no zone covers point"), KeyError("missing")], ids=["evaluation_error", "key_error"]
+    )
+    def test_a_leaf_exception_propagates_unchanged(self, kind, error):
         def fails(state):
-            raise EvaluationError("cannot evaluate", key="identity")
+            raise error
 
-        tree = Sequence("root", [const_condition("first", True), kind("needs_identity", fails)])
-        with pytest.raises(EvaluationError) as exc:
+        tree = Sequence("root", [const_condition("first", True), kind("fails", fails)])
+        with pytest.raises(type(error)) as exc:
             tree.tick({})
-        assert exc.value.node == "needs_identity"
-        assert exc.value.key == "identity"
+        assert exc.value is error
+
+    @pytest.mark.parametrize("returned", [True, None, "success"], ids=repr)
+    def test_an_action_that_returns_no_status_is_an_evaluation_error(self, returned):
+        tree = Sequence("root", [const_condition("first", True), Action("odd", lambda state: returned)])
+        with pytest.raises(EvaluationError, match=r"action 'odd' returned .* expected a NodeStatus"):
+            tree.tick({})
 
 
 class TestTreeValidation:

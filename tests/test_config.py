@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fetchguard import ConfigError, DecisionEngine, PolicyConfig, default_config
+from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest, PolicyConfig, default_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
@@ -121,3 +121,73 @@ class TestParseErrors:
         data["objects"][0]["safety_class"] = "spooky"
         with pytest.raises(ConfigError):
             PolicyConfig.from_dict(data)
+
+
+def _entry(entries, key, value):
+    return next(e for e in entries if e[key] == value)
+
+
+def _allergies_as_text(data):
+    _entry(data["users"], "user_id", "carol")["allergies"] = "peanut"
+
+
+def _allergen_tags_as_text(data):
+    _entry(data["objects"], "object_id", "peanut_butter")["allergen_tags"] = "peanut"
+
+
+def _flag_as_duration(data):
+    data["durations"]["dangerous_s"] = True
+
+
+def _fractional_adult_age(data):
+    data["region"]["adult_age_threshold"] = 19.9
+
+
+def _numeric_personal_owner(data):
+    _entry(data["objects"], "object_id", "diary")["personal_owner"] = 7
+
+
+def _flag_as_zone_bound(data):
+    data["zone_table"][0]["v_lo"] = False
+
+
+def _numeric_zone_name(data):
+    data["zone_table"][0]["zone"] = 3
+
+
+class TestValuesCheckedNotConverted:
+    """The loader refuses a value of the wrong type; converting it could
+    turn "peanut" into its letters or true into a one-second window."""
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (_allergies_as_text, r"users\[2\]: allergies must be a list of str"),
+            (_allergen_tags_as_text, r"objects\[6\]: allergen_tags must be a list of str"),
+            (_flag_as_duration, r"durations\.dangerous_s must be int"),
+            (_fractional_adult_age, r"region\.adult_age_threshold must be int"),
+            (_numeric_personal_owner, r"objects\[8\]: personal_owner must be str or NoneType"),
+            (_flag_as_zone_bound, r"zone_table\[0\]: v_lo must be int or float"),
+            (_numeric_zone_name, r"zone_table\[0\]: unknown zone 3"),
+        ],
+        ids=lambda e: getattr(e, "__name__", ""),
+    )
+    def test_a_value_of_the_wrong_type_is_refused_by_name(self, edit, field):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        edit(data)
+        with pytest.raises(ConfigError, match=field):
+            PolicyConfig.from_dict(data)
+
+    def test_carol_is_denied_peanut_butter_at_the_allergy_screen(self, engine, friendly_context):
+        request = FetchRequest("req", "carol", "peanut_butter", EmotionSample(0.5, 0.0), friendly_context, 0)
+        decision, _ = engine.decide(request)
+        assert (decision.verdict, decision.deciding_policy) == ("deny", "category")
+        assert "allergy_screen" in decision.reason
+
+    def test_integer_zone_bounds_widen_to_the_same_fingerprint(self, shipped_config):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        for rect in data["zone_table"]:
+            for bound in ("v_lo", "v_hi", "a_lo", "a_hi"):
+                if rect[bound] == int(rect[bound]):
+                    rect[bound] = int(rect[bound])
+        assert PolicyConfig.from_dict(data).fingerprint() == shipped_config.fingerprint()

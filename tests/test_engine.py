@@ -20,7 +20,6 @@ from fetchguard import (
     SafetyClass,
     UserGroup,
     Zone,
-    build_tree,
     default_config,
     node_names,
     replay,
@@ -44,7 +43,7 @@ def make_request(user, obj, emotion=GREEN, context=None, now=0, request_id="req-
 
 class TestTreeConstruction:
     def test_policy_gates_in_order(self, shipped_config):
-        names = node_names(build_tree(shipped_config))
+        names = node_names(DecisionEngine(shipped_config).tree)
         gates = [n for n in names if n in ("eligibility_gate", "ordering_check", "emotion_check", "category_context_check", "personal_check")]
         assert gates == [
             "eligibility_gate",
@@ -55,14 +54,14 @@ class TestTreeConstruction:
         ]
 
     def test_two_builds_are_structurally_identical(self, shipped_config):
-        assert node_names(build_tree(shipped_config)) == node_names(build_tree(shipped_config))
+        assert node_names(DecisionEngine(shipped_config).tree) == node_names(DecisionEngine(shipped_config).tree)
 
     def test_invalid_config_refuses_to_build(self, shipped_config):
         data = shipped_config.to_dict()
         data["matrix"].pop()
         bad = PolicyConfig.from_dict(data)
         with pytest.raises(ConfigError):
-            build_tree(bad)
+            DecisionEngine(bad)
 
 
 class TestDecideExamples:

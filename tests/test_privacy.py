@@ -21,11 +21,11 @@ def registry_with_tag(tagger="alice", obj="diary"):
 class TestTagging:
     def test_owner_can_tag(self):
         reg = registry_with_tag()
-        assert reg.tagger_of("diary") == "alice"
+        assert reg.snapshot("diary") == {"diary": {"tagged_by": "alice", "grants": []}}
 
     def test_designator_can_tag(self):
         reg = registry_with_tag(tagger="henry")
-        assert reg.tagger_of("diary") == "henry"
+        assert reg.snapshot("diary") == {"diary": {"tagged_by": "henry", "grants": []}}
 
     def test_non_designator_cannot_tag(self):
         reg = PersonalRegistry()
@@ -36,7 +36,7 @@ class TestTagging:
         reg = registry_with_tag(tagger="alice")
         with pytest.raises(TagConflictError):
             reg.tag_personal(HIER, "henry", "diary")
-        assert reg.tagger_of("diary") == "alice"
+        assert reg.snapshot("diary") == {"diary": {"tagged_by": "alice", "grants": []}}
 
     def test_retag_by_same_user_resets_grants(self):
         reg = registry_with_tag()
@@ -80,21 +80,6 @@ class TestGrants:
         reg.grant_access("alice", "diary", "bob")
         reg.grant_access("alice", "diary", "bob")
         assert reg.snapshot()["diary"]["grants"] == ["bob"]
-
-
-class TestUntag:
-    def test_untag_by_tagger_restores_pass_for_all(self):
-        reg = registry_with_tag()
-        reg.untag("alice", "diary")
-        assert reg.personal_check("bob", "diary")
-
-    def test_untag_by_other_user_denied(self):
-        reg = registry_with_tag()
-        with pytest.raises(PermissionDeniedError):
-            reg.untag("henry", "diary")
-
-    def test_untag_of_untagged_object_is_a_noop(self):
-        PersonalRegistry().untag("alice", "towel")
 
 
 class TestSnapshot:

@@ -26,7 +26,7 @@ from fetchguard import (
     replay,
     verify_trace,
 )
-from fetchguard.engine import _legacy_events, canonical_json
+from fetchguard.engine import _legacy_events, _redecide, canonical_json
 from test_golden import slice_pre_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,6 +145,32 @@ def _numeric_grantee(trace):
     trace.pre_state["personal_registry"] = {"knife": {"tagged_by": "alice", "grants": ["bob", 7]}}
 
 
+def _scope_deleted(trace):
+    del trace.pre_state["cooldowns"]["scope"]
+
+
+def _users_deleted(trace):
+    del trace.pre_state["cooldowns"]["users"]
+
+
+def _last_requested_deleted(trace):
+    del trace.pre_state["cooldowns"]["users"]["alice"]["last_requested"]
+
+
+def _active_deleted(trace):
+    del trace.pre_state["cooldowns"]["users"]["alice"]["active"]
+
+
+def _grants_deleted(trace):
+    # The requested knife is untagged here, so the edit adds an entry that
+    # lacks only its grants.
+    trace.pre_state["personal_registry"] = {"knife": {"tagged_by": "alice"}}
+
+
+def _board_primed_deleted(trace):
+    del trace.pre_state["board_primed"]
+
+
 EDITS = [
     (_unknown_safety_class, "recorded pre_state cannot be restored"),
     (_missing_cooldowns, "recorded pre_state cannot be restored"),
@@ -164,6 +190,12 @@ EDITS = [
     (_numeric_tagger, "recorded pre_state cannot be restored"),
     (_grants_as_an_object, "recorded pre_state cannot be restored"),
     (_numeric_grantee, "recorded pre_state cannot be restored"),
+    (_scope_deleted, "recorded pre_state cannot be restored"),
+    (_users_deleted, "recorded pre_state cannot be restored"),
+    (_last_requested_deleted, "recorded pre_state cannot be restored"),
+    (_active_deleted, "recorded pre_state cannot be restored"),
+    (_grants_deleted, "recorded pre_state cannot be restored"),
+    (_board_primed_deleted, "recorded pre_state cannot be restored"),
 ]
 
 
@@ -223,8 +255,61 @@ def _golden_numeric_tagger(entry):
     entry["tagged_by"] = 7
 
 
+def _golden_grants_deleted(entry):
+    del entry["grants"]
+
+
+#: Every key but trace_version that a line must carry, as paths into it.
+REQUIRED_KEYS = [
+    ("audit_all",),
+    ("warnings",),
+    ("pre_state", "cooldowns", "scope"),
+    ("pre_state", "cooldowns", "users"),
+    ("pre_state", "cooldowns", "users", "alice", "last_requested"),
+    ("pre_state", "cooldowns", "users", "alice", "active"),
+    ("pre_state", "personal_registry", "diary", "grants"),
+    ("pre_state", "board_primed"),
+]
+
+
+class TestEveryKeyRequired:
+    @pytest.mark.parametrize("path", REQUIRED_KEYS, ids=lambda path: ".".join(path))
+    def test_a_golden_line_missing_a_key_is_a_named_failure(self, shipped_config, path):
+        # A version 1 line: its pre-state is not compared, so only the
+        # restore stands between a deleted key and a verified line.
+        data = _golden_privacy_line()
+        assert "trace_version" not in data
+        *parents, key = path
+        parent = data
+        for step in parents:
+            parent = parent[step]
+        del parent[key]
+        if path[0] != "pre_state":
+            with pytest.raises(KeyError, match=key):
+                DecisionTrace.from_dict(data)
+            return
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert result.mismatches == [f"recorded pre_state cannot be restored: {KeyError(key)!r}"]
+
+    @pytest.mark.parametrize("flag", [1, 0, "yes", None, [0]], ids=repr)
+    def test_an_audit_all_that_is_not_a_bool_is_refused_on_read(self, mid_session_trace, flag):
+        data = json.loads(mid_session_trace.to_json())
+        data["audit_all"] = flag
+        with pytest.raises(TypeError, match="audit_all must be bool"):
+            DecisionTrace.from_dict(data)
+
+    def test_warnings_as_text_are_not_read_as_a_list(self, shipped_config, mid_session_trace):
+        data = json.loads(mid_session_trace.to_json())
+        assert data["warnings"] == []
+        data["warnings"] = ""
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert result.mismatches == ["warnings differ from the recorded warnings"]
+
+
 class TestRegistryTakenAsRecorded:
-    @pytest.mark.parametrize("edit", [_golden_grants_as_an_object, _golden_numeric_tagger], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize(
+        "edit", [_golden_grants_as_an_object, _golden_numeric_tagger, _golden_grants_deleted], ids=lambda e: e.__name__
+    )
     def test_a_golden_registry_entry_of_the_wrong_type_is_refused(self, shipped_config, edit):
         data = _golden_privacy_line()
         assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
@@ -492,6 +577,107 @@ class TestVersion2PreState:
             assert verify_trace(as_legacy(trace, 2, trace.pre_state), shipped_config).ok
             before["board_primed"] = trace.pre_state["board_primed"]
             assert verify_trace(as_legacy(trace, 1, before), shipped_config).ok
+
+
+PRE_STATE_DIFFERS = "pre_state differs from the recorded pre_state"
+
+
+def canonically_same(fresh, recorded):
+    """The reference: pre-states compared as canonical JSON, where a value
+    canonical JSON refuses (NaN, say) is a difference."""
+    try:
+        return canonical_json(fresh) == canonical_json(recorded)
+    except (TypeError, ValueError):
+        return False
+
+
+def paths_into(value, path=()):
+    """The path of every dict entry and list item under value, containers
+    included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    found = []
+    for key, item in items:
+        found.append(path + (key,))
+        found.extend(paths_into(item, path + (key,)))
+    return found
+
+
+#: Stand-ins for any leaf: each type a pre-state holds and some it does not,
+#: including values such as 1, 1.0 and True that Python counts as equal but
+#: JSON writes differently.
+STAND_INS = [
+    None, True, False, 0, 1, 1.0, 1800, 1800.0, -1, math.nan, math.inf,
+    "", "alice", "knife", "1800", "user", [], ["bob"], {}, {"dangerous": 1800},
+]
+
+
+def single_leaf_edits(pre_state):
+    """Every edit of one place in a pre-state: a type or value swap, a
+    deletion, or a key added beside it."""
+    edits = []
+    for path in paths_into(pre_state):
+        edits.extend(("swap", path, value) for value in STAND_INS)
+        edits.append(("delete", path, None))
+    for path in [()] + [p for p in paths_into(pre_state) if isinstance(reach(pre_state, p), dict)]:
+        edits.extend(("add", path + ("extra",), value) for value in (math.nan, 0, None))
+    return edits
+
+
+def reach(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
+def apply_edit(pre_state, edit):
+    how, path, value = edit
+    *parents, last = path
+    parent = reach(pre_state, parents)
+    if how == "delete":
+        del parent[last]
+    else:
+        parent[last] = value
+
+
+class TestPreStateComparedAsValue:
+    """Restore refuses every leaf of a type the engine does not write, so
+    comparing pre-states as values is as strict as comparing their canonical
+    JSON."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        requests=st.lists(
+            st.builds(
+                make_request,
+                st.sampled_from(ROSTER + ["stranger"]),
+                st.sampled_from(CATALOG),
+                now=st.integers(0, 20000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        granted=st.booleans(),
+        data=st.data(),
+    )
+    def test_single_leaf_edits_get_the_verdict_of_the_canonical_json_compare(self, shipped_config, requests, granted, data):
+        engine = DecisionEngine(shipped_config)
+        if granted:
+            engine.apply_grant("alice", "diary", "bob")
+        traces = [engine.decide(request)[1] for request in requests]
+        edited = copy_of(data.draw(st.sampled_from(traces)))
+        apply_edit(edited.pre_state, data.draw(st.sampled_from(single_leaf_edits(edited.pre_state))))
+        result = verify_trace(edited, shipped_config)
+        try:
+            _, fresh = _redecide(edited, shipped_config)
+        except ReplayError:
+            assert (result.ok, result.decision) == (False, None)
+            return
+        assert (PRE_STATE_DIFFERS in result.mismatches) == (not canonically_same(fresh.pre_state, edited.pre_state))
 
 
 def golden_as_version_2(line):
