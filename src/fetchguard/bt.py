@@ -20,6 +20,9 @@ class NodeStatus(enum.Enum):
     FAILURE = "failure"
     RUNNING = "running"
 
+    # Agrees with Enum's identity equality and skips its Python-level hash.
+    __hash__ = object.__hash__
+
 
 SUCCESS = NodeStatus.SUCCESS
 FAILURE = NodeStatus.FAILURE

@@ -38,11 +38,13 @@ class Zone(enum.IntEnum):
 
 #: Zone texts by rank; cheaper than the Enum `name` property on the hot path.
 _ZONE_NAMES = tuple(zone.name.lower() for zone in Zone)
+#: Zones by rank; indexing it is cheaper than calling Zone(rank).
+_ZONES = tuple(Zone)
 
 
 def escalate(zone: Zone, steps: int) -> Zone:
     """Move a zone `steps` toward Red, saturating at Red."""
-    return Zone(min(int(Zone.RED), int(zone) + max(0, steps)))
+    return _ZONES[min(int(Zone.RED), int(zone) + max(0, steps))]
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,14 @@ class EmotionSample:
         A NaN coordinate goes to its side of the most cautious corner
         (valence -1, arousal +1); any other value, +-inf included, clamps to
         the nearer boundary. Out-of-range sensor data must never crash or
-        soften a decision. Returns (sample, whether anything changed).
+        soften a decision. Returns (sample, whether anything changed); a
+        sample whose values come back as the very objects it holds is
+        returned itself.
         """
         v = -1.0 if math.isnan(self.valence) else min(1.0, max(-1.0, self.valence))
         a = 1.0 if math.isnan(self.arousal) else min(1.0, max(-1.0, self.arousal))
+        if v is self.valence and a is self.arousal:
+            return self, False
         changed = not (v == self.valence and a == self.arousal)
         return EmotionSample(v, a), changed
 

@@ -32,8 +32,11 @@ from .bt import (
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
-from .matrix import MATRIX_CHECKS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import MATRIX_CHECKS, PROFILE_TEXTS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
+    CLASS_TEXT,
+    GROUP_BY_TEXT,
+    GROUP_TEXT,
     AdminRole,
     ContextSnapshot,
     Instant,
@@ -191,7 +194,7 @@ class Decision:
             "deciding_policy": self.deciding_policy,
             "reason": self.reason,
             "effective_zone": self.effective_zone.as_str(),
-            "allowed_groups_at_leaf": sorted(g.value for g in self.allowed_groups_at_leaf),
+            "allowed_groups_at_leaf": sorted([GROUP_TEXT[g] for g in self.allowed_groups_at_leaf]),
         }
 
     @classmethod
@@ -203,11 +206,20 @@ class Decision:
             deciding_policy=data["deciding_policy"],
             reason=data["reason"],
             effective_zone=Zone.from_str(data["effective_zone"]),
-            allowed_groups_at_leaf=frozenset(UserGroup(g) for g in data["allowed_groups_at_leaf"]),
+            allowed_groups_at_leaf=frozenset(_group(g) for g in data["allowed_groups_at_leaf"]),
         )
         if decision.to_dict() != data:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
         return decision
+
+
+def _group(text) -> UserGroup:
+    """The group a decision block names; ValueError for any other value, as
+    UserGroup(text) raises."""
+    try:
+        return GROUP_BY_TEXT[text]
+    except (KeyError, TypeError):
+        raise ValueError(f"{text!r} is not a valid UserGroup") from None
 
 
 @dataclass
@@ -445,7 +457,7 @@ class DecisionEngine:
         if st.obj is None:
             return details, ("eligibility", f"unknown object {st.request.object_id!r}")
         st.group = classify_user_group(st.profile, self.config.region)
-        details["group"] = st.group.value
+        details["group"] = GROUP_TEXT[st.group]
         if st.group is UserGroup.INELIGIBLE:
             return details, (
                 "eligibility",
@@ -460,7 +472,7 @@ class DecisionEngine:
         )
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
-            "active_cooldowns": sorted(c.value for c in st.active),
+            "active_cooldowns": list(PROFILE_TEXTS[st.active]),
             "vehicle_ban": st.restriction.vehicle_ban,
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
@@ -475,7 +487,9 @@ class DecisionEngine:
         steps = st.restriction.escalation_steps if st.restriction else 0
         st.effective_zone = escalate(st.base_zone, steps)
         key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
-        st.matrix_entry = matrix_lookup(self.config.matrix, key)
+        entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
+        request_class = CLASS_TEXT[st.obj.safety_class]
+        # Fresh lists, so that no trace shares one with the config.
         details = {
             "valence": st.emotion.valence,
             "arousal": st.emotion.arousal,
@@ -483,15 +497,15 @@ class DecisionEngine:
             "base_zone": st.base_zone.as_str(),
             "escalation_steps": steps,
             "effective_zone": st.effective_zone.as_str(),
-            "cooldown_profile": sorted(c.value for c in st.active),
-            "request_class": st.obj.safety_class.value,
-            "allowed_groups": sorted(g.value for g in st.matrix_entry.allowed_groups),
-            "required_checks": sorted(st.matrix_entry.required_checks),
+            "cooldown_profile": list(PROFILE_TEXTS[st.active]),
+            "request_class": request_class,
+            "allowed_groups": list(entry.group_texts),
+            "required_checks": list(entry.check_texts),
         }
-        if st.group not in st.matrix_entry.allowed_groups:
+        if st.group not in entry.allowed_groups:
             return details, (
                 "emotion",
-                f"group {st.group.value} may not receive a {st.obj.safety_class.value} "
+                f"group {GROUP_TEXT[st.group]} may not receive a {request_class} "
                 f"object in the {st.effective_zone.as_str()} zone",
             )
         return details, None
@@ -499,7 +513,7 @@ class DecisionEngine:
     def _eval_category_context(self, st: _EvalState):
         context = st.request.context
         entry = st.matrix_entry
-        details: dict = {"category": st.obj.category, "matrix_checks": sorted(entry.required_checks)}
+        details: dict = {"category": st.obj.category, "matrix_checks": list(entry.check_texts)}
         for check in MATRIX_CHECKS:
             if check not in entry.required_checks:
                 continue
@@ -682,13 +696,14 @@ def _legacy_events(events: list[dict], request: dict) -> list[dict]:
 
 
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
-    """Replay and compare everything: final decision, event stream, warnings
-    and, from version 2 on, the pre-state, which must be exactly the slice
-    the decision reads (a version 1 pre-state held the whole household and
-    is not compared). The pre-state is compared as a value: its restore has
-    already refused every leaf of a type the engine does not write, so 1,
-    1.0 and True cannot stand in for one another. The events of a version 1
-    or 2 trace are compared in the shape those versions wrote.
+    """Replay and compare everything: request id, final decision, event
+    stream, warnings and, from version 2 on, the pre-state, which must be
+    exactly the slice the decision reads (a version 1 pre-state held the
+    whole household and is not compared). The pre-state is compared as a
+    value: its restore has already refused every leaf of a type the engine
+    does not write, so 1, 1.0 and True cannot stand in for one another. The
+    events of a version 1 or 2 trace are compared in the shape those
+    versions wrote.
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -699,6 +714,10 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     except ReplayError as exc:
         return VerifyResult(False, [str(exc)], None)
     mismatches = []
+    # The re-run takes its id from the recorded request, so the line's own
+    # id, which explain --request looks lines up by, is compared here.
+    if fresh.request_id != trace.request_id:
+        mismatches.append("request_id differs from the recorded request")
     if decision != trace.decision:
         mismatches.append("final decision differs from the recorded decision")
     events = fresh.events

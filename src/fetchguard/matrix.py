@@ -38,6 +38,8 @@ ALL_PROFILES: tuple[frozenset[SafetyClass], ...] = (
     frozenset({SafetyClass.MIND_ALTERING}),
     frozenset({SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING}),
 )
+#: Each profile's sorted class texts, as traces write them.
+PROFILE_TEXTS = {p: tuple(sorted(c.value for c in p)) for p in ALL_PROFILES}
 ALL_CLASSES = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING, SafetyClass.NEITHER)
 ALL_ZONES = (Zone.GREEN, Zone.YELLOW, Zone.ORANGE, Zone.RED)
 
@@ -56,6 +58,10 @@ class MatrixKey:
 
 @dataclass(frozen=True)
 class MatrixEntry:
+    """One row's groups and checks. The row also carries both as the sorted
+    texts traces write (`group_texts`, `check_texts`), worked out once here;
+    they are not fields, so equality, repr and the fingerprint ignore them."""
+
     allowed_groups: frozenset[UserGroup]
     required_checks: frozenset[str] = frozenset()
 
@@ -65,6 +71,8 @@ class MatrixEntry:
         unknown = self.required_checks - set(MATRIX_CHECKS)
         if unknown:
             raise ConfigError(f"unknown matrix checks: {sorted(unknown)}")
+        object.__setattr__(self, "group_texts", tuple(sorted(g.value for g in self.allowed_groups)))
+        object.__setattr__(self, "check_texts", tuple(sorted(self.required_checks)))
 
 
 Matrix = dict[MatrixKey, MatrixEntry]

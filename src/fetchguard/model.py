@@ -32,11 +32,15 @@ def require_type(what: str, value, *types: type):
     return value
 
 
+# These enums hash by identity, which agrees with their identity equality
+# and skips Enum's Python-level hash in every set and dict lookup.
 class Relationship(enum.Enum):
     HOUSEHOLD = "household"
     FAMILY = "family"
     FRIEND = "friend"
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__
 
 
 class AdminRole(enum.Enum):
@@ -45,11 +49,15 @@ class AdminRole(enum.Enum):
     MEMBER = "member"
     NONE = "none"
 
+    __hash__ = object.__hash__
+
 
 class SafetyClass(enum.Enum):
     DANGEROUS = "dangerous"
     MIND_ALTERING = "mind_altering"
     NEITHER = "neither"
+
+    __hash__ = object.__hash__
 
 
 class UserGroup(enum.Enum):
@@ -65,6 +73,15 @@ class UserGroup(enum.Enum):
     U = "U"
     INELIGIBLE = "ineligible"
 
+    __hash__ = object.__hash__
+
+
+#: Member texts, read where a decision writes them; cheaper than the Enum
+#: `value` property on the hot path.
+CLASS_TEXT = {c: c.value for c in SafetyClass}
+GROUP_TEXT = {g: g.value for g in UserGroup}
+#: Groups by text, for reading a trace back.
+GROUP_BY_TEXT = {g.value: g for g in UserGroup}
 
 ADULT_TIER = frozenset({UserGroup.HA, UserGroup.FAA, UserGroup.FRA})
 TEEN_TIER = frozenset({UserGroup.HT, UserGroup.FAT, UserGroup.FRT})

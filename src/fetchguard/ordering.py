@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import Instant, ObjectSpec, SafetyClass, require_type
+from .model import CLASS_TEXT, Instant, ObjectSpec, SafetyClass, require_type
 
 DEFAULT_DANGEROUS_COOLDOWN_S = 30 * 60
 DEFAULT_MIND_ALTERING_COOLDOWN_S = 4 * 60 * 60
@@ -25,6 +25,8 @@ VEHICLE_CATEGORY = "vehicle"
 HOUSEHOLD_SCOPE_KEY = "__household__"
 
 _FLAGGED = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)
+#: The classes that have a cool-down, by the text a snapshot writes.
+_FLAGGED_BY_TEXT = {cls.value: cls for cls in _FLAGGED}
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class CooldownState:
             "users": {
                 uid: {
                     "last_requested": rec.last_requested,
-                    "active": {cls.value: exp for cls, exp in sorted(rec.active.items(), key=lambda kv: kv[0].value)},
+                    "active": dict(sorted((CLASS_TEXT[cls], exp) for cls, exp in rec.active.items())),
                 }
                 for uid, rec in records
             },
@@ -137,9 +139,12 @@ class CooldownState:
                 raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
             record = _UserRecord(last_requested=last)
             for cls_name, expiry in rec["active"].items():
-                # Taken as recorded: converting would let an edited expiry verify.
+                # Only a class the engine arms a window for; taken as
+                # recorded, since converting would let an edited expiry verify.
+                if cls_name not in _FLAGGED_BY_TEXT:
+                    raise ValueError(f"{uid!r} has a window for {cls_name!r}, which has no cool-down")
                 require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
-                record.active[SafetyClass(cls_name)] = expiry
+                record.active[_FLAGGED_BY_TEXT[cls_name]] = expiry
             state._records[uid] = record
         return state
 

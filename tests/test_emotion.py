@@ -201,6 +201,39 @@ class TestClamping:
         assert (sample.valence, sample.arousal) == (1.0, -1.0)
 
 
+def rebuilding_clamped(sample):
+    """clamped() as it was before an in-range sample came back as itself:
+    the sample is always rebuilt."""
+    v = -1.0 if math.isnan(sample.valence) else min(1.0, max(-1.0, sample.valence))
+    a = 1.0 if math.isnan(sample.arousal) else min(1.0, max(-1.0, sample.arousal))
+    return EmotionSample(v, a), not (v == sample.valence and a == sample.arousal)
+
+
+IN_RANGE = [(1, 0), (-1, 0), (0, 0), (0.5, -0.25)]
+
+
+class TestInRangeSamples:
+    @pytest.mark.parametrize("v, a", IN_RANGE)
+    def test_values_and_types_match_the_rebuilding_reference(self, v, a):
+        sample, changed = EmotionSample(v, a).clamped()
+        expected, expected_changed = rebuilding_clamped(EmotionSample(v, a))
+        assert changed is expected_changed is False
+        assert [(x, type(x)) for x in (sample.valence, sample.arousal)] == [
+            (x, type(x)) for x in (expected.valence, expected.arousal)
+        ]
+
+    @pytest.mark.parametrize("v, expected", [(1, 1.0), (-1, -1.0)])
+    def test_an_int_bound_still_becomes_a_float(self, v, expected):
+        sample, changed = EmotionSample(v, 0).clamped()
+        assert not changed
+        assert type(sample.valence) is float and sample.valence == expected
+
+    @pytest.mark.parametrize("v, a", [(0, 0), (0.5, -0.25), (-0.75, 0.75)])
+    def test_a_sample_holding_its_clamped_values_is_returned_itself(self, v, a):
+        sample = EmotionSample(v, a)
+        assert sample.clamped()[0] is sample
+
+
 class TestEscalation:
     def test_single_steps(self):
         assert escalate(Zone.GREEN, 1) is Zone.YELLOW

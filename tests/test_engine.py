@@ -26,6 +26,7 @@ from fetchguard import (
     verify_trace,
 )
 from fetchguard.engine import _POLICY_OF, STAGES, canonical_json
+from test_emotion import rebuilding_clamped
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -211,6 +212,27 @@ class TestTraceShape:
         second = run("B")
         assert first != second
         assert first.replace('"A"', '"X"') == second.replace('"B"', '"X"')
+
+    @pytest.mark.parametrize("v, a", [(1, 0), (-1, 0), (0, 0), (0.5, -0.25)])
+    def test_in_range_samples_write_the_lines_a_rebuilt_sample_wrote(self, shipped_config, monkeypatch, v, a):
+        def lines():
+            engine = DecisionEngine(shipped_config, audit_all=True)
+            return [engine.decide(make_request(user, "knife", emotion=EmotionSample(v, a), now=60 * i))[1].to_json()
+                    for i, user in enumerate(["alice", "bob", "dave"])]
+
+        fast = lines()
+        monkeypatch.setattr(EmotionSample, "clamped", rebuilding_clamped)
+        assert fast == lines()
+
+    def test_trace_lists_are_fresh_for_every_trace(self, shipped_config):
+        engine = DecisionEngine(shipped_config)
+        _, first = engine.decide(make_request("alice", "towel"))
+        emotion = next(e["inputs"] for e in first.events if e["node"] == "emotion_ok")
+        for name in ("allowed_groups", "required_checks", "cooldown_profile"):
+            assert type(emotion[name]) is list
+            emotion[name].append("edited")
+        _, second = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
+        assert "edited" not in second.to_json()
 
     def test_trace_roundtrips_through_json(self, engine):
         _, trace = engine.decide(make_request("alice", "towel"))

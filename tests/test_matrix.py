@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from fetchguard import (
@@ -7,6 +10,7 @@ from fetchguard import (
     MatrixEntry,
     MatrixKey,
     ObjectSpec,
+    PolicyConfig,
     Relationship,
     SafetyClass,
     UserGroup,
@@ -17,7 +21,9 @@ from fetchguard import (
     matrix_lookup,
     validate_matrix,
 )
-from fetchguard.matrix import ALL_CLASSES, ALL_GROUPS, ALL_PROFILES, ALL_ZONES
+from fetchguard.matrix import ALL_CLASSES, ALL_GROUPS, ALL_PROFILES, ALL_ZONES, PROFILE_TEXTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 D = SafetyClass.DANGEROUS
 M = SafetyClass.MIND_ALTERING
@@ -156,6 +162,34 @@ class TestValidator:
 
 
 # -- category rules ------------------------------------------------------------
+
+
+class TestRowTexts:
+    """The texts a row carries for traces, against the loops that worked
+    them out on every request before."""
+
+    @pytest.mark.parametrize("source", ["default_matrix", "configs/default.json"])
+    def test_each_row_carries_its_sorted_group_and_check_texts(self, source):
+        if source == "default_matrix":
+            matrix = default_matrix()
+        else:
+            matrix = PolicyConfig.load(ROOT / source).matrix
+        assert len(matrix) == 48
+        for entry in matrix.values():
+            assert entry.group_texts == tuple(sorted(g.value for g in entry.allowed_groups))
+            assert entry.check_texts == tuple(sorted(entry.required_checks))
+
+    def test_each_profile_has_its_sorted_class_texts(self):
+        assert list(PROFILE_TEXTS) == list(ALL_PROFILES)
+        for profile, texts in PROFILE_TEXTS.items():
+            assert texts == tuple(sorted(c.value for c in profile))
+
+    def test_row_texts_are_not_fields(self):
+        entry = MatrixEntry(frozenset({g.HA, g.FAA}), frozenset({"verbal_affirmation"}))
+        assert [f.name for f in dataclasses.fields(entry)] == ["allowed_groups", "required_checks"]
+        assert "texts" not in repr(entry)
+        other = MatrixEntry(frozenset({g.FAA, g.HA}), frozenset({"verbal_affirmation"}))
+        assert (entry, hash(entry)) == (other, hash(other))
 
 
 def make_context(room="kitchen", adult=True, verbal=True):

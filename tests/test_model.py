@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from fetchguard import (
     AdminRole,
     ConfigError,
+    NodeStatus,
     ObjectSpec,
     Region,
     Relationship,
@@ -14,6 +18,7 @@ from fetchguard import (
     classify_user_group,
     validate_object_catalog,
 )
+from fetchguard.model import CLASS_TEXT, GROUP_BY_TEXT, GROUP_TEXT
 
 CANADA = Region("canada", 19)
 USA = Region("usa", 21)
@@ -138,3 +143,21 @@ class TestCatalogValidation:
         objs = [ObjectSpec("thing", "Thing", SafetyClass.NEITHER, "")]
         report = validate_object_catalog(objs, self.users())
         assert "empty-category" in report.codes()
+
+
+class TestIdentityHash:
+    @pytest.mark.parametrize(
+        "member", [*UserGroup, *SafetyClass, *Relationship, *AdminRole, *NodeStatus], ids=repr
+    )
+    def test_a_member_finds_its_entry_however_it_is_reached(self, member):
+        table = {member: "entry"}
+        for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member), type(member)(member.value)):
+            assert same is member
+            assert table[same] == "entry"
+        assert hash(member) == object.__hash__(member)
+
+    def test_group_texts_and_members_by_text_agree(self):
+        assert GROUP_BY_TEXT["HA"] is UserGroup("HA")
+        assert GROUP_TEXT[UserGroup("HA")] == "HA"
+        assert {GROUP_TEXT[g]: g for g in UserGroup} == GROUP_BY_TEXT
+        assert all(CLASS_TEXT[c] == c.value for c in SafetyClass)

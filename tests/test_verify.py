@@ -171,6 +171,11 @@ def _board_primed_deleted(trace):
     del trace.pre_state["board_primed"]
 
 
+def _neither_window(trace):
+    # The engine arms windows only for dangerous and mind_altering objects.
+    trace.pre_state["cooldowns"]["users"]["alice"]["active"]["neither"] = 1800
+
+
 EDITS = [
     (_unknown_safety_class, "recorded pre_state cannot be restored"),
     (_missing_cooldowns, "recorded pre_state cannot be restored"),
@@ -196,6 +201,7 @@ EDITS = [
     (_active_deleted, "recorded pre_state cannot be restored"),
     (_grants_deleted, "recorded pre_state cannot be restored"),
     (_board_primed_deleted, "recorded pre_state cannot be restored"),
+    (_neither_window, "recorded pre_state cannot be restored"),
 ]
 
 
@@ -245,6 +251,41 @@ def _golden_privacy_line():
     assert data["request_id"] == "privacy_personal:002"
     assert data["pre_state"]["personal_registry"] == {"diary": {"tagged_by": "alice", "grants": ["bob"]}}
     return data
+
+
+class TestWindowsOnlyForFlaggedClasses:
+    @pytest.mark.parametrize("path, deciding", [
+        ("under5_denial.jsonl", "eligibility"),
+        ("repeat_dangerous_green.jsonl", "none"),
+    ])
+    def test_a_neither_window_is_refused_wherever_the_line_is_decided(self, shipped_config, path, deciding):
+        # A line denied before the emotion gate never reads the window, so
+        # only the restore can refuse it.
+        data = json.loads((GOLDEN / path).read_text(encoding="utf-8").splitlines()[0])
+        assert data["decision"]["deciding_policy"] == deciding
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        users = data["pre_state"]["cooldowns"]["users"]
+        record = users.setdefault(data["request"]["user_id"], {"last_requested": None, "active": {}})
+        record["active"]["neither"] = 10**9
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert (result.ok, result.decision) == (False, None)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
+
+
+class TestRequestIdCompared:
+    @pytest.mark.parametrize("forged", ["privacy_personal:003", "", 7, None])
+    def test_an_edit_to_only_the_line_request_id_is_one_named_mismatch(self, shipped_config, forged):
+        data = _golden_privacy_line()
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        data["request_id"] = forged
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert result.mismatches == ["request_id differs from the recorded request"]
+        assert not result.ok and result.decision is not None
+
+    def test_every_golden_line_carries_one_request_id(self):
+        plain, audit = golden_traces()
+        assert all(t.request_id == t.request["request_id"] for t in plain + audit)
 
 
 def _golden_grants_as_an_object(entry):
@@ -370,6 +411,15 @@ class TestDecisionBlockAsWritten:
         edit(data["decision"])
         with pytest.raises(ValueError, match="not in the form the engine writes"):
             DecisionTrace.from_dict(data)
+
+    @pytest.mark.parametrize("group", ["purple", ["HA"], 3])
+    def test_a_group_that_is_no_group_text_is_a_value_error(self, group):
+        data = _golden_privacy_line()["decision"]
+        data["allowed_groups_at_leaf"] = [group]
+        with pytest.raises(ValueError, match="is not a valid UserGroup"):
+            Decision.from_dict(data)
+        with pytest.raises(ValueError):
+            UserGroup(group)
 
     @settings(max_examples=300, deadline=None)
     @given(first=DECISION_BLOCKS, second=DECISION_BLOCKS)
