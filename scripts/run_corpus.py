@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run every shipped scenario against the default config and verify that each
-emitted trace replays to the identical decision.
+"""Run every shipped scenario against the default config, write its traces
+and verify that each written line, read back, replays to the identical
+decision.
 
 Writes one trace file per scenario under out/ and prints a summary table.
 Exits nonzero on any expectation mismatch or replay divergence.
@@ -16,7 +17,7 @@ def main() -> int:
     # Runs from a checkout without installing the package.
     sys.path.insert(0, str(ROOT / "src"))
     from fetchguard import default_config, load_scenario, run_scenario, verify_trace
-    from fetchguard.scenario import write_traces
+    from fetchguard.scenario import read_traces, write_traces
 
     config = default_config()
     out_dir = ROOT / "out"
@@ -25,8 +26,10 @@ def main() -> int:
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         script = load_scenario(path)
         result = run_scenario(config, script)
-        write_traces(result.traces, out_dir / f"{script.name}.jsonl")
-        replay_ok = all(verify_trace(t, config).ok for t in result.traces)
+        log = out_dir / f"{script.name}.jsonl"
+        write_traces(result.traces, log)
+        # The lines as written, the way a `fetchguard run` log is audited.
+        replay_ok = all(verify_trace(t, config).ok for t in read_traces(log))
         ok = result.ok and replay_ok
         failures += 0 if ok else 1
         flag = "ok " if ok else "FAIL"

@@ -32,7 +32,7 @@ from .bt import (
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
-from .matrix import MATRIX_CHECKS, PROFILE_TEXTS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import PROFILE_TEXTS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     CLASS_TEXT,
     GROUP_BY_TEXT,
@@ -357,6 +357,8 @@ class DecisionEngine:
         # Both restores run before either is installed, so a pre-state that
         # fails to restore leaves the engine as it was.
         cooldowns = CooldownState.restore(pre_state["cooldowns"])
+        if cooldowns.scope != self.config.cooldown_scope:
+            raise ValueError(f"cool-down scope {cooldowns.scope!r} is not the config's")
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         # Whether this engine has decided since reset or restore is session
         # state (recorded as board_primed): it decides the knowledge step's
@@ -511,35 +513,17 @@ class DecisionEngine:
         return details, None
 
     def _eval_category_context(self, st: _EvalState):
-        context = st.request.context
         entry = st.matrix_entry
         details: dict = {"category": st.obj.category, "matrix_checks": list(entry.check_texts)}
-        for check in MATRIX_CHECKS:
-            if check not in entry.required_checks:
-                continue
-            if check == "room_appropriate":
-                # Defers to whatever rooms the category rules declare; with
-                # no declared rooms it passes vacuously.
-                passed = all(
-                    rule.admits_room(context.room)
-                    for rule in self.config.category_rules
-                    if rule.applies_to(st.obj.category)
-                )
-            else:
-                # The other matrix checks are named after the context flag
-                # they read.
-                passed = getattr(context, check)
-            if not passed:
-                details["failed_check"] = check
-                return details, ("context", f"required check failed: {check}")
-        result = category_checks(
-            self.config.category_rules, st.obj, st.group, context, st.profile
-        )
-        if not result.passed:
-            details["failed_check"] = result.failed_check
-            details["failed_rule_category"] = result.failed_rule_category
-            return details, ("category", f"category check failed: {result.failed_check}")
-        return details, None
+        rules = self.config.category_rules
+        result = category_checks(entry.required_checks, rules, st.obj, st.group, st.request.context, st.profile)
+        if result.passed:
+            return details, None
+        details["failed_check"] = result.failed_check
+        if result.failed_rule_category is None:
+            return details, ("context", f"required check failed: {result.failed_check}")
+        details["failed_rule_category"] = result.failed_rule_category
+        return details, ("category", f"category check failed: {result.failed_check}")
 
     def _eval_personal(self, st: _EvalState):
         ok = self.registry.personal_check(st.request.user_id, st.request.object_id)

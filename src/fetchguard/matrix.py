@@ -4,7 +4,8 @@ The matrix is total: one row for every (cool-down profile, requested safety
 class, effective zone) triple, 4 x 3 x 4 = 48 rows. Each row lists the user
 groups that may receive the object and the context checks they must clear.
 The validator enforces the tightening laws: a worse zone never admits more
-groups, and arming another cool-down never admits more groups.
+groups, and arming another cool-down never admits more groups. Gate 4 runs
+a row's checks, then the category rules (`category_checks`).
 
 The shipped default derives its cool-down rows from the base (no cool-down)
 rows by escalating the zone once per active class that does NOT match the
@@ -54,6 +55,10 @@ class MatrixKey:
 
     def __post_init__(self):
         object.__setattr__(self, "cooldown_profile", frozenset(self.cooldown_profile))
+
+
+#: The 48 keys a lookup can ask for; any other row is unreachable.
+ALL_KEYS = tuple(MatrixKey(p, c, z) for p in ALL_PROFILES for c in ALL_CLASSES for z in ALL_ZONES)
 
 
 @dataclass(frozen=True)
@@ -137,90 +142,57 @@ def default_matrix() -> Matrix:
     """All 48 rows. Cool-down rows reuse the base row at a zone escalated
     once per active class different from the requested class."""
     base = _base_entries()
-    matrix: Matrix = {}
-    for profile in ALL_PROFILES:
-        for cls in ALL_CLASSES:
-            cross = len(profile - {cls})
-            for zone in ALL_ZONES:
-                key = MatrixKey(profile, cls, zone)
-                matrix[key] = base[(cls, escalate(zone, cross))]
-    return matrix
+    return {
+        k: base[(k.request_class, escalate(k.zone, len(k.cooldown_profile - {k.request_class})))]
+        for k in ALL_KEYS
+    }
 
 
 def matrix_lookup(matrix: Matrix, key: MatrixKey) -> MatrixEntry:
     try:
         return matrix[key]
     except KeyError:
-        profile = ",".join(sorted(c.value for c in key.cooldown_profile)) or "none"
-        raise ConfigError(
-            f"matrix has no row for cooldown={profile} class={key.request_class.value} "
-            f"zone={key.zone.as_str()}"
-        ) from None
+        raise ConfigError(f"matrix has no row for {_key_str(key)}") from None
 
 
 def validate_matrix(matrix: Matrix) -> Report:
-    """Totality, zone monotonicity, cool-down monotonicity, no Ineligible,
-    and no checks on dead (empty-group) rows."""
+    """Totality, no unreachable rows, no Ineligible, no checks on dead
+    (empty-group) rows, and both tightening laws. Each law is checked one
+    step at a time, against the next worse zone and against one more active
+    class; subset is transitive, so that covers every pair."""
     report = Report()
-
-    for profile in ALL_PROFILES:
-        for cls in ALL_CLASSES:
-            for zone in ALL_ZONES:
-                if MatrixKey(profile, cls, zone) not in matrix:
-                    pname = ",".join(sorted(c.value for c in profile)) or "none"
-                    report.add(
-                        "missing-key",
-                        f"no row for cooldown={pname} class={cls.value} zone={zone.as_str()}",
-                    )
+    for key in ALL_KEYS:
+        if key not in matrix:
+            report.add("missing-key", f"no row for {_key_str(key)}")
     if not report.ok:
         return report
 
+    reachable = set(ALL_KEYS)
     for key, entry in matrix.items():
+        if key not in reachable:
+            report.add("unreachable-row", f"row {_key_str(key)} can never be looked up")
         if UserGroup.INELIGIBLE in entry.allowed_groups:
             report.add("ineligible-group", f"row {_key_str(key)} admits the ineligible group")
         if not entry.allowed_groups and entry.required_checks:
             report.add("dead-branch-checks", f"row {_key_str(key)} has checks but no groups")
 
-    for profile in ALL_PROFILES:
-        for cls in ALL_CLASSES:
-            for i, better in enumerate(ALL_ZONES):
-                for worse in ALL_ZONES[i + 1 :]:
-                    got_worse = matrix[MatrixKey(profile, cls, worse)].allowed_groups
-                    got_better = matrix[MatrixKey(profile, cls, better)].allowed_groups
-                    if not got_worse <= got_better:
-                        report.add(
-                            "zone-monotonicity",
-                            f"{cls.value}/{_profile_str(profile)}: zone {worse.as_str()} admits "
-                            f"groups that {better.as_str()} does not",
-                        )
-
-    for profile in ALL_PROFILES:
-        for extra in (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING):
-            if extra in profile:
-                continue
-            bigger = profile | {extra}
-            for cls in ALL_CLASSES:
-                for zone in ALL_ZONES:
-                    with_extra = matrix[MatrixKey(bigger, cls, zone)].allowed_groups
-                    without = matrix[MatrixKey(profile, cls, zone)].allowed_groups
-                    if not with_extra <= without:
-                        report.add(
-                            "cooldown-monotonicity",
-                            f"adding {extra.value} cool-down enlarges "
-                            f"{cls.value}/{zone.as_str()} from profile {_profile_str(profile)}",
-                        )
+    for key in ALL_KEYS:
+        profile, cls, zone = key.cooldown_profile, key.request_class, key.zone
+        # escalate saturates at red, and a class already active adds
+        # nothing, so those neighbours are the row itself.
+        for law, tighter in (
+            ("zone-monotonicity", MatrixKey(profile, cls, escalate(zone, 1))),
+            ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.DANGEROUS}, cls, zone)),
+            ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.MIND_ALTERING}, cls, zone)),
+        ):
+            if not matrix[tighter].allowed_groups <= matrix[key].allowed_groups:
+                report.add(law, f"row {_key_str(tighter)} admits groups that row {_key_str(key)} does not")
     return report
 
 
-def _profile_str(profile: frozenset[SafetyClass]) -> str:
-    return "{" + ",".join(sorted(c.value for c in profile)) + "}"
-
-
 def _key_str(key: MatrixKey) -> str:
-    return (
-        f"(cooldown={_profile_str(key.cooldown_profile)}, class={key.request_class.value}, "
-        f"zone={key.zone.as_str()})"
-    )
+    profile = ",".join(sorted(c.value for c in key.cooldown_profile)) or "none"
+    return f"cooldown={profile} class={key.request_class.value} zone={key.zone.as_str()}"
 
 
 @dataclass(frozen=True)
@@ -231,17 +203,31 @@ class CheckResult:
 
 
 def category_checks(
+    required_checks: frozenset[str],
     rules: Iterable[CategoryRule],
     obj: ObjectSpec,
     requester_group: UserGroup,
     context: ContextSnapshot,
     requester: UserProfile,
 ) -> CheckResult:
-    """Run every rule that applies to the object's category; the first
-    failing check decides. No applicable rules means a vacuous pass."""
-    for rule in rules:
-        if not rule.applies_to(obj.category):
+    """Gate 4: the matrix row's checks in MATRIX_CHECKS order, which fail
+    with no rule category, then every rule that applies to the object's
+    category, in rule order. The first failing check decides; nothing to
+    check is a vacuous pass."""
+    rules = [rule for rule in rules if rule.applies_to(obj.category)]
+    for check in MATRIX_CHECKS:
+        if check not in required_checks:
             continue
+        if check == "room_appropriate":
+            # Defers to whatever rooms the rules declare; with no declared
+            # rooms it passes vacuously.
+            passed = all(rule.admits_room(context.room) for rule in rules)
+        else:
+            # The other row checks are named after the context flag they read.
+            passed = getattr(context, check)
+        if not passed:
+            return CheckResult(False, check)
+    for rule in rules:
         if "allergy_screen" in rule.extra_checks:
             hits = obj.allergen_tags & requester.allergies
             if hits:

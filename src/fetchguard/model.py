@@ -15,7 +15,6 @@ Instant = int
 
 MIN_ELIGIBLE_AGE = 5
 CHILD_MAX_AGE = 12
-TEEN_MIN_AGE = 13
 MIN_ADULT_THRESHOLD = 14
 
 
@@ -83,8 +82,6 @@ GROUP_TEXT = {g: g.value for g in UserGroup}
 #: Groups by text, for reading a trace back.
 GROUP_BY_TEXT = {g.value: g for g in UserGroup}
 
-ADULT_TIER = frozenset({UserGroup.HA, UserGroup.FAA, UserGroup.FRA})
-TEEN_TIER = frozenset({UserGroup.HT, UserGroup.FAT, UserGroup.FRT})
 CHILD_TIER = frozenset({UserGroup.HC, UserGroup.FAC, UserGroup.FRC})
 
 _GROUP_BY_REL_TIER = {

@@ -16,7 +16,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample
 from .engine import ALLOW, DENY, DecisionEngine, DecisionTrace, FetchRequest
 from .errors import FetchguardError, ScenarioParseError
-from .model import ContextSnapshot
+from .model import ContextSnapshot, require_type
 
 EVENT_TYPES = ("set_emotion", "set_context", "request", "tag_personal", "grant")
 
@@ -53,9 +53,8 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
         etype = raw.get("type")
         if etype not in EVENT_TYPES:
             raise ScenarioParseError(f"{where}: unknown event type {etype!r}")
-        # A JSON true/false is a Python bool, which is an int: refuse it.
         t = raw.get("t")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not _typed(t, int) or t < 0:
             raise ScenarioParseError(f"{where}: 't' must be a non-negative integer")
         if t < last_t:
             raise ScenarioParseError(f"{where}: timestamps must be non-decreasing")
@@ -67,20 +66,29 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
 
 
 _REQUIRED_FIELDS = {
-    "set_emotion": {"user": str, "valence": (int, float), "arousal": (int, float)},
-    "set_context": {"room": str, "adult_present": bool, "verbal_affirmation": bool},
-    "request": {"user": str, "object": str},
-    "tag_personal": {"actor": str, "object": str},
-    "grant": {"actor": str, "object": str, "grantee": str},
+    "set_emotion": {"user": (str,), "valence": (int, float), "arousal": (int, float)},
+    "set_context": {"room": (str,), "adult_present": (bool,), "verbal_affirmation": (bool,)},
+    "request": {"user": (str,), "object": (str,)},
+    "tag_personal": {"actor": (str,), "object": (str,)},
+    "grant": {"actor": (str,), "object": (str,), "grantee": (str,)},
 }
 
 
+def _typed(value, *types: type) -> bool:
+    """Whether `require_type` takes the value: a JSON true/false passes only
+    where a bool is asked for."""
+    try:
+        require_type("value", value, *types)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_fields(etype: str, fields: dict, where: str) -> None:
-    for key, typ in _REQUIRED_FIELDS[etype].items():
+    for key, types in _REQUIRED_FIELDS[etype].items():
         if key not in fields:
             raise ScenarioParseError(f"{where}: {etype} needs field {key!r}")
-        value = fields[key]
-        if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+        if not _typed(fields[key], *types):
             raise ScenarioParseError(f"{where}: field {key!r} has the wrong type")
     if etype == "request":
         expect = fields.get("expect")

@@ -1,12 +1,17 @@
 import dataclasses
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fetchguard import (
     CategoryRule,
     ConfigError,
     ContextSnapshot,
+    DecisionEngine,
     MatrixEntry,
     MatrixKey,
     ObjectSpec,
@@ -21,7 +26,17 @@ from fetchguard import (
     matrix_lookup,
     validate_matrix,
 )
-from fetchguard.matrix import ALL_CLASSES, ALL_GROUPS, ALL_PROFILES, ALL_ZONES, PROFILE_TEXTS
+from fetchguard.matrix import (
+    ALL_CLASSES,
+    ALL_GROUPS,
+    ALL_KEYS,
+    ALL_PROFILES,
+    ALL_ZONES,
+    CATEGORY_CHECKS,
+    MATRIX_CHECKS,
+    PROFILE_TEXTS,
+)
+from reference_matrix import reference_gate4, reference_validate_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -207,48 +222,163 @@ ADULT = UserProfile("adult", 30, Relationship.HOUSEHOLD)
 class TestCategoryChecks:
     def test_allergy_screen_blocks_matching_tag(self):
         rules = [CategoryRule("food", frozenset({"allergy_screen"}))]
-        result = category_checks(rules, PEANUT_JAR, g.HC, make_context(), ALLERGIC_CHILD)
+        result = category_checks(NONE, rules, PEANUT_JAR, g.HC, make_context(), ALLERGIC_CHILD)
         assert not result.passed
         assert result.failed_check == "allergy_screen"
 
     def test_allergy_screen_passes_without_overlap(self):
         rules = [CategoryRule("food", frozenset({"allergy_screen"}))]
-        result = category_checks(rules, PEANUT_JAR, g.HA, make_context(), ADULT)
+        result = category_checks(NONE, rules, PEANUT_JAR, g.HA, make_context(), ADULT)
         assert result.passed
 
     def test_child_tier_needs_adult_present(self):
         rules = [CategoryRule("craft", frozenset({"adult_present_for_child_tier"}))]
-        result = category_checks(rules, SCISSORS, g.HC, make_context(adult=False), ALLERGIC_CHILD)
+        result = category_checks(NONE, rules, SCISSORS, g.HC, make_context(adult=False), ALLERGIC_CHILD)
         assert not result.passed
         assert result.failed_check == "adult_present_for_child_tier"
-        assert category_checks(rules, SCISSORS, g.HC, make_context(adult=True), ALLERGIC_CHILD).passed
+        assert category_checks(NONE, rules, SCISSORS, g.HC, make_context(adult=True), ALLERGIC_CHILD).passed
 
     def test_adult_requester_skips_child_tier_check(self):
         rules = [CategoryRule("craft", frozenset({"adult_present_for_child_tier"}))]
-        assert category_checks(rules, SCISSORS, g.HA, make_context(adult=False), ADULT).passed
+        assert category_checks(NONE, rules, SCISSORS, g.HA, make_context(adult=False), ADULT).passed
 
     def test_verbal_affirmation_required(self):
         rules = [CategoryRule("medicine", frozenset({"verbal_affirmation"}))]
-        result = category_checks(rules, PILLS, g.HA, make_context(verbal=False), ADULT)
+        result = category_checks(NONE, rules, PILLS, g.HA, make_context(verbal=False), ADULT)
         assert not result.passed
         assert result.failed_check == "verbal_affirmation"
 
     def test_appropriate_rooms_enforced(self):
         rules = [CategoryRule("medicine", frozenset(), frozenset({"bathroom"}))]
-        result = category_checks(rules, PILLS, g.HA, make_context(room="garage"), ADULT)
+        result = category_checks(NONE, rules, PILLS, g.HA, make_context(room="garage"), ADULT)
         assert not result.passed
         assert result.failed_check == "room_appropriate"
 
     def test_no_matching_rule_is_a_vacuous_pass(self):
         rules = [CategoryRule("food", frozenset({"allergy_screen"}))]
-        result = category_checks(rules, SCISSORS, g.HC, make_context(adult=False), ALLERGIC_CHILD)
+        result = category_checks(NONE, rules, SCISSORS, g.HC, make_context(adult=False), ALLERGIC_CHILD)
         assert result.passed
 
     def test_wildcard_rule_applies_to_everything(self):
         rules = [CategoryRule("*", frozenset({"verbal_affirmation"}))]
-        result = category_checks(rules, SCISSORS, g.HA, make_context(verbal=False), ADULT)
+        result = category_checks(NONE, rules, SCISSORS, g.HA, make_context(verbal=False), ADULT)
         assert not result.passed
 
     def test_unknown_category_check_rejected(self):
         with pytest.raises(ConfigError):
             CategoryRule("food", frozenset({"blood_test"}))
+
+
+class TestGateFourInOneFunction:
+    """The row's checks and the category rules in one call, against the
+    engine's two steps as they were written before (reference_matrix.py)."""
+
+    ROOMS = ("kitchen", "garage", "bathroom")
+    CATEGORIES = ("food", "craft", "medicine")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        required=st.frozensets(st.sampled_from(MATRIX_CHECKS)),
+        rules=st.lists(
+            st.builds(
+                CategoryRule,
+                category=st.sampled_from(CATEGORIES + ("*",)),
+                extra_checks=st.frozensets(st.sampled_from(CATEGORY_CHECKS)),
+                appropriate_rooms=st.none() | st.frozensets(st.sampled_from(ROOMS)),
+            ),
+            max_size=4,
+        ),
+        obj=st.builds(
+            ObjectSpec,
+            object_id=st.just("thing"),
+            display_name=st.just("Thing"),
+            safety_class=st.sampled_from(ALL_CLASSES),
+            category=st.sampled_from(CATEGORIES),
+            allergen_tags=st.frozensets(st.sampled_from(("peanut", "dairy"))),
+        ),
+        group=st.sampled_from(list(UserGroup)),
+        allergies=st.frozensets(st.sampled_from(("peanut", "dairy"))),
+        room=st.sampled_from(ROOMS),
+        adult=st.booleans(),
+        verbal=st.booleans(),
+    )
+    def test_same_failing_check_rule_category_and_policy(
+        self, required, rules, obj, group, allergies, room, adult, verbal
+    ):
+        entry = MatrixEntry(frozenset({g.HA}), required)
+        context = make_context(room=room, adult=adult, verbal=verbal)
+        profile = UserProfile("someone", 30, Relationship.HOUSEHOLD, allergies)
+        state = SimpleNamespace(
+            matrix_entry=entry, obj=obj, group=group, profile=profile, request=SimpleNamespace(context=context)
+        )
+        engine = SimpleNamespace(config=SimpleNamespace(category_rules=tuple(rules)))
+        got = DecisionEngine._eval_category_context(engine, state)
+        assert got == reference_gate4(entry, rules, obj, group, context, profile)
+
+        result = category_checks(required, rules, obj, group, context, profile)
+        details, violation = got
+        assert result.passed == (violation is None)
+        assert result.failed_check == details.get("failed_check")
+        assert result.failed_rule_category == details.get("failed_rule_category")
+
+    def test_row_checks_run_before_the_rules_and_name_no_rule(self):
+        rules = [CategoryRule("*", frozenset({"verbal_affirmation"}), frozenset({"bathroom"}))]
+        context = make_context(room="garage", adult=False, verbal=False)
+        result = category_checks(frozenset(MATRIX_CHECKS), rules, SCISSORS, g.HA, context, ADULT)
+        assert (result.failed_check, result.failed_rule_category) == ("verbal_affirmation", None)
+        result = category_checks(frozenset({"adult_present"}), rules, SCISSORS, g.HA, context, ADULT)
+        assert (result.failed_check, result.failed_rule_category) == ("adult_present", None)
+        result = category_checks(frozenset({"room_appropriate"}), rules, SCISSORS, g.HA, context, ADULT)
+        assert (result.failed_check, result.failed_rule_category) == ("room_appropriate", None)
+        result = category_checks(NONE, rules, SCISSORS, g.HA, context, ADULT)
+        assert (result.failed_check, result.failed_rule_category) == ("verbal_affirmation", "*")
+
+
+@st.composite
+def edited_default_matrices(draw):
+    """default_matrix() after one to three single-row edits, none of which
+    adds a row outside ALL_KEYS."""
+    matrix = default_matrix()
+    groups_in_order = sorted(ALL_GROUPS, key=lambda group: group.value)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["add-group", "drop-group", "delete-row", "checks-on-empty-row", "ineligible"]))
+        if kind == "checks-on-empty-row":
+            k = draw(st.sampled_from([k for k, e in matrix.items() if not e.allowed_groups]))
+            checks = draw(st.frozensets(st.sampled_from(MATRIX_CHECKS), min_size=1))
+            matrix[k] = MatrixEntry(frozenset(), matrix[k].required_checks | checks)
+            continue
+        k = draw(st.sampled_from(list(matrix)))
+        groups, checks = matrix[k].allowed_groups, matrix[k].required_checks
+        if kind == "delete-row":
+            del matrix[k]
+        elif kind == "ineligible":
+            matrix[k] = MatrixEntry(groups | {g.INELIGIBLE}, checks)
+        elif kind == "add-group":
+            matrix[k] = MatrixEntry(groups | {draw(st.sampled_from(groups_in_order))}, checks)
+        elif groups:
+            dropped = draw(st.sampled_from(sorted(groups, key=lambda group: group.value)))
+            matrix[k] = MatrixEntry(groups - {dropped}, checks)
+    return matrix
+
+
+class TestKeysAndValidatorDefinedOnce:
+    def test_all_keys_are_the_48_default_keys_in_order(self):
+        assert len(set(ALL_KEYS)) == 48
+        assert list(default_matrix()) == list(ALL_KEYS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=edited_default_matrices())
+    def test_one_step_laws_agree_with_the_all_pairs_validator(self, matrix):
+        got, want = validate_matrix(matrix), reference_validate_matrix(matrix)
+        assert (got.ok, got.codes()) == (want.ok, want.codes())
+
+    def test_a_row_for_a_neither_cooldown_is_unreachable_and_refused(self):
+        data = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+        data["matrix"].append({**data["matrix"][0], "cooldown": ["neither"]})
+        config = PolicyConfig.from_dict(data)
+        assert len(config.matrix) == 49
+        report = config.validate()
+        assert report.codes() == {"unreachable-row"}
+        assert reference_validate_matrix(config.matrix).ok
+        with pytest.raises(ConfigError, match="unreachable-row"):
+            DecisionEngine(config)

@@ -176,6 +176,14 @@ def _neither_window(trace):
     trace.pre_state["cooldowns"]["users"]["alice"]["active"]["neither"] = 1800
 
 
+def _household_scope(trace):
+    # A user-scope line dressed as a household-scope one: the slice is
+    # consistent with itself, but the config keeps cool-downs per user.
+    cooldowns = trace.pre_state["cooldowns"]
+    cooldowns["scope"] = "household"
+    cooldowns["users"] = {"__household__": cooldowns["users"].pop("alice")}
+
+
 EDITS = [
     (_unknown_safety_class, "recorded pre_state cannot be restored"),
     (_missing_cooldowns, "recorded pre_state cannot be restored"),
@@ -202,6 +210,7 @@ EDITS = [
     (_grants_deleted, "recorded pre_state cannot be restored"),
     (_board_primed_deleted, "recorded pre_state cannot be restored"),
     (_neither_window, "recorded pre_state cannot be restored"),
+    (_household_scope, "recorded pre_state cannot be restored"),
 ]
 
 
@@ -232,6 +241,22 @@ class TestEditedTracesFailClosed:
         assert not verify_trace(edited, config).ok
         assert [verify_trace(t, config) for t in (mid_session_trace, first, tampered)] == expected
         assert [r.ok for r in expected] == [True, True, False]
+
+    def test_a_user_scope_line_on_a_household_config_is_refused(self, shipped_config):
+        data = shipped_config.to_dict()
+        data["cooldown_scope"] = "household"
+        household = PolicyConfig.from_dict(data)
+        engine = DecisionEngine(household)
+        engine.decide(make_request("alice", "knife", now=0))
+        _, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
+        assert verify_trace(trace, household).ok
+        edited = copy_of(trace)
+        cooldowns = edited.pre_state["cooldowns"]
+        cooldowns["scope"] = "user"
+        cooldowns["users"] = {"alice": cooldowns["users"].pop("__household__")}
+        result = verify_trace(edited, household)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
     @pytest.mark.parametrize("expiry", ["1800", 1800.9, True])
     def test_a_golden_expiry_that_is_not_an_int_is_refused(self, shipped_config, expiry):
