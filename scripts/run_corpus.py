@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run every shipped scenario against the default config, write its traces
 and verify that each written line, read back, replays to the identical
-decision.
+decision, and that writing back the traces read gives the log's bytes.
 
 Writes one trace file per scenario under out/ and prints a summary table.
-Exits nonzero on any expectation mismatch or replay divergence.
+Exits nonzero on any expectation mismatch, replay divergence or log that a
+read and a write change.
 """
 
 import sys
@@ -16,8 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def main() -> int:
     # Runs from a checkout without installing the package.
     sys.path.insert(0, str(ROOT / "src"))
-    from fetchguard import default_config, load_scenario, run_scenario, verify_trace
-    from fetchguard.scenario import read_traces, write_traces
+    from fetchguard import default_config, load_scenario, read_traces, run_scenario, verify_trace, write_traces
 
     config = default_config()
     out_dir = ROOT / "out"
@@ -28,14 +28,18 @@ def main() -> int:
         result = run_scenario(config, script)
         log = out_dir / f"{script.name}.jsonl"
         write_traces(result.traces, log)
+        written = log.read_bytes()
         # The lines as written, the way a `fetchguard run` log is audited.
-        replay_ok = all(verify_trace(t, config).ok for t in read_traces(log))
-        ok = result.ok and replay_ok
+        traces = read_traces(log)
+        replay_ok = all(verify_trace(t, config).ok for t in traces)
+        write_traces(traces, log)
+        rewrite_ok = log.read_bytes() == written
+        ok = result.ok and replay_ok and rewrite_ok
         failures += 0 if ok else 1
         flag = "ok " if ok else "FAIL"
         print(
             f"{flag} {script.name:<50} {result.allowed:>2} allow {result.denied:>2} deny "
-            f"replay={'ok' if replay_ok else 'DIVERGED'}"
+            f"replay={'ok' if replay_ok else 'DIVERGED'} rewrite={'ok' if rewrite_ok else 'CHANGED'}"
         )
         for mismatch in result.mismatches:
             print(f"      expected {mismatch.expected}, got {mismatch.got} ({mismatch.request_id})")

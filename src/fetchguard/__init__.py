@@ -45,6 +45,7 @@ from .errors import (
     ScenarioParseError,
     TagConflictError,
 )
+from .log import read_traces, write_traces
 from .matrix import (
     CategoryRule,
     CheckResult,
@@ -79,9 +80,7 @@ from .scenario import (
     ScenarioScript,
     load_scenario,
     parse_scenario,
-    read_traces,
     run_scenario,
-    write_traces,
 )
 
 __version__ = "0.1.0"

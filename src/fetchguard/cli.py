@@ -7,14 +7,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .config import PolicyConfig
 from .engine import ALLOW, STAGES, DecisionTrace
 from .errors import ConfigError, ScenarioParseError
-from .scenario import load_scenario, run_scenario, write_traces
+from .log import find_trace, write_traces
+from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -63,18 +62,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(result.summary())
     print(f"traces written to {args.trace}")
     return EXIT_OK if result.ok else EXIT_FAILURE
-
-
-def _find_trace(path: str, request_id: str) -> DecisionTrace | None:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if doc.get("request_id") == request_id:
-                return DecisionTrace.from_dict(doc)
-    return None
 
 
 _STAGE_TITLES = {
@@ -138,13 +125,9 @@ def render_explanation(trace: DecisionTrace) -> str:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    if not Path(args.trace).exists():
-        return _io_error(f"no such trace file: {args.trace}")
     try:
-        trace = _find_trace(args.trace, args.request)
-    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
-        # A trace line is outside input: it may be no JSON object at all, or
-        # name a zone or group that does not exist.
+        trace = find_trace(args.trace, args.request)
+    except (OSError, ValueError) as exc:
         return _io_error(f"cannot read trace {args.trace}: {exc}")
     if trace is None:
         print(f"error: no decision with request id {args.request!r}", file=sys.stderr)

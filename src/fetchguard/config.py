@@ -350,9 +350,13 @@ class PolicyConfig:
                 )
         object_ids = {o.object_id for o in self.objects}
         designators = self.admin.all_designators()
+        tagged: set[str] = set()
         for tag in self.personal_tags:
             if tag.object_id not in object_ids:
                 report.add("unknown-tagged-object", f"tagged object {tag.object_id!r} not in catalog")
+            if tag.object_id in tagged:
+                report.add("duplicate-tag", f"object {tag.object_id!r} is tagged personal twice")
+            tagged.add(tag.object_id)
             if tag.tagged_by not in designators:
                 report.add(
                     "tagger-not-designator",

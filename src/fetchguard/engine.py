@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bt import (
     Action,
@@ -228,7 +228,8 @@ class DecisionTrace:
     config fingerprint must reproduce the identical decision and events.
     A trace without a trace_version is version 1 and is written back
     without one, so its bytes survive a read and a write; every other key
-    is required."""
+    is required, and a key to_dict would not write (any other key, or an
+    explicit trace_version 1) is refused."""
 
     request_id: str
     config_fingerprint: str
@@ -263,7 +264,7 @@ class DecisionTrace:
         version = data.get("trace_version", 1)
         if type(version) is not int or not 1 <= version <= TRACE_VERSION:
             raise ValueError(f"unknown trace_version {version!r}")
-        return cls(
+        trace = cls(
             request_id=data["request_id"],
             config_fingerprint=data["config_fingerprint"],
             audit_all=require_type("audit_all", data["audit_all"], bool),
@@ -274,6 +275,15 @@ class DecisionTrace:
             decision=Decision.from_dict(data["decision"]),
             trace_version=version,
         )
+        extra = data.keys() - (_V1_KEYS if version == 1 else _KEYS)
+        if extra:
+            raise ValueError(f"keys the engine does not write: {sorted(extra)}")
+        return trace
+
+
+#: The keys to_dict writes; a version 1 line has no trace_version.
+_KEYS = frozenset(f.name for f in fields(DecisionTrace))
+_V1_KEYS = _KEYS - {"trace_version"}
 
 
 @dataclass
@@ -680,14 +690,14 @@ def _legacy_events(events: list[dict], request: dict) -> list[dict]:
 
 
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
-    """Replay and compare everything: request id, final decision, event
-    stream, warnings and, from version 2 on, the pre-state, which must be
-    exactly the slice the decision reads (a version 1 pre-state held the
-    whole household and is not compared). The pre-state is compared as a
-    value: its restore has already refused every leaf of a type the engine
-    does not write, so 1, 1.0 and True cannot stand in for one another. The
-    events of a version 1 or 2 trace are compared in the shape those
-    versions wrote.
+    """Replay and compare everything: request id, the request as the re-run
+    writes it, final decision, event stream, warnings and, from version 2
+    on, the pre-state, which must be exactly the slice the decision reads
+    (a version 1 pre-state held the whole household and is not compared).
+    The pre-state is compared as a value: its restore has already refused
+    every leaf of a type the engine does not write, so 1, 1.0 and True
+    cannot stand in for one another. The events of a version 1 or 2 trace
+    are compared in the shape those versions wrote.
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -702,6 +712,8 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     # id, which explain --request looks lines up by, is compared here.
     if fresh.request_id != trace.request_id:
         mismatches.append("request_id differs from the recorded request")
+    if fresh.request != trace.request:
+        mismatches.append("request differs from the re-run's request")
     if decision != trace.decision:
         mismatches.append("final decision differs from the recorded decision")
     events = fresh.events

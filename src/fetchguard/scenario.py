@@ -202,19 +202,3 @@ def run_scenario(
                 )
     return result
 
-
-def write_traces(traces: list[DecisionTrace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(trace.to_json())
-            fh.write("\n")
-
-
-def read_traces(path: str | Path) -> list[DecisionTrace]:
-    traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                traces.append(DecisionTrace.from_dict(json.loads(line)))
-    return traces

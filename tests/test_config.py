@@ -92,6 +92,21 @@ class TestValidationFindings:
         )
         assert "ineligible-grantee" in config.validate().codes()
 
+    @pytest.mark.parametrize("tagger", ["henry", "alice"])
+    def test_an_object_tagged_twice_is_reported_and_the_engine_refuses_it(self, tagger):
+        # henry's tag would conflict with alice's when the engine tags its
+        # registry; alice's own second entry would wipe bob's grant.
+        def tag_twice(d):
+            d["personal_tags"] = [
+                {"object_id": "diary", "tagged_by": "alice", "grants": ["bob"]},
+                {"object_id": "diary", "tagged_by": tagger, "grants": []},
+            ]
+
+        config = broken(tag_twice)
+        assert config.validate().codes() == {"duplicate-tag"}
+        with pytest.raises(ConfigError, match="duplicate-tag"):
+            DecisionEngine(config)
+
     def test_duplicate_user_reported(self):
         config = broken(lambda d: d["users"].append(dict(d["users"][0])))
         assert "duplicate-user-id" in config.validate().codes()

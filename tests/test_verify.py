@@ -5,6 +5,7 @@ next verify sees."""
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -313,6 +314,21 @@ class TestRequestIdCompared:
         assert all(t.request_id == t.request["request_id"] for t in plain + audit)
 
 
+class TestRequestComparedWithTheRerun:
+    @pytest.mark.parametrize("where", [(), ("context",), ("emotion",)], ids=["request", "context", "emotion"])
+    def test_a_key_added_to_a_recorded_request_is_one_named_mismatch(self, shipped_config, mid_session_trace, where):
+        golden = json.loads((GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        for data in (golden, json.loads(mid_session_trace.to_json())):
+            assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+            block = data["request"]
+            for step in where:
+                block = block[step]
+            block["foo"] = 1
+            result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+            assert result.mismatches == ["request differs from the re-run's request"]
+            assert not result.ok and result.decision is not None
+
+
 def _golden_grants_as_an_object(entry):
     entry["grants"] = {"bob": 1}
 
@@ -356,6 +372,19 @@ class TestEveryKeyRequired:
             return
         result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
         assert result.mismatches == [f"recorded pre_state cannot be restored: {KeyError(key)!r}"]
+
+    @pytest.mark.parametrize("extra", [{"foo": 1}, {"trace_version": 1}], ids=["unknown_key", "explicit_version_1"])
+    def test_a_golden_line_with_a_key_the_engine_does_not_write_is_refused_on_read(self, extra):
+        data = json.loads((GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert DecisionTrace.from_dict(data).to_dict() == data
+        with pytest.raises(ValueError, match=re.escape(f"keys the engine does not write: {sorted(extra)}")):
+            DecisionTrace.from_dict({**data, **extra})
+
+    def test_a_version_3_line_with_an_unknown_key_is_refused_on_read(self, mid_session_trace):
+        data = json.loads(mid_session_trace.to_json())
+        data["foo"] = 1
+        with pytest.raises(ValueError, match="keys the engine does not write"):
+            DecisionTrace.from_dict(data)
 
     @pytest.mark.parametrize("flag", [1, 0, "yes", None, [0]], ids=repr)
     def test_an_audit_all_that_is_not_a_bool_is_refused_on_read(self, mid_session_trace, flag):
