@@ -3,9 +3,9 @@
 One engine instance serves one household. Each request is one tick of the
 tree; the knowledge step looks up the requester and object and clamps the
 emotion sample, the five policy gates (eligibility, ordering, emotion,
-category/context, personal) pass or record the deciding violation, and the
-whole walk is captured in a trace that can be replayed bit-for-bit against
-the same configuration. A request's types are checked when it is built, so
+category/context, personal) pass or record the deciding violation, and each
+leaf the walk reaches writes its event into a trace that can be replayed
+bit-for-bit against the same configuration. A request's types are checked when it is built, so
 decide() takes any request that exists. A trace records only the state its
 decision reads, so its size and cost do not grow with household history.
 """
@@ -26,7 +26,6 @@ from .bt import (
     Repeat,
     SUCCESS,
     Sequence,
-    TickListener,
     validate_tree,
 )
 from .config import PolicyConfig
@@ -91,9 +90,16 @@ _POLICY_OF = {
 #: of the event stream once: no event names its policy (the node name gives
 #: it), a node that recorded nothing has no inputs, and the gates no longer
 #: repeat the request fields the knowledge_check echo holds or the last
-#: request blackboard_update holds. All three restore the same way and
-#: verify; _legacy_events rebuilds the older event stream for the check.
-TRACE_VERSION = 3
+#: request blackboard_update holds. Version 4 traces write only the leaf
+#: events, each of which carries inputs: the structure-only events (each
+#: gate's Fallback, accept, decision_sequence, per_request) follow from the
+#: fixed tree and the leaf outcomes, and knowledge_check no longer copies
+#: the top-level warnings. All four restore the same way and verify;
+#: _events_as_written rebuilds an older event stream for the check.
+TRACE_VERSION = 4
+
+#: The warning decide() adds after the tick when the object is unknown.
+_UNTOUCHED = "cool-down state untouched: unknown object"
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -308,27 +314,8 @@ class _EvalState:
     failed_stage: str | None = None
     violation: tuple[str, str] | None = None
     warnings: list[str] = field(default_factory=list)
-    #: Trace-event inputs by node name, recorded by each leaf as it runs.
-    inputs: dict[str, dict] = field(default_factory=dict)
-
-
-#: Outcome texts; cheaper than the Enum `value` property on the hot path.
-_OUTCOME = {status: status.value for status in NodeStatus}
-
-
-class _Recorder(TickListener):
-    """Turns every node exit into a trace event, in tick order."""
-
-    def __init__(self, inputs: dict[str, dict]):
-        self.inputs = inputs
-        self.events: list[dict] = []
-
-    def exit(self, node: Node, status: NodeStatus) -> None:
-        event = {"node": node.name, "outcome": _OUTCOME[status]}
-        inputs = self.inputs.get(node.name)
-        if inputs is not None:
-            event["inputs"] = inputs
-        self.events.append(event)
+    #: The trace events, appended by each leaf as it runs.
+    events: list[dict] = field(default_factory=list)
 
 
 class DecisionEngine:
@@ -408,14 +395,15 @@ class DecisionEngine:
 
         def check(st: _EvalState) -> bool:
             inputs, violation = evaluate(st)
-            st.inputs[ok_name] = inputs
+            st.events.append({"node": ok_name, "outcome": "failure" if violation else "success", "inputs": inputs})
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
             return violation is None
 
         def record_violation(st: _EvalState) -> NodeStatus:
             policy, reason = st.violation
-            st.inputs[violation_name] = {"policy": policy, "reason": reason}
+            inputs = {"policy": policy, "reason": reason}
+            st.events.append({"node": violation_name, "outcome": "failure", "inputs": inputs})
             return FAILURE
 
         return [Condition(ok_name, check), Action(violation_name, record_violation)]
@@ -445,18 +433,15 @@ class DecisionEngine:
         if st.was_clamped:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
         st.base_zone = zone_of(st.emotion, self.config.zone_table)
-        st.inputs["knowledge_check"] = {
-            "mode": mode,
-            "request": req.to_dict(),
-            "warnings": list(st.warnings),
-        }
+        inputs = {"mode": mode, "request": req.to_dict()}
+        st.events.append({"node": "knowledge_check", "outcome": "success", "inputs": inputs})
         return SUCCESS
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
         # The node keeps the name traces record; it reads the requester's
         # last request for the trace.
-        last = self.cooldowns.last_requested(st.request.user_id)
-        st.inputs["blackboard_update"] = {"last_request": last}
+        inputs = {"last_request": self.cooldowns.last_requested(st.request.user_id)}
+        st.events.append({"node": "blackboard_update", "outcome": "success", "inputs": inputs})
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
@@ -557,8 +542,7 @@ class DecisionEngine:
             "board_primed": self._primed,
         }
         st = _EvalState(request=request)
-        recorder = _Recorder(st.inputs)
-        status = self.tree.tick(st, recorder)
+        status = self.tree.tick(st)
 
         if status is SUCCESS:
             verdict, deciding, reason = ALLOW, "none", "no policy violation"
@@ -580,9 +564,8 @@ class DecisionEngine:
             allowed_groups_at_leaf=allowed,
         )
 
-        events = recorder.events
         if self.audit_all and st.failed_stage is not None:
-            events.extend(self._audit_events(st))
+            st.events.extend(self._audit_events(st))
 
         # Cool-down bookkeeping happens after the verdict and is the same for
         # both verdicts; unknown objects have no safety class and leave the
@@ -590,7 +573,7 @@ class DecisionEngine:
         if st.obj is not None:
             self.cooldowns.on_granted(request.user_id, st.obj, request.now, self.config.durations)
         else:
-            st.warnings.append("cool-down state untouched: unknown object")
+            st.warnings.append(_UNTOUCHED)
 
         trace = DecisionTrace(
             request_id=request.request_id,
@@ -599,7 +582,7 @@ class DecisionEngine:
             request=request.to_dict(),
             pre_state=pre_state,
             warnings=list(st.warnings),
-            events=events,
+            events=st.events,
             decision=decision,
         )
         return decision, trace
@@ -664,11 +647,49 @@ class VerifyResult:
     decision: Decision | None
 
 
-def _legacy_events(events: list[dict], request: dict) -> list[dict]:
-    """A version 3 event stream as version 1 and 2 traces wrote it: every
-    event names its policy and has inputs, and the gates repeat the request
-    fields and the last request. Built from the re-run alone, never from the
-    recorded line, so an edit to those fields in an old trace still shows."""
+#: The gate Fallback a version 3 trace wrote after a leaf event, by (leaf,
+#: outcome): a passing check ends its gate, and a failing one hands over to
+#: the violation leaf, which ends it.
+_GATE_ENDED_BY = {
+    **{(f"{stage}_ok", "success"): gate for gate, stage, _ in _GATES},
+    **{(f"{stage}_violation", "failure"): gate for gate, stage, _ in _GATES},
+}
+
+
+def _events_as_written(fresh: DecisionTrace, version: int) -> list[dict]:
+    """A re-run's events as a version `version` trace wrote them. Built from
+    the re-run alone, never from the recorded line, so an edit to anything an
+    older version wrote in its events still shows.
+
+    Version 3 also wrote each gate's Fallback after the leaf that ended it,
+    accept when every gate passed, decision_sequence and per_request before
+    any audit events, and knowledge_check's copy of the warnings the
+    knowledge step gave: every top-level warning but the one decide() adds
+    after the tick. Versions 1 and 2 on top of that named each event's
+    policy, gave every event inputs, and had the gates repeat the request
+    fields and the last request."""
+    if version == TRACE_VERSION:
+        return fresh.events
+    warnings = fresh.warnings[:-1] if fresh.warnings[-1:] == [_UNTOUCHED] else fresh.warnings
+    events, audit, outcome = [], [], "success"
+    for event in fresh.events:
+        if event.get("audit"):
+            audit.append(event)
+            continue
+        if event["node"] == "knowledge_check":
+            event = {**event, "inputs": {**event["inputs"], "warnings": warnings}}
+        events.append(event)
+        gate = _GATE_ENDED_BY.get((event["node"], event["outcome"]))
+        if gate is not None:
+            outcome = event["outcome"]
+            events.append({"node": gate, "outcome": outcome})
+    if outcome == "success":
+        events.append({"node": "accept", "outcome": outcome})
+    events += [{"node": "decision_sequence", "outcome": outcome}, {"node": "per_request", "outcome": outcome}]
+    events += audit
+    if version == 3:
+        return events
+    request = fresh.request
     context = request["context"]
     last = next(e["inputs"]["last_request"] for e in events if e["node"] == "blackboard_update")
     repeated = {
@@ -696,8 +717,8 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     (a version 1 pre-state held the whole household and is not compared).
     The pre-state is compared as a value: its restore has already refused
     every leaf of a type the engine does not write, so 1, 1.0 and True
-    cannot stand in for one another. The events of a version 1 or 2 trace
-    are compared in the shape those versions wrote.
+    cannot stand in for one another. The events of an older trace are
+    compared in the shape its version wrote.
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -716,10 +737,7 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
         mismatches.append("request differs from the re-run's request")
     if decision != trace.decision:
         mismatches.append("final decision differs from the recorded decision")
-    events = fresh.events
-    if trace.trace_version < 3:
-        events = _legacy_events(events, fresh.request)
-    if events != trace.events:
+    if _events_as_written(fresh, trace.trace_version) != trace.events:
         mismatches.append("event stream differs from the recorded events")
     if fresh.warnings != trace.warnings:
         mismatches.append("warnings differ from the recorded warnings")

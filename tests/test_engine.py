@@ -192,15 +192,40 @@ class TestTraceShape:
         engine = DecisionEngine(shipped_config, audit_all=audit_all)
         engine.decide(make_request(user, "knife", now=0))
         _, trace = engine.decide(make_request(user, obj, now=60))
-        inputs = {e["node"]: e.get("inputs") for e in trace.events}
-        assert all("policy" not in e and e.get("inputs") != {} for e in trace.events)
-        assert inputs["per_request"] is inputs["eligibility_gate"] is None
+        inputs = {e["node"]: e["inputs"] for e in trace.events}
+        assert all("policy" not in e and e["inputs"] for e in trace.events)
         assert inputs["knowledge_check"]["request"] == trace.request
+        assert "warnings" not in inputs["knowledge_check"]
         assert inputs["blackboard_update"] == {"last_request": "knife"}
         assert not {"user_id", "object_id"} & set(inputs["eligibility_ok"])
         # Denied at eligibility, dave's plain trace has no later gate events.
         assert "last_request" not in inputs.get("ordering_ok", {})
         assert not {"room", "adult_present", "verbal_affirmation"} & set(inputs.get("category_context_ok", {}))
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @pytest.mark.parametrize(
+        "user, obj, verbal, deciding",
+        [
+            ("alice", "towel", True, "none"),
+            ("dave", "toy_block", True, "eligibility"),
+            ("alice", "anvil", True, "eligibility"),
+            ("bob", "knife", True, "emotion"),
+            ("alice", "knife", False, "context"),
+            ("bob", "diary", True, "personal"),
+        ],
+    )
+    def test_events_are_the_leaves_the_tick_reached(self, shipped_config, audit_all, user, obj, verbal, deciding):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        engine.decide(make_request("alice", "knife", now=0))
+        context = ContextSnapshot(room="kitchen", adult_present=True, verbal_affirmation=verbal, timestamp=60)
+        decision, trace = engine.decide(make_request(user, obj, context=context, now=60))
+        assert decision.deciding_policy == deciding
+        failed = "category_context" if deciding == "context" else deciding
+        stages = STAGES[: STAGES.index(failed) + 1] if decision.verdict == DENY else STAGES
+        expected = ["knowledge_check", "blackboard_update"] + [f"{stage}_ok" for stage in stages]
+        if decision.verdict == DENY:
+            expected.append(f"{failed}_violation")
+        assert [e["node"] for e in trace.events if not e.get("audit")] == expected
 
     def test_traces_are_byte_identical_modulo_request_id(self, shipped_config):
         def run(request_id):

@@ -8,10 +8,14 @@ decision it once made: fix the engine, never regenerate these files.
 
 The committed lines are version 1 traces: their pre_state holds the whole
 household, and their events name a policy, write empty inputs and repeat
-request fields. The engine now writes version 3 traces, whose pre_state
-holds only what the decision reads and whose events write each value once,
-so a re-run is compared, byte for byte, with its golden line cut to version
-3 (as_version_3). A re-run must also explain itself as its golden line does.
+request fields. tests/golden/v3/ holds the same scenarios as version 3
+traces, written by the last engine that wrote version 3: events for every
+node the tick visited, and knowledge_check's copy of the warnings. The
+engine now writes version 4 traces, whose pre_state holds only what the
+decision reads and whose events are the leaf events alone, each value
+written once, so a re-run is compared, byte for byte, with its golden line
+cut to version 4 (as_version_4). A re-run must also explain itself as its
+golden line does.
 """
 
 import json
@@ -20,7 +24,10 @@ from pathlib import Path
 import pytest
 
 from fetchguard import (
+    ContextSnapshot,
     DecisionEngine,
+    DecisionTrace,
+    EmotionSample,
     FetchRequest,
     PolicyConfig,
     load_scenario,
@@ -35,6 +42,8 @@ from fetchguard.ordering import HOUSEHOLD_SCOPE_KEY
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.jsonl")) + sorted((GOLDEN / "audit").glob("*.jsonl"))
+V3 = GOLDEN / "v3"
+V3_FILES = sorted(V3.glob("*.jsonl")) + sorted((V3 / "audit").glob("*.jsonl"))
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
@@ -72,19 +81,81 @@ def test_rerunning_a_scenario_reproduces_its_golden_bytes(default_json_config, p
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_3(want), f"trace bytes changed for {trace.request_id}"
+        assert trace.to_json() == as_version_4(want), f"trace bytes changed for {trace.request_id}"
 
 
 @pytest.mark.parametrize(
-    "path", GOLDEN_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
+    "path", GOLDEN_FILES + V3_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
 )
 def test_a_rerun_explains_itself_as_its_golden_line(default_json_config, path):
     for golden in read_traces(path):
         engine = DecisionEngine(default_json_config, audit_all=golden.audit_all)
         engine.restore_state(golden.pre_state)
         _, rerun = engine.decide(FetchRequest.from_dict(golden.request))
-        assert rerun.trace_version == 3
+        assert rerun.trace_version == 4
         assert render_explanation(rerun) == render_explanation(golden), golden.request_id
+
+
+def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
+    scenarios = {load_scenario(p).name for p in SCENARIOS}
+    assert {p.stem for p in V3.glob("*.jsonl")} == scenarios
+    assert {p.stem for p in (V3 / "audit").glob("*.jsonl")} == scenarios
+
+
+@pytest.mark.parametrize("path", V3_FILES, ids=lambda p: str(p.relative_to(V3).with_suffix("")))
+def test_every_version_3_line_reads_as_version_3_writes_back_and_verifies(default_json_config, path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        trace = DecisionTrace.from_dict(json.loads(line))
+        assert trace.trace_version == 3
+        assert trace.to_json() == line
+        result = verify_trace(trace, default_json_config)
+        assert result.ok, (trace.request_id, result.mismatches)
+
+
+@pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_version_3_bytes(default_json_config, path, audit_all):
+    script = load_scenario(path)
+    result = run_scenario(default_json_config, script, audit_all=audit_all)
+    golden = (V3 / "audit" if audit_all else V3) / f"{script.name}.jsonl"
+    expected = golden.read_text(encoding="utf-8").splitlines()
+    assert len(result.traces) == len(expected)
+    for trace, want in zip(result.traces, expected):
+        assert trace.to_json() == as_version_4(want), f"trace bytes changed for {trace.request_id}"
+
+
+def written_once(line: str, text: str) -> bool:
+    return line.count(canonical_json(text)) == 1
+
+
+def test_no_corpus_line_writes_a_warning_twice(default_json_config):
+    warned = 0
+    for path in SCENARIOS:
+        script = load_scenario(path)
+        for audit_all in (False, True):
+            for trace in run_scenario(default_json_config, script, audit_all=audit_all).traces:
+                line = trace.to_json()
+                assert all(written_once(line, w) for w in trace.warnings), trace.request_id
+                warned += bool(trace.warnings)
+    assert warned
+
+
+def test_an_unknown_requester_with_a_clamped_emotion_writes_each_warning_once(default_json_config):
+    context = ContextSnapshot(room="hall", adult_present=True, verbal_affirmation=True, timestamp=0)
+    request = FetchRequest("req", "wanderer", "towel", EmotionSample(1.5, 0.0), context, 0)
+    _, trace = DecisionEngine(default_json_config).decide(request)
+    line = trace.to_json()
+    assert len(trace.warnings) == 2
+    assert all(written_once(line, w) for w in trace.warnings)
+
+
+@pytest.mark.parametrize("path", [GOLDEN / "unknown_ids.jsonl", V3 / "unknown_ids.jsonl"], ids=["v1", "v3"])
+def test_older_lines_keep_their_copy_of_the_warnings_and_verify(default_json_config, path):
+    traces = read_traces(path)
+    assert any(t.to_json().count(canonical_json(w)) == 2 for t in traces for w in t.warnings)
+    assert all(verify_trace(t, default_json_config).ok for t in traces)
 
 
 #: What a version 1 event repeated from elsewhere in the line: request
@@ -111,19 +182,30 @@ def slice_pre_state(data: dict) -> None:
     }
 
 
-def as_version_3(v1_line: str) -> str:
-    """A committed version 1 line as the engine writes it today: its
-    pre_state cut to the version 2 slice, and every event without its
-    policy, without the inputs REPEATED_INPUTS names, and without inputs
-    when none are left."""
-    data = json.loads(v1_line)
-    assert "trace_version" not in data
-    slice_pre_state(data)
-    for event in data["events"]:
-        del event["policy"]
-        for name in REPEATED_INPUTS.get(event["node"], ()):
-            event["inputs"].pop(name, None)
-        if event["inputs"] == {}:
-            del event["inputs"]
-    data["trace_version"] = 3
+#: The structure-only events, which version 4 no longer writes: each gate's
+#: Fallback and the nodes above the gates.
+STRUCTURE_NODES = {
+    "per_request", "decision_sequence", "accept", "eligibility_gate", "ordering_check",
+    "emotion_check", "category_context_check", "personal_check",
+}
+
+
+def as_version_4(line: str) -> str:
+    """A committed version 1 or 3 line as the engine writes it today. A
+    version 1 line has its pre_state cut to the version 2 slice, and its
+    events lose their policy and the inputs REPEATED_INPUTS names. Then,
+    for both versions, the structure-only events go, and knowledge_check's
+    copy of the warnings with them."""
+    data = json.loads(line)
+    if "trace_version" not in data:
+        slice_pre_state(data)
+        for event in data["events"]:
+            del event["policy"]
+            for name in REPEATED_INPUTS.get(event["node"], ()):
+                event["inputs"].pop(name, None)
+    else:
+        assert data["trace_version"] == 3
+    data["events"] = [e for e in data["events"] if e["node"] not in STRUCTURE_NODES]
+    del data["events"][0]["inputs"]["warnings"]
+    data["trace_version"] = 4
     return canonical_json(data)

@@ -27,8 +27,9 @@ from fetchguard import (
     replay,
     verify_trace,
 )
-from fetchguard.engine import _legacy_events, _redecide, canonical_json
-from test_golden import slice_pre_state
+from fetchguard.bt import TickListener
+from fetchguard.engine import _EvalState, _events_as_written, _redecide, canonical_json
+from test_golden import V3, slice_pre_state
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -591,12 +592,12 @@ def whole_household(engine, board_primed):
 
 
 def as_legacy(trace, version, pre_state):
-    """A current trace as version 1 or 2 wrote it. The event stream is
+    """A current trace as version 1, 2 or 3 wrote it. The event stream is
     rebuilt by the function verify_trace uses; the golden tests pin that
-    function to the committed version 1 lines."""
+    function to the committed version 1 and 3 lines."""
     old = copy_of(trace)
+    old.events = _events_as_written(old, version)
     old.pre_state, old.trace_version = pre_state, version
-    old.events = _legacy_events(old.events, old.request)
     return old
 
 
@@ -650,9 +651,9 @@ class TestVersion2PreState:
         edited.pre_state["sensor"] = math.nan
         assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
 
-    def test_new_traces_are_version_3(self, mid_session_trace):
-        assert mid_session_trace.trace_version == 3
-        assert '"trace_version":3' in mid_session_trace.to_json()
+    def test_new_traces_are_version_4(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 4
+        assert '"trace_version":4' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
         for path in sorted(GOLDEN.glob("*.jsonl")):
@@ -661,7 +662,7 @@ class TestVersion2PreState:
                 assert trace.trace_version == 1
                 assert trace.to_json() == line
 
-    @pytest.mark.parametrize("version", [0, 4, "2", True, 2.0, None])
+    @pytest.mark.parametrize("version", [0, 5, "2", True, 2.0, None])
     def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
         data = json.loads(mid_session_trace.to_json())
         data["trace_version"] = version
@@ -676,8 +677,9 @@ class TestVersion2PreState:
         for request in requests:
             before = whole_household(engine, board_primed=None)
             _, trace = engine.decide(request)
-            assert trace.trace_version == 3
+            assert trace.trace_version == 4
             assert verify_trace(copy_of(trace), shipped_config).ok
+            assert verify_trace(as_legacy(trace, 3, trace.pre_state), shipped_config).ok
             assert verify_trace(as_legacy(trace, 2, trace.pre_state), shipped_config).ok
             before["board_primed"] = trace.pre_state["board_primed"]
             assert verify_trace(as_legacy(trace, 1, before), shipped_config).ok
@@ -837,6 +839,71 @@ class TestVersion3Events:
     def test_an_edited_version_2_event_is_a_mismatch(self, shipped_config, edit):
         line = (GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0]
         trace = golden_as_version_2(line)
+        edit(trace)
+        result = verify_trace(trace, shipped_config)
+        assert result.mismatches == ["event stream differs from the recorded events"]
+
+
+class ExitRecorder(TickListener):
+    """Every node exit of a tick as (node, outcome), in tick order: the
+    events version 3 wrote, without their inputs."""
+
+    def __init__(self):
+        self.exits = []
+
+    def exit(self, node, status):
+        self.exits.append((node.name, status.value))
+
+
+def _gate_outcome_flipped(trace):
+    event = next(e for e in trace.events if e["node"] == "ordering_check")
+    event["outcome"] = "failure"
+
+
+def _accept_dropped(trace):
+    trace.events = [e for e in trace.events if e["node"] != "accept"]
+
+
+def _warnings_copy_emptied(trace):
+    trace.events[0]["inputs"]["warnings"] = []
+
+
+def _cut_to_version_4(trace):
+    trace.events = [e for e in trace.events if "inputs" in e]
+    del trace.events[0]["inputs"]["warnings"]
+
+
+class TestVersion4Events:
+    """Version 4 writes only the leaf events; the structure-only events and
+    knowledge_check's copy of the warnings that version 3 wrote are rebuilt
+    from the re-run to verify a version 3 line."""
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @settings(max_examples=150, deadline=None)
+    @given(requests=st.lists(ANY_REQUEST, max_size=8))
+    def test_the_version_3_rebuild_is_what_a_tick_visits(self, shipped_config, audit_all, requests):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        probe = DecisionEngine(shipped_config)
+        for request in requests:
+            _, trace = engine.decide(request)
+            probe.restore_state(trace.pre_state)
+            state, recorder = _EvalState(request), ExitRecorder()
+            probe.tree.tick(state, recorder)
+            leaves = [e for e in trace.events if not e.get("audit")]
+            assert state.events == leaves
+            rebuilt = _events_as_written(trace, 3)
+            assert [(e["node"], e["outcome"]) for e in rebuilt[: len(recorder.exits)]] == recorder.exits
+            assert rebuilt[len(recorder.exits):] == trace.events[len(leaves):]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_gate_outcome_flipped, _accept_dropped, _warnings_copy_emptied, _cut_to_version_4],
+        ids=lambda e: e.__name__,
+    )
+    def test_an_edited_version_3_event_is_a_mismatch(self, shipped_config, edit):
+        line = (V3 / "unknown_ids.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        trace = DecisionTrace.from_dict(json.loads(line))
+        assert verify_trace(trace, shipped_config).ok
         edit(trace)
         result = verify_trace(trace, shipped_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
