@@ -76,19 +76,26 @@ _STAGE_TITLES = {
 def render_explanation(trace: DecisionTrace) -> str:
     """Plain-language walk through the five policy stages.
 
-    Personal-policy denials never name the user who tagged the object."""
+    A stage failed exactly when its violation event is in the line, and the
+    matrix row's cool-downs are the ones ordering_ok found, in every trace
+    version. Personal-policy denials never name the user who tagged the
+    object."""
     req = trace.request
     out = [
         f"request {trace.request_id}: user={req['user_id']} object={req['object_id']} at t={req['now']}",
     ]
     outcomes: dict[str, dict] = {}
+    failed = set()
     for event in trace.events:
         if event.get("audit"):
             continue
         name = event["node"]
         if name.endswith("_ok"):
             outcomes[name[: -len("_ok")]] = event
+        elif name.endswith("_violation"):
+            failed.add(name[: -len("_violation")])
     deciding = trace.decision.deciding_policy
+    cooldowns = outcomes.get("ordering", {}).get("inputs", {}).get("active_cooldowns")
     for stage in STAGES:
         title = _STAGE_TITLES[stage]
         event = outcomes.get(stage)
@@ -96,7 +103,7 @@ def render_explanation(trace: DecisionTrace) -> str:
             out.append(f"  {title}: not evaluated")
             continue
         inputs = event.get("inputs", {})
-        if event["outcome"] == "success":
+        if stage not in failed:
             line = f"  {title}: pass"
         elif stage == "personal":
             line = f"  {title}: FAIL - personal object, access not granted"
@@ -105,12 +112,12 @@ def render_explanation(trace: DecisionTrace) -> str:
         if stage == "emotion" and inputs:
             line += (
                 f" (zone {inputs.get('base_zone')} -> effective {inputs.get('effective_zone')}; "
-                f"matrix row cooldown={inputs.get('cooldown_profile')} "
+                f"matrix row cooldown={cooldowns} "
                 f"class={inputs.get('request_class')} allows {inputs.get('allowed_groups')}; "
                 f"required checks {inputs.get('required_checks')})"
             )
-        if stage == "ordering" and inputs and inputs.get("active_cooldowns"):
-            line += f" (active cool-downs: {inputs['active_cooldowns']})"
+        if stage == "ordering" and cooldowns:
+            line += f" (active cool-downs: {cooldowns})"
         if stage == "category_context" and inputs.get("failed_check"):
             line += f" (failed check: {inputs['failed_check']})"
         out.append(line)

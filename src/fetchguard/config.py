@@ -371,6 +371,15 @@ class PolicyConfig:
                         "ineligible-grantee",
                         f"grantee {grantee!r} is under the minimum age",
                     )
+        # No decision reads personal_owner; only a tag keeps others out, so
+        # an owner without one would leave the object open to everyone.
+        owned = {(tag.object_id, tag.tagged_by) for tag in self.personal_tags}
+        for obj in self.objects:
+            if obj.personal_owner is not None and (obj.object_id, obj.personal_owner) not in owned:
+                report.add(
+                    "untagged-personal-owner",
+                    f"object {obj.object_id!r} names owner {obj.personal_owner!r}, who has not tagged it personal",
+                )
         return report
 
 

@@ -94,9 +94,15 @@ _POLICY_OF = {
 #: events, each of which carries inputs: the structure-only events (each
 #: gate's Fallback, accept, decision_sequence, per_request) follow from the
 #: fixed tree and the leaf outcomes, and knowledge_check no longer copies
-#: the top-level warnings. All four restore the same way and verify;
+#: the top-level warnings. Version 5 events leave out what the line holds
+#: elsewhere: outcomes outside the audit events (a check failed exactly when
+#: its violation follows it), the violation's policy and reason (the
+#: decision block), knowledge_check's mode (refresh exactly when the
+#: pre-state's board_primed is true), emotion_ok's copy of ordering_ok's
+#: cool-downs and escalation steps, and category_context_ok's copy of
+#: emotion_ok's required checks. All five restore the same way and verify;
 #: _events_as_written rebuilds an older event stream for the check.
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 #: The warning decide() adds after the tick when the object is unknown.
 _UNTOUCHED = "cool-down state untouched: unknown object"
@@ -358,8 +364,9 @@ class DecisionEngine:
             raise ValueError(f"cool-down scope {cooldowns.scope!r} is not the config's")
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         # Whether this engine has decided since reset or restore is session
-        # state (recorded as board_primed): it decides the knowledge step's
-        # ingest-vs-refresh mode, so replays must restore it.
+        # state, recorded as board_primed in every pre-state (version 4 and
+        # older lines also wrote it as the knowledge step's ingest-vs-refresh
+        # mode), so replays must restore it.
         primed = require_type("board_primed", pre_state["board_primed"], bool)
         self.cooldowns, self.registry, self._primed = cooldowns, registry, primed
 
@@ -395,15 +402,13 @@ class DecisionEngine:
 
         def check(st: _EvalState) -> bool:
             inputs, violation = evaluate(st)
-            st.events.append({"node": ok_name, "outcome": "failure" if violation else "success", "inputs": inputs})
+            st.events.append({"node": ok_name, "inputs": inputs})
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
             return violation is None
 
         def record_violation(st: _EvalState) -> NodeStatus:
-            policy, reason = st.violation
-            inputs = {"policy": policy, "reason": reason}
-            st.events.append({"node": violation_name, "outcome": "failure", "inputs": inputs})
+            st.events.append({"node": violation_name})
             return FAILURE
 
         return [Condition(ok_name, check), Action(violation_name, record_violation)]
@@ -412,7 +417,6 @@ class DecisionEngine:
 
     def _do_knowledge(self, st: _EvalState) -> NodeStatus:
         req = st.request
-        mode = "refresh" if self._primed else "ingest"
         self._primed = True
         profile = self.config.user_by_id(req.user_id)
         st.known_user = profile is not None
@@ -433,21 +437,22 @@ class DecisionEngine:
         if st.was_clamped:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
         st.base_zone = zone_of(st.emotion, self.config.zone_table)
-        inputs = {"mode": mode, "request": req.to_dict()}
-        st.events.append({"node": "knowledge_check", "outcome": "success", "inputs": inputs})
+        st.events.append({"node": "knowledge_check", "inputs": {"request": req.to_dict()}})
         return SUCCESS
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
         # The node keeps the name traces record; it reads the requester's
         # last request for the trace.
         inputs = {"last_request": self.cooldowns.last_requested(st.request.user_id)}
-        st.events.append({"node": "blackboard_update", "outcome": "success", "inputs": inputs})
+        st.events.append({"node": "blackboard_update", "inputs": inputs})
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
     # Each returns (trace-event inputs, violation-or-None) for one request's
     # state. The inputs leave out what the trace holds elsewhere: the request
-    # (echoed by knowledge_check) and the last request (blackboard_update).
+    # (echoed by knowledge_check), the last request (blackboard_update), the
+    # cool-downs and escalation steps (ordering_ok) and the matrix row's
+    # required checks (emotion_ok).
 
     def _eval_eligibility(self, st: _EvalState):
         details: dict = {"known_user": st.known_user, "known_object": st.obj is not None}
@@ -492,9 +497,7 @@ class DecisionEngine:
             "arousal": st.emotion.arousal,
             "clamped": st.was_clamped,
             "base_zone": st.base_zone.as_str(),
-            "escalation_steps": steps,
             "effective_zone": st.effective_zone.as_str(),
-            "cooldown_profile": list(PROFILE_TEXTS[st.active]),
             "request_class": request_class,
             "allowed_groups": list(entry.group_texts),
             "required_checks": list(entry.check_texts),
@@ -509,7 +512,7 @@ class DecisionEngine:
 
     def _eval_category_context(self, st: _EvalState):
         entry = st.matrix_entry
-        details: dict = {"category": st.obj.category, "matrix_checks": list(entry.check_texts)}
+        details: dict = {"category": st.obj.category}
         rules = self.config.category_rules
         result = category_checks(entry.required_checks, rules, st.obj, st.group, st.request.context, st.profile)
         if result.passed:
@@ -647,6 +650,45 @@ class VerifyResult:
     decision: Decision | None
 
 
+#: What a version 4 check wrote again from an earlier check's inputs, as
+#: (input, earlier node, its input): both read the same cool-downs and the
+#: same matrix row.
+_COPIED = {
+    "emotion_ok": (
+        ("cooldown_profile", "ordering_ok", "active_cooldowns"),
+        ("escalation_steps", "ordering_ok", "zone_escalation_steps"),
+    ),
+    "category_context_ok": (("matrix_checks", "emotion_ok", "required_checks"),),
+}
+
+
+def _version_4_events(fresh: DecisionTrace) -> list[dict]:
+    """A re-run's events as version 4 wrote them, in new dicts.
+
+    Every event outside the audit pass had an outcome: only the violation
+    and the check just before it failed. A violation held the deciding
+    policy and reason, knowledge_check its mode (refresh exactly when the
+    board was primed), and emotion_ok and category_context_ok the inputs
+    _COPIED names, in the audit pass too. A skipped audit stage recorded
+    only its note."""
+    inputs_of, events = {}, []
+    for event in fresh.events:
+        node, inputs = event["node"], event.get("inputs", {})
+        inputs_of[node] = inputs
+        if event.get("outcome") == "skipped":
+            events.append(event)
+            continue
+        extra = {name: inputs_of[source][key] for name, source, key in _COPIED.get(node, ())}
+        written = {"outcome": "success", **event, "inputs": {**inputs, **extra}}
+        if node == "knowledge_check":
+            written["inputs"]["mode"] = "refresh" if fresh.pre_state["board_primed"] else "ingest"
+        elif node.endswith("_violation"):
+            written["inputs"] = {"policy": fresh.decision.deciding_policy, "reason": fresh.decision.reason}
+            written["outcome"] = events[-1]["outcome"] = "failure"
+        events.append(written)
+    return events
+
+
 #: The gate Fallback a version 3 trace wrote after a leaf event, by (leaf,
 #: outcome): a passing check ends its gate, and a failing one hands over to
 #: the violation leaf, which ends it.
@@ -661,18 +703,22 @@ def _events_as_written(fresh: DecisionTrace, version: int) -> list[dict]:
     the re-run alone, never from the recorded line, so an edit to anything an
     older version wrote in its events still shows.
 
-    Version 3 also wrote each gate's Fallback after the leaf that ended it,
-    accept when every gate passed, decision_sequence and per_request before
-    any audit events, and knowledge_check's copy of the warnings the
-    knowledge step gave: every top-level warning but the one decide() adds
-    after the tick. Versions 1 and 2 on top of that named each event's
+    Version 4 also wrote what _version_4_events puts back. Version 3 on top
+    of that wrote each gate's Fallback after the leaf that ended it, accept
+    when every gate passed, decision_sequence and per_request before any
+    audit events, and knowledge_check's copy of the warnings the knowledge
+    step gave: every top-level warning but the one decide() adds after the
+    tick. Versions 1 and 2 on top of that named each event's
     policy, gave every event inputs, and had the gates repeat the request
     fields and the last request."""
     if version == TRACE_VERSION:
         return fresh.events
+    leaves = _version_4_events(fresh)
+    if version == 4:
+        return leaves
     warnings = fresh.warnings[:-1] if fresh.warnings[-1:] == [_UNTOUCHED] else fresh.warnings
     events, audit, outcome = [], [], "success"
-    for event in fresh.events:
+    for event in leaves:
         if event.get("audit"):
             audit.append(event)
             continue

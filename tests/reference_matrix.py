@@ -34,7 +34,7 @@ def reference_category_checks(rules, obj, requester_group, context, requester):
 
 def reference_gate4(entry, rules, obj, group, context, profile):
     """(trace details, violation or None), as the engine's two steps gave them."""
-    details = {"category": obj.category, "matrix_checks": sorted(entry.required_checks)}
+    details = {"category": obj.category}
     for check in MATRIX_CHECKS:
         if check not in entry.required_checks:
             continue

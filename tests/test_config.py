@@ -107,6 +107,19 @@ class TestValidationFindings:
         with pytest.raises(ConfigError, match="duplicate-tag"):
             DecisionEngine(config)
 
+    @pytest.mark.parametrize(
+        "tags",
+        [[], [{"object_id": "diary", "tagged_by": "henry", "grants": []}]],
+        ids=["no_tags", "tagged_by_another"],
+    )
+    def test_an_owner_who_has_not_tagged_their_object_is_reported_and_the_engine_refuses_it(self, tags):
+        # Untagged, alice's diary would be handed to grace (FRA), green zone,
+        # bedroom, adult present.
+        config = broken(lambda d: d.__setitem__("personal_tags", tags))
+        assert config.validate().codes() == {"untagged-personal-owner"}
+        with pytest.raises(ConfigError, match="untagged-personal-owner"):
+            DecisionEngine(config)
+
     def test_duplicate_user_reported(self):
         config = broken(lambda d: d["users"].append(dict(d["users"][0])))
         assert "duplicate-user-id" in config.validate().codes()

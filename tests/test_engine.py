@@ -192,15 +192,19 @@ class TestTraceShape:
         engine = DecisionEngine(shipped_config, audit_all=audit_all)
         engine.decide(make_request(user, "knife", now=0))
         _, trace = engine.decide(make_request(user, obj, now=60))
-        inputs = {e["node"]: e["inputs"] for e in trace.events}
-        assert all("policy" not in e and e["inputs"] for e in trace.events)
-        assert inputs["knowledge_check"]["request"] == trace.request
-        assert "warnings" not in inputs["knowledge_check"]
+        violations = [e for e in trace.events if e["node"].endswith("_violation")]
+        assert all(e == {"node": e["node"]} for e in violations)
+        inputs = {e["node"]: e["inputs"] for e in trace.events if e not in violations}
+        assert all("policy" not in e and e["inputs"] for e in trace.events if e not in violations)
+        assert all("outcome" not in e for e in trace.events if not e.get("audit"))
+        assert inputs["knowledge_check"] == {"request": trace.request}
         assert inputs["blackboard_update"] == {"last_request": "knife"}
         assert not {"user_id", "object_id"} & set(inputs["eligibility_ok"])
         # Denied at eligibility, dave's plain trace has no later gate events.
         assert "last_request" not in inputs.get("ordering_ok", {})
         assert not {"room", "adult_present", "verbal_affirmation"} & set(inputs.get("category_context_ok", {}))
+        assert not {"cooldown_profile", "escalation_steps"} & set(inputs.get("emotion_ok", {}))
+        assert "matrix_checks" not in inputs.get("category_context_ok", {})
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
     @pytest.mark.parametrize(
@@ -252,10 +256,14 @@ class TestTraceShape:
     def test_trace_lists_are_fresh_for_every_trace(self, shipped_config):
         engine = DecisionEngine(shipped_config)
         _, first = engine.decide(make_request("alice", "towel"))
-        emotion = next(e["inputs"] for e in first.events if e["node"] == "emotion_ok")
-        for name in ("allowed_groups", "required_checks", "cooldown_profile"):
-            assert type(emotion[name]) is list
-            emotion[name].append("edited")
+        inputs = {e["node"]: e["inputs"] for e in first.events}
+        for node, name in [
+            ("emotion_ok", "allowed_groups"),
+            ("emotion_ok", "required_checks"),
+            ("ordering_ok", "active_cooldowns"),
+        ]:
+            assert type(inputs[node][name]) is list
+            inputs[node][name].append("edited")
         _, second = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
         assert "edited" not in second.to_json()
 

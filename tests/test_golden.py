@@ -10,12 +10,15 @@ The committed lines are version 1 traces: their pre_state holds the whole
 household, and their events name a policy, write empty inputs and repeat
 request fields. tests/golden/v3/ holds the same scenarios as version 3
 traces, written by the last engine that wrote version 3: events for every
-node the tick visited, and knowledge_check's copy of the warnings. The
-engine now writes version 4 traces, whose pre_state holds only what the
-decision reads and whose events are the leaf events alone, each value
-written once, so a re-run is compared, byte for byte, with its golden line
-cut to version 4 (as_version_4). A re-run must also explain itself as its
-golden line does.
+node the tick visited, and knowledge_check's copy of the warnings.
+tests/golden/v4/ holds them as version 4 traces, written by the last engine
+that wrote version 4: the leaf events alone, each with its outcome, the
+violation with its policy and reason, knowledge_check with its mode, and
+emotion_ok and category_context_ok with their copies of earlier inputs.
+The engine now writes version 5 traces, whose pre_state holds only what the
+decision reads and whose events write each fact of the line once, so a
+re-run is compared, byte for byte, with its golden line cut to version 5
+(as_version_5). A re-run must also explain itself as its golden line does.
 """
 
 import json
@@ -44,6 +47,8 @@ GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.jsonl")) + sorted((GOLDEN / "audit").glob("*.jsonl"))
 V3 = GOLDEN / "v3"
 V3_FILES = sorted(V3.glob("*.jsonl")) + sorted((V3 / "audit").glob("*.jsonl"))
+V4 = GOLDEN / "v4"
+V4_FILES = sorted(V4.glob("*.jsonl")) + sorted((V4 / "audit").glob("*.jsonl"))
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
@@ -81,49 +86,76 @@ def test_rerunning_a_scenario_reproduces_its_golden_bytes(default_json_config, p
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_4(want), f"trace bytes changed for {trace.request_id}"
+        assert trace.to_json() == as_version_5(want), f"trace bytes changed for {trace.request_id}"
 
 
 @pytest.mark.parametrize(
-    "path", GOLDEN_FILES + V3_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
+    "path", GOLDEN_FILES + V3_FILES + V4_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
 )
 def test_a_rerun_explains_itself_as_its_golden_line(default_json_config, path):
     for golden in read_traces(path):
         engine = DecisionEngine(default_json_config, audit_all=golden.audit_all)
         engine.restore_state(golden.pre_state)
         _, rerun = engine.decide(FetchRequest.from_dict(golden.request))
-        assert rerun.trace_version == 4
+        assert rerun.trace_version == 5
         assert render_explanation(rerun) == render_explanation(golden), golden.request_id
 
 
-def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
+def holds_every_scenario_in_both_modes(directory):
     scenarios = {load_scenario(p).name for p in SCENARIOS}
-    assert {p.stem for p in V3.glob("*.jsonl")} == scenarios
-    assert {p.stem for p in (V3 / "audit").glob("*.jsonl")} == scenarios
+    assert {p.stem for p in directory.glob("*.jsonl")} == scenarios
+    assert {p.stem for p in (directory / "audit").glob("*.jsonl")} == scenarios
 
 
-@pytest.mark.parametrize("path", V3_FILES, ids=lambda p: str(p.relative_to(V3).with_suffix("")))
-def test_every_version_3_line_reads_as_version_3_writes_back_and_verifies(default_json_config, path):
+def reads_as_its_version_writes_back_and_verifies(config, path, version):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines
     for line in lines:
         trace = DecisionTrace.from_dict(json.loads(line))
-        assert trace.trace_version == 3
+        assert trace.trace_version == version
         assert trace.to_json() == line
-        result = verify_trace(trace, default_json_config)
+        result = verify_trace(trace, config)
         assert result.ok, (trace.request_id, result.mismatches)
+
+
+def rerun_reproduces_the_bytes_in(config, path, audit_all, directory):
+    script = load_scenario(path)
+    result = run_scenario(config, script, audit_all=audit_all)
+    golden = (directory / "audit" if audit_all else directory) / f"{script.name}.jsonl"
+    expected = golden.read_text(encoding="utf-8").splitlines()
+    assert len(result.traces) == len(expected)
+    for trace, want in zip(result.traces, expected):
+        assert trace.to_json() == as_version_5(want), f"trace bytes changed for {trace.request_id}"
+
+
+def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
+    holds_every_scenario_in_both_modes(V3)
+
+
+@pytest.mark.parametrize("path", V3_FILES, ids=lambda p: str(p.relative_to(V3).with_suffix("")))
+def test_every_version_3_line_reads_as_version_3_writes_back_and_verifies(default_json_config, path):
+    reads_as_its_version_writes_back_and_verifies(default_json_config, path, 3)
 
 
 @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_rerunning_a_scenario_reproduces_its_version_3_bytes(default_json_config, path, audit_all):
-    script = load_scenario(path)
-    result = run_scenario(default_json_config, script, audit_all=audit_all)
-    golden = (V3 / "audit" if audit_all else V3) / f"{script.name}.jsonl"
-    expected = golden.read_text(encoding="utf-8").splitlines()
-    assert len(result.traces) == len(expected)
-    for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_4(want), f"trace bytes changed for {trace.request_id}"
+    rerun_reproduces_the_bytes_in(default_json_config, path, audit_all, V3)
+
+
+def test_the_version_4_goldens_hold_every_scenario_in_both_modes():
+    holds_every_scenario_in_both_modes(V4)
+
+
+@pytest.mark.parametrize("path", V4_FILES, ids=lambda p: str(p.relative_to(V4).with_suffix("")))
+def test_every_version_4_line_reads_as_version_4_writes_back_and_verifies(default_json_config, path):
+    reads_as_its_version_writes_back_and_verifies(default_json_config, path, 4)
+
+
+@pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_version_4_bytes(default_json_config, path, audit_all):
+    rerun_reproduces_the_bytes_in(default_json_config, path, audit_all, V4)
 
 
 def written_once(line: str, text: str) -> bool:
@@ -190,22 +222,49 @@ STRUCTURE_NODES = {
 }
 
 
-def as_version_4(line: str) -> str:
-    """A committed version 1 or 3 line as the engine writes it today. A
+#: What a version 4 check repeated from an earlier check's inputs, which
+#: version 5 no longer writes.
+COPIED_INPUTS = {
+    "emotion_ok": ("cooldown_profile", "escalation_steps"),
+    "category_context_ok": ("matrix_checks",),
+}
+
+
+def cut_to_version_5(data: dict) -> None:
+    """Cut a version 4 line's events, in place, to what version 5 writes:
+    no outcome outside the audit pass, no inputs on a violation, no mode on
+    knowledge_check and none of the inputs COPIED_INPUTS names."""
+    for event in data["events"]:
+        if not event.get("audit"):
+            del event["outcome"]
+        if event["node"].endswith("_violation"):
+            del event["inputs"]
+            continue
+        if event["node"] == "knowledge_check":
+            del event["inputs"]["mode"]
+        for name in COPIED_INPUTS.get(event["node"], ()):
+            event["inputs"].pop(name, None)
+
+
+def as_version_5(line: str) -> str:
+    """A committed version 1, 3 or 4 line as the engine writes it today. A
     version 1 line has its pre_state cut to the version 2 slice, and its
     events lose their policy and the inputs REPEATED_INPUTS names. Then,
-    for both versions, the structure-only events go, and knowledge_check's
-    copy of the warnings with them."""
+    for versions 1 and 3, the structure-only events go, and
+    knowledge_check's copy of the warnings with them. Last, every line is
+    cut from version 4 to version 5."""
     data = json.loads(line)
-    if "trace_version" not in data:
+    version = data.get("trace_version", 1)
+    assert version in (1, 3, 4)
+    if version == 1:
         slice_pre_state(data)
         for event in data["events"]:
             del event["policy"]
             for name in REPEATED_INPUTS.get(event["node"], ()):
                 event["inputs"].pop(name, None)
-    else:
-        assert data["trace_version"] == 3
-    data["events"] = [e for e in data["events"] if e["node"] not in STRUCTURE_NODES]
-    del data["events"][0]["inputs"]["warnings"]
-    data["trace_version"] = 4
+    if version < 4:
+        data["events"] = [e for e in data["events"] if e["node"] not in STRUCTURE_NODES]
+        del data["events"][0]["inputs"]["warnings"]
+    cut_to_version_5(data)
+    data["trace_version"] = 5
     return canonical_json(data)

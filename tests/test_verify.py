@@ -29,7 +29,7 @@ from fetchguard import (
 )
 from fetchguard.bt import TickListener
 from fetchguard.engine import _EvalState, _events_as_written, _redecide, canonical_json
-from test_golden import V3, slice_pre_state
+from test_golden import STRUCTURE_NODES, V3, V4, as_version_5, slice_pre_state
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -592,9 +592,9 @@ def whole_household(engine, board_primed):
 
 
 def as_legacy(trace, version, pre_state):
-    """A current trace as version 1, 2 or 3 wrote it. The event stream is
+    """A current trace as version 1, 2, 3 or 4 wrote it. The event stream is
     rebuilt by the function verify_trace uses; the golden tests pin that
-    function to the committed version 1 and 3 lines."""
+    function to the committed version 1, 3 and 4 lines."""
     old = copy_of(trace)
     old.events = _events_as_written(old, version)
     old.pre_state, old.trace_version = pre_state, version
@@ -651,9 +651,9 @@ class TestVersion2PreState:
         edited.pre_state["sensor"] = math.nan
         assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
 
-    def test_new_traces_are_version_4(self, mid_session_trace):
-        assert mid_session_trace.trace_version == 4
-        assert '"trace_version":4' in mid_session_trace.to_json()
+    def test_new_traces_are_version_5(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 5
+        assert '"trace_version":5' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
         for path in sorted(GOLDEN.glob("*.jsonl")):
@@ -662,7 +662,7 @@ class TestVersion2PreState:
                 assert trace.trace_version == 1
                 assert trace.to_json() == line
 
-    @pytest.mark.parametrize("version", [0, 5, "2", True, 2.0, None])
+    @pytest.mark.parametrize("version", [0, 6, "2", True, 2.0, None])
     def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
         data = json.loads(mid_session_trace.to_json())
         data["trace_version"] = version
@@ -677,8 +677,9 @@ class TestVersion2PreState:
         for request in requests:
             before = whole_household(engine, board_primed=None)
             _, trace = engine.decide(request)
-            assert trace.trace_version == 4
+            assert trace.trace_version == 5
             assert verify_trace(copy_of(trace), shipped_config).ok
+            assert verify_trace(as_legacy(trace, 4, trace.pre_state), shipped_config).ok
             assert verify_trace(as_legacy(trace, 3, trace.pre_state), shipped_config).ok
             assert verify_trace(as_legacy(trace, 2, trace.pre_state), shipped_config).ok
             before["board_primed"] = trace.pre_state["board_primed"]
@@ -876,7 +877,8 @@ def _cut_to_version_4(trace):
 class TestVersion4Events:
     """Version 4 writes only the leaf events; the structure-only events and
     knowledge_check's copy of the warnings that version 3 wrote are rebuilt
-    from the re-run to verify a version 3 line."""
+    from the re-run, through its version 4 events, to verify a version 3
+    line."""
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
     @settings(max_examples=150, deadline=None)
@@ -891,9 +893,14 @@ class TestVersion4Events:
             probe.tree.tick(state, recorder)
             leaves = [e for e in trace.events if not e.get("audit")]
             assert state.events == leaves
+            version_4 = _events_as_written(trace, 4)
+            leaf_exits = [(node, outcome) for node, outcome in recorder.exits if node not in STRUCTURE_NODES]
+            assert [(e["node"], e["outcome"]) for e in version_4[: len(leaves)]] == leaf_exits
             rebuilt = _events_as_written(trace, 3)
             assert [(e["node"], e["outcome"]) for e in rebuilt[: len(recorder.exits)]] == recorder.exits
-            assert rebuilt[len(recorder.exits):] == trace.events[len(leaves):]
+            assert rebuilt[len(recorder.exits):] == version_4[len(leaves):]
+            assert all(e.get("audit") for e in version_4[len(leaves):])
+            assert verify_trace(as_legacy(trace, 4, trace.pre_state), shipped_config).ok
 
     @pytest.mark.parametrize(
         "edit",
@@ -906,6 +913,82 @@ class TestVersion4Events:
         assert verify_trace(trace, shipped_config).ok
         edit(trace)
         result = verify_trace(trace, shipped_config)
+        assert result.mismatches == ["event stream differs from the recorded events"]
+
+
+#: Real version 4 lines: one denied at category/context after emotion_ok,
+#: one denied at eligibility whose audit pass evaluated every later check.
+VERSION_4_LINES = {
+    "plain": (V4 / "cooldown_boundaries.jsonl", 1),
+    "audit": (V4 / "audit" / "under5_denial.jsonl", 1),
+}
+
+#: Each fact version 4 wrote and version 5 leaves out, as (line, node, key
+#: in the event or in its inputs).
+DROPPED_FACTS = [
+    ("plain", "ordering_ok", "outcome"),
+    ("plain", "category_context_violation", "reason"),
+    ("plain", "knowledge_check", "mode"),
+    ("plain", "emotion_ok", "cooldown_profile"),
+    ("plain", "emotion_ok", "escalation_steps"),
+    ("plain", "category_context_ok", "matrix_checks"),
+    ("audit", "emotion_ok", "cooldown_profile"),
+    ("audit", "emotion_ok", "escalation_steps"),
+    ("audit", "category_context_ok", "matrix_checks"),
+]
+
+OTHER_TEXT = {"success": "failure", "failure": "success", "refresh": "ingest", "ingest": "refresh"}
+
+
+def version_4_line(which):
+    path, index = VERSION_4_LINES[which]
+    return path.read_text(encoding="utf-8").splitlines()[index]
+
+
+def event_of(data, node):
+    return next(e for e in data["events"] if e["node"] == node)
+
+
+def holder_of(data, node, key):
+    """The dict in `data` that holds `key` of `node`'s event: the event for
+    an outcome, its inputs for anything else."""
+    event = event_of(data, node)
+    return event if key == "outcome" else event.setdefault("inputs", {})
+
+
+def edited(value):
+    if isinstance(value, list):
+        return value + ["edited"]
+    if isinstance(value, int):
+        return value + 1
+    return OTHER_TEXT.get(value, value + " (edited)")
+
+
+class TestVersion5Events:
+    """Version 5 leaves out the facts DROPPED_FACTS names; verify_trace
+    rebuilds them from the re-run to compare an older line, so an edit to
+    one still shows, and so does a version 5 line that writes one back."""
+
+    @pytest.mark.parametrize("which, node, key", DROPPED_FACTS, ids=lambda v: str(v))
+    def test_an_edited_version_4_fact_is_a_mismatch(self, shipped_config, which, node, key):
+        data = json.loads(version_4_line(which))
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert event_of(data, node).get("audit", False) == (which == "audit")
+        holder = holder_of(data, node, key)
+        holder[key] = edited(holder[key])
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        assert result.mismatches == ["event stream differs from the recorded events"]
+
+    @pytest.mark.parametrize("which, node, key", DROPPED_FACTS, ids=lambda v: str(v))
+    def test_a_version_5_line_that_writes_a_fact_back_is_a_mismatch(self, shipped_config, which, node, key):
+        line = version_4_line(which)
+        value = holder_of(json.loads(line), node, key)[key]
+        data = json.loads(as_version_5(line))
+        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        holder = holder_of(data, node, key)
+        assert key not in holder
+        holder[key] = value
+        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
 
