@@ -57,7 +57,6 @@ from .matrix import (
     validate_matrix,
 )
 from .model import (
-    AdminRole,
     ContextSnapshot,
     ObjectSpec,
     Region,

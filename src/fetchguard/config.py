@@ -23,7 +23,6 @@ from .matrix import (
     validate_matrix,
 )
 from .model import (
-    AdminRole,
     MIN_ELIGIBLE_AGE,
     ObjectSpec,
     Region,
@@ -57,6 +56,26 @@ def _each(section: str, entries: list, parse) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed policy config: {section}[{i}]: {exc}") from exc
     return parsed
+
+
+def _admin_role(admin: AdminHierarchy, user: UserProfile) -> str:
+    """The admin_role a config file restates for a user."""
+    if user.user_id == admin.owner:
+        return "owner"
+    if user.user_id in admin.designators:
+        return "designator"
+    return "member" if user.relationship is Relationship.HOUSEHOLD else "none"
+
+
+def _personal_owners(tags: list[InitialTag]) -> dict[str, str]:
+    """The personal_owner a config file restates: each object's first tagger."""
+    return {tag.object_id: tag.tagged_by for tag in reversed(tags)}
+
+
+def _agrees(entry: dict, key: str, derived) -> None:
+    """Refuse a restated value that disagrees; an absent one reads as agreeing."""
+    if entry.get(key, derived) != derived:
+        raise ValueError(f"{key} must be {derived!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,8 @@ class PolicyConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
+        # admin_role and personal_owner restate admin and personal_tags.
+        owners = _personal_owners(self.personal_tags)
         return {
             "region": {"name": self.region.name, "adult_age_threshold": self.region.adult_age_threshold},
             "durations": {
@@ -164,7 +185,7 @@ class PolicyConfig:
                     "safety_class": o.safety_class.value,
                     "category": o.category,
                     "allergen_tags": sorted(o.allergen_tags),
-                    "personal_owner": o.personal_owner,
+                    "personal_owner": owners.get(o.object_id),
                 }
                 for o in self.objects
             ],
@@ -174,7 +195,7 @@ class PolicyConfig:
                     "age_years": u.age_years,
                     "relationship": u.relationship.value,
                     "allergies": sorted(u.allergies),
-                    "admin_role": u.admin_role.value,
+                    "admin_role": _admin_role(self.admin, u),
                 }
                 for u in self.users
             ],
@@ -243,14 +264,12 @@ class PolicyConfig:
             safety_class=SafetyClass(o["safety_class"]),
             category=require_type("category", o["category"], str),
             allergen_tags=_strings("allergen_tags", o.get("allergen_tags", [])),
-            personal_owner=require_type("personal_owner", o.get("personal_owner"), str, type(None)),
         ))
         users = _each("users", data["users"], lambda u: UserProfile(
             user_id=require_type("user_id", u["user_id"], str),
             age_years=require_type("age_years", u["age_years"], int),
             relationship=Relationship(u["relationship"]),
             allergies=_strings("allergies", u.get("allergies", [])),
-            admin_role=AdminRole(u.get("admin_role", "none")),
         ))
         admin = AdminHierarchy(
             owner=require_type("admin.owner", data["admin"]["owner"], str),
@@ -261,6 +280,11 @@ class PolicyConfig:
             tagged_by=require_type("tagged_by", t["tagged_by"], str),
             grants=_strings("grants", t.get("grants", [])),
         ))
+        owners = _personal_owners(tags)
+        _each("users", zip(data["users"], users), lambda pair: _agrees(
+            pair[0], "admin_role", _admin_role(admin, pair[1])))
+        _each("objects", zip(data["objects"], objects), lambda pair: _agrees(
+            pair[0], "personal_owner", owners.get(pair[1].object_id)))
         return cls(
             region=region,
             durations=durations,
@@ -279,7 +303,7 @@ class PolicyConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, not UTF-8, or too many digits
                 raise ConfigError(f"cannot parse {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -305,7 +329,7 @@ class PolicyConfig:
         report = Report()
         report.extend(validate_zone_table(self.zone_table))
         report.extend(validate_matrix(self.matrix))
-        report.extend(validate_object_catalog(self.objects, self.users))
+        report.extend(validate_object_catalog(self.objects))
         report.extend(self._validate_roster())
         report.extend(self._validate_rules())
         report.extend(self._validate_admin_and_tags())
@@ -339,17 +363,19 @@ class PolicyConfig:
         users = {u.user_id: u for u in self.users}
         if self.admin.owner not in users:
             report.add("unknown-owner", f"admin owner {self.admin.owner!r} is not registered")
-        for d in self.admin.designators:
+        designators = self.admin.all_designators()
+        # The owner can always tag, so is held to the designators' rule too.
+        for d in sorted(designators):
             u = users.get(d)
             if u is None:
-                report.add("unknown-designator", f"designator {d!r} is not registered")
+                if d in self.admin.designators:
+                    report.add("unknown-designator", f"designator {d!r} is not registered")
             elif u.relationship is not Relationship.HOUSEHOLD:
                 report.add(
                     "non-household-designator",
                     f"designator {d!r} is not a household user",
                 )
         object_ids = {o.object_id for o in self.objects}
-        designators = self.admin.all_designators()
         tagged: set[str] = set()
         for tag in self.personal_tags:
             if tag.object_id not in object_ids:
@@ -371,15 +397,6 @@ class PolicyConfig:
                         "ineligible-grantee",
                         f"grantee {grantee!r} is under the minimum age",
                     )
-        # No decision reads personal_owner; only a tag keeps others out, so
-        # an owner without one would leave the object open to everyone.
-        owned = {(tag.object_id, tag.tagged_by) for tag in self.personal_tags}
-        for obj in self.objects:
-            if obj.personal_owner is not None and (obj.object_id, obj.personal_owner) not in owned:
-                report.add(
-                    "untagged-personal-owner",
-                    f"object {obj.object_id!r} names owner {obj.personal_owner!r}, who has not tagged it personal",
-                )
         return report
 
 
@@ -387,13 +404,13 @@ def default_config() -> PolicyConfig:
     """The shipped household: a small catalog and roster exercising every
     policy surface, with the default zone table and allow-matrix."""
     users = [
-        UserProfile("alice", 34, Relationship.HOUSEHOLD, frozenset(), AdminRole.OWNER),
-        UserProfile("bob", 15, Relationship.HOUSEHOLD, frozenset(), AdminRole.MEMBER),
-        UserProfile("carol", 8, Relationship.HOUSEHOLD, frozenset({"peanut"}), AdminRole.MEMBER),
-        UserProfile("dave", 4, Relationship.HOUSEHOLD, frozenset(), AdminRole.MEMBER),
-        UserProfile("erin", 40, Relationship.FAMILY, frozenset(), AdminRole.NONE),
-        UserProfile("grace", 30, Relationship.FRIEND, frozenset(), AdminRole.NONE),
-        UserProfile("henry", 62, Relationship.HOUSEHOLD, frozenset(), AdminRole.DESIGNATOR),
+        UserProfile("alice", 34, Relationship.HOUSEHOLD),
+        UserProfile("bob", 15, Relationship.HOUSEHOLD),
+        UserProfile("carol", 8, Relationship.HOUSEHOLD, frozenset({"peanut"})),
+        UserProfile("dave", 4, Relationship.HOUSEHOLD),
+        UserProfile("erin", 40, Relationship.FAMILY),
+        UserProfile("grace", 30, Relationship.FRIEND),
+        UserProfile("henry", 62, Relationship.HOUSEHOLD),
     ]
     objects = [
         ObjectSpec("knife", "Chef's knife", SafetyClass.DANGEROUS, "kitchen"),
@@ -410,7 +427,7 @@ def default_config() -> PolicyConfig:
             frozenset({"peanut"}),
         ),
         ObjectSpec("safety_scissors", "Safety scissors", SafetyClass.NEITHER, "craft"),
-        ObjectSpec("diary", "Diary", SafetyClass.NEITHER, "stationery", personal_owner="alice"),
+        ObjectSpec("diary", "Diary", SafetyClass.NEITHER, "stationery"),
     ]
     rules = [
         CategoryRule("medicine", frozenset({"allergy_screen", "verbal_affirmation"})),

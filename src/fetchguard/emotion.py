@@ -10,7 +10,6 @@ whole non-negative-valence half, and Yellow on the remaining negative band.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError
@@ -69,8 +68,10 @@ class EmotionSample:
         sample whose values come back as the very objects it holds is
         returned itself.
         """
-        v = -1.0 if math.isnan(self.valence) else min(1.0, max(-1.0, self.valence))
-        a = 1.0 if math.isnan(self.arousal) else min(1.0, max(-1.0, self.arousal))
+        # NaN is the one value unequal to itself. Unlike math.isnan, the test
+        # converts no int, so one beyond float range clamps like +-inf.
+        v = -1.0 if self.valence != self.valence else min(1.0, max(-1.0, self.valence))
+        a = 1.0 if self.arousal != self.arousal else min(1.0, max(-1.0, self.arousal))
         if v is self.valence and a is self.arousal:
             return self, False
         changed = not (v == self.valence and a == self.arousal)

@@ -36,7 +36,6 @@ from .model import (
     CLASS_TEXT,
     GROUP_BY_TEXT,
     GROUP_TEXT,
-    AdminRole,
     ContextSnapshot,
     Instant,
     MIN_ELIGIBLE_AGE,
@@ -424,13 +423,7 @@ class DecisionEngine:
             st.warnings.append(
                 f"unknown user {req.user_id!r}: treated as unknown relationship"
             )
-            profile = UserProfile(
-                user_id=req.user_id,
-                age_years=_ASSUMED_UNKNOWN_AGE,
-                relationship=Relationship.UNKNOWN,
-                allergies=frozenset(),
-                admin_role=AdminRole.NONE,
-            )
+            profile = UserProfile(req.user_id, _ASSUMED_UNKNOWN_AGE, Relationship.UNKNOWN)
         st.profile = profile
         st.obj = self.config.object_by_id(req.object_id)
         st.emotion, st.was_clamped = req.emotion.clamped()

@@ -42,15 +42,6 @@ class Relationship(enum.Enum):
     __hash__ = object.__hash__
 
 
-class AdminRole(enum.Enum):
-    OWNER = "owner"
-    DESIGNATOR = "designator"
-    MEMBER = "member"
-    NONE = "none"
-
-    __hash__ = object.__hash__
-
-
 class SafetyClass(enum.Enum):
     DANGEROUS = "dangerous"
     MIND_ALTERING = "mind_altering"
@@ -119,15 +110,10 @@ class UserProfile:
     age_years: int
     relationship: Relationship
     allergies: frozenset[str] = frozenset()
-    admin_role: AdminRole = AdminRole.NONE
 
     def __post_init__(self):
         if self.age_years < 0:
             raise ConfigError(f"user {self.user_id!r}: negative age")
-        if self.relationship is Relationship.UNKNOWN and self.admin_role is not AdminRole.NONE:
-            raise ConfigError(
-                f"user {self.user_id!r}: unknown relationship cannot hold an admin role"
-            )
         object.__setattr__(self, "allergies", frozenset(self.allergies))
 
 
@@ -138,7 +124,6 @@ class ObjectSpec:
     safety_class: SafetyClass
     category: str
     allergen_tags: frozenset[str] = frozenset()
-    personal_owner: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "allergen_tags", frozenset(self.allergen_tags))
@@ -210,10 +195,9 @@ class Report:
         return "\n".join(f"[{f.code}] {f.message}" for f in self.findings)
 
 
-def validate_object_catalog(catalog: list[ObjectSpec], users: list[UserProfile]) -> Report:
-    """Report duplicate object ids, dangling personal owners, empty categories."""
+def validate_object_catalog(catalog: list[ObjectSpec]) -> Report:
+    """Report duplicate object ids and empty categories."""
     report = Report()
-    user_ids = {u.user_id for u in users}
     seen: set[str] = set()
     for obj in catalog:
         if obj.object_id in seen:
@@ -221,9 +205,4 @@ def validate_object_catalog(catalog: list[ObjectSpec], users: list[UserProfile])
         seen.add(obj.object_id)
         if not obj.category:
             report.add("empty-category", f"object {obj.object_id!r} has an empty category")
-        if obj.personal_owner is not None and obj.personal_owner not in user_ids:
-            report.add(
-                "dangling-personal-owner",
-                f"object {obj.object_id!r} names unregistered owner {obj.personal_owner!r}",
-            )
     return report

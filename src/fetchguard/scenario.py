@@ -90,6 +90,11 @@ def _check_fields(etype: str, fields: dict, where: str) -> None:
             raise ScenarioParseError(f"{where}: {etype} needs field {key!r}")
         if not _typed(fields[key], *types):
             raise ScenarioParseError(f"{where}: field {key!r} has the wrong type")
+        if etype == "set_emotion" and key != "user":
+            try:  # run_scenario takes a sensor value as a float
+                float(fields[key])
+            except OverflowError:
+                raise ScenarioParseError(f"{where}: field {key!r} is beyond float range") from None
     if etype == "request":
         expect = fields.get("expect")
         if expect is not None and expect not in (ALLOW, DENY):
@@ -105,7 +110,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or too many digits
             raise ScenarioParseError(f"cannot parse {path}: {exc}") from None
     return parse_scenario(data, fallback_name=Path(path).stem)
 

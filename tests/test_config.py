@@ -7,11 +7,17 @@ from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest,
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
+SHIPPED_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
 
 
 class TestDefaults:
     def test_shipped_default_validates_clean(self, shipped_config):
         assert shipped_config.validate().ok
+
+    def test_shipped_fingerprint_is_pinned(self, shipped_config):
+        # Every committed golden line embeds this fingerprint.
+        assert shipped_config.fingerprint() == SHIPPED_FINGERPRINT
+        assert PolicyConfig.load(DEFAULT_JSON).fingerprint() == SHIPPED_FINGERPRINT
 
     def test_checked_in_file_matches_code_defaults(self, shipped_config):
         loaded = PolicyConfig.load(DEFAULT_JSON)
@@ -37,6 +43,18 @@ def broken(mutate):
     data = default_config().to_dict()
     mutate(data)
     return PolicyConfig.from_dict(data)
+
+
+def _entry(entries, key, value):
+    return next(e for e in entries if e[key] == value)
+
+
+def _user(data, user_id):
+    return _entry(data["users"], "user_id", user_id)
+
+
+def _object(data, object_id):
+    return _entry(data["objects"], "object_id", object_id)
 
 
 class TestValidationFindings:
@@ -65,8 +83,37 @@ class TestValidationFindings:
         assert "unknown-designator" in config.validate().codes()
 
     def test_non_household_designator_reported(self):
-        config = broken(lambda d: d["admin"]["designators"].append("erin"))
+        def erin_designates(d):
+            d["admin"]["designators"].append("erin")
+            _user(d, "erin")["admin_role"] = "designator"
+
+        config = broken(erin_designates)
         assert "non-household-designator" in config.validate().codes()
+
+    def test_non_household_owner_reported_and_the_engine_refuses_it(self):
+        # The owner can always tag: with the diary untagged, erin (family)
+        # could tag the towel.
+        def erin_owns(d):
+            d["admin"]["owner"] = "erin"
+            d["personal_tags"] = []
+            _user(d, "erin")["admin_role"] = "owner"
+            _user(d, "alice")["admin_role"] = "designator"
+            _object(d, "diary")["personal_owner"] = None
+
+        config = broken(erin_owns)
+        assert config.validate().codes() == {"non-household-designator"}
+        with pytest.raises(ConfigError, match="designator 'erin' is not a household user"):
+            DecisionEngine(config)
+
+    def test_a_user_of_unknown_relationship_may_not_administer(self):
+        def zed_owns(d):
+            d["admin"]["owner"] = "zed"
+            d["users"].append(
+                {"user_id": "zed", "age_years": 30, "relationship": "unknown", "allergies": [], "admin_role": "owner"}
+            )
+            _user(d, "alice")["admin_role"] = "designator"
+
+        assert broken(zed_owns).validate().codes() == {"non-household-designator"}
 
     def test_unknown_rule_category_reported(self):
         config = broken(
@@ -77,11 +124,11 @@ class TestValidationFindings:
         assert "unknown-rule-category" in config.validate().codes()
 
     def test_tag_by_non_designator_reported(self):
-        config = broken(
-            lambda d: d["personal_tags"].append(
-                {"object_id": "towel", "tagged_by": "bob", "grants": []}
-            )
-        )
+        def bob_tags(d):
+            d["personal_tags"].append({"object_id": "towel", "tagged_by": "bob", "grants": []})
+            _object(d, "towel")["personal_owner"] = "bob"
+
+        config = broken(bob_tags)
         assert "tagger-not-designator" in config.validate().codes()
 
     def test_underage_grantee_reported(self):
@@ -108,21 +155,82 @@ class TestValidationFindings:
             DecisionEngine(config)
 
     @pytest.mark.parametrize(
-        "tags",
-        [[], [{"object_id": "diary", "tagged_by": "henry", "grants": []}]],
+        "tags, owner",
+        [([], "None"), ([{"object_id": "diary", "tagged_by": "henry", "grants": []}], "'henry'")],
         ids=["no_tags", "tagged_by_another"],
     )
-    def test_an_owner_who_has_not_tagged_their_object_is_reported_and_the_engine_refuses_it(self, tags):
+    def test_an_owner_who_has_not_tagged_their_object_is_refused_at_load(self, tags, owner):
         # Untagged, alice's diary would be handed to grace (FRA), green zone,
-        # bedroom, adult present.
-        config = broken(lambda d: d.__setitem__("personal_tags", tags))
-        assert config.validate().codes() == {"untagged-personal-owner"}
-        with pytest.raises(ConfigError, match="untagged-personal-owner"):
-            DecisionEngine(config)
+        # bedroom, adult present; the file's personal_owner copy must say so.
+        with pytest.raises(ConfigError, match=rf"objects\[8\]: personal_owner must be {owner}"):
+            broken(lambda d: d.__setitem__("personal_tags", tags))
+
+    @pytest.mark.parametrize(
+        "mutate, code",
+        [
+            (lambda d: d.__setitem__("cooldown_scope", "street"), "bad-scope"),
+            (
+                lambda d: (d["admin"].__setitem__("owner", "ghost"), _user(d, "alice").__setitem__("admin_role", "designator")),
+                "unknown-owner",
+            ),
+            (
+                lambda d: d["personal_tags"].append({"object_id": "ghost", "tagged_by": "alice", "grants": []}),
+                "unknown-tagged-object",
+            ),
+            (lambda d: d["personal_tags"][0].__setitem__("grants", ["ghost"]), "unknown-grantee"),
+        ],
+        ids=lambda e: e if isinstance(e, str) else "",
+    )
+    def test_a_finding_is_reported_alone(self, mutate, code):
+        assert broken(mutate).validate().codes() == {code}
 
     def test_duplicate_user_reported(self):
         config = broken(lambda d: d["users"].append(dict(d["users"][0])))
         assert "duplicate-user-id" in config.validate().codes()
+
+
+class TestRestatedFields:
+    """A file states each user's admin_role and each object's personal_owner,
+    which the admin section and the tags already decide. An absent copy
+    reads as the derived value; one that disagrees is refused."""
+
+    def test_absent_copies_give_the_shipped_fingerprint(self):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        for user in data["users"]:
+            del user["admin_role"]
+        for obj in data["objects"]:
+            del obj["personal_owner"]
+        assert PolicyConfig.from_dict(data).fingerprint() == SHIPPED_FINGERPRINT
+
+    def test_admin_roles_that_disagree_with_the_admin_section_are_refused(self):
+        def roles(d):
+            _user(d, "alice")["admin_role"] = "none"
+            _user(d, "henry")["admin_role"] = "none"
+            _user(d, "erin")["admin_role"] = "owner"
+
+        with pytest.raises(ConfigError, match=r"malformed policy config: users\[0\]: admin_role must be 'owner'"):
+            broken(roles)
+
+    @pytest.mark.parametrize(
+        "user, role, derived",
+        [
+            ("bob", "designator", r"users\[1\]: admin_role must be 'member'"),
+            ("henry", "member", r"users\[6\]: admin_role must be 'designator'"),
+            ("erin", "member", r"users\[4\]: admin_role must be 'none'"),
+            ("grace", "owner", r"users\[5\]: admin_role must be 'none'"),
+        ],
+    )
+    def test_each_role_is_read_off_the_admin_section(self, user, role, derived):
+        with pytest.raises(ConfigError, match=derived):
+            broken(lambda d: _user(d, user).__setitem__("admin_role", role))
+
+    def test_a_personal_owner_naming_an_unregistered_user_is_refused(self):
+        with pytest.raises(ConfigError, match=r"objects\[8\]: personal_owner must be 'alice'"):
+            broken(lambda d: _object(d, "diary").__setitem__("personal_owner", "ghost"))
+
+    def test_a_personal_owner_on_an_untagged_object_is_refused(self):
+        with pytest.raises(ConfigError, match=r"objects\[4\]: personal_owner must be None"):
+            broken(lambda d: _object(d, "towel").__setitem__("personal_owner", "alice"))
 
 
 class TestParseErrors:
@@ -149,10 +257,6 @@ class TestParseErrors:
         data["objects"][0]["safety_class"] = "spooky"
         with pytest.raises(ConfigError):
             PolicyConfig.from_dict(data)
-
-
-def _entry(entries, key, value):
-    return next(e for e in entries if e[key] == value)
 
 
 def _allergies_as_text(data):
@@ -194,7 +298,7 @@ class TestValuesCheckedNotConverted:
             (_allergen_tags_as_text, r"objects\[6\]: allergen_tags must be a list of str"),
             (_flag_as_duration, r"durations\.dangerous_s must be int"),
             (_fractional_adult_age, r"region\.adult_age_threshold must be int"),
-            (_numeric_personal_owner, r"objects\[8\]: personal_owner must be str or NoneType"),
+            (_numeric_personal_owner, r"objects\[8\]: personal_owner must be 'alice'"),
             (_flag_as_zone_bound, r"zone_table\[0\]: v_lo must be int or float"),
             (_numeric_zone_name, r"zone_table\[0\]: unknown zone 3"),
         ],

@@ -92,6 +92,10 @@ class TestValidation:
         table = ZoneTable(rects=(ZoneRect(Zone.RED, 0.5, -0.5, -1.0, 1.0),))
         assert "inverted-interval" in validate_zone_table(table).codes()
 
+    def test_out_of_bounds_interval_reported(self):
+        table = ZoneTable(rects=(ZoneRect(Zone.GREEN, -1.5, 1.0, -1.0, 1.0),))
+        assert validate_zone_table(table).codes() == {"out-of-bounds"}
+
     def test_priority_matters_only_inside_the_overlap(self):
         red_first = ZoneTable(
             rects=(
@@ -197,6 +201,12 @@ class TestClamping:
 
     def test_infinities_clamp_by_sign(self):
         sample, changed = EmotionSample(math.inf, -math.inf).clamped()
+        assert changed
+        assert (sample.valence, sample.arousal) == (1.0, -1.0)
+
+    @pytest.mark.parametrize("big", [10**400, 2**1024], ids=["10**400", "2**1024"])
+    def test_ints_beyond_float_range_clamp_by_sign(self, big):
+        sample, changed = EmotionSample(big, -big).clamped()
         assert changed
         assert (sample.valence, sample.arousal) == (1.0, -1.0)
 

@@ -15,6 +15,7 @@ from fetchguard import (
     DENY,
     EmotionSample,
     FetchRequest,
+    PermissionDeniedError,
     PolicyConfig,
     ReplayError,
     SafetyClass,
@@ -40,6 +41,30 @@ def make_request(user, obj, emotion=GREEN, context=None, now=0, request_id="req-
     if context is None:
         context = ContextSnapshot(room="kitchen", adult_present=True, verbal_affirmation=True, timestamp=now)
     return FetchRequest(request_id, user, obj, emotion, context, now)
+
+
+class TestAdminEvents:
+    def test_reset_applies_an_initial_tags_grants(self):
+        data = default_config().to_dict()
+        data["personal_tags"][0]["grants"] = ["bob"]
+        engine = DecisionEngine(PolicyConfig.from_dict(data))
+        engine.apply_tag("henry", "towel")
+        engine.reset()
+        assert engine.registry.snapshot() == {"diary": {"tagged_by": "alice", "grants": ["bob"]}}
+        assert engine.decide(make_request("bob", "diary", context=ContextSnapshot("bedroom", True, True)))[0].verdict == ALLOW
+
+    def test_tagging_an_unknown_object_is_refused(self, engine):
+        with pytest.raises(ConfigError, match="cannot tag unknown object 'ghost'"):
+            engine.apply_tag("alice", "ghost")
+
+    @pytest.mark.parametrize(
+        "grantee, error, message",
+        [("ghost", ConfigError, "unregistered user 'ghost'"), ("dave", PermissionDeniedError, "'dave' is under the minimum age")],
+    )
+    def test_a_grant_to_an_unregistered_or_under_five_user_is_refused(self, engine, grantee, error, message):
+        with pytest.raises(error, match=message):
+            engine.apply_grant("alice", "diary", grantee)
+        assert engine.registry.snapshot("diary") == {"diary": {"tagged_by": "alice", "grants": []}}
 
 
 class TestTreeConstruction:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fetchguard import (
-    AdminRole,
     ConfigError,
     NodeStatus,
     ObjectSpec,
@@ -109,45 +108,32 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             Region("nowhere", 13)
 
-    def test_unknown_relationship_cannot_hold_admin_role(self):
-        with pytest.raises(ConfigError):
-            UserProfile("x", 30, Relationship.UNKNOWN, admin_role=AdminRole.OWNER)
-
     def test_negative_age_rejected(self):
         with pytest.raises(ConfigError):
             profile(-1)
 
 
 class TestCatalogValidation:
-    def users(self):
-        return [profile(30)]
-
     def test_empty_catalog_is_valid(self):
-        assert validate_object_catalog([], self.users()).ok
+        assert validate_object_catalog([]).ok
 
     def test_duplicate_object_ids_reported(self):
         objs = [
             ObjectSpec("knife", "Knife", SafetyClass.DANGEROUS, "kitchen"),
             ObjectSpec("knife", "Other knife", SafetyClass.DANGEROUS, "kitchen"),
         ]
-        report = validate_object_catalog(objs, self.users())
+        report = validate_object_catalog(objs)
         assert "duplicate-object-id" in report.codes()
-
-    def test_dangling_personal_owner_reported(self):
-        objs = [ObjectSpec("diary", "Diary", SafetyClass.NEITHER, "stationery", personal_owner="ghost")]
-        report = validate_object_catalog(objs, self.users())
-        assert "dangling-reference" not in report.codes()
-        assert "dangling-personal-owner" in report.codes()
 
     def test_empty_category_reported(self):
         objs = [ObjectSpec("thing", "Thing", SafetyClass.NEITHER, "")]
-        report = validate_object_catalog(objs, self.users())
+        report = validate_object_catalog(objs)
         assert "empty-category" in report.codes()
 
 
 class TestIdentityHash:
     @pytest.mark.parametrize(
-        "member", [*UserGroup, *SafetyClass, *Relationship, *AdminRole, *NodeStatus], ids=repr
+        "member", [*UserGroup, *SafetyClass, *Relationship, *NodeStatus], ids=repr
     )
     def test_a_member_finds_its_entry_however_it_is_reached(self, member):
         table = {member: "entry"}

@@ -26,6 +26,11 @@ def with_decision(**changes):
     return lambda doc: {**doc, "decision": {**doc["decision"], **changes}}
 
 
+#: Files no loader can read: not JSON, not UTF-8, and an integer past
+#: Python's digit limit.
+UNREADABLE_FILES = [b"{oops", b"\xff", b'{"events": [' + b"1" * 5001 + b"]}"]
+UNREADABLE_IDS = ["not_json", "not_utf8", "too_many_digits"]
+
 CONTEXT = {"t": 0, "type": "set_context", "room": "kitchen", "adult_present": True, "verbal_affirmation": True}
 
 
@@ -62,6 +67,26 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="unknown fields"):
             parse_scenario(scenario_dict([dict(CONTEXT, color="red")]))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([CONTEXT], "must be an object with an 'events' list"),
+            ({"events": CONTEXT}, "'events' must be a list"),
+            (scenario_dict([CONTEXT, "request"]), r"event #1: not an object"),
+        ],
+        ids=["script_not_an_object", "events_not_a_list", "event_not_an_object"],
+    )
+    def test_a_script_of_the_wrong_shape_is_refused(self, data, message):
+        with pytest.raises(ScenarioParseError, match=message):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+    @pytest.mark.parametrize("field", ["valence", "arousal"])
+    def test_a_sensor_value_beyond_float_range_is_refused(self, field, value):
+        event = {"t": 0, "type": "set_emotion", "user": "alice", "valence": 0, "arousal": 0.5}
+        with pytest.raises(ScenarioParseError, match=f"event #1: field '{field}' is beyond float range"):
+            parse_scenario(scenario_dict([CONTEXT, dict(event, **{field: value})]))
+
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("field", ["valence", "arousal", "t"])
     def test_a_json_bool_is_not_a_number(self, field, flag):
@@ -90,13 +115,19 @@ class TestRunner:
         assert result.mismatches[0].expected == "deny"
         assert result.mismatches[0].got == "allow"
 
-    def test_rejected_admin_events_become_notes(self, shipped_config):
-        script = parse_scenario(
-            scenario_dict([{"t": 0, "type": "tag_personal", "actor": "bob", "object": "towel"}])
-        )
-        result = run_scenario(shipped_config, script)
+    @pytest.mark.parametrize(
+        "event, note",
+        [
+            ({"t": 0, "type": "tag_personal", "actor": "bob", "object": "towel"}, "t=0 tag_personal rejected"),
+            ({"t": 0, "type": "grant", "actor": "alice", "object": "diary", "grantee": "dave"}, "t=0 grant rejected"),
+        ],
+        ids=["tag_personal", "grant"],
+    )
+    def test_rejected_admin_events_become_notes(self, shipped_config, event, note):
+        result = run_scenario(shipped_config, parse_scenario(scenario_dict([event])))
         assert result.ok
-        assert any("tag_personal rejected" in note for note in result.notes)
+        assert len(result.notes) == 1 and result.notes[0].startswith(note)
+        assert f"\n  note: {note}" in result.summary()
 
     def test_simulated_clock_results_are_reproducible(self, shipped_config):
         script = load_scenario(SCENARIOS / "vehicle_ban.json")
@@ -126,10 +157,12 @@ class TestCliValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert "uncovered-point" in capsys.readouterr().out
 
-    def test_unparseable_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("content", UNREADABLE_FILES, ids=UNREADABLE_IDS)
+    def test_unparseable_config_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "junk.json"
-        path.write_text("{oops")
+        path.write_bytes(content)
         assert main(["validate", "--config", str(path)]) == 2
+        assert "cannot load config" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -174,6 +207,23 @@ class TestCliRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("content", UNREADABLE_FILES, ids=UNREADABLE_IDS)
+    def test_unreadable_config_exits_2_before_running(self, tmp_path, capsys, content):
+        config_path = tmp_path / "junk.json"
+        config_path.write_bytes(content)
+        trace_path = tmp_path / "t.jsonl"
+        code = main(
+            ["run", "--config", str(config_path), "--scenario", str(SCENARIOS / "vehicle_ban.json"), "--trace", str(trace_path)]
+        )
+        assert code == 2
+        assert not trace_path.exists()
+        assert "cannot load config" in capsys.readouterr().err
+
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        code, _ = self.run_scenario_file(tmp_path, extra=["--trace", str(tmp_path)])
+        assert code == 2
+        assert "cannot write traces" in capsys.readouterr().err
+
     def test_invalid_config_runs_nothing(self, tmp_path, capsys):
         data = default_config().to_dict()
         data["matrix"].pop()
@@ -187,13 +237,30 @@ class TestCliRun:
         assert not trace_path.exists()
         assert "nothing was run" in capsys.readouterr().err
 
-    def test_malformed_scenario_exits_2_before_running(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(scenario_dict([{"t": 0, "type": "teleport"}])).encode(),
+            json.dumps(
+                scenario_dict(
+                    [
+                        {"t": 0, "type": "request", "user": "alice", "object": "towel"},
+                        {"t": 1, "type": "set_emotion", "user": "alice", "valence": 10**400, "arousal": 0},
+                    ]
+                )
+            ).encode(),
+            *UNREADABLE_FILES,
+        ],
+        ids=["unknown_event", "valence_beyond_float_range", *UNREADABLE_IDS],
+    )
+    def test_malformed_scenario_exits_2_before_running(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(scenario_dict([{"t": 0, "type": "teleport"}])))
+        bad.write_bytes(content)
         trace_path = tmp_path / "t.jsonl"
         code = main(["run", "--config", DEFAULT_CONFIG, "--scenario", str(bad), "--trace", str(trace_path)])
         assert code == 2
         assert not trace_path.exists()
+        assert "cannot load scenario" in capsys.readouterr().err
 
     def test_audit_all_flag_enriches_traces(self, tmp_path):
         code, trace_path = self.run_scenario_file(tmp_path, name="under5_denial.json", extra=["--audit-all"])

@@ -556,7 +556,8 @@ class TestStrictJson:
 
 ROSTER = ["alice", "bob", "carol", "dave", "erin", "grace", "henry"]
 CATALOG = ["knife", "sleeping_pills", "cough_syrup", "car_keys", "towel", "toy_block", "peanut_butter", "safety_scissors", "diary"]
-SENSOR = st.floats(allow_nan=True, allow_infinity=True)
+# Any int too: one beyond float range must clamp like an infinity.
+SENSOR = st.floats(allow_nan=True, allow_infinity=True) | st.integers() | st.sampled_from([10**400, -(10**400), 2**1024])
 ANY_REQUEST = st.builds(
     FetchRequest,
     request_id=st.just("req"),
