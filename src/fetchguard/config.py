@@ -388,7 +388,7 @@ class PolicyConfig:
                     "tagger-not-designator",
                     f"{tag.tagged_by!r} tagged {tag.object_id!r} but is not a designator",
                 )
-            for grantee in tag.grants:
+            for grantee in sorted(tag.grants):
                 u = users.get(grantee)
                 if u is None:
                     report.add("unknown-grantee", f"grantee {grantee!r} is not registered")

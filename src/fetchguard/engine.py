@@ -31,6 +31,7 @@ from .bt import (
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
+from .formats import GATES, as_written
 from .matrix import PROFILE_TEXTS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     CLASS_TEXT,
@@ -53,58 +54,12 @@ from .privacy import PersonalRegistry
 ALLOW = "allow"
 DENY = "deny"
 
-#: The policy gates in evaluation order: (gate node, stage, evaluator method).
-#: This one table builds the tree, names the policy of each node and drives
-#: the audit pass.
-_GATES = (
-    ("eligibility_gate", "eligibility", "_eval_eligibility"),
-    ("ordering_check", "ordering", "_eval_ordering"),
-    ("emotion_check", "emotion", "_eval_emotion"),
-    ("category_context_check", "category_context", "_eval_category_context"),
-    ("personal_check", "personal", "_eval_personal"),
-)
-
 #: Policy stages in evaluation order; trace events follow this order.
-STAGES = tuple(stage for _, stage, _ in _GATES)
+STAGES = tuple(stage for stage, _ in GATES)
 
-#: The policy of each node. Version 1 and 2 traces wrote it into every event;
-#: from version 3 on the node name gives it.
-_POLICY_OF = {
-    "per_request": "structure",
-    "decision_sequence": "structure",
-    "knowledge_check": "knowledge",
-    "blackboard_update": "knowledge",
-    "accept": "decision",
-    **{
-        name: stage
-        for gate, stage, _ in _GATES
-        for name in (gate, f"{stage}_ok", f"{stage}_violation")
-    },
-}
-
-#: Version of the traces decide() writes. Version 1 traces recorded the
-#: whole household as their pre-state; version 2 traces record only the
-#: requester's cool-down record, the requested object's registry entry and
-#: board_primed. Version 3 traces keep that pre-state and write each value
-#: of the event stream once: no event names its policy (the node name gives
-#: it), a node that recorded nothing has no inputs, and the gates no longer
-#: repeat the request fields the knowledge_check echo holds or the last
-#: request blackboard_update holds. Version 4 traces write only the leaf
-#: events, each of which carries inputs: the structure-only events (each
-#: gate's Fallback, accept, decision_sequence, per_request) follow from the
-#: fixed tree and the leaf outcomes, and knowledge_check no longer copies
-#: the top-level warnings. Version 5 events leave out what the line holds
-#: elsewhere: outcomes outside the audit events (a check failed exactly when
-#: its violation follows it), the violation's policy and reason (the
-#: decision block), knowledge_check's mode (refresh exactly when the
-#: pre-state's board_primed is true), emotion_ok's copy of ordering_ok's
-#: cool-downs and escalation steps, and category_context_ok's copy of
-#: emotion_ok's required checks. All five restore the same way and verify;
-#: _events_as_written rebuilds an older event stream for the check.
+#: Version of the traces decide() writes. README's table says what each
+#: version wrote; formats.py rebuilds the older ones for verify_trace.
 TRACE_VERSION = 5
-
-#: The warning decide() adds after the tick when the object is unknown.
-_UNTOUCHED = "cool-down state untouched: unknown object"
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -363,9 +318,8 @@ class DecisionEngine:
             raise ValueError(f"cool-down scope {cooldowns.scope!r} is not the config's")
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         # Whether this engine has decided since reset or restore is session
-        # state, recorded as board_primed in every pre-state (version 4 and
-        # older lines also wrote it as the knowledge step's ingest-vs-refresh
-        # mode), so replays must restore it.
+        # state, recorded as board_primed in every pre-state, so replays must
+        # restore it.
         primed = require_type("board_primed", pre_state["board_primed"], bool)
         self.cooldowns, self.registry, self._primed = cooldowns, registry, primed
 
@@ -391,8 +345,8 @@ class DecisionEngine:
             Action("knowledge_check", self._do_knowledge),
             Action("blackboard_update", self._do_blackboard_update),
         ]
-        for gate_name, stage, method in _GATES:
-            children.append(Fallback(gate_name, self._gate_leaves(stage, getattr(self, method))))
+        for stage, gate_name in GATES:
+            children.append(Fallback(gate_name, self._gate_leaves(stage, getattr(self, f"_eval_{stage}"))))
         children.append(Action("accept", lambda st: SUCCESS))
         return Repeat("per_request", Sequence("decision_sequence", children))
 
@@ -531,7 +485,7 @@ class DecisionEngine:
     # -- deciding --------------------------------------------------------------
 
     def decide(self, request: FetchRequest) -> tuple[Decision, DecisionTrace]:
-        # Only the state this decision reads (see TRACE_VERSION).
+        # Only the state this decision reads.
         pre_state = {
             "cooldowns": self.cooldowns.snapshot(request.user_id),
             "personal_registry": self.registry.snapshot(request.object_id),
@@ -569,7 +523,7 @@ class DecisionEngine:
         if st.obj is not None:
             self.cooldowns.on_granted(request.user_id, st.obj, request.now, self.config.durations)
         else:
-            st.warnings.append(_UNTOUCHED)
+            st.warnings.append("cool-down state untouched: unknown object")
 
         trace = DecisionTrace(
             request_id=request.request_id,
@@ -588,9 +542,9 @@ class DecisionEngine:
         for the record; the verdict is already fixed."""
         start = STAGES.index(st.failed_stage) + 1
         events = []
-        for _, stage, method in _GATES[start:]:
+        for stage in STAGES[start:]:
             try:
-                inputs, violation = getattr(self, method)(st)
+                inputs, violation = getattr(self, f"_eval_{stage}")(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
                 inputs = {"note": "not evaluable after the deciding violation"}
@@ -643,121 +597,14 @@ class VerifyResult:
     decision: Decision | None
 
 
-#: What a version 4 check wrote again from an earlier check's inputs, as
-#: (input, earlier node, its input): both read the same cool-downs and the
-#: same matrix row.
-_COPIED = {
-    "emotion_ok": (
-        ("cooldown_profile", "ordering_ok", "active_cooldowns"),
-        ("escalation_steps", "ordering_ok", "zone_escalation_steps"),
-    ),
-    "category_context_ok": (("matrix_checks", "emotion_ok", "required_checks"),),
-}
-
-
-def _version_4_events(fresh: DecisionTrace) -> list[dict]:
-    """A re-run's events as version 4 wrote them, in new dicts.
-
-    Every event outside the audit pass had an outcome: only the violation
-    and the check just before it failed. A violation held the deciding
-    policy and reason, knowledge_check its mode (refresh exactly when the
-    board was primed), and emotion_ok and category_context_ok the inputs
-    _COPIED names, in the audit pass too. A skipped audit stage recorded
-    only its note."""
-    inputs_of, events = {}, []
-    for event in fresh.events:
-        node, inputs = event["node"], event.get("inputs", {})
-        inputs_of[node] = inputs
-        if event.get("outcome") == "skipped":
-            events.append(event)
-            continue
-        extra = {name: inputs_of[source][key] for name, source, key in _COPIED.get(node, ())}
-        written = {"outcome": "success", **event, "inputs": {**inputs, **extra}}
-        if node == "knowledge_check":
-            written["inputs"]["mode"] = "refresh" if fresh.pre_state["board_primed"] else "ingest"
-        elif node.endswith("_violation"):
-            written["inputs"] = {"policy": fresh.decision.deciding_policy, "reason": fresh.decision.reason}
-            written["outcome"] = events[-1]["outcome"] = "failure"
-        events.append(written)
-    return events
-
-
-#: The gate Fallback a version 3 trace wrote after a leaf event, by (leaf,
-#: outcome): a passing check ends its gate, and a failing one hands over to
-#: the violation leaf, which ends it.
-_GATE_ENDED_BY = {
-    **{(f"{stage}_ok", "success"): gate for gate, stage, _ in _GATES},
-    **{(f"{stage}_violation", "failure"): gate for gate, stage, _ in _GATES},
-}
-
-
-def _events_as_written(fresh: DecisionTrace, version: int) -> list[dict]:
-    """A re-run's events as a version `version` trace wrote them. Built from
-    the re-run alone, never from the recorded line, so an edit to anything an
-    older version wrote in its events still shows.
-
-    Version 4 also wrote what _version_4_events puts back. Version 3 on top
-    of that wrote each gate's Fallback after the leaf that ended it, accept
-    when every gate passed, decision_sequence and per_request before any
-    audit events, and knowledge_check's copy of the warnings the knowledge
-    step gave: every top-level warning but the one decide() adds after the
-    tick. Versions 1 and 2 on top of that named each event's
-    policy, gave every event inputs, and had the gates repeat the request
-    fields and the last request."""
-    if version == TRACE_VERSION:
-        return fresh.events
-    leaves = _version_4_events(fresh)
-    if version == 4:
-        return leaves
-    warnings = fresh.warnings[:-1] if fresh.warnings[-1:] == [_UNTOUCHED] else fresh.warnings
-    events, audit, outcome = [], [], "success"
-    for event in leaves:
-        if event.get("audit"):
-            audit.append(event)
-            continue
-        if event["node"] == "knowledge_check":
-            event = {**event, "inputs": {**event["inputs"], "warnings": warnings}}
-        events.append(event)
-        gate = _GATE_ENDED_BY.get((event["node"], event["outcome"]))
-        if gate is not None:
-            outcome = event["outcome"]
-            events.append({"node": gate, "outcome": outcome})
-    if outcome == "success":
-        events.append({"node": "accept", "outcome": outcome})
-    events += [{"node": "decision_sequence", "outcome": outcome}, {"node": "per_request", "outcome": outcome}]
-    events += audit
-    if version == 3:
-        return events
-    request = fresh.request
-    context = request["context"]
-    last = next(e["inputs"]["last_request"] for e in events if e["node"] == "blackboard_update")
-    repeated = {
-        "blackboard_update": {"now": request["now"]},
-        "eligibility_ok": {"user_id": request["user_id"], "object_id": request["object_id"]},
-        "ordering_ok": {"last_request": last},
-        "category_context_ok": {
-            name: context[name] for name in ("room", "adult_present", "verbal_affirmation")
-        },
-    }
-    legacy = []
-    for event in events:
-        inputs = dict(event.get("inputs", {}))
-        # An audit stage that could not be evaluated recorded only its note.
-        if event["outcome"] != "skipped":
-            inputs.update(repeated.get(event["node"], {}))
-        legacy.append({**event, "policy": _POLICY_OF[event["node"]], "inputs": inputs})
-    return legacy
-
-
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     """Replay and compare everything: request id, the request as the re-run
-    writes it, final decision, event stream, warnings and, from version 2
-    on, the pre-state, which must be exactly the slice the decision reads
-    (a version 1 pre-state held the whole household and is not compared).
-    The pre-state is compared as a value: its restore has already refused
-    every leaf of a type the engine does not write, so 1, 1.0 and True
-    cannot stand in for one another. The events of an older trace are
-    compared in the shape its version wrote.
+    writes it, final decision, event stream, warnings and the pre-state,
+    which must be exactly the slice the decision reads. The pre-state is
+    compared as a value: its restore has already refused every leaf of a
+    type the engine does not write, so 1, 1.0 and True cannot stand in for
+    one another. The events and pre-state of an older trace are compared in
+    the shape its version wrote (formats.as_written).
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
@@ -776,10 +623,11 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
         mismatches.append("request differs from the re-run's request")
     if decision != trace.decision:
         mismatches.append("final decision differs from the recorded decision")
-    if _events_as_written(fresh, trace.trace_version) != trace.events:
+    events, pre_state = as_written(fresh, trace)
+    if events != trace.events:
         mismatches.append("event stream differs from the recorded events")
     if fresh.warnings != trace.warnings:
         mismatches.append("warnings differ from the recorded warnings")
-    if trace.trace_version != 1 and fresh.pre_state != trace.pre_state:
+    if pre_state != trace.pre_state:
         mismatches.append("pre_state differs from the recorded pre_state")
     return VerifyResult(not mismatches, mismatches, decision)

@@ -4,8 +4,9 @@ The matrix is total: one row for every (cool-down profile, requested safety
 class, effective zone) triple, 4 x 3 x 4 = 48 rows. Each row lists the user
 groups that may receive the object and the context checks they must clear.
 The validator enforces the tightening laws: a worse zone never admits more
-groups, and arming another cool-down never admits more groups. Gate 4 runs
-a row's checks, then the category rules (`category_checks`).
+groups, arming another cool-down never admits more groups, and neither
+lets a group through on fewer checks. Gate 4 runs a row's checks, then the
+category rules (`category_checks`).
 
 The shipped default derives its cool-down rows from the base (no cool-down)
 rows by escalating the zone once per active class that does NOT match the
@@ -157,9 +158,11 @@ def matrix_lookup(matrix: Matrix, key: MatrixKey) -> MatrixEntry:
 
 def validate_matrix(matrix: Matrix) -> Report:
     """Totality, no unreachable rows, no Ineligible, no checks on dead
-    (empty-group) rows, and both tightening laws. Each law is checked one
+    (empty-group) rows, and the tightening laws. Each law is checked one
     step at a time, against the next worse zone and against one more active
-    class; subset is transitive, so that covers every pair."""
+    class; subset is transitive, so that covers every pair. A dead row
+    counts as demanding every check, so a dead row between two live ones
+    does not break that chain."""
     report = Report()
     for key in ALL_KEYS:
         if key not in matrix:
@@ -178,6 +181,7 @@ def validate_matrix(matrix: Matrix) -> Report:
 
     for key in ALL_KEYS:
         profile, cls, zone = key.cooldown_profile, key.request_class, key.zone
+        entry = matrix[key]
         # escalate saturates at red, and a class already active adds
         # nothing, so those neighbours are the row itself.
         for law, tighter in (
@@ -185,9 +189,18 @@ def validate_matrix(matrix: Matrix) -> Report:
             ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.DANGEROUS}, cls, zone)),
             ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.MIND_ALTERING}, cls, zone)),
         ):
-            if not matrix[tighter].allowed_groups <= matrix[key].allowed_groups:
+            tighter_entry = matrix[tighter]
+            if not tighter_entry.allowed_groups <= entry.allowed_groups:
                 report.add(law, f"row {_key_str(tighter)} admits groups that row {_key_str(key)} does not")
+            if not _demanded(tighter_entry) >= _demanded(entry):
+                report.add("check-monotonicity", f"row {_key_str(tighter)} lacks a check row {_key_str(key)} demands")
     return report
+
+
+def _demanded(entry: MatrixEntry) -> frozenset[str]:
+    """The checks a row demands; a row that admits nobody is as strict as a
+    row can be, so it counts as demanding every check."""
+    return entry.required_checks if entry.allowed_groups else frozenset(MATRIX_CHECKS)
 
 
 def _key_str(key: MatrixKey) -> str:

@@ -4,8 +4,9 @@ written before each got one home in `fetchguard.matrix`.
 Gate 4 ran in two steps: the engine ran the matrix row's checks itself,
 then handed the category rules to the old `category_checks`. The validator
 enumerated the 48 keys in its own loop nests and checked the zone law over
-every pair of zones. Kept independent of the production code so the two
-can be compared on random inputs.
+every pair of zones; the check law, added later, is written the same way.
+Kept independent of the production code so the two can be compared on
+random inputs.
 """
 
 from fetchguard import Report, SafetyClass, UserGroup
@@ -52,9 +53,15 @@ def reference_gate4(entry, rules, obj, group, context, profile):
     return details, None
 
 
+def demanded(entry):
+    """A row's checks; a row that admits nobody demands every check."""
+    return entry.required_checks if entry.allowed_groups else frozenset(MATRIX_CHECKS)
+
+
 def reference_validate_matrix(matrix):
-    """Totality, then both tightening laws over every pair, no Ineligible
-    and no checks on rows that admit nobody."""
+    """Totality, then the tightening laws over every pair, no Ineligible
+    and no checks on rows that admit nobody. A tighter row admits no group
+    its looser row does not, and demands every check the looser row does."""
     report = Report()
     for profile in ALL_PROFILES:
         for cls in ALL_CLASSES:
@@ -72,18 +79,22 @@ def reference_validate_matrix(matrix):
         for cls in ALL_CLASSES:
             for i, better in enumerate(ALL_ZONES):
                 for worse in ALL_ZONES[i + 1 :]:
-                    got_worse = matrix[MatrixKey(profile, cls, worse)].allowed_groups
-                    got_better = matrix[MatrixKey(profile, cls, better)].allowed_groups
-                    if not got_worse <= got_better:
+                    got_worse = matrix[MatrixKey(profile, cls, worse)]
+                    got_better = matrix[MatrixKey(profile, cls, better)]
+                    if not got_worse.allowed_groups <= got_better.allowed_groups:
                         report.add("zone-monotonicity", "")
+                    if not demanded(got_worse) >= demanded(got_better):
+                        report.add("check-monotonicity", "")
     for profile in ALL_PROFILES:
         for extra in (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING):
             if extra in profile:
                 continue
             for cls in ALL_CLASSES:
                 for zone in ALL_ZONES:
-                    with_extra = matrix[MatrixKey(profile | {extra}, cls, zone)].allowed_groups
-                    without = matrix[MatrixKey(profile, cls, zone)].allowed_groups
-                    if not with_extra <= without:
+                    with_extra = matrix[MatrixKey(profile | {extra}, cls, zone)]
+                    without = matrix[MatrixKey(profile, cls, zone)]
+                    if not with_extra.allowed_groups <= without.allowed_groups:
                         report.add("cooldown-monotonicity", "")
+                    if not demanded(with_extra) >= demanded(without):
+                        report.add("check-monotonicity", "")
     return report

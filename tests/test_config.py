@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,26 @@ class TestValidationFindings:
     )
     def test_a_finding_is_reported_alone(self, mutate, code):
         assert broken(mutate).validate().codes() == {code}
+
+    def test_validate_prints_the_same_findings_under_any_hash_seed(self, tmp_path):
+        # Grants are a set; the findings about them come out in name order.
+        data = default_config().to_dict()
+        data["personal_tags"][0]["grants"] = ["ghost", "zed", "dave"]
+        path = tmp_path / "grants.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        src = str(REPO_ROOT / "src")
+        command = [sys.executable, "-c", "from fetchguard.cli import main_entry; main_entry()"]
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [*command, "validate", "--config", str(path)], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert run.returncode == 1, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert "3 finding(s)" in outputs[0]
 
     def test_duplicate_user_reported(self):
         config = broken(lambda d: d["users"].append(dict(d["users"][0])))

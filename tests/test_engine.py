@@ -25,8 +25,10 @@ from fetchguard import (
     node_names,
     replay,
     verify_trace,
+    zone_of,
 )
-from fetchguard.engine import _POLICY_OF, STAGES, canonical_json
+from fetchguard.engine import STAGES, canonical_json
+from fetchguard.formats import _POLICY_OF
 from test_emotion import rebuilding_clamped
 
 GREEN = EmotionSample(0.5, 0.0)
@@ -140,8 +142,9 @@ class TestDecideExamples:
     )
     def test_each_matrix_check_names_itself_when_it_fails(self, shipped_config, room, adult, verbal, failed):
         data = shipped_config.to_dict()
+        # Every live dangerous row asks all three, so no tighter row asks less.
         for row in data["matrix"]:
-            if (row["request_class"], row["zone"], row["cooldown"]) == ("dangerous", "green", []):
+            if row["request_class"] == "dangerous" and row["allowed_groups"]:
                 row["required_checks"] = ["adult_present", "room_appropriate", "verbal_affirmation"]
         engine = DecisionEngine(PolicyConfig.from_dict(data))
         context = ContextSnapshot(room=room, adult_present=adult, verbal_affirmation=verbal, timestamp=0)
@@ -476,6 +479,64 @@ class TestZoneMonotonicity:
                         if seen_deny:
                             assert verdict == DENY
                         seen_deny = seen_deny or verdict == DENY
+
+
+ROSTER = [u.user_id for u in default_config().users] + ["stranger"]
+CATALOG = [o.object_id for o in default_config().objects]
+SAMPLES = st.builds(EmotionSample, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+REQUESTS = st.builds(
+    make_request,
+    st.sampled_from(ROSTER),
+    st.sampled_from(CATALOG),
+    emotion=SAMPLES,
+    context=st.builds(ContextSnapshot, st.sampled_from(["kitchen", "garage", "bedroom"]), st.booleans(), st.booleans()),
+    now=st.integers(1800, 10**6),
+)
+
+
+def verdict(config, request, opener=None):
+    """The verdict on a fresh engine, after the opener request if one is given."""
+    engine = DecisionEngine(config)
+    if opener is not None:
+        engine.decide(opener)
+    return engine.decide(request)[0].verdict
+
+
+class TestTighteningLaws:
+    """A request the shipped config denies stays denied when it gets tighter:
+    a worse zone, a context flag gone false, or a cool-down window opened
+    first."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(request=REQUESTS, other=SAMPLES)
+    def test_a_worse_zone_keeps_a_denial(self, shipped_config, request, other):
+        def zone(r):
+            return zone_of(r.emotion.clamped()[0], shipped_config.zone_table)
+
+        looser, tighter = sorted([request, dataclasses.replace(request, emotion=other)], key=zone)
+        if verdict(shipped_config, looser) == DENY:
+            assert verdict(shipped_config, tighter) == DENY
+
+    @pytest.mark.parametrize("flag", ["adult_present", "verbal_affirmation"])
+    @settings(max_examples=100, deadline=None)
+    @given(request=REQUESTS)
+    def test_a_context_flag_gone_false_keeps_a_denial(self, shipped_config, flag, request):
+        looser, tighter = (
+            dataclasses.replace(request, context=dataclasses.replace(request.context, **{flag: value}))
+            for value in (True, False)
+        )
+        if verdict(shipped_config, looser) == DENY:
+            assert verdict(shipped_config, tighter) == DENY
+
+    @pytest.mark.parametrize("opener", ["knife", "sleeping_pills"], ids=["dangerous", "mind_altering"])
+    @settings(max_examples=100, deadline=None)
+    @given(request=REQUESTS, earlier=st.integers(0, 1799))
+    def test_an_opened_cooldown_keeps_a_denial(self, shipped_config, opener, request, earlier):
+        # The opener arms its window whatever its own verdict, and the
+        # shorter (dangerous) window is still open at the request.
+        first = make_request(request.user_id, opener, now=request.now - earlier, request_id="opener")
+        if verdict(shipped_config, request) == DENY:
+            assert verdict(shipped_config, request, opener=first) == DENY
 
 
 class TestRequestTypes:

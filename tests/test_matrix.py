@@ -120,6 +120,15 @@ class TestValidator:
         report = validate_matrix(matrix)
         assert "cooldown-monotonicity" in report.codes()
 
+    def test_a_dead_row_between_two_live_rows_keeps_the_check_law(self):
+        matrix = default_matrix()
+        # Red/mind-altering admits HA with no checks; orange admits nobody,
+        # and yellow asks for verbal affirmation.
+        matrix[key(NONE, M, Zone.RED)] = MatrixEntry(frozenset({g.HA}))
+        report = validate_matrix(matrix)
+        assert report.codes() == {"zone-monotonicity", "check-monotonicity"}
+        assert reference_validate_matrix(matrix).codes() == report.codes()
+
     def test_ineligible_membership_detected(self):
         matrix = default_matrix()
         matrix[key(NONE, N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS | {g.INELIGIBLE})
@@ -341,7 +350,8 @@ def edited_default_matrices(draw):
     matrix = default_matrix()
     groups_in_order = sorted(ALL_GROUPS, key=lambda group: group.value)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["add-group", "drop-group", "delete-row", "checks-on-empty-row", "ineligible"]))
+        kinds = ["add-group", "drop-group", "drop-check", "delete-row", "checks-on-empty-row", "ineligible"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "checks-on-empty-row":
             k = draw(st.sampled_from([k for k, e in matrix.items() if not e.allowed_groups]))
             checks = draw(st.frozensets(st.sampled_from(MATRIX_CHECKS), min_size=1))
@@ -355,7 +365,9 @@ def edited_default_matrices(draw):
             matrix[k] = MatrixEntry(groups | {g.INELIGIBLE}, checks)
         elif kind == "add-group":
             matrix[k] = MatrixEntry(groups | {draw(st.sampled_from(groups_in_order))}, checks)
-        elif groups:
+        elif kind == "drop-check" and checks:
+            matrix[k] = MatrixEntry(groups, checks - {draw(st.sampled_from(sorted(checks)))})
+        elif kind == "drop-group" and groups:
             dropped = draw(st.sampled_from(sorted(groups, key=lambda group: group.value)))
             matrix[k] = MatrixEntry(groups - {dropped}, checks)
     return matrix
@@ -371,6 +383,22 @@ class TestKeysAndValidatorDefinedOnce:
     def test_one_step_laws_agree_with_the_all_pairs_validator(self, matrix):
         got, want = validate_matrix(matrix), reference_validate_matrix(matrix)
         assert (got.ok, got.codes()) == (want.ok, want.codes())
+
+    def test_a_tighter_row_that_drops_a_check_is_refused(self):
+        # With no checks on orange/dangerous, alice could take the knife in
+        # orange without the verbal affirmation yellow asks of her.
+        data = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+        row = next(
+            r for r in data["matrix"] if (r["cooldown"], r["request_class"], r["zone"]) == ([], "dangerous", "orange")
+        )
+        assert row["required_checks"] and row["allowed_groups"] == ["HA"]
+        row["required_checks"] = []
+        config = PolicyConfig.from_dict(data)
+        report = config.validate()
+        assert report.codes() == {"check-monotonicity"}
+        assert not reference_validate_matrix(config.matrix).ok
+        with pytest.raises(ConfigError, match="check-monotonicity"):
+            DecisionEngine(config)
 
     def test_a_row_for_a_neither_cooldown_is_unreachable_and_refused(self):
         data = json.loads((ROOT / "configs" / "default.json").read_text(encoding="utf-8"))

@@ -28,7 +28,8 @@ from fetchguard import (
     verify_trace,
 )
 from fetchguard.bt import TickListener
-from fetchguard.engine import _EvalState, _events_as_written, _redecide, canonical_json
+from fetchguard.engine import TRACE_VERSION, _EvalState, _redecide, canonical_json
+from fetchguard.formats import STEPS, _events_as_written
 from test_golden import STRUCTURE_NODES, V3, V4, as_version_5, slice_pre_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -991,6 +992,13 @@ class TestVersion5Events:
         holder[key] = value
         result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
+
+
+class TestFormatSteps:
+    def test_the_steps_write_every_older_version_newest_first(self):
+        # A TRACE_VERSION bump without its down-step fails here at once;
+        # version 1 wrote version 2's events.
+        assert [writes for writes, _ in STEPS] == list(range(TRACE_VERSION - 1, 1, -1))
 
 
 class TestLookups:
