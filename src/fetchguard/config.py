@@ -156,8 +156,8 @@ class PolicyConfig:
                     "cooldown": sorted(c.value for c in key.cooldown_profile),
                     "request_class": key.request_class.value,
                     "zone": key.zone.as_str(),
-                    "allowed_groups": sorted(g.value for g in entry.allowed_groups),
-                    "required_checks": sorted(entry.required_checks),
+                    "allowed_groups": list(entry.group_texts),
+                    "required_checks": list(entry.check_texts),
                 }
                 for key, entry in sorted(
                     self.matrix.items(),

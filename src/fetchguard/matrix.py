@@ -17,7 +17,7 @@ ordering stage escalates the effective zone before the lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .emotion import Zone, escalate
 from .errors import ConfigError
@@ -48,18 +48,27 @@ ALL_ZONES = (Zone.GREEN, Zone.YELLOW, Zone.ORANGE, Zone.RED)
 ALL_GROUPS = frozenset(g for g in UserGroup if g is not UserGroup.INELIGIBLE)
 
 
-@dataclass(frozen=True)
-class MatrixKey:
+class MatrixKey(NamedTuple):
     cooldown_profile: frozenset[SafetyClass]
     request_class: SafetyClass
     zone: Zone
 
-    def __post_init__(self):
-        object.__setattr__(self, "cooldown_profile", frozenset(self.cooldown_profile))
-
 
 #: The 48 keys a lookup can ask for; any other row is unreachable.
 ALL_KEYS = tuple(MatrixKey(p, c, z) for p in ALL_PROFILES for c in ALL_CLASSES for z in ALL_ZONES)
+_REACHABLE = frozenset(ALL_KEYS)
+#: The tightening walk as (law, key, one-step tighter key): the next worse
+#: zone, then one more active class. escalate saturates at red, and a class
+#: already active adds nothing, so those neighbours are the row itself.
+_WALK = tuple(
+    (law, MatrixKey(p, c, z), tighter)
+    for p, c, z in ALL_KEYS
+    for law, tighter in (
+        ("zone-monotonicity", MatrixKey(p, c, escalate(z, 1))),
+        ("cooldown-monotonicity", MatrixKey(p | {SafetyClass.DANGEROUS}, c, z)),
+        ("cooldown-monotonicity", MatrixKey(p | {SafetyClass.MIND_ALTERING}, c, z)),
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -170,30 +179,20 @@ def validate_matrix(matrix: Matrix) -> Report:
     if not report.ok:
         return report
 
-    reachable = set(ALL_KEYS)
     for key, entry in matrix.items():
-        if key not in reachable:
+        if key not in _REACHABLE:
             report.add("unreachable-row", f"row {_key_str(key)} can never be looked up")
         if UserGroup.INELIGIBLE in entry.allowed_groups:
             report.add("ineligible-group", f"row {_key_str(key)} admits the ineligible group")
         if not entry.allowed_groups and entry.required_checks:
             report.add("dead-branch-checks", f"row {_key_str(key)} has checks but no groups")
 
-    for key in ALL_KEYS:
-        profile, cls, zone = key.cooldown_profile, key.request_class, key.zone
-        entry = matrix[key]
-        # escalate saturates at red, and a class already active adds
-        # nothing, so those neighbours are the row itself.
-        for law, tighter in (
-            ("zone-monotonicity", MatrixKey(profile, cls, escalate(zone, 1))),
-            ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.DANGEROUS}, cls, zone)),
-            ("cooldown-monotonicity", MatrixKey(profile | {SafetyClass.MIND_ALTERING}, cls, zone)),
-        ):
-            tighter_entry = matrix[tighter]
-            if not tighter_entry.allowed_groups <= entry.allowed_groups:
-                report.add(law, f"row {_key_str(tighter)} admits groups that row {_key_str(key)} does not")
-            if not _demanded(tighter_entry) >= _demanded(entry):
-                report.add("check-monotonicity", f"row {_key_str(tighter)} lacks a check row {_key_str(key)} demands")
+    for law, key, tighter in _WALK:
+        entry, tighter_entry = matrix[key], matrix[tighter]
+        if not tighter_entry.allowed_groups <= entry.allowed_groups:
+            report.add(law, f"row {_key_str(tighter)} admits groups that row {_key_str(key)} does not")
+        if not _demanded(tighter_entry) >= _demanded(entry):
+            report.add("check-monotonicity", f"row {_key_str(tighter)} lacks a check row {_key_str(key)} demands")
     return report
 
 

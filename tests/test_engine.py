@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fetchguard import (
@@ -494,18 +494,21 @@ REQUESTS = st.builds(
 )
 
 
-def verdict(config, request, opener=None):
-    """The verdict on a fresh engine, after the opener request if one is given."""
+def verdict(config, request, opener=None, tagger=None):
+    """The verdict on a fresh engine, after the opener request and the
+    tagger's personal tag on the requested object, if either is given."""
     engine = DecisionEngine(config)
     if opener is not None:
         engine.decide(opener)
+    if tagger is not None:
+        engine.apply_tag(tagger, request.object_id)
     return engine.decide(request)[0].verdict
 
 
 class TestTighteningLaws:
     """A request the shipped config denies stays denied when it gets tighter:
-    a worse zone, a context flag gone false, or a cool-down window opened
-    first."""
+    a worse zone, a context flag gone false, a cool-down window opened
+    first, or the object tagged personal first by someone else."""
 
     @settings(max_examples=150, deadline=None)
     @given(request=REQUESTS, other=SAMPLES)
@@ -537,6 +540,15 @@ class TestTighteningLaws:
         first = make_request(request.user_id, opener, now=request.now - earlier, request_id="opener")
         if verdict(shipped_config, request) == DENY:
             assert verdict(shipped_config, request, opener=first) == DENY
+
+    @settings(max_examples=100, deadline=None)
+    @given(request=REQUESTS, tagger=st.sampled_from(sorted(default_config().admin.all_designators())))
+    def test_a_designators_tag_keeps_a_denial(self, shipped_config, request, tagger):
+        # Another designator's tag, on an object untagged or already theirs.
+        tagged_by = {tag.object_id: tag.tagged_by for tag in shipped_config.personal_tags}
+        assume(tagger != request.user_id and tagged_by.get(request.object_id, tagger) == tagger)
+        if verdict(shipped_config, request) == DENY:
+            assert verdict(shipped_config, request, tagger=tagger) == DENY
 
 
 class TestRequestTypes:

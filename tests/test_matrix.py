@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fetchguard.matrix
 from fetchguard import (
     CategoryRule,
     ConfigError,
@@ -383,6 +384,66 @@ class TestKeysAndValidatorDefinedOnce:
     def test_one_step_laws_agree_with_the_all_pairs_validator(self, matrix):
         got, want = validate_matrix(matrix), reference_validate_matrix(matrix)
         assert (got.ok, got.codes()) == (want.ok, want.codes())
+
+    def test_the_walk_builds_no_key(self, monkeypatch):
+        # The neighbour keys are worked out once, beside ALL_KEYS.
+        matrix, built = default_matrix(), []
+
+        def counting(*args):
+            built.append(args)
+            return MatrixKey(*args)
+
+        monkeypatch.setattr(fetchguard.matrix, "MatrixKey", counting)
+        assert validate_matrix(matrix).ok
+        assert built == []
+
+    def test_findings_come_key_major_then_zone_then_each_added_class(self):
+        matrix = default_matrix()
+        matrix[key(NONE, D, Zone.RED)] = MatrixEntry(frozenset({g.HA, g.HT}))
+        matrix[key({D}, N, Zone.RED)] = MatrixEntry(ALL_GROUPS)
+        matrix[key(NONE, N, Zone.RED)] = MatrixEntry(frozenset({g.HA}))
+        looser = matrix[key({M}, D, Zone.GREEN)]
+        matrix[key({M}, D, Zone.GREEN)] = MatrixEntry(looser.allowed_groups | {g.FRT}, looser.required_checks)
+        matrix[key({N}, N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS)
+        # As the validator that built every neighbour key on each call gave them.
+        assert [(f.code, f.message) for f in validate_matrix(matrix).findings] == [
+            ("unreachable-row", "row cooldown=neither class=neither zone=green can never be looked up"),
+            (
+                "cooldown-monotonicity",
+                "row cooldown=mind_altering class=dangerous zone=green admits groups that "
+                "row cooldown=none class=dangerous zone=green does not",
+            ),
+            (
+                "zone-monotonicity",
+                "row cooldown=none class=dangerous zone=red admits groups that "
+                "row cooldown=none class=dangerous zone=orange does not",
+            ),
+            (
+                "check-monotonicity",
+                "row cooldown=none class=dangerous zone=red lacks a check "
+                "row cooldown=none class=dangerous zone=orange demands",
+            ),
+            (
+                "check-monotonicity",
+                "row cooldown=none class=neither zone=red lacks a check "
+                "row cooldown=none class=neither zone=orange demands",
+            ),
+            (
+                "cooldown-monotonicity",
+                "row cooldown=dangerous class=neither zone=red admits groups that "
+                "row cooldown=none class=neither zone=red does not",
+            ),
+            (
+                "zone-monotonicity",
+                "row cooldown=dangerous class=neither zone=red admits groups that "
+                "row cooldown=dangerous class=neither zone=orange does not",
+            ),
+            (
+                "check-monotonicity",
+                "row cooldown=dangerous class=neither zone=red lacks a check "
+                "row cooldown=dangerous class=neither zone=orange demands",
+            ),
+        ]
 
     def test_a_tighter_row_that_drops_a_check_is_refused(self):
         # With no checks on orange/dangerous, alice could take the knife in
