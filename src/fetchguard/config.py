@@ -19,18 +19,23 @@ from .matrix import (
     Matrix,
     MatrixEntry,
     MatrixKey,
+    PROFILE_TEXTS,
     default_matrix,
     validate_matrix,
 )
 from .model import (
+    CLASS_BY_TEXT,
+    CLASS_TEXT,
+    GROUP_BY_TEXT,
     MIN_ELIGIBLE_AGE,
+    RELATIONSHIP_BY_TEXT,
     ObjectSpec,
     Region,
     Relationship,
     Report,
     SafetyClass,
-    UserGroup,
     UserProfile,
+    member,
     require_type,
     validate_object_catalog,
 )
@@ -56,6 +61,13 @@ def _each(section: str, entries: list, parse) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed policy config: {section}[{i}]: {exc}") from exc
     return parsed
+
+
+def _profile_texts(profile: frozenset[SafetyClass]) -> tuple[str, ...]:
+    """A cool-down profile's sorted class texts; one no lookup can reach,
+    such as {neither}, is worked out here."""
+    texts = PROFILE_TEXTS.get(profile)
+    return texts if texts is not None else tuple(sorted([CLASS_TEXT[c] for c in profile]))
 
 
 def _admin_role(admin: AdminHierarchy, user: UserProfile) -> str:
@@ -153,19 +165,16 @@ class PolicyConfig:
             ],
             "matrix": [
                 {
-                    "cooldown": sorted(c.value for c in key.cooldown_profile),
-                    "request_class": key.request_class.value,
-                    "zone": key.zone.as_str(),
+                    "cooldown": list(profile),
+                    "request_class": request_class,
+                    "zone": zone.as_str(),
                     "allowed_groups": list(entry.group_texts),
                     "required_checks": list(entry.check_texts),
                 }
-                for key, entry in sorted(
-                    self.matrix.items(),
-                    key=lambda kv: (
-                        sorted(c.value for c in kv[0].cooldown_profile),
-                        kv[0].request_class.value,
-                        int(kv[0].zone),
-                    ),
+                # Keys are unique, so the sort never compares two entries.
+                for profile, request_class, zone, entry in sorted(
+                    (_profile_texts(key.cooldown_profile), CLASS_TEXT[key.request_class], key.zone, entry)
+                    for key, entry in self.matrix.items()
                 )
             ],
             "category_rules": [
@@ -182,7 +191,7 @@ class PolicyConfig:
                 {
                     "object_id": o.object_id,
                     "display_name": o.display_name,
-                    "safety_class": o.safety_class.value,
+                    "safety_class": CLASS_TEXT[o.safety_class],
                     "category": o.category,
                     "allergen_tags": sorted(o.allergen_tags),
                     "personal_owner": owners.get(o.object_id),
@@ -234,15 +243,19 @@ class PolicyConfig:
             # give one fingerprint.
             **{b: float(require_type(b, r[b], int, float)) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
         ))
-        # The enums refuse any cooldown or group that is not one of their texts.
+        # member() refuses any cooldown or group that is not one of the texts.
         rows = _each("matrix", data["matrix"], lambda row: (
             MatrixKey(
-                cooldown_profile=frozenset(SafetyClass(c) for c in require_type("cooldown", row["cooldown"], list)),
-                request_class=SafetyClass(row["request_class"]),
+                cooldown_profile=frozenset([
+                    member(CLASS_BY_TEXT, c) for c in require_type("cooldown", row["cooldown"], list)
+                ]),
+                request_class=member(CLASS_BY_TEXT, row["request_class"]),
                 zone=Zone.from_str(row["zone"]),
             ),
             MatrixEntry(
-                allowed_groups=frozenset(UserGroup(g) for g in require_type("allowed_groups", row["allowed_groups"], list)),
+                allowed_groups=frozenset([
+                    member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
+                ]),
                 required_checks=_strings("required_checks", row["required_checks"]),
             ),
         ))
@@ -261,14 +274,14 @@ class PolicyConfig:
         objects = _each("objects", data["objects"], lambda o: ObjectSpec(
             object_id=require_type("object_id", o["object_id"], str),
             display_name=require_type("display_name", o.get("display_name", o["object_id"]), str),
-            safety_class=SafetyClass(o["safety_class"]),
+            safety_class=member(CLASS_BY_TEXT, o["safety_class"]),
             category=require_type("category", o["category"], str),
             allergen_tags=_strings("allergen_tags", o.get("allergen_tags", [])),
         ))
         users = _each("users", data["users"], lambda u: UserProfile(
             user_id=require_type("user_id", u["user_id"], str),
             age_years=require_type("age_years", u["age_years"], int),
-            relationship=Relationship(u["relationship"]),
+            relationship=member(RELATIONSHIP_BY_TEXT, u["relationship"]),
             allergies=_strings("allergies", u.get("allergies", [])),
         ))
         admin = AdminHierarchy(
@@ -303,7 +316,7 @@ class PolicyConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # not JSON, not UTF-8, or too many digits
+            except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, too many digits or too deep
                 raise ConfigError(f"cannot parse {path}: {exc}") from exc
         return cls.from_dict(data)
 

@@ -46,6 +46,7 @@ from .model import (
     UserGroup,
     UserProfile,
     classify_user_group,
+    member,
     require_type,
 )
 from .ordering import CooldownState, Restriction, ordering_restrictions
@@ -172,20 +173,11 @@ class Decision:
             deciding_policy=data["deciding_policy"],
             reason=data["reason"],
             effective_zone=Zone.from_str(data["effective_zone"]),
-            allowed_groups_at_leaf=frozenset(_group(g) for g in data["allowed_groups_at_leaf"]),
+            allowed_groups_at_leaf=frozenset(member(GROUP_BY_TEXT, g) for g in data["allowed_groups_at_leaf"]),
         )
         if decision.to_dict() != data:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
         return decision
-
-
-def _group(text) -> UserGroup:
-    """The group a decision block names; ValueError for any other value, as
-    UserGroup(text) raises."""
-    try:
-        return GROUP_BY_TEXT[text]
-    except (KeyError, TypeError):
-        raise ValueError(f"{text!r} is not a valid UserGroup") from None
 
 
 @dataclass

@@ -20,7 +20,7 @@ def _read(path: str | Path):
             if line.strip():
                 try:
                     trace = DecisionTrace.from_dict(json.loads(line.decode("utf-8")))
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
                     raise ValueError(f"line {number}: {exc!r}") from exc
                 yield trace
 

@@ -23,6 +23,7 @@ from .emotion import Zone, escalate
 from .errors import ConfigError
 from .model import (
     CHILD_TIER,
+    GROUP_TEXT,
     ContextSnapshot,
     ObjectSpec,
     Report,
@@ -32,6 +33,7 @@ from .model import (
 )
 
 MATRIX_CHECKS = ("verbal_affirmation", "adult_present", "room_appropriate")
+_EVERY_CHECK = frozenset(MATRIX_CHECKS)
 CATEGORY_CHECKS = ("allergy_screen", "adult_present_for_child_tier", "verbal_affirmation")
 
 ALL_PROFILES: tuple[frozenset[SafetyClass], ...] = (
@@ -56,13 +58,14 @@ class MatrixKey(NamedTuple):
 
 #: The 48 keys a lookup can ask for; any other row is unreachable.
 ALL_KEYS = tuple(MatrixKey(p, c, z) for p in ALL_PROFILES for c in ALL_CLASSES for z in ALL_ZONES)
-_REACHABLE = frozenset(ALL_KEYS)
-#: The tightening walk as (law, key, one-step tighter key): the next worse
-#: zone, then one more active class. escalate saturates at red, and a class
-#: already active adds nothing, so those neighbours are the row itself.
+_INDEX = {key: i for i, key in enumerate(ALL_KEYS)}
+#: The tightening walk as (law, key, one-step tighter key), each key given
+#: by its index in ALL_KEYS: the next worse zone, then one more active
+#: class. escalate saturates at red, and a class already active adds
+#: nothing, so those neighbours are the row itself.
 _WALK = tuple(
-    (law, MatrixKey(p, c, z), tighter)
-    for p, c, z in ALL_KEYS
+    (law, i, _INDEX[tighter])
+    for i, (p, c, z) in enumerate(ALL_KEYS)
     for law, tighter in (
         ("zone-monotonicity", MatrixKey(p, c, escalate(z, 1))),
         ("cooldown-monotonicity", MatrixKey(p | {SafetyClass.DANGEROUS}, c, z)),
@@ -73,20 +76,19 @@ _WALK = tuple(
 
 @dataclass(frozen=True)
 class MatrixEntry:
-    """One row's groups and checks. The row also carries both as the sorted
-    texts traces write (`group_texts`, `check_texts`), worked out once here;
-    they are not fields, so equality, repr and the fingerprint ignore them."""
+    """One row's groups and checks, each a frozenset. The row also carries
+    both as the sorted texts traces write (`group_texts`, `check_texts`),
+    worked out once here; they are not fields, so equality, repr and the
+    fingerprint ignore them."""
 
     allowed_groups: frozenset[UserGroup]
     required_checks: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "allowed_groups", frozenset(self.allowed_groups))
-        object.__setattr__(self, "required_checks", frozenset(self.required_checks))
-        unknown = self.required_checks - set(MATRIX_CHECKS)
+        unknown = self.required_checks - _EVERY_CHECK
         if unknown:
             raise ConfigError(f"unknown matrix checks: {sorted(unknown)}")
-        object.__setattr__(self, "group_texts", tuple(sorted(g.value for g in self.allowed_groups)))
+        object.__setattr__(self, "group_texts", tuple(sorted([GROUP_TEXT[g] for g in self.allowed_groups])))
         object.__setattr__(self, "check_texts", tuple(sorted(self.required_checks)))
 
 
@@ -180,31 +182,30 @@ def validate_matrix(matrix: Matrix) -> Report:
         return report
 
     for key, entry in matrix.items():
-        if key not in _REACHABLE:
+        if key not in _INDEX:
             report.add("unreachable-row", f"row {_key_str(key)} can never be looked up")
         if UserGroup.INELIGIBLE in entry.allowed_groups:
             report.add("ineligible-group", f"row {_key_str(key)} admits the ineligible group")
         if not entry.allowed_groups and entry.required_checks:
             report.add("dead-branch-checks", f"row {_key_str(key)} has checks but no groups")
 
-    for law, key, tighter in _WALK:
-        entry, tighter_entry = matrix[key], matrix[tighter]
-        if not tighter_entry.allowed_groups <= entry.allowed_groups:
-            report.add(law, f"row {_key_str(tighter)} admits groups that row {_key_str(key)} does not")
-        if not _demanded(tighter_entry) >= _demanded(entry):
-            report.add("check-monotonicity", f"row {_key_str(tighter)} lacks a check row {_key_str(key)} demands")
+    groups = [matrix[key].allowed_groups for key in ALL_KEYS]
+    # A row that admits nobody is as strict as a row can be.
+    demanded = [matrix[key].required_checks if g else _EVERY_CHECK for key, g in zip(ALL_KEYS, groups)]
+    for law, i, j in _WALK:
+        if not groups[j] <= groups[i]:
+            report.add(law, f"row {_KEY_TEXTS[j]} admits groups that row {_KEY_TEXTS[i]} does not")
+        if not demanded[j] >= demanded[i]:
+            report.add("check-monotonicity", f"row {_KEY_TEXTS[j]} lacks a check row {_KEY_TEXTS[i]} demands")
     return report
-
-
-def _demanded(entry: MatrixEntry) -> frozenset[str]:
-    """The checks a row demands; a row that admits nobody is as strict as a
-    row can be, so it counts as demanding every check."""
-    return entry.required_checks if entry.allowed_groups else frozenset(MATRIX_CHECKS)
 
 
 def _key_str(key: MatrixKey) -> str:
     profile = ",".join(sorted(c.value for c in key.cooldown_profile)) or "none"
     return f"cooldown={profile} class={key.request_class.value} zone={key.zone.as_str()}"
+
+
+_KEY_TEXTS = tuple(_key_str(key) for key in ALL_KEYS)
 
 
 @dataclass(frozen=True)

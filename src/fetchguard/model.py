@@ -70,8 +70,21 @@ class UserGroup(enum.Enum):
 #: `value` property on the hot path.
 CLASS_TEXT = {c: c.value for c in SafetyClass}
 GROUP_TEXT = {g: g.value for g in UserGroup}
-#: Groups by text, for reading a trace back.
+#: Members by text, for reading a config or a trace back through member().
 GROUP_BY_TEXT = {g.value: g for g in UserGroup}
+CLASS_BY_TEXT = {c.value: c for c in SafetyClass}
+RELATIONSHIP_BY_TEXT = {r.value: r for r in Relationship}
+
+
+def member(by_text: dict, text):
+    """The member one of the *_BY_TEXT tables holds for `text`. Any other
+    value raises the ValueError that calling the enum raises, in its words."""
+    try:
+        return by_text[text]
+    except (KeyError, TypeError):
+        enum_name = type(next(iter(by_text.values()))).__qualname__
+        raise ValueError(f"{text!r} is not a valid {enum_name}") from None
+
 
 CHILD_TIER = frozenset({UserGroup.HC, UserGroup.FAC, UserGroup.FRC})
 

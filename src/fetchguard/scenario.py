@@ -110,7 +110,7 @@ def load_scenario(path: str | Path) -> ScenarioScript:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or too many digits
+        except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, too many digits or too deep
             raise ScenarioParseError(f"cannot parse {path}: {exc}") from None
     return parse_scenario(data, fallback_name=Path(path).stem)
 

@@ -1,16 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest, PolicyConfig, default_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
 SHIPPED_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
+SHIPPED_DATA = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
 
 
 class TestDefaults:
@@ -256,6 +260,53 @@ class TestRestatedFields:
             broken(lambda d: _object(d, "towel").__setitem__("personal_owner", "alice"))
 
 
+class TestSameConfigSameFingerprint:
+    """Every form the file format reads as the shipped config gives its
+    pinned fingerprint: matrix rows and the lists in them in any order, an
+    integral zone bound written as an int, and admin_role, personal_owner
+    and display_name left out. An absent display_name reads as the object's
+    id, so it is left out only where the name is the id."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), named=st.sets(st.integers(0, len(SHIPPED_DATA["objects"]) - 1)))
+    def test_every_form_of_the_shipped_config_gives_its_fingerprint(self, seed, named):
+        rng = random.Random(seed)
+        reference = json.loads(json.dumps(SHIPPED_DATA))
+        for i in named:
+            reference["objects"][i]["display_name"] = reference["objects"][i]["object_id"]
+        expected = PolicyConfig.from_dict(reference).fingerprint() if named else SHIPPED_FINGERPRINT
+
+        edited = json.loads(json.dumps(reference))
+        rng.shuffle(edited["matrix"])
+        for row in edited["matrix"]:
+            for field in ("cooldown", "allowed_groups", "required_checks"):
+                rng.shuffle(row[field])
+        for rect in edited["zone_table"]:
+            for bound, value in rect.items():
+                if bound != "zone" and value == int(value) and rng.random() < 0.5:
+                    rect[bound] = int(value)
+        for entries, key in ((edited["users"], "admin_role"), (edited["objects"], "personal_owner")):
+            for entry in entries:
+                if rng.random() < 0.5:
+                    del entry[key]
+        for i in named:
+            if rng.random() < 0.5:
+                del edited["objects"][i]["display_name"]
+        assert PolicyConfig.from_dict(edited).fingerprint() == expected
+
+    @pytest.mark.parametrize("cooldown", [["neither"], ["neither", "dangerous"], ["mind_altering", "neither", "dangerous"]])
+    def test_a_config_with_an_unreachable_row_round_trips(self, cooldown):
+        data = json.loads(json.dumps(SHIPPED_DATA))
+        row = {"cooldown": cooldown, "request_class": "neither", "zone": "red", "allowed_groups": [], "required_checks": []}
+        data["matrix"].append(row)
+        config = PolicyConfig.from_dict(data)
+        written = config.to_dict()
+        assert {**row, "cooldown": sorted(cooldown)} in written["matrix"]
+        assert PolicyConfig.from_dict(written).to_dict() == written
+        assert config.validate().codes() == {"unreachable-row"}
+        assert config.fingerprint() != SHIPPED_FINGERPRINT
+
+
 class TestParseErrors:
     def test_duplicate_matrix_row_is_a_parse_error(self):
         data = default_config().to_dict()
@@ -280,6 +331,81 @@ class TestParseErrors:
         data["objects"][0]["safety_class"] = "spooky"
         with pytest.raises(ConfigError):
             PolicyConfig.from_dict(data)
+
+
+#: Where each field that holds an enum text sits, and the index its
+#: refusal names.
+ENUM_FIELDS = {
+    "cooldown": ("matrix", 5),
+    "request_class": ("matrix", 5),
+    "zone": ("matrix", 5),
+    "allowed_groups": ("matrix", 5),
+    "safety_class": ("objects", 3),
+    "relationship": ("users", 4),
+}
+
+
+class TestEnumTextRefusals:
+    """A text that names no member is refused with the message the enum
+    call gives, whatever the value's JSON type, a list included. A list
+    field is edited in its one element."""
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("cooldown", "plaid", "matrix[5]: 'plaid' is not a valid SafetyClass"),
+            ("cooldown", 3, "matrix[5]: 3 is not a valid SafetyClass"),
+            ("cooldown", None, "matrix[5]: None is not a valid SafetyClass"),
+            ("cooldown", ["dangerous"], "matrix[5]: ['dangerous'] is not a valid SafetyClass"),
+            ("request_class", "plaid", "matrix[5]: 'plaid' is not a valid SafetyClass"),
+            ("request_class", 3, "matrix[5]: 3 is not a valid SafetyClass"),
+            ("request_class", None, "matrix[5]: None is not a valid SafetyClass"),
+            ("request_class", ["dangerous"], "matrix[5]: ['dangerous'] is not a valid SafetyClass"),
+            ("zone", "plaid", "matrix[5]: unknown zone 'plaid'"),
+            ("zone", 3, "matrix[5]: unknown zone 3"),
+            ("zone", None, "matrix[5]: unknown zone None"),
+            ("zone", ["green"], "matrix[5]: unknown zone ['green']"),
+            ("allowed_groups", "plaid", "matrix[5]: 'plaid' is not a valid UserGroup"),
+            ("allowed_groups", 3, "matrix[5]: 3 is not a valid UserGroup"),
+            ("allowed_groups", None, "matrix[5]: None is not a valid UserGroup"),
+            ("allowed_groups", ["HA"], "matrix[5]: ['HA'] is not a valid UserGroup"),
+            ("safety_class", "plaid", "objects[3]: 'plaid' is not a valid SafetyClass"),
+            ("safety_class", 3, "objects[3]: 3 is not a valid SafetyClass"),
+            ("safety_class", None, "objects[3]: None is not a valid SafetyClass"),
+            ("safety_class", ["neither"], "objects[3]: ['neither'] is not a valid SafetyClass"),
+            ("relationship", "plaid", "users[4]: 'plaid' is not a valid Relationship"),
+            ("relationship", 3, "users[4]: 3 is not a valid Relationship"),
+            ("relationship", None, "users[4]: None is not a valid Relationship"),
+            ("relationship", ["family"], "users[4]: ['family'] is not a valid Relationship"),
+        ],
+    )
+    def test_a_text_that_names_no_member_is_refused_in_the_enums_words(self, field, bad, message):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        section, index = ENUM_FIELDS[field]
+        data[section][index][field] = [bad] if field in ("cooldown", "allowed_groups") else bad
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == f"malformed policy config: {message}"
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("cooldown", "Dangerous"), ("request_class", "NEITHER"), ("allowed_groups", "ha"),
+         ("safety_class", "Neither"), ("relationship", "FAMILY")],
+    )
+    def test_a_member_text_in_another_case_is_refused(self, field, text):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        section, index = ENUM_FIELDS[field]
+        data[section][index][field] = [text] if field in ("cooldown", "allowed_groups") else text
+        with pytest.raises(ConfigError, match=f"'{text}' is not a valid "):
+            PolicyConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["cooldown", "allowed_groups"])
+    def test_a_list_field_that_is_not_a_list_is_refused_by_name(self, field):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        data["matrix"][5][field] = None
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == f"malformed policy config: matrix[5]: {field} must be list, got None"
 
 
 def _allergies_as_text(data):

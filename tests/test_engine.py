@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -21,6 +22,7 @@ from fetchguard import (
     SafetyClass,
     UserGroup,
     Zone,
+    classify_user_group,
     default_config,
     node_names,
     replay,
@@ -29,6 +31,7 @@ from fetchguard import (
 )
 from fetchguard.engine import STAGES, canonical_json
 from fetchguard.formats import _POLICY_OF
+from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from test_emotion import rebuilding_clamped
 
 GREEN = EmotionSample(0.5, 0.0)
@@ -494,11 +497,11 @@ REQUESTS = st.builds(
 )
 
 
-def verdict(config, request, opener=None, tagger=None):
-    """The verdict on a fresh engine, after the opener request and the
-    tagger's personal tag on the requested object, if either is given."""
+def verdict(config, request, *openers, tagger=None):
+    """The verdict on a fresh engine, after the opener requests and the
+    tagger's personal tag on the requested object, if any are given."""
     engine = DecisionEngine(config)
-    if opener is not None:
+    for opener in openers:
         engine.decide(opener)
     if tagger is not None:
         engine.apply_tag(tagger, request.object_id)
@@ -539,7 +542,7 @@ class TestTighteningLaws:
         # shorter (dangerous) window is still open at the request.
         first = make_request(request.user_id, opener, now=request.now - earlier, request_id="opener")
         if verdict(shipped_config, request) == DENY:
-            assert verdict(shipped_config, request, opener=first) == DENY
+            assert verdict(shipped_config, request, first) == DENY
 
     @settings(max_examples=100, deadline=None)
     @given(request=REQUESTS, tagger=st.sampled_from(sorted(default_config().admin.all_designators())))
@@ -549,6 +552,61 @@ class TestTighteningLaws:
         assume(tagger != request.user_id and tagged_by.get(request.object_id, tagger) == tagger)
         if verdict(shipped_config, request) == DENY:
             assert verdict(shipped_config, request, tagger=tagger) == DENY
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_worse_zone_keeps_a_denial_on_an_edited_matrix(self, data):
+        # The request is aimed at the edited row: its cool-downs opened
+        # first, an object of its class, a user of a group it admits, and a
+        # sample whose effective zone is its zone.
+        key, config = data.draw(st.sampled_from(accepted_matrix_edits()))
+        groups = config.matrix[key].allowed_groups
+        user = data.draw(st.sampled_from([user for user, group in GROUP_OF.items() if group in groups]))
+        openers = [make_request(user, obj, now=9_990) for c, obj in OPENER.items() if c in key.cooldown_profile]
+        step = 1 if key.request_class in key.cooldown_profile else 0
+        samples = [ZONE_SAMPLES[int(key.zone) - step], data.draw(st.sampled_from(ZONE_SAMPLES))]
+        request = make_request(
+            user,
+            data.draw(st.sampled_from(OBJECTS_OF[key.request_class])),
+            context=data.draw(CONTEXTS),
+            now=10_000,
+        )
+        looser, tighter = (dataclasses.replace(request, emotion=s) for s in sorted(samples, key=ZONE_SAMPLES.index))
+        if verdict(config, looser, *openers) == DENY:
+            assert verdict(config, tighter, *openers) == DENY
+
+
+#: Each roster user's group under the shipped region; an unknown id is U.
+GROUP_OF = {
+    **{u.user_id: classify_user_group(u, default_config().region) for u in default_config().users},
+    "stranger": UserGroup.U,
+}
+ROSTER_GROUPS = sorted(set(GROUP_OF.values()), key=lambda group: group.value)
+OBJECTS_OF = {c: [o.object_id for o in default_config().objects if o.safety_class is c] for c in SafetyClass}
+CONTEXTS = st.builds(ContextSnapshot, st.sampled_from(["kitchen", "garage"]), st.booleans(), st.booleans())
+#: The object whose request opens each class's cool-down window.
+OPENER = {SafetyClass.DANGEROUS: "knife", SafetyClass.MIND_ALTERING: "sleeping_pills"}
+
+
+@functools.cache
+def accepted_matrix_edits():
+    """(key, config) for every config that toggles one group or one check on
+    one row of the shipped matrix and that validate() accepts, where the row
+    can be looked up and admits a roster user. An open window of the
+    requested class escalates the zone once, so no lookup asks for such a
+    row in green."""
+    shipped = default_config()
+    edits = []
+    for key, entry in shipped.matrix.items():
+        if key.request_class in key.cooldown_profile and key.zone is Zone.GREEN:
+            continue
+        toggles = [MatrixEntry(entry.allowed_groups ^ {g}, entry.required_checks) for g in ROSTER_GROUPS]
+        toggles += [MatrixEntry(entry.allowed_groups, entry.required_checks ^ {c}) for c in MATRIX_CHECKS]
+        for edited in toggles:
+            config = dataclasses.replace(shipped, matrix={**shipped.matrix, key: edited})
+            if config.validate().ok and edited.allowed_groups.intersection(ROSTER_GROUPS):
+                edits.append((key, config))
+    return edits
 
 
 class TestRequestTypes:

@@ -30,6 +30,7 @@ UNREADABLE = {
     "not_an_object": lambda line: json.dumps([json.loads(line)]).encode() + b"\n",
     "not_json": lambda line: line[:40] + b"\n",
     "not_utf8": lambda line: line[:40] + b"\xff" + line[40:],
+    "too_deep": lambda line: b"[" * 200_000 + b"\n",
 }
 
 

@@ -26,10 +26,10 @@ def with_decision(**changes):
     return lambda doc: {**doc, "decision": {**doc["decision"], **changes}}
 
 
-#: Files no loader can read: not JSON, not UTF-8, and an integer past
-#: Python's digit limit.
-UNREADABLE_FILES = [b"{oops", b"\xff", b'{"events": [' + b"1" * 5001 + b"]}"]
-UNREADABLE_IDS = ["not_json", "not_utf8", "too_many_digits"]
+#: Files no loader can read: not JSON, not UTF-8, an integer past
+#: Python's digit limit, and lists nested past the recursion limit.
+UNREADABLE_FILES = [b"{oops", b"\xff", b'{"events": [' + b"1" * 5001 + b"]}", b"[" * 200_000]
+UNREADABLE_IDS = ["not_json", "not_utf8", "too_many_digits", "too_deep"]
 
 CONTEXT = {"t": 0, "type": "set_context", "room": "kitchen", "adult_present": True, "verbal_affirmation": True}
 
