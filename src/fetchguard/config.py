@@ -19,13 +19,11 @@ from .matrix import (
     Matrix,
     MatrixEntry,
     MatrixKey,
-    PROFILE_TEXTS,
     default_matrix,
     validate_matrix,
 )
 from .model import (
     CLASS_BY_TEXT,
-    CLASS_TEXT,
     GROUP_BY_TEXT,
     MIN_ELIGIBLE_AGE,
     RELATIONSHIP_BY_TEXT,
@@ -61,13 +59,6 @@ def _each(section: str, entries: list, parse) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed policy config: {section}[{i}]: {exc}") from exc
     return parsed
-
-
-def _profile_texts(profile: frozenset[SafetyClass]) -> tuple[str, ...]:
-    """A cool-down profile's sorted class texts; one no lookup can reach,
-    such as {neither}, is worked out here."""
-    texts = PROFILE_TEXTS.get(profile)
-    return texts if texts is not None else tuple(sorted([CLASS_TEXT[c] for c in profile]))
 
 
 def _admin_role(admin: AdminHierarchy, user: UserProfile) -> str:
@@ -165,7 +156,7 @@ class PolicyConfig:
             ],
             "matrix": [
                 {
-                    "cooldown": list(profile),
+                    "cooldown": profile,
                     "request_class": request_class,
                     "zone": zone.as_str(),
                     "allowed_groups": list(entry.group_texts),
@@ -173,7 +164,7 @@ class PolicyConfig:
                 }
                 # Keys are unique, so the sort never compares two entries.
                 for profile, request_class, zone, entry in sorted(
-                    (_profile_texts(key.cooldown_profile), CLASS_TEXT[key.request_class], key.zone, entry)
+                    (sorted(key.cooldown_profile), key.request_class, key.zone, entry)
                     for key, entry in self.matrix.items()
                 )
             ],
@@ -191,7 +182,7 @@ class PolicyConfig:
                 {
                     "object_id": o.object_id,
                     "display_name": o.display_name,
-                    "safety_class": CLASS_TEXT[o.safety_class],
+                    "safety_class": o.safety_class,
                     "category": o.category,
                     "allergen_tags": sorted(o.allergen_tags),
                     "personal_owner": owners.get(o.object_id),
@@ -202,7 +193,7 @@ class PolicyConfig:
                 {
                     "user_id": u.user_id,
                     "age_years": u.age_years,
-                    "relationship": u.relationship.value,
+                    "relationship": u.relationship,
                     "allergies": sorted(u.allergies),
                     "admin_role": _admin_role(self.admin, u),
                 }

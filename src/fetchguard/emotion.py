@@ -30,8 +30,8 @@ class Zone(enum.IntEnum):
     @classmethod
     def from_str(cls, s: str) -> "Zone":
         try:
-            return _ZONE_BY_NAME[s.upper()]
-        except (AttributeError, KeyError):
+            return _ZONE_BY_TEXT[s]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown zone {s!r}") from None
 
 
@@ -39,8 +39,8 @@ class Zone(enum.IntEnum):
 _ZONE_NAMES = tuple(zone.name.lower() for zone in Zone)
 #: Zones by rank; indexing it is cheaper than calling Zone(rank).
 _ZONES = tuple(Zone)
-#: Zones by name; cheaper than Enum's Python-level Zone[name].
-_ZONE_BY_NAME = {zone.name: zone for zone in Zone}
+#: Zones by their exact text; cheaper than Enum's Python-level Zone[name].
+_ZONE_BY_TEXT = {text: zone for text, zone in zip(_ZONE_NAMES, Zone)}
 
 
 def escalate(zone: Zone, steps: int) -> Zone:

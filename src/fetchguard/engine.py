@@ -32,11 +32,9 @@ from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
 from .formats import GATES, as_written
-from .matrix import PROFILE_TEXTS, MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
-    CLASS_TEXT,
     GROUP_BY_TEXT,
-    GROUP_TEXT,
     ContextSnapshot,
     Instant,
     MIN_ELIGIBLE_AGE,
@@ -161,13 +159,14 @@ class Decision:
             "deciding_policy": self.deciding_policy,
             "reason": self.reason,
             "effective_zone": self.effective_zone.as_str(),
-            "allowed_groups_at_leaf": sorted([GROUP_TEXT[g] for g in self.allowed_groups_at_leaf]),
+            "allowed_groups_at_leaf": sorted(self.allowed_groups_at_leaf),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Decision":
-        """Refuses a block the engine would not write (an upper-case zone, a
-        repeated or unsorted group), so equal decisions mean equal blocks."""
+        """Refuses a block the engine would not write (a zone or group that
+        is no member's text, a repeated or unsorted group), so equal
+        decisions mean equal blocks."""
         decision = cls(
             verdict=data["verdict"],
             deciding_policy=data["deciding_policy"],
@@ -398,7 +397,7 @@ class DecisionEngine:
         if st.obj is None:
             return details, ("eligibility", f"unknown object {st.request.object_id!r}")
         st.group = classify_user_group(st.profile, self.config.region)
-        details["group"] = GROUP_TEXT[st.group]
+        details["group"] = st.group
         if st.group is UserGroup.INELIGIBLE:
             return details, (
                 "eligibility",
@@ -413,7 +412,7 @@ class DecisionEngine:
         )
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
-            "active_cooldowns": list(PROFILE_TEXTS[st.active]),
+            "active_cooldowns": sorted(st.active),
             "vehicle_ban": st.restriction.vehicle_ban,
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
@@ -429,7 +428,7 @@ class DecisionEngine:
         st.effective_zone = escalate(st.base_zone, steps)
         key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
         entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
-        request_class = CLASS_TEXT[st.obj.safety_class]
+        request_class = st.obj.safety_class
         # Fresh lists, so that no trace shares one with the config.
         details = {
             "valence": st.emotion.valence,
@@ -444,7 +443,7 @@ class DecisionEngine:
         if st.group not in entry.allowed_groups:
             return details, (
                 "emotion",
-                f"group {GROUP_TEXT[st.group]} may not receive a {request_class} "
+                f"group {st.group} may not receive a {request_class} "
                 f"object in the {st.effective_zone.as_str()} zone",
             )
         return details, None

@@ -23,7 +23,6 @@ from .emotion import Zone, escalate
 from .errors import ConfigError
 from .model import (
     CHILD_TIER,
-    GROUP_TEXT,
     ContextSnapshot,
     ObjectSpec,
     Report,
@@ -42,8 +41,6 @@ ALL_PROFILES: tuple[frozenset[SafetyClass], ...] = (
     frozenset({SafetyClass.MIND_ALTERING}),
     frozenset({SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING}),
 )
-#: Each profile's sorted class texts, as traces write them.
-PROFILE_TEXTS = {p: tuple(sorted(c.value for c in p)) for p in ALL_PROFILES}
 ALL_CLASSES = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING, SafetyClass.NEITHER)
 ALL_ZONES = (Zone.GREEN, Zone.YELLOW, Zone.ORANGE, Zone.RED)
 
@@ -88,7 +85,7 @@ class MatrixEntry:
         unknown = self.required_checks - _EVERY_CHECK
         if unknown:
             raise ConfigError(f"unknown matrix checks: {sorted(unknown)}")
-        object.__setattr__(self, "group_texts", tuple(sorted([GROUP_TEXT[g] for g in self.allowed_groups])))
+        object.__setattr__(self, "group_texts", tuple(sorted(self.allowed_groups)))
         object.__setattr__(self, "check_texts", tuple(sorted(self.required_checks)))
 
 
@@ -201,8 +198,8 @@ def validate_matrix(matrix: Matrix) -> Report:
 
 
 def _key_str(key: MatrixKey) -> str:
-    profile = ",".join(sorted(c.value for c in key.cooldown_profile)) or "none"
-    return f"cooldown={profile} class={key.request_class.value} zone={key.zone.as_str()}"
+    profile = ",".join(sorted(key.cooldown_profile)) or "none"
+    return f"cooldown={profile} class={key.request_class} zone={key.zone.as_str()}"
 
 
 _KEY_TEXTS = tuple(_key_str(key) for key in ALL_KEYS)

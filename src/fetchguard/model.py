@@ -31,26 +31,32 @@ def require_type(what: str, value, *types: type):
     return value
 
 
-# These enums hash by identity, which agrees with their identity equality
-# and skips Enum's Python-level hash in every set and dict lookup.
-class Relationship(enum.Enum):
+class _Text(str, enum.Enum):
+    """A member is its text: it equals, hashes, sorts, prints and
+    JSON-encodes as the string it stands for, so a trace or config writes
+    it as it is. Reading a text back still goes through member(), since
+    the engine compares members with `is`."""
+
+    __hash__ = str.__hash__
+    __str__ = str.__str__
+    __format__ = str.__format__
+    __repr__ = str.__repr__
+
+
+class Relationship(_Text):
     HOUSEHOLD = "household"
     FAMILY = "family"
     FRIEND = "friend"
     UNKNOWN = "unknown"
 
-    __hash__ = object.__hash__
 
-
-class SafetyClass(enum.Enum):
+class SafetyClass(_Text):
     DANGEROUS = "dangerous"
     MIND_ALTERING = "mind_altering"
     NEITHER = "neither"
 
-    __hash__ = object.__hash__
 
-
-class UserGroup(enum.Enum):
+class UserGroup(_Text):
     HA = "HA"
     HT = "HT"
     HC = "HC"
@@ -63,13 +69,7 @@ class UserGroup(enum.Enum):
     U = "U"
     INELIGIBLE = "ineligible"
 
-    __hash__ = object.__hash__
 
-
-#: Member texts, read where a decision writes them; cheaper than the Enum
-#: `value` property on the hot path.
-CLASS_TEXT = {c: c.value for c in SafetyClass}
-GROUP_TEXT = {g: g.value for g in UserGroup}
 #: Members by text, for reading a config or a trace back through member().
 GROUP_BY_TEXT = {g.value: g for g in UserGroup}
 CLASS_BY_TEXT = {c.value: c for c in SafetyClass}

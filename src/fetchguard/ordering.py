@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import CLASS_TEXT, Instant, ObjectSpec, SafetyClass, require_type
+from .model import Instant, ObjectSpec, SafetyClass, require_type
 
 DEFAULT_DANGEROUS_COOLDOWN_S = 30 * 60
 DEFAULT_MIND_ALTERING_COOLDOWN_S = 4 * 60 * 60
@@ -124,7 +124,7 @@ class CooldownState:
             "users": {
                 uid: {
                     "last_requested": rec.last_requested,
-                    "active": dict(sorted((CLASS_TEXT[cls], exp) for cls, exp in rec.active.items())),
+                    "active": dict(sorted(rec.active.items())),
                 }
                 for uid, rec in records
             },

@@ -40,7 +40,9 @@ class ScenarioScript:
 def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScript:
     if not isinstance(data, dict) or "events" not in data:
         raise ScenarioParseError("scenario must be an object with an 'events' list")
-    name = str(data.get("name", fallback_name))
+    name = data.get("name", fallback_name)
+    if not isinstance(name, str):
+        raise ScenarioParseError("'name' must be a string")
     raw_events = data["events"]
     if not isinstance(raw_events, list):
         raise ScenarioParseError("'events' must be a list")

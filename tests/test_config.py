@@ -377,6 +377,9 @@ class TestEnumTextRefusals:
             ("relationship", 3, "users[4]: 3 is not a valid Relationship"),
             ("relationship", None, "users[4]: None is not a valid Relationship"),
             ("relationship", ["family"], "users[4]: ['family'] is not a valid Relationship"),
+            # A zone matches exactly too, in a matrix row as in a zone-table rect.
+            ("zone", "GREEN", "matrix[5]: unknown zone 'GREEN'"),
+            ("zone", "Red", "matrix[5]: unknown zone 'Red'"),
         ],
     )
     def test_a_text_that_names_no_member_is_refused_in_the_enums_words(self, field, bad, message):
@@ -398,6 +401,14 @@ class TestEnumTextRefusals:
         data[section][index][field] = [text] if field in ("cooldown", "allowed_groups") else text
         with pytest.raises(ConfigError, match=f"'{text}' is not a valid "):
             PolicyConfig.from_dict(data)
+
+    @pytest.mark.parametrize("text", ["GREEN", "Red"])
+    def test_a_zone_table_zone_in_another_case_is_refused(self, text):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        data["zone_table"][0]["zone"] = text
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == f"malformed policy config: zone_table[0]: unknown zone '{text}'"
 
     @pytest.mark.parametrize("field", ["cooldown", "allowed_groups"])
     def test_a_list_field_that_is_not_a_list_is_refused_by_name(self, field):

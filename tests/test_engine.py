@@ -511,7 +511,9 @@ def verdict(config, request, *openers, tagger=None):
 class TestTighteningLaws:
     """A request the shipped config denies stays denied when it gets tighter:
     a worse zone, a context flag gone false, a cool-down window opened
-    first, or the object tagged personal first by someone else."""
+    first, or the object tagged personal first by someone else. The first
+    three laws also hold on every config validate() accepts that edits one
+    row of the shipped matrix."""
 
     @settings(max_examples=150, deadline=None)
     @given(request=REQUESTS, other=SAMPLES)
@@ -556,24 +558,36 @@ class TestTighteningLaws:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_a_worse_zone_keeps_a_denial_on_an_edited_matrix(self, data):
-        # The request is aimed at the edited row: its cool-downs opened
-        # first, an object of its class, a user of a group it admits, and a
-        # sample whose effective zone is its zone.
-        key, config = data.draw(st.sampled_from(accepted_matrix_edits()))
-        groups = config.matrix[key].allowed_groups
-        user = data.draw(st.sampled_from([user for user, group in GROUP_OF.items() if group in groups]))
-        openers = [make_request(user, obj, now=9_990) for c, obj in OPENER.items() if c in key.cooldown_profile]
-        step = 1 if key.request_class in key.cooldown_profile else 0
-        samples = [ZONE_SAMPLES[int(key.zone) - step], data.draw(st.sampled_from(ZONE_SAMPLES))]
-        request = make_request(
-            user,
-            data.draw(st.sampled_from(OBJECTS_OF[key.request_class])),
-            context=data.draw(CONTEXTS),
-            now=10_000,
-        )
+        config, key, request = aimed_at_an_edited_row(data)
+        first = openers(request, key.cooldown_profile)
+        samples = [request.emotion, data.draw(st.sampled_from(ZONE_SAMPLES))]
         looser, tighter = (dataclasses.replace(request, emotion=s) for s in sorted(samples, key=ZONE_SAMPLES.index))
-        if verdict(config, looser, *openers) == DENY:
-            assert verdict(config, tighter, *openers) == DENY
+        if verdict(config, looser, *first) == DENY:
+            assert verdict(config, tighter, *first) == DENY
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_an_opened_cooldown_keeps_a_denial_on_an_edited_matrix(self, data):
+        # The edited row is the looser side when the opened class is not in
+        # its profile, and the tighter side when it is.
+        config, key, request = aimed_at_an_edited_row(data)
+        opened = data.draw(st.sampled_from(list(OPENER)))
+        looser, tighter = key.cooldown_profile - {opened}, key.cooldown_profile | {opened}
+        if verdict(config, request, *openers(request, looser)) == DENY:
+            assert verdict(config, request, *openers(request, tighter)) == DENY
+
+    @pytest.mark.parametrize("flag", ["adult_present", "verbal_affirmation"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_context_flag_gone_false_keeps_a_denial_on_an_edited_matrix(self, flag, data):
+        config, key, request = aimed_at_an_edited_row(data)
+        first = openers(request, key.cooldown_profile)
+        looser, tighter = (
+            dataclasses.replace(request, context=dataclasses.replace(request.context, **{flag: value}))
+            for value in (True, False)
+        )
+        if verdict(config, looser, *first) == DENY:
+            assert verdict(config, tighter, *first) == DENY
 
 
 #: Each roster user's group under the shipped region; an unknown id is U.
@@ -581,11 +595,40 @@ GROUP_OF = {
     **{u.user_id: classify_user_group(u, default_config().region) for u in default_config().users},
     "stranger": UserGroup.U,
 }
-ROSTER_GROUPS = sorted(set(GROUP_OF.values()), key=lambda group: group.value)
+ROSTER_GROUPS = sorted(set(GROUP_OF.values()))
 OBJECTS_OF = {c: [o.object_id for o in default_config().objects if o.safety_class is c] for c in SafetyClass}
 CONTEXTS = st.builds(ContextSnapshot, st.sampled_from(["kitchen", "garage"]), st.booleans(), st.booleans())
+SHIPPED_MATRIX = default_config().matrix
 #: The object whose request opens each class's cool-down window.
 OPENER = {SafetyClass.DANGEROUS: "knife", SafetyClass.MIND_ALTERING: "sleeping_pills"}
+
+
+def openers(request, profile):
+    """The requests, 10 s before `request` and by its user, that open the
+    window of each class in `profile`."""
+    return [make_request(request.user_id, obj, now=request.now - 10) for c, obj in OPENER.items() if c in profile]
+
+
+def aimed_at_an_edited_row(data):
+    """(config, key, request): a config from accepted_matrix_edits(), its
+    edited row's key, and a request that looks that row up once the
+    windows of the row's profile are open: an object of the row's class, a
+    sample whose effective zone is the row's zone, and a user of the group
+    the edit added, or of any group the row admits if it added none. A
+    group the edit did not add meets the shipped rows on every side."""
+    key, config = data.draw(st.sampled_from(accepted_matrix_edits()))
+    groups = config.matrix[key].allowed_groups
+    groups = (groups - SHIPPED_MATRIX[key].allowed_groups) or groups
+    user = data.draw(st.sampled_from([user for user, group in GROUP_OF.items() if group in groups]))
+    step = 1 if key.request_class in key.cooldown_profile else 0
+    request = make_request(
+        user,
+        data.draw(st.sampled_from(OBJECTS_OF[key.request_class])),
+        emotion=ZONE_SAMPLES[int(key.zone) - step],
+        context=data.draw(CONTEXTS),
+        now=10_000,
+    )
+    return config, key, request
 
 
 @functools.cache

@@ -35,7 +35,6 @@ from fetchguard.matrix import (
     ALL_ZONES,
     CATEGORY_CHECKS,
     MATRIX_CHECKS,
-    PROFILE_TEXTS,
 )
 from reference_matrix import reference_gate4, reference_validate_matrix
 
@@ -204,11 +203,6 @@ class TestRowTexts:
             assert entry.group_texts == tuple(sorted(g.value for g in entry.allowed_groups))
             assert entry.check_texts == tuple(sorted(entry.required_checks))
 
-    def test_each_profile_has_its_sorted_class_texts(self):
-        assert list(PROFILE_TEXTS) == list(ALL_PROFILES)
-        for profile, texts in PROFILE_TEXTS.items():
-            assert texts == tuple(sorted(c.value for c in profile))
-
     def test_row_texts_are_not_fields(self):
         entry = MatrixEntry(frozenset({g.HA, g.FAA}), frozenset({"verbal_affirmation"}))
         assert [f.name for f in dataclasses.fields(entry)] == ["allowed_groups", "required_checks"]
@@ -349,7 +343,7 @@ def edited_default_matrices(draw):
     """default_matrix() after one to three single-row edits, none of which
     adds a row outside ALL_KEYS."""
     matrix = default_matrix()
-    groups_in_order = sorted(ALL_GROUPS, key=lambda group: group.value)
+    groups_in_order = sorted(ALL_GROUPS)
     for _ in range(draw(st.integers(1, 3))):
         kinds = ["add-group", "drop-group", "drop-check", "delete-row", "checks-on-empty-row", "ineligible"]
         kind = draw(st.sampled_from(kinds))
@@ -369,7 +363,7 @@ def edited_default_matrices(draw):
         elif kind == "drop-check" and checks:
             matrix[k] = MatrixEntry(groups, checks - {draw(st.sampled_from(sorted(checks)))})
         elif kind == "drop-group" and groups:
-            dropped = draw(st.sampled_from(sorted(groups, key=lambda group: group.value)))
+            dropped = draw(st.sampled_from(sorted(groups)))
             matrix[k] = MatrixEntry(groups - {dropped}, checks)
     return matrix
 

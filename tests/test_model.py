@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import pytest
@@ -17,7 +18,8 @@ from fetchguard import (
     classify_user_group,
     validate_object_catalog,
 )
-from fetchguard.model import CLASS_TEXT, GROUP_BY_TEXT, GROUP_TEXT
+from fetchguard.engine import canonical_json
+from fetchguard.model import CLASS_BY_TEXT, GROUP_BY_TEXT, RELATIONSHIP_BY_TEXT, member as member_of
 
 CANADA = Region("canada", 19)
 USA = Region("usa", 21)
@@ -131,19 +133,64 @@ class TestCatalogValidation:
         assert "empty-category" in report.codes()
 
 
+TEXT_MEMBERS = [*UserGroup, *SafetyClass, *Relationship]
+
+
+class TestTextMember:
+    """A group, class or relationship is its own text, whatever the
+    interpreter's Enum does with str, format and repr."""
+
+    @pytest.mark.parametrize("member", TEXT_MEMBERS, ids=str)
+    def test_a_member_equals_and_hashes_as_its_text(self, member):
+        text = member.value
+        assert type(text) is str
+        assert member == text and text == member
+        assert hash(member) == hash(text)
+        assert {member: "entry"}[text] == "entry"
+        assert {text: "entry"}[member] == "entry"
+
+    @pytest.mark.parametrize("member", TEXT_MEMBERS, ids=str)
+    def test_a_member_prints_as_its_text(self, member):
+        text = member.value
+        assert str(member) == text and type(str(member)) is str
+        assert repr(member) == repr(text)
+        assert format(member) == text
+        assert format(member, ">12") == format(text, ">12")
+        assert f"{member}|{member!r}|{member:^14}" == f"{text}|{text!r}|{text:^14}"
+        assert "%s %r" % (member, member) == "%s %r" % (text, text)
+        assert repr([member]) == repr([text])
+
+    @pytest.mark.parametrize("member", TEXT_MEMBERS, ids=str)
+    def test_a_member_encodes_as_its_text(self, member):
+        text = member.value
+        assert json.dumps(member) == json.dumps(text) == f'"{text}"'
+        assert json.dumps({member: [member]}) == json.dumps({text: [text]})
+        assert json.dumps({member: 1}, indent=2) == json.dumps({text: 1}, indent=2)
+        assert canonical_json({member: [member]}) == canonical_json({text: [text]})
+
+    @pytest.mark.parametrize("enum_type", [UserGroup, SafetyClass, Relationship], ids=lambda t: t.__name__)
+    def test_members_sort_by_text(self, enum_type):
+        members = list(enum_type)
+        assert [m.value for m in sorted(members)] == sorted(m.value for m in members)
+        assert [m.value for m in sorted(reversed(members))] == sorted(m.value for m in members)
+
+    @pytest.mark.parametrize("member", TEXT_MEMBERS, ids=str)
+    def test_a_member_survives_pickle_copy_and_its_type_called_on_its_text(self, member):
+        same = [pickle.loads(pickle.dumps(member)), copy.deepcopy(member), copy.copy(member), type(member)(member.value)]
+        assert all(other is member for other in same)
+
+    def test_members_by_text_agree_with_the_enum(self):
+        tables = ((GROUP_BY_TEXT, UserGroup), (CLASS_BY_TEXT, SafetyClass), (RELATIONSHIP_BY_TEXT, Relationship))
+        for by_text, enum_type in tables:
+            assert by_text == {m.value: m for m in enum_type}
+            assert all(member_of(by_text, m.value) is m for m in enum_type)
+
+
 class TestIdentityHash:
-    @pytest.mark.parametrize(
-        "member", [*UserGroup, *SafetyClass, *Relationship, *NodeStatus], ids=repr
-    )
+    @pytest.mark.parametrize("member", [*NodeStatus], ids=repr)
     def test_a_member_finds_its_entry_however_it_is_reached(self, member):
         table = {member: "entry"}
         for same in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member), type(member)(member.value)):
             assert same is member
             assert table[same] == "entry"
         assert hash(member) == object.__hash__(member)
-
-    def test_group_texts_and_members_by_text_agree(self):
-        assert GROUP_BY_TEXT["HA"] is UserGroup("HA")
-        assert GROUP_TEXT[UserGroup("HA")] == "HA"
-        assert {GROUP_TEXT[g]: g for g in UserGroup} == GROUP_BY_TEXT
-        assert all(CLASS_TEXT[c] == c.value for c in SafetyClass)

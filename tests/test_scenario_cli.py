@@ -73,8 +73,13 @@ class TestParsing:
             ([CONTEXT], "must be an object with an 'events' list"),
             ({"events": CONTEXT}, "'events' must be a list"),
             (scenario_dict([CONTEXT, "request"]), r"event #1: not an object"),
+            # A name prefixes every request id, as in `t:000`.
+            *(({"name": name, "events": [CONTEXT]}, "'name' must be a string") for name in (5, True, None, ["x"])),
         ],
-        ids=["script_not_an_object", "events_not_a_list", "event_not_an_object"],
+        ids=[
+            "script_not_an_object", "events_not_a_list", "event_not_an_object",
+            "int_name", "bool_name", "null_name", "list_name",
+        ],
     )
     def test_a_script_of_the_wrong_shape_is_refused(self, data, message):
         with pytest.raises(ScenarioParseError, match=message):
@@ -94,6 +99,11 @@ class TestParsing:
         parse_scenario(scenario_dict([event]))
         with pytest.raises(ScenarioParseError, match=f"'{field}'"):
             parse_scenario(scenario_dict([dict(event, **{field: flag})]))
+
+    def test_an_absent_name_is_the_files_stem(self, tmp_path):
+        path = tmp_path / "kitchen_morning.json"
+        path.write_text(json.dumps({"events": [CONTEXT]}), encoding="utf-8")
+        assert load_scenario(path).name == "kitchen_morning"
 
 
 class TestRunner:
@@ -249,9 +259,10 @@ class TestCliRun:
                     ]
                 )
             ).encode(),
+            b'{"name": null, "events": [{"t": 0, "type": "request", "user": "alice", "object": "towel"}]}',
             *UNREADABLE_FILES,
         ],
-        ids=["unknown_event", "valence_beyond_float_range", *UNREADABLE_IDS],
+        ids=["unknown_event", "valence_beyond_float_range", "null_name", *UNREADABLE_IDS],
     )
     def test_malformed_scenario_exits_2_before_running(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"

@@ -460,12 +460,21 @@ def _read_decision(data):
 
 
 class TestDecisionBlockAsWritten:
-    @pytest.mark.parametrize("edit", [_zone_upper_case, _group_repeated, _groups_reversed], ids=lambda e: e.__name__)
-    def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, shipped_config, edit):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # A zone text matches exactly, as every enum text does.
+            (_zone_upper_case, "unknown zone 'GREEN'"),
+            (_group_repeated, "not in the form the engine writes"),
+            (_groups_reversed, "not in the form the engine writes"),
+        ],
+        ids=["_zone_upper_case", "_group_repeated", "_groups_reversed"],
+    )
+    def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, shipped_config, edit, message):
         data = _golden_privacy_line()
         assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
         edit(data["decision"])
-        with pytest.raises(ValueError, match="not in the form the engine writes"):
+        with pytest.raises(ValueError, match=message):
             DecisionTrace.from_dict(data)
 
     @pytest.mark.parametrize("group", ["purple", ["HA"], 3])
