@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base git ref against the working tree.
+
+    python3 scripts/bench_pairs.py --workload audit_replay --seeds 31 32 33 --seconds 4 [--base HEAD]
+
+The base ref's committed files are exported with `git archive` into a
+temporary directory, removed afterwards. For each seed, perfbench/run.py
+runs once there and once on the working tree, one after the other; the
+side that runs first alternates from seed to seed. Each run's end-to-end
+metrics are printed as it ends, then, for every end-to-end metric that
+BENCHMARK.json lists, the base and change medians, their ratio, the spread
+between the base runs' quartiles and the number of pairs the change won
+(ties count for neither side).
+
+Exits 1 as soon as a run's result line is not `correct` with 0 failed.
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class RunFailed(Exception):
+    pass
+
+
+def result_of(stdout: str) -> dict[str, float]:
+    """The metric values of a run.py result line, the last line of its
+    output. Refuses a run whose checks failed or that failed an operation."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError) as exc:
+        raise RunFailed(f"no result line: {exc}") from exc
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise RunFailed(f"correct={result.get('correct')!r} failed={result.get('failed')!r}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartile_spread(values: list[float]) -> float:
+    """Distance between the upper and lower quartile; 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return upper - lower
+
+
+def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
+    """One row per end-to-end metric: base and change medians, change/base,
+    the base quartile spread and the pairs the change won. `metrics` are
+    BENCHMARK.json's end_to_end entries; `pairs` are (base, change) results."""
+    rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change won")]
+    for metric in metrics:
+        name, lower_wins = metric["name"], metric["better"] == "lower"
+        measured = [(base[name], change[name]) for base, change in pairs if name in base and name in change]
+        if not measured:
+            continue
+        base_values = [b for b, _ in measured]
+        base_median = statistics.median(base_values)
+        change_median = statistics.median([c for _, c in measured])
+        won = sum((c < b) if lower_wins else (c > b) for b, c in measured)
+        ratio = f"{change_median / base_median:.4f}" if base_median else "-"
+        rows.append((
+            name, metric["unit"], f"{base_median:.4f}", f"{change_median:.4f}", ratio,
+            f"{quartile_spread(base_values):.4f}", f"{won}/{len(measured)}",
+        ))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(width) if i == 0 else cell.rjust(width) for i, (cell, width) in enumerate(zip(row, widths)))
+        for row in rows
+    )
+
+
+def export(ref: str, dest: Path) -> None:
+    """The committed files of `ref`, written under dest."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref], stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"bench_pairs: cannot export {ref!r}")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    try:
+        return result_of(done.stdout)
+    except RunFailed as exc:
+        sys.stderr.write(done.stdout + done.stderr)
+        raise SystemExit(f"bench_pairs: {tree} seed {seed}: {exc}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against (default HEAD)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        base_tree = Path(tmp)
+        export(args.base, base_tree)
+        for i, seed in enumerate(args.seeds):
+            sides = [("base", base_tree), ("change", ROOT)]
+            results = {}
+            for side, tree in sides if i % 2 == 0 else reversed(sides):
+                results[side] = run(tree, args.workload, seed, args.seconds)
+                shown = " ".join(f"{m['name']}={results[side][m['name']]:.4f}"
+                                 for m in metrics if m["name"] in results[side])
+                print(f"seed {seed} {side}: {shown}", flush=True)
+            pairs.append((results["base"], results["change"]))
+    print(f"\n{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g}, base {args.base}")
+    print(table(metrics, pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,12 +41,22 @@ from .ordering import CooldownDurations
 from .privacy import AdminHierarchy
 
 
+def _distinct(what: str, items: list) -> frozenset:
+    """A list read as a set. A repeated item is refused rather than
+    collapsed, so that a set has one spelling in a config file."""
+    distinct = frozenset(items)
+    if len(distinct) != len(items):
+        repeat = next(item for i, item in enumerate(items) if item in items[:i])
+        raise ValueError(f"{what} repeats {repeat!r}")
+    return distinct
+
+
 def _strings(what: str, value) -> frozenset[str]:
-    """A JSON list of strings, as a set. A bare string is refused rather
-    than split into its letters."""
+    """A JSON list of distinct strings, as a set. A bare string is refused
+    rather than split into its letters."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise TypeError(f"{what} must be a list of str, got {value!r}")
-    return frozenset(value)
+    return _distinct(what, value)
 
 
 def _each(section: str, entries: list, parse) -> list:
@@ -234,26 +244,33 @@ class PolicyConfig:
             # give one fingerprint.
             **{b: float(require_type(b, r[b], int, float)) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
         ))
-        # member() refuses any cooldown or group that is not one of the texts.
-        rows = _each("matrix", data["matrix"], lambda row: (
-            MatrixKey(
-                cooldown_profile=frozenset([
+        # One entry per distinct (groups, checks): the shipped 48 rows share 9.
+        entries: dict[tuple[frozenset, frozenset], MatrixEntry] = {}
+
+        def matrix_row(row: dict) -> tuple[MatrixKey, MatrixEntry]:
+            # member() refuses any cooldown or group that is not one of the texts.
+            key = MatrixKey(
+                cooldown_profile=_distinct("cooldown", [
                     member(CLASS_BY_TEXT, c) for c in require_type("cooldown", row["cooldown"], list)
                 ]),
                 request_class=member(CLASS_BY_TEXT, row["request_class"]),
                 zone=Zone.from_str(row["zone"]),
-            ),
-            MatrixEntry(
-                allowed_groups=frozenset([
-                    member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
-                ]),
-                required_checks=_strings("required_checks", row["required_checks"]),
-            ),
-        ))
+            )
+            groups = _distinct("allowed_groups", [
+                member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
+            ])
+            checks = _strings("required_checks", row["required_checks"])
+            entry = entries.get((groups, checks))
+            if entry is None:
+                entry = entries[groups, checks] = MatrixEntry(groups, checks)
+            return key, entry
+
+        rows = _each("matrix", data["matrix"], matrix_row)
         matrix: Matrix = {}
-        for row, (key, entry) in zip(data["matrix"], rows):
+        for i, (key, entry) in enumerate(rows):
             if key in matrix:
-                raise ConfigError(f"duplicate matrix row: {row}")
+                first = [k for k, _ in rows].index(key)
+                raise ConfigError(f"malformed policy config: matrix[{i}]: duplicate matrix row: same key as matrix[{first}]")
             matrix[key] = entry
         rules = _each("category_rules", data.get("category_rules", []), lambda r: CategoryRule(
             category=require_type("category", r["category"], str),

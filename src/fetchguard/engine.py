@@ -101,8 +101,9 @@ class FetchRequest:
     now: Instant
 
     def __post_init__(self):
-        for what in ("request_id", "user_id", "object_id"):
-            require_type(what, getattr(self, what), str)
+        require_type("request_id", self.request_id, str)
+        require_type("user_id", self.user_id, str)
+        require_type("object_id", self.object_id, str)
         require_type("emotion", self.emotion, EmotionSample)
         require_type("context", self.context, ContextSnapshot)
         require_type("now", self.now, int)
@@ -127,19 +128,20 @@ class FetchRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FetchRequest":
+        emotion, context = data["emotion"], data["context"]
         return cls(
             request_id=data["request_id"],
             user_id=data["user_id"],
             object_id=data["object_id"],
             emotion=EmotionSample(
-                _sensor_from_json(data["emotion"]["valence"]),
-                _sensor_from_json(data["emotion"]["arousal"]),
+                _sensor_from_json(emotion["valence"]),
+                _sensor_from_json(emotion["arousal"]),
             ),
             context=ContextSnapshot(
-                room=data["context"]["room"],
-                adult_present=data["context"]["adult_present"],
-                verbal_affirmation=data["context"]["verbal_affirmation"],
-                timestamp=data["context"]["timestamp"],
+                room=context["room"],
+                adult_present=context["adult_present"],
+                verbal_affirmation=context["verbal_affirmation"],
+                timestamp=context["timestamp"],
             ),
             now=data["now"],
         )
@@ -172,7 +174,7 @@ class Decision:
             deciding_policy=data["deciding_policy"],
             reason=data["reason"],
             effective_zone=Zone.from_str(data["effective_zone"]),
-            allowed_groups_at_leaf=frozenset(member(GROUP_BY_TEXT, g) for g in data["allowed_groups_at_leaf"]),
+            allowed_groups_at_leaf=frozenset([member(GROUP_BY_TEXT, g) for g in data["allowed_groups_at_leaf"]]),
         )
         if decision.to_dict() != data:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
@@ -243,7 +245,7 @@ _KEYS = frozenset(f.name for f in fields(DecisionTrace))
 _V1_KEYS = _KEYS - {"trace_version"}
 
 
-@dataclass
+@dataclass(slots=True)
 class _EvalState:
     """Everything one request's tick reads and works out; the tree is ticked
     on it. The request is read where it lies; the knowledge step adds the
@@ -283,6 +285,8 @@ class DecisionEngine:
         self.config = config
         self.audit_all = audit_all
         self.fingerprint = config.fingerprint()
+        #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
+        self._stages = tuple((stage, f"{stage}_ok", getattr(self, f"_eval_{stage}")) for stage in STAGES)
         self.tree = self._build_tree()
         validate_tree(self.tree)
         self.reset()
@@ -336,13 +340,13 @@ class DecisionEngine:
             Action("knowledge_check", self._do_knowledge),
             Action("blackboard_update", self._do_blackboard_update),
         ]
-        for stage, gate_name in GATES:
-            children.append(Fallback(gate_name, self._gate_leaves(stage, getattr(self, f"_eval_{stage}"))))
+        for (_, gate_name), (stage, ok_name, evaluate) in zip(GATES, self._stages):
+            children.append(Fallback(gate_name, self._gate_leaves(stage, ok_name, evaluate)))
         children.append(Action("accept", lambda st: SUCCESS))
         return Repeat("per_request", Sequence("decision_sequence", children))
 
-    def _gate_leaves(self, stage: str, evaluate) -> list[Node]:
-        ok_name, violation_name = f"{stage}_ok", f"{stage}_violation"
+    def _gate_leaves(self, stage: str, ok_name: str, evaluate) -> list[Node]:
+        violation_name = f"{stage}_violation"
 
         def check(st: _EvalState) -> bool:
             inputs, violation = evaluate(st)
@@ -426,9 +430,9 @@ class DecisionEngine:
     def _eval_emotion(self, st: _EvalState):
         steps = st.restriction.escalation_steps if st.restriction else 0
         st.effective_zone = escalate(st.base_zone, steps)
-        key = MatrixKey(st.active, st.obj.safety_class, st.effective_zone)
-        entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
         request_class = st.obj.safety_class
+        key = MatrixKey(st.active, request_class, st.effective_zone)
+        entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
         # Fresh lists, so that no trace shares one with the config.
         details = {
             "valence": st.emotion.valence,
@@ -522,7 +526,9 @@ class DecisionEngine:
             audit_all=self.audit_all,
             request=request.to_dict(),
             pre_state=pre_state,
-            warnings=list(st.warnings),
+            # The tick's state is dropped on return, so its lists are the
+            # trace's own.
+            warnings=st.warnings,
             events=st.events,
             decision=decision,
         )
@@ -533,14 +539,14 @@ class DecisionEngine:
         for the record; the verdict is already fixed."""
         start = STAGES.index(st.failed_stage) + 1
         events = []
-        for stage in STAGES[start:]:
+        for _, ok_name, evaluate in self._stages[start:]:
             try:
-                inputs, violation = getattr(self, f"_eval_{stage}")(st)
+                inputs, violation = evaluate(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
                 inputs = {"note": "not evaluable after the deciding violation"}
                 outcome = "skipped"
-            events.append({"node": f"{stage}_ok", "inputs": inputs, "outcome": outcome, "audit": True})
+            events.append({"node": ok_name, "inputs": inputs, "outcome": outcome, "audit": True})
         return events
 
 

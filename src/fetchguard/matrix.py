@@ -212,6 +212,10 @@ class CheckResult:
     failed_rule_category: str | None = None
 
 
+#: Every passing gate-4 result is this one.
+_PASSED = CheckResult(True)
+
+
 def category_checks(
     required_checks: frozenset[str],
     rules: Iterable[CategoryRule],
@@ -250,4 +254,4 @@ def category_checks(
                 return CheckResult(False, "verbal_affirmation", rule.category)
         if not rule.admits_room(context.room):
             return CheckResult(False, "room_appropriate", rule.category)
-    return CheckResult(True)
+    return _PASSED

@@ -25,6 +25,8 @@ def require_type(what: str, value, *types: type):
     A bool passes only where bool is asked for, although Python counts it
     as an int: a flag is not a clock reading or a sensor value.
     """
+    if type(value) in types:
+        return value
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{what} must be {names}, got {value!r}")

@@ -69,7 +69,11 @@ class CooldownState:
         return HOUSEHOLD_SCOPE_KEY if self.scope == "household" else user_id
 
     def _record(self, user_id: str) -> _UserRecord:
-        return self._records.setdefault(self._key(user_id), _UserRecord())
+        key = self._key(user_id)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._records[key] = _UserRecord()
+        return rec
 
     def last_requested(self, user_id: str) -> str | None:
         rec = self._records.get(self._key(user_id))
@@ -158,8 +162,13 @@ class Restriction:
     escalation_steps: int
 
 
+#: The only three restrictions there are, built once.
+_VEHICLE_BAN = Restriction(vehicle_ban=True, escalation_steps=0)
+_ESCALATE = Restriction(vehicle_ban=False, escalation_steps=1)
+_UNRESTRICTED = Restriction(vehicle_ban=False, escalation_steps=0)
+
+
 def ordering_restrictions(active: frozenset[SafetyClass], request: ObjectSpec) -> Restriction:
     if SafetyClass.MIND_ALTERING in active and request.category == VEHICLE_CATEGORY:
-        return Restriction(vehicle_ban=True, escalation_steps=0)
-    steps = 1 if request.safety_class in active else 0
-    return Restriction(vehicle_ban=False, escalation_steps=steps)
+        return _VEHICLE_BAN
+    return _ESCALATE if request.safety_class in active else _UNRESTRICTED

@@ -1,0 +1,90 @@
+"""scripts/bench_pairs.py's result parsing, medians and table, on canned
+run.py output; nothing here runs the benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "verify_us_p50", "unit": "us", "better": "lower"},
+    {"name": "decisions_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "trace_bytes_mean", "unit": "B", "better": "lower"},
+    {"name": "not_measured", "unit": "us", "better": "lower"},
+]
+
+
+def run_output(correct=True, failed=0, **values):
+    """What run.py prints: metric lines, then one JSON result line."""
+    result = {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "us"} for name, value in values.items()},
+    }
+    shown = "\n".join(f"  {name:<40} {value:>16.4f} us" for name, value in values.items())
+    return f"workload audit_replay  seed 1  seconds 4  trace 0\n{shown}\n{json.dumps(result)}\n"
+
+
+class TestResultLine:
+    def test_reads_the_metric_values_of_the_last_line(self):
+        assert bench_pairs.result_of(run_output(verify_us_p50=100.5, decisions_per_s=9000.0)) == {
+            "verify_us_p50": 100.5,
+            "decisions_per_s": 9000.0,
+        }
+
+    @pytest.mark.parametrize(
+        "output, why",
+        [
+            (run_output(correct=False, verify_us_p50=1.0), "correct=False failed=0"),
+            (run_output(failed=3, verify_us_p50=1.0), "correct=True failed=3"),
+            ("", "no result line"),
+            ("perfbench: unknown workload 'x'\n", "no result line"),
+        ],
+    )
+    def test_refuses_a_run_that_is_not_correct_with_none_failed(self, output, why):
+        with pytest.raises(bench_pairs.RunFailed, match=why):
+            bench_pairs.result_of(output)
+
+
+class TestTable:
+    PAIRS = [
+        ({"verify_us_p50": 110.0, "decisions_per_s": 9000.0, "trace_bytes_mean": 1600.0},
+         {"verify_us_p50": 100.0, "decisions_per_s": 9500.0, "trace_bytes_mean": 1600.0}),
+        ({"verify_us_p50": 108.0, "decisions_per_s": 9100.0, "trace_bytes_mean": 1700.0},
+         {"verify_us_p50": 109.0, "decisions_per_s": 9000.0, "trace_bytes_mean": 1700.0}),
+        ({"verify_us_p50": 104.0, "decisions_per_s": 8800.0, "trace_bytes_mean": 1650.0},
+         {"verify_us_p50": 98.0, "decisions_per_s": 9900.0, "trace_bytes_mean": 1650.0}),
+        ({"verify_us_p50": 106.0, "decisions_per_s": 9200.0, "trace_bytes_mean": 1620.0},
+         {"verify_us_p50": 99.0, "decisions_per_s": 9300.0, "trace_bytes_mean": 1620.0}),
+    ]
+
+    def rows(self):
+        lines = bench_pairs.table(METRICS, self.PAIRS).splitlines()
+        return {line.split()[0]: line.split()[1:] for line in lines}
+
+    def test_medians_ratio_spread_and_wins(self):
+        rows = self.rows()
+        # Medians of four: the mean of the middle two. Quartiles interpolate
+        # between the sorted base values: 105.5 and 108.5 here.
+        assert rows["verify_us_p50"] == ["us", "107.0000", "99.5000", "0.9299", "3.0000", "3/4"]
+        # Higher is better here: the change won where it read more.
+        assert rows["decisions_per_s"] == ["1/s", "9050.0000", "9400.0000", "1.0387", "175.0000", "3/4"]
+
+    def test_a_tie_counts_for_neither_side(self):
+        assert self.rows()["trace_bytes_mean"][-2:] == ["47.5000", "0/4"]
+
+    def test_a_metric_no_run_printed_gets_no_row(self):
+        assert list(self.rows()) == ["metric", "verify_us_p50", "decisions_per_s", "trace_bytes_mean"]
+
+    def test_one_pair_has_no_spread(self):
+        assert bench_pairs.quartile_spread([5.0]) == 0.0
+        rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
+        assert rows[1].split() == ["verify_us_p50", "us", "110.0000", "100.0000", "0.9091", "0.0000", "1/1"]

@@ -333,6 +333,65 @@ class TestParseErrors:
             PolicyConfig.from_dict(data)
 
 
+def _set(*path):
+    """An edit that puts the last item of `path` at the rest of it."""
+    *keys, last, value = path
+
+    def edit(data):
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    edit.__name__ = ".".join(map(str, path[:-1]))
+    return edit
+
+
+class TestRepeatsRefused:
+    """A list the config reads as a set lists each item once. A repeat is
+    refused by name rather than collapsed, which would give the file the
+    shipped file's fingerprint."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set("matrix", 5, "allowed_groups", ["FAA", "HA", "FAA"]), "matrix[5]: allowed_groups repeats 'FAA'"),
+            (_set("matrix", 5, "required_checks", ["verbal_affirmation"] * 2),
+             "matrix[5]: required_checks repeats 'verbal_affirmation'"),
+            # Collapsed, this row's key would be another row's.
+            (_set("matrix", 5, "cooldown", ["dangerous", "dangerous"]), "matrix[5]: cooldown repeats 'dangerous'"),
+            (_set("category_rules", 0, "extra_checks", ["allergy_screen", "verbal_affirmation", "allergy_screen"]),
+             "category_rules[0]: extra_checks repeats 'allergy_screen'"),
+            (_set("category_rules", 3, "appropriate_rooms", ["kitchen", "kitchen"]),
+             "category_rules[3]: appropriate_rooms repeats 'kitchen'"),
+            (_set("objects", 6, "allergen_tags", ["peanut", "peanut"]), "objects[6]: allergen_tags repeats 'peanut'"),
+            (_set("users", 2, "allergies", ["peanut", "peanut"]), "users[2]: allergies repeats 'peanut'"),
+            (_set("admin", "designators", ["alice", "henry", "alice"]), "admin.designators repeats 'alice'"),
+            (_set("personal_tags", 0, "grants", ["bob", "bob"]), "personal_tags[0]: grants repeats 'bob'"),
+        ],
+        ids=lambda e: getattr(e, "__name__", ""),
+    )
+    def test_a_repeated_item_is_refused_by_entry_and_item(self, edit, message):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        edit(data)
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == f"malformed policy config: {message}"
+
+    def test_a_duplicate_matrix_row_names_both_rows(self):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        data["matrix"].append(dict(data["matrix"][3]))
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == "malformed policy config: matrix[48]: duplicate matrix row: same key as matrix[3]"
+
+    def test_rows_with_equal_groups_and_checks_share_one_entry(self, shipped_config):
+        # Each distinct entry is built once per load; equal rows stay equal.
+        config = PolicyConfig.from_dict(SHIPPED_DATA)
+        assert len({id(entry) for entry in config.matrix.values()}) == len(set(config.matrix.values())) == 9
+        assert config.matrix == shipped_config.matrix
+        assert config.fingerprint() == SHIPPED_FINGERPRINT
+
+
 #: Where each field that holds an enum text sits, and the index its
 #: refusal names.
 ENUM_FIELDS = {

@@ -304,6 +304,76 @@ class TestTraceShape:
         assert clone.to_json() == trace.to_json()
 
 
+def _scribble(node):
+    """Edit in place every dict and list inside node."""
+    if isinstance(node, dict):
+        for value in list(node.values()):
+            _scribble(value)
+        node["scribbled"] = True
+    elif isinstance(node, list):
+        for value in node:
+            _scribble(value)
+        node.append("scribbled")
+
+
+CLAMPED = EmotionSample(1.5, 0.0)
+#: Every trace of this stream has warnings, and most a pre-state with a
+#: cool-down record or a personal tag in it.
+PRIVATE_STREAM = [
+    make_request("alice", "knife", emotion=CLAMPED, now=0, request_id="p-0"),
+    make_request("alice", "diary", emotion=CLAMPED, now=60, request_id="p-1"),
+    make_request("mallory", "anvil", now=120, request_id="p-2"),
+    make_request("alice", "knife", emotion=CLAMPED, now=180, request_id="p-3"),
+    make_request("mallory", "knife", now=240, request_id="p-4"),
+    make_request("mallory", "sleeping_pills", now=300, request_id="p-5"),
+]
+TRACE_CONTAINERS = ["warnings", "events", "request", "pre_state"]
+
+
+class TestTracesAreTheirOwn:
+    """A trace's containers belong to it alone: editing one trace's
+    warnings, events, request or pre-state changes no other trace, no later
+    decision and no engine's state."""
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @pytest.mark.parametrize("part", TRACE_CONTAINERS)
+    def test_editing_a_decided_trace(self, shipped_config, audit_all, part):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        twin = DecisionEngine(shipped_config, audit_all=audit_all)
+        earlier = []
+        for request in PRIVATE_STREAM:
+            _, trace = engine.decide(request)
+            assert trace.warnings
+            # The next decision is the one an engine whose traces nobody
+            # edited makes.
+            assert trace.to_json() == twin.decide(request)[1].to_json()
+            lines = [t.to_json() for t in earlier]
+            state = (engine.cooldowns.snapshot(), engine.registry.snapshot(), engine._primed)
+            _scribble(getattr(trace, part))
+            assert [t.to_json() for t in earlier] == lines
+            assert (engine.cooldowns.snapshot(), engine.registry.snapshot(), engine._primed) == state
+            earlier.append(trace)
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @pytest.mark.parametrize("part", TRACE_CONTAINERS)
+    def test_editing_a_verified_trace(self, audit_all, part):
+        config = default_config()
+        engine = DecisionEngine(config, audit_all=audit_all)
+        twin = DecisionEngine(config, audit_all=audit_all)
+        for request in PRIVATE_STREAM:
+            _, trace = engine.decide(request)
+            assert trace.to_json() == twin.decide(request)[1].to_json()
+            line = trace.to_json()
+            assert verify_trace(trace, config).ok
+            replayer = config._replay_engine
+            state = (replayer.cooldowns.snapshot(), replayer.registry.snapshot(), replayer._primed)
+            user_state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
+            _scribble(getattr(trace, part))
+            assert (replayer.cooldowns.snapshot(), replayer.registry.snapshot(), replayer._primed) == state
+            assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == user_state
+            assert verify_trace(DecisionTrace.from_dict(json.loads(line)), config).ok
+
+
 ALICE_ON_COOLDOWN = {"last_requested": "knife", "active": {"dangerous": 1800}}
 
 

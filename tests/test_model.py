@@ -18,8 +18,9 @@ from fetchguard import (
     classify_user_group,
     validate_object_catalog,
 )
+from fetchguard.emotion import Zone
 from fetchguard.engine import canonical_json
-from fetchguard.model import CLASS_BY_TEXT, GROUP_BY_TEXT, RELATIONSHIP_BY_TEXT, member as member_of
+from fetchguard.model import CLASS_BY_TEXT, GROUP_BY_TEXT, RELATIONSHIP_BY_TEXT, member as member_of, require_type
 
 CANADA = Region("canada", 19)
 USA = Region("usa", 21)
@@ -134,6 +135,47 @@ class TestCatalogValidation:
 
 
 TEXT_MEMBERS = [*UserGroup, *SafetyClass, *Relationship]
+
+
+def _require_type_as_specified(what, value, *types):
+    """require_type's contract, written out as one predicate: an instance
+    of one of the types passes unchanged, except a bool where bool is not
+    asked for; anything else is a TypeError that names the types."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
+def _outcome(check, value, types):
+    try:
+        return ("returned", check("field", value, *types))
+    except Exception as exc:  # the type and the words are the contract
+        return (type(exc), str(exc))
+
+
+ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(),
+    # Beyond the default int-to-text digit limit, so the refusal's repr fails alike.
+    st.integers(min_value=-(10**5000), max_value=10**5000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(TEXT_MEMBERS),
+    st.sampled_from(list(Zone)),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+class TestRequireType:
+    @given(value=ANY_VALUE, types=st.sampled_from([(str,), (int,), (bool,), (int, float), (list,)]))
+    def test_accepts_and_refuses_what_the_written_predicate_does(self, value, types):
+        got = _outcome(require_type, value, types)
+        assert got == _outcome(_require_type_as_specified, value, types)
+        if got[0] == "returned":
+            assert got[1] is value
 
 
 class TestTextMember:
