@@ -20,7 +20,6 @@ from .emotion import (
     Zone,
     ZoneRect,
     ZoneTable,
-    default_zone_table,
     escalate,
     validate_zone_table,
     zone_of,
@@ -52,7 +51,6 @@ from .matrix import (
     MatrixEntry,
     MatrixKey,
     category_checks,
-    default_matrix,
     matrix_lookup,
     validate_matrix,
 )

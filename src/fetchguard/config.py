@@ -12,16 +12,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .emotion import Zone, ZoneRect, ZoneTable, default_zone_table, validate_zone_table
+from .emotion import Zone, ZoneRect, ZoneTable, validate_zone_table
 from .errors import ConfigError
-from .matrix import (
-    CategoryRule,
-    Matrix,
-    MatrixEntry,
-    MatrixKey,
-    default_matrix,
-    validate_matrix,
-)
+from .matrix import CategoryRule, Matrix, MatrixEntry, MatrixKey, validate_matrix
 from .model import (
     CLASS_BY_TEXT,
     GROUP_BY_TEXT,
@@ -31,7 +24,6 @@ from .model import (
     Region,
     Relationship,
     Report,
-    SafetyClass,
     UserProfile,
     member,
     require_type,
@@ -39,6 +31,12 @@ from .model import (
 )
 from .ordering import CooldownDurations
 from .privacy import AdminHierarchy
+
+#: The shipped household. It sits in a checkout, beside src/; a non-editable
+#: install carries none, so load a config file by path there instead.
+SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json"
+#: The fingerprint of SHIPPED_CONFIG, which every golden trace embeds.
+SHIPPED_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
 
 
 def _distinct(what: str, items: list) -> frozenset:
@@ -59,16 +57,19 @@ def _strings(what: str, value) -> frozenset[str]:
     return _distinct(what, value)
 
 
+def _at(where: str, parse, value):
+    """parse(value) for one part of a config file. A refusal names the
+    part, as in `region: ...`; from_dict adds its prefix."""
+    try:
+        return parse(value)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _each(section: str, entries: list, parse) -> list:
     """parse applied to each entry of one list of a config file. A refusal
     names the entry, as in `users[2]: allergies must be ...`."""
-    parsed = []
-    for i, entry in enumerate(entries):
-        try:
-            parsed.append(parse(entry))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed policy config: {section}[{i}]: {exc}") from exc
-    return parsed
+    return [_at(f"{section}[{i}]", parse, entry) for i, entry in enumerate(entries)]
 
 
 def _admin_role(admin: AdminHierarchy, user: UserProfile) -> str:
@@ -220,23 +221,19 @@ class PolicyConfig:
     def from_dict(cls, data: dict) -> "PolicyConfig":
         try:
             return cls._from_dict(data)
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed policy config: {exc}") from exc
 
     @classmethod
     def _from_dict(cls, data: dict) -> "PolicyConfig":
-        region = Region(
-            name=require_type("region.name", data["region"]["name"], str),
-            adult_age_threshold=require_type(
-                "region.adult_age_threshold", data["region"]["adult_age_threshold"], int
-            ),
-        )
-        durations = CooldownDurations(
-            dangerous=require_type("durations.dangerous_s", data["durations"]["dangerous_s"], int),
-            mind_altering=require_type("durations.mind_altering_s", data["durations"]["mind_altering_s"], int),
-        )
+        region = _at("region", lambda r: Region(
+            name=require_type("name", r["name"], str),
+            adult_age_threshold=require_type("adult_age_threshold", r["adult_age_threshold"], int),
+        ), data["region"])
+        durations = _at("durations", lambda d: CooldownDurations(
+            dangerous=require_type("dangerous_s", d["dangerous_s"], int),
+            mind_altering=require_type("mind_altering_s", d["mind_altering_s"], int),
+        ), data["durations"])
         scope = require_type("cooldown_scope", data.get("cooldown_scope", "user"), str)
         rects = _each("zone_table", data["zone_table"], lambda r: ZoneRect(
             zone=Zone.from_str(r["zone"]),
@@ -270,7 +267,7 @@ class PolicyConfig:
         for i, (key, entry) in enumerate(rows):
             if key in matrix:
                 first = [k for k, _ in rows].index(key)
-                raise ConfigError(f"malformed policy config: matrix[{i}]: duplicate matrix row: same key as matrix[{first}]")
+                raise ValueError(f"matrix[{i}]: duplicate matrix row: same key as matrix[{first}]")
             matrix[key] = entry
         rules = _each("category_rules", data.get("category_rules", []), lambda r: CategoryRule(
             category=require_type("category", r["category"], str),
@@ -292,10 +289,10 @@ class PolicyConfig:
             relationship=member(RELATIONSHIP_BY_TEXT, u["relationship"]),
             allergies=_strings("allergies", u.get("allergies", [])),
         ))
-        admin = AdminHierarchy(
-            owner=require_type("admin.owner", data["admin"]["owner"], str),
-            designators=_strings("admin.designators", data["admin"].get("designators", [])),
-        )
+        admin = _at("admin", lambda a: AdminHierarchy(
+            owner=require_type("owner", a["owner"], str),
+            designators=_strings("designators", a.get("designators", [])),
+        ), data["admin"])
         tags = _each("personal_tags", data.get("personal_tags", []), lambda t: InitialTag(
             object_id=require_type("object_id", t["object_id"], str),
             tagged_by=require_type("tagged_by", t["tagged_by"], str),
@@ -327,11 +324,6 @@ class PolicyConfig:
             except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, too many digits or too deep
                 raise ConfigError(f"cannot parse {path}: {exc}") from exc
         return cls.from_dict(data)
-
-    def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -422,50 +414,14 @@ class PolicyConfig:
 
 
 def default_config() -> PolicyConfig:
-    """The shipped household: a small catalog and roster exercising every
-    policy surface, with the default zone table and allow-matrix."""
-    users = [
-        UserProfile("alice", 34, Relationship.HOUSEHOLD),
-        UserProfile("bob", 15, Relationship.HOUSEHOLD),
-        UserProfile("carol", 8, Relationship.HOUSEHOLD, frozenset({"peanut"})),
-        UserProfile("dave", 4, Relationship.HOUSEHOLD),
-        UserProfile("erin", 40, Relationship.FAMILY),
-        UserProfile("grace", 30, Relationship.FRIEND),
-        UserProfile("henry", 62, Relationship.HOUSEHOLD),
-    ]
-    objects = [
-        ObjectSpec("knife", "Chef's knife", SafetyClass.DANGEROUS, "kitchen"),
-        ObjectSpec("sleeping_pills", "Sleeping pills", SafetyClass.MIND_ALTERING, "medicine"),
-        ObjectSpec("cough_syrup", "Cough syrup", SafetyClass.MIND_ALTERING, "medicine"),
-        ObjectSpec("car_keys", "Car keys", SafetyClass.NEITHER, "vehicle"),
-        ObjectSpec("towel", "Bath towel", SafetyClass.NEITHER, "bathroom"),
-        ObjectSpec("toy_block", "Toy block", SafetyClass.NEITHER, "toy"),
-        ObjectSpec(
-            "peanut_butter",
-            "Peanut butter jar",
-            SafetyClass.NEITHER,
-            "food",
-            frozenset({"peanut"}),
-        ),
-        ObjectSpec("safety_scissors", "Safety scissors", SafetyClass.NEITHER, "craft"),
-        ObjectSpec("diary", "Diary", SafetyClass.NEITHER, "stationery"),
-    ]
-    rules = [
-        CategoryRule("medicine", frozenset({"allergy_screen", "verbal_affirmation"})),
-        CategoryRule("food", frozenset({"allergy_screen"})),
-        CategoryRule("craft", frozenset({"adult_present_for_child_tier"})),
-        CategoryRule("kitchen", frozenset(), frozenset({"kitchen"})),
-        CategoryRule("vehicle", frozenset({"verbal_affirmation"})),
-    ]
-    return PolicyConfig(
-        region=Region("canada", 19),
-        durations=CooldownDurations(),
-        cooldown_scope="user",
-        zone_table=default_zone_table(),
-        matrix=default_matrix(),
-        category_rules=rules,
-        objects=objects,
-        users=users,
-        admin=AdminHierarchy(owner="alice", designators=frozenset({"alice", "henry"})),
-        personal_tags=[InitialTag("diary", "alice")],
-    )
+    """The shipped household, read afresh from SHIPPED_CONFIG on each call
+    and not yet used, since callers may edit what they get. A file whose
+    fingerprint is not SHIPPED_FINGERPRINT is refused, so that a drifted
+    file fails the corpus run and the benchmark, which would otherwise check
+    it against itself."""
+    config = PolicyConfig.load(SHIPPED_CONFIG)
+    # Not config.fingerprint(), which would memoize it before those edits.
+    fingerprint = hashlib.sha256(config.canonical_bytes()).hexdigest()
+    if fingerprint != SHIPPED_FINGERPRINT:
+        raise ConfigError(f"{SHIPPED_CONFIG}: fingerprint {fingerprint} is not the shipped {SHIPPED_FINGERPRINT}")
+    return config

@@ -2,9 +2,12 @@
 
 A zone table is an ordered list of closed rectangles over [-1,1]^2; the first
 rectangle containing a sample wins, so earlier entries shadow later ones. The
-shipped default puts Red on the negative/high-arousal corner (extreme anger),
-Orange on the negative/low-arousal corner (extreme sadness), Green on the
-whole non-negative-valence half, and Yellow on the remaining negative band.
+shipped household's table (configs/default.json) puts Red on the
+negative/high-arousal corner (extreme anger), Orange on the
+negative/low-arousal corner (extreme sadness), Green on the whole
+non-negative-valence half, and Yellow on the remaining negative band; Green
+is listed before Yellow, which keeps every interval closed while still
+giving Green all of v >= 0.
 """
 
 from __future__ import annotations
@@ -95,19 +98,6 @@ class ZoneRect:
 @dataclass(frozen=True)
 class ZoneTable:
     rects: tuple[ZoneRect, ...]
-
-
-def default_zone_table() -> ZoneTable:
-    # Listed in priority order; Green before Yellow keeps every interval
-    # closed while still giving Green all of v >= 0.
-    return ZoneTable(
-        rects=(
-            ZoneRect(Zone.RED, -1.0, -0.5, 0.5, 1.0),
-            ZoneRect(Zone.ORANGE, -1.0, -0.5, -1.0, -0.5),
-            ZoneRect(Zone.GREEN, 0.0, 1.0, -1.0, 1.0),
-            ZoneRect(Zone.YELLOW, -1.0, 0.0, -1.0, 1.0),
-        )
-    )
 
 
 def zone_of(sample: EmotionSample, table: ZoneTable) -> Zone:

@@ -8,10 +8,11 @@ groups, arming another cool-down never admits more groups, and neither
 lets a group through on fewer checks. Gate 4 runs a row's checks, then the
 category rules (`category_checks`).
 
-The shipped default derives its cool-down rows from the base (no cool-down)
-rows by escalating the zone once per active class that does NOT match the
-request class; same-class tightening already happens upstream, where the
-ordering stage escalates the effective zone before the lookup.
+The shipped household's matrix (configs/default.json) follows one design
+rule: each cool-down row is the base (no cool-down) row at the zone
+escalated once per active class that does NOT match the request class.
+Same-class tightening already happens upstream, where the ordering stage
+escalates the effective zone before the lookup.
 """
 
 from __future__ import annotations
@@ -114,47 +115,6 @@ class CategoryRule:
     def admits_room(self, room: str) -> bool:
         """A rule that declares no rooms admits every room."""
         return self.appropriate_rooms is None or room in self.appropriate_rooms
-
-
-def _base_entries() -> dict[tuple[SafetyClass, Zone], MatrixEntry]:
-    g = UserGroup
-    adult_all = frozenset({g.HA, g.FAA, g.FRA})
-    return {
-        (SafetyClass.NEITHER, Zone.GREEN): MatrixEntry(ALL_GROUPS),
-        (SafetyClass.NEITHER, Zone.YELLOW): MatrixEntry(
-            frozenset({g.HA, g.HT, g.HC, g.FAA, g.FAT, g.FAC})
-        ),
-        (SafetyClass.NEITHER, Zone.ORANGE): MatrixEntry(
-            frozenset({g.HA, g.HT, g.FAA}), frozenset({"verbal_affirmation"})
-        ),
-        (SafetyClass.NEITHER, Zone.RED): MatrixEntry(
-            frozenset({g.HA}), frozenset({"verbal_affirmation"})
-        ),
-        (SafetyClass.DANGEROUS, Zone.GREEN): MatrixEntry(adult_all),
-        (SafetyClass.DANGEROUS, Zone.YELLOW): MatrixEntry(
-            frozenset({g.HA, g.FAA}), frozenset({"verbal_affirmation"})
-        ),
-        (SafetyClass.DANGEROUS, Zone.ORANGE): MatrixEntry(
-            frozenset({g.HA}), frozenset({"verbal_affirmation", "room_appropriate"})
-        ),
-        (SafetyClass.DANGEROUS, Zone.RED): MatrixEntry(frozenset()),
-        (SafetyClass.MIND_ALTERING, Zone.GREEN): MatrixEntry(frozenset({g.HA, g.FAA})),
-        (SafetyClass.MIND_ALTERING, Zone.YELLOW): MatrixEntry(
-            frozenset({g.HA, g.FAA}), frozenset({"verbal_affirmation"})
-        ),
-        (SafetyClass.MIND_ALTERING, Zone.ORANGE): MatrixEntry(frozenset()),
-        (SafetyClass.MIND_ALTERING, Zone.RED): MatrixEntry(frozenset()),
-    }
-
-
-def default_matrix() -> Matrix:
-    """All 48 rows. Cool-down rows reuse the base row at a zone escalated
-    once per active class different from the requested class."""
-    base = _base_entries()
-    return {
-        k: base[(k.request_class, escalate(k.zone, len(k.cooldown_profile - {k.request_class})))]
-        for k in ALL_KEYS
-    }
 
 
 def matrix_lookup(matrix: Matrix, key: MatrixKey) -> MatrixEntry:

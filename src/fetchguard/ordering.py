@@ -1,7 +1,8 @@
 """Per-user request memory and cool-down windows for flagged object classes.
 
-Granting or denying a dangerous object arms a 30-minute window; a
-mind-altering object arms a four-hour window. Denials reset the window for
+Granting or denying a dangerous or mind-altering object arms that class's
+window; the shipped household (configs/default.json) gives dangerous objects
+30 minutes and mind-altering ones four hours. Denials reset the window for
 the denied class. While a cool-down is active, same-class requests escalate
 the effective emotion zone one step toward Red, and vehicles are flat-out
 unavailable during a mind-altering cool-down.
@@ -16,9 +17,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .model import Instant, ObjectSpec, SafetyClass, require_type
 
-DEFAULT_DANGEROUS_COOLDOWN_S = 30 * 60
-DEFAULT_MIND_ALTERING_COOLDOWN_S = 4 * 60 * 60
-
 VEHICLE_CATEGORY = "vehicle"
 
 #: State key used when cool-downs are shared household-wide.
@@ -31,8 +29,8 @@ _FLAGGED_BY_TEXT = {cls.value: cls for cls in _FLAGGED}
 
 @dataclass(frozen=True)
 class CooldownDurations:
-    dangerous: int = DEFAULT_DANGEROUS_COOLDOWN_S
-    mind_altering: int = DEFAULT_MIND_ALTERING_COOLDOWN_S
+    dangerous: int
+    mind_altering: int
 
     def __post_init__(self):
         if self.dangerous <= 0 or self.mind_altering <= 0:

@@ -27,8 +27,6 @@ from fetchguard import (
     UserProfile,
     Zone,
     default_config,
-    default_matrix,
-    default_zone_table,
     load_scenario,
     replay,
     run_scenario,
@@ -77,13 +75,14 @@ GROUP_PROFILES = {
 
 
 def lab_config(users, objects):
-    """A purpose-built household with the default tables and no category rules."""
+    """A purpose-built household with the shipped tables and no category rules."""
+    shipped = default_config()
     return PolicyConfig(
         region=Region("canada", 19),
-        durations=CooldownDurations(),
+        durations=shipped.durations,
         cooldown_scope="user",
-        zone_table=default_zone_table(),
-        matrix=default_matrix(),
+        zone_table=shipped.zone_table,
+        matrix=shipped.matrix,
         category_rules=[],
         objects=objects,
         users=users,
@@ -97,7 +96,7 @@ def friendly_context(now=0):
 
 
 def test_criterion_1_cooldown_constants_exact():
-    durations = CooldownDurations()
+    durations = default_config().durations
     state = CooldownState()
     state.on_granted("u", KNIFE, 0, durations)
     assert state.expiry("u", D) == 1800
@@ -204,7 +203,7 @@ def test_criterion_4_under_five_denied_everywhere():
 
 
 def test_criterion_5_zone_totality_and_anchors():
-    table = default_zone_table()
+    table = default_config().zone_table
     assert validate_zone_table(table).ok
     for iv in range(-100, 101):
         for ia in range(-100, 101):
@@ -217,19 +216,19 @@ def test_criterion_5_zone_totality_and_anchors():
 
 
 def test_criterion_6_matrix_laws_and_violation_detection():
-    assert validate_matrix(default_matrix()).ok
-    assert len(default_matrix()) == 48
+    assert validate_matrix(default_config().matrix).ok
+    assert len(default_config().matrix) == 48
 
-    short = default_matrix()
+    short = default_config().matrix
     del short[MatrixKey(frozenset(), N, Zone.GREEN)]
     assert "missing-key" in validate_matrix(short).codes()
 
-    bumpy = default_matrix()
+    bumpy = default_config().matrix
     # Red suddenly admits a teen that every better zone refuses.
     bumpy[MatrixKey(frozenset(), D, Zone.RED)] = MatrixEntry(frozenset({UserGroup.HA, UserGroup.HT}))
     assert "zone-monotonicity" in validate_matrix(bumpy).codes()
 
-    leaky = default_matrix()
+    leaky = default_config().matrix
     leaky[MatrixKey(frozenset(), N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS | {UserGroup.INELIGIBLE})
     assert "ineligible-group" in validate_matrix(leaky).codes()
     print("ACCEPTANCE PASS 6: matrix validator passes shipped default, catches 3 violations")

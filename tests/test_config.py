@@ -1,14 +1,17 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fetchguard.config
 from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest, PolicyConfig, default_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -26,9 +29,25 @@ class TestDefaults:
         assert shipped_config.fingerprint() == SHIPPED_FINGERPRINT
         assert PolicyConfig.load(DEFAULT_JSON).fingerprint() == SHIPPED_FINGERPRINT
 
-    def test_checked_in_file_matches_code_defaults(self, shipped_config):
-        loaded = PolicyConfig.load(DEFAULT_JSON)
-        assert loaded.fingerprint() == shipped_config.fingerprint()
+    def test_a_drifted_shipped_file_is_refused_by_name(self, tmp_path, monkeypatch):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        data["durations"]["dangerous_s"] = 1801
+        drifted = tmp_path / "default.json"
+        drifted.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setattr(fetchguard.config, "SHIPPED_CONFIG", drifted)
+        with pytest.raises(ConfigError, match=re.escape(f"{drifted}: fingerprint ")):
+            default_config()
+
+    def test_each_call_loads_a_config_of_its_own(self):
+        first, second = default_config(), default_config()
+        assert first == second and first is not second
+        first.users.pop()
+        first.matrix.clear()
+        first.personal_tags.clear()
+        assert default_config() == second
+        # Nothing is memoized yet, so an edit shows in the fingerprint.
+        first.durations = replace(first.durations, dangerous=1801)
+        assert first.fingerprint() != SHIPPED_FINGERPRINT
 
     def test_dict_roundtrip_preserves_fingerprint(self, shipped_config):
         clone = PolicyConfig.from_dict(shipped_config.to_dict())
@@ -365,7 +384,7 @@ class TestRepeatsRefused:
              "category_rules[3]: appropriate_rooms repeats 'kitchen'"),
             (_set("objects", 6, "allergen_tags", ["peanut", "peanut"]), "objects[6]: allergen_tags repeats 'peanut'"),
             (_set("users", 2, "allergies", ["peanut", "peanut"]), "users[2]: allergies repeats 'peanut'"),
-            (_set("admin", "designators", ["alice", "henry", "alice"]), "admin.designators repeats 'alice'"),
+            (_set("admin", "designators", ["alice", "henry", "alice"]), "admin: designators repeats 'alice'"),
             (_set("personal_tags", 0, "grants", ["bob", "bob"]), "personal_tags[0]: grants repeats 'bob'"),
         ],
         ids=lambda e: getattr(e, "__name__", ""),
@@ -390,6 +409,31 @@ class TestRepeatsRefused:
         assert len({id(entry) for entry in config.matrix.values()}) == len(set(config.matrix.values())) == 9
         assert config.matrix == shipped_config.matrix
         assert config.fingerprint() == SHIPPED_FINGERPRINT
+
+
+class TestRefusalsNameTheirPlace:
+    """A refusal the parts of a config raise themselves names the section
+    or entry it sits in, as the loader's own refusals do."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set("matrix", 5, "required_checks", ["bogus"]), "matrix[5]: unknown matrix checks: ['bogus']"),
+            (_set("category_rules", 0, "extra_checks", ["bogus"]),
+             "category_rules[0]: unknown category checks: ['bogus']"),
+            (_set("users", 1, "age_years", -3), "users[1]: user 'bob': negative age"),
+            (_set("region", "adult_age_threshold", 3),
+             "region: region 'canada': adult_age_threshold must be >= 14, got 3"),
+            (_set("durations", "dangerous_s", 0), "durations: cool-down durations must be strictly positive"),
+        ],
+        ids=lambda e: getattr(e, "__name__", ""),
+    )
+    def test_a_refusal_names_its_section_or_entry(self, edit, message):
+        data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+        edit(data)
+        with pytest.raises(ConfigError) as refused:
+            PolicyConfig.from_dict(data)
+        assert str(refused.value) == f"malformed policy config: {message}"
 
 
 #: Where each field that holds an enum text sits, and the index its
@@ -515,8 +559,8 @@ class TestValuesCheckedNotConverted:
         [
             (_allergies_as_text, r"users\[2\]: allergies must be a list of str"),
             (_allergen_tags_as_text, r"objects\[6\]: allergen_tags must be a list of str"),
-            (_flag_as_duration, r"durations\.dangerous_s must be int"),
-            (_fractional_adult_age, r"region\.adult_age_threshold must be int"),
+            (_flag_as_duration, r"durations: dangerous_s must be int"),
+            (_fractional_adult_age, r"region: adult_age_threshold must be int"),
             (_numeric_personal_owner, r"objects\[8\]: personal_owner must be 'alice'"),
             (_flag_as_zone_bound, r"zone_table\[0\]: v_lo must be int or float"),
             (_numeric_zone_name, r"zone_table\[0\]: unknown zone 3"),

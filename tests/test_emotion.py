@@ -10,11 +10,13 @@ from fetchguard import (
     Zone,
     ZoneRect,
     ZoneTable,
-    default_zone_table,
+    default_config,
     escalate,
     validate_zone_table,
     zone_of,
 )
+
+SHIPPED_TABLE = default_config().zone_table
 
 # Independent oracle: a literal re-statement of the shipped geometry. The
 # production table must agree with a first-match scan over these rectangles.
@@ -48,27 +50,25 @@ class TestDefaultTable:
     )
     def test_anchor_points(self, v, a, expected):
         assert oracle_zone(v, a) == expected.as_str()
-        assert zone_of(EmotionSample(v, a), default_zone_table()) is expected
+        assert zone_of(EmotionSample(v, a), SHIPPED_TABLE) is expected
 
     def test_corner_anchors(self):
-        table = default_zone_table()
-        assert zone_of(EmotionSample(-1.0, 1.0), table) is Zone.RED
-        assert zone_of(EmotionSample(-1.0, -1.0), table) is Zone.ORANGE
+        assert zone_of(EmotionSample(-1.0, 1.0), SHIPPED_TABLE) is Zone.RED
+        assert zone_of(EmotionSample(-1.0, -1.0), SHIPPED_TABLE) is Zone.ORANGE
         for a in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            assert zone_of(EmotionSample(1.0, a), table) is Zone.GREEN
+            assert zone_of(EmotionSample(1.0, a), SHIPPED_TABLE) is Zone.GREEN
 
     def test_nonnegative_valence_is_always_green(self):
-        table = default_zone_table()
         for iv in range(0, 101, 5):
             for ia in range(-100, 101, 10):
-                assert zone_of(EmotionSample(iv / 100, ia / 100), table) is Zone.GREEN
+                assert zone_of(EmotionSample(iv / 100, ia / 100), SHIPPED_TABLE) is Zone.GREEN
 
     def test_default_table_is_total(self):
-        assert validate_zone_table(default_zone_table()).ok
+        assert validate_zone_table(SHIPPED_TABLE).ok
 
     @given(in_range, in_range)
     def test_matches_oracle_everywhere(self, v, a):
-        got = zone_of(EmotionSample(v, a), default_zone_table())
+        got = zone_of(EmotionSample(v, a), SHIPPED_TABLE)
         assert got.as_str() == oracle_zone(v, a)
 
 
@@ -170,16 +170,15 @@ class TestTotalityProperty:
 
     @given(in_range, in_range)
     def test_every_sample_gets_a_zone(self, v, a):
-        assert zone_of(EmotionSample(v, a), default_zone_table()) in set(Zone)
+        assert zone_of(EmotionSample(v, a), SHIPPED_TABLE) in set(Zone)
 
     def test_ten_thousand_uniform_samples_all_classify(self):
         import random
 
         rng = random.Random(31415)
-        table = default_zone_table()
         for _ in range(10_000):
             sample = EmotionSample(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert zone_of(sample, table) in set(Zone)
+            assert zone_of(sample, SHIPPED_TABLE) in set(Zone)
 
 
 class TestClamping:
@@ -197,7 +196,7 @@ class TestClamping:
         sample, changed = EmotionSample(math.nan, math.nan).clamped()
         assert changed
         assert (sample.valence, sample.arousal) == (-1.0, 1.0)
-        assert zone_of(sample, default_zone_table()) is Zone.RED
+        assert zone_of(sample, SHIPPED_TABLE) is Zone.RED
 
     def test_infinities_clamp_by_sign(self):
         sample, changed = EmotionSample(math.inf, -math.inf).clamped()

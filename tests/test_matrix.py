@@ -23,7 +23,8 @@ from fetchguard import (
     UserProfile,
     Zone,
     category_checks,
-    default_matrix,
+    default_config,
+    escalate,
     matrix_lookup,
     validate_matrix,
 )
@@ -54,74 +55,74 @@ def key(profile, cls, zone):
 
 class TestDefaultMatrixAnchors:
     def test_red_dangerous_denies_everyone(self):
-        entry = matrix_lookup(default_matrix(), key(NONE, D, Zone.RED))
+        entry = matrix_lookup(default_config().matrix, key(NONE, D, Zone.RED))
         assert entry.allowed_groups == frozenset()
 
     def test_orange_mind_altering_denies_everyone(self):
-        entry = matrix_lookup(default_matrix(), key(NONE, M, Zone.ORANGE))
+        entry = matrix_lookup(default_config().matrix, key(NONE, M, Zone.ORANGE))
         assert entry.allowed_groups == frozenset()
 
     def test_green_neither_admits_every_group_including_u(self):
-        entry = matrix_lookup(default_matrix(), key(NONE, N, Zone.GREEN))
+        entry = matrix_lookup(default_config().matrix, key(NONE, N, Zone.GREEN))
         assert entry.allowed_groups == ALL_GROUPS
         assert g.U in entry.allowed_groups
 
     def test_u_is_admitted_only_for_neither_green_no_cooldown(self):
-        for k, entry in default_matrix().items():
+        for k, entry in default_config().matrix.items():
             if g.U in entry.allowed_groups:
                 assert k == key(NONE, N, Zone.GREEN)
 
     def test_red_flagged_requests_empty_for_every_cooldown_profile(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         for profile in ALL_PROFILES:
             for cls in (D, M):
                 assert matrix[key(profile, cls, Zone.RED)].allowed_groups == frozenset()
 
     def test_dangerous_never_reaches_below_adult_tier(self):
-        for k, entry in default_matrix().items():
+        for k, entry in default_config().matrix.items():
             if k.request_class in (D, M):
                 assert entry.allowed_groups <= {g.HA, g.FAA, g.FRA}
 
     def test_cross_class_cooldown_rows_are_escalated_base_rows(self):
-        matrix = default_matrix()
-        # Same class active: row equals the base row (runtime escalation
-        # already tightened the zone).
-        assert matrix[key({D}, D, Zone.YELLOW)] == matrix[key(NONE, D, Zone.YELLOW)]
-        # Cross class active: row equals the base row one zone worse.
-        assert matrix[key({M}, N, Zone.ORANGE)] == matrix[key(NONE, N, Zone.RED)]
-        assert matrix[key({D}, N, Zone.GREEN)] == matrix[key(NONE, N, Zone.YELLOW)]
-        # Both active on a dangerous request: one cross step.
-        assert matrix[key({D, M}, D, Zone.GREEN)] == matrix[key(NONE, D, Zone.YELLOW)]
+        # The shipped design rule: each row is the base row one zone worse
+        # per active class other than the requested one. A same-class
+        # cool-down adds no step here; the runtime escalation already
+        # tightened the zone.
+        matrix = default_config().matrix
+        assert len(matrix) == 48
+        for k, entry in matrix.items():
+            cross = len(k.cooldown_profile - {k.request_class})
+            assert entry == matrix[key(NONE, k.request_class, escalate(k.zone, cross))], k
 
 
 class TestValidator:
     def test_shipped_default_is_law_abiding(self):
-        assert validate_matrix(default_matrix()).ok
+        assert validate_matrix(default_config().matrix).ok
 
     def test_all_48_keys_present(self):
-        assert len(default_matrix()) == 4 * 3 * 4
+        assert len(default_config().matrix) == 4 * 3 * 4
 
     def test_missing_key_detected(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         del matrix[key(NONE, N, Zone.GREEN)]
         report = validate_matrix(matrix)
         assert "missing-key" in report.codes()
 
     def test_zone_monotonicity_violation_detected(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         # Red/dangerous suddenly admits HA while yellow admits fewer: illegal.
         matrix[key(NONE, D, Zone.RED)] = MatrixEntry(frozenset({g.HA, g.HT}))
         report = validate_matrix(matrix)
         assert "zone-monotonicity" in report.codes()
 
     def test_cooldown_monotonicity_violation_detected(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         matrix[key({D}, N, Zone.RED)] = MatrixEntry(ALL_GROUPS)
         report = validate_matrix(matrix)
         assert "cooldown-monotonicity" in report.codes()
 
     def test_a_dead_row_between_two_live_rows_keeps_the_check_law(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         # Red/mind-altering admits HA with no checks; orange admits nobody,
         # and yellow asks for verbal affirmation.
         matrix[key(NONE, M, Zone.RED)] = MatrixEntry(frozenset({g.HA}))
@@ -130,20 +131,20 @@ class TestValidator:
         assert reference_validate_matrix(matrix).codes() == report.codes()
 
     def test_ineligible_membership_detected(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         matrix[key(NONE, N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS | {g.INELIGIBLE})
         report = validate_matrix(matrix)
         assert "ineligible-group" in report.codes()
 
     def test_checks_on_dead_branch_detected(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         matrix[key(NONE, M, Zone.RED)] = MatrixEntry(frozenset(), frozenset({"verbal_affirmation"}))
         report = validate_matrix(matrix)
         assert "dead-branch-checks" in report.codes()
 
     def test_exhaustive_monotonicity_spot_check(self):
         # Re-verify the two laws directly, independent of the validator.
-        matrix = default_matrix()
+        matrix = default_config().matrix
         for profile in ALL_PROFILES:
             for cls in ALL_CLASSES:
                 groups_by_zone = [matrix[key(profile, cls, z)].allowed_groups for z in ALL_ZONES]
@@ -165,9 +166,7 @@ class TestValidator:
         # base zone, the groups admitted under active cool-downs (profile row
         # at the runtime-escalated zone) are a subset of the groups admitted
         # with no cool-downs at the base zone.
-        from fetchguard import escalate
-
-        matrix = default_matrix()
+        matrix = default_config().matrix
         for profile in ALL_PROFILES:
             for cls in ALL_CLASSES:
                 steps = 1 if cls in profile else 0
@@ -192,12 +191,8 @@ class TestRowTexts:
     """The texts a row carries for traces, against the loops that worked
     them out on every request before."""
 
-    @pytest.mark.parametrize("source", ["default_matrix", "configs/default.json"])
-    def test_each_row_carries_its_sorted_group_and_check_texts(self, source):
-        if source == "default_matrix":
-            matrix = default_matrix()
-        else:
-            matrix = PolicyConfig.load(ROOT / source).matrix
+    def test_each_row_carries_its_sorted_group_and_check_texts(self):
+        matrix = default_config().matrix
         assert len(matrix) == 48
         for entry in matrix.values():
             assert entry.group_texts == tuple(sorted(g.value for g in entry.allowed_groups))
@@ -340,9 +335,9 @@ class TestGateFourInOneFunction:
 
 @st.composite
 def edited_default_matrices(draw):
-    """default_matrix() after one to three single-row edits, none of which
+    """The shipped matrix after one to three single-row edits, none of which
     adds a row outside ALL_KEYS."""
-    matrix = default_matrix()
+    matrix = default_config().matrix
     groups_in_order = sorted(ALL_GROUPS)
     for _ in range(draw(st.integers(1, 3))):
         kinds = ["add-group", "drop-group", "drop-check", "delete-row", "checks-on-empty-row", "ineligible"]
@@ -369,9 +364,10 @@ def edited_default_matrices(draw):
 
 
 class TestKeysAndValidatorDefinedOnce:
-    def test_all_keys_are_the_48_default_keys_in_order(self):
+    def test_all_keys_are_the_48_shipped_keys(self):
+        # The file lists its rows in to_dict's sort order, not ALL_KEYS's.
         assert len(set(ALL_KEYS)) == 48
-        assert list(default_matrix()) == list(ALL_KEYS)
+        assert set(default_config().matrix) == set(ALL_KEYS)
 
     @settings(max_examples=300, deadline=None)
     @given(matrix=edited_default_matrices())
@@ -381,7 +377,7 @@ class TestKeysAndValidatorDefinedOnce:
 
     def test_the_walk_builds_no_key(self, monkeypatch):
         # The neighbour keys are worked out once, beside ALL_KEYS.
-        matrix, built = default_matrix(), []
+        matrix, built = default_config().matrix, []
 
         def counting(*args):
             built.append(args)
@@ -392,7 +388,7 @@ class TestKeysAndValidatorDefinedOnce:
         assert built == []
 
     def test_findings_come_key_major_then_zone_then_each_added_class(self):
-        matrix = default_matrix()
+        matrix = default_config().matrix
         matrix[key(NONE, D, Zone.RED)] = MatrixEntry(frozenset({g.HA, g.HT}))
         matrix[key({D}, N, Zone.RED)] = MatrixEntry(ALL_GROUPS)
         matrix[key(NONE, N, Zone.RED)] = MatrixEntry(frozenset({g.HA}))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from fetchguard import (
     SafetyClass,
     Zone,
     escalate,
+    default_config,
     ordering_restrictions,
 )
 
@@ -24,7 +26,7 @@ PILLS = ObjectSpec("pills", "Pills", M, "medicine")
 TOWEL = ObjectSpec("towel", "Towel", N, "bathroom")
 CAR_KEYS = ObjectSpec("car_keys", "Car keys", N, "vehicle")
 
-DEFAULTS = CooldownDurations()
+DEFAULTS = default_config().durations
 
 
 class TestGrant:
@@ -150,9 +152,9 @@ class TestRestrictions:
 class TestDurations:
     def test_nonpositive_durations_rejected(self):
         with pytest.raises(ConfigError):
-            CooldownDurations(dangerous=0)
+            replace(DEFAULTS, dangerous=0)
         with pytest.raises(ConfigError):
-            CooldownDurations(mind_altering=-5)
+            replace(DEFAULTS, mind_altering=-5)
 
     def test_bad_scope_rejected(self):
         with pytest.raises(ConfigError):
