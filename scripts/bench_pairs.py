@@ -12,6 +12,10 @@ BENCHMARK.json lists, the base and change medians, their ratio, the spread
 between the base runs' quartiles and the number of pairs the change won
 (ties count for neither side).
 
+Each pair also reads the decision_digest line each run prints and says
+whether the two sides decided alike. That is only reported: a change that
+means to decide otherwise differs on every pair.
+
 Exits 1 as soon as a run's result line is not `correct` with 0 failed.
 Stdlib only.
 """
@@ -44,6 +48,23 @@ def result_of(stdout: str) -> dict[str, float]:
     if result.get("correct") is not True or result.get("failed") != 0:
         raise RunFailed(f"correct={result.get('correct')!r} failed={result.get('failed')!r}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def digest_of(stdout: str) -> str | None:
+    """The decision_digest a run printed among its metric lines, or None
+    if it printed none."""
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[0] == "decision_digest":
+            return fields[1]
+    return None
+
+
+def decided(base: str | None, change: str | None) -> str:
+    """Whether the two sides of a pair decided alike, by their digests."""
+    if base is None or change is None:
+        return "unknown"
+    return "alike" if base == change else "differ"
 
 
 def quartile_spread(values: list[float]) -> float:
@@ -89,12 +110,13 @@ def export(ref: str, dest: Path) -> None:
         raise SystemExit(f"bench_pairs: cannot export {ref!r}")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str, float], str | None]:
+    """A run's metric values and decision digest."""
     command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     try:
-        return result_of(done.stdout)
+        return result_of(done.stdout), digest_of(done.stdout)
     except RunFailed as exc:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"bench_pairs: {tree} seed {seed}: {exc}")
@@ -109,21 +131,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    pairs = []
+    pairs, differing = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         base_tree = Path(tmp)
         export(args.base, base_tree)
         for i, seed in enumerate(args.seeds):
             sides = [("base", base_tree), ("change", ROOT)]
-            results = {}
+            results, digests = {}, {}
             for side, tree in sides if i % 2 == 0 else reversed(sides):
-                results[side] = run(tree, args.workload, seed, args.seconds)
+                results[side], digests[side] = run(tree, args.workload, seed, args.seconds)
                 shown = " ".join(f"{m['name']}={results[side][m['name']]:.4f}"
                                  for m in metrics if m["name"] in results[side])
                 print(f"seed {seed} {side}: {shown}", flush=True)
+            verdict = decided(digests["base"], digests["change"])
+            print(f"seed {seed} decisions: {verdict}", flush=True)
+            if verdict != "alike":
+                differing.append(f"{seed} ({verdict})")
             pairs.append((results["base"], results["change"]))
     print(f"\n{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g}, base {args.base}")
     print(table(metrics, pairs))
+    print(f"decided alike on {len(pairs) - len(differing)}/{len(pairs)} pairs"
+          + (f"; not alike on seeds {', '.join(differing)}" if differing else ""))
     return 0
 
 

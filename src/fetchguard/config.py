@@ -29,14 +29,14 @@ from .model import (
     require_type,
     validate_object_catalog,
 )
-from .ordering import CooldownDurations
+from .ordering import COOLDOWN_SCOPES, CooldownDurations
 from .privacy import AdminHierarchy
 
 #: The shipped household. It sits in a checkout, beside src/; a non-editable
 #: install carries none, so load a config file by path there instead.
 SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json"
-#: The fingerprint of SHIPPED_CONFIG, which every golden trace embeds.
-SHIPPED_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
+#: The fingerprint of SHIPPED_CONFIG, which every trace it decides embeds.
+SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
 
 
 def _distinct(what: str, items: list) -> frozenset:
@@ -346,8 +346,11 @@ class PolicyConfig:
         report.extend(self._validate_roster())
         report.extend(self._validate_rules())
         report.extend(self._validate_admin_and_tags())
-        if self.cooldown_scope not in ("user", "household"):
-            report.add("bad-scope", f"cooldown_scope must be 'user' or 'household', got {self.cooldown_scope!r}")
+        if self.cooldown_scope not in COOLDOWN_SCOPES:
+            report.add(
+                "bad-scope",
+                f"cooldown_scope must be 'user', 'household' or 'roster', got {self.cooldown_scope!r}",
+            )
         self._validation_cache = report
         return report
 

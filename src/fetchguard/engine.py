@@ -285,6 +285,8 @@ class DecisionEngine:
         self.config = config
         self.audit_all = audit_all
         self.fingerprint = config.fingerprint()
+        #: The ids a roster-scoped cool-down state keeps records of their own for.
+        self._roster = frozenset(u.user_id for u in config.users)
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
         self._stages = tuple((stage, f"{stage}_ok", getattr(self, f"_eval_{stage}")) for stage in STAGES)
         self.tree = self._build_tree()
@@ -296,7 +298,7 @@ class DecisionEngine:
     def reset(self) -> None:
         """Back to the configured initial state (fresh cool-downs, initial
         personal tags, not yet primed)."""
-        self.cooldowns = CooldownState(scope=self.config.cooldown_scope)
+        self.cooldowns = CooldownState(scope=self.config.cooldown_scope, roster=self._roster)
         registry = PersonalRegistry()
         for tag in self.config.personal_tags:
             registry.tag_personal(self.config.admin, tag.tagged_by, tag.object_id)
@@ -308,7 +310,7 @@ class DecisionEngine:
     def restore_state(self, pre_state: dict) -> None:
         # Both restores run before either is installed, so a pre-state that
         # fails to restore leaves the engine as it was.
-        cooldowns = CooldownState.restore(pre_state["cooldowns"])
+        cooldowns = CooldownState.restore(pre_state["cooldowns"], self._roster)
         if cooldowns.scope != self.config.cooldown_scope:
             raise ValueError(f"cool-down scope {cooldowns.scope!r} is not the config's")
         registry = PersonalRegistry.restore(pre_state["personal_registry"])

@@ -21,6 +21,10 @@ VEHICLE_CATEGORY = "vehicle"
 
 #: State key used when cool-downs are shared household-wide.
 HOUSEHOLD_SCOPE_KEY = "__household__"
+#: State key every requester outside the roster shares under scope "roster".
+UNKNOWN_SCOPE_KEY = "__unknown__"
+#: What a config's cooldown_scope may be.
+COOLDOWN_SCOPES = ("user", "household", "roster")
 
 _FLAGGED = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)
 #: The classes that have a cool-down, by the text a snapshot writes.
@@ -54,17 +58,26 @@ class CooldownState:
     """Tracks last requests and active cool-down expiries.
 
     Scope is per-user by default; with scope="household" every user shares
-    one record. Mutations are serialized by the owning engine instance.
+    one record, and with scope="roster" each member of the roster (the
+    config's user ids) keeps their own while every requester outside it
+    shares one, so there are at most roster + 1 records. Mutations are
+    serialized by the owning engine instance.
     """
 
-    def __init__(self, scope: str = "user"):
-        if scope not in ("user", "household"):
-            raise ConfigError(f"cooldown scope must be 'user' or 'household', got {scope!r}")
+    def __init__(self, scope: str = "user", roster: frozenset[str] = frozenset()):
+        if scope not in COOLDOWN_SCOPES:
+            raise ConfigError(f"cooldown scope must be 'user', 'household' or 'roster', got {scope!r}")
         self.scope = scope
+        self.roster = roster
         self._records: dict[str, _UserRecord] = {}
 
     def _key(self, user_id: str) -> str:
-        return HOUSEHOLD_SCOPE_KEY if self.scope == "household" else user_id
+        """The record a request by user_id reads and writes."""
+        if self.scope == "household":
+            return HOUSEHOLD_SCOPE_KEY
+        if self.scope == "roster" and user_id not in self.roster:
+            return UNKNOWN_SCOPE_KEY
+        return user_id
 
     def _record(self, user_id: str) -> _UserRecord:
         key = self._key(user_id)
@@ -114,8 +127,9 @@ class CooldownState:
 
     def snapshot(self, user_id: str | None = None) -> dict:
         """The whole state, or, given a user_id, only the record a decision
-        for that user reads: theirs, or the household's under household
-        scope. A user with no record gets an empty slice."""
+        for that user reads: theirs, the household's under household scope,
+        or, under roster scope, the shared one if the roster lacks them. A
+        user with no record gets an empty slice."""
         if user_id is None:
             records = sorted(self._records.items())
         else:
@@ -133,8 +147,10 @@ class CooldownState:
         }
 
     @classmethod
-    def restore(cls, snapshot: dict) -> "CooldownState":
-        state = cls(scope=snapshot["scope"])
+    def restore(cls, snapshot: dict, roster: frozenset[str] = frozenset()) -> "CooldownState":
+        """The state a snapshot wrote. Any record key is taken: a key that
+        no request of this scope would read is simply never read."""
+        state = cls(scope=snapshot["scope"], roster=roster)
         for uid, rec in snapshot["users"].items():
             last = rec["last_requested"]
             if last is not None and not isinstance(last, str):

@@ -21,8 +21,9 @@ METRICS = [
 ]
 
 
-def run_output(correct=True, failed=0, **values):
-    """What run.py prints: metric lines, then one JSON result line."""
+def run_output(correct=True, failed=0, digest=None, **values):
+    """What run.py prints: metric lines, the decision digest among the
+    information lines, then one JSON result line."""
     result = {
         "correct": correct,
         "attempted": 100,
@@ -30,6 +31,8 @@ def run_output(correct=True, failed=0, **values):
         "metrics": {name: {"value": value, "unit": "us"} for name, value in values.items()},
     }
     shown = "\n".join(f"  {name:<40} {value:>16.4f} us" for name, value in values.items())
+    if digest is not None:
+        shown += f"\n  {'decision_digest':<40} {digest:>16} sha256\n  {'failed_ratio':<40} {0.0:>16.4f} 1"
     return f"workload audit_replay  seed 1  seconds 4  trace 0\n{shown}\n{json.dumps(result)}\n"
 
 
@@ -52,6 +55,28 @@ class TestResultLine:
     def test_refuses_a_run_that_is_not_correct_with_none_failed(self, output, why):
         with pytest.raises(bench_pairs.RunFailed, match=why):
             bench_pairs.result_of(output)
+
+
+class TestDecisionDigest:
+    BASE = "9f" * 32
+    CHANGE = "3c" * 32
+
+    def test_reads_the_digest_line(self):
+        assert bench_pairs.digest_of(run_output(digest=self.BASE, verify_us_p50=1.0)) == self.BASE
+
+    def test_a_run_that_printed_no_digest_has_none(self):
+        assert bench_pairs.digest_of(run_output(verify_us_p50=1.0)) is None
+
+    def test_a_pair_is_alike_only_on_equal_digests(self):
+        base, change = (bench_pairs.digest_of(run_output(digest=d)) for d in (self.BASE, self.CHANGE))
+        assert bench_pairs.decided(base, base) == "alike"
+        assert bench_pairs.decided(base, change) == "differ"
+        assert bench_pairs.decided(base, None) == bench_pairs.decided(None, None) == "unknown"
+
+    def test_differing_digests_do_not_fail_the_run(self):
+        # Only the result line decides whether a run is refused.
+        output = run_output(digest=self.CHANGE, verify_us_p50=1.0)
+        assert bench_pairs.result_of(output) == {"verify_us_p50": 1.0}
 
 
 class TestTable:

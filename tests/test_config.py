@@ -16,7 +16,9 @@ from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest,
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
-SHIPPED_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
+SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
+GOLDEN_JSON = REPO_ROOT / "tests" / "golden" / "config.json"
+GOLDEN_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
 SHIPPED_DATA = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
 
 
@@ -25,9 +27,16 @@ class TestDefaults:
         assert shipped_config.validate().ok
 
     def test_shipped_fingerprint_is_pinned(self, shipped_config):
-        # Every committed golden line embeds this fingerprint.
         assert shipped_config.fingerprint() == SHIPPED_FINGERPRINT
         assert PolicyConfig.load(DEFAULT_JSON).fingerprint() == SHIPPED_FINGERPRINT
+
+    def test_the_golden_config_fingerprint_is_pinned(self, golden_config):
+        # The golden lines decided under per-id cool-downs embed this
+        # fingerprint; the shipped file differs from it in the scope alone.
+        assert golden_config.fingerprint() == GOLDEN_FINGERPRINT
+        frozen = json.loads(GOLDEN_JSON.read_text(encoding="utf-8"))
+        assert frozen["cooldown_scope"] == "user"
+        assert {**frozen, "cooldown_scope": "roster"} == SHIPPED_DATA
 
     def test_a_drifted_shipped_file_is_refused_by_name(self, tmp_path, monkeypatch):
         data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))

@@ -402,14 +402,20 @@ class TestHistoryIsNotRead:
         crowded = self.decide_after(shipped_config, {**crowd, "alice": ALICE_ON_COOLDOWN}, request)
         assert crowded.to_json() == alone.to_json()
         assert crowded.pre_state == {
-            "cooldowns": {"scope": "user", "users": {"alice": ALICE_ON_COOLDOWN}},
+            "cooldowns": {"scope": "roster", "users": {"alice": ALICE_ON_COOLDOWN}},
             "personal_registry": {},
             "board_primed": True,
         }
 
     def test_a_requester_without_a_record_gets_an_empty_slice(self, shipped_config):
         trace = self.decide_after(shipped_config, {"alice": ALICE_ON_COOLDOWN}, make_request("bob", "towel"))
-        assert trace.pre_state["cooldowns"] == {"scope": "user", "users": {}}
+        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {}}
+
+    def test_an_unknown_requester_records_the_shared_record(self, shipped_config):
+        users = {"alice": ALICE_ON_COOLDOWN, "__unknown__": ALICE_ON_COOLDOWN}
+        trace = self.decide_after(shipped_config, users, make_request("mallory", "knife", now=60))
+        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {"__unknown__": ALICE_ON_COOLDOWN}}
+        assert verify_trace(trace, shipped_config).ok
 
     def test_the_requested_object_brings_its_registry_entry(self, engine):
         _, towel = engine.decide(make_request("bob", "towel"))
@@ -429,6 +435,49 @@ class TestHistoryIsNotRead:
             "users": {"__household__": ALICE_ON_COOLDOWN},
         }
         assert verify_trace(trace, config).ok
+
+
+class TestStateIsBoundedByTheRoster:
+    """Under the shipped "roster" scope each roster member keeps their own
+    cool-down record and every requester the roster lacks shares one, so a
+    new id neither grows the state nor escapes an open window."""
+
+    def test_a_hundred_thousand_made_up_ids_leave_at_most_roster_plus_one_records(self, shipped_config, engine):
+        # Every tenth request comes from a roster member, so that their
+        # records fill in too.
+        roster = [u.user_id for u in shipped_config.users]
+        catalog = [o.object_id for o in shipped_config.objects]
+        for i in range(100_000):
+            user = roster[i // 10 % len(roster)] if i % 10 == 0 else f"made-up-{i}"
+            engine.decide(make_request(user, catalog[i % len(catalog)], now=i))
+        records = engine.cooldowns.snapshot()["users"]
+        assert len(records) <= len(roster) + 1
+        assert set(records) == {*roster, "__unknown__"}
+
+    def test_a_new_id_does_not_escape_an_open_window(self, engine):
+        # mallory is denied the knife and the window opens all the same.
+        assert engine.decide(make_request("mallory", "knife", now=0))[0].verdict == DENY
+        for user in ("mallory", "mallory2"):
+            decision, _ = engine.decide(make_request(user, "towel", now=10))
+            assert (decision.verdict, decision.deciding_policy) == (DENY, "emotion"), user
+
+    def test_per_id_records_restore_under_roster_scope(self, shipped_config):
+        # A snapshot keyed by made-up ids restores, and keeps them; no
+        # request reads them, so an unknown requester's slice is empty.
+        made_up = {f"remembered-{i:05d}": ALICE_ON_COOLDOWN for i in range(3)}
+        engine = DecisionEngine(shipped_config)
+        engine.restore_state(
+            {
+                "cooldowns": {"scope": "roster", "users": made_up},
+                "personal_registry": engine.registry.snapshot(),
+                "board_primed": True,
+            }
+        )
+        assert engine.cooldowns.snapshot()["users"] == made_up
+        decision, trace = engine.decide(make_request("remembered-00000", "towel", now=60))
+        assert decision.verdict == ALLOW
+        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {}}
+        assert verify_trace(trace, shipped_config).ok
 
 
 class TestReplay:
@@ -624,6 +673,23 @@ class TestTighteningLaws:
         assume(tagger != request.user_id and tagged_by.get(request.object_id, tagger) == tagger)
         if verdict(shipped_config, request) == DENY:
             assert verdict(shipped_config, request, tagger=tagger) == DENY
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        request=REQUESTS,
+        earlier=st.lists(st.tuples(st.sampled_from(CATALOG), st.integers(0, 1799)), max_size=3),
+        renamed=st.text(max_size=8),
+    )
+    def test_a_new_id_keeps_an_unknown_requesters_denial(self, shipped_config, request, earlier, renamed):
+        # The rename law: mallory's earlier requests, up to 1799 s before,
+        # open windows that another unknown id cannot leave behind.
+        assume(renamed != "mallory" and shipped_config.user_by_id(renamed) is None)
+        firsts = [
+            make_request("mallory", obj, now=request.now - ago, request_id=f"earlier-{i}")
+            for i, (obj, ago) in enumerate(sorted(earlier, key=lambda e: -e[1]))
+        ]
+        if verdict(shipped_config, dataclasses.replace(request, user_id="mallory"), *firsts) == DENY:
+            assert verdict(shipped_config, dataclasses.replace(request, user_id=renamed), *firsts) == DENY
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

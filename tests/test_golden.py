@@ -6,19 +6,27 @@ chart_* files have no scenario left that produces them, so they are checked
 by verification only. A mismatch here means the engine no longer rebuilds a
 decision it once made: fix the engine, never regenerate these files.
 
-The committed lines are version 1 traces: their pre_state holds the whole
-household, and their events name a policy, write empty inputs and repeat
-request fields. tests/golden/v3/ holds the same scenarios as version 3
-traces, written by the last engine that wrote version 3: events for every
-node the tick visited, and knowledge_check's copy of the warnings.
+Each line is checked against the config its config_fingerprint names:
+tests/golden/config.json, the shipped household as it was while cool-downs
+were kept per requester id, frozen byte for byte, or configs/default.json.
+A line that names neither fails.
+
+The lines decided under the frozen household are version 1 traces: their
+pre_state holds the whole household, and their events name a policy,
+write empty inputs and repeat request fields. tests/golden/v3/ holds the
+same scenarios as version 3 traces, written by the last engine that wrote
+version 3: events for every node the tick visited, and knowledge_check's
+copy of the warnings.
 tests/golden/v4/ holds them as version 4 traces, written by the last engine
 that wrote version 4: the leaf events alone, each with its outcome, the
 violation with its policy and reason, knowledge_check with its mode, and
 emotion_ok and category_context_ok with their copies of earlier inputs.
+Those engines ran only the scenarios decided under the frozen household.
 The engine now writes version 5 traces, whose pre_state holds only what the
 decision reads and whose events write each fact of the line once, so a
 re-run is compared, byte for byte, with its golden line cut to version 5
-(as_version_5). A re-run must also explain itself as its golden line does.
+(as_version_5); the lines of later scenarios are version 5 already. A
+re-run must also explain itself as its golden line does.
 """
 
 import json
@@ -52,9 +60,33 @@ V4_FILES = sorted(V4.glob("*.jsonl")) + sorted((V4 / "audit").glob("*.jsonl"))
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
+def fingerprint_of(path: Path) -> str:
+    """The config_fingerprint that every line of a golden file carries."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fingerprints = {json.loads(line)["config_fingerprint"] for line in lines}
+    assert len(fingerprints) == 1, path
+    return fingerprints.pop()
+
+
+FROZEN_FINGERPRINT = PolicyConfig.load(GOLDEN / "config.json").fingerprint()
+#: The scenarios whose golden lines were decided under the frozen household.
+FROZEN_SCENARIOS = [
+    path
+    for path, golden in ((path, GOLDEN / f"{path.stem}.jsonl") for path in SCENARIOS)
+    if golden.exists() and fingerprint_of(golden) == FROZEN_FINGERPRINT
+]
+
+
 @pytest.fixture(scope="module")
-def default_json_config():
-    return PolicyConfig.load(ROOT / "configs" / "default.json")
+def configs(golden_config, shipped_config):
+    """The configs a golden line may name, by fingerprint: the frozen
+    household and the shipped one."""
+    return {config.fingerprint(): config for config in (golden_config, shipped_config)}
+
+
+def config_for(configs, fingerprint: str) -> PolicyConfig:
+    assert fingerprint in configs, f"no config has the fingerprint {fingerprint}"
+    return configs[fingerprint]
 
 
 def test_every_scenario_has_golden_files_and_only_charts_are_orphans():
@@ -69,59 +101,55 @@ def test_every_scenario_has_golden_files_and_only_charts_are_orphans():
 @pytest.mark.parametrize(
     "path", GOLDEN_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
 )
-def test_every_golden_trace_verifies(default_json_config, path):
+def test_every_golden_trace_verifies(configs, path):
     traces = read_traces(path)
     assert traces
     for trace in traces:
-        result = verify_trace(trace, default_json_config)
+        result = verify_trace(trace, config_for(configs, trace.config_fingerprint))
         assert result.ok, (trace.request_id, result.mismatches)
 
 
 @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_rerunning_a_scenario_reproduces_its_golden_bytes(default_json_config, path, audit_all):
-    script = load_scenario(path)
-    result = run_scenario(default_json_config, script, audit_all=audit_all)
-    golden = (GOLDEN / "audit" if audit_all else GOLDEN) / f"{script.name}.jsonl"
-    expected = golden.read_text(encoding="utf-8").splitlines()
-    assert len(result.traces) == len(expected)
-    for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_5(want), f"trace bytes changed for {trace.request_id}"
+def test_rerunning_a_scenario_reproduces_its_golden_bytes(configs, path, audit_all):
+    rerun_reproduces_the_bytes_in(configs, path, audit_all, GOLDEN)
 
 
 @pytest.mark.parametrize(
     "path", GOLDEN_FILES + V3_FILES + V4_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
 )
-def test_a_rerun_explains_itself_as_its_golden_line(default_json_config, path):
+def test_a_rerun_explains_itself_as_its_golden_line(configs, path):
     for golden in read_traces(path):
-        engine = DecisionEngine(default_json_config, audit_all=golden.audit_all)
+        engine = DecisionEngine(config_for(configs, golden.config_fingerprint), audit_all=golden.audit_all)
         engine.restore_state(golden.pre_state)
         _, rerun = engine.decide(FetchRequest.from_dict(golden.request))
         assert rerun.trace_version == 5
         assert render_explanation(rerun) == render_explanation(golden), golden.request_id
 
 
-def holds_every_scenario_in_both_modes(directory):
-    scenarios = {load_scenario(p).name for p in SCENARIOS}
+def holds_every_frozen_scenario_in_both_modes(directory):
+    scenarios = {load_scenario(p).name for p in FROZEN_SCENARIOS}
     assert {p.stem for p in directory.glob("*.jsonl")} == scenarios
     assert {p.stem for p in (directory / "audit").glob("*.jsonl")} == scenarios
 
 
-def reads_as_its_version_writes_back_and_verifies(config, path, version):
+def reads_as_its_version_writes_back_and_verifies(configs, path, version):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines
     for line in lines:
         trace = DecisionTrace.from_dict(json.loads(line))
         assert trace.trace_version == version
         assert trace.to_json() == line
-        result = verify_trace(trace, config)
+        result = verify_trace(trace, config_for(configs, trace.config_fingerprint))
         assert result.ok, (trace.request_id, result.mismatches)
 
 
-def rerun_reproduces_the_bytes_in(config, path, audit_all, directory):
+def rerun_reproduces_the_bytes_in(configs, path, audit_all, directory):
+    """The scenario, run on the config its golden file names, writes that
+    file's lines, each cut to version 5."""
     script = load_scenario(path)
-    result = run_scenario(config, script, audit_all=audit_all)
     golden = (directory / "audit" if audit_all else directory) / f"{script.name}.jsonl"
+    result = run_scenario(config_for(configs, fingerprint_of(golden)), script, audit_all=audit_all)
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
@@ -129,65 +157,65 @@ def rerun_reproduces_the_bytes_in(config, path, audit_all, directory):
 
 
 def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
-    holds_every_scenario_in_both_modes(V3)
+    holds_every_frozen_scenario_in_both_modes(V3)
 
 
 @pytest.mark.parametrize("path", V3_FILES, ids=lambda p: str(p.relative_to(V3).with_suffix("")))
-def test_every_version_3_line_reads_as_version_3_writes_back_and_verifies(default_json_config, path):
-    reads_as_its_version_writes_back_and_verifies(default_json_config, path, 3)
+def test_every_version_3_line_reads_as_version_3_writes_back_and_verifies(configs, path):
+    reads_as_its_version_writes_back_and_verifies(configs, path, 3)
 
 
 @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
-@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_rerunning_a_scenario_reproduces_its_version_3_bytes(default_json_config, path, audit_all):
-    rerun_reproduces_the_bytes_in(default_json_config, path, audit_all, V3)
+@pytest.mark.parametrize("path", FROZEN_SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_version_3_bytes(configs, path, audit_all):
+    rerun_reproduces_the_bytes_in(configs, path, audit_all, V3)
 
 
 def test_the_version_4_goldens_hold_every_scenario_in_both_modes():
-    holds_every_scenario_in_both_modes(V4)
+    holds_every_frozen_scenario_in_both_modes(V4)
 
 
 @pytest.mark.parametrize("path", V4_FILES, ids=lambda p: str(p.relative_to(V4).with_suffix("")))
-def test_every_version_4_line_reads_as_version_4_writes_back_and_verifies(default_json_config, path):
-    reads_as_its_version_writes_back_and_verifies(default_json_config, path, 4)
+def test_every_version_4_line_reads_as_version_4_writes_back_and_verifies(configs, path):
+    reads_as_its_version_writes_back_and_verifies(configs, path, 4)
 
 
 @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
-@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_rerunning_a_scenario_reproduces_its_version_4_bytes(default_json_config, path, audit_all):
-    rerun_reproduces_the_bytes_in(default_json_config, path, audit_all, V4)
+@pytest.mark.parametrize("path", FROZEN_SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_version_4_bytes(configs, path, audit_all):
+    rerun_reproduces_the_bytes_in(configs, path, audit_all, V4)
 
 
 def written_once(line: str, text: str) -> bool:
     return line.count(canonical_json(text)) == 1
 
 
-def test_no_corpus_line_writes_a_warning_twice(default_json_config):
+def test_no_corpus_line_writes_a_warning_twice(shipped_config):
     warned = 0
     for path in SCENARIOS:
         script = load_scenario(path)
         for audit_all in (False, True):
-            for trace in run_scenario(default_json_config, script, audit_all=audit_all).traces:
+            for trace in run_scenario(shipped_config, script, audit_all=audit_all).traces:
                 line = trace.to_json()
                 assert all(written_once(line, w) for w in trace.warnings), trace.request_id
                 warned += bool(trace.warnings)
     assert warned
 
 
-def test_an_unknown_requester_with_a_clamped_emotion_writes_each_warning_once(default_json_config):
+def test_an_unknown_requester_with_a_clamped_emotion_writes_each_warning_once(shipped_config):
     context = ContextSnapshot(room="hall", adult_present=True, verbal_affirmation=True, timestamp=0)
     request = FetchRequest("req", "wanderer", "towel", EmotionSample(1.5, 0.0), context, 0)
-    _, trace = DecisionEngine(default_json_config).decide(request)
+    _, trace = DecisionEngine(shipped_config).decide(request)
     line = trace.to_json()
     assert len(trace.warnings) == 2
     assert all(written_once(line, w) for w in trace.warnings)
 
 
 @pytest.mark.parametrize("path", [GOLDEN / "unknown_ids.jsonl", V3 / "unknown_ids.jsonl"], ids=["v1", "v3"])
-def test_older_lines_keep_their_copy_of_the_warnings_and_verify(default_json_config, path):
+def test_older_lines_keep_their_copy_of_the_warnings_and_verify(configs, path):
     traces = read_traces(path)
     assert any(t.to_json().count(canonical_json(w)) == 2 for t in traces for w in t.warnings)
-    assert all(verify_trace(t, default_json_config).ok for t in traces)
+    assert all(verify_trace(t, config_for(configs, t.config_fingerprint)).ok for t in traces)
 
 
 #: What a version 1 event repeated from elsewhere in the line: request
@@ -247,15 +275,17 @@ def cut_to_version_5(data: dict) -> None:
 
 
 def as_version_5(line: str) -> str:
-    """A committed version 1, 3 or 4 line as the engine writes it today. A
-    version 1 line has its pre_state cut to the version 2 slice, and its
-    events lose their policy and the inputs REPEATED_INPUTS names. Then,
-    for versions 1 and 3, the structure-only events go, and
-    knowledge_check's copy of the warnings with them. Last, every line is
-    cut from version 4 to version 5."""
+    """A committed line as the engine writes it today. A version 5 line is
+    that already. A version 1 line has its pre_state cut to the version 2
+    slice, and its events lose their policy and the inputs REPEATED_INPUTS
+    names. Then, for versions 1 and 3, the structure-only events go, and
+    knowledge_check's copy of the warnings with them. Last, every older
+    line is cut from version 4 to version 5."""
     data = json.loads(line)
     version = data.get("trace_version", 1)
-    assert version in (1, 3, 4)
+    assert version in (1, 3, 4, 5)
+    if version == 5:
+        return line
     if version == 1:
         slice_pre_state(data)
         for event in data["events"]:

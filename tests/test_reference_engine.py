@@ -38,7 +38,9 @@ def shipped_with(scope, towel_tag):
     return data, PolicyConfig.from_dict(data)
 
 
-CONFIGS = [shipped_with(scope, towel_tag) for scope in ("user", "household") for towel_tag in (False, True)]
+CONFIGS = [
+    shipped_with(scope, towel_tag) for scope in ("roster", "user", "household") for towel_tag in (False, True)
+]
 
 
 def step_both(engine, state, config_data, event):
@@ -142,7 +144,7 @@ class TestEngineAgreesWithTheReference:
         # The scenario runner's request: the user's last emotion sample
         # (0, 0 until one is set) and the last context (an unspecified room
         # with both flags false until one is set).
-        config_data, config = CONFIGS[0]
+        config_data, config = next(pair for pair in CONFIGS if pair[0] == SHIPPED)
         engine = DecisionEngine(config, audit_all=audit_all)
         state = initial_state(config_data)
         emotions, context = {}, {"room": "unspecified", "adult_present": False, "verbal_affirmation": False}

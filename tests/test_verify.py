@@ -30,14 +30,29 @@ from fetchguard import (
 from fetchguard.bt import TickListener
 from fetchguard.engine import TRACE_VERSION, _EvalState, _redecide, canonical_json
 from fetchguard.formats import STEPS, _events_as_written
-from test_golden import STRUCTURE_NODES, V3, V4, as_version_5, slice_pre_state
+from test_golden import (
+    FROZEN_FINGERPRINT,
+    GOLDEN_FILES,
+    STRUCTURE_NODES,
+    V3,
+    V4,
+    as_version_5,
+    fingerprint_of,
+    slice_pre_state,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+#: The golden files decided under the frozen household, tests/golden/config.json.
+FROZEN_FILES = [path for path in GOLDEN_FILES if fingerprint_of(path) == FROZEN_FINGERPRINT]
 
 
 def load_default():
     return PolicyConfig.load(ROOT / "configs" / "default.json")
+
+
+def load_golden():
+    return PolicyConfig.load(GOLDEN / "config.json")
 
 
 def make_request(user, obj, emotion=EmotionSample(0.5, 0.0), now=0, request_id="req-000"):
@@ -54,8 +69,9 @@ def refuse_constant(token):
 
 
 def golden_traces():
-    plain = [t for p in sorted(GOLDEN.glob("*.jsonl")) for t in read_traces(p)]
-    audit = [t for p in sorted((GOLDEN / "audit").glob("*.jsonl")) for t in read_traces(p)]
+    """The plain and the audit golden lines decided under the frozen household."""
+    plain = [t for p in FROZEN_FILES if p.parent == GOLDEN for t in read_traces(p)]
+    audit = [t for p in FROZEN_FILES if p.parent != GOLDEN for t in read_traces(p)]
     return plain, audit
 
 
@@ -262,13 +278,13 @@ class TestEditedTracesFailClosed:
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
     @pytest.mark.parametrize("expiry", ["1800", 1800.9, True])
-    def test_a_golden_expiry_that_is_not_an_int_is_refused(self, shipped_config, expiry):
+    def test_a_golden_expiry_that_is_not_an_int_is_refused(self, golden_config, expiry):
         line = (GOLDEN / "repeat_dangerous_green.jsonl").read_text(encoding="utf-8").splitlines()[1]
         data = json.loads(line)
         assert data["request_id"] == "repeat_dangerous_green:001"
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         data["pre_state"]["cooldowns"]["users"]["alice"]["active"]["dangerous"] = expiry
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
@@ -286,16 +302,16 @@ class TestWindowsOnlyForFlaggedClasses:
         ("under5_denial.jsonl", "eligibility"),
         ("repeat_dangerous_green.jsonl", "none"),
     ])
-    def test_a_neither_window_is_refused_wherever_the_line_is_decided(self, shipped_config, path, deciding):
+    def test_a_neither_window_is_refused_wherever_the_line_is_decided(self, golden_config, path, deciding):
         # A line denied before the emotion gate never reads the window, so
         # only the restore can refuse it.
         data = json.loads((GOLDEN / path).read_text(encoding="utf-8").splitlines()[0])
         assert data["decision"]["deciding_policy"] == deciding
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         users = data["pre_state"]["cooldowns"]["users"]
         record = users.setdefault(data["request"]["user_id"], {"last_requested": None, "active": {}})
         record["active"]["neither"] = 10**9
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert (result.ok, result.decision) == (False, None)
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
@@ -303,30 +319,32 @@ class TestWindowsOnlyForFlaggedClasses:
 
 class TestRequestIdCompared:
     @pytest.mark.parametrize("forged", ["privacy_personal:003", "", 7, None])
-    def test_an_edit_to_only_the_line_request_id_is_one_named_mismatch(self, shipped_config, forged):
+    def test_an_edit_to_only_the_line_request_id_is_one_named_mismatch(self, golden_config, forged):
         data = _golden_privacy_line()
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         data["request_id"] = forged
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert result.mismatches == ["request_id differs from the recorded request"]
         assert not result.ok and result.decision is not None
 
     def test_every_golden_line_carries_one_request_id(self):
-        plain, audit = golden_traces()
-        assert all(t.request_id == t.request["request_id"] for t in plain + audit)
+        traces = [t for p in GOLDEN_FILES for t in read_traces(p)]
+        assert all(t.request_id == t.request["request_id"] for t in traces)
 
 
 class TestRequestComparedWithTheRerun:
     @pytest.mark.parametrize("where", [(), ("context",), ("emotion",)], ids=["request", "context", "emotion"])
-    def test_a_key_added_to_a_recorded_request_is_one_named_mismatch(self, shipped_config, mid_session_trace, where):
+    def test_a_key_added_to_a_recorded_request_is_one_named_mismatch(
+        self, golden_config, shipped_config, mid_session_trace, where
+    ):
         golden = json.loads((GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0])
-        for data in (golden, json.loads(mid_session_trace.to_json())):
-            assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        for data, config in ((golden, golden_config), (json.loads(mid_session_trace.to_json()), shipped_config)):
+            assert verify_trace(DecisionTrace.from_dict(data), config).ok
             block = data["request"]
             for step in where:
                 block = block[step]
             block["foo"] = 1
-            result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+            result = verify_trace(DecisionTrace.from_dict(data), config)
             assert result.mismatches == ["request differs from the re-run's request"]
             assert not result.ok and result.decision is not None
 
@@ -358,7 +376,7 @@ REQUIRED_KEYS = [
 
 class TestEveryKeyRequired:
     @pytest.mark.parametrize("path", REQUIRED_KEYS, ids=lambda path: ".".join(path))
-    def test_a_golden_line_missing_a_key_is_a_named_failure(self, shipped_config, path):
+    def test_a_golden_line_missing_a_key_is_a_named_failure(self, golden_config, path):
         # A version 1 line: its pre-state is not compared, so only the
         # restore stands between a deleted key and a verified line.
         data = _golden_privacy_line()
@@ -372,7 +390,7 @@ class TestEveryKeyRequired:
             with pytest.raises(KeyError, match=key):
                 DecisionTrace.from_dict(data)
             return
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert result.mismatches == [f"recorded pre_state cannot be restored: {KeyError(key)!r}"]
 
     @pytest.mark.parametrize("extra", [{"foo": 1}, {"trace_version": 1}], ids=["unknown_key", "explicit_version_1"])
@@ -407,11 +425,11 @@ class TestRegistryTakenAsRecorded:
     @pytest.mark.parametrize(
         "edit", [_golden_grants_as_an_object, _golden_numeric_tagger, _golden_grants_deleted], ids=lambda e: e.__name__
     )
-    def test_a_golden_registry_entry_of_the_wrong_type_is_refused(self, shipped_config, edit):
+    def test_a_golden_registry_entry_of_the_wrong_type_is_refused(self, golden_config, edit):
         data = _golden_privacy_line()
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         edit(data["pre_state"]["personal_registry"]["diary"])
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
 
@@ -470,9 +488,9 @@ class TestDecisionBlockAsWritten:
         ],
         ids=["_zone_upper_case", "_group_repeated", "_groups_reversed"],
     )
-    def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, shipped_config, edit, message):
+    def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, golden_config, edit, message):
         data = _golden_privacy_line()
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         edit(data["decision"])
         with pytest.raises(ValueError, match=message):
             DecisionTrace.from_dict(data)
@@ -667,7 +685,7 @@ class TestVersion2PreState:
         assert '"trace_version":5' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
-        for path in sorted(GOLDEN.glob("*.jsonl")):
+        for path in FROZEN_FILES:
             for line in path.read_text(encoding="utf-8").splitlines():
                 trace = DecisionTrace.from_dict(json.loads(line))
                 assert trace.trace_version == 1
@@ -838,21 +856,21 @@ class TestVersion3Events:
         result = verify_trace(edited, shipped_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
-    def test_golden_lines_as_version_2_verify(self, shipped_config):
-        for path in sorted(GOLDEN.glob("*.jsonl")) + sorted((GOLDEN / "audit").glob("*.jsonl")):
+    def test_golden_lines_as_version_2_verify(self, golden_config):
+        for path in FROZEN_FILES:
             for line in path.read_text(encoding="utf-8").splitlines():
                 trace = golden_as_version_2(line)
                 assert trace.to_json() != line
-                assert verify_trace(trace, shipped_config).ok, trace.request_id
+                assert verify_trace(trace, golden_config).ok, trace.request_id
 
     @pytest.mark.parametrize(
         "edit", [_policy_renamed, _structural_inputs_added, _gate_request_field_edited], ids=lambda e: e.__name__
     )
-    def test_an_edited_version_2_event_is_a_mismatch(self, shipped_config, edit):
+    def test_an_edited_version_2_event_is_a_mismatch(self, golden_config, edit):
         line = (GOLDEN / "vehicle_ban.jsonl").read_text(encoding="utf-8").splitlines()[0]
         trace = golden_as_version_2(line)
         edit(trace)
-        result = verify_trace(trace, shipped_config)
+        result = verify_trace(trace, golden_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
 
@@ -918,12 +936,12 @@ class TestVersion4Events:
         [_gate_outcome_flipped, _accept_dropped, _warnings_copy_emptied, _cut_to_version_4],
         ids=lambda e: e.__name__,
     )
-    def test_an_edited_version_3_event_is_a_mismatch(self, shipped_config, edit):
+    def test_an_edited_version_3_event_is_a_mismatch(self, golden_config, edit):
         line = (V3 / "unknown_ids.jsonl").read_text(encoding="utf-8").splitlines()[0]
         trace = DecisionTrace.from_dict(json.loads(line))
-        assert verify_trace(trace, shipped_config).ok
+        assert verify_trace(trace, golden_config).ok
         edit(trace)
-        result = verify_trace(trace, shipped_config)
+        result = verify_trace(trace, golden_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
 
@@ -981,25 +999,25 @@ class TestVersion5Events:
     one still shows, and so does a version 5 line that writes one back."""
 
     @pytest.mark.parametrize("which, node, key", DROPPED_FACTS, ids=lambda v: str(v))
-    def test_an_edited_version_4_fact_is_a_mismatch(self, shipped_config, which, node, key):
+    def test_an_edited_version_4_fact_is_a_mismatch(self, golden_config, which, node, key):
         data = json.loads(version_4_line(which))
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         assert event_of(data, node).get("audit", False) == (which == "audit")
         holder = holder_of(data, node, key)
         holder[key] = edited(holder[key])
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
     @pytest.mark.parametrize("which, node, key", DROPPED_FACTS, ids=lambda v: str(v))
-    def test_a_version_5_line_that_writes_a_fact_back_is_a_mismatch(self, shipped_config, which, node, key):
+    def test_a_version_5_line_that_writes_a_fact_back_is_a_mismatch(self, golden_config, which, node, key):
         line = version_4_line(which)
         value = holder_of(json.loads(line), node, key)[key]
         data = json.loads(as_version_5(line))
-        assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert verify_trace(DecisionTrace.from_dict(data), golden_config).ok
         holder = holder_of(data, node, key)
         assert key not in holder
         holder[key] = value
-        result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert result.mismatches == ["event stream differs from the recorded events"]
 
 
@@ -1024,7 +1042,7 @@ class TestOneReplayEnginePerConfig:
     def test_fifty_verifies_hash_the_config_once_and_build_one_engine(self, monkeypatch):
         plain, audit = golden_traces()
         traces = plain[:25] + audit[:25]
-        config = load_default()
+        config = load_golden()
         calls = Counter()
 
         def counting(name, original):
@@ -1073,9 +1091,13 @@ class TestOneReplayEnginePerConfig:
             traces.append(edited)
         rng.shuffle(traces)
 
-        shared = load_default()
-        results = [verify_trace(t, shared) for t in traces]
-        assert results == [verify_trace(t, load_default()) for t in traces]
+        def config_for(trace, configs):
+            # A line names its config by fingerprint; a forged one gets either.
+            return next((c for c in configs if c.fingerprint() == trace.config_fingerprint), configs[0])
+
+        shared = (load_golden(), load_default())
+        results = [verify_trace(t, config_for(t, shared)) for t in traces]
+        assert results == [verify_trace(t, config_for(t, (load_golden(), load_default()))) for t in traces]
         assert any(r.ok for r in results) and not all(r.ok for r in results)
 
     def test_verifying_leaves_a_live_engine_alone(self):
@@ -1086,6 +1108,8 @@ class TestOneReplayEnginePerConfig:
         _, last = live.decide(make_request("carol", "car_keys", now=20, request_id="req-002"))
         before = (live.cooldowns.snapshot(), live.registry.snapshot())
         plain, audit = golden_traces()
-        for trace in plain[:10] + audit[:10] + [last]:
-            assert verify_trace(trace, config).ok
+        golden = load_golden()
+        for trace in plain[:10] + audit[:10]:
+            assert verify_trace(trace, golden).ok
+        assert verify_trace(last, config).ok
         assert (live.cooldowns.snapshot(), live.registry.snapshot()) == before
