@@ -29,7 +29,7 @@ from .model import (
     require_type,
     validate_object_catalog,
 )
-from .ordering import COOLDOWN_SCOPES, CooldownDurations
+from .ordering import COOLDOWN_SCOPES, HOUSEHOLD_SCOPE_KEY, UNKNOWN_SCOPE_KEY, CooldownDurations
 from .privacy import AdminHierarchy
 
 #: The shipped household. It sits in a checkout, beside src/; a non-editable
@@ -37,6 +37,8 @@ from .privacy import AdminHierarchy
 SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json"
 #: The fingerprint of SHIPPED_CONFIG, which every trace it decides embeds.
 SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
+#: Cool-down record keys shared by many requesters, so no roster user may take one.
+RESERVED_USER_IDS = frozenset({HOUSEHOLD_SCOPE_KEY, UNKNOWN_SCOPE_KEY})
 
 
 def _distinct(what: str, items: list) -> frozenset:
@@ -347,10 +349,7 @@ class PolicyConfig:
         report.extend(self._validate_rules())
         report.extend(self._validate_admin_and_tags())
         if self.cooldown_scope not in COOLDOWN_SCOPES:
-            report.add(
-                "bad-scope",
-                f"cooldown_scope must be 'user', 'household' or 'roster', got {self.cooldown_scope!r}",
-            )
+            report.add("bad-scope", f"cooldown_scope must be one of {COOLDOWN_SCOPES}, got {self.cooldown_scope!r}")
         self._validation_cache = report
         return report
 
@@ -360,6 +359,8 @@ class PolicyConfig:
         for user in self.users:
             if user.user_id in seen:
                 report.add("duplicate-user-id", f"user id {user.user_id!r} appears twice")
+            if user.user_id in RESERVED_USER_IDS:
+                report.add("reserved-user-id", f"user id {user.user_id!r} names a shared cool-down record")
             seen.add(user.user_id)
         return report
 

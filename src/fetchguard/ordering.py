@@ -66,7 +66,7 @@ class CooldownState:
 
     def __init__(self, scope: str = "user", roster: frozenset[str] = frozenset()):
         if scope not in COOLDOWN_SCOPES:
-            raise ConfigError(f"cooldown scope must be 'user', 'household' or 'roster', got {scope!r}")
+            raise ConfigError(f"cooldown scope must be one of {COOLDOWN_SCOPES}, got {scope!r}")
         self.scope = scope
         self.roster = roster
         self._records: dict[str, _UserRecord] = {}

@@ -32,11 +32,10 @@ class TestDefaults:
 
     def test_the_golden_config_fingerprint_is_pinned(self, golden_config):
         # The golden lines decided under per-id cool-downs embed this
-        # fingerprint; the shipped file differs from it in the scope alone.
+        # fingerprint, so the frozen copy never follows the shipped file.
         assert golden_config.fingerprint() == GOLDEN_FINGERPRINT
         frozen = json.loads(GOLDEN_JSON.read_text(encoding="utf-8"))
         assert frozen["cooldown_scope"] == "user"
-        assert {**frozen, "cooldown_scope": "roster"} == SHIPPED_DATA
 
     def test_a_drifted_shipped_file_is_refused_by_name(self, tmp_path, monkeypatch):
         data = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
@@ -204,6 +203,11 @@ class TestValidationFindings:
         "mutate, code",
         [
             (lambda d: d.__setitem__("cooldown_scope", "street"), "bad-scope"),
+            (
+                lambda d: (_user(d, "erin").__setitem__("user_id", "__unknown__"),
+                           _user(d, "grace").__setitem__("user_id", "__household__")),
+                "reserved-user-id",
+            ),
             (
                 lambda d: (d["admin"].__setitem__("owner", "ghost"), _user(d, "alice").__setitem__("admin_role", "designator")),
                 "unknown-owner",

@@ -75,16 +75,20 @@ def golden_traces():
     return plain, audit
 
 
-@pytest.fixture()
-def mid_session_trace(shipped_config):
+def decide_mid_session(config):
     """A trace whose pre-state holds an active dangerous cool-down and the
     initial personal tag."""
-    engine = DecisionEngine(shipped_config)
+    engine = DecisionEngine(config)
     engine.decide(make_request("alice", "knife", now=0))
     _, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
     assert trace.pre_state["cooldowns"]["users"]["alice"]["active"] == {"dangerous": 1800}
-    assert verify_trace(trace, shipped_config).ok
+    assert verify_trace(trace, config).ok
     return trace
+
+
+@pytest.fixture()
+def mid_session_trace(shipped_config):
+    return decide_mid_session(shipped_config)
 
 
 def _unknown_safety_class(trace):
@@ -1073,7 +1077,7 @@ class TestOneReplayEnginePerConfig:
         assert result.mismatches == ["config fingerprint does not match the trace"]
         assert built == []
 
-    def test_verdicts_do_not_depend_on_what_was_verified_before(self, mid_session_trace):
+    def test_verdicts_do_not_depend_on_what_was_verified_before(self):
         plain, audit = golden_traces()
         rng = random.Random(7)
         traces = rng.sample(plain, 15) + rng.sample(audit, 15)
@@ -1085,31 +1089,27 @@ class TestOneReplayEnginePerConfig:
             mismatched = copy_of(trace)
             mismatched.config_fingerprint = "f" * 64
             traces.append(mismatched)
+        # Decided under the golden lines' config, so every trace shares one.
+        mid_session = decide_mid_session(load_golden())
         for edit, _ in EDITS:
-            edited = copy_of(mid_session_trace)
+            edited = copy_of(mid_session)
             edit(edited)
             traces.append(edited)
         rng.shuffle(traces)
 
-        def config_for(trace, configs):
-            # A line names its config by fingerprint; a forged one gets either.
-            return next((c for c in configs if c.fingerprint() == trace.config_fingerprint), configs[0])
-
-        shared = (load_golden(), load_default())
-        results = [verify_trace(t, config_for(t, shared)) for t in traces]
-        assert results == [verify_trace(t, config_for(t, (load_golden(), load_default()))) for t in traces]
+        shared = load_golden()
+        results = [verify_trace(t, shared) for t in traces]
+        assert results == [verify_trace(t, load_golden()) for t in traces]
         assert any(r.ok for r in results) and not all(r.ok for r in results)
 
     def test_verifying_leaves_a_live_engine_alone(self):
-        config = load_default()
+        config = load_golden()
         live = DecisionEngine(config)
         live.decide(make_request("alice", "knife", now=0))
         live.decide(make_request("bob", "sleeping_pills", now=10, request_id="req-001"))
         _, last = live.decide(make_request("carol", "car_keys", now=20, request_id="req-002"))
         before = (live.cooldowns.snapshot(), live.registry.snapshot())
         plain, audit = golden_traces()
-        golden = load_golden()
-        for trace in plain[:10] + audit[:10]:
-            assert verify_trace(trace, golden).ok
-        assert verify_trace(last, config).ok
+        for trace in plain[:10] + audit[:10] + [last]:
+            assert verify_trace(trace, config).ok
         assert (live.cooldowns.snapshot(), live.registry.snapshot()) == before
