@@ -75,6 +75,12 @@ def quartile_spread(values: list[float]) -> float:
     return upper - lower
 
 
+def number(value: float) -> str:
+    """A metric value to six significant digits, so that a value of a few
+    milliseconds in seconds and its spread can be read as well as a rate."""
+    return f"{value:.6g}"
+
+
 def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     """One row per end-to-end metric: base and change medians, change/base,
     the base quartile spread and the pairs the change won. `metrics` are
@@ -91,8 +97,8 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
         won = sum((c < b) if lower_wins else (c > b) for b, c in measured)
         ratio = f"{change_median / base_median:.4f}" if base_median else "-"
         rows.append((
-            name, metric["unit"], f"{base_median:.4f}", f"{change_median:.4f}", ratio,
-            f"{quartile_spread(base_values):.4f}", f"{won}/{len(measured)}",
+            name, metric["unit"], number(base_median), number(change_median), ratio,
+            number(quartile_spread(base_values)), f"{won}/{len(measured)}",
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
@@ -140,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             results, digests = {}, {}
             for side, tree in sides if i % 2 == 0 else reversed(sides):
                 results[side], digests[side] = run(tree, args.workload, seed, args.seconds)
-                shown = " ".join(f"{m['name']}={results[side][m['name']]:.4f}"
+                shown = " ".join(f"{m['name']}={number(results[side][m['name']])}"
                                  for m in metrics if m["name"] in results[side])
                 print(f"seed {seed} {side}: {shown}", flush=True)
             verdict = decided(digests["base"], digests["change"])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .emotion import Zone, ZoneRect, ZoneTable, validate_zone_table
 from .errors import ConfigError
-from .matrix import CategoryRule, Matrix, MatrixEntry, MatrixKey, validate_matrix
+from .matrix import KEY_BY_TEXTS, CategoryRule, Matrix, MatrixEntry, MatrixKey, validate_matrix
 from .model import (
     CLASS_BY_TEXT,
     GROUP_BY_TEXT,
@@ -39,6 +39,28 @@ SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json
 SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
 #: Cool-down record keys shared by many requesters, so no roster user may take one.
 RESERVED_USER_IDS = frozenset({HOUSEHOLD_SCOPE_KEY, UNKNOWN_SCOPE_KEY})
+#: The keys each object of a config file may hold: exactly those to_dict writes.
+_KEYS = {
+    "config": frozenset({
+        "region", "durations", "cooldown_scope", "zone_table", "matrix",
+        "category_rules", "objects", "users", "admin", "personal_tags",
+    }),
+    "region": frozenset({"name", "adult_age_threshold"}),
+    "durations": frozenset({"dangerous_s", "mind_altering_s"}),
+    "zone_table": frozenset({"zone", "v_lo", "v_hi", "a_lo", "a_hi"}),
+    "matrix": frozenset({"cooldown", "request_class", "zone", "allowed_groups", "required_checks"}),
+    "category_rules": frozenset({"category", "extra_checks", "appropriate_rooms"}),
+    "objects": frozenset({"object_id", "display_name", "safety_class", "category", "allergen_tags", "personal_owner"}),
+    "users": frozenset({"user_id", "age_years", "relationship", "allergies", "admin_role"}),
+    "admin": frozenset({"owner", "designators"}),
+    "personal_tags": frozenset({"object_id", "tagged_by", "grants"}),
+}
+#: What a part of a config file raises when it refuses its value.
+_REFUSALS = (ConfigError, KeyError, TypeError, ValueError)
+#: json.dumps(sort_keys=True, separators=(",", ":")) without the cycle
+#: check, which a dict to_dict builds cannot need. NaN stays allowed, so a
+#: config whose zone bound is NaN still fingerprints (and fails validation).
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _distinct(what: str, items: list) -> frozenset:
@@ -59,19 +81,58 @@ def _strings(what: str, value) -> frozenset[str]:
     return _distinct(what, value)
 
 
-def _at(where: str, parse, value):
-    """parse(value) for one part of a config file. A refusal names the
-    part, as in `region: ...`; from_dict adds its prefix."""
+def _known(value, section: str) -> None:
+    """Refuse a key of a JSON object that its section does not name, rather
+    than drop it: a misspelled optional key would read as absent. Of
+    several, the first in sorted order is named, whatever the hash seed. A
+    value that is not an object is left for its parse to refuse."""
+    if isinstance(value, dict) and not _KEYS[section].issuperset(value):
+        raise ValueError(f"unknown key {min(value.keys() - _KEYS[section], key=str)!r}")
+
+
+def _at(section: str, parse, value):
+    """parse(value) for one object of a config file. A refusal names the
+    section, as in `region: ...`; from_dict adds its prefix."""
     try:
+        _known(value, section)
         return parse(value)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    except _REFUSALS as exc:
+        raise ValueError(f"{section}: {exc}") from exc
 
 
 def _each(section: str, entries: list, parse) -> list:
     """parse applied to each entry of one list of a config file. A refusal
     names the entry, as in `users[2]: allergies must be ...`."""
-    return [_at(f"{section}[{i}]", parse, entry) for i, entry in enumerate(entries)]
+    parsed = []
+    for i, entry in enumerate(entries):
+        try:
+            _known(entry, section)
+            parsed.append(parse(entry))
+        except _REFUSALS as exc:
+            raise ValueError(f"{section}[{i}]: {exc}") from exc
+    return parsed
+
+
+def _read_row(row: dict) -> tuple[MatrixKey, MatrixEntry]:
+    """A matrix row read by the general checks, which word each refusal."""
+    # member() refuses any cooldown or group that is not one of the texts.
+    key = MatrixKey(
+        cooldown_profile=_distinct("cooldown", [
+            member(CLASS_BY_TEXT, c) for c in require_type("cooldown", row["cooldown"], list)
+        ]),
+        request_class=member(CLASS_BY_TEXT, row["request_class"]),
+        zone=Zone.from_str(row["zone"]),
+    )
+    groups = _distinct("allowed_groups", [
+        member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
+    ])
+    return key, MatrixEntry(groups, _strings("required_checks", row["required_checks"]))
+
+
+def _listed(value) -> tuple | None:
+    """A JSON list as a tuple, to look up as written; anything else as None,
+    which no table holds."""
+    return tuple(value) if isinstance(value, list) else None
 
 
 def _admin_role(admin: AdminHierarchy, user: UserProfile) -> str:
@@ -223,11 +284,12 @@ class PolicyConfig:
     def from_dict(cls, data: dict) -> "PolicyConfig":
         try:
             return cls._from_dict(data)
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        except _REFUSALS as exc:
             raise ConfigError(f"malformed policy config: {exc}") from exc
 
     @classmethod
     def _from_dict(cls, data: dict) -> "PolicyConfig":
+        _known(data, "config")
         region = _at("region", lambda r: Region(
             name=require_type("name", r["name"], str),
             adult_age_threshold=require_type("adult_age_threshold", r["adult_age_threshold"], int),
@@ -243,25 +305,26 @@ class PolicyConfig:
             # give one fingerprint.
             **{b: float(require_type(b, r[b], int, float)) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
         ))
-        # One entry per distinct (groups, checks): the shipped 48 rows share 9.
+        # One entry per distinct (groups, checks): the shipped 48 rows share
+        # 9. `bodies` finds it by the texts as written, so each distinct
+        # body is read once.
         entries: dict[tuple[frozenset, frozenset], MatrixEntry] = {}
+        bodies: dict[tuple[tuple, tuple], MatrixEntry] = {}
 
         def matrix_row(row: dict) -> tuple[MatrixKey, MatrixEntry]:
-            # member() refuses any cooldown or group that is not one of the texts.
-            key = MatrixKey(
-                cooldown_profile=_distinct("cooldown", [
-                    member(CLASS_BY_TEXT, c) for c in require_type("cooldown", row["cooldown"], list)
-                ]),
-                request_class=member(CLASS_BY_TEXT, row["request_class"]),
-                zone=Zone.from_str(row["zone"]),
-            )
-            groups = _distinct("allowed_groups", [
-                member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
-            ])
-            checks = _strings("required_checks", row["required_checks"])
-            entry = entries.get((groups, checks))
-            if entry is None:
-                entry = entries[groups, checks] = MatrixEntry(groups, checks)
+            try:
+                return (
+                    KEY_BY_TEXTS[_listed(row["cooldown"]), row["request_class"], row["zone"]],
+                    bodies[_listed(row["allowed_groups"]), _listed(row["required_checks"])],
+                )
+            except (KeyError, TypeError):
+                pass
+            _, entry = _read_row(row)
+            # The checks passed, so the written key is hashable, and it is in
+            # the table, which holds every form they pass.
+            key = KEY_BY_TEXTS[tuple(row["cooldown"]), row["request_class"], row["zone"]]
+            entry = entries.setdefault((entry.allowed_groups, entry.required_checks), entry)
+            bodies[tuple(row["allowed_groups"]), tuple(row["required_checks"])] = entry
             return key, entry
 
         rows = _each("matrix", data["matrix"], matrix_row)
@@ -301,6 +364,8 @@ class PolicyConfig:
             grants=_strings("grants", t.get("grants", [])),
         ))
         owners = _personal_owners(tags)
+        # Passes over (entry, parsed) pairs: a pair is no object, so no key
+        # is checked again.
         _each("users", zip(data["users"], users), lambda pair: _agrees(
             pair[0], "admin_role", _admin_role(admin, pair[1])))
         _each("objects", zip(data["objects"], objects), lambda pair: _agrees(
@@ -328,7 +393,7 @@ class PolicyConfig:
         return cls.from_dict(data)
 
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return _canonical(self.to_dict()).encode("utf-8")
 
     def fingerprint(self) -> str:
         if self._fingerprint_cache is None:

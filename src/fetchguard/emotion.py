@@ -136,8 +136,13 @@ def validate_zone_table(table: ZoneTable) -> Report:
 
     a_probes = _probes(b for r in table.rects for b in (r.a_lo, r.a_hi))
     for v in _probes(b for r in table.rects for b in (r.v_lo, r.v_hi)):
+        # The a-intervals of the rectangles that cross this column.
+        column = [(r.a_lo, r.a_hi) for r in table.rects if r.v_lo <= v <= r.v_hi]
         for a in a_probes:
-            if not any(r.contains(v, a) for r in table.rects):
+            for a_lo, a_hi in column:
+                if a_lo <= a <= a_hi:
+                    break
+            else:
                 report.add("uncovered-point", f"no zone covers (v={v!r}, a={a!r})")
                 return report
     return report

@@ -99,17 +99,24 @@ class TestTable:
         rows = self.rows()
         # Medians of four: the mean of the middle two. Quartiles interpolate
         # between the sorted base values: 105.5 and 108.5 here.
-        assert rows["verify_us_p50"] == ["us", "107.0000", "99.5000", "0.9299", "3.0000", "3/4"]
+        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4"]
         # Higher is better here: the change won where it read more.
-        assert rows["decisions_per_s"] == ["1/s", "9050.0000", "9400.0000", "1.0387", "175.0000", "3/4"]
+        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4"]
 
     def test_a_tie_counts_for_neither_side(self):
-        assert self.rows()["trace_bytes_mean"][-2:] == ["47.5000", "0/4"]
+        assert self.rows()["trace_bytes_mean"][-2:] == ["47.5", "0/4"]
 
     def test_a_metric_no_run_printed_gets_no_row(self):
         assert list(self.rows()) == ["metric", "verify_us_p50", "decisions_per_s", "trace_bytes_mean"]
 
+    def test_a_cold_start_in_seconds_and_its_spread_can_be_read(self):
+        setup = {"name": "setup_s", "unit": "s", "better": "lower"}
+        pairs = [({"setup_s": b}, {"setup_s": c}) for b, c in
+                 ((0.001281, 0.001093), (0.001275, 0.001101), (0.001302, 0.001088), (0.001290, 0.001097))]
+        row = bench_pairs.table([setup], pairs).splitlines()[1].split()
+        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4"]
+
     def test_one_pair_has_no_spread(self):
         assert bench_pairs.quartile_spread([5.0]) == 0.0
         rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
-        assert rows[1].split() == ["verify_us_p50", "us", "110.0000", "100.0000", "0.9091", "0.0000", "1/1"]
+        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1"]

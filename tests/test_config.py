@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -8,11 +10,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fetchguard.config
 from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest, PolicyConfig, default_config
+from fetchguard.emotion import Zone
+from fetchguard.matrix import ALL_CLASSES, ALL_KEYS, ALL_ZONES, KEY_BY_TEXTS, MATRIX_CHECKS
+from fetchguard.model import SafetyClass, UserGroup
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
@@ -20,6 +25,11 @@ SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485a
 GOLDEN_JSON = REPO_ROOT / "tests" / "golden" / "config.json"
 GOLDEN_FINGERPRINT = "e769ddc981c73e27ccb52aa99f8945a197a32a83ec9601847e2663f02fec0418"
 SHIPPED_DATA = json.loads(DEFAULT_JSON.read_text(encoding="utf-8"))
+
+
+def dumped(config):
+    """The bytes canonical_bytes must give: to_dict through json.dumps."""
+    return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()
 
 
 class TestDefaults:
@@ -324,7 +334,9 @@ class TestSameConfigSameFingerprint:
         for i in named:
             if rng.random() < 0.5:
                 del edited["objects"][i]["display_name"]
-        assert PolicyConfig.from_dict(edited).fingerprint() == expected
+        config = PolicyConfig.from_dict(edited)
+        assert config.fingerprint() == expected
+        assert config.canonical_bytes() == dumped(config)
 
     @pytest.mark.parametrize("cooldown", [["neither"], ["neither", "dangerous"], ["mind_altering", "neither", "dangerous"]])
     def test_a_config_with_an_unreachable_row_round_trips(self, cooldown):
@@ -337,6 +349,24 @@ class TestSameConfigSameFingerprint:
         assert PolicyConfig.from_dict(written).to_dict() == written
         assert config.validate().codes() == {"unreachable-row"}
         assert config.fingerprint() != SHIPPED_FINGERPRINT
+
+
+class TestCanonicalBytes:
+    """canonical_bytes writes what json.dumps with sorted keys and no
+    whitespace writes, so that no fingerprint moves."""
+
+    def test_the_shipped_and_golden_configs(self, shipped_config, golden_config):
+        for config in (shipped_config, golden_config):
+            assert config.canonical_bytes() == dumped(config)
+
+    def test_a_nan_zone_bound_still_fingerprints(self):
+        data = json.loads(json.dumps(SHIPPED_DATA))
+        data["zone_table"][0]["v_lo"] = math.nan
+        config = PolicyConfig.from_dict(data)
+        assert config.canonical_bytes() == dumped(config)
+        assert b'"v_lo":NaN' in config.canonical_bytes()
+        assert config.fingerprint() != SHIPPED_FINGERPRINT
+        assert "out-of-bounds" in config.validate().codes()
 
 
 class TestParseErrors:
@@ -424,6 +454,24 @@ class TestRepeatsRefused:
         assert config.fingerprint() == SHIPPED_FINGERPRINT
 
 
+def _rename(*path):
+    """An edit that renames the key second to last in `path` to the last."""
+    *keys, old, new = path
+
+    def edit(data):
+        for key in keys:
+            data = data[key]
+        data[new] = data.pop(old)
+
+    edit.__name__ = ".".join(map(str, path))
+    return edit
+
+
+def _two_unknown_keys(data):
+    data["users"][2]["zeta"] = 1
+    data["users"][2]["alpha"] = 2
+
+
 class TestRefusalsNameTheirPlace:
     """A refusal the parts of a config raise themselves names the section
     or entry it sits in, as the loader's own refusals do."""
@@ -438,6 +486,21 @@ class TestRefusalsNameTheirPlace:
             (_set("region", "adult_age_threshold", 3),
              "region: region 'canada': adult_age_threshold must be >= 14, got 3"),
             (_set("durations", "dangerous_s", 0), "durations: cool-down durations must be strictly positive"),
+            # Dropped, these would take carol's peanut allergy and the
+            # medicine rule's checks away.
+            (_rename("users", 2, "allergies", "alergies"), "users[2]: unknown key 'alergies'"),
+            (_rename("category_rules", 0, "extra_checks", "extra_check"),
+             "category_rules[0]: unknown key 'extra_check'"),
+            (_set("comment", "shipped"), "unknown key 'comment'"),
+            (_set("region", "nmae", "canada"), "region: unknown key 'nmae'"),
+            (_set("durations", "dangerous", 60), "durations: unknown key 'dangerous'"),
+            (_set("zone_table", 1, "Zone", "red"), "zone_table[1]: unknown key 'Zone'"),
+            (_set("matrix", 5, "zones", "red"), "matrix[5]: unknown key 'zones'"),
+            (_set("objects", 3, "allergens", []), "objects[3]: unknown key 'allergens'"),
+            (_set("admin", "designator", "bob"), "admin: unknown key 'designator'"),
+            (_set("personal_tags", 0, "grant", ["bob"]), "personal_tags[0]: unknown key 'grant'"),
+            # Of several, the first in sorted order, whatever the hash seed.
+            (_two_unknown_keys, "users[2]: unknown key 'alpha'"),
         ],
         ids=lambda e: getattr(e, "__name__", ""),
     )
@@ -447,6 +510,19 @@ class TestRefusalsNameTheirPlace:
         with pytest.raises(ConfigError) as refused:
             PolicyConfig.from_dict(data)
         assert str(refused.value) == f"malformed policy config: {message}"
+
+
+class TestKnownKeys:
+    def test_each_object_allows_exactly_the_keys_to_dict_writes(self, shipped_config):
+        written = shipped_config.to_dict()
+        keys = {"config": set(written)}
+        for section, value in written.items():
+            if isinstance(value, dict):
+                keys[section] = set(value)
+            elif isinstance(value, list):
+                keys[section] = set(value[0])
+                assert all(set(entry) == keys[section] for entry in value)
+        assert {section: set(known) for section, known in fetchguard.config._KEYS.items()} == keys
 
 
 #: Where each field that holds an enum text sits, and the index its
@@ -533,6 +609,117 @@ class TestEnumTextRefusals:
         with pytest.raises(ConfigError) as refused:
             PolicyConfig.from_dict(data)
         assert str(refused.value) == f"malformed policy config: matrix[5]: {field} must be list, got None"
+
+
+CLASS_TEXTS = [c.value for c in ALL_CLASSES]
+ZONE_TEXTS = [z.as_str() for z in ALL_ZONES]
+GROUP_TEXTS = [g.value for g in UserGroup]
+#: Values a drawn row holds where a text or a list belongs: other JSON
+#: types, an unhashable list and object, and a text in no table.
+NOT_TEXTS = [None, 3, True, 1.5, ["neither"], {"zone": "red"}, "plaid"]
+#: The shipped rows' keys, by the general checks.
+SHIPPED_KEYS = [fetchguard.config._read_row(row)[0] for row in SHIPPED_DATA["matrix"]]
+
+
+def _permuted(texts):
+    return st.sets(st.sampled_from(texts)).flatmap(lambda chosen: st.permutations(sorted(chosen)))
+
+
+def _mostly(accepted, other):
+    """Draws from `accepted` three times in four, so that whole rows pass."""
+    return st.sampled_from([accepted, accepted, accepted, other]).flatmap(lambda chosen: chosen)
+
+
+@st.composite
+def matrix_rows(draw):
+    """A matrix row as a config file or a Python caller may give it: every
+    accepted form of each field, those forms in another case or as enum
+    members, repeats, other types, a tuple for a list, unhashable items,
+    another shipped row's body, and missing fields."""
+    row = {
+        "cooldown": draw(_mostly(
+            st.one_of(_permuted(CLASS_TEXTS), _permuted(list(SafetyClass))),
+            st.one_of(
+                st.lists(st.sampled_from(CLASS_TEXTS + ["Dangerous", "NEITHER", Zone.RED, *NOT_TEXTS]), max_size=4),
+                st.sampled_from([None, "dangerous", ("mind_altering", "dangerous"), ()]),
+            ),
+        )),
+        "request_class": draw(_mostly(
+            st.sampled_from(CLASS_TEXTS + list(SafetyClass)),
+            st.sampled_from(["Neither", "DANGEROUS", "green", *NOT_TEXTS]),
+        )),
+        "zone": draw(_mostly(
+            st.sampled_from(ZONE_TEXTS),
+            st.sampled_from(["GREEN", "Red", Zone.GREEN, Zone.RED, 0, "neither", *NOT_TEXTS]),
+        )),
+    }
+    if draw(st.booleans()):
+        other = draw(st.sampled_from(SHIPPED_DATA["matrix"]))
+        row["allowed_groups"] = draw(st.permutations(other["allowed_groups"]))
+        row["required_checks"] = draw(st.permutations(other["required_checks"]))
+    else:
+        row["allowed_groups"] = draw(_mostly(
+            _permuted(GROUP_TEXTS + [UserGroup.FRC]),
+            st.one_of(
+                st.lists(st.sampled_from(GROUP_TEXTS + [UserGroup.HA, "ha", *NOT_TEXTS]), min_size=2, max_size=4),
+                st.sampled_from([None, "HA", ("HA", "FAA")]),
+            ),
+        ))
+        row["required_checks"] = draw(_mostly(
+            _permuted(MATRIX_CHECKS),
+            st.one_of(
+                st.lists(st.sampled_from([*MATRIX_CHECKS, "Adult_present", "allergy_screen", *NOT_TEXTS]), max_size=3),
+                st.sampled_from([None, "adult_present", ("adult_present",)]),
+            ),
+        ))
+    if not draw(_mostly(st.just(True), st.booleans())):
+        del row[draw(st.sampled_from(sorted(row)))]
+    return row
+
+
+class TestRowKeyTable:
+    """A row's key is looked up in matrix.KEY_BY_TEXTS and each distinct
+    body is read once; the general row checks, applied alone, must give the
+    same key and entry, or the same refusal."""
+
+    @staticmethod
+    def agree(row):
+        data = json.loads(json.dumps(SHIPPED_DATA))
+        data["matrix"][5] = row
+        try:
+            key, entry = fetchguard.config._read_row(row)
+        except fetchguard.config._REFUSALS as exc:
+            with pytest.raises(ConfigError) as refused:
+                PolicyConfig.from_dict(data)
+            assert str(refused.value) == f"malformed policy config: matrix[5]: {exc}"
+            return
+        # Keys stay unique: the shipped row holding this key takes row 5's.
+        if key in SHIPPED_KEYS and SHIPPED_KEYS.index(key) != 5:
+            data["matrix"][SHIPPED_KEYS.index(key)] = SHIPPED_DATA["matrix"][5]
+        config = PolicyConfig.from_dict(data)
+        assert list(config.matrix)[5] == key
+        assert config.matrix[key] == entry
+        # Rows with equal groups and checks share one entry.
+        assert len({id(e) for e in config.matrix.values()}) == len(set(config.matrix.values()))
+
+    @settings(max_examples=400, deadline=None)
+    @given(matrix_rows())
+    @example({"cooldown": ["mind_altering", "dangerous"], "request_class": "neither", "zone": "red",
+              "allowed_groups": ["HA"], "required_checks": []})
+    def test_the_table_and_the_general_checks_agree(self, row):
+        self.agree(row)
+
+    def test_every_accepted_key_form(self):
+        for n in range(len(CLASS_TEXTS) + 1):
+            for cooldown in itertools.permutations(CLASS_TEXTS, n):
+                for request_class in CLASS_TEXTS:
+                    for zone in ZONE_TEXTS:
+                        self.agree({"cooldown": list(cooldown), "request_class": request_class, "zone": zone,
+                                    "allowed_groups": [], "required_checks": []})
+        assert len(KEY_BY_TEXTS) == 192
+        # A reachable key is the ALL_KEYS member itself.
+        reachable = [key for key in KEY_BY_TEXTS.values() if SafetyClass.NEITHER not in key.cooldown_profile]
+        assert len(reachable) == 60 and all(any(key is k for k in ALL_KEYS) for key in reachable)
 
 
 def _allergies_as_text(data):

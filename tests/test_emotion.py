@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fetchguard import (
     EmotionSample,
     EvaluationError,
+    Report,
     Zone,
     ZoneRect,
     ZoneTable,
@@ -151,6 +152,80 @@ def grid_tables(draw):
             zone = draw(st.sampled_from(list(Zone)))
             rects.append(ZoneRect(zone, min(v_lo + shrink, v_hi), v_hi, a_lo, a_hi))
     return ZoneTable(rects=tuple(rects))
+
+
+def reference_validate_zone_table(table):
+    """validate_zone_table as a plain double loop: every probe point tested
+    against every rectangle. The reference its per-column filter must agree
+    with."""
+    report = Report()
+    for i, rect in enumerate(table.rects):
+        if rect.v_lo > rect.v_hi or rect.a_lo > rect.a_hi:
+            report.add("inverted-interval", f"rect #{i} ({rect.zone.as_str()}): lo > hi")
+        if not (-1.0 <= rect.v_lo and rect.v_hi <= 1.0 and -1.0 <= rect.a_lo and rect.a_hi <= 1.0):
+            report.add("out-of-bounds", f"rect #{i} ({rect.zone.as_str()}): exceeds [-1,1]")
+    if not report.ok:
+        return report
+
+    def probes(bounds):
+        edges = sorted({-1.0, 1.0, *bounds})
+        return sorted(edges + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])
+
+    a_probes = probes(b for r in table.rects for b in (r.a_lo, r.a_hi))
+    for v in probes(b for r in table.rects for b in (r.v_lo, r.v_hi)):
+        for a in a_probes:
+            if not any(r.contains(v, a) for r in table.rects):
+                report.add("uncovered-point", f"no zone covers (v={v!r}, a={a!r})")
+                return report
+    return report
+
+
+#: Bounds near the square's edges and its middle, a thin step either side
+#: of some, and a few past the square.
+_BOUNDS = [-1.5, -1.0, -0.999, -0.5, -0.001, 0.0, 0.001, 0.5, 0.999, 1.0, 1.5]
+
+
+@st.composite
+def messy_tables(draw):
+    """Tables of up to six rectangles whose bounds are drawn from _BOUNDS or
+    anywhere in range, in any order: gaps, thin gaps, shadowing rectangles,
+    inverted and out-of-bounds intervals all occur. Every other table is
+    a grid cut with a cell narrowed or dropped."""
+    if draw(st.booleans()):
+        return draw(grid_tables())
+    bound = st.one_of(st.sampled_from(_BOUNDS), in_range)
+    rects = draw(st.lists(
+        st.builds(ZoneRect, st.sampled_from(list(Zone)), bound, bound, bound, bound), max_size=6))
+    # Mostly ordered intervals, so that coverage is decided by the probes.
+    for i, rect in enumerate(rects):
+        if draw(st.integers(0, 4)):
+            v_lo, v_hi = sorted((rect.v_lo, rect.v_hi))
+            a_lo, a_hi = sorted((rect.a_lo, rect.a_hi))
+            rects[i] = ZoneRect(rect.zone, v_lo, v_hi, a_lo, a_hi)
+    return ZoneTable(rects=tuple(rects))
+
+
+class TestValidationAgreesWithTheDoubleLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_tables())
+    def test_same_findings_as_the_double_loop(self, table):
+        assert validate_zone_table(table).findings == reference_validate_zone_table(table).findings
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            SHIPPED_TABLE,
+            # A gap between 0 and 0.005 in v that only the midpoint probe finds.
+            ZoneTable(rects=(ZoneRect(Zone.GREEN, 0.005, 1.0, -1.0, 1.0), ZoneRect(Zone.YELLOW, -1.0, 0.0, -1.0, 1.0))),
+            # Red shadows green; the square is covered.
+            ZoneTable(rects=(ZoneRect(Zone.RED, -0.5, 0.5, -0.5, 0.5), ZoneRect(Zone.GREEN, -1.0, 1.0, -1.0, 1.0))),
+            # Covered in v everywhere, but not in a above 0.5 for v < 0.
+            ZoneTable(rects=(ZoneRect(Zone.GREEN, 0.0, 1.0, -1.0, 1.0), ZoneRect(Zone.YELLOW, -1.0, 0.0, -1.0, 0.5))),
+        ],
+        ids=["shipped", "thin-gap", "shadowed", "column-gap"],
+    )
+    def test_named_tables(self, table):
+        assert validate_zone_table(table).findings == reference_validate_zone_table(table).findings
 
 
 class TestTotalityProperty:
