@@ -2,15 +2,17 @@
 """Paired benchmark runs of a base git ref against the working tree.
 
     python3 scripts/bench_pairs.py --workload audit_replay --seeds 31 32 33 --seconds 4 [--base HEAD]
+    python3 scripts/bench_pairs.py --workload household_mix history_heavy audit_replay --seeds 31 32 --seconds 4
 
 The base ref's committed files are exported with `git archive` into a
-temporary directory, removed afterwards. For each seed, perfbench/run.py
-runs once there and once on the working tree, one after the other; the
-side that runs first alternates from seed to seed. Each run's end-to-end
-metrics are printed as it ends, then, for every end-to-end metric that
-BENCHMARK.json lists, the base and change medians, their ratio, the spread
-between the base runs' quartiles and the number of pairs the change won
-(ties count for neither side).
+temporary directory, removed afterwards. For each seed, and each workload
+in turn, perfbench/run.py runs once there and once on the working tree,
+one after the other; the side that runs first alternates from seed to
+seed, the same way for every workload. Each run's end-to-end metrics are
+printed as it ends, then one table per workload: for every end-to-end
+metric that BENCHMARK.json lists, the base and change medians, their
+ratio, the spread between the base runs' quartiles and the number of
+pairs the change won (ties count for neither side).
 
 Each pair also reads the decision_digest line each run prints and says
 whether the two sides decided alike. That is only reported: a change that
@@ -131,33 +133,39 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict[str,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git ref to compare against (default HEAD)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    pairs, differing = [], []
+    pairs = {workload: [] for workload in args.workload}
+    differing = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         base_tree = Path(tmp)
         export(args.base, base_tree)
         for i, seed in enumerate(args.seeds):
             sides = [("base", base_tree), ("change", ROOT)]
-            results, digests = {}, {}
-            for side, tree in sides if i % 2 == 0 else reversed(sides):
-                results[side], digests[side] = run(tree, args.workload, seed, args.seconds)
-                shown = " ".join(f"{m['name']}={number(results[side][m['name']])}"
-                                 for m in metrics if m["name"] in results[side])
-                print(f"seed {seed} {side}: {shown}", flush=True)
-            verdict = decided(digests["base"], digests["change"])
-            print(f"seed {seed} decisions: {verdict}", flush=True)
-            if verdict != "alike":
-                differing.append(f"{seed} ({verdict})")
-            pairs.append((results["base"], results["change"]))
-    print(f"\n{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g}, base {args.base}")
-    print(table(metrics, pairs))
-    print(f"decided alike on {len(pairs) - len(differing)}/{len(pairs)} pairs"
-          + (f"; not alike on seeds {', '.join(differing)}" if differing else ""))
+            if i % 2:
+                sides.reverse()
+            for workload in args.workload:
+                results, digests = {}, {}
+                for side, tree in sides:
+                    results[side], digests[side] = run(tree, workload, seed, args.seconds)
+                    shown = " ".join(f"{m['name']}={number(results[side][m['name']])}"
+                                     for m in metrics if m["name"] in results[side])
+                    print(f"{workload} seed {seed} {side}: {shown}", flush=True)
+                verdict = decided(digests["base"], digests["change"])
+                print(f"{workload} seed {seed} decisions: {verdict}", flush=True)
+                if verdict != "alike":
+                    differing[workload].append(f"{seed} ({verdict})")
+                pairs[workload].append((results["base"], results["change"]))
+    for workload in args.workload:
+        done, odd = pairs[workload], differing[workload]
+        print(f"\n{workload}, {len(done)} pairs, --seconds {args.seconds:g}, base {args.base}")
+        print(table(metrics, done))
+        print(f"decided alike on {len(done) - len(odd)}/{len(done)} pairs"
+              + (f"; not alike on seeds {', '.join(odd)}" if odd else ""))
     return 0
 
 

@@ -51,6 +51,9 @@ def escalate(zone: Zone, steps: int) -> Zone:
     return _ZONES[min(int(Zone.RED), int(zone) + max(0, steps))]
 
 
+_REAL = (int, float)
+
+
 @dataclass(frozen=True)
 class EmotionSample:
     """One sensor reading. Either value may be any int or float, NaN and
@@ -60,8 +63,11 @@ class EmotionSample:
     arousal: float
 
     def __post_init__(self):
-        require_type("emotion valence", self.valence, int, float)
-        require_type("emotion arousal", self.arousal, int, float)
+        # One test of the exact types; require_type words the refusal, and
+        # admits a subclass of int or float.
+        if not (type(self.valence) in _REAL and type(self.arousal) in _REAL):
+            require_type("emotion valence", self.valence, int, float)
+            require_type("emotion arousal", self.arousal, int, float)
 
     def clamped(self) -> tuple["EmotionSample", bool]:
         """Pull the sample into [-1,1]^2.
@@ -102,8 +108,10 @@ class ZoneTable:
 
 def zone_of(sample: EmotionSample, table: ZoneTable) -> Zone:
     """First-match lookup. Raises EvaluationError on a coverage hole."""
+    v, a = sample.valence, sample.arousal
     for rect in table.rects:
-        if rect.contains(sample.valence, sample.arousal):
+        # ZoneRect.contains, inline: this runs on every decision.
+        if rect.v_lo <= v <= rect.v_hi and rect.a_lo <= a <= rect.a_hi:
             return rect.zone
     raise EvaluationError(
         f"no zone covers point (v={sample.valence}, a={sample.arousal})"

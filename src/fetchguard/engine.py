@@ -32,7 +32,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
 from .formats import GATES, as_written
-from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import CategoryRule, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
     ContextSnapshot,
@@ -83,12 +83,10 @@ def _sensor_to_json(value):
     return value
 
 
-def _sensor_from_json(value) -> float:
-    if isinstance(value, str):
-        if value not in _NON_FINITE:
-            raise ValueError(f"sensor value {value!r} is neither a number nor a non-finite token")
-        return _NON_FINITE[value]
-    return value
+def _sensor_from_token(text: str) -> float:
+    if text not in _NON_FINITE:
+        raise ValueError(f"sensor value {text!r} is neither a number nor a non-finite token")
+    return _NON_FINITE[text]
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,21 @@ class FetchRequest:
     now: Instant
 
     def __post_init__(self):
-        require_type("request_id", self.request_id, str)
-        require_type("user_id", self.user_id, str)
-        require_type("object_id", self.object_id, str)
-        require_type("emotion", self.emotion, EmotionSample)
-        require_type("context", self.context, ContextSnapshot)
-        require_type("now", self.now, int)
+        # One test of the exact types; require_type words the refusal.
+        if not (
+            type(self.request_id) is str
+            and type(self.user_id) is str
+            and type(self.object_id) is str
+            and type(self.emotion) is EmotionSample
+            and type(self.context) is ContextSnapshot
+            and type(self.now) is int
+        ):
+            require_type("request_id", self.request_id, str)
+            require_type("user_id", self.user_id, str)
+            require_type("object_id", self.object_id, str)
+            require_type("emotion", self.emotion, EmotionSample)
+            require_type("context", self.context, ContextSnapshot)
+            require_type("now", self.now, int)
 
     def to_dict(self) -> dict:
         return {
@@ -128,22 +135,25 @@ class FetchRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FetchRequest":
+        # Which of two faults a refusal names depends on the order of these
+        # reads and checks; keep it.
         emotion, context = data["emotion"], data["context"]
+        request_id, user_id, object_id = data["request_id"], data["user_id"], data["object_id"]
+        valence = emotion["valence"]
+        if isinstance(valence, str):
+            valence = _sensor_from_token(valence)
+        arousal = emotion["arousal"]
+        if isinstance(arousal, str):
+            arousal = _sensor_from_token(arousal)
         return cls(
-            request_id=data["request_id"],
-            user_id=data["user_id"],
-            object_id=data["object_id"],
-            emotion=EmotionSample(
-                _sensor_from_json(emotion["valence"]),
-                _sensor_from_json(emotion["arousal"]),
+            request_id,
+            user_id,
+            object_id,
+            EmotionSample(valence, arousal),
+            ContextSnapshot(
+                context["room"], context["adult_present"], context["verbal_affirmation"], context["timestamp"]
             ),
-            context=ContextSnapshot(
-                room=context["room"],
-                adult_present=context["adult_present"],
-                verbal_affirmation=context["verbal_affirmation"],
-                timestamp=context["timestamp"],
-            ),
-            now=data["now"],
+            data["now"],
         )
 
 
@@ -169,13 +179,17 @@ class Decision:
         """Refuses a block the engine would not write (a zone or group that
         is no member's text, a repeated or unsorted group), so equal
         decisions mean equal blocks."""
-        decision = cls(
-            verdict=data["verdict"],
-            deciding_policy=data["deciding_policy"],
-            reason=data["reason"],
-            effective_zone=Zone.from_str(data["effective_zone"]),
-            allowed_groups_at_leaf=frozenset([member(GROUP_BY_TEXT, g) for g in data["allowed_groups_at_leaf"]]),
-        )
+        verdict, policy, reason = data["verdict"], data["deciding_policy"], data["reason"]
+        zone = Zone.from_str(data["effective_zone"])
+        texts = data["allowed_groups_at_leaf"]
+        try:
+            groups = frozenset(map(GROUP_BY_TEXT.__getitem__, texts))
+        except (KeyError, TypeError):
+            # member() words the refusal for the first text that is no
+            # group's; a block that cannot be iterated raises the same
+            # TypeError again.
+            groups = frozenset([member(GROUP_BY_TEXT, g) for g in texts])
+        decision = cls(verdict, policy, reason, zone, groups)
         if decision.to_dict() != data:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
         return decision
@@ -188,7 +202,11 @@ class DecisionTrace:
     A trace without a trace_version is version 1 and is written back
     without one, so its bytes survive a read and a write; every other key
     is required, and a key to_dict would not write (any other key, or an
-    explicit trace_version 1) is refused."""
+    explicit trace_version 1) is refused.
+
+    A trace straight from decide() holds the request as one dict, both as
+    `request` and as the knowledge_check event's echo, so an edit to one
+    in memory is an edit to both."""
 
     request_id: str
     config_fingerprint: str
@@ -223,19 +241,25 @@ class DecisionTrace:
         version = data.get("trace_version", 1)
         if type(version) is not int or not 1 <= version <= TRACE_VERSION:
             raise ValueError(f"unknown trace_version {version!r}")
+        request_id, fingerprint, audit_all = data["request_id"], data["config_fingerprint"], data["audit_all"]
+        if type(audit_all) is not bool:
+            require_type("audit_all", audit_all, bool)
         trace = cls(
-            request_id=data["request_id"],
-            config_fingerprint=data["config_fingerprint"],
-            audit_all=require_type("audit_all", data["audit_all"], bool),
-            request=data["request"],
-            pre_state=data["pre_state"],
-            warnings=data["warnings"],
-            events=data["events"],
-            decision=Decision.from_dict(data["decision"]),
-            trace_version=version,
+            request_id,
+            fingerprint,
+            audit_all,
+            data["request"],
+            data["pre_state"],
+            data["warnings"],
+            data["events"],
+            Decision.from_dict(data["decision"]),
+            version,
         )
-        extra = data.keys() - (_V1_KEYS if version == 1 else _KEYS)
-        if extra:
+        # Every key to_dict writes has been read, so a line holds another
+        # key only if it holds more keys than that.
+        written = _V1_KEYS if version == 1 else _KEYS
+        if len(data) != len(written):
+            extra = data.keys() - written
             raise ValueError(f"keys the engine does not write: {sorted(extra)}")
         return trace
 
@@ -253,6 +277,9 @@ class _EvalState:
     derives."""
 
     request: FetchRequest
+    #: The request as traces write it, built once by the knowledge step: it
+    #: is both that step's echo and the trace's `request`.
+    echo: dict | None = None
     profile: UserProfile | None = None
     emotion: EmotionSample | None = None
     known_user: bool = True
@@ -289,6 +316,7 @@ class DecisionEngine:
         self._roster = frozenset(u.user_id for u in config.users)
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
         self._stages = tuple((stage, f"{stage}_ok", getattr(self, f"_eval_{stage}")) for stage in STAGES)
+        self._category_rules = _rules_by_category(config)
         self.tree = self._build_tree()
         validate_tree(self.tree)
         self.reset()
@@ -381,7 +409,8 @@ class DecisionEngine:
         if st.was_clamped:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
         st.base_zone = zone_of(st.emotion, self.config.zone_table)
-        st.events.append({"node": "knowledge_check", "inputs": {"request": req.to_dict()}})
+        echo = st.echo = req.to_dict()
+        st.events.append({"node": "knowledge_check", "inputs": {"request": echo}})
         return SUCCESS
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
@@ -456,8 +485,9 @@ class DecisionEngine:
 
     def _eval_category_context(self, st: _EvalState):
         entry = st.matrix_entry
-        details: dict = {"category": st.obj.category}
-        rules = self.config.category_rules
+        category = st.obj.category
+        details: dict = {"category": category}
+        rules = self._category_rules[category]
         result = category_checks(entry.required_checks, rules, st.obj, st.group, st.request.context, st.profile)
         if result.passed:
             return details, None
@@ -526,7 +556,7 @@ class DecisionEngine:
             request_id=request.request_id,
             config_fingerprint=self.fingerprint,
             audit_all=self.audit_all,
-            request=request.to_dict(),
+            request=st.echo,
             pre_state=pre_state,
             # The tick's state is dropped on return, so its lists are the
             # trace's own.
@@ -550,6 +580,14 @@ class DecisionEngine:
                 outcome = "skipped"
             events.append({"node": ok_name, "inputs": inputs, "outcome": outcome, "audit": True})
         return events
+
+
+def _rules_by_category(config: PolicyConfig) -> dict[str, tuple[CategoryRule, ...]]:
+    """The category rules that apply to each catalog category, in rule
+    order: all that category_checks keeps of the config's rules for an
+    object of that category."""
+    rules = config.category_rules
+    return {obj.category: tuple([rule for rule in rules if rule.applies_to(obj.category)]) for obj in config.objects}
 
 
 def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:

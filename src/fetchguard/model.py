@@ -155,10 +155,17 @@ class ContextSnapshot:
     timestamp: Instant = 0
 
     def __post_init__(self):
-        require_type("context room", self.room, str)
-        require_type("context adult_present", self.adult_present, bool)
-        require_type("context verbal_affirmation", self.verbal_affirmation, bool)
-        require_type("context timestamp", self.timestamp, int)
+        # One test of the exact types; require_type words the refusal.
+        if not (
+            type(self.room) is str
+            and type(self.adult_present) is bool
+            and type(self.verbal_affirmation) is bool
+            and type(self.timestamp) is int
+        ):
+            require_type("context room", self.room, str)
+            require_type("context adult_present", self.adult_present, bool)
+            require_type("context verbal_affirmation", self.verbal_affirmation, bool)
+            require_type("context timestamp", self.timestamp, int)
 
 
 def classify_user_group(profile: UserProfile, region: Region) -> UserGroup:

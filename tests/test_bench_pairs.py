@@ -120,3 +120,56 @@ class TestTable:
         assert bench_pairs.quartile_spread([5.0]) == 0.0
         rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
         assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1"]
+
+
+class TestSeveralWorkloads:
+    """main() with run() and export() replaced: which runs it makes, in
+    what order, and the table it prints for each workload."""
+
+    def run_main(self, monkeypatch, capsys, workloads, seeds):
+        calls = []
+
+        def fake_run(tree, workload, seed, seconds):
+            side = "change" if tree == bench_pairs.ROOT else "base"
+            calls.append((workload, seed, side))
+            # The change is 10 us faster on every pair of every workload.
+            verify = 100.0 + seed + (len(workload) if side == "base" else len(workload) - 10)
+            return {"verify_us_p50": verify}, "ab" * 32
+
+        monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+        monkeypatch.setattr(bench_pairs, "run", fake_run)
+        argv = ["--workload", *workloads, "--seeds", *map(str, seeds), "--seconds", "0.5"]
+        assert bench_pairs.main(argv) == 0
+        return calls, capsys.readouterr().out
+
+    def test_each_seed_runs_every_workload_with_the_sides_alternating_by_seed(self, monkeypatch, capsys):
+        calls, _ = self.run_main(monkeypatch, capsys, ["audit_replay", "household_mix"], [31, 32, 33])
+        first = {("base", "change"): "base", ("change", "base"): "change"}
+        order = [(calls[i][:2], first[(calls[i][2], calls[i + 1][2])]) for i in range(0, len(calls), 2)]
+        assert order == [
+            (("audit_replay", 31), "base"),
+            (("household_mix", 31), "base"),
+            (("audit_replay", 32), "change"),
+            (("household_mix", 32), "change"),
+            (("audit_replay", 33), "base"),
+            (("household_mix", 33), "base"),
+        ]
+        assert all(calls[i][:2] == calls[i + 1][:2] for i in range(0, len(calls), 2))
+
+    def test_one_table_per_workload_of_its_own_pairs(self, monkeypatch, capsys):
+        _, out = self.run_main(monkeypatch, capsys, ["audit_replay", "history_heavy"], [1, 2, 3])
+        tables = out.split("\n\n")[1:]
+        assert [t.splitlines()[0] for t in tables] == [
+            "audit_replay, 3 pairs, --seconds 0.5, base HEAD",
+            "history_heavy, 3 pairs, --seconds 0.5, base HEAD",
+        ]
+        rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[1:-1]} for t in tables]
+        # Base medians 100 + seed 2 + len(workload): 114 and 115.
+        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3"]
+        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3"]
+        assert [t.splitlines()[-1] for t in tables] == ["decided alike on 3/3 pairs"] * 2
+
+    def test_one_workload_prints_one_table(self, monkeypatch, capsys):
+        calls, out = self.run_main(monkeypatch, capsys, ["audit_replay"], [7, 8])
+        assert [side for _, _, side in calls] == ["base", "change", "change", "base"]
+        assert out.count("pairs, --seconds") == 1

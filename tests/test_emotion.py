@@ -228,6 +228,47 @@ class TestValidationAgreesWithTheDoubleLoop:
         assert validate_zone_table(table).findings == reference_validate_zone_table(table).findings
 
 
+#: Points anywhere on the real line, the non-finite values included, and
+#: often exactly on a bound.
+ANY_COORDINATE = st.one_of(
+    st.sampled_from(_BOUNDS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+def reference_zone_of(v, a, table):
+    """The first rectangle whose contains() admits the point, or None."""
+    return next((rect.zone for rect in table.rects if rect.contains(v, a)), None)
+
+
+class TestLookupAgreesWithContains:
+    @settings(max_examples=400, deadline=None)
+    @given(messy_tables(), ANY_COORDINATE, ANY_COORDINATE)
+    def test_first_rectangle_that_contains_the_point(self, table, v, a):
+        # Built directly, not clamped, so NaN and +-inf reach the lookup.
+        sample = EmotionSample(v, a)
+        expected = reference_zone_of(v, a, table)
+        if expected is None:
+            with pytest.raises(EvaluationError, match="no zone covers point"):
+                zone_of(sample, table)
+        else:
+            assert zone_of(sample, table) is expected
+
+    @pytest.mark.parametrize("v, a", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_a_non_finite_point_lies_in_no_bounded_rectangle(self, v, a):
+        with pytest.raises(EvaluationError, match="no zone covers point"):
+            zone_of(EmotionSample(v, a), SHIPPED_TABLE)
+        unbounded = ZoneTable(rects=(ZoneRect(Zone.ORANGE, -math.inf, math.inf, -math.inf, math.inf),))
+        expected = None if math.isnan(v) or math.isnan(a) else Zone.ORANGE
+        assert reference_zone_of(v, a, unbounded) is expected
+        if expected is None:
+            with pytest.raises(EvaluationError):
+                zone_of(EmotionSample(v, a), unbounded)
+        else:
+            assert zone_of(EmotionSample(v, a), unbounded) is Zone.ORANGE
+
+
 class TestTotalityProperty:
     @given(grid_tables(), st.data())
     def test_a_table_that_validates_clean_is_total(self, table, data):

@@ -2,15 +2,18 @@
 them edited, none of them allowed to crash the audit or to change what the
 next verify sees."""
 
+import copy
+import importlib.util
 import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fetchguard import (
@@ -23,13 +26,20 @@ from fetchguard import (
     PolicyConfig,
     ReplayError,
     UserGroup,
+    default_config,
     read_traces,
     replay,
     verify_trace,
 )
 from fetchguard.bt import TickListener
+from fetchguard.errors import FetchguardError
 from fetchguard.engine import TRACE_VERSION, _EvalState, _redecide, canonical_json
 from fetchguard.formats import STEPS, _events_as_written
+from reference_readers import (
+    reference_decision_from_dict,
+    reference_request_from_dict,
+    reference_trace_from_dict,
+)
 from test_golden import (
     FROZEN_FINGERPRINT,
     GOLDEN_FILES,
@@ -352,6 +362,28 @@ class TestRequestComparedWithTheRerun:
             assert result.mismatches == ["request differs from the re-run's request"]
             assert not result.ok and result.decision is not None
 
+    @pytest.mark.parametrize("where", [(), ("context",), ("emotion",)], ids=["request", "context", "emotion"])
+    def test_a_key_added_in_memory_to_a_fresh_traces_request_is_named(self, shipped_config, where):
+        # A trace straight from decide() holds one request dict, as its
+        # request and as knowledge_check's echo, so the edit reaches both.
+        _, trace = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
+        assert trace.request is trace.events[0]["inputs"]["request"]
+        block = trace.request
+        for step in where:
+            block = block[step]
+        block["foo"] = 1
+        result = verify_trace(trace, shipped_config)
+        assert "request differs from the re-run's request" in result.mismatches
+        assert not result.ok and result.decision is not None
+
+    def test_a_non_finite_sensor_value_put_in_memory_is_named(self, shipped_config):
+        # The re-run writes the token the line would hold, not the float.
+        _, trace = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
+        trace.request["emotion"]["valence"] = math.nan
+        result = verify_trace(trace, shipped_config)
+        assert "request differs from the re-run's request" in result.mismatches
+        assert not result.ok
+
 
 def _golden_grants_as_an_object(entry):
     entry["grants"] = {"bob": 1}
@@ -584,6 +616,189 @@ class TestStrictJson:
         data["emotion"]["arousal"] = value
         with pytest.raises((TypeError, ValueError)):
             FetchRequest.from_dict(data)
+
+
+_MIX_SPEC = importlib.util.spec_from_file_location("perfbench_mix", ROOT / "perfbench" / "mix.py")
+mix = importlib.util.module_from_spec(_MIX_SPEC)
+# Registered before it runs: its dataclasses look their module up.
+sys.modules["perfbench_mix"] = mix
+_MIX_SPEC.loader.exec_module(mix)
+
+
+def _mix_lines(config, prefix, audit_all, count):
+    """Lines decided on the benchmark's seeded household traffic
+    (perfbench/mix.py), its registry writes applied as they come."""
+    engine = DecisionEngine(config, audit_all=audit_all)
+    stream = mix.EventStream(config, 17, prefix)
+    lines = []
+    while len(lines) < count:
+        event = stream.next_event()
+        if isinstance(event, mix.Write):
+            try:
+                if event.grantee is None:
+                    engine.apply_tag(event.actor, event.object_id)
+                else:
+                    engine.apply_grant(event.actor, event.object_id, event.grantee)
+            except FetchguardError:
+                pass
+            continue
+        lines.append(engine.decide(event)[1].to_json())
+    return lines
+
+
+#: household_mix lines first, then audit_all lines, then every golden line
+#: (versions 1 and 5, plain and audit).
+READER_LINES = (
+    _mix_lines(default_config(), "hm", False, 40)
+    + _mix_lines(default_config(), "ar", True, 40)
+    + [line for path in GOLDEN_FILES for line in path.read_text(encoding="utf-8").splitlines()]
+)
+
+
+class Text(str):
+    """A str subclass, as a decoder hook could hand over."""
+
+
+def _swap_bool_int(value):
+    if type(value) is bool:
+        return int(value)
+    return bool(value % 2) if type(value) is int else value
+
+
+def _as_float(value):
+    return value + 0.5 if type(value) is float else float(value) if type(value) is int else value
+
+
+def _other_case(value):
+    return (value.upper() if value.islower() else value.lower()) if isinstance(value, str) else value
+
+
+def _as_text(value):
+    return Text(value) if isinstance(value, str) else value
+
+
+def _unsorted(value):
+    return value[::-1] if isinstance(value, list) else value
+
+
+def _repeated(value):
+    return value + value[:1] if isinstance(value, list) else value
+
+
+#: The values the readers read, by their path in a line.
+READ_PATHS = [
+    ("trace_version",), ("request_id",), ("config_fingerprint",), ("audit_all",), ("request",),
+    ("pre_state",), ("warnings",), ("events",), ("decision",),
+    ("request", "request_id"), ("request", "user_id"), ("request", "object_id"), ("request", "now"),
+    ("request", "emotion"), ("request", "context"),
+    ("request", "emotion", "valence"), ("request", "emotion", "arousal"),
+    ("request", "context", "room"), ("request", "context", "adult_present"),
+    ("request", "context", "verbal_affirmation"), ("request", "context", "timestamp"),
+    ("decision", "verdict"), ("decision", "deciding_policy"), ("decision", "reason"),
+    ("decision", "effective_zone"), ("decision", "allowed_groups_at_leaf"),
+]
+#: The objects a reader requires exactly the keys of.
+OBJECT_PATHS = [(), ("request",), ("request", "emotion"), ("request", "context"), ("decision",)]
+TRANSFORMS = [_swap_bool_int, _as_float, _other_case, _as_text, _unsorted, _repeated]
+GROUP_LISTS = st.lists(
+    st.sampled_from(GROUP_NAMES + ["purple", "", "ha", 3, None, 1.5, True, ["HA"], {"HA": 1}]), max_size=4
+)
+ODD_VALUES = GROUP_LISTS | st.sampled_from(
+    [True, False, 0, 1, 5, 6, 2.5, -1.0, None, "NaN", "Infinity", "-Infinity", "nan", "inf", "bogus",
+     "Yellow", "U", {"U": 1}, [], {}, Text("alice"), Text("NaN"), "alice", 10**400]
+)
+READER_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(READ_PATHS), ODD_VALUES),
+    st.tuples(st.just("map"), st.sampled_from(READ_PATHS), st.sampled_from(TRANSFORMS)),
+    st.tuples(st.just("drop"), st.sampled_from(READ_PATHS), st.none()),
+    st.tuples(st.just("add"), st.sampled_from(OBJECT_PATHS), st.sampled_from(["foo", "trace_version", "Verdict"])),
+)
+
+
+def _within(data, path):
+    for step in path:
+        if not isinstance(data, dict) or step not in data:
+            return None
+        data = data[step]
+    return data if isinstance(data, dict) else None
+
+
+def _apply_reader_edit(data, edit):
+    """One edit; an edit whose place an earlier edit removed does nothing."""
+    kind, path, arg = edit
+    if kind == "add":
+        block = _within(data, path)
+        if block is not None:
+            block[arg] = 1
+        return
+    block, key = _within(data, path[:-1]), path[-1]
+    if block is None:
+        return
+    if kind == "drop":
+        block.pop(key, None)
+    elif kind == "set":
+        block[key] = copy.deepcopy(arg)
+    elif key in block:
+        block[key] = arg(block[key])
+
+
+def _read_with(reader, data):
+    try:
+        return "read", reader(data)
+    except Exception as exc:  # the exception's type and text are compared
+        return "refused", type(exc), str(exc)
+
+
+class TestReadersAgreeWithTheReferences:
+    """The readers against their earlier form (tests/reference_readers.py),
+    on real lines edited the ways a line can be wrong: equal objects, or
+    the same exception with the same text."""
+
+    GROUPS = ("decision", "allowed_groups_at_leaf")
+    CONTEXT = ("request", "context")
+    EMOTION = ("request", "emotion")
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=st.integers(0, len(READER_LINES) - 1), edits=st.lists(READER_EDITS, max_size=3))
+    @example(line=0, edits=[])
+    @example(line=0, edits=[("set", GROUPS, "U")])
+    @example(line=0, edits=[("set", GROUPS, {"U": 1})])
+    @example(line=0, edits=[("set", GROUPS, ["U", "HA"])])
+    @example(line=0, edits=[("set", GROUPS, ["HA", ["HA"]])])
+    @example(line=0, edits=[("set", GROUPS, ["purple", 3])])
+    @example(line=0, edits=[("set", GROUPS, 3)])
+    @example(line=0, edits=[("map", ("decision", "effective_zone"), _other_case)])
+    @example(line=0, edits=[("set", ("trace_version",), 1)])
+    @example(line=0, edits=[("add", (), "foo"), ("drop", ("warnings",), None)])
+    @example(line=0, edits=[("map", ("audit_all",), _swap_bool_int)])
+    @example(line=0, edits=[("map", ("request", "context", "adult_present"), _swap_bool_int)])
+    @example(line=0, edits=[("map", ("request", "now"), _as_float)])
+    @example(line=0, edits=[("map", ("request", "user_id"), _as_text), ("map", ("request", "object_id"), _as_text)])
+    @example(line=0, edits=[("set", ("request", "emotion", "valence"), "NaN")])
+    @example(line=0, edits=[("set", ("request", "emotion", "arousal"), "Infinity")])
+    @example(line=0, edits=[("set", ("request", "emotion", "valence"), "bogus")])
+    @example(line=0, edits=[("set", ("request", "emotion", "valence"), Text("NaN"))])
+    @example(line=0, edits=[("drop", ("request", "request_id"), None), ("drop", ("request", "emotion"), None)])
+    @example(line=0, edits=[("set", ("request", "now"), None), ("set", ("request", "user_id"), 3)])
+    @example(line=0, edits=[("set", CONTEXT + ("room",), 3), ("set", CONTEXT + ("adult_present",), 1)])
+    @example(line=0, edits=[("set", EMOTION + ("valence",), True), ("set", EMOTION + ("arousal",), None)])
+    @example(line=0, edits=[("set", ("request", "emotion", "arousal"), [0.5])])
+    @example(line=len(READER_LINES) - 1, edits=[("set", ("trace_version",), 1)])
+    def test_same_object_or_same_refusal(self, line, edits):
+        data = json.loads(READER_LINES[line])
+        for edit in edits:
+            _apply_reader_edit(data, edit)
+        assert _read_with(DecisionTrace.from_dict, data) == _read_with(reference_trace_from_dict, data)
+        request, decision = data.get("request"), data.get("decision")
+        assert _read_with(FetchRequest.from_dict, request) == _read_with(reference_request_from_dict, request)
+        assert _read_with(Decision.from_dict, decision) == _read_with(reference_decision_from_dict, decision)
+
+    def test_the_lines_are_of_both_ends_of_the_versions_and_both_modes(self):
+        traces = [DecisionTrace.from_dict(json.loads(line)) for line in READER_LINES]
+        # The committed lines are of the oldest and the newest version.
+        assert {t.trace_version for t in traces} == {1, TRACE_VERSION}
+        assert {t.audit_all for t in traces} == {False, True}
+        assert all(t.request_id.startswith("hm-") for t in traces[:40])
 
 
 ROSTER = ["alice", "bob", "carol", "dave", "erin", "grace", "henry"]
