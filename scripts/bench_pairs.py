@@ -4,15 +4,18 @@
     python3 scripts/bench_pairs.py --workload audit_replay --seeds 31 32 33 --seconds 4 [--base HEAD]
     python3 scripts/bench_pairs.py --workload household_mix history_heavy audit_replay --seeds 31 32 --seconds 4
 
-The base ref's committed files are exported with `git archive` into a
-temporary directory, removed afterwards. For each seed, and each workload
-in turn, perfbench/run.py runs once there and once on the working tree,
-one after the other; the side that runs first alternates from seed to
-seed, the same way for every workload. Each run's end-to-end metrics are
-printed as it ends, then one table per workload: for every end-to-end
-metric that BENCHMARK.json lists, the base and change medians, their
-ratio, the spread between the base runs' quartiles and the number of
-pairs the change won (ties count for neither side).
+Both sides run from exports made with `git archive` into a temporary
+directory, removed afterwards: the base ref's committed files, and the
+working tree as `git add -A` would stage it, that is tracked edits and
+untracked files that are not ignored. So neither side runs among the
+checkout's caches and build leftovers, and the git index is left alone.
+For each seed, and each workload in turn, perfbench/run.py runs once on
+each side, one after the other; the side that runs first alternates from
+seed to seed, the same way for every workload. Each run's end-to-end
+metrics are printed as it ends, then one table per workload: for every
+end-to-end metric that BENCHMARK.json lists, the base and change
+medians, their ratio, the spread between the base runs' quartiles and
+the number of pairs the change won (ties count for neither side).
 
 Each pair also reads the decision_digest line each run prints and says
 whether the two sides decided alike. That is only reported: a change that
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -109,8 +113,23 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     )
 
 
-def export(ref: str, dest: Path) -> None:
-    """The committed files of `ref`, written under dest."""
+def git(*args: str, env: dict[str, str] | None = None) -> str:
+    """The stripped output of a git command run in the repository."""
+    done = subprocess.run(["git", "-C", str(ROOT), *args], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_pairs: git {' '.join(args)}: {done.stderr.strip()}")
+    return done.stdout.strip()
+
+
+def export(ref: str | None, dest: Path) -> None:
+    """The committed files of `ref`, written under dest. With ref None, the
+    working tree as `git add -A` would stage it, staged into a temporary
+    index so that the real one is left alone."""
+    if ref is None:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs-index-") as tmp:
+            env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+            git("add", "-A", env=env)
+            ref = git("write-tree", env=env)
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref], stdout=subprocess.PIPE)
     untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
     archive.stdout.close()
@@ -142,10 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     pairs = {workload: [] for workload in args.workload}
     differing = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        base_tree = Path(tmp)
-        export(args.base, base_tree)
+        base_tree, change_tree = Path(tmp, "base"), Path(tmp, "change")
+        for ref, tree in ((args.base, base_tree), (None, change_tree)):
+            tree.mkdir()
+            export(ref, tree)
         for i, seed in enumerate(args.seeds):
-            sides = [("base", base_tree), ("change", ROOT)]
+            sides = [("base", base_tree), ("change", change_tree)]
             if i % 2:
                 sides.reverse()
             for workload in args.workload:

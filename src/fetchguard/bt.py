@@ -54,74 +54,58 @@ class Node:
         raise NotImplementedError
 
 
-class Sequence(Node):
+class _Composite(Node):
+    """Ticks children left to right while each returns `_goes_on`; returns
+    the last status it got. Each subclass sets `tick = _Composite.tick`, so
+    that it holds tick in its own __dict__ and can be wrapped per class."""
+
+    _goes_on: NodeStatus
+
+    def __init__(self, name: str, children: Iterable[Node]):
+        super().__init__(name)
+        self._children = tuple(children)
+        if not self._children:
+            raise ConfigError(f"{type(self).__name__.lower()} {name!r} has no children")
+
+    def children(self) -> tuple[Node, ...]:
+        return self._children
+
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
+        if listener:
+            listener.enter(self)
+        goes_on = self._goes_on
+        for child in self._children:
+            status = child.tick(state, listener)
+            if status is not goes_on:
+                break
+        if listener:
+            listener.exit(self, status)
+        return status
+
+
+class Sequence(_Composite):
     """Ticks children left to right; fails at the first failing child."""
 
-    def __init__(self, name: str, children: Iterable[Node]):
-        super().__init__(name)
-        self._children = tuple(children)
-        if not self._children:
-            raise ConfigError(f"sequence {name!r} has no children")
-
-    def children(self) -> tuple[Node, ...]:
-        return self._children
-
-    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
-        if listener:
-            listener.enter(self)
-        status = SUCCESS
-        for child in self._children:
-            status = child.tick(state, listener)
-            if status is not SUCCESS:
-                break
-        if listener:
-            listener.exit(self, status)
-        return status
+    _goes_on = SUCCESS
+    tick = _Composite.tick
 
 
-class Fallback(Node):
+class Fallback(_Composite):
     """Ticks children left to right; succeeds at the first succeeding child."""
 
-    def __init__(self, name: str, children: Iterable[Node]):
-        super().__init__(name)
-        self._children = tuple(children)
-        if not self._children:
-            raise ConfigError(f"fallback {name!r} has no children")
-
-    def children(self) -> tuple[Node, ...]:
-        return self._children
-
-    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
-        if listener:
-            listener.enter(self)
-        status = FAILURE
-        for child in self._children:
-            status = child.tick(state, listener)
-            if status is not FAILURE:
-                break
-        if listener:
-            listener.exit(self, status)
-        return status
+    _goes_on = FAILURE
+    tick = _Composite.tick
 
 
-class Repeat(Node):
+class Repeat(_Composite):
     """Decorator meaning "re-evaluate per item": the caller drives the
     repetition by ticking once per request; each tick runs the child once."""
 
+    _goes_on = SUCCESS
+    tick = _Composite.tick
+
     def __init__(self, name: str, child: Node):
-        super().__init__(name)
-        self._child = child
-
-    def children(self) -> tuple[Node, ...]:
-        return (self._child,)
-
-    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
-        if listener:
-            listener.enter(self)
-        status = self._child.tick(state, listener)
-        if listener:
-            listener.exit(self, status)
-        return status
+        super().__init__(name, (child,))
 
 
 class Condition(Node):

@@ -132,14 +132,17 @@ def render_explanation(trace: DecisionTrace) -> str:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    # A line the reader takes may still hold inner shapes the explanation
+    # cannot walk: a request that is no object, an event without a node.
     try:
         trace = find_trace(args.trace, args.request)
-    except (OSError, ValueError) as exc:
+        explanation = None if trace is None else render_explanation(trace)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         return _io_error(f"cannot read trace {args.trace}: {exc}")
     if trace is None:
         print(f"error: no decision with request id {args.request!r}", file=sys.stderr)
         return EXIT_FAILURE
-    print(render_explanation(trace))
+    print(explanation)
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """scripts/bench_pairs.py's result parsing, medians and table, on canned
-run.py output; nothing here runs the benchmark."""
+run.py output, and its exports, on a throwaway git repository; nothing here
+runs the benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -130,7 +132,7 @@ class TestSeveralWorkloads:
         calls = []
 
         def fake_run(tree, workload, seed, seconds):
-            side = "change" if tree == bench_pairs.ROOT else "base"
+            side = tree.name
             calls.append((workload, seed, side))
             # The change is 10 us faster on every pair of every workload.
             verify = 100.0 + seed + (len(workload) if side == "base" else len(workload) - 10)
@@ -173,3 +175,58 @@ class TestSeveralWorkloads:
         calls, out = self.run_main(monkeypatch, capsys, ["audit_replay"], [7, 8])
         assert [side for _, _, side in calls] == ["base", "change", "change", "base"]
         assert out.count("pairs, --seconds") == 1
+
+
+class TestExport:
+    """Both sides run from exports: the base ref's commit, and the working
+    tree as `git add -A` would stage it."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        files = {".gitignore": "ignored.txt\n", "kept.txt": "kept\n", "edited.txt": "before\n", "gone.txt": "gone\n"}
+        for name, text in files.items():
+            (repo / name).write_text(text, encoding="utf-8")
+        self.git(repo, "init", "-q")
+        self.git(repo, "add", "-A")
+        self.git(repo, "-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "base")
+        (repo / "edited.txt").write_text("after\n", encoding="utf-8")
+        (repo / "untracked.txt").write_text("new\n", encoding="utf-8")
+        (repo / "ignored.txt").write_text("ignored\n", encoding="utf-8")
+        (repo / "gone.txt").unlink()
+        monkeypatch.setattr(bench_pairs, "ROOT", repo)
+        return repo
+
+    @staticmethod
+    def git(repo, *args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True, text=True).stdout
+
+    @staticmethod
+    def exported(ref, dest):
+        dest.mkdir()
+        bench_pairs.export(ref, dest)
+        return {path.name: path.read_text(encoding="utf-8") for path in dest.iterdir()}
+
+    def test_the_working_tree_as_git_add_would_stage_it(self, repo, tmp_path):
+        assert self.exported(None, tmp_path / "change") == {
+            ".gitignore": "ignored.txt\n",
+            "kept.txt": "kept\n",
+            "edited.txt": "after\n",
+            "untracked.txt": "new\n",
+        }
+
+    def test_the_base_ref_as_committed(self, repo, tmp_path):
+        assert self.exported("HEAD", tmp_path / "base") == {
+            ".gitignore": "ignored.txt\n",
+            "kept.txt": "kept\n",
+            "edited.txt": "before\n",
+            "gone.txt": "gone\n",
+        }
+
+    def test_the_index_is_left_alone(self, repo, tmp_path):
+        self.git(repo, "add", "edited.txt")
+        before = self.git(repo, "status", "--porcelain", "--ignored")
+        self.exported(None, tmp_path / "change")
+        assert self.git(repo, "status", "--porcelain", "--ignored") == before
+        assert before.splitlines() == ["M  edited.txt", " D gone.txt", "?? untracked.txt", "!! ignored.txt"]

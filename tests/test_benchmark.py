@@ -6,8 +6,11 @@ patches, and that a decision's trace does not grow with the history the
 benchmark restores. The untimed runs of the other two workloads put the
 current trace format through the benchmark's own checks: the twin engine,
 verification of every line and the tamper check. run.py exits 0 even when
-a check fails, so each test reads the result line."""
+a check fails, so each test reads the result line. Two fast tests check,
+without a run, that every name spans.py patches is its owner's own, and
+say which one is not."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -16,6 +19,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_SPEC = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+spans = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(spans)
 
 
 def run_benchmark(workload, trace):
@@ -38,3 +45,18 @@ def test_traced_history_heavy_run_is_correct():
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     assert metrics["ordering.records"] <= 1
     assert metrics["scaling.trace_bytes.n10000"] <= 1.1 * metrics["scaling.trace_bytes.n0"]
+
+
+@pytest.mark.parametrize("cls", spans.NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_node_class_holds_its_own_tick(cls):
+    # The tracer wraps cls.__dict__["tick"]; an inherited tick is not there.
+    assert "tick" in vars(cls)
+
+
+@pytest.mark.parametrize(
+    "owner, attr, span", spans.CALL_SPANS, ids=[f"{owner.__name__}.{attr}" for owner, attr, _ in spans.CALL_SPANS]
+)
+def test_every_call_span_is_its_owners_own_attribute(owner, attr, span):
+    # The tracer patches the name where its caller looks it up: on the
+    # module that imports it, or on the class that defines it.
+    assert attr in vars(owner)

@@ -85,10 +85,12 @@ class TestComposites:
         assert calls == []
 
     def test_empty_composite_is_a_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             Sequence("root", [])
-        with pytest.raises(ConfigError):
+        assert str(exc.value) == "sequence 'root' has no children"
+        with pytest.raises(ConfigError) as exc:
             Fallback("root", [])
+        assert str(exc.value) == "fallback 'root' has no children"
 
 
 class TestRepeat:

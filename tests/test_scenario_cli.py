@@ -26,6 +26,18 @@ def with_decision(**changes):
     return lambda doc: {**doc, "decision": {**doc["decision"], **changes}}
 
 
+def with_fields(**changes):
+    return lambda doc: {**doc, **changes}
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def with_event(node, edit):
+    return lambda doc: {**doc, "events": [edit(e) if e["node"] == node else e for e in doc["events"]]}
+
+
 #: Files no loader can read: not JSON, not UTF-8, an integer past
 #: Python's digit limit, and lists nested past the recursion limit.
 UNREADABLE_FILES = [b"{oops", b"\xff", b'{"events": [' + b"1" * 5001 + b"]}", b"[" * 200_000]
@@ -330,8 +342,22 @@ class TestCliExplain:
             with_decision(effective_zone=3),
             with_decision(effective_zone="GREEN"),
             lambda doc: [doc],
+            # The reader takes these lines; their inner shapes are wrong.
+            with_fields(request=[]),
+            lambda doc: {**doc, "request": without("user_id")(doc["request"])},
+            with_fields(events=5),
+            with_event("eligibility_ok", without("node")),
+            with_event("eligibility_ok", with_fields(node=7)),
+            with_event("eligibility_ok", lambda event: event["node"]),
+            with_event("ordering_ok", with_fields(inputs=[])),
+            with_fields(warnings=3),
         ],
-        ids=["unknown_zone", "unknown_group", "groups_not_a_list", "zone_not_text", "zone_upper_case", "line_not_an_object"],
+        ids=[
+            "unknown_zone", "unknown_group", "groups_not_a_list", "zone_not_text", "zone_upper_case",
+            "line_not_an_object", "request_not_an_object", "request_without_user", "events_not_a_list",
+            "event_without_node", "node_not_text", "event_not_an_object", "inputs_not_an_object",
+            "warnings_not_a_list",
+        ],
     )
     def test_unreadable_trace_line_exits_2(self, tmp_path, capsys, edit):
         trace_path = self.traces_for(tmp_path, "baseline_allow.json")

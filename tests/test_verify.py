@@ -666,7 +666,10 @@ def _swap_bool_int(value):
 
 
 def _as_float(value):
-    return value + 0.5 if type(value) is float else float(value) if type(value) is int else value
+    if type(value) is float:
+        return value + 0.5
+    # An int past the float range, such as 10**400, has no float to become.
+    return float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
 
 
 def _other_case(value):
@@ -773,6 +776,7 @@ class TestReadersAgreeWithTheReferences:
     @example(line=0, edits=[("map", ("audit_all",), _swap_bool_int)])
     @example(line=0, edits=[("map", ("request", "context", "adult_present"), _swap_bool_int)])
     @example(line=0, edits=[("map", ("request", "now"), _as_float)])
+    @example(line=0, edits=[("set", ("trace_version",), 10**400), ("map", ("trace_version",), _as_float)])
     @example(line=0, edits=[("map", ("request", "user_id"), _as_text), ("map", ("request", "object_id"), _as_text)])
     @example(line=0, edits=[("set", ("request", "emotion", "valence"), "NaN")])
     @example(line=0, edits=[("set", ("request", "emotion", "arousal"), "Infinity")])
