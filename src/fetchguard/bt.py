@@ -54,12 +54,28 @@ class Node:
         raise NotImplementedError
 
 
-class _Composite(Node):
-    """Ticks children left to right while each returns `_goes_on`; returns
-    the last status it got. Each subclass sets `tick = _Composite.tick`, so
-    that it holds tick in its own __dict__ and can be wrapped per class."""
+def _walk(goes_on: NodeStatus):
+    """The tick of a composite: ticks its children left to right while each
+    returns `goes_on`, and returns the last status it got. Each class builds
+    its own from this one definition, so that it holds tick in its own
+    __dict__ and can be wrapped per class."""
 
-    _goes_on: NodeStatus
+    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
+        if listener:
+            listener.enter(self)
+        for child in self._children:
+            status = child.tick(state, listener)
+            if status is not goes_on:
+                break
+        if listener:
+            listener.exit(self, status)
+        return status
+
+    return tick
+
+
+class _Composite(Node):
+    """A node with children, ticked by the tick its class builds with _walk."""
 
     def __init__(self, name: str, children: Iterable[Node]):
         super().__init__(name)
@@ -70,39 +86,24 @@ class _Composite(Node):
     def children(self) -> tuple[Node, ...]:
         return self._children
 
-    def tick(self, state: Any, listener: TickListener | None = None) -> NodeStatus:
-        if listener:
-            listener.enter(self)
-        goes_on = self._goes_on
-        for child in self._children:
-            status = child.tick(state, listener)
-            if status is not goes_on:
-                break
-        if listener:
-            listener.exit(self, status)
-        return status
-
 
 class Sequence(_Composite):
     """Ticks children left to right; fails at the first failing child."""
 
-    _goes_on = SUCCESS
-    tick = _Composite.tick
+    tick = _walk(SUCCESS)
 
 
 class Fallback(_Composite):
     """Ticks children left to right; succeeds at the first succeeding child."""
 
-    _goes_on = FAILURE
-    tick = _Composite.tick
+    tick = _walk(FAILURE)
 
 
 class Repeat(_Composite):
     """Decorator meaning "re-evaluate per item": the caller drives the
     repetition by ticking once per request; each tick runs the child once."""
 
-    _goes_on = SUCCESS
-    tick = _Composite.tick
+    tick = _walk(SUCCESS)
 
     def __init__(self, name: str, child: Node):
         super().__init__(name, (child,))

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import EvaluationError
-from .model import Report, require_type
+from .model import INT_BOUND, Report, require_type, require_writable
 
 
 class Zone(enum.IntEnum):
@@ -51,23 +51,26 @@ def escalate(zone: Zone, steps: int) -> Zone:
     return _ZONES[min(int(Zone.RED), int(zone) + max(0, steps))]
 
 
-_REAL = (int, float)
-
-
 @dataclass(frozen=True)
 class EmotionSample:
-    """One sensor reading. Either value may be any int or float, NaN and
-    +-inf included, since clamped() pulls every reading into range."""
+    """One sensor reading. Either value may be any float, NaN and +-inf
+    included, or any int a trace can write, since clamped() pulls every
+    reading into range."""
 
     valence: float
     arousal: float
 
     def __post_init__(self):
-        # One test of the exact types; require_type words the refusal, and
-        # admits a subclass of int or float.
-        if not (type(self.valence) in _REAL and type(self.arousal) in _REAL):
-            require_type("emotion valence", self.valence, int, float)
-            require_type("emotion arousal", self.arousal, int, float)
+        # One test of the exact types and an int's size; require_type and
+        # require_writable word the refusal, and admit a subclass of int or
+        # float.
+        valence, arousal = self.valence, self.arousal
+        if not (
+            (type(valence) is float or type(valence) is int and abs(valence) < INT_BOUND)
+            and (type(arousal) is float or type(arousal) is int and abs(arousal) < INT_BOUND)
+        ):
+            require_writable("emotion valence", require_type("emotion valence", valence, int, float))
+            require_writable("emotion arousal", require_type("emotion arousal", arousal, int, float))
 
     def clamped(self) -> tuple["EmotionSample", bool]:
         """Pull the sample into [-1,1]^2.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .bt import (
     Action,
@@ -35,6 +36,7 @@ from .formats import GATES, as_written
 from .matrix import CategoryRule, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
+    INT_BOUND,
     ContextSnapshot,
     Instant,
     MIN_ELIGIBLE_AGE,
@@ -46,6 +48,7 @@ from .model import (
     classify_user_group,
     member,
     require_type,
+    require_writable,
 )
 from .ordering import CooldownState, Restriction, ordering_restrictions
 from .privacy import PersonalRegistry
@@ -65,11 +68,22 @@ TRACE_VERSION = 5
 _ASSUMED_UNKNOWN_AGE = 100
 
 
-#: One reused encoder. It skips the cycle check: trace dicts are trees, and
-#: parsed JSON cannot hold a cycle.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
-).encode
+#: The settings of every trace's bytes. They skip the cycle check: trace dicts
+#: are trees, and parsed JSON cannot hold a cycle.
+_SETTINGS = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
+
+if c_make_encoder is None:
+    canonical_json = _SETTINGS.encode
+else:
+    # Built once with those settings; JSONEncoder.encode builds it anew on
+    # every call. Its default() words the refusal of a value JSON cannot hold.
+    _encode = c_make_encoder(
+        None, _SETTINGS.default, encode_basestring_ascii, _SETTINGS.indent, _SETTINGS.key_separator,
+        _SETTINGS.item_separator, _SETTINGS.sort_keys, _SETTINGS.skipkeys, _SETTINGS.allow_nan,
+    )
+
+    def canonical_json(value) -> str:
+        return "".join(_encode(value, 0))
 
 
 #: Traces are strict JSON, so a non-finite sensor value is written as one of
@@ -99,7 +113,8 @@ class FetchRequest:
     now: Instant
 
     def __post_init__(self):
-        # One test of the exact types; require_type words the refusal.
+        # One test of the exact types and the int's size; require_type and
+        # require_writable word the refusal.
         if not (
             type(self.request_id) is str
             and type(self.user_id) is str
@@ -107,13 +122,14 @@ class FetchRequest:
             and type(self.emotion) is EmotionSample
             and type(self.context) is ContextSnapshot
             and type(self.now) is int
+            and abs(self.now) < INT_BOUND
         ):
             require_type("request_id", self.request_id, str)
             require_type("user_id", self.user_id, str)
             require_type("object_id", self.object_id, str)
             require_type("emotion", self.emotion, EmotionSample)
             require_type("context", self.context, ContextSnapshot)
-            require_type("now", self.now, int)
+            require_writable("now", require_type("now", self.now, int))
 
     def to_dict(self) -> dict:
         return {
@@ -206,7 +222,7 @@ class DecisionTrace:
 
     A trace straight from decide() holds the request as one dict, both as
     `request` and as the knowledge_check event's echo, so an edit to one
-    in memory is an edit to both."""
+    in memory is an edit to both, and to_json writes its text once."""
 
     request_id: str
     config_fingerprint: str
@@ -234,7 +250,26 @@ class DecisionTrace:
         return data
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        data = self.to_dict()
+        events = self.events
+        first = events[0] if type(events) is list and events else None
+        inputs = first.get("inputs") if type(first) is dict and len(first) == 2 else None
+        # An identity test: an equal copy may be written otherwise (1 for 1.0).
+        if (
+            type(inputs) is dict and len(inputs) == 1 and inputs.get("request") is self.request
+            and first.get("node") == "knowledge_check"
+        ):
+            # The echo is the request itself: the rest is written with the
+            # mark in both places, then the request's text is put in them.
+            marked = {**data, "events": [_MARK_ECHO, *events[1:]], "request": _MARK}
+            try:
+                parts = canonical_json(marked).split(_MARK_TEXT)
+            except (TypeError, ValueError, RecursionError):
+                # Refused below, in the order the whole trace is written in.
+                parts = ()
+            if len(parts) == 3:
+                return canonical_json(self.request).join(parts)
+        return canonical_json(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTrace":
@@ -267,6 +302,12 @@ class DecisionTrace:
 #: The keys to_dict writes; a version 1 line has no trace_version.
 _KEYS = frozenset(f.name for f in fields(DecisionTrace))
 _V1_KEYS = _KEYS - {"trace_version"}
+#: Stands in for a fresh trace's request while to_json writes the rest of
+#: it. A trace with some other text that writes the mark's text is written
+#: the general way.
+_MARK = "\x00request"
+_MARK_TEXT = canonical_json(_MARK)
+_MARK_ECHO = {"node": "knowledge_check", "inputs": {"request": _MARK}}
 
 
 @dataclass(slots=True)

@@ -13,6 +13,13 @@ from .errors import ConfigError
 
 Instant = int
 
+#: Python writes and reads an int of at most 4,300 digits by default
+#: (sys.int_info.default_max_str_digits). A request's ints are kept one digit
+#: shorter, so that a clock reading plus a cool-down duration of as many
+#: digits still writes.
+MAX_INT_DIGITS = 4299
+INT_BOUND = 10**MAX_INT_DIGITS
+
 MIN_ELIGIBLE_AGE = 5
 CHILD_MAX_AGE = 12
 MIN_ADULT_THRESHOLD = 14
@@ -30,6 +37,14 @@ def require_type(what: str, value, *types: type):
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
+def require_writable(what: str, value):
+    """Refuse an int that a trace could not write, naming `what`: its value
+    cannot be printed either. Return the value unchanged otherwise."""
+    if isinstance(value, int) and not -INT_BOUND < value < INT_BOUND:
+        raise ValueError(f"{what} has more than {MAX_INT_DIGITS} digits, which no trace can write")
     return value
 
 
@@ -155,17 +170,19 @@ class ContextSnapshot:
     timestamp: Instant = 0
 
     def __post_init__(self):
-        # One test of the exact types; require_type words the refusal.
+        # One test of the exact types and the int's size; require_type and
+        # require_writable word the refusal.
         if not (
             type(self.room) is str
             and type(self.adult_present) is bool
             and type(self.verbal_affirmation) is bool
             and type(self.timestamp) is int
+            and abs(self.timestamp) < INT_BOUND
         ):
             require_type("context room", self.room, str)
             require_type("context adult_present", self.adult_present, bool)
             require_type("context verbal_affirmation", self.verbal_affirmation, bool)
-            require_type("context timestamp", self.timestamp, int)
+            require_writable("context timestamp", require_type("context timestamp", self.timestamp, int))
 
 
 def classify_user_group(profile: UserProfile, region: Region) -> UserGroup:

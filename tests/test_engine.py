@@ -809,6 +809,43 @@ class TestRequestTypes:
         with pytest.raises(TypeError):
             dataclasses.replace(built, **{field: value})
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "part, field", [(None, "now"), ("context", "timestamp"), ("emotion", "valence"), ("emotion", "arousal")]
+    )
+    def test_an_int_no_trace_can_write_is_refused_when_built(self, part, field, sign):
+        request = make_request("alice", "towel")
+        built = request if part is None else getattr(request, part)
+        with pytest.raises(ValueError, match=f"{field} has more than 4299 digits"):
+            dataclasses.replace(built, **{field: sign * 10**5000})
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_the_largest_accepted_ints_decide_write_and_verify(self, shipped_config, sign):
+        # Python writes and reads ints of up to 4,300 digits; a request's
+        # are kept a digit shorter, so that an expiry a window's length on
+        # still writes.
+        largest = sign * (10**4299 - 1)
+        engine = DecisionEngine(shipped_config)
+        context = ContextSnapshot("kitchen", True, True, largest)
+        lines = [
+            engine.decide(FetchRequest(f"big-{i}", "alice", obj, EmotionSample(largest, -largest), context, largest))[1]
+            .to_json()
+            for i, obj in enumerate(["knife", "towel"])
+        ]
+        assert engine.cooldowns.expiry("alice", SafetyClass.DANGEROUS) == largest + 1800
+        assert str(largest + 1800) in lines[1]
+        for line in lines:
+            assert verify_trace(DecisionTrace.from_dict(json.loads(line)), shipped_config).ok
+        one_more = largest + sign
+        for build in (
+            lambda: dataclasses.replace(make_request("alice", "towel"), now=one_more),
+            lambda: dataclasses.replace(context, timestamp=one_more),
+            lambda: EmotionSample(one_more, 0.0),
+            lambda: EmotionSample(0.0, one_more),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
     def test_checks_never_convert(self, engine):
         _, trace = engine.decide(make_request("alice", "towel", emotion=EmotionSample(0, 1)))
         assert '"emotion":{"arousal":1,"valence":0}' in trace.to_json()

@@ -45,7 +45,9 @@ from test_golden import (
     GOLDEN_FILES,
     STRUCTURE_NODES,
     V3,
+    V3_FILES,
     V4,
+    V4_FILES,
     as_version_5,
     fingerprint_of,
     slice_pre_state,
@@ -616,6 +618,114 @@ class TestStrictJson:
         data["emotion"]["arousal"] = value
         with pytest.raises((TypeError, ValueError)):
             FetchRequest.from_dict(data)
+
+
+def stdlib_json(trace):
+    """The oracle for to_json: the standard library's strict, sorted, compact
+    JSON of the trace's dict."""
+    return json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def written(write, trace):
+    """What write(trace) returns, or the type of what it raises."""
+    try:
+        return write(trace)
+    except Exception as exc:
+        return type(exc)
+
+
+def _listed(trace):
+    return trace.events if isinstance(trace.events, list) else []
+
+
+def _first(trace):
+    first = trace.events[0] if trace.events else None
+    return first if isinstance(first, dict) else {}
+
+
+def _first_inputs(trace):
+    inputs = _first(trace).get("inputs")
+    return inputs if isinstance(inputs, dict) else {}
+
+
+#: The text to_json writes in place of a fresh trace's request while it
+#: writes the rest, and a text that writes it too, after an escaped quote.
+MARKS = ["\x00request", 'a"\x00request']
+ORACLE_SENSORS = st.sampled_from([0.5, -0.3, -0.9, 0.9, 0, 1, 2.5, math.nan, math.inf, -math.inf, 10**400, -(2**1024)])
+ORACLE_REQUESTS = st.builds(
+    lambda user, obj, valence, arousal, now, request_id: make_request(
+        user, obj, EmotionSample(valence, arousal), now, request_id
+    ),
+    st.sampled_from(["alice", "bob", "dave", "grace", "stranger", *MARKS]),
+    st.sampled_from(["knife", "sleeping_pills", "car_keys", "towel", "diary", "anvil"]),
+    ORACLE_SENSORS,
+    ORACLE_SENSORS,
+    st.integers(0, 20_000),
+    st.text(max_size=3) | st.sampled_from(MARKS),
+)
+#: Edits to a decided trace in memory, by name. Some keep its echo the
+#: request itself, some break that in each way a line read back can, and
+#: some put in a value that JSON cannot hold.
+TRACE_EDITS = {
+    "echo an equal copy": lambda t: _first_inputs(t).update(request=copy.deepcopy(t.request)),
+    "echo now as a float": lambda t: _first_inputs(t).update(request={**t.request, "now": float(t.request["now"])}),
+    "echo gone": lambda t: _first_inputs(t).pop("request", None),
+    "echo beside another input": lambda t: _first_inputs(t).update(extra=1),
+    "first event with another key": lambda t: _first(t).update(audit=True),
+    "first event renamed": lambda t: _first(t).update(node="knowledge_check_"),
+    "first event last": lambda t: (events := _listed(t)) and events.append(events.pop(0)),
+    "first event a list": lambda t: (events := _listed(t)) and events.__setitem__(0, ["knowledge_check"]),
+    "no events": lambda t: setattr(t, "events", []),
+    "events a tuple": lambda t: setattr(t, "events", tuple(t.events)),
+    "request a copy": lambda t: setattr(t, "request", copy.deepcopy(t.request)),
+    "request edited in place": lambda t: t.request.update(now=t.request["now"] + 1, room=MARKS[0]),
+    "a warning": lambda t: t.warnings.append("a note"),
+    "warnings hold the marks": lambda t: t.warnings.extend(MARKS),
+    "request_id an int": lambda t: setattr(t, "request_id", 7),
+    "request_id ends in a mark": lambda t: setattr(t, "request_id", MARKS[1]),
+    "request_id a dict": lambda t: setattr(t, "request_id", {"b": [1.5, None]}),
+    "fingerprint null": lambda t: setattr(t, "config_fingerprint", None),
+    "fingerprint a list": lambda t: setattr(t, "config_fingerprint", [MARKS[0]]),
+    "version 1": lambda t: setattr(t, "trace_version", 1),
+    "NaN in pre_state": lambda t: t.pre_state.update(x=math.nan),
+    "an object in pre_state": lambda t: t.pre_state.update(y=object()),
+    "a long int in pre_state": lambda t: t.pre_state.update(z=10**5000),
+    "an object in the request": lambda t: t.request.update(x=object()),
+    "infinity in the request": lambda t: t.request.update(y=math.inf),
+    "fingerprint an object": lambda t: setattr(t, "config_fingerprint", object()),
+}
+
+
+class TestToJsonIsTheStdlibsJson:
+    # Two faults, one in the request: the stdlib refuses the one it meets
+    # first in key order, the request first within events.
+    @example(audit_all=False, requests=[make_request("alice", "towel")],
+             edits=["an object in the request", "NaN in pre_state"])
+    @example(audit_all=False, requests=[make_request("alice", "towel")],
+             edits=["infinity in the request", "fingerprint an object"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        audit_all=st.booleans(),
+        requests=st.lists(ORACLE_REQUESTS, min_size=1, max_size=4),
+        edits=st.lists(st.sampled_from(list(TRACE_EDITS)), max_size=4),
+    )
+    def test_a_decided_trace_and_any_edit_of_it(self, shipped_config, audit_all, requests, edits):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        traces = [engine.decide(request)[1] for request in requests]
+        for trace in traces:
+            assert trace.to_json() == stdlib_json(trace)
+        trace = traces[-1]
+        for edit in edits:
+            TRACE_EDITS[edit](trace)
+            assert written(DecisionTrace.to_json, trace) == written(stdlib_json, trace)
+
+    def test_every_golden_line(self):
+        paths = GOLDEN_FILES + V3_FILES + V4_FILES
+        traces = [trace for path in paths for trace in read_traces(path)]
+        assert {trace.trace_version for trace in traces} == {1, 3, 4, 5}
+        assert any(trace.audit_all for trace in traces)
+        for trace in traces:
+            assert trace.to_json() == stdlib_json(trace)
 
 
 _MIX_SPEC = importlib.util.spec_from_file_location("perfbench_mix", ROOT / "perfbench" / "mix.py")
