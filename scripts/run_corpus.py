@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Run every shipped scenario against the default config, write its traces
-and verify that each written line, read back, replays to the identical
-decision, and that writing back the traces read gives the log's bytes.
+"""Run every shipped scenario against the default config, in plain mode and
+with audit_all, write its traces and verify that each written line, read
+back, replays to the identical decision, and that writing back the traces
+read gives the log's bytes.
 
-Writes one trace file per scenario under out/ and prints a summary table.
-Exits nonzero on any expectation mismatch, replay divergence or log that a
-read and a write change.
+Writes one trace file per scenario under out/, and one per scenario run
+with audit_all under out/audit/, and prints a summary table. Exits nonzero
+on any expectation mismatch, replay divergence or log that a read and a
+write change.
 """
 
 import sys
@@ -21,12 +23,17 @@ def main() -> int:
 
     config = default_config()
     out_dir = ROOT / "out"
-    out_dir.mkdir(exist_ok=True)
+    (out_dir / "audit").mkdir(parents=True, exist_ok=True)
     failures = 0
-    for path in sorted((ROOT / "scenarios").glob("*.json")):
-        script = load_scenario(path)
-        result = run_scenario(config, script)
-        log = out_dir / f"{script.name}.jsonl"
+    runs = [
+        (load_scenario(path), audit_all)
+        for path in sorted((ROOT / "scenarios").glob("*.json"))
+        for audit_all in (False, True)
+    ]
+    for script, audit_all in runs:
+        result = run_scenario(config, script, audit_all=audit_all)
+        name = f"audit/{script.name}" if audit_all else script.name
+        log = out_dir / f"{name}.jsonl"
         write_traces(result.traces, log)
         written = log.read_bytes()
         # The lines as written, the way a `fetchguard run` log is audited.
@@ -38,7 +45,7 @@ def main() -> int:
         failures += 0 if ok else 1
         flag = "ok " if ok else "FAIL"
         print(
-            f"{flag} {script.name:<50} {result.allowed:>2} allow {result.denied:>2} deny "
+            f"{flag} {name:<56} {result.allowed:>2} allow {result.denied:>2} deny "
             f"replay={'ok' if replay_ok else 'DIVERGED'} rewrite={'ok' if rewrite_ok else 'CHANGED'}"
         )
         for mismatch in result.mismatches:

@@ -78,8 +78,14 @@ def render_explanation(trace: DecisionTrace) -> str:
 
     A stage failed exactly when its violation event is in the line, and the
     matrix row's cool-downs are the ones ordering_ok found, in every trace
-    version. Personal-policy denials never name the user who tagged the
-    object."""
+    version. An event's inputs are the event itself from version 6 on, and
+    its `inputs` before. Personal-policy denials never name the user who
+    tagged the object."""
+    flat = trace.trace_version >= 6
+
+    def inputs_of(event: dict) -> dict:
+        return event if flat else event.get("inputs", {})
+
     req = trace.request
     out = [
         f"request {trace.request_id}: user={req['user_id']} object={req['object_id']} at t={req['now']}",
@@ -95,14 +101,14 @@ def render_explanation(trace: DecisionTrace) -> str:
         elif name.endswith("_violation"):
             failed.add(name[: -len("_violation")])
     deciding = trace.decision.deciding_policy
-    cooldowns = outcomes.get("ordering", {}).get("inputs", {}).get("active_cooldowns")
+    cooldowns = inputs_of(outcomes.get("ordering", {})).get("active_cooldowns")
     for stage in STAGES:
         title = _STAGE_TITLES[stage]
         event = outcomes.get(stage)
         if event is None:
             out.append(f"  {title}: not evaluated")
             continue
-        inputs = event.get("inputs", {})
+        inputs = inputs_of(event)
         if stage not in failed:
             line = f"  {title}: pass"
         elif stage == "personal":

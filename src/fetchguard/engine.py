@@ -32,7 +32,7 @@ from .bt import (
 from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
-from .formats import GATES, as_written
+from .formats import GATES, as_written, check_fixed_facts
 from .matrix import CategoryRule, MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
@@ -61,7 +61,7 @@ STAGES = tuple(stage for stage, _ in GATES)
 
 #: Version of the traces decide() writes. README's table says what each
 #: version wrote; formats.py rebuilds the older ones for verify_trace.
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -253,10 +253,9 @@ class DecisionTrace:
         data = self.to_dict()
         events = self.events
         first = events[0] if type(events) is list and events else None
-        inputs = first.get("inputs") if type(first) is dict and len(first) == 2 else None
         # An identity test: an equal copy may be written otherwise (1 for 1.0).
         if (
-            type(inputs) is dict and len(inputs) == 1 and inputs.get("request") is self.request
+            type(first) is dict and len(first) == 2 and first.get("request") is self.request
             and first.get("node") == "knowledge_check"
         ):
             # The echo is the request itself: the rest is written with the
@@ -307,7 +306,7 @@ _V1_KEYS = _KEYS - {"trace_version"}
 #: the general way.
 _MARK = "\x00request"
 _MARK_TEXT = canonical_json(_MARK)
-_MARK_ECHO = {"node": "knowledge_check", "inputs": {"request": _MARK}}
+_MARK_ECHO = {"node": "knowledge_check", "request": _MARK}
 
 
 @dataclass(slots=True)
@@ -366,7 +365,7 @@ class DecisionEngine:
 
     def reset(self) -> None:
         """Back to the configured initial state (fresh cool-downs, initial
-        personal tags, not yet primed)."""
+        personal tags)."""
         self.cooldowns = CooldownState(scope=self.config.cooldown_scope, roster=self._roster)
         registry = PersonalRegistry()
         for tag in self.config.personal_tags:
@@ -374,20 +373,19 @@ class DecisionEngine:
             for grantee in sorted(tag.grants):
                 registry.grant_access(tag.tagged_by, tag.object_id, grantee)
         self.registry = registry
-        self._primed = False
 
     def restore_state(self, pre_state: dict) -> None:
+        """Install a pre-state as decide() writes it. Only its cool-down
+        records and registry are read, so a pre-state as trace versions 2 to
+        5 wrote it, with the cool-down scope and board_primed, restores too;
+        verify_trace checks those two (formats.check_fixed_facts)."""
         # Both restores run before either is installed, so a pre-state that
         # fails to restore leaves the engine as it was.
-        cooldowns = CooldownState.restore(pre_state["cooldowns"], self._roster)
-        if cooldowns.scope != self.config.cooldown_scope:
-            raise ValueError(f"cool-down scope {cooldowns.scope!r} is not the config's")
+        cooldowns = CooldownState.restore(
+            pre_state["cooldowns"], scope=self.config.cooldown_scope, roster=self._roster
+        )
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
-        # Whether this engine has decided since reset or restore is session
-        # state, recorded as board_primed in every pre-state, so replays must
-        # restore it.
-        primed = require_type("board_primed", pre_state["board_primed"], bool)
-        self.cooldowns, self.registry, self._primed = cooldowns, registry, primed
+        self.cooldowns, self.registry = cooldowns, registry
 
     # -- registry operations (scenario events) -------------------------------
 
@@ -420,8 +418,9 @@ class DecisionEngine:
         violation_name = f"{stage}_violation"
 
         def check(st: _EvalState) -> bool:
-            inputs, violation = evaluate(st)
-            st.events.append({"node": ok_name, "inputs": inputs})
+            event, violation = evaluate(st)
+            event["node"] = ok_name
+            st.events.append(event)
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
             return violation is None
@@ -436,7 +435,6 @@ class DecisionEngine:
 
     def _do_knowledge(self, st: _EvalState) -> NodeStatus:
         req = st.request
-        self._primed = True
         profile = self.config.user_by_id(req.user_id)
         st.known_user = profile is not None
         if profile is None:
@@ -451,22 +449,23 @@ class DecisionEngine:
             st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
         st.base_zone = zone_of(st.emotion, self.config.zone_table)
         echo = st.echo = req.to_dict()
-        st.events.append({"node": "knowledge_check", "inputs": {"request": echo}})
+        st.events.append({"node": "knowledge_check", "request": echo})
         return SUCCESS
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
         # The node keeps the name traces record; it reads the requester's
         # last request for the trace.
-        inputs = {"last_request": self.cooldowns.last_requested(st.request.user_id)}
-        st.events.append({"node": "blackboard_update", "inputs": inputs})
+        last = self.cooldowns.last_requested(st.request.user_id)
+        st.events.append({"node": "blackboard_update", "last_request": last})
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
     # Each returns (trace-event inputs, violation-or-None) for one request's
-    # state. The inputs leave out what the trace holds elsewhere: the request
-    # (echoed by knowledge_check), the last request (blackboard_update), the
-    # cool-downs and escalation steps (ordering_ok) and the matrix row's
-    # required checks (emotion_ok).
+    # state, in a fresh dict that becomes the event once its node is set, so
+    # no input is named node, outcome or audit. The inputs leave out what the
+    # trace holds elsewhere: the request (echoed by knowledge_check), the last
+    # request (blackboard_update), the cool-downs and escalation steps
+    # (ordering_ok) and the matrix row's required checks (emotion_ok).
 
     def _eval_eligibility(self, st: _EvalState):
         details: dict = {"known_user": st.known_user, "known_object": st.obj is not None}
@@ -557,7 +556,6 @@ class DecisionEngine:
         pre_state = {
             "cooldowns": self.cooldowns.snapshot(request.user_id),
             "personal_registry": self.registry.snapshot(request.object_id),
-            "board_primed": self._primed,
         }
         st = _EvalState(request=request)
         status = self.tree.tick(st)
@@ -614,12 +612,13 @@ class DecisionEngine:
         events = []
         for _, ok_name, evaluate in self._stages[start:]:
             try:
-                inputs, violation = evaluate(st)
+                event, violation = evaluate(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
-                inputs = {"note": "not evaluable after the deciding violation"}
+                event = {"note": "not evaluable after the deciding violation"}
                 outcome = "skipped"
-            events.append({"node": ok_name, "inputs": inputs, "outcome": outcome, "audit": True})
+            event["node"], event["outcome"], event["audit"] = ok_name, outcome, True
+            events.append(event)
         return events
 
 
@@ -649,6 +648,7 @@ def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Dec
     if engine is None:
         engine = config._replay_engine = DecisionEngine(config)
     try:
+        check_fixed_facts(trace.pre_state, trace.trace_version, config.cooldown_scope)
         engine.restore_state(trace.pre_state)
     except (AttributeError, FetchguardError, KeyError, TypeError, ValueError) as exc:
         raise ReplayError(f"recorded pre_state cannot be restored: {exc!r}") from exc

@@ -10,6 +10,10 @@ module does not import the engine.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from .model import require_type
+
 #: The policy gates in evaluation order, as (stage, gate node). The engine
 #: builds its tree from this one table.
 GATES = (
@@ -42,6 +46,10 @@ _COPIED = {
     "category_context_ok": (("matrix_checks", "emotion_ok", "required_checks"),),
 }
 
+#: The keys a version 6 event writes beside its inputs: its node and, in the
+#: audit pass, its outcome and audit mark.
+RESERVED = ("node", "outcome", "audit")
+
 #: The gate Fallback a version 3 trace wrote after a leaf event, by (leaf,
 #: outcome): a passing check ends its gate, and a failing one hands over to
 #: the violation leaf, which ends it.
@@ -49,6 +57,20 @@ _GATE_ENDED_BY = {
     **{(f"{stage}_ok", "success"): gate for stage, gate in GATES},
     **{(f"{stage}_violation", "failure"): gate for stage, gate in GATES},
 }
+
+
+def _to_version_5(events: list[dict], fresh) -> list[dict]:
+    """Version 6 events as version 5 wrote them: an event's inputs nested
+    under `inputs`, beside the keys RESERVED names. A violation held only
+    its node, as it does now."""
+    written = []
+    for event in events:
+        if not event["node"].endswith("_violation"):
+            nested = {key: event[key] for key in RESERVED if key in event}
+            nested["inputs"] = {key: value for key, value in event.items() if key not in RESERVED}
+            event = nested
+        written.append(event)
+    return written
 
 
 def _to_version_4(events: list[dict], fresh) -> list[dict]:
@@ -132,7 +154,7 @@ def _to_version_2(events: list[dict], fresh) -> list[dict]:
 
 
 #: The down-steps, newest first, each with the version it writes.
-STEPS = ((4, _to_version_4), (3, _to_version_3), (2, _to_version_2))
+STEPS = ((5, _to_version_5), (4, _to_version_4), (3, _to_version_3), (2, _to_version_2))
 
 
 def _events_as_written(fresh, version: int) -> list[dict]:
@@ -146,11 +168,33 @@ def _events_as_written(fresh, version: int) -> list[dict]:
     return events
 
 
+def check_fixed_facts(pre_state: dict, version: int, scope: str) -> None:
+    """Refuse a pre-state of a line before version 6 whose cool-down `scope`
+    is not the config's, or whose board_primed, whether the engine had
+    decided since it was reset or restored, is not a bool. Those versions
+    wrote both in every pre-state, the whole-household one of version 1
+    too; no decision reads either, and as_written puts both back."""
+    if version < 6:
+        if pre_state["cooldowns"]["scope"] != scope:
+            raise ValueError(f"cool-down scope {pre_state['cooldowns']['scope']!r} is not the config's")
+        require_type("board_primed", pre_state["board_primed"], bool)
+
+
 def as_written(fresh, recorded) -> tuple[list[dict], dict]:
     """The re-run's events and pre-state as the recorded line's version
     wrote them. A version 1 pre-state held the whole household, which the
     re-run's slice cannot rebuild, so it is taken as recorded and shows no
-    edit."""
+    edit. Before version 6, the scope and board_primed check_fixed_facts
+    refused unless they were the config's and a bool are put back as
+    recorded; version 4's knowledge_check mode is rebuilt from board_primed."""
     version = recorded.trace_version
-    pre_state = recorded.pre_state if version == 1 else fresh.pre_state
-    return _events_as_written(fresh, version), pre_state
+    if version >= 6:
+        return fresh.events, fresh.pre_state
+    recorded_state, sliced = recorded.pre_state, fresh.pre_state
+    pre_state = {
+        "cooldowns": {"scope": recorded_state["cooldowns"]["scope"], **sliced["cooldowns"]},
+        "personal_registry": sliced["personal_registry"],
+        "board_primed": recorded_state["board_primed"],
+    }
+    events = _events_as_written(replace(fresh, pre_state=pre_state), version)
+    return events, recorded_state if version == 1 else pre_state

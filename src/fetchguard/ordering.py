@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import Instant, ObjectSpec, SafetyClass, require_type
+from .model import Instant, ObjectSpec, SafetyClass, require_type, require_writable
 
 VEHICLE_CATEGORY = "vehicle"
 
@@ -39,6 +39,9 @@ class CooldownDurations:
     def __post_init__(self):
         if self.dangerous <= 0 or self.mind_altering <= 0:
             raise ConfigError("cool-down durations must be strictly positive")
+        # A window is a clock reading plus a duration, and both must write.
+        require_writable("dangerous_s", self.dangerous)
+        require_writable("mind_altering_s", self.mind_altering)
 
     def for_class(self, safety_class: SafetyClass) -> int:
         if safety_class is SafetyClass.DANGEROUS:
@@ -129,14 +132,14 @@ class CooldownState:
         """The whole state, or, given a user_id, only the record a decision
         for that user reads: theirs, the household's under household scope,
         or, under roster scope, the shared one if the roster lacks them. A
-        user with no record gets an empty slice."""
+        user with no record gets an empty slice. The scope is the config's,
+        so it is not written."""
         if user_id is None:
             records = sorted(self._records.items())
         else:
             key = self._key(user_id)
             records = [(key, self._records[key])] if key in self._records else []
         return {
-            "scope": self.scope,
             "users": {
                 uid: {
                     "last_requested": rec.last_requested,
@@ -147,10 +150,11 @@ class CooldownState:
         }
 
     @classmethod
-    def restore(cls, snapshot: dict, roster: frozenset[str] = frozenset()) -> "CooldownState":
-        """The state a snapshot wrote. Any record key is taken: a key that
-        no request of this scope would read is simply never read."""
-        state = cls(scope=snapshot["scope"], roster=roster)
+    def restore(cls, snapshot: dict, *, scope: str, roster: frozenset[str] = frozenset()) -> "CooldownState":
+        """The state a snapshot wrote, under `scope`, which the snapshot
+        does not hold. Any record key is taken: a key that no request of
+        this scope would read is simply never read."""
+        state = cls(scope=scope, roster=roster)
         for uid, rec in snapshot["users"].items():
             last = rec["last_requested"]
             if last is not None and not isinstance(last, str):

@@ -30,8 +30,10 @@ from fetchguard import (
     zone_of,
 )
 from fetchguard.engine import STAGES, canonical_json
-from fetchguard.formats import _POLICY_OF
+from fetchguard.formats import RESERVED, _POLICY_OF
 from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
+from fetchguard.model import INT_BOUND
+from fetchguard.ordering import CooldownDurations
 from test_emotion import rebuilding_clamped
 
 GREEN = EmotionSample(0.5, 0.0)
@@ -158,7 +160,7 @@ class TestDecideExamples:
         assert (decision.verdict, decision.deciding_policy) == (DENY, "context")
         assert decision.reason == f"required check failed: {failed}"
         ok_event = next(e for e in trace.events if e["node"] == "category_context_ok")
-        assert ok_event["inputs"]["failed_check"] == failed
+        assert ok_event["failed_check"] == failed
 
 
 class TestStateCoupling:
@@ -225,8 +227,8 @@ class TestTraceShape:
         _, trace = engine.decide(make_request(user, obj, now=60))
         violations = [e for e in trace.events if e["node"].endswith("_violation")]
         assert all(e == {"node": e["node"]} for e in violations)
-        inputs = {e["node"]: e["inputs"] for e in trace.events if e not in violations}
-        assert all("policy" not in e and e["inputs"] for e in trace.events if e not in violations)
+        inputs = {e["node"]: {k: v for k, v in e.items() if k not in RESERVED} for e in trace.events if e not in violations}
+        assert all("policy" not in e and "inputs" not in e and inputs[e["node"]] for e in trace.events if e not in violations)
         assert all("outcome" not in e for e in trace.events if not e.get("audit"))
         assert inputs["knowledge_check"] == {"request": trace.request}
         assert inputs["blackboard_update"] == {"last_request": "knife"}
@@ -287,7 +289,7 @@ class TestTraceShape:
     def test_trace_lists_are_fresh_for_every_trace(self, shipped_config):
         engine = DecisionEngine(shipped_config)
         _, first = engine.decide(make_request("alice", "towel"))
-        inputs = {e["node"]: e["inputs"] for e in first.events}
+        inputs = {e["node"]: e for e in first.events}
         for node, name in [
             ("emotion_ok", "allowed_groups"),
             ("emotion_ok", "required_checks"),
@@ -348,10 +350,10 @@ class TestTracesAreTheirOwn:
             # edited makes.
             assert trace.to_json() == twin.decide(request)[1].to_json()
             lines = [t.to_json() for t in earlier]
-            state = (engine.cooldowns.snapshot(), engine.registry.snapshot(), engine._primed)
+            state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
             _scribble(getattr(trace, part))
             assert [t.to_json() for t in earlier] == lines
-            assert (engine.cooldowns.snapshot(), engine.registry.snapshot(), engine._primed) == state
+            assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == state
             earlier.append(trace)
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
@@ -366,10 +368,10 @@ class TestTracesAreTheirOwn:
             line = trace.to_json()
             assert verify_trace(trace, config).ok
             replayer = config._replay_engine
-            state = (replayer.cooldowns.snapshot(), replayer.registry.snapshot(), replayer._primed)
+            state = (replayer.cooldowns.snapshot(), replayer.registry.snapshot())
             user_state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
             _scribble(getattr(trace, part))
-            assert (replayer.cooldowns.snapshot(), replayer.registry.snapshot(), replayer._primed) == state
+            assert (replayer.cooldowns.snapshot(), replayer.registry.snapshot()) == state
             assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == user_state
             assert verify_trace(DecisionTrace.from_dict(json.loads(line)), config).ok
 
@@ -378,18 +380,12 @@ ALICE_ON_COOLDOWN = {"last_requested": "knife", "active": {"dangerous": 1800}}
 
 
 class TestHistoryIsNotRead:
-    """A trace records the requester's cool-down record, the requested
-    object's registry entry and board_primed, nothing else."""
+    """A trace records the requester's cool-down record and the requested
+    object's registry entry, nothing else."""
 
     def decide_after(self, config, users, request):
         engine = DecisionEngine(config)
-        engine.restore_state(
-            {
-                "cooldowns": {"scope": config.cooldown_scope, "users": users},
-                "personal_registry": engine.registry.snapshot(),
-                "board_primed": True,
-            }
-        )
+        engine.restore_state({"cooldowns": {"users": users}, "personal_registry": engine.registry.snapshot()})
         return engine.decide(request)[1]
 
     def test_ten_thousand_other_records_leave_the_trace_line_unchanged(self, shipped_config):
@@ -401,20 +397,16 @@ class TestHistoryIsNotRead:
         alone = self.decide_after(shipped_config, {"alice": ALICE_ON_COOLDOWN}, request)
         crowded = self.decide_after(shipped_config, {**crowd, "alice": ALICE_ON_COOLDOWN}, request)
         assert crowded.to_json() == alone.to_json()
-        assert crowded.pre_state == {
-            "cooldowns": {"scope": "roster", "users": {"alice": ALICE_ON_COOLDOWN}},
-            "personal_registry": {},
-            "board_primed": True,
-        }
+        assert crowded.pre_state == {"cooldowns": {"users": {"alice": ALICE_ON_COOLDOWN}}, "personal_registry": {}}
 
     def test_a_requester_without_a_record_gets_an_empty_slice(self, shipped_config):
         trace = self.decide_after(shipped_config, {"alice": ALICE_ON_COOLDOWN}, make_request("bob", "towel"))
-        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {}}
+        assert trace.pre_state["cooldowns"] == {"users": {}}
 
     def test_an_unknown_requester_records_the_shared_record(self, shipped_config):
         users = {"alice": ALICE_ON_COOLDOWN, "__unknown__": ALICE_ON_COOLDOWN}
         trace = self.decide_after(shipped_config, users, make_request("mallory", "knife", now=60))
-        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {"__unknown__": ALICE_ON_COOLDOWN}}
+        assert trace.pre_state["cooldowns"] == {"users": {"__unknown__": ALICE_ON_COOLDOWN}}
         assert verify_trace(trace, shipped_config).ok
 
     def test_the_requested_object_brings_its_registry_entry(self, engine):
@@ -430,10 +422,7 @@ class TestHistoryIsNotRead:
         engine = DecisionEngine(config)
         engine.decide(make_request("alice", "knife", now=0))
         _, trace = engine.decide(make_request("bob", "knife", now=60, request_id="req-001"))
-        assert trace.pre_state["cooldowns"] == {
-            "scope": "household",
-            "users": {"__household__": ALICE_ON_COOLDOWN},
-        }
+        assert trace.pre_state["cooldowns"] == {"users": {"__household__": ALICE_ON_COOLDOWN}}
         assert verify_trace(trace, config).ok
 
 
@@ -463,7 +452,9 @@ class TestStateIsBoundedByTheRoster:
 
     def test_per_id_records_restore_under_roster_scope(self, shipped_config):
         # A snapshot keyed by made-up ids restores, and keeps them; no
-        # request reads them, so an unknown requester's slice is empty.
+        # request reads them, so an unknown requester's slice is empty. It
+        # is in the shape trace versions 2 to 5 wrote, which the benchmark's
+        # remembered state still uses.
         made_up = {f"remembered-{i:05d}": ALICE_ON_COOLDOWN for i in range(3)}
         engine = DecisionEngine(shipped_config)
         engine.restore_state(
@@ -474,9 +465,10 @@ class TestStateIsBoundedByTheRoster:
             }
         )
         assert engine.cooldowns.snapshot()["users"] == made_up
+        assert engine.cooldowns.scope == "roster"
         decision, trace = engine.decide(make_request("remembered-00000", "towel", now=60))
         assert decision.verdict == ALLOW
-        assert trace.pre_state["cooldowns"] == {"scope": "roster", "users": {}}
+        assert trace.pre_state["cooldowns"] == {"users": {}}
         assert verify_trace(trace, shipped_config).ok
 
 
@@ -519,7 +511,7 @@ class TestReplay:
         tampered = DecisionTrace.from_dict(json.loads(trace.to_json()))
         for event in tampered.events:
             if event["node"] == "emotion_ok":
-                event["inputs"]["base_zone"] = "red"
+                event["base_zone"] = "red"
         result = verify_trace(tampered, shipped_config)
         assert not result.ok
 
@@ -845,6 +837,32 @@ class TestRequestTypes:
         ):
             with pytest.raises(ValueError):
                 build()
+
+    @pytest.mark.parametrize("key", ["dangerous_s", "mind_altering_s"])
+    @pytest.mark.parametrize("duration", [10**4300 - 1, INT_BOUND], ids=["4300_digits", "bound"])
+    def test_a_duration_no_trace_can_write_is_refused_at_load(self, shipped_config, key, duration):
+        # A window's expiry is a clock reading plus a duration, and it is in
+        # the next line's pre_state.
+        data = shipped_config.to_dict()
+        data["durations"][key] = duration
+        refusal = f"durations: {key} has more than 4299 digits, which no trace can write"
+        with pytest.raises(ConfigError, match=refusal):
+            PolicyConfig.from_dict(data)
+        with pytest.raises(ValueError, match=f"{key} has more than 4299 digits"):
+            CooldownDurations(**{"dangerous": 1, "mind_altering": 1, key[: -len("_s")]: duration})
+
+    def test_the_largest_accepted_duration_decides_writes_and_verifies(self, shipped_config):
+        data = shipped_config.to_dict()
+        data["durations"]["dangerous_s"] = INT_BOUND - 1
+        config = PolicyConfig.from_dict(data)
+        assert config.validate().ok
+        engine = DecisionEngine(config)
+        knife, first = engine.decide(make_request("alice", "knife", now=1))
+        assert knife.verdict == ALLOW
+        _, second = engine.decide(make_request("alice", "towel", now=2, request_id="req-001"))
+        assert second.pre_state["cooldowns"]["users"]["alice"]["active"] == {"dangerous": INT_BOUND}
+        for trace in (first, second):
+            assert verify_trace(DecisionTrace.from_dict(json.loads(trace.to_json())), config).ok
 
     def test_checks_never_convert(self, engine):
         _, trace = engine.decide(make_request("alice", "towel", emotion=EmotionSample(0, 1)))

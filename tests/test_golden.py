@@ -22,12 +22,17 @@ that wrote version 4: the leaf events alone, each with its outcome, the
 violation with its policy and reason, knowledge_check with its mode, and
 emotion_ok and category_context_ok with their copies of earlier inputs.
 Those engines ran only the scenarios decided under the frozen household.
-The engine now writes version 5 traces, whose pre_state holds only what the
-decision reads and whose events write each fact of the line once, so a
-re-run is compared, byte for byte, with its golden line cut to version 5
-(as_version_5); the lines of later scenarios are version 5 already. A
-re-run must also explain itself as its golden line does.
+The lines of later scenarios are version 5 traces, whose pre_state holds
+only the slice the decision reads and whose events write each fact of the
+line once. The engine now writes version 6 traces, whose events write their
+inputs beside their node and whose pre_state leaves out the cool-down scope
+and board_primed, so a re-run is compared, byte for byte, with its golden
+line cut to version 6 (as_version_6). A re-run must also explain itself as
+its golden line does, and every golden line explains as it did when it was
+committed (EXPLANATION_DIGESTS).
 """
+
+import hashlib
 
 import json
 from pathlib import Path
@@ -123,8 +128,33 @@ def test_a_rerun_explains_itself_as_its_golden_line(configs, path):
         engine = DecisionEngine(config_for(configs, golden.config_fingerprint), audit_all=golden.audit_all)
         engine.restore_state(golden.pre_state)
         _, rerun = engine.decide(FetchRequest.from_dict(golden.request))
-        assert rerun.trace_version == 5
+        assert rerun.trace_version == 6
         assert render_explanation(rerun) == render_explanation(golden), golden.request_id
+
+
+#: The SHA-256 of every explanation of every line of each golden directory,
+#: in file and line order, each followed by a newline, as the explain reader
+#: of version 5 engines wrote them. The v3 and v4 lines, plain or audit,
+#: explain alike: the audit pass is not explained.
+EXPLANATION_DIGESTS = {
+    ".": "a21516dd9108ead57b0d4d21e1ea98895579a3bf0da9d709d73a33b39a76261f",
+    "audit": "c8223659b009a62e31ef49a266ca616094b063a0b8222871724193089916c888",
+    "v3": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
+    "v3/audit": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
+    "v4": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
+    "v4/audit": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
+}
+
+
+@pytest.mark.parametrize("directory", sorted(EXPLANATION_DIGESTS))
+def test_every_golden_line_explains_as_it_did(directory):
+    digest = hashlib.sha256()
+    paths = sorted((GOLDEN / directory).glob("*.jsonl"))
+    assert paths
+    for path in paths:
+        for trace in read_traces(path):
+            digest.update(render_explanation(trace).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == EXPLANATION_DIGESTS[directory]
 
 
 def holds_every_frozen_scenario_in_both_modes(directory):
@@ -146,14 +176,14 @@ def reads_as_its_version_writes_back_and_verifies(configs, path, version):
 
 def rerun_reproduces_the_bytes_in(configs, path, audit_all, directory):
     """The scenario, run on the config its golden file names, writes that
-    file's lines, each cut to version 5."""
+    file's lines, each cut to version 6."""
     script = load_scenario(path)
     golden = (directory / "audit" if audit_all else directory) / f"{script.name}.jsonl"
     result = run_scenario(config_for(configs, fingerprint_of(golden)), script, audit_all=audit_all)
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_5(want), f"trace bytes changed for {trace.request_id}"
+        assert trace.to_json() == as_version_6(want), f"trace bytes changed for {trace.request_id}"
 
 
 def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
@@ -274,13 +304,24 @@ def cut_to_version_5(data: dict) -> None:
             event["inputs"].pop(name, None)
 
 
+def cut_to_version_6(data: dict) -> None:
+    """Cut a version 5 line, in place, to what version 6 writes: each
+    event's inputs beside its node, and a pre_state without the cool-down
+    scope and board_primed."""
+    for event in data["events"]:
+        event.update(event.pop("inputs", {}))
+    del data["pre_state"]["cooldowns"]["scope"]
+    del data["pre_state"]["board_primed"]
+    data["trace_version"] = 6
+
+
 def as_version_5(line: str) -> str:
-    """A committed line as the engine writes it today. A version 5 line is
-    that already. A version 1 line has its pre_state cut to the version 2
-    slice, and its events lose their policy and the inputs REPEATED_INPUTS
-    names. Then, for versions 1 and 3, the structure-only events go, and
-    knowledge_check's copy of the warnings with them. Last, every older
-    line is cut from version 4 to version 5."""
+    """A committed line as version 5 writes it. A version 5 line is that
+    already. A version 1 line has its pre_state cut to the version 2 slice,
+    and its events lose their policy and the inputs REPEATED_INPUTS names.
+    Then, for versions 1 and 3, the structure-only events go, and
+    knowledge_check's copy of the warnings with them. Last, every older line
+    is cut from version 4 to version 5."""
     data = json.loads(line)
     version = data.get("trace_version", 1)
     assert version in (1, 3, 4, 5)
@@ -297,4 +338,12 @@ def as_version_5(line: str) -> str:
         del data["events"][0]["inputs"]["warnings"]
     cut_to_version_5(data)
     data["trace_version"] = 5
+    return canonical_json(data)
+
+
+def as_version_6(line: str) -> str:
+    """A committed line as the engine writes it today: as version 5 writes
+    it, cut to version 6."""
+    data = json.loads(as_version_5(line))
+    cut_to_version_6(data)
     return canonical_json(data)

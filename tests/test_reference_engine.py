@@ -68,7 +68,7 @@ def step_both(engine, state, config_data, event):
         except FetchguardError:
             got = False
     assert got == want, event
-    assert engine.cooldowns.snapshot() == {"scope": config_data["cooldown_scope"], "users": state["cooldowns"]}, event
+    assert engine.cooldowns.snapshot() == {"users": state["cooldowns"]}, event
     assert engine.registry.snapshot() == state["registry"], event
     return want, state
 

@@ -3,6 +3,7 @@ them edited, none of them allowed to crash the audit or to change what the
 next verify sees."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -33,8 +34,8 @@ from fetchguard import (
 )
 from fetchguard.bt import TickListener
 from fetchguard.errors import FetchguardError
-from fetchguard.engine import TRACE_VERSION, _EvalState, _redecide, canonical_json
-from fetchguard.formats import STEPS, _events_as_written
+from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, _redecide, canonical_json
+from fetchguard.formats import RESERVED, STEPS, _events_as_written
 from reference_readers import (
     reference_decision_from_dict,
     reference_request_from_dict,
@@ -101,6 +102,31 @@ def decide_mid_session(config):
 @pytest.fixture()
 def mid_session_trace(shipped_config):
     return decide_mid_session(shipped_config)
+
+
+def with_fixed_facts(pre_state, config, board_primed=True):
+    """A version 6 pre-state as versions 2 to 5 wrote it: with the config's
+    cool-down scope, and board_primed, which any bool verifies."""
+    return {
+        "cooldowns": {"scope": config.cooldown_scope, **pre_state["cooldowns"]},
+        "personal_registry": pre_state["personal_registry"],
+        "board_primed": board_primed,
+    }
+
+
+def as_legacy(trace, version, pre_state):
+    """A current trace as version 1 to 5 wrote it, given the pre-state that
+    version wrote. The event stream is rebuilt by the function verify_trace
+    uses; the golden tests pin that function to the committed version 1, 3,
+    4 and 5 lines."""
+    old = copy_of(trace)
+    old.pre_state, old.trace_version = copy.deepcopy(pre_state), version
+    old.events = _events_as_written(old, version)
+    return old
+
+
+def as_version_5_trace(trace, config, board_primed=True):
+    return as_legacy(trace, 5, with_fixed_facts(trace.pre_state, config, board_primed))
 
 
 def _unknown_safety_class(trace):
@@ -206,6 +232,11 @@ def _board_primed_deleted(trace):
     del trace.pre_state["board_primed"]
 
 
+def _fixed_facts_deleted(trace):
+    # Left with the shape version 6 writes, on a line of an older version.
+    del trace.pre_state["cooldowns"]["scope"], trace.pre_state["board_primed"]
+
+
 def _neither_window(trace):
     # The engine arms windows only for dangerous and mind_altering objects.
     trace.pre_state["cooldowns"]["users"]["alice"]["active"]["neither"] = 1800
@@ -244,16 +275,31 @@ EDITS = [
     (_active_deleted, "recorded pre_state cannot be restored"),
     (_grants_deleted, "recorded pre_state cannot be restored"),
     (_board_primed_deleted, "recorded pre_state cannot be restored"),
+    (_fixed_facts_deleted, "recorded pre_state cannot be restored"),
     (_neither_window, "recorded pre_state cannot be restored"),
     (_household_scope, "recorded pre_state cannot be restored"),
 ]
+#: The edits to what only lines before version 6 hold, the cool-down scope
+#: and board_primed, which run on the trace as version 5 wrote it.
+ON_VERSION_5 = {
+    _galaxy_scope, _undecidable, _numeric_board_primed, _non_finite_board_primed, _scope_deleted,
+    _board_primed_deleted, _fixed_facts_deleted, _household_scope,
+}
+
+
+def edited_copy(trace, config, edit):
+    """A copy of a fresh trace, as version 5 wrote it if ON_VERSION_5 names
+    the edit, with the edit applied."""
+    edited = as_version_5_trace(trace, config) if edit in ON_VERSION_5 else copy_of(trace)
+    assert verify_trace(edited, config).ok
+    edit(edited)
+    return edited
 
 
 class TestEditedTracesFailClosed:
     @pytest.mark.parametrize("edit, named", EDITS, ids=lambda e: getattr(e, "__name__", ""))
     def test_edit_is_a_named_mismatch_not_an_exception(self, shipped_config, mid_session_trace, edit, named):
-        edited = copy_of(mid_session_trace)
-        edit(edited)
+        edited = edited_copy(mid_session_trace, shipped_config, edit)
         result = verify_trace(edited, shipped_config)
         assert (result.ok, result.decision) == (False, None)
         assert len(result.mismatches) == 1
@@ -266,13 +312,12 @@ class TestEditedTracesFailClosed:
         config = load_default()
         first_engine = DecisionEngine(config)
         _, first = first_engine.decide(make_request("alice", "towel"))
-        assert first.pre_state["board_primed"] is False
+        assert first.pre_state == {"cooldowns": {"users": {}}, "personal_registry": {}}
         tampered = copy_of(mid_session_trace)
         tampered.request["context"]["verbal_affirmation"] = False
         expected = [verify_trace(t, load_default()) for t in (mid_session_trace, first, tampered)]
 
-        edited = copy_of(mid_session_trace)
-        edit(edited)
+        edited = edited_copy(mid_session_trace, config, edit)
         assert not verify_trace(edited, config).ok
         assert [verify_trace(t, config) for t in (mid_session_trace, first, tampered)] == expected
         assert [r.ok for r in expected] == [True, True, False]
@@ -285,7 +330,8 @@ class TestEditedTracesFailClosed:
         engine.decide(make_request("alice", "knife", now=0))
         _, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
         assert verify_trace(trace, household).ok
-        edited = copy_of(trace)
+        edited = as_version_5_trace(trace, household)
+        assert verify_trace(edited, household).ok
         cooldowns = edited.pre_state["cooldowns"]
         cooldowns["scope"] = "user"
         cooldowns["users"] = {"alice": cooldowns["users"].pop("__household__")}
@@ -369,7 +415,7 @@ class TestRequestComparedWithTheRerun:
         # A trace straight from decide() holds one request dict, as its
         # request and as knowledge_check's echo, so the edit reaches both.
         _, trace = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
-        assert trace.request is trace.events[0]["inputs"]["request"]
+        assert trace.request is trace.events[0]["request"]
         block = trace.request
         for step in where:
             block = block[step]
@@ -430,6 +476,14 @@ class TestEveryKeyRequired:
             return
         result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert result.mismatches == [f"recorded pre_state cannot be restored: {KeyError(key)!r}"]
+
+    def test_a_golden_line_missing_both_fixed_facts_is_a_named_failure(self, golden_config):
+        # Without its scope and board_primed a version 1 pre-state has the
+        # shape version 6 writes; the line's version still asks for both.
+        data = _golden_privacy_line()
+        del data["pre_state"]["cooldowns"]["scope"], data["pre_state"]["board_primed"]
+        result = verify_trace(DecisionTrace.from_dict(data), golden_config)
+        assert result.mismatches == [f"recorded pre_state cannot be restored: {KeyError('scope')!r}"]
 
     @pytest.mark.parametrize("extra", [{"foo": 1}, {"trace_version": 1}], ids=["unknown_key", "explicit_version_1"])
     def test_a_golden_line_with_a_key_the_engine_does_not_write_is_refused_on_read(self, extra):
@@ -643,11 +697,6 @@ def _first(trace):
     return first if isinstance(first, dict) else {}
 
 
-def _first_inputs(trace):
-    inputs = _first(trace).get("inputs")
-    return inputs if isinstance(inputs, dict) else {}
-
-
 #: The text to_json writes in place of a fresh trace's request while it
 #: writes the rest, and a text that writes it too, after an escaped quote.
 MARKS = ["\x00request", 'a"\x00request']
@@ -667,10 +716,11 @@ ORACLE_REQUESTS = st.builds(
 #: request itself, some break that in each way a line read back can, and
 #: some put in a value that JSON cannot hold.
 TRACE_EDITS = {
-    "echo an equal copy": lambda t: _first_inputs(t).update(request=copy.deepcopy(t.request)),
-    "echo now as a float": lambda t: _first_inputs(t).update(request={**t.request, "now": float(t.request["now"])}),
-    "echo gone": lambda t: _first_inputs(t).pop("request", None),
-    "echo beside another input": lambda t: _first_inputs(t).update(extra=1),
+    "echo an equal copy": lambda t: _first(t).update(request=copy.deepcopy(t.request)),
+    "echo now as a float": lambda t: _first(t).update(request={**t.request, "now": float(t.request["now"])}),
+    "echo gone": lambda t: _first(t).pop("request", None),
+    "echo beside another input": lambda t: _first(t).update(extra=1),
+    "echo nested as version 5 wrote it": lambda t: _first(t).update(inputs={"request": _first(t).pop("request", None)}),
     "first event with another key": lambda t: _first(t).update(audit=True),
     "first event renamed": lambda t: _first(t).update(node="knowledge_check_"),
     "first event last": lambda t: (events := _listed(t)) and events.append(events.pop(0)),
@@ -909,8 +959,9 @@ class TestReadersAgreeWithTheReferences:
 
     def test_the_lines_are_of_both_ends_of_the_versions_and_both_modes(self):
         traces = [DecisionTrace.from_dict(json.loads(line)) for line in READER_LINES]
-        # The committed lines are of the oldest and the newest version.
-        assert {t.trace_version for t in traces} == {1, TRACE_VERSION}
+        # The committed lines are of the oldest version and of version 5,
+        # the decided ones of the newest.
+        assert {t.trace_version for t in traces} == {1, 5, TRACE_VERSION}
         assert {t.audit_all for t in traces} == {False, True}
         assert all(t.request_id.startswith("hm-") for t in traces[:40])
 
@@ -945,22 +996,10 @@ class TestAnyRequestDecides:
 
 def whole_household(engine, board_primed):
     """What a version 1 trace recorded as its pre-state: every cool-down
-    record and the whole registry."""
-    return {
-        "cooldowns": engine.cooldowns.snapshot(),
-        "personal_registry": engine.registry.snapshot(),
-        "board_primed": board_primed,
-    }
-
-
-def as_legacy(trace, version, pre_state):
-    """A current trace as version 1, 2, 3 or 4 wrote it. The event stream is
-    rebuilt by the function verify_trace uses; the golden tests pin that
-    function to the committed version 1, 3 and 4 lines."""
-    old = copy_of(trace)
-    old.events = _events_as_written(old, version)
-    old.pre_state, old.trace_version = pre_state, version
-    return old
+    record and the whole registry, with the cool-down scope and
+    board_primed."""
+    whole = {"cooldowns": engine.cooldowns.snapshot(), "personal_registry": engine.registry.snapshot()}
+    return with_fixed_facts(whole, engine.config, board_primed)
 
 
 @pytest.fixture()
@@ -1003,7 +1042,8 @@ class TestVersion2PreState:
         assert result.mismatches == ["pre_state differs from the recorded pre_state"]
         # A version 1 trace is not compared this way: the same edit verifies,
         # as it did when every trace held the whole household.
-        assert verify_trace(as_legacy(edited, 1, edited.pre_state), shipped_config).ok
+        legacy = with_fixed_facts(edited.pre_state, shipped_config)
+        assert verify_trace(as_legacy(edited, 1, legacy), shipped_config).ok
 
     def test_a_pre_state_canonical_json_refuses_is_a_mismatch(self, shipped_config, bob_after_alice):
         _, trace = bob_after_alice
@@ -1013,9 +1053,9 @@ class TestVersion2PreState:
         edited.pre_state["sensor"] = math.nan
         assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
 
-    def test_new_traces_are_version_5(self, mid_session_trace):
-        assert mid_session_trace.trace_version == 5
-        assert '"trace_version":5' in mid_session_trace.to_json()
+    def test_new_traces_are_version_6(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 6
+        assert '"trace_version":6' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
         for path in FROZEN_FILES:
@@ -1024,7 +1064,7 @@ class TestVersion2PreState:
                 assert trace.trace_version == 1
                 assert trace.to_json() == line
 
-    @pytest.mark.parametrize("version", [0, 6, "2", True, 2.0, None])
+    @pytest.mark.parametrize("version", [0, 7, "2", True, 2.0, None])
     def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
         data = json.loads(mid_session_trace.to_json())
         data["trace_version"] = version
@@ -1036,15 +1076,16 @@ class TestVersion2PreState:
     @given(requests=st.lists(ANY_REQUEST, max_size=8))
     def test_each_trace_verifies_sliced_and_as_a_whole_household(self, shipped_config, audit_all, requests):
         engine = DecisionEngine(shipped_config, audit_all=audit_all)
-        for request in requests:
-            before = whole_household(engine, board_primed=None)
+        for primed, request in enumerate(requests):
+            # Whether the engine had decided before, as versions 1 to 5 wrote.
+            primed = bool(primed)
+            before = whole_household(engine, primed)
             _, trace = engine.decide(request)
-            assert trace.trace_version == 5
+            assert trace.trace_version == 6
             assert verify_trace(copy_of(trace), shipped_config).ok
-            assert verify_trace(as_legacy(trace, 4, trace.pre_state), shipped_config).ok
-            assert verify_trace(as_legacy(trace, 3, trace.pre_state), shipped_config).ok
-            assert verify_trace(as_legacy(trace, 2, trace.pre_state), shipped_config).ok
-            before["board_primed"] = trace.pre_state["board_primed"]
+            sliced = with_fixed_facts(trace.pre_state, shipped_config, primed)
+            for version in (5, 4, 3, 2):
+                assert verify_trace(as_legacy(trace, version, sliced), shipped_config).ok, version
             assert verify_trace(as_legacy(trace, 1, before), shipped_config).ok
 
 
@@ -1255,6 +1296,7 @@ class TestVersion4Events:
             probe.tree.tick(state, recorder)
             leaves = [e for e in trace.events if not e.get("audit")]
             assert state.events == leaves
+            trace = dataclasses.replace(trace, pre_state=with_fixed_facts(trace.pre_state, shipped_config))
             version_4 = _events_as_written(trace, 4)
             leaf_exits = [(node, outcome) for node, outcome in recorder.exits if node not in STRUCTURE_NODES]
             assert [(e["node"], e["outcome"]) for e in version_4[: len(leaves)]] == leaf_exits
@@ -1361,6 +1403,139 @@ class TestFormatSteps:
         assert [writes for writes, _ in STEPS] == list(range(TRACE_VERSION - 1, 1, -1))
 
 
+class RecordingEngine(DecisionEngine):
+    """An engine that records the keys of every inputs dict its stage
+    evaluators return, before the node is set on it."""
+
+    def __init__(self, *args, **kwargs):
+        self.input_keys = []
+        # Set before the tree is built, which looks each evaluator up.
+        for stage in STAGES:
+            setattr(self, f"_eval_{stage}", self._recording(getattr(self, f"_eval_{stage}")))
+        super().__init__(*args, **kwargs)
+
+    def _recording(self, evaluate):
+        def recorded(st):
+            result = evaluate(st)
+            self.input_keys.append(set(result[0]))
+            return result
+
+        return recorded
+
+
+def flattened(event):
+    """A version 5 event as version 6 writes it: its inputs beside its node."""
+    return {**{key: value for key, value in event.items() if key != "inputs"}, **event.get("inputs", {})}
+
+
+def mix_traces(engine, seed, count):
+    """`count` traces decided on the benchmark's seeded household traffic
+    (perfbench/mix.py), its registry writes applied as they come."""
+    stream = mix.EventStream(engine.config, seed, "flat")
+    traces = []
+    while len(traces) < count:
+        event = stream.next_event()
+        if isinstance(event, mix.Write):
+            try:
+                if event.grantee is None:
+                    engine.apply_tag(event.actor, event.object_id)
+                else:
+                    engine.apply_grant(event.actor, event.object_id, event.grantee)
+            except FetchguardError:
+                pass
+            continue
+        traces.append(engine.decide(event)[1])
+    return traces
+
+
+def assert_flat(engine, traces):
+    """No evaluator's inputs use a key RESERVED names, only audit events
+    write an outcome and the audit mark, and flattening the version 5
+    down-step of a line's events gives its events back."""
+    assert engine.input_keys and not any(keys & set(RESERVED) for keys in engine.input_keys)
+    for trace in traces:
+        for event in trace.events:
+            if event.get("audit"):
+                assert event["audit"] is True and event["outcome"] in ("success", "failure", "skipped")
+            else:
+                assert not {"outcome", "audit"} & set(event), event
+        assert [flattened(e) for e in _events_as_written(trace, 5)] == trace.events
+
+
+class TestFlatEvents:
+    """Version 6 writes an event's inputs beside its node, so node, outcome
+    and audit are the only keys an input may not have, and the version 5
+    down-step loses nothing."""
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 60))
+    def test_no_input_is_reserved_and_flattening_undoes_the_down_step(self, shipped_config, audit_all, seed, count):
+        engine = RecordingEngine(shipped_config, audit_all=audit_all)
+        assert_flat(engine, mix_traces(engine, seed, count))
+
+    def test_a_stream_with_skipped_audit_stages_too(self, shipped_config):
+        engine = RecordingEngine(shipped_config, audit_all=True)
+        traces = mix_traces(engine, 17, 300)
+        outcomes = {e.get("outcome") for t in traces for e in t.events}
+        assert outcomes == {None, "success", "failure", "skipped"}
+        assert_flat(engine, traces)
+
+    def test_an_audit_event_is_its_inputs_beside_the_reserved_keys(self, shipped_config):
+        engine = DecisionEngine(shipped_config, audit_all=True)
+        _, trace = engine.decide(make_request("dave", "towel"))
+        personal = trace.events[-1]
+        assert personal == {
+            "node": "personal_ok", "outcome": "success", "audit": True, "object_tagged": False, "access": "ok"
+        }
+        assert _events_as_written(trace, 5)[-1] == {
+            "node": "personal_ok", "outcome": "success", "audit": True,
+            "inputs": {"object_tagged": False, "access": "ok"},
+        }
+
+
+def _scope_written_back(trace, config):
+    trace.pre_state["cooldowns"]["scope"] = config.cooldown_scope
+
+
+def _board_primed_written_back(trace, config):
+    trace.pre_state["board_primed"] = True
+
+
+def _both_written_back(trace, config):
+    trace.pre_state = with_fixed_facts(trace.pre_state, config)
+
+
+def _inputs_nested_back(trace, config):
+    trace.events = _events_as_written(trace, 5)
+
+
+class TestVersion6:
+    """A version 6 line that writes back what only older lines held, in
+    part or in whole, is one named mismatch: the restore does not read
+    them, and the re-run's pre-state lacks them."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (_scope_written_back, PRE_STATE_DIFFERS),
+        (_board_primed_written_back, PRE_STATE_DIFFERS),
+        (_both_written_back, PRE_STATE_DIFFERS),
+        (_inputs_nested_back, "event stream differs from the recorded events"),
+    ], ids=lambda e: getattr(e, "__name__", ""))
+    def test_a_fact_of_an_older_version_written_back_is_one_named_mismatch(self, shipped_config, mid_session_trace, edit, named):
+        edited = copy_of(mid_session_trace)
+        edit(edited, shipped_config)
+        result = verify_trace(edited, shipped_config)
+        assert len(result.mismatches) == 1
+        assert result.mismatches[0].startswith(named)
+
+    @pytest.mark.parametrize("board_primed", [False, True])
+    def test_an_older_line_verifies_with_either_board_primed(self, shipped_config, mid_session_trace, board_primed):
+        # No re-run reads it, so both verify, as they did before version 6.
+        for version in (5, 4):
+            legacy = with_fixed_facts(mid_session_trace.pre_state, shipped_config, board_primed)
+            assert verify_trace(as_legacy(mid_session_trace, version, legacy), shipped_config).ok
+
+
 class TestLookups:
     def test_lookups_match_a_scan_of_the_lists(self, shipped_config):
         for user in shipped_config.users:
@@ -1421,9 +1596,7 @@ class TestOneReplayEnginePerConfig:
         # Decided under the golden lines' config, so every trace shares one.
         mid_session = decide_mid_session(load_golden())
         for edit, _ in EDITS:
-            edited = copy_of(mid_session)
-            edit(edited)
-            traces.append(edited)
+            traces.append(edited_copy(mid_session, load_golden(), edit))
         rng.shuffle(traces)
 
         shared = load_golden()
