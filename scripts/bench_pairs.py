@@ -14,8 +14,11 @@ each side, one after the other; the side that runs first alternates from
 seed to seed, the same way for every workload. Each run's end-to-end
 metrics are printed as it ends, then one table per workload: for every
 end-to-end metric that BENCHMARK.json lists, the base and change
-medians, their ratio, the spread between the base runs' quartiles and
-the number of pairs the change won (ties count for neither side).
+medians, their ratio, the spread between the base runs' quartiles, the
+number of pairs the change won (ties count for neither side) and the
+bound column: `past` when the change's median is worse than the base's,
+in the direction the metric's `better` gives, by more than the metric's
+relative `bound`, `ok` when it is not, `-` for a metric with no bound.
 
 Each pair also reads the decision_digest line each run prints and says
 whether the two sides decided alike. That is only reported: a change that
@@ -89,9 +92,10 @@ def number(value: float) -> str:
 
 def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     """One row per end-to-end metric: base and change medians, change/base,
-    the base quartile spread and the pairs the change won. `metrics` are
+    the base quartile spread, the pairs the change won and whether the
+    change's median is past the metric's bound. `metrics` are
     BENCHMARK.json's end_to_end entries; `pairs` are (base, change) results."""
-    rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change won")]
+    rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change won", "bound")]
     for metric in metrics:
         name, lower_wins = metric["name"], metric["better"] == "lower"
         measured = [(base[name], change[name]) for base, change in pairs if name in base and name in change]
@@ -102,9 +106,12 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
         change_median = statistics.median([c for _, c in measured])
         won = sum((c < b) if lower_wins else (c > b) for b, c in measured)
         ratio = f"{change_median / base_median:.4f}" if base_median else "-"
+        bound = metric.get("bound")
+        worse_by = change_median - base_median if lower_wins else base_median - change_median
         rows.append((
             name, metric["unit"], number(base_median), number(change_median), ratio,
             number(quartile_spread(base_values)), f"{won}/{len(measured)}",
+            "-" if bound is None else "past" if worse_by > bound * base_median else "ok",
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(

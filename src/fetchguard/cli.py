@@ -12,6 +12,7 @@ import sys
 from .config import PolicyConfig
 from .engine import ALLOW, STAGES, DecisionTrace
 from .errors import ConfigError, ScenarioParseError
+from .formats import inputs_of
 from .log import find_trace, write_traces
 from .scenario import load_scenario, run_scenario
 
@@ -78,14 +79,9 @@ def render_explanation(trace: DecisionTrace) -> str:
 
     A stage failed exactly when its violation event is in the line, and the
     matrix row's cool-downs are the ones ordering_ok found, in every trace
-    version. An event's inputs are the event itself from version 6 on, and
-    its `inputs` before. Personal-policy denials never name the user who
-    tagged the object."""
-    flat = trace.trace_version >= 6
-
-    def inputs_of(event: dict) -> dict:
-        return event if flat else event.get("inputs", {})
-
+    version. A check's inputs are read in its version's shape (inputs_of),
+    so a line relabelled with another version is refused with ValueError.
+    Personal-policy denials never name the user who tagged the object."""
     req = trace.request
     out = [
         f"request {trace.request_id}: user={req['user_id']} object={req['object_id']} at t={req['now']}",
@@ -97,18 +93,17 @@ def render_explanation(trace: DecisionTrace) -> str:
             continue
         name = event["node"]
         if name.endswith("_ok"):
-            outcomes[name[: -len("_ok")]] = event
+            outcomes[name[: -len("_ok")]] = inputs_of(event, trace.trace_version)
         elif name.endswith("_violation"):
             failed.add(name[: -len("_violation")])
     deciding = trace.decision.deciding_policy
-    cooldowns = inputs_of(outcomes.get("ordering", {})).get("active_cooldowns")
+    cooldowns = outcomes.get("ordering", {}).get("active_cooldowns")
     for stage in STAGES:
         title = _STAGE_TITLES[stage]
-        event = outcomes.get(stage)
-        if event is None:
+        inputs = outcomes.get(stage)
+        if inputs is None:
             out.append(f"  {title}: not evaluated")
             continue
-        inputs = inputs_of(event)
         if stage not in failed:
             line = f"  {title}: pass"
         elif stage == "personal":

@@ -33,7 +33,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
 from .formats import GATES, as_written, check_fixed_facts
-from .matrix import CategoryRule, MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
     INT_BOUND,
@@ -356,7 +356,6 @@ class DecisionEngine:
         self._roster = frozenset(u.user_id for u in config.users)
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
         self._stages = tuple((stage, f"{stage}_ok", getattr(self, f"_eval_{stage}")) for stage in STAGES)
-        self._category_rules = _rules_by_category(config)
         self.tree = self._build_tree()
         validate_tree(self.tree)
         self.reset()
@@ -525,10 +524,10 @@ class DecisionEngine:
 
     def _eval_category_context(self, st: _EvalState):
         entry = st.matrix_entry
-        category = st.obj.category
-        details: dict = {"category": category}
-        rules = self._category_rules[category]
-        result = category_checks(entry.required_checks, rules, st.obj, st.group, st.request.context, st.profile)
+        details: dict = {"category": st.obj.category}
+        result = category_checks(
+            entry.required_checks, self.config.category_rules, st.obj, st.group, st.request.context, st.profile
+        )
         if result.passed:
             return details, None
         details["failed_check"] = result.failed_check
@@ -620,14 +619,6 @@ class DecisionEngine:
             event["node"], event["outcome"], event["audit"] = ok_name, outcome, True
             events.append(event)
         return events
-
-
-def _rules_by_category(config: PolicyConfig) -> dict[str, tuple[CategoryRule, ...]]:
-    """The category rules that apply to each catalog category, in rule
-    order: all that category_checks keeps of the config's rules for an
-    object of that category."""
-    rules = config.category_rules
-    return {obj.category: tuple([rule for rule in rules if rule.applies_to(obj.category)]) for obj in config.objects}
 
 
 def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:

@@ -73,6 +73,15 @@ def _to_version_5(events: list[dict], fresh) -> list[dict]:
     return written
 
 
+def inputs_of(event: dict, version: int) -> dict:
+    """An event's inputs in the shape its version wrote them: under `inputs`
+    before version 6, and beside the keys RESERVED names from version 6 on.
+    Refuses with ValueError an event in the other version's shape."""
+    if (version >= 6) == ("inputs" in event):
+        raise ValueError(f"event {event.get('node')!r} is not in the shape of a version {version} trace")
+    return event if version >= 6 else event["inputs"]
+
+
 def _to_version_4(events: list[dict], fresh) -> list[dict]:
     """Version 5 events as version 4 wrote them, in new dicts.
 

@@ -179,18 +179,16 @@ def validate_matrix(matrix: Matrix) -> Report:
     demanded = [matrix[key].required_checks if g else _EVERY_CHECK for key, g in zip(ALL_KEYS, groups)]
     for law, i, j in _WALK:
         if not groups[j] <= groups[i]:
-            report.add(law, f"row {_KEY_TEXTS[j]} admits groups that row {_KEY_TEXTS[i]} does not")
+            report.add(law, f"row {_key_str(ALL_KEYS[j])} admits groups that row {_key_str(ALL_KEYS[i])} does not")
         if not demanded[j] >= demanded[i]:
-            report.add("check-monotonicity", f"row {_KEY_TEXTS[j]} lacks a check row {_KEY_TEXTS[i]} demands")
+            tighter, looser = _key_str(ALL_KEYS[j]), _key_str(ALL_KEYS[i])
+            report.add("check-monotonicity", f"row {tighter} lacks a check row {looser} demands")
     return report
 
 
 def _key_str(key: MatrixKey) -> str:
     profile = ",".join(sorted(key.cooldown_profile)) or "none"
     return f"cooldown={profile} class={key.request_class} zone={key.zone.as_str()}"
-
-
-_KEY_TEXTS = tuple(_key_str(key) for key in ALL_KEYS)
 
 
 @dataclass(frozen=True)

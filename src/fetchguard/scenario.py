@@ -16,7 +16,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample
 from .engine import ALLOW, DENY, DecisionEngine, DecisionTrace, FetchRequest
 from .errors import FetchguardError, ScenarioParseError
-from .model import ContextSnapshot, require_type
+from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot, require_type
 
 EVENT_TYPES = ("set_emotion", "set_context", "request", "tag_personal", "grant")
 
@@ -58,6 +58,8 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
         t = raw.get("t")
         if not _typed(t, int) or t < 0:
             raise ScenarioParseError(f"{where}: 't' must be a non-negative integer")
+        if t >= INT_BOUND:  # bounded as a request's ints are, so that its trace writes
+            raise ScenarioParseError(f"{where}: 't' has more than {MAX_INT_DIGITS} digits, which no trace can write")
         if t < last_t:
             raise ScenarioParseError(f"{where}: timestamps must be non-decreasing")
         last_t = t

@@ -16,10 +16,10 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "verify_us_p50", "unit": "us", "better": "lower"},
-    {"name": "decisions_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "trace_bytes_mean", "unit": "B", "better": "lower"},
-    {"name": "not_measured", "unit": "us", "better": "lower"},
+    {"name": "verify_us_p50", "unit": "us", "better": "lower", "bound": 0.15},
+    {"name": "decisions_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+    {"name": "trace_bytes_mean", "unit": "B", "better": "lower", "bound": 0.1},
+    {"name": "not_measured", "unit": "us", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -101,27 +101,56 @@ class TestTable:
         rows = self.rows()
         # Medians of four: the mean of the middle two. Quartiles interpolate
         # between the sorted base values: 105.5 and 108.5 here.
-        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4"]
+        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4", "ok"]
         # Higher is better here: the change won where it read more.
-        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4"]
+        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4", "ok"]
 
     def test_a_tie_counts_for_neither_side(self):
-        assert self.rows()["trace_bytes_mean"][-2:] == ["47.5", "0/4"]
+        assert self.rows()["trace_bytes_mean"][-3:] == ["47.5", "0/4", "ok"]
 
     def test_a_metric_no_run_printed_gets_no_row(self):
         assert list(self.rows()) == ["metric", "verify_us_p50", "decisions_per_s", "trace_bytes_mean"]
 
     def test_a_cold_start_in_seconds_and_its_spread_can_be_read(self):
-        setup = {"name": "setup_s", "unit": "s", "better": "lower"}
+        setup = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
         pairs = [({"setup_s": b}, {"setup_s": c}) for b, c in
                  ((0.001281, 0.001093), (0.001275, 0.001101), (0.001302, 0.001088), (0.001290, 0.001097))]
         row = bench_pairs.table([setup], pairs).splitlines()[1].split()
-        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4"]
+        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4", "ok"]
+
+    @pytest.mark.parametrize(
+        "metric, change, column",
+        [
+            # Lower is better: past when the change's median exceeds 1.15 x 100.
+            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 116.0, "past"),
+            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 114.0, "ok"),
+            # Higher is better: past when it falls below 0.85 x 100.
+            ({"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}, 84.0, "past"),
+            ({"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}, 86.0, "ok"),
+            # A large gain is never past the bound.
+            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 10.0, "ok"),
+            ({"name": "m", "unit": "us", "better": "lower"}, 116.0, "-"),
+        ],
+        ids=["lower_past", "lower_within", "higher_past", "higher_within", "gain", "no_bound"],
+    )
+    def test_the_bound_column_says_whether_the_change_is_past_its_bound(self, metric, change, column):
+        pairs = [({"m": 100.0}, {"m": change})] * 3
+        assert bench_pairs.table([metric], pairs).splitlines()[1].split()[-1] == column
+
+    def test_one_metric_past_its_bound_is_the_only_row_marked(self):
+        # verify_us_p50's change median 99.5 becomes 123.5: more than 15 %
+        # over the base's 107.
+        pairs = [(base, {**change, "verify_us_p50": change["verify_us_p50"] + 24}) for base, change in self.PAIRS]
+        lines = bench_pairs.table(METRICS, pairs).splitlines()
+        assert lines[0].split()[-1] == "bound"
+        assert {line.split()[0]: line.split()[-1] for line in lines[1:]} == {
+            "verify_us_p50": "past", "decisions_per_s": "ok", "trace_bytes_mean": "ok",
+        }
 
     def test_one_pair_has_no_spread(self):
         assert bench_pairs.quartile_spread([5.0]) == 0.0
         rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
-        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1"]
+        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1", "ok"]
 
 
 class TestSeveralWorkloads:
@@ -167,8 +196,8 @@ class TestSeveralWorkloads:
         ]
         rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[1:-1]} for t in tables]
         # Base medians 100 + seed 2 + len(workload): 114 and 115.
-        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3"]
-        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3"]
+        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3", "ok"]
+        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3", "ok"]
         assert [t.splitlines()[-1] for t in tables] == ["decided alike on 3/3 pairs"] * 2
 
     def test_one_workload_prints_one_table(self, monkeypatch, capsys):

@@ -28,7 +28,6 @@ from fetchguard import (
     matrix_lookup,
     validate_matrix,
 )
-from fetchguard.engine import _rules_by_category
 from fetchguard.matrix import (
     ALL_CLASSES,
     ALL_GROUPS,
@@ -269,8 +268,6 @@ class TestCategoryChecks:
             CategoryRule("food", frozenset({"blood_test"}))
 
 
-#: The categories of the shipped catalog; a rule naming another is refused.
-SHIPPED_CATEGORIES = tuple(sorted({o.category for o in default_config().objects}))
 ROOMS = ("kitchen", "garage", "bathroom")
 
 
@@ -315,10 +312,8 @@ class TestGateFourInOneFunction:
         state = SimpleNamespace(
             matrix_entry=entry, obj=obj, group=group, profile=profile, request=SimpleNamespace(context=context)
         )
-        config = SimpleNamespace(category_rules=tuple(rules), objects=[obj])
-        # The engine hands gate 4 only the rules for the object's category,
-        # worked out when it is built.
-        engine = SimpleNamespace(config=config, _category_rules=_rules_by_category(config))
+        # The engine hands gate 4 every rule of its config, as decide() does.
+        engine = SimpleNamespace(config=SimpleNamespace(category_rules=tuple(rules)))
         got = DecisionEngine._eval_category_context(engine, state)
         assert got == reference_gate4(entry, rules, obj, group, context, profile)
 
@@ -327,38 +322,6 @@ class TestGateFourInOneFunction:
         assert result.passed == (violation is None)
         assert result.failed_check == details.get("failed_check")
         assert result.failed_rule_category == details.get("failed_rule_category")
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        required=st.frozensets(st.sampled_from(MATRIX_CHECKS)),
-        rules=st.lists(
-            st.builds(
-                CategoryRule,
-                category=st.sampled_from(SHIPPED_CATEGORIES + ("*",)),
-                extra_checks=st.frozensets(st.sampled_from(CATEGORY_CHECKS)),
-                appropriate_rooms=st.none() | st.frozensets(st.sampled_from(ROOMS)),
-            ),
-            max_size=6,
-        ),
-        group=st.sampled_from(list(UserGroup)),
-        allergies=st.frozensets(st.sampled_from(("peanut", "dairy", "lactose"))),
-        room=st.sampled_from(ROOMS),
-        adult=st.booleans(),
-        verbal=st.booleans(),
-    )
-    def test_the_engines_rules_per_category_give_the_result_all_rules_give(
-        self, required, rules, group, allergies, room, adult, verbal
-    ):
-        config = dataclasses.replace(default_config(), category_rules=rules)
-        engine = DecisionEngine(config)
-        context = make_context(room=room, adult=adult, verbal=verbal)
-        profile = UserProfile("someone", 30, Relationship.HOUSEHOLD, allergies)
-        for obj in config.objects:
-            kept = engine._category_rules[obj.category]
-            assert set(kept) <= set(rules)
-            assert category_checks(required, kept, obj, group, context, profile) == category_checks(
-                required, rules, obj, group, context, profile
-            )
 
     def test_row_checks_run_before_the_rules_and_name_no_rule(self):
         rules = [CategoryRule("*", frozenset({"verbal_affirmation"}), frozenset({"bathroom"}))]

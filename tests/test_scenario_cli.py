@@ -112,6 +112,19 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match=f"'{field}'"):
             parse_scenario(scenario_dict([dict(event, **{field: flag})]))
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (-1, "'t' must be a non-negative integer"),
+            (0.5, "'t' must be a non-negative integer"),
+            (10**4299, "'t' has more than 4299 digits, which no trace can write"),
+        ],
+        ids=["negative", "not_an_int", "4300_digits"],
+    )
+    def test_a_t_no_trace_can_hold_is_refused(self, t, message):
+        with pytest.raises(ScenarioParseError, match=f"event #1: {message}"):
+            parse_scenario(scenario_dict([CONTEXT, dict(CONTEXT, t=t)]))
+
     def test_an_absent_name_is_the_files_stem(self, tmp_path):
         path = tmp_path / "kitchen_morning.json"
         path.write_text(json.dumps({"events": [CONTEXT]}), encoding="utf-8")
@@ -272,9 +285,15 @@ class TestCliRun:
                 )
             ).encode(),
             b'{"name": null, "events": [{"t": 0, "type": "request", "user": "alice", "object": "towel"}]}',
+            # A t of 4,300 digits reads, but no trace could write it.
+            json.dumps(scenario_dict([{"t": 10**4299, "type": "request", "user": "alice", "object": "towel"}])).encode(),
+            json.dumps(scenario_dict([{**CONTEXT, "t": 10**4299}])).encode(),
             *UNREADABLE_FILES,
         ],
-        ids=["unknown_event", "valence_beyond_float_range", "null_name", *UNREADABLE_IDS],
+        ids=[
+            "unknown_event", "valence_beyond_float_range", "null_name", "request_t_of_4300_digits",
+            "context_t_of_4300_digits", *UNREADABLE_IDS,
+        ],
     )
     def test_malformed_scenario_exits_2_before_running(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -284,6 +303,18 @@ class TestCliRun:
         assert code == 2
         assert not trace_path.exists()
         assert "cannot load scenario" in capsys.readouterr().err
+
+    def test_a_t_of_4299_digits_runs(self, tmp_path):
+        t = 10**4299 - 1
+        script = tmp_path / "late.json"
+        script.write_text(
+            json.dumps(scenario_dict([{**CONTEXT, "t": t}, {"t": t, "type": "request", "user": "alice", "object": "knife"}]))
+        )
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["run", "--config", DEFAULT_CONFIG, "--scenario", str(script), "--trace", str(trace_path)])
+        assert code == 0
+        (trace,) = read_traces(trace_path)
+        assert trace.request["now"] == trace.request["context"]["timestamp"] == t
 
     def test_audit_all_flag_enriches_traces(self, tmp_path):
         code, trace_path = self.run_scenario_file(tmp_path, name="under5_denial.json", extra=["--audit-all"])
@@ -368,6 +399,28 @@ class TestCliExplain:
         capsys.readouterr()
         assert main(["explain", "--trace", str(trace_path), "--request", doc["request_id"]]) == 2
         assert "cannot read trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [5, 6], ids=["v6_line_marked_5", "v5_golden_line_marked_6"])
+    def test_a_line_marked_with_the_other_event_shape_exits_2(self, tmp_path, capsys, version):
+        """Versions 5 and 6 write a check's inputs in different places, so a
+        line whose version was edited between them is refused, not explained
+        without its inputs."""
+        if version == 5:
+            source = self.traces_for(tmp_path, "red_zone_dangerous.json")
+        else:
+            source = REPO_ROOT / "tests" / "golden" / "renamed_unknown.jsonl"
+        doc = json.loads(source.read_text(encoding="utf-8").splitlines()[0])
+        assert doc["trace_version"] == 11 - version
+        trace_path = tmp_path / "edited.jsonl"
+        trace_path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["explain", "--trace", str(trace_path), "--request", doc["request_id"]]) == 0
+        assert "zone " in capsys.readouterr().out
+        trace_path.write_text(json.dumps({**doc, "trace_version": version}) + "\n", encoding="utf-8")
+        assert main(["explain", "--trace", str(trace_path), "--request", doc["request_id"]]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read trace" in captured.err
+        assert captured.out == ""
 
     def test_missing_trace_file_exits_2(self, tmp_path):
         assert main(["explain", "--trace", str(tmp_path / "ghost.jsonl"), "--request", "x"]) == 2
