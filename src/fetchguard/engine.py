@@ -205,10 +205,12 @@ class Decision:
             # group's; a block that cannot be iterated raises the same
             # TypeError again.
             groups = frozenset([member(GROUP_BY_TEXT, g) for g in texts])
-        decision = cls(verdict, policy, reason, zone, groups)
-        if decision.to_dict() != data:
+        # Every key to_dict writes has been read, and it writes the zone's
+        # own text, so the block is what it would write unless it holds
+        # another key or its groups in another form.
+        if len(data) != 5 or sorted(groups) != texts:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
-        return decision
+        return cls(verdict, policy, reason, zone, groups)
 
 
 @dataclass
@@ -556,7 +558,7 @@ class DecisionEngine:
             "cooldowns": self.cooldowns.snapshot(request.user_id),
             "personal_registry": self.registry.snapshot(request.object_id),
         }
-        st = _EvalState(request=request)
+        st = _EvalState(request)
         status = self.tree.tick(st)
 
         if status is SUCCESS:
@@ -571,13 +573,7 @@ class DecisionEngine:
         # (IntEnum 0), so an explicit None check here.
         effective_zone = st.effective_zone if st.effective_zone is not None else st.base_zone
         allowed = st.matrix_entry.allowed_groups if st.matrix_entry is not None else frozenset()
-        decision = Decision(
-            verdict=verdict,
-            deciding_policy=deciding,
-            reason=reason,
-            effective_zone=effective_zone,
-            allowed_groups_at_leaf=allowed,
-        )
+        decision = Decision(verdict, deciding, reason, effective_zone, allowed)
 
         if self.audit_all and st.failed_stage is not None:
             st.events.extend(self._audit_events(st))
@@ -590,17 +586,10 @@ class DecisionEngine:
         else:
             st.warnings.append("cool-down state untouched: unknown object")
 
+        # The tick's state is dropped on return, so its warnings and events
+        # lists are the trace's own.
         trace = DecisionTrace(
-            request_id=request.request_id,
-            config_fingerprint=self.fingerprint,
-            audit_all=self.audit_all,
-            request=st.echo,
-            pre_state=pre_state,
-            # The tick's state is dropped on return, so its lists are the
-            # trace's own.
-            warnings=st.warnings,
-            events=st.events,
-            decision=decision,
+            request.request_id, self.fingerprint, self.audit_all, st.echo, pre_state, st.warnings, st.events, decision
         )
         return decision, trace
 

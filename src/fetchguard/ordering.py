@@ -51,7 +51,7 @@ class CooldownDurations:
         raise ValueError("no cool-down duration for class 'neither'")
 
 
-@dataclass
+@dataclass(slots=True)
 class _UserRecord:
     last_requested: str | None = None
     active: dict[SafetyClass, Instant] = field(default_factory=dict)
@@ -66,6 +66,8 @@ class CooldownState:
     shares one, so there are at most roster + 1 records. Mutations are
     serialized by the owning engine instance.
     """
+
+    __slots__ = ("scope", "roster", "_records")
 
     def __init__(self, scope: str = "user", roster: frozenset[str] = frozenset()):
         if scope not in COOLDOWN_SCOPES:
@@ -135,39 +137,43 @@ class CooldownState:
         user with no record gets an empty slice. The scope is the config's,
         so it is not written."""
         if user_id is None:
-            records = sorted(self._records.items())
-        else:
-            key = self._key(user_id)
-            records = [(key, self._records[key])] if key in self._records else []
-        return {
-            "users": {
-                uid: {
-                    "last_requested": rec.last_requested,
-                    "active": dict(sorted(rec.active.items())),
-                }
-                for uid, rec in records
-            },
-        }
+            return {
+                "users": {
+                    uid: {"last_requested": rec.last_requested, "active": dict(sorted(rec.active.items()))}
+                    for uid, rec in sorted(self._records.items())
+                },
+            }
+        key = self._key(user_id)
+        rec = self._records.get(key)
+        if rec is None:
+            return {"users": {}}
+        # A record has a window for at most the two flagged classes.
+        active = rec.active
+        active = dict(sorted(active.items())) if len(active) == 2 else active.copy()
+        return {"users": {key: {"last_requested": rec.last_requested, "active": active}}}
 
     @classmethod
     def restore(cls, snapshot: dict, *, scope: str, roster: frozenset[str] = frozenset()) -> "CooldownState":
         """The state a snapshot wrote, under `scope`, which the snapshot
         does not hold. Any record key is taken: a key that no request of
         this scope would read is simply never read."""
-        state = cls(scope=scope, roster=roster)
+        state = cls(scope, roster)
+        records = state._records
         for uid, rec in snapshot["users"].items():
             last = rec["last_requested"]
             if last is not None and not isinstance(last, str):
                 raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
-            record = _UserRecord(last_requested=last)
+            active = {}
             for cls_name, expiry in rec["active"].items():
                 # Only a class the engine arms a window for; taken as
                 # recorded, since converting would let an edited expiry verify.
-                if cls_name not in _FLAGGED_BY_TEXT:
+                safety_class = _FLAGGED_BY_TEXT.get(cls_name)
+                if safety_class is None:
                     raise ValueError(f"{uid!r} has a window for {cls_name!r}, which has no cool-down")
-                require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
-                record.active[_FLAGGED_BY_TEXT[cls_name]] = expiry
-            state._records[uid] = record
+                if type(expiry) is not int:
+                    require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
+                active[safety_class] = expiry
+            records[uid] = _UserRecord(last, active)
         return state
 
 

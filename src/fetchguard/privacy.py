@@ -30,7 +30,7 @@ class AdminHierarchy:
         return user_id in self.all_designators()
 
 
-@dataclass
+@dataclass(slots=True)
 class PersonalTag:
     tagged_by: str
     grants: set[str] = field(default_factory=set)
@@ -39,6 +39,8 @@ class PersonalTag:
 class PersonalRegistry:
     """Map of object_id -> (tagger, granted users). First tag wins; only the
     tagger may grant or re-tag."""
+
+    __slots__ = ("_tags",)
 
     def __init__(self):
         self._tags: dict[str, PersonalTag] = {}
@@ -87,12 +89,15 @@ class PersonalRegistry:
     @classmethod
     def restore(cls, snapshot: dict) -> "PersonalRegistry":
         reg = cls()
+        tags = reg._tags
         for obj, tag in snapshot.items():
             # Taken as recorded: converting would let an edited entry verify.
-            grants = tag["grants"]
-            require_type(f"tagger of {obj!r}", tag["tagged_by"], str)
-            require_type(f"grants on {obj!r}", grants, list)
-            for grantee in grants:
-                require_type(f"grantee on {obj!r}", grantee, str)
-            reg._tags[obj] = PersonalTag(tag["tagged_by"], set(grants))
+            grants, tagged_by = tag["grants"], tag["tagged_by"]
+            if not (type(tagged_by) is str and type(grants) is list and all(type(g) is str for g in grants)):
+                # The refusal, worded; str subclasses pass.
+                require_type(f"tagger of {obj!r}", tagged_by, str)
+                require_type(f"grants on {obj!r}", grants, list)
+                for grantee in grants:
+                    require_type(f"grantee on {obj!r}", grantee, str)
+            tags[obj] = PersonalTag(tagged_by, set(grants))
         return reg

@@ -9,18 +9,27 @@ group text through member(). `DecisionTrace.from_dict` always took the
 difference between the line's keys and the keys its version writes. The
 value objects are built here without running their own __post_init__,
 after the checks it used to run, so the readers' checks are compared too.
+
+The pre-state restores are copies of `CooldownState.restore` and
+`PersonalRegistry.restore` as they were before they tested each value's
+exact type in front of the `require_type` calls and built their records
+positionally, and `reference_user_snapshot` is `CooldownState.snapshot`'s
+one-record slice as it was before it built that record directly.
 """
 
 import math
 from dataclasses import fields
 
-from fetchguard import ContextSnapshot, Decision, DecisionTrace, EmotionSample, FetchRequest, Zone
+from fetchguard import ContextSnapshot, Decision, DecisionTrace, EmotionSample, FetchRequest, SafetyClass, Zone
 from fetchguard.engine import TRACE_VERSION
 from fetchguard.model import GROUP_BY_TEXT, member, require_type
+from fetchguard.ordering import CooldownState, _UserRecord
+from fetchguard.privacy import PersonalRegistry, PersonalTag
 
 _NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 _KEYS = frozenset(f.name for f in fields(DecisionTrace))
 _V1_KEYS = _KEYS - {"trace_version"}
+_FLAGGED_BY_TEXT = {cls.value: cls for cls in (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)}
 
 
 def _bare(cls, **values):
@@ -117,3 +126,45 @@ def reference_trace_from_dict(data):
     if extra:
         raise ValueError(f"keys the engine does not write: {sorted(extra)}")
     return trace
+
+
+def reference_cooldowns_restore(snapshot, *, scope, roster=frozenset()):
+    state = CooldownState(scope=scope, roster=roster)
+    for uid, rec in snapshot["users"].items():
+        last = rec["last_requested"]
+        if last is not None and not isinstance(last, str):
+            raise TypeError(f"last_requested of {uid!r} must be an object id, got {last!r}")
+        record = _UserRecord(last_requested=last)
+        for cls_name, expiry in rec["active"].items():
+            if cls_name not in _FLAGGED_BY_TEXT:
+                raise ValueError(f"{uid!r} has a window for {cls_name!r}, which has no cool-down")
+            require_type(f"{cls_name} expiry of {uid!r}", expiry, int)
+            record.active[_FLAGGED_BY_TEXT[cls_name]] = expiry
+        state._records[uid] = record
+    return state
+
+
+def reference_registry_restore(snapshot):
+    reg = PersonalRegistry()
+    for obj, tag in snapshot.items():
+        grants = tag["grants"]
+        require_type(f"tagger of {obj!r}", tag["tagged_by"], str)
+        require_type(f"grants on {obj!r}", grants, list)
+        for grantee in grants:
+            require_type(f"grantee on {obj!r}", grantee, str)
+        reg._tags[obj] = PersonalTag(tag["tagged_by"], set(grants))
+    return reg
+
+
+def reference_user_snapshot(state, user_id):
+    key = state._key(user_id)
+    records = [(key, state._records[key])] if key in state._records else []
+    return {
+        "users": {
+            uid: {
+                "last_requested": rec.last_requested,
+                "active": dict(sorted(rec.active.items())),
+            }
+            for uid, rec in records
+        },
+    }

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -35,6 +36,7 @@ from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
 from test_emotion import rebuilding_clamped
+from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -332,6 +334,33 @@ PRIVATE_STREAM = [
 TRACE_CONTAINERS = ["warnings", "events", "request", "pre_state"]
 
 
+def _warning_added(data):
+    data["warnings"].append("edited")
+
+
+def _unrestorable_record_added(data):
+    data["pre_state"]["cooldowns"]["users"]["mallory"] = {"last_requested": "knife", "active": {"dangerous": "bogus"}}
+
+
+def _verify_leaves_alone(trace, config, ok):
+    line, before = trace.to_json(), copy.deepcopy(trace)
+    assert verify_trace(trace, config).ok is ok
+    assert trace.to_json() == line
+    assert trace == before
+
+
+def _verify_leaves_it_and_its_tampered_copies_alone(trace, config):
+    """verify_trace changes nothing in a line that verifies, nor in two
+    copies that do not: one whose warnings fail after the whole re-run, and
+    one whose pre-state cannot be restored."""
+    _verify_leaves_alone(trace, config, True)
+    line = trace.to_json()
+    for tamper in (_warning_added, _unrestorable_record_added):
+        data = json.loads(line)
+        tamper(data)
+        _verify_leaves_alone(DecisionTrace.from_dict(data), config, False)
+
+
 class TestTracesAreTheirOwn:
     """A trace's containers belong to it alone: editing one trace's
     warnings, events, request or pre-state changes no other trace, no later
@@ -374,6 +403,19 @@ class TestTracesAreTheirOwn:
             assert (replayer.cooldowns.snapshot(), replayer.registry.snapshot()) == state
             assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == user_state
             assert verify_trace(DecisionTrace.from_dict(json.loads(line)), config).ok
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    def test_verifying_a_decided_trace_changes_nothing_in_it(self, shipped_config, audit_all):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        for request in PRIVATE_STREAM:
+            _verify_leaves_it_and_its_tampered_copies_alone(engine.decide(request)[1], shipped_config)
+
+    def test_verifying_a_golden_line_changes_nothing_in_it(self, shipped_config, golden_config):
+        configs = {config.fingerprint(): config for config in (shipped_config, golden_config)}
+        for path in GOLDEN_FILES + V3_FILES + V4_FILES:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                trace = DecisionTrace.from_dict(json.loads(line))
+                _verify_leaves_it_and_its_tampered_copies_alone(trace, configs[trace.config_fingerprint])
 
 
 ALICE_ON_COOLDOWN = {"last_requested": "knife", "active": {"dangerous": 1800}}

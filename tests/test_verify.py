@@ -4,6 +4,7 @@ next verify sees."""
 
 import copy
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
@@ -36,10 +37,15 @@ from fetchguard.bt import TickListener
 from fetchguard.errors import FetchguardError
 from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, _redecide, canonical_json
 from fetchguard.formats import RESERVED, STEPS, _events_as_written
+from fetchguard.ordering import COOLDOWN_SCOPES, CooldownState
+from fetchguard.privacy import PersonalRegistry
 from reference_readers import (
+    reference_cooldowns_restore,
     reference_decision_from_dict,
+    reference_registry_restore,
     reference_request_from_dict,
     reference_trace_from_dict,
+    reference_user_snapshot,
 )
 from test_golden import (
     FROZEN_FINGERPRINT,
@@ -848,7 +854,14 @@ def _repeated(value):
     return value + value[:1] if isinstance(value, list) else value
 
 
-#: The values the readers read, by their path in a line.
+#: A step that names the first key of a block keyed by an id: a pre-state's
+#: cool-down record or registry entry.
+ANY = "<any>"
+USERS = ("pre_state", "cooldowns", "users", ANY)
+ENTRY = ("pre_state", "personal_registry", ANY)
+#: The values the readers and the pre-state restores read, by their path in
+#: a line; an int step is a list's item. A window for "neither" is one the
+#: engine never arms.
 READ_PATHS = [
     ("trace_version",), ("request_id",), ("config_fingerprint",), ("audit_all",), ("request",),
     ("pre_state",), ("warnings",), ("events",), ("decision",),
@@ -859,6 +872,8 @@ READ_PATHS = [
     ("request", "context", "verbal_affirmation"), ("request", "context", "timestamp"),
     ("decision", "verdict"), ("decision", "deciding_policy"), ("decision", "reason"),
     ("decision", "effective_zone"), ("decision", "allowed_groups_at_leaf"),
+    USERS + ("last_requested",), USERS + ("active", "dangerous"), USERS + ("active", "mind_altering"),
+    USERS + ("active", "neither"), ENTRY + ("tagged_by",), ENTRY + ("grants",), ENTRY + ("grants", 0),
 ]
 #: The objects a reader requires exactly the keys of.
 OBJECT_PATHS = [(), ("request",), ("request", "emotion"), ("request", "context"), ("decision",)]
@@ -878,12 +893,23 @@ READER_EDITS = st.one_of(
 )
 
 
+def _key_in(block, step):
+    """The key or index that `step` names in block, present or not, or None
+    when it names none: ANY a dict's first key, an int a list's item."""
+    if isinstance(block, dict):
+        return next(iter(block), None) if step == ANY else step
+    if isinstance(block, list) and type(step) is int and step < len(block):
+        return step
+    return None
+
+
 def _within(data, path):
     for step in path:
-        if not isinstance(data, dict) or step not in data:
+        key = _key_in(data, step)
+        if key is None or (isinstance(data, dict) and key not in data):
             return None
-        data = data[step]
-    return data if isinstance(data, dict) else None
+        data = data[key]
+    return data
 
 
 def _apply_reader_edit(data, edit):
@@ -891,17 +917,20 @@ def _apply_reader_edit(data, edit):
     kind, path, arg = edit
     if kind == "add":
         block = _within(data, path)
-        if block is not None:
+        if isinstance(block, dict):
             block[arg] = 1
         return
-    block, key = _within(data, path[:-1]), path[-1]
-    if block is None:
+    block = _within(data, path[:-1])
+    key = _key_in(block, path[-1])
+    if key is None:
         return
+    present = key in block if isinstance(block, dict) else True
     if kind == "drop":
-        block.pop(key, None)
+        if present:
+            del block[key]
     elif kind == "set":
         block[key] = copy.deepcopy(arg)
-    elif key in block:
+    elif present:
         block[key] = arg(block[key])
 
 
@@ -912,10 +941,43 @@ def _read_with(reader, data):
         return "refused", type(exc), str(exc)
 
 
+#: The requesters a roster-scoped restore keeps records of their own for.
+READER_ROSTER = frozenset(user.user_id for user in default_config().users)
+
+
+def _cooldowns_read(restore, user_slice, snapshot, scope):
+    """What a cool-down restore under `scope` holds, and the one-record
+    slice it writes for each of its record keys and for a requester on and
+    off the roster; reprs, so that types and key order count too."""
+    state = restore(snapshot, scope=scope, roster=READER_ROSTER)
+    slices = [user_slice(state, uid) for uid in [*state._records, "alice", "mallory"]]
+    return state.scope, state.roster, repr(state._records), repr(slices)
+
+
+def _registry_read(restore, snapshot):
+    registry = restore(snapshot)
+    return repr(registry._tags), registry.snapshot()
+
+
+def _first_line(test):
+    """The first reader line whose pre-state passes `test` on its first
+    cool-down record and its first registry entry."""
+    for index, line in enumerate(READER_LINES):
+        pre_state = json.loads(line)["pre_state"]
+        record = next(iter(pre_state["cooldowns"]["users"].values()), {})
+        if test(record, next(iter(pre_state["personal_registry"].values()), {})):
+            return index
+    raise AssertionError("no reader line passes the test")
+
+
+BOTH_WINDOWS = _first_line(lambda record, entry: len(record.get("active", {})) == 2)
+GRANTED = _first_line(lambda record, entry: bool(entry.get("grants")))
+
+
 class TestReadersAgreeWithTheReferences:
-    """The readers against their earlier form (tests/reference_readers.py),
-    on real lines edited the ways a line can be wrong: equal objects, or
-    the same exception with the same text."""
+    """The readers and the pre-state restores against their earlier form
+    (tests/reference_readers.py), on real lines edited the ways a line can
+    be wrong: equal objects, or the same exception with the same text."""
 
     GROUPS = ("decision", "allowed_groups_at_leaf")
     CONTEXT = ("request", "context")
@@ -948,6 +1010,20 @@ class TestReadersAgreeWithTheReferences:
     @example(line=0, edits=[("set", EMOTION + ("valence",), True), ("set", EMOTION + ("arousal",), None)])
     @example(line=0, edits=[("set", ("request", "emotion", "arousal"), [0.5])])
     @example(line=len(READER_LINES) - 1, edits=[("set", ("trace_version",), 1)])
+    @example(line=BOTH_WINDOWS, edits=[])
+    @example(line=BOTH_WINDOWS, edits=[("set", USERS + ("active", "dangerous"), "bogus")])
+    @example(line=BOTH_WINDOWS, edits=[("map", USERS + ("active", "mind_altering"), _swap_bool_int)])
+    @example(line=BOTH_WINDOWS, edits=[("map", USERS + ("active", "dangerous"), _as_float)])
+    @example(line=BOTH_WINDOWS, edits=[("set", USERS + ("active", "neither"), 5)])
+    @example(line=BOTH_WINDOWS, edits=[("set", USERS + ("last_requested",), 3)])
+    @example(line=BOTH_WINDOWS, edits=[("map", USERS + ("last_requested",), _as_text)])
+    @example(line=GRANTED, edits=[])
+    @example(line=GRANTED, edits=[("set", ENTRY + ("tagged_by",), 3)])
+    @example(line=GRANTED, edits=[("map", ENTRY + ("tagged_by",), _as_text)])
+    @example(line=GRANTED, edits=[("set", ENTRY + ("grants",), "alice")])
+    @example(line=GRANTED, edits=[("set", ENTRY + ("grants", 0), None)])
+    @example(line=GRANTED, edits=[("map", ENTRY + ("grants", 0), _as_text)])
+    @example(line=GRANTED, edits=[("drop", ENTRY + ("grants",), None), ("set", ENTRY + ("tagged_by",), None)])
     def test_same_object_or_same_refusal(self, line, edits):
         data = json.loads(READER_LINES[line])
         for edit in edits:
@@ -956,6 +1032,15 @@ class TestReadersAgreeWithTheReferences:
         request, decision = data.get("request"), data.get("decision")
         assert _read_with(FetchRequest.from_dict, request) == _read_with(reference_request_from_dict, request)
         assert _read_with(Decision.from_dict, decision) == _read_with(reference_decision_from_dict, decision)
+        cooldowns = _within(data, ("pre_state", "cooldowns"))
+        for scope in COOLDOWN_SCOPES:
+            ours = functools.partial(_cooldowns_read, CooldownState.restore, CooldownState.snapshot, scope=scope)
+            theirs = functools.partial(_cooldowns_read, reference_cooldowns_restore, reference_user_snapshot, scope=scope)
+            assert _read_with(ours, cooldowns) == _read_with(theirs, cooldowns)
+        registry = _within(data, ("pre_state", "personal_registry"))
+        ours = functools.partial(_registry_read, PersonalRegistry.restore)
+        theirs = functools.partial(_registry_read, reference_registry_restore)
+        assert _read_with(ours, registry) == _read_with(theirs, registry)
 
     def test_the_lines_are_of_both_ends_of_the_versions_and_both_modes(self):
         traces = [DecisionTrace.from_dict(json.loads(line)) for line in READER_LINES]
