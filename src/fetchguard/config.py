@@ -81,6 +81,15 @@ def _strings(what: str, value) -> frozenset[str]:
     return _distinct(what, value)
 
 
+def _bound(what: str, value) -> float:
+    """A zone bound widened to float, as to_dict writes it, so that -1 and
+    -1.0 give one fingerprint. An int past float range is refused by name."""
+    try:
+        return float(require_type(what, value, int, float))
+    except OverflowError:
+        raise ValueError(f"{what} is an int past float range") from None
+
+
 def _known(value, section: str) -> None:
     """Refuse a key of a JSON object that its section does not name, rather
     than drop it: a misspelled optional key would read as absent. Of
@@ -301,9 +310,7 @@ class PolicyConfig:
         scope = require_type("cooldown_scope", data.get("cooldown_scope", "user"), str)
         rects = _each("zone_table", data["zone_table"], lambda r: ZoneRect(
             zone=Zone.from_str(r["zone"]),
-            # Widened to float, as to_dict writes them, so that -1 and -1.0
-            # give one fingerprint.
-            **{b: float(require_type(b, r[b], int, float)) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
+            **{b: _bound(b, r[b]) for b in ("v_lo", "v_hi", "a_lo", "a_hi")},
         ))
         # One entry per distinct (groups, checks): the shipped 48 rows share
         # 9. `bodies` finds it by the texts as written, so each distinct

@@ -482,10 +482,7 @@ class DecisionEngine:
         return details, None
 
     def _eval_ordering(self, st: _EvalState):
-        # The audit pass (a stage already failed) only reads the state.
-        st.active = self.cooldowns.active_cooldowns(
-            st.request.user_id, st.request.now, prune=st.failed_stage is None
-        )
+        st.active = self.cooldowns.active_cooldowns(st.request.user_id, st.request.now)
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
             "active_cooldowns": sorted(st.active),
@@ -579,8 +576,9 @@ class DecisionEngine:
             st.events.extend(self._audit_events(st))
 
         # Cool-down bookkeeping happens after the verdict and is the same for
-        # both verdicts; unknown objects have no safety class and leave the
-        # state untouched.
+        # both verdicts; it is a decision's only write to the cool-down
+        # state, and drops the requester's closed windows. Unknown objects
+        # have no safety class and leave the state untouched.
         if st.obj is not None:
             self.cooldowns.on_granted(request.user_id, st.obj, request.now, self.config.durations)
         else:

@@ -98,9 +98,12 @@ class CooldownState:
     def on_granted(
         self, user_id: str, obj: ObjectSpec, now: Instant, durations: CooldownDurations
     ) -> None:
-        """Remember the request and arm a flagged object's window for a full
-        duration from now, whether or not one was already running."""
+        """Drop the record's closed windows (expiry <= now), the one place a
+        window is removed; remember the request; and arm a flagged object's
+        window for a full duration from now, whether or not one was running."""
         rec = self._record(user_id)
+        if rec.active:
+            rec.active = {cls: expiry for cls, expiry in rec.active.items() if expiry > now}
         rec.last_requested = obj.object_id
         if obj.safety_class in _FLAGGED:
             rec.active[obj.safety_class] = now + durations.for_class(obj.safety_class)
@@ -108,21 +111,12 @@ class CooldownState:
     #: A denial re-arms the window just as a grant arms it.
     on_denied = on_granted
 
-    def active_cooldowns(
-        self, user_id: str, now: Instant, prune: bool = True
-    ) -> frozenset[SafetyClass]:
-        """Classes whose window is still open (expiry > now). Expired entries
-        are pruned as a side effect unless prune is false, in which case the
-        state is only read."""
+    def active_cooldowns(self, user_id: str, now: Instant) -> frozenset[SafetyClass]:
+        """Classes whose window is still open (expiry > now); only reads."""
         rec = self._records.get(self._key(user_id))
-        if rec is None:
+        if rec is None or not rec.active:
             return frozenset()
-        if not prune:
-            return frozenset(cls for cls, expiry in rec.active.items() if expiry > now)
-        expired = [cls for cls, expiry in rec.active.items() if expiry <= now]
-        for cls in expired:
-            del rec.active[cls]
-        return frozenset(rec.active)
+        return frozenset(cls for cls, expiry in rec.active.items() if expiry > now)
 
     def expiry(self, user_id: str, safety_class: SafetyClass) -> Instant | None:
         rec = self._records.get(self._key(user_id))

@@ -114,10 +114,8 @@ def reference_step(config, state, event):
     elif group == "ineligible":
         violation = ("eligibility", f"requester is under the minimum age of {MIN_ELIGIBLE_AGE}")
     else:
-        # Gate 2 reads the windows still open at `now`, and forgets the rest.
-        if record is not None:
-            record["active"] = {cls: expiry for cls, expiry in record["active"].items() if expiry > now}
-        active = sorted(record["active"]) if record is not None else []
+        # Gate 2 reads the windows still open at `now`.
+        active = sorted(cls for cls, expiry in record["active"].items() if expiry > now) if record is not None else []
         if "mind_altering" in active and obj["category"] == "vehicle":
             violation = ("ordering", "vehicle-category objects are unavailable during a mind-altering cool-down")
         else:
@@ -169,10 +167,12 @@ def reference_step(config, state, event):
             if violation is None and tag is not None and user_id != tag["tagged_by"] and user_id not in tag["grants"]:
                 violation = ("personal", "personal object, access not granted")
 
-    # Whatever the verdict, a known object becomes the last request, and a
-    # flagged one (re-)arms its class's window for a full duration.
+    # Whatever the verdict, a known object drops the record's windows closed
+    # at `now`, becomes the last request, and a flagged one (re-)arms its
+    # class's window for a full duration. An unknown object changes nothing.
     if obj is not None:
         record = cooldowns.setdefault(key, {"last_requested": None, "active": {}})
+        record["active"] = {cls: expiry for cls, expiry in record["active"].items() if expiry > now}
         record["last_requested"] = object_id
         if obj["safety_class"] in FLAGGED:
             record["active"][obj["safety_class"]] = now + config["durations"][obj["safety_class"] + "_s"]

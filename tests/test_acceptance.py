@@ -141,8 +141,13 @@ def test_criterion_2_denial_reset_matches_brute_force_oracle():
                 state.on_denied(user, obj, now, durations)
             else:
                 state.on_granted(user, obj, now, durations)
+            # The requester's closed windows go at each of their requests;
+            # denied-or-granted, a flagged object's window resets to a full
+            # duration.
+            for cls in (D, M):
+                if oracle.get((user, cls), now + 1) <= now:
+                    del oracle[(user, cls)]
             if obj.safety_class in (D, M):
-                # Denied-or-granted, the window resets to a full duration.
                 oracle[(user, obj.safety_class)] = now + durations.for_class(obj.safety_class)
             probe = rng.choice(users)
             expected = frozenset(
@@ -150,9 +155,7 @@ def test_criterion_2_denial_reset_matches_brute_force_oracle():
             )
             assert state.active_cooldowns(probe, now) == expected
             for cls in (D, M):
-                exp = oracle.get((probe, cls))
-                # Expired entries were just pruned by the probe above.
-                assert state.expiry(probe, cls) == (exp if exp is not None and exp > now else None)
+                assert state.expiry(probe, cls) == oracle.get((probe, cls))
     print("ACCEPTANCE PASS 2: denial reset exact over 1000 randomized sequences vs oracle")
 
 

@@ -457,6 +457,15 @@ class TestHistoryIsNotRead:
         assert towel.pre_state["personal_registry"] == {}
         assert diary.pre_state["personal_registry"] == {"diary": {"tagged_by": "alice", "grants": []}}
 
+    def test_a_line_recording_a_closed_window_still_verifies(self, shipped_config):
+        # Lines written before closed windows were dropped at the
+        # requester's next request hold them in their pre-state.
+        trace = self.decide_after(shipped_config, {"dave": ALICE_ON_COOLDOWN}, make_request("dave", "towel", now=2100))
+        assert trace.pre_state["cooldowns"] == {"users": {"dave": ALICE_ON_COOLDOWN}}
+        line = json.loads(trace.to_json())
+        assert line["trace_version"] == 6
+        assert verify_trace(DecisionTrace.from_dict(line), shipped_config).ok
+
     def test_household_scope_records_the_household_record(self):
         data = default_config().to_dict()
         data["cooldown_scope"] = "household"
@@ -591,6 +600,19 @@ class TestAuditMode:
         plain = self.pre_states(shipped_config, stream, audit_all=False)
         assert '"dangerous":1800' in plain[2]
         assert self.pre_states(shipped_config, stream, audit_all=True) == plain
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+    def test_an_ineligible_request_closes_the_requesters_windows(self, shipped_config, audit_all):
+        # dave (4) is denied at eligibility, yet his towel request at 2000
+        # drops the knife window that closed at 1800. (A request for an
+        # unknown object writes nothing: see the test above.)
+        stream = [
+            make_request("dave", "knife", now=0),
+            make_request("dave", "towel", now=2000),
+            make_request("dave", "towel", now=2100),
+        ]
+        third = json.loads(self.pre_states(shipped_config, stream, audit_all)[2])
+        assert third["cooldowns"] == {"users": {"dave": {"last_requested": "towel", "active": {}}}}
 
     @settings(max_examples=100, deadline=None)
     @given(

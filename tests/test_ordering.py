@@ -84,21 +84,24 @@ class TestActiveWindows:
         state.on_granted("alice", PILLS, 10, DEFAULTS)
         assert state.active_cooldowns("alice", 100) == {D, M}
 
-    def test_expired_entries_are_pruned(self):
+    def test_closed_windows_go_at_the_next_request(self):
+        # Reading leaves a closed window; the requester's next grant or
+        # denial, here of a neither-class object, drops it.
         state = CooldownState()
         state.on_granted("alice", KNIFE, 0, DEFAULTS)
-        state.active_cooldowns("alice", 5000)
+        assert state.active_cooldowns("alice", 5000) == frozenset()
+        assert state.snapshot()["users"]["alice"]["active"] == {"dangerous": 1800}
+        state.on_granted("alice", TOWEL, 5000, DEFAULTS)
         assert state.snapshot()["users"]["alice"]["active"] == {}
 
-    def test_without_pruning_the_state_is_only_read(self):
+    @pytest.mark.parametrize("now", [0, 9, 10, 1799, 1800, 1801, 5000, 14409, 14410, 14411, 10**6])
+    def test_active_cooldowns_only_reads(self, now):
         state = CooldownState()
         state.on_granted("alice", KNIFE, 0, DEFAULTS)
         state.on_granted("alice", PILLS, 10, DEFAULTS)
         before = state.snapshot()
-        assert state.active_cooldowns("alice", 5000, prune=False) == {M}
+        assert state.active_cooldowns("alice", now) == {cls for cls, expiry in ((D, 1800), (M, 14410)) if expiry > now}
         assert state.snapshot() == before
-        assert state.active_cooldowns("alice", 5000) == {M}
-        assert state.snapshot()["users"]["alice"]["active"] == {"mind_altering": 10 + 4 * 60 * 60}
 
     def test_per_user_isolation(self):
         state = CooldownState()

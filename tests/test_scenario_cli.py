@@ -203,6 +203,39 @@ class TestCliValidate:
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def config_with_zone_bound(tmp_path, text):
+    """The shipped config file with zone_table[0].v_hi written as `text`."""
+    data = json.loads(Path(DEFAULT_CONFIG).read_text(encoding="utf-8"))
+    data["zone_table"][0]["v_hi"] = "BOUND"
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(data).replace('"BOUND"', text), encoding="utf-8")
+    return str(path)
+
+
+class TestCliZoneBoundPastFloatRange:
+    # An int bound past float range cannot widen to a float; a float one
+    # parses as infinity, which validation reports.
+    REFUSAL = "cannot load config {}: malformed policy config: zone_table[0]: v_hi is an int past float range"
+
+    def test_validate_refuses_an_int_bound_by_name(self, tmp_path, capsys):
+        path = config_with_zone_bound(tmp_path, str(10**400))
+        assert main(["validate", "--config", path]) == 2
+        assert self.REFUSAL.format(path) in capsys.readouterr().err
+
+    def test_run_refuses_an_int_bound_before_running(self, tmp_path, capsys):
+        path = config_with_zone_bound(tmp_path, str(10**400))
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["run", "--config", path, "--scenario", str(SCENARIOS / "vehicle_ban.json"), "--trace", str(trace_path)])
+        assert code == 2
+        assert not trace_path.exists()
+        assert self.REFUSAL.format(path) in capsys.readouterr().err
+
+    def test_a_float_bound_parses_and_is_out_of_bounds(self, tmp_path, capsys):
+        path = config_with_zone_bound(tmp_path, "1e400")
+        assert main(["validate", "--config", path]) == 1
+        assert "[out-of-bounds] rect #0 (red): exceeds [-1,1]" in capsys.readouterr().out
+
+
 class TestCliRun:
     def run_scenario_file(self, tmp_path, name="vehicle_ban.json", extra=()):
         trace_path = tmp_path / "out.jsonl"
