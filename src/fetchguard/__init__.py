@@ -32,6 +32,7 @@ from .engine import (
     DecisionTrace,
     FetchRequest,
     VerifyResult,
+    redecide,
     replay,
     verify_trace,
 )

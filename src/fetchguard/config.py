@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .emotion import Zone, ZoneRect, ZoneTable, validate_zone_table
 from .errors import ConfigError
@@ -20,6 +22,7 @@ from .model import (
     GROUP_BY_TEXT,
     MIN_ELIGIBLE_AGE,
     RELATIONSHIP_BY_TEXT,
+    Finding,
     ObjectSpec,
     Region,
     Relationship,
@@ -174,46 +177,43 @@ class InitialTag:
         object.__setattr__(self, "grants", frozenset(self.grants))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
-    """A household's whole policy.
-
-    Validation, the fingerprint, the id lookups and the engine that replays
-    traces are each worked out on first use and memoized per instance, so a
-    config must not be mutated after its first use: build a fresh one
-    instead.
-    """
+    """A household's whole policy, as a value: its lists are kept as tuples
+    and its matrix as a read-only copy, so nothing a caller holds can change
+    a built config and nothing it works out once can go stale. Build a
+    changed config with dataclasses.replace."""
 
     region: Region
     durations: CooldownDurations
     cooldown_scope: str
     zone_table: ZoneTable
     matrix: Matrix
-    category_rules: list[CategoryRule]
-    objects: list[ObjectSpec]
-    users: list[UserProfile]
+    category_rules: tuple[CategoryRule, ...]
+    objects: tuple[ObjectSpec, ...]
+    users: tuple[UserProfile, ...]
     admin: AdminHierarchy
-    personal_tags: list[InitialTag] = field(default_factory=list)
+    personal_tags: tuple[InitialTag, ...] = ()
 
-    _validation_cache: Report | None = field(default=None, init=False, repr=False, compare=False)
-    _fingerprint_cache: str | None = field(default=None, init=False, repr=False, compare=False)
-    _objects_by_id: dict[str, ObjectSpec] | None = field(default=None, init=False, repr=False, compare=False)
-    _users_by_id: dict[str, UserProfile] | None = field(default=None, init=False, repr=False, compare=False)
-    #: The engine verify_trace and replay restore and re-decide on; built by
-    #: fetchguard.engine on first use and never handed to a caller.
-    _replay_engine: object = field(default=None, init=False, repr=False, compare=False)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", MappingProxyType(dict(self.matrix)))
+        for name in ("category_rules", "objects", "users", "personal_tags"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # Reversed, so that the first of two equal ids wins, as a scan would.
+        object.__setattr__(self, "_objects_by_id", {o.object_id: o for o in reversed(self.objects)})
+        object.__setattr__(self, "_users_by_id", {u.user_id: u for u in reversed(self.users)})
 
     def object_by_id(self, object_id: str) -> ObjectSpec | None:
-        if self._objects_by_id is None:
-            # Reversed, so that the first of two equal ids wins, as a scan
-            # would; validation refuses duplicates anyway.
-            self._objects_by_id = {o.object_id: o for o in reversed(self.objects)}
         return self._objects_by_id.get(object_id)
 
     def user_by_id(self, user_id: str) -> UserProfile | None:
-        if self._users_by_id is None:
-            self._users_by_id = {u.user_id: u for u in reversed(self.users)}
         return self._users_by_id.get(user_id)
+
+    @cached_property
+    def _replayer(self):
+        """The engine redecide restores and re-decides on; no caller gets it."""
+        from .engine import DecisionEngine  # engine.py imports this module
+        return DecisionEngine(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -335,7 +335,7 @@ class PolicyConfig:
             return key, entry
 
         rows = _each("matrix", data["matrix"], matrix_row)
-        matrix: Matrix = {}
+        matrix: dict[MatrixKey, MatrixEntry] = {}
         for i, (key, entry) in enumerate(rows):
             if key in matrix:
                 first = [k for k, _ in rows].index(key)
@@ -403,16 +403,20 @@ class PolicyConfig:
         return _canonical(self.to_dict()).encode("utf-8")
 
     def fingerprint(self) -> str:
-        if self._fingerprint_cache is None:
-            self._fingerprint_cache = hashlib.sha256(self.canonical_bytes()).hexdigest()
-        return self._fingerprint_cache
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> Report:
-        """All validators, memoized per instance."""
-        if self._validation_cache is not None:
-            return self._validation_cache
+        """All validators' findings, worked out once; a fresh report per call."""
+        return Report(list(self._findings))
+
+    @cached_property
+    def _findings(self) -> tuple[Finding, ...]:
         report = Report()
         report.extend(validate_zone_table(self.zone_table))
         report.extend(validate_matrix(self.matrix))
@@ -422,8 +426,7 @@ class PolicyConfig:
         report.extend(self._validate_admin_and_tags())
         if self.cooldown_scope not in COOLDOWN_SCOPES:
             report.add("bad-scope", f"cooldown_scope must be one of {COOLDOWN_SCOPES}, got {self.cooldown_scope!r}")
-        self._validation_cache = report
-        return report
+        return tuple(report.findings)
 
     def _validate_roster(self) -> Report:
         report = Report()
@@ -490,14 +493,11 @@ class PolicyConfig:
 
 
 def default_config() -> PolicyConfig:
-    """The shipped household, read afresh from SHIPPED_CONFIG on each call
-    and not yet used, since callers may edit what they get. A file whose
-    fingerprint is not SHIPPED_FINGERPRINT is refused, so that a drifted
-    file fails the corpus run and the benchmark, which would otherwise check
-    it against itself."""
+    """The shipped household, read afresh from SHIPPED_CONFIG on each call.
+    A file whose fingerprint is not SHIPPED_FINGERPRINT is refused, so that
+    a drifted file fails the corpus run and the benchmark, which would
+    otherwise check it against itself."""
     config = PolicyConfig.load(SHIPPED_CONFIG)
-    # Not config.fingerprint(), which would memoize it before those edits.
-    fingerprint = hashlib.sha256(config.canonical_bytes()).hexdigest()
-    if fingerprint != SHIPPED_FINGERPRINT:
+    if (fingerprint := config.fingerprint()) != SHIPPED_FINGERPRINT:
         raise ConfigError(f"{SHIPPED_CONFIG}: fingerprint {fingerprint} is not the shipped {SHIPPED_FINGERPRINT}")
     return config

@@ -608,23 +608,22 @@ class DecisionEngine:
         return events
 
 
-def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:
-    """Decide a recorded request again, restored to the recorded pre-state.
+def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:
+    """The one replay step: a recorded request decided again from its pre-state.
 
     The config keeps one replay engine of its own, built on first use and
     restored whole for every trace, so no state carries over from one trace
-    to the next. Refuses with ReplayError when the config fingerprint
-    differs from the trace's (anything else would not be an audit), or when
-    the recorded request or pre-state cannot be read back."""
+    to the next, and, like decide(), this serves one caller at a time.
+    Refuses with ReplayError when the config fingerprint differs from the
+    trace's (anything else would not be an audit), or when the recorded
+    request or pre-state cannot be read back."""
     if config.fingerprint() != trace.config_fingerprint:
         raise ReplayError("config fingerprint does not match the trace")
     try:
         request = FetchRequest.from_dict(trace.request)
     except (KeyError, TypeError, ValueError) as exc:
         raise ReplayError(f"recorded request cannot be read: {exc!r}") from exc
-    engine = config._replay_engine
-    if engine is None:
-        engine = config._replay_engine = DecisionEngine(config)
+    engine = config._replayer
     try:
         check_fixed_facts(trace.pre_state, trace.trace_version, config.cooldown_scope)
         engine.restore_state(trace.pre_state)
@@ -639,11 +638,11 @@ def _redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Dec
 
 
 def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
-    """Re-decide a recorded request from its recorded pre-state.
+    """Re-decide a recorded request from its recorded pre-state (redecide).
 
     Raises ReplayError when the config fingerprint differs from the trace's
     or the trace cannot be replayed."""
-    return _redecide(trace, config)[0]
+    return redecide(trace, config)[0]
 
 
 @dataclass
@@ -664,10 +663,9 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
 
     Any tampering with the recorded snapshots shows up as a mismatch, and a
     trace that cannot be replayed at all fails with one named mismatch. All
-    verifies on one config share that config's replay engine, so, like
-    decide(), verify_trace serves one caller at a time."""
+    verifies on one config share that config's replay engine (redecide)."""
     try:
-        decision, fresh = _redecide(trace, config)
+        decision, fresh = redecide(trace, config)
     except ReplayError as exc:
         return VerifyResult(False, [str(exc)], None)
     mismatches = []

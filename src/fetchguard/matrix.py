@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .emotion import Zone, escalate
 from .errors import ConfigError
@@ -118,7 +118,7 @@ class MatrixEntry:
         object.__setattr__(self, "check_texts", tuple(sorted(self.required_checks)))
 
 
-Matrix = dict[MatrixKey, MatrixEntry]
+Matrix = Mapping[MatrixKey, MatrixEntry]
 
 
 @dataclass(frozen=True)

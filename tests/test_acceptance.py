@@ -222,16 +222,16 @@ def test_criterion_6_matrix_laws_and_violation_detection():
     assert validate_matrix(default_config().matrix).ok
     assert len(default_config().matrix) == 48
 
-    short = default_config().matrix
+    short = dict(default_config().matrix)
     del short[MatrixKey(frozenset(), N, Zone.GREEN)]
     assert "missing-key" in validate_matrix(short).codes()
 
-    bumpy = default_config().matrix
+    bumpy = dict(default_config().matrix)
     # Red suddenly admits a teen that every better zone refuses.
     bumpy[MatrixKey(frozenset(), D, Zone.RED)] = MatrixEntry(frozenset({UserGroup.HA, UserGroup.HT}))
     assert "zone-monotonicity" in validate_matrix(bumpy).codes()
 
-    leaky = default_config().matrix
+    leaky = dict(default_config().matrix)
     leaky[MatrixKey(frozenset(), N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS | {UserGroup.INELIGIBLE})
     assert "ineligible-group" in validate_matrix(leaky).codes()
     print("ACCEPTANCE PASS 6: matrix validator passes shipped default, catches 3 violations")

@@ -101,12 +101,12 @@ class TestTable:
         rows = self.rows()
         # Medians of four: the mean of the middle two. Quartiles interpolate
         # between the sorted base values: 105.5 and 108.5 here.
-        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4", "ok"]
+        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4", "-", "ok"]
         # Higher is better here: the change won where it read more.
-        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4", "ok"]
+        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4", "-", "ok"]
 
     def test_a_tie_counts_for_neither_side(self):
-        assert self.rows()["trace_bytes_mean"][-3:] == ["47.5", "0/4", "ok"]
+        assert self.rows()["trace_bytes_mean"][-4:] == ["47.5", "0/4", "-", "ok"]
 
     def test_a_metric_no_run_printed_gets_no_row(self):
         assert list(self.rows()) == ["metric", "verify_us_p50", "decisions_per_s", "trace_bytes_mean"]
@@ -116,7 +116,7 @@ class TestTable:
         pairs = [({"setup_s": b}, {"setup_s": c}) for b, c in
                  ((0.001281, 0.001093), (0.001275, 0.001101), (0.001302, 0.001088), (0.001290, 0.001097))]
         row = bench_pairs.table([setup], pairs).splitlines()[1].split()
-        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4", "ok"]
+        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4", "-", "ok"]
 
     @pytest.mark.parametrize(
         "metric, change, column",
@@ -150,7 +150,55 @@ class TestTable:
     def test_one_pair_has_no_spread(self):
         assert bench_pairs.quartile_spread([5.0]) == 0.0
         rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
-        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1", "ok"]
+        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1", "-", "ok"]
+
+
+class TestClaim:
+    """The claim column applies the rule a claimed gain is held to: at least
+    ten pairs, at least nine tenths of them won, and a median gain larger
+    than the base quartile spread."""
+
+    METRIC = {"name": "m", "unit": "us", "better": "lower", "bound": 0.15}
+
+    def claim(self, pairs, metric=METRIC):
+        return bench_pairs.table([metric], pairs).splitlines()[1].split()[-2]
+
+    @staticmethod
+    def pairs(bases, won, n):
+        """n pairs on the given base values; the change reads 10 lower on the
+        first `won` pairs and 1 higher on the rest."""
+        return [({"m": b}, {"m": b - 10 if i < won else b + 1}) for i, b in enumerate(bases[:n])]
+
+    BASES = [100.0, 101.0, 102.0, 99.0, 100.5, 101.5, 98.5, 100.0, 99.5, 100.0]
+
+    def test_the_header_names_the_column_before_the_bound(self):
+        assert bench_pairs.table([self.METRIC], self.pairs(self.BASES, 10, 10)).splitlines()[0].split()[-2:] == [
+            "claim", "bound",
+        ]
+
+    def test_nine_of_ten_won_is_met(self):
+        assert self.claim(self.pairs(self.BASES, 9, 10)) == "met"
+
+    def test_eight_of_ten_won_is_not(self):
+        assert self.claim(self.pairs(self.BASES, 8, 10)) == "-"
+
+    def test_nine_of_nine_won_is_too_few_pairs(self):
+        assert self.claim(self.pairs(self.BASES, 9, 9)) == "-"
+
+    def test_a_gain_equal_to_the_spread_is_not_met(self):
+        # Base quartiles 98.25 and 102.75: a spread of 4.5. The change wins
+        # every pair, and its median is lower by exactly 4.5, then by 5.
+        bases = [float(b) for b in range(96, 106)]
+        assert bench_pairs.quartile_spread(bases) == 4.5
+        pairs = [({"m": b}, {"m": b - 4.5}) for b in bases]
+        assert self.claim(pairs) == "-"
+        assert self.claim([(base, {"m": change["m"] - 0.5}) for base, change in pairs]) == "met"
+
+    def test_higher_is_better_wins_upwards(self):
+        metric = {"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}
+        pairs = [({"m": b}, {"m": b + 10}) for b in self.BASES]
+        assert self.claim(pairs, metric) == "met"
+        assert self.claim([(change, base) for base, change in pairs], metric) == "-"
 
 
 class TestSeveralWorkloads:
@@ -196,8 +244,8 @@ class TestSeveralWorkloads:
         ]
         rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[1:-1]} for t in tables]
         # Base medians 100 + seed 2 + len(workload): 114 and 115.
-        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3", "ok"]
-        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3", "ok"]
+        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3", "-", "ok"]
+        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3", "-", "ok"]
         assert [t.splitlines()[-1] for t in tables] == ["decided alike on 3/3 pairs"] * 2
 
     def test_one_workload_prints_one_table(self, monkeypatch, capsys):

@@ -6,8 +6,9 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest,
 from fetchguard.emotion import Zone
 from fetchguard.matrix import ALL_CLASSES, ALL_KEYS, ALL_ZONES, KEY_BY_TEXTS, MATRIX_CHECKS
 from fetchguard.model import SafetyClass, UserGroup
+from fetchguard.ordering import CooldownDurations
+from test_reference_engine import CONFIGS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
@@ -59,13 +62,19 @@ class TestDefaults:
     def test_each_call_loads_a_config_of_its_own(self):
         first, second = default_config(), default_config()
         assert first == second and first is not second
-        first.users.pop()
-        first.matrix.clear()
-        first.personal_tags.clear()
-        assert default_config() == second
-        # Nothing is memoized yet, so an edit shows in the fingerprint.
-        first.durations = replace(first.durations, dangerous=1801)
-        assert first.fingerprint() != SHIPPED_FINGERPRINT
+        # A config is a value: none of these edits can be made in place.
+        with pytest.raises(AttributeError):
+            first.users.pop()
+        with pytest.raises(AttributeError):
+            first.matrix.clear()
+        with pytest.raises(AttributeError):
+            first.personal_tags.clear()
+        with pytest.raises(FrozenInstanceError):
+            first.durations = replace(first.durations, dangerous=1801)
+        assert default_config() == second == first
+        # An edited copy is a config of its own, with a fingerprint of its own.
+        edited = replace(first, durations=replace(first.durations, dangerous=1801))
+        assert edited.fingerprint() != SHIPPED_FINGERPRINT == first.fingerprint()
 
     def test_dict_roundtrip_preserves_fingerprint(self, shipped_config):
         clone = PolicyConfig.from_dict(shipped_config.to_dict())
@@ -81,6 +90,82 @@ class TestDefaults:
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(data))
         assert PolicyConfig.load(edited).fingerprint() != shipped_config.fingerprint()
+
+
+def built_directly(config):
+    """config rebuilt by a direct call with list and dict arguments, as a
+    test builds a purpose-made household."""
+    return PolicyConfig(
+        region=config.region,
+        durations=config.durations,
+        cooldown_scope=config.cooldown_scope,
+        zone_table=config.zone_table,
+        matrix=dict(config.matrix),
+        category_rules=list(config.category_rules),
+        objects=list(config.objects),
+        users=list(config.users),
+        admin=config.admin,
+        personal_tags=list(config.personal_tags),
+    )
+
+
+class TestAConfigIsAValue:
+    """A built config cannot change, so what it works out once (validation,
+    the fingerprint, the id lookups, the replay engine) cannot go stale."""
+
+    def test_an_edit_after_first_use_fails_at_once(self):
+        config = default_config()
+        assert config.fingerprint() == SHIPPED_FINGERPRINT and config.validate().ok
+        with pytest.raises(FrozenInstanceError):
+            config.durations = CooldownDurations(dangerous=1, mind_altering=1)
+        with pytest.raises(AttributeError):
+            config.users.append(config.users[0])
+        with pytest.raises(TypeError):
+            config.matrix[ALL_KEYS[0]] = config.matrix[ALL_KEYS[1]]
+        assert config == default_config() and config.validate().ok
+        assert config.fingerprint() == SHIPPED_FINGERPRINT
+
+    def test_the_lists_and_dict_it_was_built_from_change_nothing(self):
+        shipped = default_config()
+        users, matrix = list(shipped.users), dict(shipped.matrix)
+        config = replace(shipped, users=users, matrix=matrix)
+        assert config.fingerprint() == SHIPPED_FINGERPRINT and config.validate().ok
+        users.append(users[0])
+        matrix.clear()
+        assert config == shipped and config.validate().ok
+        assert PolicyConfig.from_dict(config.to_dict()).fingerprint() == SHIPPED_FINGERPRINT
+        DecisionEngine(config)
+
+    def test_an_edited_report_leaves_the_engine_refusing(self):
+        data = json.loads(json.dumps(SHIPPED_DATA))
+        data["users"].append(data["users"][0])
+        config = PolicyConfig.from_dict(data)
+        report = config.validate()
+        assert "duplicate-user-id" in report.codes()
+        report.findings.clear()
+        assert "duplicate-user-id" in config.validate().codes()
+        with pytest.raises(ConfigError, match="duplicate-user-id"):
+            DecisionEngine(config)
+
+    def test_an_extended_report_leaves_the_engine_building(self):
+        config = default_config()
+        bad = PolicyConfig.from_dict({**SHIPPED_DATA, "cooldown_scope": "street"})
+        config.validate().extend(bad.validate())
+        assert config.validate().ok
+        DecisionEngine(config)
+
+    @pytest.mark.parametrize(
+        "parsed",
+        [default_config()] + [config for _, config in CONFIGS],
+        ids=["shipped"] + [f"{config.cooldown_scope}-{len(config.personal_tags)}-tags" for _, config in CONFIGS],
+    )
+    def test_every_way_of_building_a_config_gives_one_value(self, parsed):
+        ways = [PolicyConfig.from_dict(parsed.to_dict()), replace(parsed), built_directly(parsed)]
+        for built in ways:
+            assert built == parsed and built.fingerprint() == parsed.fingerprint()
+        for built in [parsed, *ways]:
+            assert type(built.matrix) is MappingProxyType
+            assert {type(getattr(built, name)) for name in ("category_rules", "objects", "users", "personal_tags")} == {tuple}
 
 
 def broken(mutate):

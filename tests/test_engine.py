@@ -16,6 +16,7 @@ from fetchguard import (
     DecisionTrace,
     DENY,
     EmotionSample,
+    FetchguardError,
     FetchRequest,
     PermissionDeniedError,
     PolicyConfig,
@@ -37,6 +38,7 @@ from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
 from test_emotion import rebuilding_clamped
 from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES
+from test_reference_engine import CONFIGS, random_stream
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -50,6 +52,28 @@ def make_request(user, obj, emotion=GREEN, context=None, now=0, request_id="req-
     if context is None:
         context = ContextSnapshot(room="kitchen", adult_present=True, verbal_affirmation=True, timestamp=now)
     return FetchRequest(request_id, user, obj, emotion, context, now)
+
+
+def outcomes(config, audit_all, events, shift):
+    """What a fresh engine makes of a random_stream with every time moved by
+    shift: each request's decision, and whether each write was taken."""
+    engine, made = DecisionEngine(config, audit_all=audit_all), []
+    for event in events:
+        if event["type"] == "request":
+            now = event["now"] + shift
+            context = ContextSnapshot(event["room"], event["adult_present"], event["verbal_affirmation"], now)
+            emotion = EmotionSample(event["valence"], event["arousal"])
+            made.append(engine.decide(FetchRequest("req", event["user"], event["object"], emotion, context, now))[0])
+            continue
+        try:
+            if event["type"] == "tag_personal":
+                engine.apply_tag(event["actor"], event["object"])
+            else:
+                engine.apply_grant(event["actor"], event["object"], event["grantee"])
+            made.append(True)
+        except FetchguardError:
+            made.append(False)
+    return made
 
 
 class TestAdminEvents:
@@ -396,7 +420,7 @@ class TestTracesAreTheirOwn:
             assert trace.to_json() == twin.decide(request)[1].to_json()
             line = trace.to_json()
             assert verify_trace(trace, config).ok
-            replayer = config._replay_engine
+            replayer = config._replayer
             state = (replayer.cooldowns.snapshot(), replayer.registry.snapshot())
             user_state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
             _scribble(getattr(trace, part))
@@ -746,6 +770,21 @@ class TestTighteningLaws:
         ]
         if verdict(shipped_config, dataclasses.replace(request, user_id="mallory"), *firsts) == DENY:
             assert verdict(shipped_config, dataclasses.replace(request, user_id=renamed), *firsts) == DENY
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        configs=st.sampled_from(CONFIGS),
+        audit_all=st.booleans(),
+        rnd=st.randoms(use_true_random=True),
+        shift=st.integers(-(10**9), 10**9),
+    )
+    def test_a_shifted_clock_changes_no_decision(self, configs, audit_all, rnd, shift):
+        # The time-shift law: only the time between requests is read, so
+        # moving every now and context timestamp by one constant changes no
+        # decision and no write's outcome.
+        _, config = configs
+        events = random_stream(rnd)
+        assert outcomes(config, audit_all, events, shift) == outcomes(config, audit_all, events, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -103,26 +103,26 @@ class TestValidator:
         assert len(default_config().matrix) == 4 * 3 * 4
 
     def test_missing_key_detected(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         del matrix[key(NONE, N, Zone.GREEN)]
         report = validate_matrix(matrix)
         assert "missing-key" in report.codes()
 
     def test_zone_monotonicity_violation_detected(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         # Red/dangerous suddenly admits HA while yellow admits fewer: illegal.
         matrix[key(NONE, D, Zone.RED)] = MatrixEntry(frozenset({g.HA, g.HT}))
         report = validate_matrix(matrix)
         assert "zone-monotonicity" in report.codes()
 
     def test_cooldown_monotonicity_violation_detected(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         matrix[key({D}, N, Zone.RED)] = MatrixEntry(ALL_GROUPS)
         report = validate_matrix(matrix)
         assert "cooldown-monotonicity" in report.codes()
 
     def test_a_dead_row_between_two_live_rows_keeps_the_check_law(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         # Red/mind-altering admits HA with no checks; orange admits nobody,
         # and yellow asks for verbal affirmation.
         matrix[key(NONE, M, Zone.RED)] = MatrixEntry(frozenset({g.HA}))
@@ -131,13 +131,13 @@ class TestValidator:
         assert reference_validate_matrix(matrix).codes() == report.codes()
 
     def test_ineligible_membership_detected(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         matrix[key(NONE, N, Zone.GREEN)] = MatrixEntry(ALL_GROUPS | {g.INELIGIBLE})
         report = validate_matrix(matrix)
         assert "ineligible-group" in report.codes()
 
     def test_checks_on_dead_branch_detected(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         matrix[key(NONE, M, Zone.RED)] = MatrixEntry(frozenset(), frozenset({"verbal_affirmation"}))
         report = validate_matrix(matrix)
         assert "dead-branch-checks" in report.codes()
@@ -340,7 +340,7 @@ class TestGateFourInOneFunction:
 def edited_default_matrices(draw):
     """The shipped matrix after one to three single-row edits, none of which
     adds a row outside ALL_KEYS."""
-    matrix = default_config().matrix
+    matrix = dict(default_config().matrix)
     groups_in_order = sorted(ALL_GROUPS)
     for _ in range(draw(st.integers(1, 3))):
         kinds = ["add-group", "drop-group", "drop-check", "delete-row", "checks-on-empty-row", "ineligible"]
@@ -391,7 +391,7 @@ class TestKeysAndValidatorDefinedOnce:
         assert built == []
 
     def test_findings_come_key_major_then_zone_then_each_added_class(self):
-        matrix = default_config().matrix
+        matrix = dict(default_config().matrix)
         matrix[key(NONE, D, Zone.RED)] = MatrixEntry(frozenset({g.HA, g.HT}))
         matrix[key({D}, N, Zone.RED)] = MatrixEntry(ALL_GROUPS)
         matrix[key(NONE, N, Zone.RED)] = MatrixEntry(frozenset({g.HA}))

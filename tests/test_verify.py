@@ -35,7 +35,7 @@ from fetchguard import (
 )
 from fetchguard.bt import TickListener
 from fetchguard.errors import FetchguardError
-from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, _redecide, canonical_json
+from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, canonical_json, redecide
 from fetchguard.formats import RESERVED, STEPS, _events_as_written
 from fetchguard.ordering import COOLDOWN_SCOPES, CooldownState
 from fetchguard.privacy import PersonalRegistry
@@ -1268,7 +1268,7 @@ class TestPreStateComparedAsValue:
         apply_edit(edited.pre_state, data.draw(st.sampled_from(single_leaf_edits(edited.pre_state))))
         result = verify_trace(edited, shipped_config)
         try:
-            _, fresh = _redecide(edited, shipped_config)
+            _, fresh = redecide(edited, shipped_config)
         except ReplayError:
             assert (result.ok, result.decision) == (False, None)
             return
