@@ -13,6 +13,7 @@ giving Green all of v >= 0.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError
@@ -90,6 +91,36 @@ class EmotionSample:
             return self, False
         changed = not (v == self.valence and a == self.arousal)
         return EmotionSample(v, a), changed
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EmotionSample":
+        """A sample as traces write it, a non-finite value as its token."""
+        # Which of two faults a refusal names depends on the order of these
+        # reads and checks; keep it.
+        valence = data["valence"]
+        if isinstance(valence, str):
+            valence = _sensor_from_token(valence)
+        arousal = data["arousal"]
+        if isinstance(arousal, str):
+            arousal = _sensor_from_token(arousal)
+        return cls(valence, arousal)
+
+
+#: Traces are strict JSON, so a non-finite sensor value is written as one of
+#: these strings and read back from it.
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _sensor_to_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
+def _sensor_from_token(text: str) -> float:
+    if text not in _NON_FINITE:
+        raise ValueError(f"sensor value {text!r} is neither a number nor a non-finite token")
+    return _NON_FINITE[text]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ decision reads, so its size and cost do not grow with household history.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -30,9 +29,9 @@ from .bt import (
     validate_tree,
 )
 from .config import PolicyConfig
-from .emotion import EmotionSample, Zone, escalate, zone_of
+from .emotion import EmotionSample, Zone, _sensor_to_json, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
-from .formats import GATES, as_written, check_fixed_facts
+from .formats import CLAMP_WARNING, GATES, as_written, check_fixed_facts, unknown_user_warning
 from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
@@ -61,7 +60,7 @@ STAGES = tuple(stage for stage, _ in GATES)
 
 #: Version of the traces decide() writes. README's table says what each
 #: version wrote; formats.py rebuilds the older ones for verify_trace.
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 #: Age assumed for unregistered requesters; only its being >= 5 matters,
 #: since unknown relationships classify to U at any eligible age.
@@ -84,23 +83,6 @@ else:
 
     def canonical_json(value) -> str:
         return "".join(_encode(value, 0))
-
-
-#: Traces are strict JSON, so a non-finite sensor value is written as one of
-#: these strings and read back from it.
-_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
-
-
-def _sensor_to_json(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    return value
-
-
-def _sensor_from_token(text: str) -> float:
-    if text not in _NON_FINITE:
-        raise ValueError(f"sensor value {text!r} is neither a number nor a non-finite token")
-    return _NON_FINITE[text]
 
 
 @dataclass(frozen=True)
@@ -155,17 +137,11 @@ class FetchRequest:
         # reads and checks; keep it.
         emotion, context = data["emotion"], data["context"]
         request_id, user_id, object_id = data["request_id"], data["user_id"], data["object_id"]
-        valence = emotion["valence"]
-        if isinstance(valence, str):
-            valence = _sensor_from_token(valence)
-        arousal = emotion["arousal"]
-        if isinstance(arousal, str):
-            arousal = _sensor_from_token(arousal)
         return cls(
             request_id,
             user_id,
             object_id,
-            EmotionSample(valence, arousal),
+            EmotionSample.from_dict(emotion),
             ContextSnapshot(
                 context["room"], context["adult_present"], context["verbal_affirmation"], context["timestamp"]
             ),
@@ -324,10 +300,8 @@ class _EvalState:
     echo: dict | None = None
     profile: UserProfile | None = None
     emotion: EmotionSample | None = None
-    known_user: bool = True
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
-    was_clamped: bool = False
     base_zone: Zone | None = None
     effective_zone: Zone | None = None
     active: frozenset[SafetyClass] = frozenset()
@@ -437,17 +411,14 @@ class DecisionEngine:
     def _do_knowledge(self, st: _EvalState) -> NodeStatus:
         req = st.request
         profile = self.config.user_by_id(req.user_id)
-        st.known_user = profile is not None
         if profile is None:
-            st.warnings.append(
-                f"unknown user {req.user_id!r}: treated as unknown relationship"
-            )
+            st.warnings.append(unknown_user_warning(req.user_id))
             profile = UserProfile(req.user_id, _ASSUMED_UNKNOWN_AGE, Relationship.UNKNOWN)
         st.profile = profile
         st.obj = self.config.object_by_id(req.object_id)
-        st.emotion, st.was_clamped = req.emotion.clamped()
-        if st.was_clamped:
-            st.warnings.append("emotion sample outside [-1,1]^2: clamped to the boundary")
+        st.emotion, clamped = req.emotion.clamped()
+        if clamped:
+            st.warnings.append(CLAMP_WARNING)
         st.base_zone = zone_of(st.emotion, self.config.zone_table)
         echo = st.echo = req.to_dict()
         st.events.append({"node": "knowledge_check", "request": echo})
@@ -466,14 +437,16 @@ class DecisionEngine:
     # no input is named node, outcome or audit. The inputs leave out what the
     # trace holds elsewhere: the request (echoed by knowledge_check), the last
     # request (blackboard_update), the cool-downs and escalation steps
-    # (ordering_ok) and the matrix row's required checks (emotion_ok).
+    # (ordering_ok), the matrix row's required checks (emotion_ok), whether
+    # the requester is known and the sample clamped (the warnings), whether
+    # the object is known (eligibility_ok has a group) and whether a check
+    # failed (its violation event, or its outcome in the audit pass).
 
     def _eval_eligibility(self, st: _EvalState):
-        details: dict = {"known_user": st.known_user, "known_object": st.obj is not None}
         if st.obj is None:
-            return details, ("eligibility", f"unknown object {st.request.object_id!r}")
+            return {}, ("eligibility", f"unknown object {st.request.object_id!r}")
         st.group = classify_user_group(st.profile, self.config.region)
-        details["group"] = st.group
+        details = {"group": st.group}
         if st.group is UserGroup.INELIGIBLE:
             return details, (
                 "eligibility",
@@ -486,7 +459,6 @@ class DecisionEngine:
         st.restriction = ordering_restrictions(st.active, st.obj)
         details = {
             "active_cooldowns": sorted(st.active),
-            "vehicle_ban": st.restriction.vehicle_ban,
             "zone_escalation_steps": st.restriction.escalation_steps,
         }
         if st.restriction.vehicle_ban:
@@ -504,9 +476,6 @@ class DecisionEngine:
         entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
         # Fresh lists, so that no trace shares one with the config.
         details = {
-            "valence": st.emotion.valence,
-            "arousal": st.emotion.arousal,
-            "clamped": st.was_clamped,
             "base_zone": st.base_zone.as_str(),
             "effective_zone": st.effective_zone.as_str(),
             "request_class": request_class,
@@ -536,12 +505,8 @@ class DecisionEngine:
         return details, ("category", f"category check failed: {result.failed_check}")
 
     def _eval_personal(self, st: _EvalState):
-        ok = self.registry.personal_check(st.request.user_id, st.request.object_id)
-        details = {
-            "object_tagged": self.registry.is_tagged(st.request.object_id),
-            "access": "ok" if ok else "denied",
-        }
-        if not ok:
+        details = {"object_tagged": self.registry.is_tagged(st.request.object_id)}
+        if not self.registry.personal_check(st.request.user_id, st.request.object_id):
             # Reason deliberately names no users: explanations must not leak
             # who tagged the object.
             return details, ("personal", "personal object, access not granted")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .emotion import EmotionSample
 from .model import require_type
 
 #: The policy gates in evaluation order, as (stage, gate node). The engine
@@ -46,6 +47,17 @@ _COPIED = {
     "category_context_ok": (("matrix_checks", "emotion_ok", "required_checks"),),
 }
 
+#: The warning the knowledge step gives for a sample outside [-1,1]^2. From
+#: version 7 on it alone says the sample was clamped.
+CLAMP_WARNING = "emotion sample outside [-1,1]^2: clamped to the boundary"
+
+
+def unknown_user_warning(user_id: str) -> str:
+    """The warning the knowledge step gives for a requester the config does
+    not list. From version 7 on it alone says the requester is unknown."""
+    return f"unknown user {user_id!r}: treated as unknown relationship"
+
+
 #: The keys a version 6 event writes beside its inputs: its node and, in the
 #: audit pass, its outcome and audit mark.
 RESERVED = ("node", "outcome", "audit")
@@ -57,6 +69,43 @@ _GATE_ENDED_BY = {
     **{(f"{stage}_ok", "success"): gate for stage, gate in GATES},
     **{(f"{stage}_violation", "failure"): gate for stage, gate in GATES},
 }
+
+
+def _failed(event: dict, nodes: set[str]) -> bool:
+    """Whether a check failed: in the audit pass its outcome says so, and
+    outside it its violation event follows it."""
+    return event.get("outcome") == "failure" or event["node"].replace("_ok", "_violation") in nodes
+
+
+def _to_version_6(events: list[dict], fresh) -> list[dict]:
+    """Version 7 events as version 6 wrote them, in new dicts.
+
+    eligibility_ok also said whether the requester was known (the re-run
+    gave no unknown-user warning) and the object (it has a group);
+    ordering_ok whether a vehicle ban held and personal_ok whether access
+    was ok or denied, each as its check failed; and emotion_ok the request's
+    sample, clamped, and whether it was (the re-run gave the clamp warning).
+    A skipped audit stage recorded only its note."""
+    nodes = {event["node"] for event in events}
+    written = []
+    for event in events:
+        node = event["node"]
+        if event.get("outcome") == "skipped":
+            written.append(event)
+            continue
+        if node == "eligibility_ok":
+            known_user = unknown_user_warning(fresh.request["user_id"]) not in fresh.warnings
+            event = {**event, "known_user": known_user, "known_object": "group" in event}
+        elif node == "ordering_ok":
+            event = {**event, "vehicle_ban": _failed(event, nodes)}
+        elif node == "emotion_ok":
+            sample, _ = EmotionSample.from_dict(fresh.request["emotion"]).clamped()
+            clamped = CLAMP_WARNING in fresh.warnings
+            event = {**event, "valence": sample.valence, "arousal": sample.arousal, "clamped": clamped}
+        elif node == "personal_ok":
+            event = {**event, "access": "denied" if _failed(event, nodes) else "ok"}
+        written.append(event)
+    return written
 
 
 def _to_version_5(events: list[dict], fresh) -> list[dict]:
@@ -163,7 +212,7 @@ def _to_version_2(events: list[dict], fresh) -> list[dict]:
 
 
 #: The down-steps, newest first, each with the version it writes.
-STEPS = ((5, _to_version_5), (4, _to_version_4), (3, _to_version_3), (2, _to_version_2))
+STEPS = ((6, _to_version_6), (5, _to_version_5), (4, _to_version_4), (3, _to_version_3), (2, _to_version_2))
 
 
 def _events_as_written(fresh, version: int) -> list[dict]:
@@ -195,10 +244,12 @@ def as_written(fresh, recorded) -> tuple[list[dict], dict]:
     re-run's slice cannot rebuild, so it is taken as recorded and shows no
     edit. Before version 6, the scope and board_primed check_fixed_facts
     refused unless they were the config's and a bool are put back as
-    recorded; version 4's knowledge_check mode is rebuilt from board_primed."""
+    recorded; version 4's knowledge_check mode is rebuilt from board_primed.
+    A version 6 pre-state is the re-run's, and so are a version 7 line's
+    events."""
     version = recorded.trace_version
     if version >= 6:
-        return fresh.events, fresh.pre_state
+        return _events_as_written(fresh, version), fresh.pre_state
     recorded_state, sliced = recorded.pre_state, fresh.pre_state
     pre_state = {
         "cooldowns": {"scope": recorded_state["cooldowns"]["scope"], **sliced["cooldowns"]},

@@ -32,12 +32,12 @@ from fetchguard import (
     zone_of,
 )
 from fetchguard.engine import STAGES, canonical_json
-from fetchguard.formats import RESERVED, _POLICY_OF
+from fetchguard.formats import RESERVED, _POLICY_OF, _events_as_written
 from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
 from test_emotion import rebuilding_clamped
-from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES
+from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES, V6_FILES
 from test_reference_engine import CONFIGS, random_stream
 
 GREEN = EmotionSample(0.5, 0.0)
@@ -436,7 +436,7 @@ class TestTracesAreTheirOwn:
 
     def test_verifying_a_golden_line_changes_nothing_in_it(self, shipped_config, golden_config):
         configs = {config.fingerprint(): config for config in (shipped_config, golden_config)}
-        for path in GOLDEN_FILES + V3_FILES + V4_FILES:
+        for path in GOLDEN_FILES + V3_FILES + V4_FILES + V6_FILES:
             for line in path.read_text(encoding="utf-8").splitlines():
                 trace = DecisionTrace.from_dict(json.loads(line))
                 _verify_leaves_it_and_its_tampered_copies_alone(trace, configs[trace.config_fingerprint])
@@ -483,11 +483,14 @@ class TestHistoryIsNotRead:
 
     def test_a_line_recording_a_closed_window_still_verifies(self, shipped_config):
         # Lines written before closed windows were dropped at the
-        # requester's next request hold them in their pre-state.
+        # requester's next request hold them in their pre-state; they are
+        # version 6 lines.
         trace = self.decide_after(shipped_config, {"dave": ALICE_ON_COOLDOWN}, make_request("dave", "towel", now=2100))
         assert trace.pre_state["cooldowns"] == {"users": {"dave": ALICE_ON_COOLDOWN}}
         line = json.loads(trace.to_json())
-        assert line["trace_version"] == 6
+        assert line["trace_version"] == 7
+        assert verify_trace(DecisionTrace.from_dict(line), shipped_config).ok
+        line.update(trace_version=6, events=_events_as_written(trace, 6))
         assert verify_trace(DecisionTrace.from_dict(line), shipped_config).ok
 
     def test_household_scope_records_the_household_record(self):

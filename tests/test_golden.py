@@ -24,12 +24,15 @@ emotion_ok and category_context_ok with their copies of earlier inputs.
 Those engines ran only the scenarios decided under the frozen household.
 The lines of later scenarios are version 5 traces, whose pre_state holds
 only the slice the decision reads and whose events write each fact of the
-line once. The engine now writes version 6 traces, whose events write their
-inputs beside their node and whose pre_state leaves out the cool-down scope
-and board_primed, so a re-run is compared, byte for byte, with its golden
-line cut to version 6 (as_version_6). A re-run must also explain itself as
-its golden line does, and every golden line explains as it did when it was
-committed (EXPLANATION_DIGESTS).
+line once. tests/golden/v6/ holds every scenario, in both modes, as the
+last engine that wrote version 6 wrote it under configs/default.json: each
+event's inputs beside its node, and a pre_state without the cool-down scope
+and board_primed. The engine now writes version 7 traces, whose checks
+leave out the seven facts the rest of the line restates, so a re-run is
+compared, byte for byte, with its golden line cut to version 7
+(as_version_7). A re-run must also explain itself as its golden line does,
+and every golden line explains as it did when it was committed
+(EXPLANATION_DIGESTS).
 """
 
 import hashlib
@@ -62,6 +65,8 @@ V3 = GOLDEN / "v3"
 V3_FILES = sorted(V3.glob("*.jsonl")) + sorted((V3 / "audit").glob("*.jsonl"))
 V4 = GOLDEN / "v4"
 V4_FILES = sorted(V4.glob("*.jsonl")) + sorted((V4 / "audit").glob("*.jsonl"))
+V6 = GOLDEN / "v6"
+V6_FILES = sorted(V6.glob("*.jsonl")) + sorted((V6 / "audit").glob("*.jsonl"))
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
@@ -121,21 +126,22 @@ def test_rerunning_a_scenario_reproduces_its_golden_bytes(configs, path, audit_a
 
 
 @pytest.mark.parametrize(
-    "path", GOLDEN_FILES + V3_FILES + V4_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
+    "path", GOLDEN_FILES + V3_FILES + V4_FILES + V6_FILES, ids=lambda p: str(p.relative_to(GOLDEN).with_suffix(""))
 )
 def test_a_rerun_explains_itself_as_its_golden_line(configs, path):
     for golden in read_traces(path):
         engine = DecisionEngine(config_for(configs, golden.config_fingerprint), audit_all=golden.audit_all)
         engine.restore_state(golden.pre_state)
         _, rerun = engine.decide(FetchRequest.from_dict(golden.request))
-        assert rerun.trace_version == 6
+        assert rerun.trace_version == 7
         assert render_explanation(rerun) == render_explanation(golden), golden.request_id
 
 
 #: The SHA-256 of every explanation of every line of each golden directory,
 #: in file and line order, each followed by a newline, as the explain reader
-#: of version 5 engines wrote them. The v3 and v4 lines, plain or audit,
-#: explain alike: the audit pass is not explained.
+#: of version 5 engines wrote them, and for v6 as the last version 6 engine
+#: wrote them. The lines of each of v3, v4 and v6, plain or audit, explain
+#: alike, the v6 ones as audit/ does: the audit pass is not explained.
 EXPLANATION_DIGESTS = {
     ".": "a21516dd9108ead57b0d4d21e1ea98895579a3bf0da9d709d73a33b39a76261f",
     "audit": "c8223659b009a62e31ef49a266ca616094b063a0b8222871724193089916c888",
@@ -143,6 +149,8 @@ EXPLANATION_DIGESTS = {
     "v3/audit": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
     "v4": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
     "v4/audit": "ac7329314dbba6423061d061c5285768b4297cdc7db55833441d72c542eaec77",
+    "v6": "c8223659b009a62e31ef49a266ca616094b063a0b8222871724193089916c888",
+    "v6/audit": "c8223659b009a62e31ef49a266ca616094b063a0b8222871724193089916c888",
 }
 
 
@@ -157,10 +165,10 @@ def test_every_golden_line_explains_as_it_did(directory):
     assert digest.hexdigest() == EXPLANATION_DIGESTS[directory]
 
 
-def holds_every_frozen_scenario_in_both_modes(directory):
-    scenarios = {load_scenario(p).name for p in FROZEN_SCENARIOS}
-    assert {p.stem for p in directory.glob("*.jsonl")} == scenarios
-    assert {p.stem for p in (directory / "audit").glob("*.jsonl")} == scenarios
+def holds_in_both_modes(directory, scenarios):
+    names = {load_scenario(p).name for p in scenarios}
+    assert {p.stem for p in directory.glob("*.jsonl")} == names
+    assert {p.stem for p in (directory / "audit").glob("*.jsonl")} == names
 
 
 def reads_as_its_version_writes_back_and_verifies(configs, path, version):
@@ -176,18 +184,18 @@ def reads_as_its_version_writes_back_and_verifies(configs, path, version):
 
 def rerun_reproduces_the_bytes_in(configs, path, audit_all, directory):
     """The scenario, run on the config its golden file names, writes that
-    file's lines, each cut to version 6."""
+    file's lines, each cut to version 7."""
     script = load_scenario(path)
     golden = (directory / "audit" if audit_all else directory) / f"{script.name}.jsonl"
     result = run_scenario(config_for(configs, fingerprint_of(golden)), script, audit_all=audit_all)
     expected = golden.read_text(encoding="utf-8").splitlines()
     assert len(result.traces) == len(expected)
     for trace, want in zip(result.traces, expected):
-        assert trace.to_json() == as_version_6(want), f"trace bytes changed for {trace.request_id}"
+        assert trace.to_json() == as_version_7(want), f"trace bytes changed for {trace.request_id}"
 
 
 def test_the_version_3_goldens_hold_every_scenario_in_both_modes():
-    holds_every_frozen_scenario_in_both_modes(V3)
+    holds_in_both_modes(V3, FROZEN_SCENARIOS)
 
 
 @pytest.mark.parametrize("path", V3_FILES, ids=lambda p: str(p.relative_to(V3).with_suffix("")))
@@ -202,7 +210,7 @@ def test_rerunning_a_scenario_reproduces_its_version_3_bytes(configs, path, audi
 
 
 def test_the_version_4_goldens_hold_every_scenario_in_both_modes():
-    holds_every_frozen_scenario_in_both_modes(V4)
+    holds_in_both_modes(V4, FROZEN_SCENARIOS)
 
 
 @pytest.mark.parametrize("path", V4_FILES, ids=lambda p: str(p.relative_to(V4).with_suffix("")))
@@ -214,6 +222,21 @@ def test_every_version_4_line_reads_as_version_4_writes_back_and_verifies(config
 @pytest.mark.parametrize("path", FROZEN_SCENARIOS, ids=lambda p: p.stem)
 def test_rerunning_a_scenario_reproduces_its_version_4_bytes(configs, path, audit_all):
     rerun_reproduces_the_bytes_in(configs, path, audit_all, V4)
+
+
+def test_the_version_6_goldens_hold_every_scenario_in_both_modes():
+    holds_in_both_modes(V6, SCENARIOS)
+
+
+@pytest.mark.parametrize("path", V6_FILES, ids=lambda p: str(p.relative_to(V6).with_suffix("")))
+def test_every_version_6_line_reads_as_version_6_writes_back_and_verifies(configs, path):
+    reads_as_its_version_writes_back_and_verifies(configs, path, 6)
+
+
+@pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_rerunning_a_scenario_reproduces_its_version_6_bytes(configs, path, audit_all):
+    rerun_reproduces_the_bytes_in(configs, path, audit_all, V6)
 
 
 def written_once(line: str, text: str) -> bool:
@@ -305,7 +328,7 @@ def cut_to_version_5(data: dict) -> None:
 
 
 def cut_to_version_6(data: dict) -> None:
-    """Cut a version 5 line, in place, to what version 6 writes: each
+    """Cut a version 5 line, in place, to what version 6 wrote: each
     event's inputs beside its node, and a pre_state without the cool-down
     scope and board_primed."""
     for event in data["events"]:
@@ -313,6 +336,26 @@ def cut_to_version_6(data: dict) -> None:
     del data["pre_state"]["cooldowns"]["scope"]
     del data["pre_state"]["board_primed"]
     data["trace_version"] = 6
+
+
+#: What a version 6 check restated from elsewhere in the line, which
+#: version 7 no longer writes. A skipped audit stage wrote none of them.
+RESTATED_INPUTS = {
+    "eligibility_ok": ("known_user", "known_object"),
+    "ordering_ok": ("vehicle_ban",),
+    "emotion_ok": ("valence", "arousal", "clamped"),
+    "personal_ok": ("access",),
+}
+
+
+def cut_to_version_7(data: dict) -> None:
+    """Cut a version 6 line, in place, to what version 7 writes: no input
+    RESTATED_INPUTS names."""
+    for event in data["events"]:
+        if event.get("outcome") != "skipped":
+            for name in RESTATED_INPUTS.get(event["node"], ()):
+                del event[name]
+    data["trace_version"] = 7
 
 
 def as_version_5(line: str) -> str:
@@ -341,9 +384,13 @@ def as_version_5(line: str) -> str:
     return canonical_json(data)
 
 
-def as_version_6(line: str) -> str:
-    """A committed line as the engine writes it today: as version 5 writes
-    it, cut to version 6."""
-    data = json.loads(as_version_5(line))
-    cut_to_version_6(data)
+def as_version_7(line: str) -> str:
+    """A committed line as the engine writes it today: a version 6 line
+    cut to version 7, and an older one as version 5 writes it, cut to
+    version 6 and then to version 7."""
+    data = json.loads(line)
+    if data.get("trace_version", 1) != 6:
+        data = json.loads(as_version_5(line))
+        cut_to_version_6(data)
+    cut_to_version_7(data)
     return canonical_json(data)

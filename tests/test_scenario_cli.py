@@ -433,17 +433,23 @@ class TestCliExplain:
         assert main(["explain", "--trace", str(trace_path), "--request", doc["request_id"]]) == 2
         assert "cannot read trace" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [5, 6], ids=["v6_line_marked_5", "v5_golden_line_marked_6"])
-    def test_a_line_marked_with_the_other_event_shape_exits_2(self, tmp_path, capsys, version):
-        """Versions 5 and 6 write a check's inputs in different places, so a
-        line whose version was edited between them is refused, not explained
-        without its inputs."""
-        if version == 5:
+    @pytest.mark.parametrize(
+        "written, version",
+        [(6, 5), (7, 5), (5, 6), (5, 7)],
+        ids=["v6_line_marked_5", "v7_line_marked_5", "v5_golden_line_marked_6", "v5_golden_line_marked_7"],
+    )
+    def test_a_line_marked_with_the_other_event_shape_exits_2(self, tmp_path, capsys, written, version):
+        """Version 5 writes a check's inputs in another place than versions
+        6 and 7, so a line whose version was edited across that change is
+        refused, not explained without its inputs."""
+        if written == 7:
             source = self.traces_for(tmp_path, "red_zone_dangerous.json")
+        elif written == 6:
+            source = REPO_ROOT / "tests" / "golden" / "v6" / "red_zone_dangerous.jsonl"
         else:
             source = REPO_ROOT / "tests" / "golden" / "renamed_unknown.jsonl"
         doc = json.loads(source.read_text(encoding="utf-8").splitlines()[0])
-        assert doc["trace_version"] == 11 - version
+        assert doc["trace_version"] == written
         trace_path = tmp_path / "edited.jsonl"
         trace_path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         capsys.readouterr()

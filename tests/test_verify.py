@@ -36,7 +36,8 @@ from fetchguard import (
 from fetchguard.bt import TickListener
 from fetchguard.errors import FetchguardError
 from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, canonical_json, redecide
-from fetchguard.formats import RESERVED, STEPS, _events_as_written
+from fetchguard.cli import render_explanation
+from fetchguard.formats import CLAMP_WARNING, RESERVED, STEPS, _events_as_written, _to_version_6
 from fetchguard.ordering import COOLDOWN_SCOPES, CooldownState
 from fetchguard.privacy import PersonalRegistry
 from reference_readers import (
@@ -50,15 +51,19 @@ from reference_readers import (
 from test_golden import (
     FROZEN_FINGERPRINT,
     GOLDEN_FILES,
+    RESTATED_INPUTS,
     STRUCTURE_NODES,
     V3,
     V3_FILES,
     V4,
     V4_FILES,
+    V6_FILES,
     as_version_5,
+    cut_to_version_7,
     fingerprint_of,
     slice_pre_state,
 )
+from test_reference_engine import CONFIGS, random_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -121,10 +126,10 @@ def with_fixed_facts(pre_state, config, board_primed=True):
 
 
 def as_legacy(trace, version, pre_state):
-    """A current trace as version 1 to 5 wrote it, given the pre-state that
+    """A current trace as version 1 to 6 wrote it, given the pre-state that
     version wrote. The event stream is rebuilt by the function verify_trace
     uses; the golden tests pin that function to the committed version 1, 3,
-    4 and 5 lines."""
+    4, 5 and 6 lines."""
     old = copy_of(trace)
     old.pre_state, old.trace_version = copy.deepcopy(pre_state), version
     old.events = _events_as_written(old, version)
@@ -776,9 +781,9 @@ class TestToJsonIsTheStdlibsJson:
             assert written(DecisionTrace.to_json, trace) == written(stdlib_json, trace)
 
     def test_every_golden_line(self):
-        paths = GOLDEN_FILES + V3_FILES + V4_FILES
+        paths = GOLDEN_FILES + V3_FILES + V4_FILES + V6_FILES
         traces = [trace for path in paths for trace in read_traces(path)]
-        assert {trace.trace_version for trace in traces} == {1, 3, 4, 5}
+        assert {trace.trace_version for trace in traces} == {1, 3, 4, 5, 6}
         assert any(trace.audit_all for trace in traces)
         for trace in traces:
             assert trace.to_json() == stdlib_json(trace)
@@ -1138,9 +1143,9 @@ class TestVersion2PreState:
         edited.pre_state["sensor"] = math.nan
         assert verify_trace(edited, shipped_config).mismatches == ["pre_state differs from the recorded pre_state"]
 
-    def test_new_traces_are_version_6(self, mid_session_trace):
-        assert mid_session_trace.trace_version == 6
-        assert '"trace_version":6' in mid_session_trace.to_json()
+    def test_new_traces_are_version_7(self, mid_session_trace):
+        assert mid_session_trace.trace_version == 7
+        assert '"trace_version":7' in mid_session_trace.to_json()
 
     def test_golden_version_1_lines_read_as_version_1_and_write_back_unchanged(self):
         for path in FROZEN_FILES:
@@ -1149,7 +1154,7 @@ class TestVersion2PreState:
                 assert trace.trace_version == 1
                 assert trace.to_json() == line
 
-    @pytest.mark.parametrize("version", [0, 7, "2", True, 2.0, None])
+    @pytest.mark.parametrize("version", [0, 8, "2", True, 2.0, None])
     def test_an_unknown_version_is_refused_on_read(self, mid_session_trace, version):
         data = json.loads(mid_session_trace.to_json())
         data["trace_version"] = version
@@ -1166,8 +1171,9 @@ class TestVersion2PreState:
             primed = bool(primed)
             before = whole_household(engine, primed)
             _, trace = engine.decide(request)
-            assert trace.trace_version == 6
+            assert trace.trace_version == 7
             assert verify_trace(copy_of(trace), shipped_config).ok
+            assert verify_trace(as_legacy(trace, 6, trace.pre_state), shipped_config).ok
             sliced = with_fixed_facts(trace.pre_state, shipped_config, primed)
             for version in (5, 4, 3, 2):
                 assert verify_trace(as_legacy(trace, version, sliced), shipped_config).ok, version
@@ -1487,6 +1493,17 @@ class TestFormatSteps:
         # version 1 wrote version 2's events.
         assert [writes for writes, _ in STEPS] == list(range(TRACE_VERSION - 1, 1, -1))
 
+    def test_the_readme_table_has_a_row_per_version_and_marks_the_one_written(self):
+        # A TRACE_VERSION bump without its README row fails here too.
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| `trace_version` | `pre_state` | events |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[1].strip())
+        assert rows == ["absent (1)", *map(str, range(2, TRACE_VERSION)), f"{TRACE_VERSION} (written now)"]
+
 
 class RecordingEngine(DecisionEngine):
     """An engine that records the keys of every inputs dict its stage
@@ -1509,7 +1526,7 @@ class RecordingEngine(DecisionEngine):
 
 
 def flattened(event):
-    """A version 5 event as version 6 writes it: its inputs beside its node."""
+    """A version 5 event as version 6 wrote it: its inputs beside its node."""
     return {**{key: value for key, value in event.items() if key != "inputs"}, **event.get("inputs", {})}
 
 
@@ -1536,7 +1553,7 @@ def mix_traces(engine, seed, count):
 def assert_flat(engine, traces):
     """No evaluator's inputs use a key RESERVED names, only audit events
     write an outcome and the audit mark, and flattening the version 5
-    down-step of a line's events gives its events back."""
+    down-step of a line's version 6 events gives those events back."""
     assert engine.input_keys and not any(keys & set(RESERVED) for keys in engine.input_keys)
     for trace in traces:
         for event in trace.events:
@@ -1544,13 +1561,13 @@ def assert_flat(engine, traces):
                 assert event["audit"] is True and event["outcome"] in ("success", "failure", "skipped")
             else:
                 assert not {"outcome", "audit"} & set(event), event
-        assert [flattened(e) for e in _events_as_written(trace, 5)] == trace.events
+        assert [flattened(e) for e in _events_as_written(trace, 5)] == _events_as_written(trace, 6)
 
 
 class TestFlatEvents:
-    """Version 6 writes an event's inputs beside its node, so node, outcome
-    and audit are the only keys an input may not have, and the version 5
-    down-step loses nothing."""
+    """Version 6 and 7 write an event's inputs beside its node, so node,
+    outcome and audit are the only keys an input may not have, and the
+    version 5 down-step loses nothing."""
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
     @settings(max_examples=30, deadline=None)
@@ -1570,7 +1587,8 @@ class TestFlatEvents:
         engine = DecisionEngine(shipped_config, audit_all=True)
         _, trace = engine.decide(make_request("dave", "towel"))
         personal = trace.events[-1]
-        assert personal == {
+        assert personal == {"node": "personal_ok", "outcome": "success", "audit": True, "object_tagged": False}
+        assert _events_as_written(trace, 6)[-1] == {
             "node": "personal_ok", "outcome": "success", "audit": True, "object_tagged": False, "access": "ok"
         }
         assert _events_as_written(trace, 5)[-1] == {
@@ -1619,6 +1637,163 @@ class TestVersion6:
         for version in (5, 4):
             legacy = with_fixed_facts(mid_session_trace.pre_state, shipped_config, board_primed)
             assert verify_trace(as_legacy(mid_session_trace, version, legacy), shipped_config).ok
+
+
+class Version6Engine(DecisionEngine):
+    """An engine whose checks also write the seven facts version 7 leaves
+    out, each worked out from the tick's state as the last version 6
+    engine worked it out, not from the rest of the line."""
+
+    def _eval_eligibility(self, st):
+        details, violation = super()._eval_eligibility(st)
+        known_user = self.config.user_by_id(st.request.user_id) is not None
+        return {**details, "known_user": known_user, "known_object": st.obj is not None}, violation
+
+    def _eval_ordering(self, st):
+        details, violation = super()._eval_ordering(st)
+        return {**details, "vehicle_ban": st.restriction.vehicle_ban}, violation
+
+    def _eval_emotion(self, st):
+        details, violation = super()._eval_emotion(st)
+        clamped = st.request.emotion.clamped()[1]
+        return {**details, "valence": st.emotion.valence, "arousal": st.emotion.arousal, "clamped": clamped}, violation
+
+    def _eval_personal(self, st):
+        details, violation = super()._eval_personal(st)
+        ok = self.registry.personal_check(st.request.user_id, st.request.object_id)
+        return {**details, "access": "ok" if ok else "denied"}, violation
+
+
+def stream_traces(engines, rnd):
+    """What each engine writes for one random_stream, its tag and grant
+    writes applied as they come: per request, the trace of each engine."""
+    written = []
+    for event in random_stream(rnd):
+        if event["type"] == "request":
+            now = event["now"]
+            context = ContextSnapshot(event["room"], event["adult_present"], event["verbal_affirmation"], now)
+            emotion = EmotionSample(event["valence"], event["arousal"])
+            request = FetchRequest("req", event["user"], event["object"], emotion, context, now)
+            written.append([engine.decide(request)[1] for engine in engines])
+            continue
+        for engine in engines:
+            try:
+                if event["type"] == "tag_personal":
+                    engine.apply_tag(event["actor"], event["object"])
+                else:
+                    engine.apply_grant(event["actor"], event["object"], event["grantee"])
+            except FetchguardError:
+                pass
+    return written
+
+
+def cases_of(trace):
+    """The cases of a line that the version 6 down-step rebuilds a fact
+    from, read from the version 7 line alone."""
+    cases = {f"{e['node']} {e.get('outcome')}" for e in trace.events}
+    cases |= {"clamped" for w in trace.warnings if w == CLAMP_WARNING}
+    cases |= {"unknown user" for w in trace.warnings if w.startswith("unknown user ")}
+    cases |= {"NaN" for value in trace.request["emotion"].values() if value == "NaN"}
+    cases |= {"unknown object" for e in trace.events if e["node"] == "eligibility_ok" and "group" not in e}
+    return cases
+
+
+#: The cases every stream batch must hold, in both modes and in the audit
+#: pass alone.
+DOWN_STEP_CASES = {
+    "clamped", "NaN", "unknown user", "unknown object", "ordering_violation None", "personal_violation None",
+}
+AUDIT_DOWN_STEP_CASES = {"ordering_ok failure", "personal_ok failure", "emotion_ok success", "emotion_ok skipped"}
+
+
+class TestVersion6DownStep:
+    """_to_version_6 gives back, from the re-run alone, the seven facts that
+    version 6 wrote and version 7 leaves out: the line it writes is the
+    one Version6Engine writes, verifies as version 6, explains alike, and
+    cut to version 7 again is the line the engine wrote."""
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    def test_the_down_step_of_any_stream_is_the_version_6_line(self, audit_all):
+        seen = set()
+        for config_data, config in CONFIGS:
+            rnd = random.Random(f"down-step:{config_data['cooldown_scope']}:{len(config_data['personal_tags'])}")
+            engines = [DecisionEngine(config, audit_all=audit_all), Version6Engine(config, audit_all=audit_all)]
+            for _ in range(60):
+                for engine in engines:
+                    engine.reset()
+                for trace, written in stream_traces(engines, rnd):
+                    seen |= cases_of(trace)
+                    old = copy_of(trace)
+                    old.trace_version, old.events = 6, _to_version_6(trace.events, trace)
+                    written.trace_version = 6
+                    line = old.to_json()
+                    assert line == written.to_json()
+                    read = DecisionTrace.from_dict(json.loads(line))
+                    assert verify_trace(read, config).ok, line
+                    assert render_explanation(read) == render_explanation(trace)
+                    data = json.loads(line)
+                    cut_to_version_7(data)
+                    assert canonical_json(data) == trace.to_json()
+        assert DOWN_STEP_CASES <= seen
+        assert AUDIT_DOWN_STEP_CASES <= seen if audit_all else not AUDIT_DOWN_STEP_CASES & seen
+
+
+#: The facts version 7 leaves out, as (mode, node, key): every one in the
+#: plain pass, and those of the checks an audit pass evaluates for the
+#: record in it.
+RESTATED_FACTS = [("plain", node, key) for node, keys in RESTATED_INPUTS.items() for key in keys] + [
+    ("audit", node, key) for node in ("ordering_ok", "emotion_ok", "personal_ok") for key in RESTATED_INPUTS[node]
+]
+
+
+def version_6_lines(which, node, key):
+    """For each value a version 6 golden line's `node` event holds under
+    `key`, in the audit pass if `which` is audit, the first such line."""
+    found = {}
+    for path in V6_FILES:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            for event in json.loads(line)["events"]:
+                if event["node"] == node and key in event and event.get("audit", False) == (which == "audit"):
+                    found.setdefault(canonical_json(event[key]), line)
+    assert found, (which, node, key)
+    return list(found.values())
+
+
+def flipped(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 0.5
+    return {"ok": "denied", "denied": "ok"}[value]
+
+
+class TestVersion6Events:
+    """Version 7 leaves out the facts RESTATED_FACTS names; verify_trace
+    rebuilds them from the re-run to compare a version 6 line, so an edit
+    to one still shows, and so does a version 7 line that writes one back."""
+
+    @pytest.mark.parametrize("which, node, key", RESTATED_FACTS, ids=lambda v: str(v))
+    def test_an_edited_version_6_fact_is_a_mismatch(self, shipped_config, which, node, key):
+        for line in version_6_lines(which, node, key):
+            data = json.loads(line)
+            assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+            event = event_of(data, node)
+            event[key] = flipped(event[key])
+            result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+            assert result.mismatches == ["event stream differs from the recorded events"], line
+
+    @pytest.mark.parametrize("which, node, key", RESTATED_FACTS, ids=lambda v: str(v))
+    def test_a_version_7_line_that_writes_a_fact_back_is_a_mismatch(self, shipped_config, which, node, key):
+        for line in version_6_lines(which, node, key):
+            data = json.loads(line)
+            value = event_of(data, node)[key]
+            cut_to_version_7(data)
+            assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+            event = event_of(data, node)
+            assert key not in event
+            event[key] = value
+            result = verify_trace(DecisionTrace.from_dict(data), shipped_config)
+            assert result.mismatches == ["event stream differs from the recorded events"], line
 
 
 class TestLookups:
