@@ -14,14 +14,15 @@ each side, one after the other; the side that runs first alternates from
 seed to seed, the same way for every workload. Each run's end-to-end
 metrics are printed as it ends, then one table per workload: for every
 end-to-end metric that BENCHMARK.json lists, the base and change
-medians, their ratio, the spread between the base runs' quartiles, the
-number of pairs the change won (ties count for neither side), the claim
-column: `met` when at least ten pairs ran, the change won at least nine
-tenths of them and its median beats the base's by more than the base
-quartile spread, `-` otherwise; and the bound column: `past` when the
-change's median is worse than the base's, in the direction the metric's
-`better` gives, by more than the metric's relative `bound`, `ok` when it
-is not, `-` for a metric with no bound.
+medians, their ratio, the spread between the base runs' quartiles and
+that between the change runs' quartiles, the number of pairs the change
+won (ties count for neither side), the claim column: `met` when at
+least ten pairs ran, the change won at least nine tenths of them and its
+median beats the base's by more than the base quartile spread, `-`
+otherwise; and the bound column: `past` when the change's median is
+worse than the base's, in the direction the metric's `better` gives, by
+more than the metric's relative `bound`, `ok` when it is not, `-` for a
+metric with no bound.
 
 Each pair also reads the decision_digest line each run prints and says
 whether the two sides decided alike. That is only reported: a change that
@@ -95,19 +96,18 @@ def number(value: float) -> str:
 
 def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     """One row per end-to-end metric: base and change medians, change/base,
-    the base quartile spread, the pairs the change won, whether a gain in
-    the metric is met and whether the change's median is past the metric's
-    bound. `metrics` are BENCHMARK.json's end_to_end entries; `pairs` are
+    the base and change quartile spreads, the pairs the change won, whether
+    a gain in the metric is met and whether the change's median is past the
+    metric's bound. `metrics` are BENCHMARK.json's end_to_end entries; `pairs` are
     (base, change) results."""
-    rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change won", "claim", "bound")]
+    rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change IQR", "change won", "claim", "bound")]
     for metric in metrics:
         name, lower_wins = metric["name"], metric["better"] == "lower"
         measured = [(base[name], change[name]) for base, change in pairs if name in base and name in change]
         if not measured:
             continue
-        base_values = [b for b, _ in measured]
-        base_median = statistics.median(base_values)
-        change_median = statistics.median([c for _, c in measured])
+        base_values, change_values = [b for b, _ in measured], [c for _, c in measured]
+        base_median, change_median = statistics.median(base_values), statistics.median(change_values)
         won = sum((c < b) if lower_wins else (c > b) for b, c in measured)
         ratio = f"{change_median / base_median:.4f}" if base_median else "-"
         bound, spread = metric.get("bound"), quartile_spread(base_values)
@@ -115,7 +115,7 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
         met = len(measured) >= 10 and 10 * won >= 9 * len(measured) and -worse_by > spread
         rows.append((
             name, metric["unit"], number(base_median), number(change_median), ratio,
-            number(spread), f"{won}/{len(measured)}", "met" if met else "-",
+            number(spread), number(quartile_spread(change_values)), f"{won}/{len(measured)}", "met" if met else "-",
             "-" if bound is None else "past" if worse_by > bound * base_median else "ok",
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

@@ -83,6 +83,11 @@ class EmotionSample:
         sample whose values come back as the very objects it holds is
         returned itself.
         """
+        # Strictly inside (-1, 1), min and max would give back the values
+        # held. NaN fails these tests, and so does +-1.0, for which min or
+        # max gives back its own bound.
+        if -1.0 < self.valence < 1.0 and -1.0 < self.arousal < 1.0:
+            return self, False
         # NaN is the one value unequal to itself. Unlike math.isnan, the test
         # converts no int, so one beyond float range clamps like +-inf.
         v = -1.0 if self.valence != self.valence else min(1.0, max(-1.0, self.valence))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import inf
 
 from .bt import (
     Action,
@@ -32,7 +33,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample, Zone, _sensor_to_json, escalate, zone_of
 from .errors import ConfigError, FetchguardError, PermissionDeniedError, ReplayError
 from .formats import CLAMP_WARNING, GATES, as_written, check_fixed_facts, unknown_user_warning
-from .matrix import MatrixEntry, MatrixKey, category_checks, matrix_lookup
+from .matrix import MatrixEntry, category_checks, matrix_lookup
 from .model import (
     GROUP_BY_TEXT,
     INT_BOUND,
@@ -114,13 +115,15 @@ class FetchRequest:
             require_writable("now", require_type("now", self.now, int))
 
     def to_dict(self) -> dict:
+        # A finite value is written as it is; only NaN and +-inf are tokens.
+        valence, arousal = self.emotion.valence, self.emotion.arousal
         return {
             "request_id": self.request_id,
             "user_id": self.user_id,
             "object_id": self.object_id,
             "emotion": {
-                "valence": _sensor_to_json(self.emotion.valence),
-                "arousal": _sensor_to_json(self.emotion.arousal),
+                "valence": valence if -inf < valence < inf else _sensor_to_json(valence),
+                "arousal": arousal if -inf < arousal < inf else _sensor_to_json(arousal),
             },
             "context": {
                 "room": self.context.room,
@@ -213,14 +216,18 @@ class DecisionTrace:
     trace_version: int = TRACE_VERSION
 
     def to_dict(self) -> dict:
+        return self._dict(self.request, self.events)
+
+    def _dict(self, request, events: list) -> dict:
+        """to_dict with `request` and `events` in place of the trace's own."""
         data = {
             "request_id": self.request_id,
             "config_fingerprint": self.config_fingerprint,
             "audit_all": self.audit_all,
-            "request": self.request,
+            "request": request,
             "pre_state": self.pre_state,
             "warnings": self.warnings,
-            "events": self.events,
+            "events": events,
             "decision": self.decision.to_dict(),
         }
         if self.trace_version != 1:
@@ -228,7 +235,6 @@ class DecisionTrace:
         return data
 
     def to_json(self) -> str:
-        data = self.to_dict()
         events = self.events
         first = events[0] if type(events) is list and events else None
         # An identity test: an equal copy may be written otherwise (1 for 1.0).
@@ -238,7 +244,7 @@ class DecisionTrace:
         ):
             # The echo is the request itself: the rest is written with the
             # mark in both places, then the request's text is put in them.
-            marked = {**data, "events": [_MARK_ECHO, *events[1:]], "request": _MARK}
+            marked = self._dict(_MARK, [_MARK_ECHO, *events[1:]])
             try:
                 parts = canonical_json(marked).split(_MARK_TEXT)
             except (TypeError, ValueError, RecursionError):
@@ -246,7 +252,7 @@ class DecisionTrace:
                 parts = ()
             if len(parts) == 3:
                 return canonical_json(self.request).join(parts)
-        return canonical_json(data)
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTrace":
@@ -470,10 +476,11 @@ class DecisionEngine:
 
     def _eval_emotion(self, st: _EvalState):
         steps = st.restriction.escalation_steps if st.restriction else 0
-        st.effective_zone = escalate(st.base_zone, steps)
+        st.effective_zone = escalate(st.base_zone, steps) if steps else st.base_zone
         request_class = st.obj.safety_class
-        key = MatrixKey(st.active, request_class, st.effective_zone)
-        entry = st.matrix_entry = matrix_lookup(self.config.matrix, key)
+        # A plain tuple finds the same row as its MatrixKey, without
+        # NamedTuple's Python-level __new__.
+        entry = st.matrix_entry = matrix_lookup(self.config.matrix, (st.active, request_class, st.effective_zone))
         # Fresh lists, so that no trace shares one with the config.
         details = {
             "base_zone": st.base_zone.as_str(),

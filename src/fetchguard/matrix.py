@@ -137,19 +137,18 @@ class CategoryRule:
         if unknown:
             raise ConfigError(f"unknown category checks: {sorted(unknown)}")
 
-    def applies_to(self, category: str) -> bool:
-        return self.category == "*" or self.category == category
-
     def admits_room(self, room: str) -> bool:
         """A rule that declares no rooms admits every room."""
         return self.appropriate_rooms is None or room in self.appropriate_rooms
 
 
-def matrix_lookup(matrix: Matrix, key: MatrixKey) -> MatrixEntry:
+def matrix_lookup(matrix: Matrix, key: tuple) -> MatrixEntry:
+    """The row for a MatrixKey or a plain (profile, class, zone) tuple,
+    which hashes and compares equal to it."""
     try:
         return matrix[key]
     except KeyError:
-        raise ConfigError(f"matrix has no row for {_key_str(key)}") from None
+        raise ConfigError(f"matrix has no row for {_key_str(MatrixKey(*key))}") from None
 
 
 def validate_matrix(matrix: Matrix) -> Report:
@@ -214,7 +213,9 @@ def category_checks(
     with no rule category, then every rule that applies to the object's
     category, in rule order. The first failing check decides; nothing to
     check is a vacuous pass."""
-    rules = [rule for rule in rules if rule.applies_to(obj.category)]
+    category = obj.category
+    # A rule applies to its own category, or to every one as "*".
+    rules = [rule for rule in rules if rule.category == category or rule.category == "*"]
     for check in MATRIX_CHECKS:
         if check not in required_checks:
             continue

@@ -102,7 +102,7 @@ class CooldownState:
         window is removed; remember the request; and arm a flagged object's
         window for a full duration from now, whether or not one was running."""
         rec = self._record(user_id)
-        if rec.active:
+        if rec.active and min(rec.active.values()) <= now:
             rec.active = {cls: expiry for cls, expiry in rec.active.items() if expiry > now}
         rec.last_requested = obj.object_id
         if obj.safety_class in _FLAGGED:

@@ -17,7 +17,7 @@ from fetchguard.model import CHILD_TIER
 def reference_category_checks(rules, obj, requester_group, context, requester):
     """(failed check, rule category) of the first failing rule check, or None."""
     for rule in rules:
-        if not rule.applies_to(obj.category):
+        if rule.category not in ("*", obj.category):
             continue
         if "allergy_screen" in rule.extra_checks:
             if obj.allergen_tags & requester.allergies:
@@ -40,7 +40,7 @@ def reference_gate4(entry, rules, obj, group, context, profile):
         if check not in entry.required_checks:
             continue
         if check == "room_appropriate":
-            passed = all(rule.admits_room(context.room) for rule in rules if rule.applies_to(obj.category))
+            passed = all(rule.admits_room(context.room) for rule in rules if rule.category in ("*", obj.category))
         else:
             passed = getattr(context, check)
         if not passed:

@@ -100,13 +100,14 @@ class TestTable:
     def test_medians_ratio_spread_and_wins(self):
         rows = self.rows()
         # Medians of four: the mean of the middle two. Quartiles interpolate
-        # between the sorted base values: 105.5 and 108.5 here.
-        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3/4", "-", "ok"]
+        # between the sorted values: 105.5 and 108.5 for the base, 98.75 and
+        # 102.25 for the change.
+        assert rows["verify_us_p50"] == ["us", "107", "99.5", "0.9299", "3", "3.5", "3/4", "-", "ok"]
         # Higher is better here: the change won where it read more.
-        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "3/4", "-", "ok"]
+        assert rows["decisions_per_s"] == ["1/s", "9050", "9400", "1.0387", "175", "375", "3/4", "-", "ok"]
 
     def test_a_tie_counts_for_neither_side(self):
-        assert self.rows()["trace_bytes_mean"][-4:] == ["47.5", "0/4", "-", "ok"]
+        assert self.rows()["trace_bytes_mean"][-5:] == ["47.5", "47.5", "0/4", "-", "ok"]
 
     def test_a_metric_no_run_printed_gets_no_row(self):
         assert list(self.rows()) == ["metric", "verify_us_p50", "decisions_per_s", "trace_bytes_mean"]
@@ -116,7 +117,7 @@ class TestTable:
         pairs = [({"setup_s": b}, {"setup_s": c}) for b, c in
                  ((0.001281, 0.001093), (0.001275, 0.001101), (0.001302, 0.001088), (0.001290, 0.001097))]
         row = bench_pairs.table([setup], pairs).splitlines()[1].split()
-        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "4/4", "-", "ok"]
+        assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "6.25e-06", "4/4", "-", "ok"]
 
     @pytest.mark.parametrize(
         "metric, change, column",
@@ -150,7 +151,7 @@ class TestTable:
     def test_one_pair_has_no_spread(self):
         assert bench_pairs.quartile_spread([5.0]) == 0.0
         rows = bench_pairs.table(METRICS[:1], self.PAIRS[:1]).splitlines()
-        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "1/1", "-", "ok"]
+        assert rows[1].split() == ["verify_us_p50", "us", "110", "100", "0.9091", "0", "0", "1/1", "-", "ok"]
 
 
 class TestClaim:
@@ -244,8 +245,8 @@ class TestSeveralWorkloads:
         ]
         rows = [{line.split()[0]: line.split()[1:] for line in t.splitlines()[1:-1]} for t in tables]
         # Base medians 100 + seed 2 + len(workload): 114 and 115.
-        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "3/3", "-", "ok"]
-        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "3/3", "-", "ok"]
+        assert rows[0]["verify_us_p50"] == ["us", "114", "104", "0.9123", "1", "1", "3/3", "-", "ok"]
+        assert rows[1]["verify_us_p50"] == ["us", "115", "105", "0.9130", "1", "1", "3/3", "-", "ok"]
         assert [t.splitlines()[-1] for t in tables] == ["decided alike on 3/3 pairs"] * 2
 
     def test_one_workload_prints_one_table(self, monkeypatch, capsys):

@@ -359,6 +359,49 @@ class TestInRangeSamples:
         assert sample.clamped()[0] is sample
 
 
+def min_max_clamped(sample):
+    """clamped() as min and max alone work it out, with no test for a sample
+    strictly inside: (values, changed, whether they are the very objects the
+    sample holds)."""
+    v = -1.0 if sample.valence != sample.valence else min(1.0, max(-1.0, sample.valence))
+    a = 1.0 if sample.arousal != sample.arousal else min(1.0, max(-1.0, sample.arousal))
+    same = v is sample.valence and a is sample.arousal
+    return (v, a), not (v == sample.valence and a == sample.arousal), same
+
+
+def _float(text):
+    # Built at run time, so that no value is the very constant a bound in
+    # min_max_clamped or clamped() is.
+    return float(text)
+
+
+#: Each side of every boundary clamped() tests: the signed zeros, +-1.0 and
+#: the floats next to them, the non-finite values, and ints from 0 to past
+#: float range.
+EDGE_VALUES = [
+    _float("0.0"), _float("-0.0"), _float("1.0"), _float("-1.0"),
+    math.nextafter(_float("1.0"), 0.0), math.nextafter(_float("1.0"), 2.0),
+    math.nextafter(_float("-1.0"), 0.0), math.nextafter(_float("-1.0"), -2.0),
+    _float("nan"), _float("inf"), _float("-inf"),
+    0, 1, -1, 2, -2, 10**400, -(10**400), 2**1024,
+]
+sensor_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(), st.integers(-(10**500), 10**500))
+
+
+class TestClampedMatchesMinMax:
+    @settings(max_examples=500, deadline=None)
+    @given(sensor_values, sensor_values)
+    def test_same_values_types_change_and_identity(self, v, a):
+        sample = EmotionSample(v, a)
+        result, changed = sample.clamped()
+        values, expected_changed, same = min_max_clamped(sample)
+        assert [(repr(x), type(x)) for x in (result.valence, result.arousal)] == [
+            (repr(x), type(x)) for x in values
+        ]
+        assert changed is expected_changed
+        assert (result is sample) is same
+
+
 class TestEscalation:
     def test_single_steps(self):
         assert escalate(Zone.GREEN, 1) is Zone.YELLOW

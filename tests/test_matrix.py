@@ -179,6 +179,14 @@ class TestValidator:
         with pytest.raises(ConfigError, match="no row"):
             matrix_lookup({}, key(NONE, N, Zone.GREEN))
 
+    @pytest.mark.parametrize("as_key", [MatrixKey._make, tuple], ids=["MatrixKey", "tuple"])
+    def test_a_row_missing_from_a_matrix_is_refused_by_its_key(self, as_key):
+        matrix = dict(default_config().matrix)
+        del matrix[key({D}, M, Zone.ORANGE)]
+        with pytest.raises(ConfigError, match=r"no row for cooldown=dangerous class=mind_altering zone=orange$"):
+            matrix_lookup(matrix, as_key((frozenset({D}), M, Zone.ORANGE)))
+        assert matrix_lookup(matrix, as_key((frozenset({D}), M, Zone.RED))) is matrix[key({D}, M, Zone.RED)]
+
     def test_unknown_check_name_rejected(self):
         with pytest.raises(ConfigError):
             MatrixEntry(frozenset({g.HA}), frozenset({"retina_scan"}))

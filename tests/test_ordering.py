@@ -94,6 +94,22 @@ class TestActiveWindows:
         state.on_granted("alice", TOWEL, 5000, DEFAULTS)
         assert state.snapshot()["users"]["alice"]["active"] == {}
 
+    def test_a_window_closing_at_now_goes_and_one_closing_a_second_later_stays(self):
+        state = CooldownState()
+        state.on_granted("alice", KNIFE, 0, DEFAULTS)  # closes at 1800
+        state.on_granted("alice", PILLS, -14400 + 1801, DEFAULTS)  # closes at 1801
+        state.on_granted("alice", TOWEL, 1800, DEFAULTS)
+        assert state.snapshot()["users"]["alice"]["active"] == {"mind_altering": 1801}
+        state.on_granted("alice", TOWEL, 1801, DEFAULTS)
+        assert state.snapshot()["users"]["alice"]["active"] == {}
+
+    def test_a_grant_with_every_window_open_keeps_them_all(self):
+        state = CooldownState()
+        state.on_granted("alice", KNIFE, 0, DEFAULTS)
+        state.on_granted("alice", PILLS, 10, DEFAULTS)
+        state.on_granted("alice", KNIFE, 1799, DEFAULTS)
+        assert state.snapshot()["users"]["alice"]["active"] == {"dangerous": 3599, "mind_altering": 14410}
+
     @pytest.mark.parametrize("now", [0, 9, 10, 1799, 1800, 1801, 5000, 14409, 14410, 14411, 10**6])
     def test_active_cooldowns_only_reads(self, now):
         state = CooldownState()

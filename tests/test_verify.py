@@ -789,6 +789,41 @@ class TestToJsonIsTheStdlibsJson:
             assert trace.to_json() == stdlib_json(trace)
 
 
+def canonical_of_dict(trace):
+    return canonical_json(trace.to_dict())
+
+
+#: Values canonical JSON refuses, each with its own exception type.
+REFUSED_VALUES = [object(), {1, 2}, math.nan, -math.inf, 10**5000]
+
+
+class TestToJsonIsCanonicalJsonOfToDict:
+    """to_json writes a fresh trace's request once and puts it in both of its
+    places; the line is canonical_json(to_dict()) all the same, for every
+    line of random streams on each household, for a copy whose echo is an
+    equal but distinct dict, and, as the type of what it raises, for a
+    trace whose request, echoed, holds a value canonical JSON refuses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), audit_all=st.booleans())
+    def test_every_line_of_a_stream_and_its_copies(self, seed, audit_all):
+        rnd = random.Random(seed)
+        for _, config in CONFIGS:
+            for [trace] in stream_traces([DecisionEngine(config, audit_all=audit_all)], rnd):
+                line = trace.to_json()
+                assert line == canonical_of_dict(trace)
+                first, rest = trace.events[0], trace.events[1:]
+                assert first["request"] is trace.request
+                echo = copy.deepcopy(trace.request)
+                distinct = dataclasses.replace(trace, events=[{**first, "request": echo}, *rest])
+                assert distinct.to_json() == canonical_of_dict(distinct) == line
+                value = rnd.choice(REFUSED_VALUES)
+                request = {**trace.request, rnd.choice(["emotion", "now", "zz"]): value}
+                refused = dataclasses.replace(trace, request=request, events=[{**first, "request": request}, *rest])
+                assert written(DecisionTrace.to_json, refused) is written(canonical_of_dict, refused)
+                assert isinstance(written(canonical_of_dict, refused), type)
+
+
 _MIX_SPEC = importlib.util.spec_from_file_location("perfbench_mix", ROOT / "perfbench" / "mix.py")
 mix = importlib.util.module_from_spec(_MIX_SPEC)
 # Registered before it runs: its dataclasses look their module up.
@@ -1736,6 +1771,44 @@ class TestVersion6DownStep:
                     assert canonical_json(data) == trace.to_json()
         assert DOWN_STEP_CASES <= seen
         assert AUDIT_DOWN_STEP_CASES <= seen if audit_all else not AUDIT_DOWN_STEP_CASES & seen
+
+
+class TestAuditPassFailures:
+    """The audit pass's vehicle ban and personal denial, which no golden line
+    holds. On the shipped household with audit_all, dave, who is 4, is
+    denied at eligibility each time he asks: for the sleeping pills at 0,
+    which arms the mind-altering window, for the car keys inside it at 10
+    and for alice's diary at 20. The audit pass records the ordering check
+    failing on the car keys and the personal check failing on the diary, and
+    the version 6 down-step writes both as the version 6 engine did."""
+
+    #: (object, now, the audit event that fails, its version 6 fact and value)
+    REQUESTS = [
+        ("sleeping_pills", 0, None, None, None),
+        ("car_keys", 10, "ordering_ok", "vehicle_ban", True),
+        ("diary", 20, "personal_ok", "access", "denied"),
+    ]
+
+    def test_each_line_verifies_and_steps_down_to_the_version_6_line(self, shipped_config):
+        engines = [DecisionEngine(shipped_config, audit_all=True), Version6Engine(shipped_config, audit_all=True)]
+        for obj, now, node, fact, value in self.REQUESTS:
+            request = make_request("dave", obj, now=now, request_id=f"dave-{obj}")
+            trace, written = [engine.decide(request)[1] for engine in engines]
+            assert trace.decision.deciding_policy == "eligibility"
+            assert verify_trace(copy_of(trace), shipped_config).ok
+            old = copy_of(trace)
+            old.trace_version, old.events = 6, _to_version_6(trace.events, trace)
+            written.trace_version = 6
+            assert old.to_json() == written.to_json()
+            read = DecisionTrace.from_dict(json.loads(old.to_json()))
+            assert verify_trace(read, shipped_config).ok
+            assert render_explanation(read) == render_explanation(trace)
+            if node is None:
+                continue
+            [event] = [e for e in trace.events if e["node"] == node]
+            assert event["audit"] is True and event["outcome"] == "failure"
+            [step] = [e for e in old.events if e["node"] == node]
+            assert step[fact] == value
 
 
 #: The facts version 7 leaves out, as (mode, node, key): every one in the
