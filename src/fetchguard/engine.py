@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import inf
 
@@ -166,8 +167,24 @@ class Decision:
             "deciding_policy": self.deciding_policy,
             "reason": self.reason,
             "effective_zone": self.effective_zone.as_str(),
-            "allowed_groups_at_leaf": sorted(self.allowed_groups_at_leaf),
+            "allowed_groups_at_leaf": list(self._group_texts),
         }
+
+    # Neither memo is a field, so equality, hash, repr and replace ignore them.
+    @cached_property
+    def _group_texts(self) -> tuple:
+        return tuple(sorted(self.allowed_groups_at_leaf))
+
+    @cached_property
+    def _block(self) -> str | None:
+        """The block's canonical JSON, for a decision holding the exact types
+        decide() gives it, which cannot change; None for any other."""
+        if (
+            type(self.verdict) is str and type(self.deciding_policy) is str and type(self.reason) is str
+            and type(self.effective_zone) is Zone and type(self.allowed_groups_at_leaf) is frozenset
+        ):
+            return canonical_json(self.to_dict())
+        return None
 
     @classmethod
     def from_dict(cls, data: dict) -> "Decision":
@@ -216,18 +233,14 @@ class DecisionTrace:
     trace_version: int = TRACE_VERSION
 
     def to_dict(self) -> dict:
-        return self._dict(self.request, self.events)
-
-    def _dict(self, request, events: list) -> dict:
-        """to_dict with `request` and `events` in place of the trace's own."""
         data = {
             "request_id": self.request_id,
             "config_fingerprint": self.config_fingerprint,
             "audit_all": self.audit_all,
-            "request": request,
+            "request": self.request,
             "pre_state": self.pre_state,
             "warnings": self.warnings,
-            "events": events,
+            "events": self.events,
             "decision": self.decision.to_dict(),
         }
         if self.trace_version != 1:
@@ -235,23 +248,35 @@ class DecisionTrace:
         return data
 
     def to_json(self) -> str:
-        events = self.events
+        events, request, decision = self.events, self.request, self.decision
         first = events[0] if type(events) is list and events else None
-        # An identity test: an equal copy may be written otherwise (1 for 1.0).
+        # Identity and exact-type tests: an equal value of another type may
+        # be written otherwise (1 for 1.0, 1 for True).
         if (
-            type(first) is dict and len(first) == 2 and first.get("request") is self.request
+            type(first) is dict and len(first) == 2 and "request" in first and first["request"] is request
             and first.get("node") == "knowledge_check"
+            and type(self.request_id) is str and type(self.config_fingerprint) is str
+            and type(self.audit_all) is bool and type(self.trace_version) is int and self.trace_version != 1
+            and type(decision) is Decision
         ):
-            # The echo is the request itself: the rest is written with the
-            # mark in both places, then the request's text is put in them.
-            marked = self._dict(_MARK, [_MARK_ECHO, *events[1:]])
             try:
-                parts = canonical_json(marked).split(_MARK_TEXT)
+                block = decision._block
+                if block is not None:
+                    # The line canonical_json(to_dict()) writes, keys in
+                    # sorted order, with the request's text in both places.
+                    text = canonical_json(request)
+                    rest = f",{canonical_json(events[1:])[1:]}" if len(events) > 1 else "]"
+                    return (
+                        f'{{"audit_all":{"true" if self.audit_all else "false"},'
+                        f'"config_fingerprint":{encode_basestring_ascii(self.config_fingerprint)},'
+                        f'"decision":{block},"events":[{{"node":"knowledge_check","request":{text}}}{rest},'
+                        f'"pre_state":{canonical_json(self.pre_state)},"request":{text},'
+                        f'"request_id":{encode_basestring_ascii(self.request_id)},'
+                        f'"trace_version":{self.trace_version},"warnings":{canonical_json(self.warnings)}}}'
+                    )
             except (TypeError, ValueError, RecursionError):
                 # Refused below, in the order the whole trace is written in.
-                parts = ()
-            if len(parts) == 3:
-                return canonical_json(self.request).join(parts)
+                pass
         return canonical_json(self.to_dict())
 
     @classmethod
@@ -285,12 +310,6 @@ class DecisionTrace:
 #: The keys to_dict writes; a version 1 line has no trace_version.
 _KEYS = frozenset(f.name for f in fields(DecisionTrace))
 _V1_KEYS = _KEYS - {"trace_version"}
-#: Stands in for a fresh trace's request while to_json writes the rest of
-#: it. A trace with some other text that writes the mark's text is written
-#: the general way.
-_MARK = "\x00request"
-_MARK_TEXT = canonical_json(_MARK)
-_MARK_ECHO = {"node": "knowledge_check", "request": _MARK}
 
 
 @dataclass(slots=True)
@@ -334,6 +353,9 @@ class DecisionEngine:
         self.config = config
         self.audit_all = audit_all
         self.fingerprint = config.fingerprint()
+        #: One Decision per value decided on a known object, so each block is
+        #: written once; bounded by the config.
+        self._decisions: dict[tuple, Decision] = {}
         #: The ids a roster-scoped cool-down state keeps records of their own for.
         self._roster = frozenset(u.user_id for u in config.users)
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
@@ -542,7 +564,15 @@ class DecisionEngine:
         # (IntEnum 0), so an explicit None check here.
         effective_zone = st.effective_zone if st.effective_zone is not None else st.base_zone
         allowed = st.matrix_entry.allowed_groups if st.matrix_entry is not None else frozenset()
-        decision = Decision(verdict, deciding, reason, effective_zone, allowed)
+        if st.obj is None:
+            # Its reason names the unknown id, so it is not interned.
+            decision = Decision(verdict, deciding, reason, effective_zone, allowed)
+        else:
+            # Keyed by the zone's rank: Enum's hash is Python-level.
+            key = (verdict, deciding, reason, int(effective_zone), allowed)
+            decision = self._decisions.get(key)
+            if decision is None:
+                decision = self._decisions[key] = Decision(verdict, deciding, reason, effective_zone, allowed)
 
         if self.audit_all and st.failed_stage is not None:
             st.events.extend(self._audit_events(st))

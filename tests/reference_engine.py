@@ -8,7 +8,6 @@ nothing from fetchguard, so it shares no table or helper with the engine.
 The reasons are the texts the engine writes.
 """
 
-import copy
 import math
 
 MIN_ELIGIBLE_AGE = 5
@@ -32,7 +31,9 @@ def initial_state(config):
 
 
 def reference_step(config, state, event):
-    """One event on a copy of `state`: (outcome, next state).
+    """One event after `state`: (outcome, next state). `state` is left as it
+    is, and the next state shares every part the event did not change, so a
+    step copies nothing it does not write.
 
     A `request` event carries the requester, object, emotion values, context
     and `now`; its outcome is the decision as the engine's block writes it.
@@ -40,7 +41,6 @@ def reference_step(config, state, event):
     The state is `{"cooldowns": {key: record}, "registry": {object: entry}}`
     in the shapes of the engine's whole snapshots.
     """
-    state = copy.deepcopy(state)
     cooldowns, registry = state["cooldowns"], state["registry"]
     users = {user["user_id"]: user for user in config["users"]}
     objects = {obj["object_id"]: obj for obj in config["objects"]}
@@ -57,15 +57,15 @@ def reference_step(config, state, event):
             or (tag is not None and tag["tagged_by"] != event["actor"])
         ):
             return False, state
-        registry[event["object"]] = {"tagged_by": event["actor"], "grants": []}
-        return True, state
+        tagged = {"tagged_by": event["actor"], "grants": []}
+        return True, {"cooldowns": cooldowns, "registry": {**registry, event["object"]: tagged}}
     if event["type"] == "grant":
         tag = registry.get(event["object"])
         grantee = users.get(event["grantee"])
         if grantee is None or grantee["age_years"] < MIN_ELIGIBLE_AGE or tag is None or tag["tagged_by"] != event["actor"]:
             return False, state
-        tag["grants"] = sorted({*tag["grants"], event["grantee"]})
-        return True, state
+        granted = {"tagged_by": tag["tagged_by"], "grants": sorted({*tag["grants"], event["grantee"]})}
+        return True, {"cooldowns": cooldowns, "registry": {**registry, event["object"]: granted}}
 
     user_id, object_id, now = event["user"], event["object"], event["now"]
     obj, profile = objects.get(object_id), users.get(user_id)
@@ -127,7 +127,7 @@ def reference_step(config, state, event):
             row = next(
                 row
                 for row in config["matrix"]
-                if sorted(row["cooldown"]) == active and row["request_class"] == obj["safety_class"] and row["zone"] == zone
+                if row["request_class"] == obj["safety_class"] and row["zone"] == zone and sorted(row["cooldown"]) == active
             )
             allowed = sorted(row["allowed_groups"])
             rules = [rule for rule in config["category_rules"] if rule["category"] in ("*", obj["category"])]
@@ -171,11 +171,10 @@ def reference_step(config, state, event):
     # at `now`, becomes the last request, and a flagged one (re-)arms its
     # class's window for a full duration. An unknown object changes nothing.
     if obj is not None:
-        record = cooldowns.setdefault(key, {"last_requested": None, "active": {}})
-        record["active"] = {cls: expiry for cls, expiry in record["active"].items() if expiry > now}
-        record["last_requested"] = object_id
+        windows = {cls: expiry for cls, expiry in record["active"].items() if expiry > now} if record is not None else {}
         if obj["safety_class"] in FLAGGED:
-            record["active"][obj["safety_class"]] = now + config["durations"][obj["safety_class"] + "_s"]
+            windows[obj["safety_class"]] = now + config["durations"][obj["safety_class"] + "_s"]
+        cooldowns = {**cooldowns, key: {"last_requested": object_id, "active": windows}}
 
     policy, reason = violation or ("none", "no policy violation")
     decision = {
@@ -185,4 +184,4 @@ def reference_step(config, state, event):
         "effective_zone": zone,
         "allowed_groups_at_leaf": allowed,
     }
-    return decision, state
+    return decision, {"cooldowns": cooldowns, "registry": registry}

@@ -12,6 +12,7 @@ from fetchguard import (
     ALLOW,
     ConfigError,
     ContextSnapshot,
+    Decision,
     DecisionEngine,
     DecisionTrace,
     DENY,
@@ -36,9 +37,11 @@ from fetchguard.formats import RESERVED, _POLICY_OF, _events_as_written
 from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
+from request_grid import decided_grid
 from test_emotion import rebuilding_clamped
 from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES, V6_FILES
 from test_reference_engine import CONFIGS, random_stream
+from test_verify import mix
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -330,6 +333,80 @@ class TestTraceShape:
         _, trace = engine.decide(make_request("alice", "towel"))
         clone = DecisionTrace.from_dict(json.loads(trace.to_json()))
         assert clone.to_json() == trace.to_json()
+
+
+def mix_decisions(config, audit_all, count):
+    """An engine after `count` decisions on the benchmark's household traffic
+    (perfbench/mix.py), a requester it has never seen every 20th, its
+    registry writes applied as they come."""
+    engine = DecisionEngine(config, audit_all=audit_all)
+    stream, decided = mix.EventStream(config, 5, "intern", new_user_every=20), 0
+    while decided < count:
+        event = stream.next_event()
+        if isinstance(event, mix.Write):
+            try:
+                if event.grantee is None:
+                    engine.apply_tag(event.actor, event.object_id)
+                else:
+                    engine.apply_grant(event.actor, event.object_id, event.grantee)
+            except FetchguardError:
+                pass
+            continue
+        engine.decide(event)
+        decided += 1
+    return engine
+
+
+class TestInternedDecisions:
+    """decide() gives one Decision object per value it decides on a known
+    object, per engine, and that object writes its block once."""
+
+    def test_equal_decisions_are_one_object_on_one_engine_only(self, shipped_config):
+        first, second = DecisionEngine(shipped_config), DecisionEngine(shipped_config)
+        a = first.decide(make_request("alice", "towel", now=0))[0]
+        b = first.decide(make_request("alice", "towel", now=10, request_id="req-001"))[0]
+        c = second.decide(make_request("alice", "towel", now=0))[0]
+        assert a is b and a == c and a is not c
+        assert first.decide(make_request("alice", "knife", now=20))[0] is not a
+
+    def test_made_up_object_ids_add_no_entry(self, shipped_config):
+        # Their reasons name the id, so the table would grow with them.
+        engine = DecisionEngine(shipped_config)
+        engine.decide(make_request("alice", "towel"))
+        size = len(engine._decisions)
+        for i in range(10_000):
+            decision = engine.decide(make_request("alice", f"ghost-{i}", now=i))[0]
+            assert decision.reason == f"unknown object 'ghost-{i}'"
+        assert len(engine._decisions) == size
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+    def test_the_table_is_bounded_by_the_config_over_a_long_stream(self, shipped_config, audit_all):
+        # Every decision the stream interns is one the shipped config's
+        # request-class grid gives.
+        assert CONFIGS[0][1] == shipped_config
+        grid_engine, _, _ = decided_grid(0)
+        engine = mix_decisions(shipped_config, audit_all, 20_000)
+        assert len(engine._decisions) > 100
+        assert engine._decisions.keys() <= grid_engine._decisions.keys()
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    def test_every_interned_block_is_the_canonical_json_of_its_dict(self, index):
+        for decision in decided_grid(index)[0]._decisions.values():
+            block = decision._block
+            assert block == canonical_json(decision.to_dict())
+            copy_ = Decision.from_dict(json.loads(block))
+            assert copy_ == decision and copy_ is not decision and copy_._block == block
+
+    def test_the_memos_are_not_fields(self, engine):
+        decision = engine.decide(make_request("alice", "knife"))[0]
+        before = repr(decision), hash(decision), dataclasses.astuple(decision)
+        assert decision._block is not None and decision._group_texts == ("FAA", "FRA", "HA")
+        assert (repr(decision), hash(decision), dataclasses.astuple(decision)) == before
+        assert [f.name for f in dataclasses.fields(decision)] == [
+            "verdict", "deciding_policy", "reason", "effective_zone", "allowed_groups_at_leaf"
+        ]
+        changed = dataclasses.replace(decision, reason="edited")
+        assert changed != decision and '"reason":"edited"' in changed._block
 
 
 def _scribble(node):

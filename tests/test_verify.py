@@ -708,8 +708,9 @@ def _first(trace):
     return first if isinstance(first, dict) else {}
 
 
-#: The text to_json writes in place of a fresh trace's request while it
-#: writes the rest, and a text that writes it too, after an escaped quote.
+#: Texts a writer that splices a request's text into the rest of a line
+#: could take for its stand-in, one of them after an escaped quote: as ids,
+#: rooms or warnings they must not change how a line is written.
 MARKS = ["\x00request", 'a"\x00request']
 ORACLE_SENSORS = st.sampled_from([0.5, -0.3, -0.9, 0.9, 0, 1, 2.5, math.nan, math.inf, -math.inf, 10**400, -(2**1024)])
 ORACLE_REQUESTS = st.builds(
@@ -723,9 +724,32 @@ ORACLE_REQUESTS = st.builds(
     st.integers(0, 20_000),
     st.text(max_size=3) | st.sampled_from(MARKS),
 )
+
+
+def _decision_edit(**change):
+    """An edit that replaces a trace's Decision by a copy whose named fields
+    are what each function makes of the old value."""
+
+    def edit(trace):
+        if isinstance(trace.decision, Decision):
+            old = trace.decision
+            trace.decision = dataclasses.replace(old, **{name: f(getattr(old, name)) for name, f in change.items()})
+
+    return edit
+
+
+def _decision_as_its_dict(trace):
+    try:
+        trace.decision = trace.decision.to_dict()
+    except (AttributeError, TypeError):
+        # Another edit has left a decision without a dict.
+        pass
+
+
 #: Edits to a decided trace in memory, by name. Some keep its echo the
-#: request itself, some break that in each way a line read back can, and
-#: some put in a value that JSON cannot hold.
+#: request itself, some break that in each way a line read back can, some
+#: give a field a type decide() does not write, and some put in a value that
+#: JSON cannot hold.
 TRACE_EDITS = {
     "echo an equal copy": lambda t: _first(t).update(request=copy.deepcopy(t.request)),
     "echo now as a float": lambda t: _first(t).update(request={**t.request, "now": float(t.request["now"])}),
@@ -754,6 +778,17 @@ TRACE_EDITS = {
     "an object in the request": lambda t: t.request.update(x=object()),
     "infinity in the request": lambda t: t.request.update(y=math.inf),
     "fingerprint an object": lambda t: setattr(t, "config_fingerprint", object()),
+    "audit_all 1": lambda t: setattr(t, "audit_all", 1),
+    "audit_all null": lambda t: setattr(t, "audit_all", None),
+    "version True": lambda t: setattr(t, "trace_version", True),
+    "version 7.0": lambda t: setattr(t, "trace_version", 7.0),
+    "decision as its dict": _decision_as_its_dict,
+    "decision null": lambda t: setattr(t, "decision", None),
+    "zone 0": _decision_edit(effective_zone=lambda zone: 0),
+    "zone as its text": _decision_edit(effective_zone=lambda zone: "green"),
+    "groups holding an int": _decision_edit(allowed_groups_at_leaf=lambda groups: frozenset([*groups, 1])),
+    "groups a list": _decision_edit(allowed_groups_at_leaf=list),
+    "reason null": _decision_edit(reason=lambda reason: None),
 }
 
 
@@ -779,6 +814,30 @@ class TestToJsonIsTheStdlibsJson:
         for edit in edits:
             TRACE_EDITS[edit](trace)
             assert written(DecisionTrace.to_json, trace) == written(stdlib_json, trace)
+
+    # An allowed request, whose block has ten groups, and one denied at the
+    # first gate, whose block has none and whose audit pass runs every
+    # later stage.
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
+    @pytest.mark.parametrize("user", ["alice", "dave"])
+    @pytest.mark.parametrize("edit", list(TRACE_EDITS))
+    def test_each_edit_of_one_of_two_traces_sharing_a_decision(self, shipped_config, edit, user, audit_all):
+        # The engine interns the decision, so both traces hold one object;
+        # an edit to one trace leaves the other's bytes alone.
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        kept, edited = (engine.decide(make_request(user, "towel", now=t, request_id=f"req-{t}"))[1] for t in (0, 10))
+        assert kept.decision is edited.decision
+        TRACE_EDITS[edit](edited)
+        assert written(DecisionTrace.to_json, edited) == written(stdlib_json, edited)
+        assert kept.to_json() == stdlib_json(kept)
+
+    def test_no_request_and_an_echo_less_first_event(self, shipped_config):
+        # The first event has no request to be the trace's own: it is not
+        # written as an echo of a null request.
+        trace = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))[1]
+        trace.request = None
+        trace.events[0] = {"node": "knowledge_check", "extra": None}
+        assert trace.to_json() == stdlib_json(trace)
 
     def test_every_golden_line(self):
         paths = GOLDEN_FILES + V3_FILES + V4_FILES + V6_FILES
