@@ -87,6 +87,38 @@ else:
         return "".join(_encode(value, 0))
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"an interned event's {type(self).__base__.__name__} is read-only")
+
+
+class _List(list):
+    """A list in an interned event; a copy, deep copy or pickle is plain."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+class _Event(dict):
+    """An event an engine interns (DecisionEngine._events). Read-only, so that
+    no edit in memory reaches another trace or a later decision; a copy, deep
+    copy or pickle is plain."""
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    @cached_property
+    def text(self) -> str:
+        """Its canonical JSON, written on first use: a verify writes none."""
+        return canonical_json(self)
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class FetchRequest:
     request_id: str
@@ -220,7 +252,10 @@ class DecisionTrace:
 
     A trace straight from decide() holds the request as one dict, both as
     `request` and as the knowledge_check event's echo, so an edit to one
-    in memory is an edit to both, and to_json writes its text once."""
+    in memory is an edit to both, and to_json writes its text once. Its
+    other events are its engine's interned ones, read-only and written from
+    the text each keeps, but for the audit pass's and a last request that
+    is no catalog id."""
 
     request_id: str
     config_fingerprint: str
@@ -265,11 +300,12 @@ class DecisionTrace:
                     # The line canonical_json(to_dict()) writes, keys in
                     # sorted order, with the request's text in both places.
                     text = canonical_json(request)
-                    rest = f",{canonical_json(events[1:])[1:]}" if len(events) > 1 else "]"
+                    # Exactly an _Event: any other dict may hold anything.
+                    rest = "".join([f",{e.text if type(e) is _Event else canonical_json(e)}" for e in events[1:]])
                     return (
                         f'{{"audit_all":{"true" if self.audit_all else "false"},'
                         f'"config_fingerprint":{encode_basestring_ascii(self.config_fingerprint)},'
-                        f'"decision":{block},"events":[{{"node":"knowledge_check","request":{text}}}{rest},'
+                        f'"decision":{block},"events":[{{"node":"knowledge_check","request":{text}}}{rest}],'
                         f'"pre_state":{canonical_json(self.pre_state)},"request":{text},'
                         f'"request_id":{encode_basestring_ascii(self.request_id)},'
                         f'"trace_version":{self.trace_version},"warnings":{canonical_json(self.warnings)}}}'
@@ -356,6 +392,9 @@ class DecisionEngine:
         #: One Decision per value decided on a known object, so each block is
         #: written once; bounded by the config.
         self._decisions: dict[tuple, Decision] = {}
+        #: One _Event per event a leaf writes but the echo, keyed by every
+        #: fact it writes; bounded by the config, and filled as decide() goes.
+        self._events: dict[object, _Event] = {}
         #: The ids a roster-scoped cool-down state keeps records of their own for.
         self._roster = frozenset(u.user_id for u in config.users)
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
@@ -422,14 +461,14 @@ class DecisionEngine:
 
         def check(st: _EvalState) -> bool:
             event, violation = evaluate(st)
-            event["node"] = ok_name
             st.events.append(event)
             if violation is not None:
                 st.failed_stage, st.violation = stage, violation
             return violation is None
 
         def record_violation(st: _EvalState) -> NodeStatus:
-            st.events.append({"node": violation_name})
+            event = self._events.get(violation_name)
+            st.events.append(event or self._events.setdefault(violation_name, _Event(node=violation_name)))
             return FAILURE
 
         return [Condition(ok_name, check), Action(violation_name, record_violation)]
@@ -454,47 +493,57 @@ class DecisionEngine:
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
         # The node keeps the name traces record; it reads the requester's
-        # last request for the trace.
+        # last request for the trace. A restored pre-state can hold any text
+        # there, so only none or a catalog id is interned.
         last = self.cooldowns.last_requested(st.request.user_id)
-        st.events.append({"node": "blackboard_update", "last_request": last})
+        key = ("blackboard_update", last)
+        event = self._events.get(key)
+        if event is None:
+            event = {"node": "blackboard_update", "last_request": last}
+            if last is None or self.config.object_by_id(last) is not None:
+                event = self._events[key] = _Event(**event)
+        st.events.append(event)
         return SUCCESS
 
     # -- stage evaluators --------------------------------------------------------
-    # Each returns (trace-event inputs, violation-or-None) for one request's
-    # state, in a fresh dict that becomes the event once its node is set, so
-    # no input is named node, outcome or audit. The inputs leave out what the
-    # trace holds elsewhere: the request (echoed by knowledge_check), the last
-    # request (blackboard_update), the cool-downs and escalation steps
-    # (ordering_ok), the matrix row's required checks (emotion_ok), whether
-    # the requester is known and the sample clamped (the warnings), whether
-    # the object is known (eligibility_ok has a group) and whether a check
-    # failed (its violation event, or its outcome in the audit pass).
+    # Each returns (interned event, violation-or-None) for one request's state,
+    # keyed by every fact the event writes; no input is named node, outcome or
+    # audit. The inputs leave out what the trace holds elsewhere: the request
+    # (echoed by knowledge_check), the last request (blackboard_update), the
+    # cool-downs and escalation steps (ordering_ok), the matrix row's required
+    # checks (emotion_ok), whether the requester is known and the sample
+    # clamped (the warnings), whether the object is known (eligibility_ok has
+    # a group) and whether a check failed (its violation event, or its outcome
+    # in the audit pass).
 
     def _eval_eligibility(self, st: _EvalState):
-        if st.obj is None:
-            return {}, ("eligibility", f"unknown object {st.request.object_id!r}")
-        st.group = classify_user_group(st.profile, self.config.region)
-        details = {"group": st.group}
-        if st.group is UserGroup.INELIGIBLE:
-            return details, (
+        group = st.group = None if st.obj is None else classify_user_group(st.profile, self.config.region)
+        key = ("eligibility_ok", group)
+        event = self._events.get(key) or self._events.setdefault(
+            key, _Event(node=key[0]) if group is None else _Event(node=key[0], group=group)
+        )
+        if group is None:
+            return event, ("eligibility", f"unknown object {st.request.object_id!r}")
+        if group is UserGroup.INELIGIBLE:
+            return event, (
                 "eligibility",
                 f"requester is under the minimum age of {MIN_ELIGIBLE_AGE}",
             )
-        return details, None
+        return event, None
 
     def _eval_ordering(self, st: _EvalState):
         st.active = self.cooldowns.active_cooldowns(st.request.user_id, st.request.now)
-        st.restriction = ordering_restrictions(st.active, st.obj)
-        details = {
-            "active_cooldowns": sorted(st.active),
-            "zone_escalation_steps": st.restriction.escalation_steps,
-        }
-        if st.restriction.vehicle_ban:
-            return details, (
+        restriction = st.restriction = ordering_restrictions(st.active, st.obj)
+        key = ("ordering_ok", st.active, steps := restriction.escalation_steps)
+        event = self._events.get(key) or self._events.setdefault(
+            key, _Event(node=key[0], active_cooldowns=_List(sorted(st.active)), zone_escalation_steps=steps)
+        )
+        if restriction.vehicle_ban:
+            return event, (
                 "ordering",
                 "vehicle-category objects are unavailable during a mind-altering cool-down",
             )
-        return details, None
+        return event, None
 
     def _eval_emotion(self, st: _EvalState):
         steps = st.restriction.escalation_steps if st.restriction else 0
@@ -503,43 +552,49 @@ class DecisionEngine:
         # A plain tuple finds the same row as its MatrixKey, without
         # NamedTuple's Python-level __new__.
         entry = st.matrix_entry = matrix_lookup(self.config.matrix, (st.active, request_class, st.effective_zone))
-        # Fresh lists, so that no trace shares one with the config.
-        details = {
-            "base_zone": st.base_zone.as_str(),
-            "effective_zone": st.effective_zone.as_str(),
-            "request_class": request_class,
-            "allowed_groups": list(entry.group_texts),
-            "required_checks": list(entry.check_texts),
-        }
+        # The row follows from the windows, the class and the effective zone.
+        # Keyed by the zones' ranks: Enum's hash is Python-level.
+        key = ("emotion_ok", st.active, request_class, int(st.base_zone), int(st.effective_zone))
+        event = self._events.get(key) or self._events.setdefault(key, _Event(
+            node=key[0], base_zone=st.base_zone.as_str(), effective_zone=st.effective_zone.as_str(),
+            request_class=request_class, allowed_groups=_List(entry.group_texts),
+            required_checks=_List(entry.check_texts),
+        ))
         if st.group not in entry.allowed_groups:
-            return details, (
+            return event, (
                 "emotion",
                 f"group {st.group} may not receive a {request_class} "
                 f"object in the {st.effective_zone.as_str()} zone",
             )
-        return details, None
+        return event, None
 
     def _eval_category_context(self, st: _EvalState):
-        entry = st.matrix_entry
-        details: dict = {"category": st.obj.category}
+        entry, category = st.matrix_entry, st.obj.category
         result = category_checks(
             entry.required_checks, self.config.category_rules, st.obj, st.group, st.request.context, st.profile
         )
+        failed = result.failed_check
+        key = ("category_context_ok", category, failed, result.failed_rule_category)
+        # The key's facts by name; a failed fact that is None is not written.
+        names = ("node", "category", "failed_check", "failed_rule_category")
+        event = self._events.get(key) or self._events.setdefault(
+            key, _Event(**{name: fact for name, fact in zip(names, key) if fact is not None})
+        )
         if result.passed:
-            return details, None
-        details["failed_check"] = result.failed_check
+            return event, None
         if result.failed_rule_category is None:
-            return details, ("context", f"required check failed: {result.failed_check}")
-        details["failed_rule_category"] = result.failed_rule_category
-        return details, ("category", f"category check failed: {result.failed_check}")
+            return event, ("context", f"required check failed: {failed}")
+        return event, ("category", f"category check failed: {failed}")
 
     def _eval_personal(self, st: _EvalState):
-        details = {"object_tagged": self.registry.is_tagged(st.request.object_id)}
+        tagged = self.registry.is_tagged(st.request.object_id)
+        key = ("personal_ok", tagged)
+        event = self._events.get(key) or self._events.setdefault(key, _Event(node=key[0], object_tagged=tagged))
         if not self.registry.personal_check(st.request.user_id, st.request.object_id):
             # Reason deliberately names no users: explanations must not leak
             # who tagged the object.
-            return details, ("personal", "personal object, access not granted")
-        return details, None
+            return event, ("personal", "personal object, access not granted")
+        return event, None
 
     # -- deciding --------------------------------------------------------------
 
@@ -595,7 +650,8 @@ class DecisionEngine:
 
     def _audit_events(self, st: _EvalState) -> list[dict]:
         """In audit mode, evaluate the stages after the failed one purely
-        for the record; the verdict is already fixed."""
+        for the record; the verdict is already fixed. Each event is a plain
+        dict, the interned one's facts with its outcome."""
         start = STAGES.index(st.failed_stage) + 1
         events = []
         for _, ok_name, evaluate in self._stages[start:]:
@@ -603,10 +659,8 @@ class DecisionEngine:
                 event, violation = evaluate(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
-                event = {"note": "not evaluable after the deciding violation"}
-                outcome = "skipped"
-            event["node"], event["outcome"], event["audit"] = ok_name, outcome, True
-            events.append(event)
+                event, outcome = {"node": ok_name, "note": "not evaluable after the deciding violation"}, "skipped"
+            events.append({**event, "outcome": outcome, "audit": True})
         return events
 
 

@@ -17,15 +17,27 @@ the object's personal tag. Over one config each takes few values:
 
 Each class is decided from the state its tags and openers leave, restored
 before every request, so no class's decision depends on the one before.
+
+tests/golden/grid.json pins the bytes of the shipped config's grid lines, in
+plain and in audit_all mode (Tally). `PYTHONPATH=src python
+tests/request_grid.py` prints what this engine writes in its place, for a
+trace version the file lacks.
 """
 
 import functools
+import hashlib
+import json
 from itertools import combinations, product
+from pathlib import Path
+from typing import NamedTuple
 
-from fetchguard import ContextSnapshot, DecisionEngine, EmotionSample, FetchRequest, zone_of
+from fetchguard import ContextSnapshot, Decision, DecisionEngine, EmotionSample, FetchguardError, FetchRequest, zone_of
 from fetchguard.emotion import _probes
 from reference_engine import initial_state, reference_step
-from test_reference_engine import CONFIGS
+from test_reference_engine import CONFIGS, random_stream
+
+#: The digests of the shipped config's grid lines, by trace version and mode.
+GRID_DIGESTS = Path(__file__).resolve().parent / "golden" / "grid.json"
 
 FLAGGED = ("dangerous", "mind_altering")
 #: The openers' time, and the grid's, before any window can close.
@@ -97,17 +109,73 @@ def event_of(user, object_id, point, room, adult, verbal, now):
     }
 
 
+def stream_decisions(engine, rnd, count):
+    """The engine after `count` decisions on random streams (random_stream),
+    each decided from its configured state, its tag and grant writes applied
+    as they come."""
+    decided = 0
+    while decided < count:
+        engine.reset()
+        for event in random_stream(rnd):
+            if event["type"] == "request":
+                point = event["valence"], event["arousal"]
+                flags = event["adult_present"], event["verbal_affirmation"]
+                engine.decide(request_of(event["user"], event["object"], point, event["room"], *flags, event["now"]))
+                decided += 1
+                continue
+            try:
+                if event["type"] == "tag_personal":
+                    engine.apply_tag(event["actor"], event["object"])
+                else:
+                    engine.apply_grant(event["actor"], event["object"], event["grantee"])
+            except FetchguardError:
+                pass
+    return engine
+
+
+class Tally:
+    """The SHA-256 over lines, one newline after each, their count, and the
+    count per verdict and deciding policy, added one line at a time."""
+
+    def __init__(self):
+        self._sha, self.lines, self.counts = hashlib.sha256(), 0, {}
+
+    def add(self, decision: Decision, line: str) -> None:
+        self._sha.update(f"{line}\n".encode())
+        self.lines += 1
+        by_policy = self.counts.setdefault(decision.verdict, {})
+        by_policy[decision.deciding_policy] = by_policy.get(decision.deciding_policy, 0) + 1
+
+    def as_dict(self) -> dict:
+        return {"sha256": self._sha.hexdigest(), "lines": self.lines, "counts": self.counts}
+
+
+class Grid(NamedTuple):
+    """A config's grid decided in plain mode on one engine (decided_grid)."""
+
+    #: The engine, whose intern tables then hold every decision and event
+    #: the grid gives.
+    engine: DecisionEngine
+    #: Each class's Decision.
+    decisions: dict
+    #: Each class or opener whose decision block the reference writes
+    #: otherwise, and each class's starting state that the reference holds
+    #: otherwise, with both.
+    disagreements: list
+    #: Each starting state, with the classes decided from it and their
+    #: requests, in the grid's class order.
+    starts: list
+    #: The plain lines' Tally.
+    plain: Tally
+
+
 @functools.cache
-def decided_grid(index):
+def decided_grid(index) -> Grid:
     """The grid of CONFIGS[index], decided in plain mode on one engine.
 
-    Returns the engine, whose intern table then holds every decision the
-    grid gives; a dict from each class to the engine's verdict; and each
-    class or opener whose decision block the reference writes otherwise,
-    and each class's starting state that the reference holds otherwise,
-    with both. A class is (user, object, tags, windows, zone rank, room,
-    adult_present, verbal_affirmation), `tags` and `windows` being tuples
-    of designators and of (class, opener) pairs."""
+    A class is (user, object, tags, windows, zone rank, room, adult_present,
+    verbal_affirmation), `tags` and `windows` being tuples of designators and
+    of (class, opener) pairs."""
     data, config = CONFIGS[index]
     engine = DecisionEngine(config)
     start = initial_state(data)
@@ -117,7 +185,7 @@ def decided_grid(index):
     objects.append(fresh_id(objects, "ghost"))
     points = zone_points(config)
     contexts = list(product(enumerate(points), rooms(data), (True, False), (True, False)))
-    grid, disagreements = {}, []
+    grid, disagreements, starts, plain = {}, [], [], Tally()
     tag_states_of = {object_id: tag_states(data, start, object_id) for object_id in objects}
     for object_id, user in product(objects, users):
         asked = [
@@ -140,11 +208,45 @@ def decided_grid(index):
             pre_state = {"cooldowns": engine.cooldowns.snapshot(), "personal_registry": engine.registry.snapshot()}
             if pre_state != {"cooldowns": {"users": state["cooldowns"]}, "personal_registry": state["registry"]}:
                 disagreements.append(((user, object_id, tags, windows), pre_state, state))
+            classes = []
             for context, request, event in asked:
+                cls = (user, object_id, tags, windows, *context)
                 engine.restore_state(pre_state)
-                got = engine.decide(request)[0].to_dict()
+                decision, trace = engine.decide(request)
+                plain.add(decision, trace.to_json())
+                got = decision.to_dict()
                 want = reference_step(data, state, event)[0]
-                grid[(user, object_id, tags, windows, *context)] = got["verdict"]
+                grid[cls] = decision
+                classes.append((cls, request))
                 if got != want:
-                    disagreements.append(((user, object_id, tags, windows, *context), got, want))
-    return engine, grid, disagreements
+                    disagreements.append((cls, got, want))
+            starts.append((pre_state, classes))
+    return Grid(engine, grid, disagreements, starts, plain)
+
+
+def audited_grid(index):
+    """The grid of CONFIGS[index] decided again in audit_all mode, from
+    decided_grid's starting states: the Tally of its lines, and each class
+    whose verdict or deciding policy differs from plain mode's, with both
+    decisions."""
+    grid = decided_grid(index)
+    engine = DecisionEngine(CONFIGS[index][1], audit_all=True)
+    tally, differ = Tally(), []
+    for pre_state, classes in grid.starts:
+        for cls, request in classes:
+            engine.restore_state(pre_state)
+            decision, trace = engine.decide(request)
+            tally.add(decision, trace.to_json())
+            plain = grid.decisions[cls]
+            if (decision.verdict, decision.deciding_policy) != (plain.verdict, plain.deciding_policy):
+                differ.append((cls, plain, decision))
+    return tally, differ
+
+
+if __name__ == "__main__":
+    from fetchguard.engine import TRACE_VERSION
+
+    print(json.dumps(
+        {f"v{TRACE_VERSION}": {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited_grid(0)[0].as_dict()}},
+        indent=2, sort_keys=True,
+    ))

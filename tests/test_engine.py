@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import json
 import math
+import operator
+import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,12 +35,12 @@ from fetchguard import (
     verify_trace,
     zone_of,
 )
-from fetchguard.engine import STAGES, canonical_json
+from fetchguard.engine import STAGES, _Event, _List, canonical_json
 from fetchguard.formats import RESERVED, _POLICY_OF, _events_as_written
 from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
-from request_grid import decided_grid
+from request_grid import decided_grid, stream_decisions
 from test_emotion import rebuilding_clamped
 from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES, V6_FILES
 from test_reference_engine import CONFIGS, random_stream
@@ -315,7 +318,9 @@ class TestTraceShape:
         monkeypatch.setattr(EmotionSample, "clamped", rebuilding_clamped)
         assert fast == lines()
 
-    def test_trace_lists_are_fresh_for_every_trace(self, shipped_config):
+    def test_trace_lists_refuse_edits_so_no_trace_holds_one(self, shipped_config):
+        # The lists are the engine's interned events' own: an edit in place
+        # is refused, so it cannot reach the next trace of either engine.
         engine = DecisionEngine(shipped_config)
         _, first = engine.decide(make_request("alice", "towel"))
         inputs = {e["node"]: e for e in first.events}
@@ -324,10 +329,12 @@ class TestTraceShape:
             ("emotion_ok", "required_checks"),
             ("ordering_ok", "active_cooldowns"),
         ]:
-            assert type(inputs[node][name]) is list
-            inputs[node][name].append("edited")
-        _, second = DecisionEngine(shipped_config).decide(make_request("alice", "towel"))
-        assert "edited" not in second.to_json()
+            assert isinstance(inputs[node][name], list)
+            with pytest.raises(TypeError):
+                inputs[node][name].append("edited")
+        for again in (engine, DecisionEngine(shipped_config)):
+            second = again.decide(make_request("alice", "towel", now=1))[1]
+            assert "edited" not in second.to_json()
 
     def test_trace_roundtrips_through_json(self, engine):
         _, trace = engine.decide(make_request("alice", "towel"))
@@ -335,12 +342,11 @@ class TestTraceShape:
         assert clone.to_json() == trace.to_json()
 
 
-def mix_decisions(config, audit_all, count):
-    """An engine after `count` decisions on the benchmark's household traffic
-    (perfbench/mix.py), a requester it has never seen every 20th, its
+def mix_decisions(engine, count):
+    """The engine after `count` decisions on the benchmark's household
+    traffic (perfbench/mix.py), a requester it has never seen every 20th, its
     registry writes applied as they come."""
-    engine = DecisionEngine(config, audit_all=audit_all)
-    stream, decided = mix.EventStream(config, 5, "intern", new_user_every=20), 0
+    stream, decided = mix.EventStream(engine.config, 5, "intern", new_user_every=20), 0
     while decided < count:
         event = stream.next_event()
         if isinstance(event, mix.Write):
@@ -384,14 +390,14 @@ class TestInternedDecisions:
         # Every decision the stream interns is one the shipped config's
         # request-class grid gives.
         assert CONFIGS[0][1] == shipped_config
-        grid_engine, _, _ = decided_grid(0)
-        engine = mix_decisions(shipped_config, audit_all, 20_000)
+        grid_engine = decided_grid(0).engine
+        engine = mix_decisions(DecisionEngine(shipped_config, audit_all=audit_all), 20_000)
         assert len(engine._decisions) > 100
         assert engine._decisions.keys() <= grid_engine._decisions.keys()
 
     @pytest.mark.parametrize("index", range(len(CONFIGS)))
     def test_every_interned_block_is_the_canonical_json_of_its_dict(self, index):
-        for decision in decided_grid(index)[0]._decisions.values():
+        for decision in decided_grid(index).engine._decisions.values():
             block = decision._block
             assert block == canonical_json(decision.to_dict())
             copy_ = Decision.from_dict(json.loads(block))
@@ -409,16 +415,159 @@ class TestInternedDecisions:
         assert changed != decision and '"reason":"edited"' in changed._block
 
 
+DICT_MUTATORS = {
+    "set": lambda d: operator.setitem(d, "node", "edited"),
+    "del": lambda d: operator.delitem(d, "node"),
+    "|=": lambda d: operator.ior(d, {"edited": True}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("node"),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("edited", True),
+    "update": lambda d: d.update(edited=True),
+}
+LIST_MUTATORS = {
+    "set": lambda v: operator.setitem(v, 0, "edited"),
+    "set a slice": lambda v: operator.setitem(v, slice(None), ["edited"]),
+    "del": lambda v: operator.delitem(v, slice(None)),
+    "+=": lambda v: operator.iadd(v, ["edited"]),
+    "*=": lambda v: operator.imul(v, 0),
+    "append": lambda v: v.append("edited"),
+    "clear": lambda v: v.clear(),
+    "extend": lambda v: v.extend(["edited"]),
+    "insert": lambda v: v.insert(0, "edited"),
+    "pop": lambda v: v.pop(),
+    "remove": lambda v: v.remove("HA"),
+    "reverse": lambda v: v.reverse(),
+    "sort": lambda v: v.sort(),
+}
+
+
+class TestInternedEvents:
+    """decide() gives one read-only event object per event its leaves write
+    but the knowledge_check echo, per engine, keyed by every fact it writes,
+    and that object keeps its text. The audit pass writes plain copies."""
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    def test_every_interned_text_is_the_canonical_json_of_a_plain_copy(self, index):
+        events = decided_grid(index).engine._events
+        assert len(events) > 50
+        for event in events.values():
+            plain = copy.deepcopy(event)
+            assert type(plain) is dict and plain == event
+            assert not any(isinstance(value, (_Event, _List)) for value in plain.values())
+            assert event.text == canonical_json(plain)
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    def test_long_streams_add_only_the_last_request_of_a_catalog_object(self, index):
+        # After the whole grid, the only facts an event can write that the
+        # grid did not are a requester's last request of another object.
+        data, config = CONFIGS[index]
+        interned = decided_grid(index).engine._events
+        grid = {key for key, event in interned.items() if event["node"] != "blackboard_update"}
+        catalog = {obj["object_id"] for obj in data["objects"]}
+        engine, rnd = DecisionEngine(config), random.Random(index)
+        for audit_all in (False, True):
+            engine.audit_all = audit_all
+            stream_decisions(engine, rnd, 10_000)
+            mix_decisions(engine, 10_000)
+        added = [engine._events[key] for key in engine._events.keys() - grid]
+        assert {event["node"] for event in added} == {"blackboard_update"}
+        assert {event["last_request"] for event in added} <= catalog | {None}
+        assert len(engine._events) <= len(grid) + len(catalog) + 1
+
+    def test_made_up_ids_and_restored_last_requests_add_nothing(self, shipped_config):
+        engine = DecisionEngine(shipped_config)
+        line = json.loads(engine.decide(make_request("alice", "towel"))[1].to_json())
+        engine.decide(make_request("alice", "ghost"))
+        size = len(engine._events)
+        for i in range(10_000):
+            trace = engine.decide(make_request("alice", f"ghost-{i}", now=i))[1]
+            assert trace.events[1]["last_request"] == "towel"
+        assert len(engine._events) == size
+        # A pre-state can hold any text as a last request: each such line
+        # verifies, and the replay engine interns none of them.
+        assert verify_trace(DecisionTrace.from_dict(line), shipped_config).ok
+        size = len(shipped_config._replayer._events)
+        for i in range(1_000):
+            data = copy.deepcopy(line)
+            data["pre_state"]["cooldowns"]["users"]["alice"] = {"last_requested": f"made-up-{i}", "active": {}}
+            data["events"][1]["last_request"] = f"made-up-{i}"
+            assert verify_trace(DecisionTrace.from_dict(data), shipped_config).ok
+        assert len(shipped_config._replayer._events) == size
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    def test_two_engines_never_share_an_event(self, shipped_config, audit_all):
+        first, second = (DecisionEngine(shipped_config, audit_all=audit_all) for _ in range(2))
+        kept = [first.decide(request)[1] for request in PRIVATE_STREAM]
+        first.reset()
+        for request, earlier in zip(PRIVATE_STREAM, kept):
+            a, b = first.decide(request)[1], second.decide(request)[1]
+            assert a.events == b.events == earlier.events
+            # One engine writes its interned events again; two never share
+            # an event or a list, and the audit pass's events are fresh.
+            assert all((x is y) == (type(x) is _Event) for x, y in zip(a.events[1:], earlier.events[1:]))
+            assert not any(x is y for x, y in zip(a.events, b.events))
+        parts = [
+            {id(part) for event in engine._events.values() for part in (event, *event.values())
+             if isinstance(part, (dict, list))}
+            for engine in (first, second)
+        ]
+        assert parts[0] and not parts[0] & parts[1]
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    def test_every_mutator_of_an_event_and_of_its_lists_refuses(self, index):
+        lists = 0
+        for event in decided_grid(index).engine._events.values():
+            text = event.text
+            for edit in DICT_MUTATORS.values():
+                with pytest.raises(TypeError):
+                    edit(event)
+            for value in event.values():
+                if isinstance(value, list):
+                    lists += 1
+                    for edit in LIST_MUTATORS.values():
+                        with pytest.raises(TypeError):
+                            edit(value)
+            assert event.text == text == canonical_json(copy.deepcopy(event))
+        assert lists > 0
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    def test_copies_of_a_decided_trace_write_its_bytes(self, shipped_config, audit_all):
+        engine = DecisionEngine(shipped_config, audit_all=audit_all)
+        for request in PRIVATE_STREAM:
+            trace = engine.decide(request)[1]
+            line = trace.to_json()
+            assert copy.copy(trace).to_json() == line
+            # A deep copy and a pickled one are their holder's to edit.
+            for clone in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+                assert clone.to_json() == line
+                assert _scribble(clone.events) == 0
+
+
 def _scribble(node):
-    """Edit in place every dict and list inside node."""
+    """Edit in place every dict and list inside node that its trace owns
+    (its containers, the echo and the audit pass's events), and assert that
+    each one its engine interns refuses the edit. Returns how many refused."""
+    refused = 0
     if isinstance(node, dict):
         for value in list(node.values()):
-            _scribble(value)
-        node["scribbled"] = True
+            refused += _scribble(value)
+        if type(node) is dict:
+            node["scribbled"] = True
+        else:
+            with pytest.raises(TypeError):
+                node["scribbled"] = True
+            refused += 1
     elif isinstance(node, list):
         for value in node:
-            _scribble(value)
-        node.append("scribbled")
+            refused += _scribble(value)
+        if type(node) is list:
+            node.append("scribbled")
+        else:
+            with pytest.raises(TypeError):
+                node.append("scribbled")
+            refused += 1
+    return refused
 
 
 CLAMPED = EmotionSample(1.5, 0.0)
@@ -481,7 +630,8 @@ class TestTracesAreTheirOwn:
             assert trace.to_json() == twin.decide(request)[1].to_json()
             lines = [t.to_json() for t in earlier]
             state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
-            _scribble(getattr(trace, part))
+            # Every event but the echo and the audit pass's is interned.
+            assert (_scribble(getattr(trace, part)) > 0) == (part == "events")
             assert [t.to_json() for t in earlier] == lines
             assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == state
             earlier.append(trace)
@@ -500,7 +650,7 @@ class TestTracesAreTheirOwn:
             replayer = config._replayer
             state = (replayer.cooldowns.snapshot(), replayer.registry.snapshot())
             user_state = (engine.cooldowns.snapshot(), engine.registry.snapshot())
-            _scribble(getattr(trace, part))
+            assert (_scribble(getattr(trace, part)) > 0) == (part == "events")
             assert (replayer.cooldowns.snapshot(), replayer.registry.snapshot()) == state
             assert (engine.cooldowns.snapshot(), engine.registry.snapshot()) == user_state
             assert verify_trace(DecisionTrace.from_dict(json.loads(line)), config).ok

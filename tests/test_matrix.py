@@ -320,13 +320,16 @@ class TestGateFourInOneFunction:
         state = SimpleNamespace(
             matrix_entry=entry, obj=obj, group=group, profile=profile, request=SimpleNamespace(context=context)
         )
-        # The engine hands gate 4 every rule of its config, as decide() does.
-        engine = SimpleNamespace(config=SimpleNamespace(category_rules=tuple(rules)))
-        got = DecisionEngine._eval_category_context(engine, state)
-        assert got == reference_gate4(entry, rules, obj, group, context, profile)
+        # The engine hands gate 4 every rule of its config, as decide() does,
+        # and its event is the reference's details beside its node.
+        engine = DecisionEngine.__new__(DecisionEngine)
+        engine.config, engine._events = SimpleNamespace(category_rules=tuple(rules)), {}
+        event, violation = engine._eval_category_context(state)
+        details = {key: value for key, value in event.items() if key != "node"}
+        assert event["node"] == "category_context_ok"
+        assert (details, violation) == reference_gate4(entry, rules, obj, group, context, profile)
 
         result = category_checks(required, rules, obj, group, context, profile)
-        details, violation = got
         assert result.passed == (violation is None)
         assert result.failed_check == details.get("failed_check")
         assert result.failed_rule_category == details.get("failed_rule_category")

@@ -1,15 +1,18 @@
 """Every request class of each household in CONFIGS, decided whole
 (request_grid.py): the engine agrees with the reference on every class, the
-four tightening laws hold between every two classes they relate, and random
-streams on the same engine meet no decision the grid did not."""
+four tightening laws hold between every two classes they relate, random
+streams on the same engine meet no decision the grid did not, and the
+shipped config's grid lines keep their committed bytes in both modes."""
 
+import json
 import random
 
 import pytest
 
-from fetchguard import DENY, FetchguardError
-from request_grid import decided_grid, request_of, window_sets
-from test_reference_engine import CONFIGS, random_stream
+from fetchguard import DENY, default_config
+from fetchguard.engine import TRACE_VERSION
+from request_grid import GRID_DIGESTS, audited_grid, decided_grid, stream_decisions, window_sets
+from test_reference_engine import CONFIGS
 
 INDICES = pytest.mark.parametrize(
     "index", range(len(CONFIGS)), ids=[f"{d['cooldown_scope']}-{len(d['personal_tags'])}-tags" for d, _ in CONFIGS]
@@ -19,11 +22,11 @@ POLICIES = {"none", "eligibility", "ordering", "emotion", "category", "context",
 
 @INDICES
 def test_the_engine_agrees_with_the_reference_on_every_class(index):
-    engine, grid, disagreements = decided_grid(index)
-    assert disagreements[:3] == []
+    grid = decided_grid(index)
+    assert grid.disagreements[:3] == []
     # Every gate decides some class, and both verdicts are given.
-    assert {d.deciding_policy for d in engine._decisions.values()} == POLICIES
-    assert set(grid.values()) == {"allow", "deny"}
+    assert {d.deciding_policy for d in grid.engine._decisions.values()} == POLICIES
+    assert {d.verdict for d in grid.decisions.values()} == {"allow", "deny"}
 
 
 @INDICES
@@ -31,7 +34,7 @@ def test_the_four_laws_hold_between_every_two_classes(index):
     # A denied class stays denied in a worse zone, with more windows open,
     # and with either context flag gone false.
     data, _ = CONFIGS[index]
-    _, grid, _ = decided_grid(index)
+    grid = {cls: decision.verdict for cls, decision in decided_grid(index).decisions.items()}
     windows_of = window_sets(data)
     zones = 1 + max(cls[4] for cls in grid)
     broken = []
@@ -57,23 +60,19 @@ def test_random_streams_meet_no_decision_the_grid_did_not(index):
     # decision a known object can get; a stream that adds one found a class
     # the grid misses.
     assert CONFIGS[index][0]["cooldown_scope"] == "roster"
-    engine, _, _ = decided_grid(index)
+    engine = decided_grid(index).engine
     interned = dict(engine._decisions)
-    rnd, decided = random.Random(index), 0
-    while decided < 20_000:
-        engine.reset()
-        for event in random_stream(rnd):
-            if event["type"] == "request":
-                point = event["valence"], event["arousal"]
-                flags = event["adult_present"], event["verbal_affirmation"]
-                engine.decide(request_of(event["user"], event["object"], point, event["room"], *flags, event["now"]))
-                decided += 1
-                continue
-            try:
-                if event["type"] == "tag_personal":
-                    engine.apply_tag(event["actor"], event["object"])
-                else:
-                    engine.apply_grant(event["actor"], event["object"], event["grantee"])
-            except FetchguardError:
-                pass
+    stream_decisions(engine, random.Random(index), 20_000)
     assert engine._decisions == interned
+
+
+def test_the_shipped_grid_keeps_its_committed_bytes_in_both_modes():
+    # An audit pass only adds events: class by class it gives plain mode's
+    # verdict and deciding policy. The digests pin every byte of the 26,624
+    # lines of each mode, far more of what the engine can write than the
+    # golden corpus holds.
+    assert CONFIGS[0][1] == default_config()
+    audited, differ = audited_grid(0)
+    assert differ[:3] == []
+    committed = json.loads(GRID_DIGESTS.read_text(encoding="utf-8"))[f"v{TRACE_VERSION}"]
+    assert {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited.as_dict()} == committed

@@ -704,8 +704,10 @@ def _listed(trace):
 
 
 def _first(trace):
+    """The trace's first event if the trace owns it: an interned event, moved
+    first by another edit, refuses every edit."""
     first = trace.events[0] if trace.events else None
-    return first if isinstance(first, dict) else {}
+    return first if type(first) is dict else {}
 
 
 #: Texts a writer that splices a request's text into the rest of a line
@@ -1600,20 +1602,22 @@ class TestFormatSteps:
 
 
 class RecordingEngine(DecisionEngine):
-    """An engine that records the keys of every inputs dict its stage
-    evaluators return, before the node is set on it."""
+    """An engine that records the input keys of every event its stage
+    evaluators return: the keys other than its node, which is the stage's
+    check."""
 
     def __init__(self, *args, **kwargs):
         self.input_keys = []
         # Set before the tree is built, which looks each evaluator up.
         for stage in STAGES:
-            setattr(self, f"_eval_{stage}", self._recording(getattr(self, f"_eval_{stage}")))
+            setattr(self, f"_eval_{stage}", self._recording(stage, getattr(self, f"_eval_{stage}")))
         super().__init__(*args, **kwargs)
 
-    def _recording(self, evaluate):
+    def _recording(self, stage, evaluate):
         def recorded(st):
             result = evaluate(st)
-            self.input_keys.append(set(result[0]))
+            assert result[0]["node"] == f"{stage}_ok"
+            self.input_keys.append(set(result[0]) - {"node"})
             return result
 
         return recorded
