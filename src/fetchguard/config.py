@@ -28,6 +28,7 @@ from .model import (
     Relationship,
     Report,
     UserProfile,
+    canonical_encoder,
     member,
     require_type,
     validate_object_catalog,
@@ -60,10 +61,9 @@ _KEYS = {
 }
 #: What a part of a config file raises when it refuses its value.
 _REFUSALS = (ConfigError, KeyError, TypeError, ValueError)
-#: json.dumps(sort_keys=True, separators=(",", ":")) without the cycle
-#: check, which a dict to_dict builds cannot need. NaN stays allowed, so a
-#: config whose zone bound is NaN still fingerprints (and fails validation).
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+#: The fingerprint's writer. NaN stays allowed, so a config whose zone
+#: bound is NaN still fingerprints (and fails validation).
+_canonical = canonical_encoder(True)
 
 
 def _distinct(what: str, items: list) -> frozenset:

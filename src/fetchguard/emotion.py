@@ -116,10 +116,9 @@ class EmotionSample:
 _NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
-def _sensor_to_json(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    return value
+def _sensor_to_json(value: float) -> str:
+    """The token of a NaN or +-inf sensor value; callers write a finite one as it is."""
+    return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
 
 
 def _sensor_from_token(text: str) -> float:

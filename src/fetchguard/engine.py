@@ -12,10 +12,9 @@ decision reads, so its size and cost do not grow with household history.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from math import inf
 
 from .bt import (
@@ -46,6 +45,7 @@ from .model import (
     SafetyClass,
     UserGroup,
     UserProfile,
+    canonical_encoder,
     classify_user_group,
     member,
     require_type,
@@ -69,22 +69,9 @@ TRACE_VERSION = 7
 _ASSUMED_UNKNOWN_AGE = 100
 
 
-#: The settings of every trace's bytes. They skip the cycle check: trace dicts
-#: are trees, and parsed JSON cannot hold a cycle.
-_SETTINGS = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
-
-if c_make_encoder is None:
-    canonical_json = _SETTINGS.encode
-else:
-    # Built once with those settings; JSONEncoder.encode builds it anew on
-    # every call. Its default() words the refusal of a value JSON cannot hold.
-    _encode = c_make_encoder(
-        None, _SETTINGS.default, encode_basestring_ascii, _SETTINGS.indent, _SETTINGS.key_separator,
-        _SETTINGS.item_separator, _SETTINGS.sort_keys, _SETTINGS.skipkeys, _SETTINGS.allow_nan,
-    )
-
-    def canonical_json(value) -> str:
-        return "".join(_encode(value, 0))
+#: The writer of every trace's bytes. Traces are strict JSON: a bare NaN or
+#: +-inf is refused.
+canonical_json = canonical_encoder(False)
 
 
 def _read_only(self, *args, **kwargs):
@@ -199,14 +186,10 @@ class Decision:
             "deciding_policy": self.deciding_policy,
             "reason": self.reason,
             "effective_zone": self.effective_zone.as_str(),
-            "allowed_groups_at_leaf": list(self._group_texts),
+            "allowed_groups_at_leaf": sorted(self.allowed_groups_at_leaf),
         }
 
-    # Neither memo is a field, so equality, hash, repr and replace ignore them.
-    @cached_property
-    def _group_texts(self) -> tuple:
-        return tuple(sorted(self.allowed_groups_at_leaf))
-
+    # The memo is not a field, so equality, hash, repr and replace ignore it.
     @cached_property
     def _block(self) -> str | None:
         """The block's canonical JSON, for a decision holding the exact types
@@ -352,15 +335,14 @@ _V1_KEYS = _KEYS - {"trace_version"}
 class _EvalState:
     """Everything one request's tick reads and works out; the tree is ticked
     on it. The request is read where it lies; the knowledge step adds the
-    requester's profile and the clamped emotion, and each gate adds what it
-    derives."""
+    requester's profile and the clamped emotion's zone, and each gate adds
+    what it derives."""
 
     request: FetchRequest
     #: The request as traces write it, built once by the knowledge step: it
     #: is both that step's echo and the trace's `request`.
     echo: dict | None = None
     profile: UserProfile | None = None
-    emotion: EmotionSample | None = None
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
     base_zone: Zone | None = None
@@ -483,10 +465,10 @@ class DecisionEngine:
             profile = UserProfile(req.user_id, _ASSUMED_UNKNOWN_AGE, Relationship.UNKNOWN)
         st.profile = profile
         st.obj = self.config.object_by_id(req.object_id)
-        st.emotion, clamped = req.emotion.clamped()
+        emotion, clamped = req.emotion.clamped()
         if clamped:
             st.warnings.append(CLAMP_WARNING)
-        st.base_zone = zone_of(st.emotion, self.config.zone_table)
+        st.base_zone = zone_of(emotion, self.config.zone_table)
         echo = st.echo = req.to_dict()
         st.events.append({"node": "knowledge_check", "request": echo})
         return SUCCESS

@@ -140,14 +140,14 @@ def _to_version_4(events: list[dict], fresh) -> list[dict]:
     board was primed), and emotion_ok and category_context_ok the inputs
     _COPIED names, in the audit pass too. A skipped audit stage recorded
     only its note."""
-    inputs_of, written_events = {}, []
+    inputs_by_node, written_events = {}, []
     for event in events:
         node, inputs = event["node"], event.get("inputs", {})
-        inputs_of[node] = inputs
+        inputs_by_node[node] = inputs
         if event.get("outcome") == "skipped":
             written_events.append(event)
             continue
-        extra = {name: inputs_of[source][key] for name, source, key in _COPIED.get(node, ())}
+        extra = {name: inputs_by_node[source][key] for name, source, key in _COPIED.get(node, ())}
         written = {"outcome": "success", **event, "inputs": {**inputs, **extra}}
         if node == "knowledge_check":
             written["inputs"]["mode"] = "refresh" if fresh.pre_state["board_primed"] else "ingest"

@@ -7,7 +7,9 @@ injected scenario clock; no wall-clock time enters this package.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import ConfigError
 
@@ -46,6 +48,21 @@ def require_writable(what: str, value):
     if isinstance(value, int) and not -INT_BOUND < value < INT_BOUND:
         raise ValueError(f"{what} has more than {MAX_INT_DIGITS} digits, which no trace can write")
     return value
+
+
+def canonical_encoder(allow_nan: bool):
+    """What json.dumps(sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
+    writes, without the cycle check: what it writes is a tree."""
+    settings = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=allow_nan, check_circular=False)
+    if c_make_encoder is None:
+        return settings.encode
+    # Built once with those settings; JSONEncoder.encode builds it anew on
+    # every call. Its default() words the refusal of a value JSON cannot hold.
+    encode = c_make_encoder(
+        None, settings.default, encode_basestring_ascii, settings.indent, settings.key_separator,
+        settings.item_separator, settings.sort_keys, settings.skipkeys, settings.allow_nan,
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 class _Text(str, enum.Enum):

@@ -26,9 +26,6 @@ class AdminHierarchy:
         # The owner can always tag, whether or not listed explicitly.
         return self.designators | {self.owner}
 
-    def is_designator(self, user_id: str) -> bool:
-        return user_id in self.all_designators()
-
 
 @dataclass(slots=True)
 class PersonalTag:
@@ -46,7 +43,7 @@ class PersonalRegistry:
         self._tags: dict[str, PersonalTag] = {}
 
     def tag_personal(self, hierarchy: AdminHierarchy, actor: str, object_id: str) -> None:
-        if not hierarchy.is_designator(actor):
+        if actor not in hierarchy.all_designators():
             raise PermissionDeniedError(
                 f"{actor!r} is not a designator and may not tag objects personal"
             )

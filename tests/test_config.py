@@ -20,7 +20,7 @@ from fetchguard.emotion import Zone
 from fetchguard.matrix import ALL_CLASSES, ALL_KEYS, ALL_ZONES, KEY_BY_TEXTS, MATRIX_CHECKS
 from fetchguard.model import SafetyClass, UserGroup
 from fetchguard.ordering import CooldownDurations
-from test_reference_engine import CONFIGS
+from test_reference_engine import CONFIG_IDS, CONFIGS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "configs" / "default.json"
@@ -157,7 +157,7 @@ class TestAConfigIsAValue:
     @pytest.mark.parametrize(
         "parsed",
         [default_config()] + [config for _, config in CONFIGS],
-        ids=["shipped"] + [f"{config.cooldown_scope}-{len(config.personal_tags)}-tags" for _, config in CONFIGS],
+        ids=["shipped", *CONFIG_IDS],
     )
     def test_every_way_of_building_a_config_gives_one_value(self, parsed):
         ways = [PolicyConfig.from_dict(parsed.to_dict()), replace(parsed), built_directly(parsed)]

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -40,11 +41,11 @@ from fetchguard.formats import RESERVED, _POLICY_OF, _events_as_written
 from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
+from mix_traffic import decided_traces, mix
 from request_grid import decided_grid, stream_decisions
 from test_emotion import rebuilding_clamped
 from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES, V6_FILES
 from test_reference_engine import CONFIGS, random_stream
-from test_verify import mix
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -346,20 +347,9 @@ def mix_decisions(engine, count):
     """The engine after `count` decisions on the benchmark's household
     traffic (perfbench/mix.py), a requester it has never seen every 20th, its
     registry writes applied as they come."""
-    stream, decided = mix.EventStream(engine.config, 5, "intern", new_user_every=20), 0
-    while decided < count:
-        event = stream.next_event()
-        if isinstance(event, mix.Write):
-            try:
-                if event.grantee is None:
-                    engine.apply_tag(event.actor, event.object_id)
-                else:
-                    engine.apply_grant(event.actor, event.object_id, event.grantee)
-            except FetchguardError:
-                pass
-            continue
-        engine.decide(event)
-        decided += 1
+    stream = mix.EventStream(engine.config, 5, "intern", new_user_every=20)
+    for _ in itertools.islice(decided_traces(engine, stream), count):
+        pass
     return engine
 
 
@@ -406,7 +396,7 @@ class TestInternedDecisions:
     def test_the_memos_are_not_fields(self, engine):
         decision = engine.decide(make_request("alice", "knife"))[0]
         before = repr(decision), hash(decision), dataclasses.astuple(decision)
-        assert decision._block is not None and decision._group_texts == ("FAA", "FRA", "HA")
+        assert json.loads(decision._block)["allowed_groups_at_leaf"] == ["FAA", "FRA", "HA"]
         assert (repr(decision), hash(decision), dataclasses.astuple(decision)) == before
         assert [f.name for f in dataclasses.fields(decision)] == [
             "verdict", "deciding_policy", "reason", "effective_zone", "allowed_groups_at_leaf"

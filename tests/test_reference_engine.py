@@ -38,9 +38,22 @@ def shipped_with(scope, towel_tag):
     return data, PolicyConfig.from_dict(data)
 
 
+def with_adult_rows():
+    """The shipped household whose every live row for a dangerous object
+    also requires adult_present, a row check no other household's rows
+    name."""
+    data = copy.deepcopy(SHIPPED)
+    for row in data["matrix"]:
+        if row["request_class"] == "dangerous" and row["allowed_groups"]:
+            row["required_checks"] = sorted({*row["required_checks"], "adult_present"})
+    return data, PolicyConfig.from_dict(data)
+
+
 CONFIGS = [
     shipped_with(scope, towel_tag) for scope in ("roster", "user", "household") for towel_tag in (False, True)
-]
+] + [with_adult_rows()]
+#: One test id per household of CONFIGS.
+CONFIG_IDS = [f"{data['cooldown_scope']}-{len(data['personal_tags'])}-tags" for data, _ in CONFIGS[:-1]] + ["adult-rows"]
 
 
 def step_both(engine, state, config_data, event):

@@ -12,11 +12,9 @@ import pytest
 from fetchguard import DENY, default_config
 from fetchguard.engine import TRACE_VERSION
 from request_grid import GRID_DIGESTS, audited_grid, decided_grid, stream_decisions, window_sets
-from test_reference_engine import CONFIGS
+from test_reference_engine import CONFIG_IDS, CONFIGS
 
-INDICES = pytest.mark.parametrize(
-    "index", range(len(CONFIGS)), ids=[f"{d['cooldown_scope']}-{len(d['personal_tags'])}-tags" for d, _ in CONFIGS]
-)
+INDICES = pytest.mark.parametrize("index", range(len(CONFIGS)), ids=CONFIG_IDS)
 POLICIES = {"none", "eligibility", "ordering", "emotion", "category", "context", "personal"}
 
 

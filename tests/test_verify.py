@@ -5,7 +5,7 @@ next verify sees."""
 import copy
 import dataclasses
 import functools
-import importlib.util
+import itertools
 import json
 import math
 import random
@@ -40,6 +40,7 @@ from fetchguard.cli import render_explanation
 from fetchguard.formats import CLAMP_WARNING, RESERVED, STEPS, _events_as_written, _to_version_6
 from fetchguard.ordering import COOLDOWN_SCOPES, CooldownState
 from fetchguard.privacy import PersonalRegistry
+from mix_traffic import decided_traces, mix
 from reference_readers import (
     reference_cooldowns_restore,
     reference_decision_from_dict,
@@ -885,41 +886,26 @@ class TestToJsonIsCanonicalJsonOfToDict:
                 assert isinstance(written(canonical_of_dict, refused), type)
 
 
-_MIX_SPEC = importlib.util.spec_from_file_location("perfbench_mix", ROOT / "perfbench" / "mix.py")
-mix = importlib.util.module_from_spec(_MIX_SPEC)
-# Registered before it runs: its dataclasses look their module up.
-sys.modules["perfbench_mix"] = mix
-_MIX_SPEC.loader.exec_module(mix)
+#: Every golden line (versions 1 and 5, plain and audit), read, not decided.
+GOLDEN_LINES = [line for path in GOLDEN_FILES for line in path.read_text(encoding="utf-8").splitlines()]
+#: How many lines reader_lines() decides in each mode.
+MIX_LINES = 40
+#: How many lines reader_lines() gives.
+READER_COUNT = 2 * MIX_LINES + len(GOLDEN_LINES)
 
 
-def _mix_lines(config, prefix, audit_all, count):
-    """Lines decided on the benchmark's seeded household traffic
-    (perfbench/mix.py), its registry writes applied as they come."""
-    engine = DecisionEngine(config, audit_all=audit_all)
-    stream = mix.EventStream(config, 17, prefix)
+@functools.cache
+def reader_lines() -> tuple[str, ...]:
+    """MIX_LINES lines decided on the benchmark's seeded household traffic
+    (perfbench/mix.py), as many more decided with audit_all, then the
+    golden lines. Decided on first use, so a writer fault fails the tests that
+    read them rather than the collection of the module."""
     lines = []
-    while len(lines) < count:
-        event = stream.next_event()
-        if isinstance(event, mix.Write):
-            try:
-                if event.grantee is None:
-                    engine.apply_tag(event.actor, event.object_id)
-                else:
-                    engine.apply_grant(event.actor, event.object_id, event.grantee)
-            except FetchguardError:
-                pass
-            continue
-        lines.append(engine.decide(event)[1].to_json())
-    return lines
-
-
-#: household_mix lines first, then audit_all lines, then every golden line
-#: (versions 1 and 5, plain and audit).
-READER_LINES = (
-    _mix_lines(default_config(), "hm", False, 40)
-    + _mix_lines(default_config(), "ar", True, 40)
-    + [line for path in GOLDEN_FILES for line in path.read_text(encoding="utf-8").splitlines()]
-)
+    for prefix, audit_all in (("hm", False), ("ar", True)):
+        engine = DecisionEngine(default_config(), audit_all=audit_all)
+        decided = decided_traces(engine, mix.EventStream(engine.config, 17, prefix))
+        lines += [trace.to_json() for trace in itertools.islice(decided, MIX_LINES)]
+    return (*lines, *GOLDEN_LINES)
 
 
 class Text(str):
@@ -1060,19 +1046,28 @@ def _registry_read(restore, snapshot):
     return repr(registry._tags), registry.snapshot()
 
 
-def _first_line(test):
-    """The first reader line whose pre-state passes `test` on its first
-    cool-down record and its first registry entry."""
-    for index, line in enumerate(READER_LINES):
-        pre_state = json.loads(line)["pre_state"]
+#: Examples name these two reader lines, found when a test reads them: the
+#: first whose first cool-down record has both windows open, and the first
+#: whose first registry entry has grants.
+BOTH_WINDOWS, GRANTED = "both windows", "granted"
+_PICKED = {
+    BOTH_WINDOWS: lambda record, entry: len(record.get("active", {})) == 2,
+    GRANTED: lambda record, entry: bool(entry.get("grants")),
+}
+
+
+def _reader_line(line) -> str:
+    """The reader line at index `line`, or the first whose pre-state passes
+    the test _PICKED names `line` for, on its first cool-down record and its
+    first registry entry."""
+    if not isinstance(line, str):
+        return reader_lines()[line]
+    for text in reader_lines():
+        pre_state = json.loads(text)["pre_state"]
         record = next(iter(pre_state["cooldowns"]["users"].values()), {})
-        if test(record, next(iter(pre_state["personal_registry"].values()), {})):
-            return index
-    raise AssertionError("no reader line passes the test")
-
-
-BOTH_WINDOWS = _first_line(lambda record, entry: len(record.get("active", {})) == 2)
-GRANTED = _first_line(lambda record, entry: bool(entry.get("grants")))
+        if _PICKED[line](record, next(iter(pre_state["personal_registry"].values()), {})):
+            return text
+    raise AssertionError(f"no reader line is {line!r}")
 
 
 class TestReadersAgreeWithTheReferences:
@@ -1085,7 +1080,7 @@ class TestReadersAgreeWithTheReferences:
     EMOTION = ("request", "emotion")
 
     @settings(max_examples=500, deadline=None)
-    @given(line=st.integers(0, len(READER_LINES) - 1), edits=st.lists(READER_EDITS, max_size=3))
+    @given(line=st.integers(0, READER_COUNT - 1), edits=st.lists(READER_EDITS, max_size=3))
     @example(line=0, edits=[])
     @example(line=0, edits=[("set", GROUPS, "U")])
     @example(line=0, edits=[("set", GROUPS, {"U": 1})])
@@ -1110,7 +1105,7 @@ class TestReadersAgreeWithTheReferences:
     @example(line=0, edits=[("set", CONTEXT + ("room",), 3), ("set", CONTEXT + ("adult_present",), 1)])
     @example(line=0, edits=[("set", EMOTION + ("valence",), True), ("set", EMOTION + ("arousal",), None)])
     @example(line=0, edits=[("set", ("request", "emotion", "arousal"), [0.5])])
-    @example(line=len(READER_LINES) - 1, edits=[("set", ("trace_version",), 1)])
+    @example(line=READER_COUNT - 1, edits=[("set", ("trace_version",), 1)])
     @example(line=BOTH_WINDOWS, edits=[])
     @example(line=BOTH_WINDOWS, edits=[("set", USERS + ("active", "dangerous"), "bogus")])
     @example(line=BOTH_WINDOWS, edits=[("map", USERS + ("active", "mind_altering"), _swap_bool_int)])
@@ -1126,7 +1121,7 @@ class TestReadersAgreeWithTheReferences:
     @example(line=GRANTED, edits=[("map", ENTRY + ("grants", 0), _as_text)])
     @example(line=GRANTED, edits=[("drop", ENTRY + ("grants",), None), ("set", ENTRY + ("tagged_by",), None)])
     def test_same_object_or_same_refusal(self, line, edits):
-        data = json.loads(READER_LINES[line])
+        data = json.loads(_reader_line(line))
         for edit in edits:
             _apply_reader_edit(data, edit)
         assert _read_with(DecisionTrace.from_dict, data) == _read_with(reference_trace_from_dict, data)
@@ -1144,7 +1139,8 @@ class TestReadersAgreeWithTheReferences:
         assert _read_with(ours, registry) == _read_with(theirs, registry)
 
     def test_the_lines_are_of_both_ends_of_the_versions_and_both_modes(self):
-        traces = [DecisionTrace.from_dict(json.loads(line)) for line in READER_LINES]
+        traces = [DecisionTrace.from_dict(json.loads(line)) for line in reader_lines()]
+        assert len(traces) == READER_COUNT
         # The committed lines are of the oldest version and of version 5,
         # the decided ones of the newest.
         assert {t.trace_version for t in traces} == {1, 5, TRACE_VERSION}
@@ -1631,21 +1627,7 @@ def flattened(event):
 def mix_traces(engine, seed, count):
     """`count` traces decided on the benchmark's seeded household traffic
     (perfbench/mix.py), its registry writes applied as they come."""
-    stream = mix.EventStream(engine.config, seed, "flat")
-    traces = []
-    while len(traces) < count:
-        event = stream.next_event()
-        if isinstance(event, mix.Write):
-            try:
-                if event.grantee is None:
-                    engine.apply_tag(event.actor, event.object_id)
-                else:
-                    engine.apply_grant(event.actor, event.object_id, event.grantee)
-            except FetchguardError:
-                pass
-            continue
-        traces.append(engine.decide(event)[1])
-    return traces
+    return list(itertools.islice(decided_traces(engine, mix.EventStream(engine.config, seed, "flat")), count))
 
 
 def assert_flat(engine, traces):
@@ -1753,8 +1735,8 @@ class Version6Engine(DecisionEngine):
 
     def _eval_emotion(self, st):
         details, violation = super()._eval_emotion(st)
-        clamped = st.request.emotion.clamped()[1]
-        return {**details, "valence": st.emotion.valence, "arousal": st.emotion.arousal, "clamped": clamped}, violation
+        emotion, clamped = st.request.emotion.clamped()
+        return {**details, "valence": emotion.valence, "arousal": emotion.arousal, "clamped": clamped}, violation
 
     def _eval_personal(self, st):
         details, violation = super()._eval_personal(st)
