@@ -112,6 +112,13 @@ MUTANTS = (
         "            if False:",
         GRID,
     ),
+    # The one sharing rule of the cool-down state.
+    Mutant(
+        "roster scope: requesters the roster lacks keep records of their own", "src/fetchguard/ordering.py",
+        '        if self.scope == "roster" and user_id not in self.roster:',
+        "        if False:",
+        ("tests/test_engine.py::TestStateIsBoundedByTheRoster",),
+    ),
     # The line writer's and the decision table's mutants.
     Mutant(
         "frame template: request before pre_state", "src/fetchguard/engine.py",

@@ -33,7 +33,7 @@ from .model import (
     require_type,
     validate_object_catalog,
 )
-from .ordering import COOLDOWN_SCOPES, HOUSEHOLD_SCOPE_KEY, UNKNOWN_SCOPE_KEY, CooldownDurations
+from .ordering import COOLDOWN_SCOPES, UNKNOWN_SCOPE_KEY, CooldownDurations
 from .privacy import AdminHierarchy
 
 #: The shipped household. It sits in a checkout, beside src/; a non-editable
@@ -41,8 +41,8 @@ from .privacy import AdminHierarchy
 SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json"
 #: The fingerprint of SHIPPED_CONFIG, which every trace it decides embeds.
 SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
-#: Cool-down record keys shared by many requesters, so no roster user may take one.
-RESERVED_USER_IDS = frozenset({HOUSEHOLD_SCOPE_KEY, UNKNOWN_SCOPE_KEY})
+#: The cool-down record key shared by many requesters, so no roster user may take it.
+RESERVED_USER_IDS = frozenset({UNKNOWN_SCOPE_KEY})
 #: The keys each object of a config file may hold: exactly those to_dict writes.
 _KEYS = {
     "config": frozenset({

@@ -653,15 +653,18 @@ def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Deci
     restored whole for every trace, so no state carries over from one trace
     to the next, and, like decide(), this serves one caller at a time.
     Refuses with ReplayError when the config fingerprint differs from the
-    trace's (anything else would not be an audit), or when the recorded
-    request or pre-state cannot be read back."""
+    trace's (anything else would not be an audit), when no engine takes the
+    config, or when the recorded request or pre-state cannot be read back."""
     if config.fingerprint() != trace.config_fingerprint:
         raise ReplayError("config fingerprint does not match the trace")
     try:
         request = FetchRequest.from_dict(trace.request)
     except (KeyError, TypeError, ValueError) as exc:
         raise ReplayError(f"recorded request cannot be read: {exc!r}") from exc
-    engine = config._replayer
+    try:
+        engine = config._replayer
+    except ConfigError as exc:
+        raise ReplayError(f"config is refused by the engine: {exc!r}") from exc
     try:
         check_fixed_facts(trace.pre_state, trace.trace_version, config.cooldown_scope)
         engine.restore_state(trace.pre_state)

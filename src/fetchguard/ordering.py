@@ -19,12 +19,10 @@ from .model import Instant, ObjectSpec, SafetyClass, require_type, require_writa
 
 VEHICLE_CATEGORY = "vehicle"
 
-#: State key used when cool-downs are shared household-wide.
-HOUSEHOLD_SCOPE_KEY = "__household__"
 #: State key every requester outside the roster shares under scope "roster".
 UNKNOWN_SCOPE_KEY = "__unknown__"
 #: What a config's cooldown_scope may be.
-COOLDOWN_SCOPES = ("user", "household", "roster")
+COOLDOWN_SCOPES = ("user", "roster")
 
 _FLAGGED = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)
 #: The classes that have a cool-down, by the text a snapshot writes.
@@ -60,11 +58,10 @@ class _UserRecord:
 class CooldownState:
     """Tracks last requests and active cool-down expiries.
 
-    Scope is per-user by default; with scope="household" every user shares
-    one record, and with scope="roster" each member of the roster (the
-    config's user ids) keeps their own while every requester outside it
-    shares one, so there are at most roster + 1 records. Mutations are
-    serialized by the owning engine instance.
+    Scope is per-user by default; with scope="roster" each member of the
+    roster (the config's user ids) keeps their own record while every
+    requester outside it shares one, so there are at most roster + 1
+    records. Mutations are serialized by the owning engine instance.
     """
 
     __slots__ = ("scope", "roster", "_records")
@@ -78,8 +75,6 @@ class CooldownState:
 
     def _key(self, user_id: str) -> str:
         """The record a request by user_id reads and writes."""
-        if self.scope == "household":
-            return HOUSEHOLD_SCOPE_KEY
         if self.scope == "roster" and user_id not in self.roster:
             return UNKNOWN_SCOPE_KEY
         return user_id
@@ -126,10 +121,9 @@ class CooldownState:
 
     def snapshot(self, user_id: str | None = None) -> dict:
         """The whole state, or, given a user_id, only the record a decision
-        for that user reads: theirs, the household's under household scope,
-        or, under roster scope, the shared one if the roster lacks them. A
-        user with no record gets an empty slice. The scope is the config's,
-        so it is not written."""
+        for that user reads: theirs or, under roster scope, the shared one
+        if the roster lacks them. A user with no record gets an empty slice.
+        The scope is the config's, so it is not written."""
         if user_id is None:
             return {
                 "users": {

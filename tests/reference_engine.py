@@ -69,15 +69,9 @@ def reference_step(config, state, event):
 
     user_id, object_id, now = event["user"], event["object"], event["now"]
     obj, profile = objects.get(object_id), users.get(user_id)
-    # One record per requester, or one for the household; under "roster",
-    # every requester the roster lacks shares one record.
-    scope = config["cooldown_scope"]
-    if scope == "household":
-        key = "__household__"
-    elif scope == "roster" and profile is None:
-        key = "__unknown__"
-    else:
-        key = user_id
+    # One record per requester; under "roster", every requester the roster
+    # lacks shares one record.
+    key = "__unknown__" if config["cooldown_scope"] == "roster" and profile is None else user_id
 
     # Out-of-range samples clamp to the boundary; NaN goes to the most
     # cautious corner, valence -1 and arousal +1. The first rectangle that

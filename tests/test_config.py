@@ -298,11 +298,9 @@ class TestValidationFindings:
         "mutate, code",
         [
             (lambda d: d.__setitem__("cooldown_scope", "street"), "bad-scope"),
-            (
-                lambda d: (_user(d, "erin").__setitem__("user_id", "__unknown__"),
-                           _user(d, "grace").__setitem__("user_id", "__household__")),
-                "reserved-user-id",
-            ),
+            # A retired scope is refused like one that never was.
+            pytest.param(lambda d: d.__setitem__("cooldown_scope", "household"), "bad-scope", id="household-bad-scope"),
+            (lambda d: _user(d, "erin").__setitem__("user_id", "__unknown__"), "reserved-user-id"),
             (
                 lambda d: (d["admin"].__setitem__("owner", "ghost"), _user(d, "alice").__setitem__("admin_role", "designator")),
                 "unknown-owner",

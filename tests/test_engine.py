@@ -710,16 +710,6 @@ class TestHistoryIsNotRead:
         line.update(trace_version=6, events=_events_as_written(trace, 6))
         assert verify_trace(DecisionTrace.from_dict(line), shipped_config).ok
 
-    def test_household_scope_records_the_household_record(self):
-        data = default_config().to_dict()
-        data["cooldown_scope"] = "household"
-        config = PolicyConfig.from_dict(data)
-        engine = DecisionEngine(config)
-        engine.decide(make_request("alice", "knife", now=0))
-        _, trace = engine.decide(make_request("bob", "knife", now=60, request_id="req-001"))
-        assert trace.pre_state["cooldowns"] == {"users": {"__household__": ALICE_ON_COOLDOWN}}
-        assert verify_trace(trace, config).ok
-
 
 class TestStateIsBoundedByTheRoster:
     """Under the shipped "roster" scope each roster member keeps their own

@@ -56,7 +56,6 @@ from fetchguard import (
 )
 from fetchguard.cli import render_explanation
 from fetchguard.engine import canonical_json
-from fetchguard.ordering import HOUSEHOLD_SCOPE_KEY
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -284,11 +283,10 @@ REPEATED_INPUTS = {
 
 def slice_pre_state(data: dict) -> None:
     """Cut a version 1 line's pre_state, in place, to the version 2 slice:
-    the requester's cool-down record (the household's under household
-    scope) and the requested object's registry entry."""
+    the requester's cool-down record and the requested object's registry
+    entry."""
     request, cooldowns = data["request"], data["pre_state"]["cooldowns"]
-    key = HOUSEHOLD_SCOPE_KEY if cooldowns["scope"] == "household" else request["user_id"]
-    cooldowns["users"] = {uid: rec for uid, rec in cooldowns["users"].items() if uid == key}
+    cooldowns["users"] = {uid: rec for uid, rec in cooldowns["users"].items() if uid == request["user_id"]}
     registry = data["pre_state"]["personal_registry"]
     data["pre_state"]["personal_registry"] = {
         obj: tag for obj, tag in registry.items() if obj == request["object_id"]

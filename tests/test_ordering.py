@@ -127,11 +127,6 @@ class TestActiveWindows:
         assert state.active_cooldowns("alice", 20) == {D}
         assert state.expiry("alice", M) is None
 
-    def test_household_scope_shares_windows(self):
-        state = CooldownState(scope="household")
-        state.on_granted("alice", KNIFE, 0, DEFAULTS)
-        assert state.active_cooldowns("bob", 10) == {D}
-
 
 class TestRestrictions:
     def test_vehicle_ban_under_mind_altering_cooldown(self):
@@ -176,8 +171,10 @@ class TestDurations:
             replace(DEFAULTS, mind_altering=-5)
 
     def test_bad_scope_rejected(self):
-        with pytest.raises(ConfigError):
-            CooldownState(scope="planetary")
+        # "household", one record for everyone, is retired.
+        for scope in ("planetary", "household"):
+            with pytest.raises(ConfigError):
+                CooldownState(scope=scope)
 
 
 # -- brute-force oracle ------------------------------------------------------

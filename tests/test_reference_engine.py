@@ -49,11 +49,25 @@ def with_adult_rows():
     return data, PolicyConfig.from_dict(data)
 
 
-CONFIGS = [
-    shipped_with(scope, towel_tag) for scope in ("roster", "user", "household") for towel_tag in (False, True)
-] + [with_adult_rows()]
+def with_short_roster(towel_tag):
+    """The shipped "roster" household, with henry's towel tag if asked,
+    whose roster keeps only alice, bob, dave (under 5) and henry: carol,
+    erin and grace join the ids no roster names, so that their requests
+    share the `__unknown__` record, the one sharing rule a scope keeps."""
+    data, _ = shipped_with("roster", towel_tag)
+    data["users"] = [user for user in data["users"] if user["user_id"] in ("alice", "bob", "dave", "henry")]
+    return data, PolicyConfig.from_dict(data)
+
+
+CONFIGS = (
+    [shipped_with(scope, towel_tag) for scope in ("roster", "user") for towel_tag in (False, True)]
+    + [with_adult_rows()]
+    + [with_short_roster(towel_tag) for towel_tag in (False, True)]
+)
 #: One test id per household of CONFIGS.
-CONFIG_IDS = [f"{data['cooldown_scope']}-{len(data['personal_tags'])}-tags" for data, _ in CONFIGS[:-1]] + ["adult-rows"]
+CONFIG_IDS = [f"{data['cooldown_scope']}-{len(data['personal_tags'])}-tags" for data, _ in CONFIGS[:4]] + [
+    "adult-rows", "short-roster-1-tags", "short-roster-2-tags"
+]
 
 
 def step_both(engine, state, config_data, event):

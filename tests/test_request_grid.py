@@ -50,7 +50,7 @@ def test_the_four_laws_hold_between_every_two_classes(index):
     assert broken[:3] == []
 
 
-# The two households; their other scopes key the same windows otherwise,
+# The two households; their other scope keys the same windows otherwise,
 # which changes no class.
 @pytest.mark.parametrize("index", [0, 1], ids=["roster-1-tags", "roster-2-tags"])
 def test_random_streams_meet_no_decision_the_grid_did_not(index):

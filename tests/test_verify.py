@@ -34,7 +34,7 @@ from fetchguard import (
     verify_trace,
 )
 from fetchguard.bt import TickListener
-from fetchguard.errors import FetchguardError
+from fetchguard.errors import ConfigError, FetchguardError
 from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, canonical_json, redecide
 from fetchguard.cli import render_explanation
 from fetchguard.formats import CLAMP_WARNING, RESERVED, STEPS, _events_as_written, _to_version_6
@@ -64,7 +64,7 @@ from test_golden import (
     fingerprint_of,
     slice_pre_state,
 )
-from test_reference_engine import CONFIGS, random_stream
+from test_reference_engine import CONFIG_IDS, CONFIGS, random_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -255,8 +255,8 @@ def _neither_window(trace):
 
 
 def _household_scope(trace):
-    # A user-scope line dressed as a household-scope one: the slice is
-    # consistent with itself, but the config keeps cool-downs per user.
+    # A line dressed as one of the retired household scope, one record for
+    # everyone: like "galaxy", a scope the config does not have.
     cooldowns = trace.pre_state["cooldowns"]
     cooldowns["scope"] = "household"
     cooldowns["users"] = {"__household__": cooldowns["users"].pop("alice")}
@@ -334,22 +334,35 @@ class TestEditedTracesFailClosed:
         assert [verify_trace(t, config) for t in (mid_session_trace, first, tampered)] == expected
         assert [r.ok for r in expected] == [True, True, False]
 
-    def test_a_user_scope_line_on_a_household_config_is_refused(self, shipped_config):
-        data = shipped_config.to_dict()
-        data["cooldown_scope"] = "household"
-        household = PolicyConfig.from_dict(data)
-        engine = DecisionEngine(household)
-        engine.decide(make_request("alice", "knife", now=0))
-        _, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
-        assert verify_trace(trace, household).ok
-        edited = as_version_5_trace(trace, household)
-        assert verify_trace(edited, household).ok
-        cooldowns = edited.pre_state["cooldowns"]
-        cooldowns["scope"] = "user"
-        cooldowns["users"] = {"alice": cooldowns["users"].pop("__household__")}
-        result = verify_trace(edited, household)
+    def test_a_user_scope_line_on_the_roster_config_is_refused(self, shipped_config, mid_session_trace):
+        # alice is on the roster, so her record is the same slice under
+        # either scope; only the scope the line names differs.
+        assert shipped_config.cooldown_scope == "roster"
+        edited = as_version_5_trace(mid_session_trace, shipped_config)
+        assert verify_trace(edited, shipped_config).ok
+        edited.pre_state["cooldowns"]["scope"] = "user"
+        result = verify_trace(edited, shipped_config)
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [lambda d: d["users"].append(dict(d["users"][0])), lambda d: d.__setitem__("cooldown_scope", "household")],
+        ids=["duplicate-user-id", "household-scope"],
+    )
+    def test_a_line_of_a_config_the_engine_refuses_is_one_named_mismatch(self, mid_session_trace, refuse):
+        data = default_config().to_dict()
+        refuse(data)
+        config = PolicyConfig.from_dict(data)
+        with pytest.raises(ConfigError):
+            DecisionEngine(config)
+        line = copy_of(mid_session_trace)
+        line.config_fingerprint = config.fingerprint()
+        result = verify_trace(line, config)
+        assert (result.ok, result.decision, len(result.mismatches)) == (False, None, 1)
+        assert result.mismatches[0].startswith("config is refused by the engine")
+        with pytest.raises(ReplayError):
+            replay(line, config)
 
     @pytest.mark.parametrize("expiry", ["1800", 1800.9, True])
     def test_a_golden_expiry_that_is_not_an_int_is_refused(self, golden_config, expiry):
@@ -871,7 +884,7 @@ class TestToJsonIsCanonicalJsonOfToDict:
     def test_every_line_of_a_stream_and_its_copies(self, seed, audit_all):
         rnd = random.Random(seed)
         for _, config in CONFIGS:
-            for [trace] in stream_traces([DecisionEngine(config, audit_all=audit_all)], rnd):
+            for [trace] in stream_traces([DecisionEngine(config, audit_all=audit_all)], random_stream(rnd)):
                 line = trace.to_json()
                 assert line == canonical_of_dict(trace)
                 first, rest = trace.events[0], trace.events[1:]
@@ -1744,11 +1757,12 @@ class Version6Engine(DecisionEngine):
         return {**details, "access": "ok" if ok else "denied"}, violation
 
 
-def stream_traces(engines, rnd):
-    """What each engine writes for one random_stream, its tag and grant
-    writes applied as they come: per request, the trace of each engine."""
+def stream_traces(engines, events):
+    """What each engine writes for a stream of events in random_stream's
+    form, its tag and grant writes applied as they come: per request, the
+    trace of each engine."""
     written = []
-    for event in random_stream(rnd):
+    for event in events:
         if event["type"] == "request":
             now = event["now"]
             context = ContextSnapshot(event["room"], event["adult_present"], event["verbal_affirmation"], now)
@@ -1784,6 +1798,20 @@ DOWN_STEP_CASES = {
     "clamped", "NaN", "unknown user", "unknown object", "ordering_violation None", "personal_violation None",
 }
 AUDIT_DOWN_STEP_CASES = {"ordering_ok failure", "personal_ok failure", "emotion_ok success", "emotion_ok skipped"}
+#: dave, who is 4, and then alice ask for the cough syrup, which arms the
+#: mind-altering window, and for the car keys inside it. The audit pass
+#: records the ordering check failing on dave's car keys, and the emotion
+#: check passing on alice's, denied by the vehicle ban: cases that no
+#: household's random streams are bound to reach.
+VEHICLE_BAN_STREAM = [
+    {
+        "type": "request", "user": user, "object": object_id, "valence": 0.5, "arousal": 0.0,
+        "room": "kitchen", "adult_present": True, "verbal_affirmation": True, "now": now,
+    }
+    for user, object_id, now in (
+        ("dave", "cough_syrup", 0), ("dave", "car_keys", 10), ("alice", "cough_syrup", 20), ("alice", "car_keys", 30),
+    )
+]
 
 
 class TestVersion6DownStep:
@@ -1795,13 +1823,13 @@ class TestVersion6DownStep:
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
     def test_the_down_step_of_any_stream_is_the_version_6_line(self, audit_all):
         seen = set()
-        for config_data, config in CONFIGS:
-            rnd = random.Random(f"down-step:{config_data['cooldown_scope']}:{len(config_data['personal_tags'])}")
+        for (_, config), config_id in zip(CONFIGS, CONFIG_IDS):
+            rnd = random.Random(f"down-step:{config_id}")
             engines = [DecisionEngine(config, audit_all=audit_all), Version6Engine(config, audit_all=audit_all)]
-            for _ in range(60):
+            for events in [*(random_stream(rnd) for _ in range(60)), VEHICLE_BAN_STREAM]:
                 for engine in engines:
                     engine.reset()
-                for trace, written in stream_traces(engines, rnd):
+                for trace, written in stream_traces(engines, events):
                     seen |= cases_of(trace)
                     old = copy_of(trace)
                     old.trace_version, old.events = 6, _to_version_6(trace.events, trace)
