@@ -145,7 +145,8 @@ MUTANTS = (
         '    return event["node"].replace("_ok", "_violation") in nodes',
         ("tests/test_verify.py::TestAuditPassFailures",),
     ),
-    # One rule, one home: the canonical writer, a decision's groups, a sensor token.
+    # One rule, one home: the canonical writer, a decision's groups, a sensor
+    # token, a matrix row's key.
     Mutant(
         "trace encoder allows NaN", "src/fetchguard/engine.py",
         "canonical_json = canonical_encoder(False)",
@@ -163,6 +164,20 @@ MUTANTS = (
         '("Infinity" if value > 0 else "-Infinity")',
         '("-Infinity" if value > 0 else "Infinity")',
         ("tests/test_verify.py::TestStrictJson",),
+    ),
+    Mutant(
+        "matrix row key looked up in the table after the reader", "src/fetchguard/config.py",
+        "            key, entry = _read_row(row)\n",
+        "            entry = _read_row(row)[1]\n"
+        '            key = KEY_BY_TEXTS[tuple(row["cooldown"]), row["request_class"], row["zone"]]\n',
+        ("tests/test_config.py::TestRowKeyTable::test_a_form_the_table_lacks_is_read_to_the_same_key",),
+    ),
+    # Zone-table coverage: a gap narrower than the space between two edges.
+    Mutant(
+        "zone-table validation without the midpoint probes", "src/fetchguard/emotion.py",
+        "    return sorted(edges + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])",
+        "    return edges",
+        ("tests/test_emotion.py::TestValidation",),
     ),
 )
 

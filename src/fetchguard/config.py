@@ -11,12 +11,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from pathlib import Path
 from types import MappingProxyType
 
 from .emotion import Zone, ZoneRect, ZoneTable, validate_zone_table
 from .errors import ConfigError
-from .matrix import KEY_BY_TEXTS, CategoryRule, Matrix, MatrixEntry, MatrixKey, validate_matrix
+from .matrix import CategoryRule, Matrix, MatrixEntry, MatrixKey, validate_matrix
 from .model import (
     CLASS_BY_TEXT,
     GROUP_BY_TEXT,
@@ -139,6 +140,21 @@ def _read_row(row: dict) -> tuple[MatrixKey, MatrixEntry]:
         member(GROUP_BY_TEXT, g) for g in require_type("allowed_groups", row["allowed_groups"], list)
     ])
     return key, MatrixEntry(groups, _strings("required_checks", row["required_checks"]))
+
+
+#: _read_row's key for each way a row may write one: the cooldown's distinct
+#: class texts in any order, the request class's text and the zone's text,
+#: 16 x 3 x 4 forms. It only saves time: a row whose form it lacks is read
+#: by _read_row alone, to the same key.
+KEY_BY_TEXTS = {
+    (cooldown, c, z): _read_row({
+        "cooldown": list(cooldown), "request_class": c, "zone": z, "allowed_groups": [], "required_checks": [],
+    })[0]
+    for n in range(len(CLASS_BY_TEXT) + 1)
+    for cooldown in permutations(CLASS_BY_TEXT, n)
+    for c in CLASS_BY_TEXT
+    for z in (zone.as_str() for zone in Zone)
+}
 
 
 def _listed(value) -> tuple | None:
@@ -326,10 +342,7 @@ class PolicyConfig:
                 )
             except (KeyError, TypeError):
                 pass
-            _, entry = _read_row(row)
-            # The checks passed, so the written key is hashable, and it is in
-            # the table, which holds every form they pass.
-            key = KEY_BY_TEXTS[tuple(row["cooldown"]), row["request_class"], row["zone"]]
+            key, entry = _read_row(row)
             entry = entries.setdefault((entry.allowed_groups, entry.required_checks), entry)
             bodies[tuple(row["allowed_groups"]), tuple(row["required_checks"])] = entry
             return key, entry

@@ -18,7 +18,6 @@ escalates the effective zone before the lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Mapping, NamedTuple
 
 from .emotion import Zone, escalate
@@ -58,33 +57,6 @@ class MatrixKey(NamedTuple):
 #: The 48 keys a lookup can ask for; any other row is unreachable.
 ALL_KEYS = tuple(MatrixKey(p, c, z) for p in ALL_PROFILES for c in ALL_CLASSES for z in ALL_ZONES)
 _INDEX = {key: i for i, key in enumerate(ALL_KEYS)}
-
-
-def _key_table() -> dict[tuple, MatrixKey]:
-    """Every key a config row may name, by each way of writing it: (the
-    cooldown's distinct class texts in any order, the request class's text,
-    the zone's text), 16 x 3 x 4 forms. A reachable key is its ALL_KEYS
-    member; one whose cooldown holds neither can be written but never looked
-    up, and validate_matrix reports it. The texts are plain strings, worked
-    out once per member: hashing a member, or its `value` property, would
-    cost more than the rest of the build."""
-    classes = [(c, c._value_) for c in ALL_CLASSES]
-    zones = [(z, z.as_str()) for z in ALL_ZONES]
-    reachable = iter(ALL_KEYS)  # profile-major, then class, then zone, as below
-    table = {}
-    for p in ALL_PROFILES:
-        for profile in (p, p | {SafetyClass.NEITHER}):
-            orders = list(permutations([c._value_ for c in profile]))
-            for c, c_text in classes:
-                for z, z_text in zones:
-                    key = next(reachable) if profile is p else MatrixKey(profile, c, z)
-                    for cooldown in orders:
-                        table[cooldown, c_text, z_text] = key
-    return table
-
-
-#: A config row's key is looked up here, so a form missing from it is refused.
-KEY_BY_TEXTS = _key_table()
 #: The tightening walk as (law, key, one-step tighter key), each key given
 #: by its index in ALL_KEYS: the next worse zone, then one more active
 #: class. escalate saturates at red, and a class already active adds

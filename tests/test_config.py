@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import fetchguard.config
 from fetchguard import ConfigError, DecisionEngine, EmotionSample, FetchRequest, PolicyConfig, default_config
+from fetchguard.config import KEY_BY_TEXTS
 from fetchguard.emotion import Zone
-from fetchguard.matrix import ALL_CLASSES, ALL_KEYS, ALL_ZONES, KEY_BY_TEXTS, MATRIX_CHECKS
+from fetchguard.matrix import ALL_CLASSES, ALL_KEYS, ALL_ZONES, MATRIX_CHECKS
 from fetchguard.model import SafetyClass, UserGroup
 from fetchguard.ordering import CooldownDurations
 from test_reference_engine import CONFIG_IDS, CONFIGS
@@ -761,7 +762,7 @@ def matrix_rows(draw):
 
 
 class TestRowKeyTable:
-    """A row's key is looked up in matrix.KEY_BY_TEXTS and each distinct
+    """A row's key is looked up in config.KEY_BY_TEXTS and each distinct
     body is read once; the general row checks, applied alone, must give the
     same key and entry, or the same refusal."""
 
@@ -800,9 +801,18 @@ class TestRowKeyTable:
                         self.agree({"cooldown": list(cooldown), "request_class": request_class, "zone": zone,
                                     "allowed_groups": [], "required_checks": []})
         assert len(KEY_BY_TEXTS) == 192
-        # A reachable key is the ALL_KEYS member itself.
         reachable = [key for key in KEY_BY_TEXTS.values() if SafetyClass.NEITHER not in key.cooldown_profile]
-        assert len(reachable) == 60 and all(any(key is k for k in ALL_KEYS) for key in reachable)
+        assert len(reachable) == 60 and set(reachable) == set(ALL_KEYS)
+
+    @pytest.mark.parametrize("lacks", ["row-7-form", "every-form"])
+    def test_a_form_the_table_lacks_is_read_to_the_same_key(self, monkeypatch, lacks):
+        # The table only saves time: without it a row is read by the general
+        # checks, to the same key.
+        table = {} if lacks == "every-form" else {f: k for f, k in KEY_BY_TEXTS.items() if f != ((), "mind_altering", "red")}
+        monkeypatch.setattr(fetchguard.config, "KEY_BY_TEXTS", table)
+        config = PolicyConfig.from_dict(SHIPPED_DATA)
+        assert config.fingerprint() == SHIPPED_FINGERPRINT and config.validate().ok
+        assert list(config.matrix) == SHIPPED_KEYS
 
 
 def _allergies_as_text(data):

@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fetchguard import (
@@ -113,12 +113,15 @@ ACTORS = ["alice", "henry", "bob", "mallory"]
 WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3 + CATALOG + ["ghost"]
 
 
-def random_stream(rnd):
+def random_stream(rnd, points=()):
     """Up to 20 events with their times: six requests to each tag or grant
     write. Ids are roster users (dave is under 5), unknown users and
     catalog or unknown objects, and one in ten is any short text. An
-    emotion is a point inside one zone, or one time in four any two sensor
-    values: NaN, +-inf, ints beyond float range, out of range or not."""
+    emotion is one time in four any two sensor values: NaN, +-inf, ints
+    beyond float range, out of range or not; otherwise a point inside one of
+    the shipped zones. With `points`, drawn for another zone table, one
+    emotion in two is one of them, and any point of the square stands in
+    for the shipped zones' points."""
 
     def pick(names):
         return "".join(rnd.choices("aé\x00 ", k=rnd.randint(0, 3))) if rnd.random() < 0.1 else rnd.choice(names)
@@ -135,7 +138,12 @@ def random_stream(rnd):
         elif kind == "grant":
             event = {"actor": rnd.choice(ACTORS), "object": pick(WRITTEN), "grantee": rnd.choice(ROSTER + ["ghost"])}
         else:
-            valence, arousal = (sensor(), sensor()) if rnd.random() < 0.25 else rnd.choice(ZONE_POINTS)
+            if points and rnd.random() < 0.5:
+                valence, arousal = rnd.choice(points)
+            elif rnd.random() < 0.25:
+                valence, arousal = sensor(), sensor()
+            else:
+                valence, arousal = (rnd.uniform(-1, 1), rnd.uniform(-1, 1)) if points else rnd.choice(ZONE_POINTS)
             event = {
                 "user": pick(ROSTER + ["mallory", "stranger"]),
                 "object": pick(CATALOG + ["ghost"]),
@@ -188,3 +196,66 @@ class TestEngineAgreesWithTheReference:
                 assert decision["verdict"] == event.get("expect", decision["verdict"])
             else:
                 _, state = step_both(engine, state, config_data, fields)
+
+
+ZONES = ["green", "yellow", "orange", "red"]
+#: The bounds a drawn rectangle takes when it takes no arbitrary float, so
+#: that edges often meet.
+BOUNDS = [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]
+_BOUND = st.one_of(st.sampled_from(BOUNDS), st.floats(-1, 1))
+_SPAN = st.lists(_BOUND, min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def zone_tables(draw):
+    """Zone tables, most of which leave part of the square uncovered.
+
+    Half are 1 to 6 rectangles, each of any zone, with each bound in BOUNDS
+    or any float in [-1, 1]; sometimes one of them, at any place in the
+    order, is the whole square. The other half are the shipped rectangles
+    in any order with one to three bounds moved, as an edit of the shipped
+    file would: a moved bound often opens a sliver between two rectangles
+    whose edges all stay covered."""
+    if draw(st.booleans()):
+        rects = [dict(rect) for rect in draw(st.permutations(SHIPPED["zone_table"]))]
+        for _ in range(draw(st.integers(1, 3))):
+            rect, axis = draw(st.sampled_from(rects)), draw(st.sampled_from("va"))
+            rect[draw(st.sampled_from([axis + "_lo", axis + "_hi"]))] = draw(_BOUND)
+            rect[axis + "_lo"], rect[axis + "_hi"] = sorted([rect[axis + "_lo"], rect[axis + "_hi"]])
+        return rects
+    rects = draw(st.lists(
+        st.builds(lambda zone, v, a: {"zone": zone, "v_lo": v[0], "v_hi": v[1], "a_lo": a[0], "a_hi": a[1]},
+                  st.sampled_from(ZONES), _SPAN, _SPAN),
+        min_size=1, max_size=6,
+    ))
+    if draw(st.booleans()):
+        whole = {"zone": draw(st.sampled_from(ZONES)), "v_lo": -1.0, "v_hi": 1.0, "a_lo": -1.0, "a_hi": 1.0}
+        rects[draw(st.integers(0, len(rects) - 1))] = whole
+    return rects
+
+
+def corners_and_edge_midpoints(table):
+    """Each rectangle's four corners and the midpoints of its four edges."""
+    points = []
+    for r in table:
+        valences = (r["v_lo"], (r["v_lo"] + r["v_hi"]) / 2, r["v_hi"])
+        arousals = (r["a_lo"], (r["a_lo"] + r["a_hi"]) / 2, r["a_hi"])
+        points += [(v, a) for i, v in enumerate(valences) for j, a in enumerate(arousals) if (i, j) != (1, 1)]
+    return points
+
+
+class TestDrawnZoneTables:
+    """The shipped household under any zone table that validates, with
+    one sample in two on a corner or an edge midpoint of a drawn rectangle:
+    every step of the engine and of the reference agrees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=zone_tables(), audit_all=st.booleans(), rnd=st.randoms(use_true_random=True))
+    def test_every_step_of_any_stream(self, table, audit_all, rnd):
+        config_data = {**SHIPPED, "zone_table": table}
+        config = PolicyConfig.from_dict(config_data)
+        assume(config.validate().ok)
+        engine = DecisionEngine(config, audit_all=audit_all)
+        state = initial_state(config_data)
+        for event in random_stream(rnd, corners_and_edge_midpoints(table)):
+            _, state = step_both(engine, state, config_data, event)
