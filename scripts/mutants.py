@@ -172,6 +172,26 @@ MUTANTS = (
         '            key = KEY_BY_TEXTS[tuple(row["cooldown"]), row["request_class"], row["zone"]]\n',
         ("tests/test_config.py::TestRowKeyTable::test_a_form_the_table_lacks_is_read_to_the_same_key",),
     ),
+    # A run's log: each line on disk as it is decided, one run per log, and
+    # an expectation that checks something.
+    Mutant(
+        "trace line not flushed", "src/fetchguard/log.py",
+        "    log.flush()\n",
+        "",
+        ("tests/test_scenario_cli.py::TestRunner::test_each_trace_is_on_disk_as_it_is_decided",),
+    ),
+    Mutant(
+        "run log opened for append", "src/fetchguard/cli.py",
+        'with open(args.trace, "w", encoding="utf-8") as log:',
+        'with open(args.trace, "a", encoding="utf-8") as log:',
+        ("tests/test_scenario_cli.py::TestCliRun::test_a_second_run_replaces_the_first_runs_log",),
+    ),
+    Mutant(
+        "null expect accepted", "src/fetchguard/scenario.py",
+        'if "expect" in fields and fields["expect"] not in (ALLOW, DENY):',
+        'if fields.get("expect") is not None and fields["expect"] not in (ALLOW, DENY):',
+        ("tests/test_scenario_cli.py::TestParsing::test_a_null_expect_is_refused",),
+    ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(
         "zone-table validation without the midpoint probes", "src/fetchguard/emotion.py",

@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def main() -> int:
     # Runs from a checkout without installing the package.
     sys.path.insert(0, str(ROOT / "src"))
-    from fetchguard import default_config, load_scenario, read_traces, run_scenario, verify_trace, write_traces
+    from fetchguard import append_trace, default_config, load_scenario, read_traces
+    from fetchguard import run_scenario, verify_trace, write_traces
 
     config = default_config()
     out_dir = ROOT / "out"
@@ -31,10 +32,10 @@ def main() -> int:
         for audit_all in (False, True)
     ]
     for script, audit_all in runs:
-        result = run_scenario(config, script, audit_all=audit_all)
         name = f"audit/{script.name}" if audit_all else script.name
         log = out_dir / f"{name}.jsonl"
-        write_traces(result.traces, log)
+        with open(log, "w", encoding="utf-8") as fh:
+            result = run_scenario(config, script, lambda trace: append_trace(fh, trace), audit_all)
         written = log.read_bytes()
         # The lines as written, the way a `fetchguard run` log is audited.
         traces = read_traces(log)
@@ -43,9 +44,8 @@ def main() -> int:
         rewrite_ok = log.read_bytes() == written
         ok = result.ok and replay_ok and rewrite_ok
         failures += 0 if ok else 1
-        flag = "ok " if ok else "FAIL"
         print(
-            f"{flag} {name:<56} {result.allowed:>2} allow {result.denied:>2} deny "
+            f"{'ok ' if ok else 'FAIL'} {name:<56} {result.allowed:>2} allow {result.denied:>2} deny "
             f"replay={'ok' if replay_ok else 'DIVERGED'} rewrite={'ok' if rewrite_ok else 'CHANGED'}"
         )
         for mismatch in result.mismatches:

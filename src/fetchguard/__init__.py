@@ -45,7 +45,7 @@ from .errors import (
     ScenarioParseError,
     TagConflictError,
 )
-from .log import read_traces, write_traces
+from .log import append_trace, read_traces, write_traces
 from .matrix import (
     CategoryRule,
     CheckResult,

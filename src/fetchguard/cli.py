@@ -13,7 +13,7 @@ from .config import PolicyConfig
 from .engine import ALLOW, STAGES, DecisionTrace
 from .errors import ConfigError, ScenarioParseError
 from .formats import inputs_of
-from .log import find_trace, write_traces
+from .log import append_trace, find_trace
 from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -55,9 +55,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         script = load_scenario(args.scenario)
     except (OSError, ScenarioParseError) as exc:
         return _io_error(f"cannot load scenario {args.scenario}: {exc}")
-    result = run_scenario(config, script, audit_all=args.audit_all)
     try:
-        write_traces(result.traces, args.trace)
+        with open(args.trace, "w", encoding="utf-8") as log:
+            result = run_scenario(config, script, lambda trace: append_trace(log, trace), args.audit_all)
     except OSError as exc:
         return _io_error(f"cannot write traces to {args.trace}: {exc}")
     print(result.summary())

@@ -8,9 +8,19 @@ from pathlib import Path
 from .engine import DecisionTrace
 
 
+def append_trace(log, trace: DecisionTrace) -> str:
+    """Append a trace's line to an open text log and flush it, so that the
+    record is with the OS before the robot acts. Returns the line."""
+    line = trace.to_json()
+    log.write(line + "\n")
+    log.flush()
+    return line
+
+
 def write_traces(traces: list[DecisionTrace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(trace.to_json() + "\n" for trace in traces)
+    with open(path, "w", encoding="utf-8") as log:
+        for trace in traces:
+            append_trace(log, trace)
 
 
 def _read(path: str | Path):

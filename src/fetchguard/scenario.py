@@ -3,13 +3,15 @@
 A scenario is an ordered list of events (set_emotion, set_context, request,
 tag_personal, grant) with non-decreasing integer timestamps. Parsing is
 fail-fast: a malformed script raises before anything executes. Requests may
-carry an `expect` annotation; mismatches are collected, not raised.
+carry an `expect` of "allow" or "deny"; mismatches are collected, not raised.
+The runner hands each trace to `emit` as it is decided and keeps none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 import json
 
 from .config import PolicyConfig
@@ -100,8 +102,7 @@ def _check_fields(etype: str, fields: dict, where: str) -> None:
             except OverflowError:
                 raise ScenarioParseError(f"{where}: field {key!r} is beyond float range") from None
     if etype == "request":
-        expect = fields.get("expect")
-        if expect is not None and expect not in (ALLOW, DENY):
+        if "expect" in fields and fields["expect"] not in (ALLOW, DENY):
             raise ScenarioParseError(f"{where}: expect must be 'allow' or 'deny'")
         extra = set(fields) - {"user", "object", "expect"}
     else:
@@ -129,7 +130,6 @@ class Mismatch:
 @dataclass
 class RunResult:
     scenario: str
-    traces: list[DecisionTrace] = field(default_factory=list)
     allowed: int = 0
     denied: int = 0
     mismatches: list[Mismatch] = field(default_factory=list)
@@ -153,9 +153,10 @@ class RunResult:
 
 
 def run_scenario(
-    config: PolicyConfig, script: ScenarioScript, audit_all: bool = False
+    config: PolicyConfig, script: ScenarioScript, emit: Callable[[DecisionTrace], object], audit_all: bool = False
 ) -> RunResult:
-    """Execute events in order on a simulated clock starting at 0."""
+    """Execute events in order on a simulated clock starting at 0, calling
+    emit(trace) as each request is decided."""
     engine = DecisionEngine(config, audit_all=audit_all)
     result = RunResult(scenario=script.name)
     emotions: dict[str, EmotionSample] = {}
@@ -199,7 +200,7 @@ def run_scenario(
             )
             seq += 1
             decision, trace = engine.decide(request)
-            result.traces.append(trace)
+            emit(trace)
             if decision.verdict == ALLOW:
                 result.allowed += 1
             else:

@@ -255,16 +255,18 @@ def test_criterion_8_replay_closure_over_corpus():
     assert len(SCENARIOS) >= 12
     replayed = 0
     for path in SCENARIOS:
-        result = run_scenario(config, load_scenario(path))
+        traces = []
+        result = run_scenario(config, load_scenario(path), traces.append)
         assert result.ok, result.summary()
-        for trace in result.traces:
+        for trace in traces:
             fresh = replay(trace, config)
             assert canonical_json(fresh.to_dict()) == canonical_json(trace.decision.to_dict())
             assert verify_trace(trace, config).ok
             replayed += 1
     # Tampered traces must be detected.
-    result = run_scenario(config, load_scenario(SCENARIOS[0]))
-    tampered = DecisionTrace.from_dict(json.loads(result.traces[0].to_json()))
+    traces = []
+    run_scenario(config, load_scenario(SCENARIOS[0]), traces.append)
+    tampered = DecisionTrace.from_dict(json.loads(traces[0].to_json()))
     tampered.request["emotion"]["valence"] = -0.9
     tampered.request["emotion"]["arousal"] = 0.9
     assert not verify_trace(tampered, config).ok

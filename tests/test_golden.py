@@ -186,10 +186,11 @@ def rerun_reproduces_the_bytes_in(configs, path, audit_all, directory):
     file's lines, each cut to version 7."""
     script = load_scenario(path)
     golden = (directory / "audit" if audit_all else directory) / f"{script.name}.jsonl"
-    result = run_scenario(config_for(configs, fingerprint_of(golden)), script, audit_all=audit_all)
+    traces = []
+    run_scenario(config_for(configs, fingerprint_of(golden)), script, traces.append, audit_all=audit_all)
     expected = golden.read_text(encoding="utf-8").splitlines()
-    assert len(result.traces) == len(expected)
-    for trace, want in zip(result.traces, expected):
+    assert len(traces) == len(expected)
+    for trace, want in zip(traces, expected):
         assert trace.to_json() == as_version_7(want), f"trace bytes changed for {trace.request_id}"
 
 
@@ -247,7 +248,9 @@ def test_no_corpus_line_writes_a_warning_twice(shipped_config):
     for path in SCENARIOS:
         script = load_scenario(path)
         for audit_all in (False, True):
-            for trace in run_scenario(shipped_config, script, audit_all=audit_all).traces:
+            traces = []
+            run_scenario(shipped_config, script, traces.append, audit_all=audit_all)
+            for trace in traces:
                 line = trace.to_json()
                 assert all(written_once(line, w) for w in trace.warnings), trace.request_id
                 warned += bool(trace.warnings)

@@ -20,6 +20,7 @@ from fetchguard import (
     FetchRequest,
     PolicyConfig,
 )
+from fetchguard.model import INT_BOUND
 from reference_engine import initial_state, reference_step
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,15 +114,16 @@ ACTORS = ["alice", "henry", "bob", "mallory"]
 WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3 + CATALOG + ["ghost"]
 
 
-def random_stream(rnd, points=()):
+def random_stream(rnd, points=(), gaps=GAPS):
     """Up to 20 events with their times: six requests to each tag or grant
-    write. Ids are roster users (dave is under 5), unknown users and
-    catalog or unknown objects, and one in ten is any short text. An
-    emotion is one time in four any two sensor values: NaN, +-inf, ints
-    beyond float range, out of range or not; otherwise a point inside one of
-    the shipped zones. With `points`, drawn for another zone table, one
-    emotion in two is one of them, and any point of the square stands in
-    for the shipped zones' points."""
+    write. Each time is the last plus one of `gaps`, but never past the
+    last instant a request may name. Ids are roster users (dave is under
+    5), unknown users and catalog or unknown objects, and one in ten is any
+    short text. An emotion is one time in four any two sensor values: NaN,
+    +-inf, ints beyond float range, out of range or not; otherwise a point
+    inside one of the shipped zones. With `points`, drawn for another zone
+    table, one emotion in two is one of them, and any point of the square
+    stands in for the shipped zones' points."""
 
     def pick(names):
         return "".join(rnd.choices("aé\x00 ", k=rnd.randint(0, 3))) if rnd.random() < 0.1 else rnd.choice(names)
@@ -131,7 +133,7 @@ def random_stream(rnd, points=()):
 
     now, events = 0, []
     for _ in range(rnd.randint(1, 20)):
-        now += rnd.choice(GAPS)
+        now = min(now + rnd.choice(gaps), INT_BOUND - 1)
         kind = rnd.choices(["request", "tag_personal", "grant"], weights=[6, 1, 1])[0]
         if kind == "tag_personal":
             event = {"actor": rnd.choice(ACTORS), "object": pick(WRITTEN)}
@@ -258,4 +260,32 @@ class TestDrawnZoneTables:
         engine = DecisionEngine(config, audit_all=audit_all)
         state = initial_state(config_data)
         for event in random_stream(rnd, corners_and_edge_midpoints(table)):
+            _, state = step_both(engine, state, config_data, event)
+
+
+#: A cool-down duration: one at or beside the shipped ones, any up to a
+#: million seconds, or one of the most digits a config may write.
+_DURATION = st.one_of(st.sampled_from([1, 60, 1799, 1800, 1801, 14400]), st.integers(1, 10**6), st.just(10**4298))
+
+
+class TestDrawnDurations:
+    """The shipped household under either cool-down scope with both
+    durations drawn, and every step between events 0, 1 or a duration's
+    end or one second either side of it: every step of the engine and of
+    the reference agrees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scope=st.sampled_from(["user", "roster"]), dangerous=_DURATION, mind_altering=_DURATION,
+        audit_all=st.booleans(), rnd=st.randoms(use_true_random=True),
+    )
+    def test_every_step_of_any_stream(self, scope, dangerous, mind_altering, audit_all, rnd):
+        durations = {"dangerous_s": dangerous, "mind_altering_s": mind_altering}
+        config_data = {**SHIPPED, "cooldown_scope": scope, "durations": durations}
+        config = PolicyConfig.from_dict(config_data)
+        assert config.validate().ok
+        engine = DecisionEngine(config, audit_all=audit_all)
+        state = initial_state(config_data)
+        gaps = [0, 1] + [d + step for d in durations.values() for step in (-1, 0, 1)]
+        for event in random_stream(rnd, gaps=gaps):
             _, state = step_both(engine, state, config_data, event)

@@ -3,13 +3,16 @@ from pathlib import Path
 
 import pytest
 
+import fetchguard.cli
 from fetchguard import (
     ScenarioParseError,
+    append_trace,
     default_config,
     load_scenario,
     parse_scenario,
     read_traces,
     run_scenario,
+    verify_trace,
 )
 from fetchguard.cli import main
 
@@ -75,6 +78,11 @@ class TestParsing:
                 )
             )
 
+    def test_a_null_expect_is_refused(self):
+        # Accepted, it would check nothing: dave's knife is denied and the run still passes.
+        with pytest.raises(ScenarioParseError, match="expect must be 'allow' or 'deny'"):
+            parse_scenario(scenario_dict([{"t": 0, "type": "request", "user": "dave", "object": "knife", "expect": None}]))
+
     def test_unknown_extra_field_rejected(self):
         with pytest.raises(ScenarioParseError, match="unknown fields"):
             parse_scenario(scenario_dict([dict(CONTEXT, color="red")]))
@@ -136,7 +144,7 @@ class TestRunner:
         script = parse_scenario(
             scenario_dict([{"t": 0, "type": "request", "user": "alice", "object": "towel"}])
         )
-        result = run_scenario(shipped_config, script)
+        result = run_scenario(shipped_config, script, lambda trace: None)
         assert result.allowed == 1  # neutral (0,0) is green; towel has no checks
 
     def test_expectation_mismatch_is_collected_not_raised(self, shipped_config):
@@ -145,7 +153,7 @@ class TestRunner:
                 [CONTEXT, {"t": 1, "type": "request", "user": "alice", "object": "towel", "expect": "deny"}]
             )
         )
-        result = run_scenario(shipped_config, script)
+        result = run_scenario(shipped_config, script, lambda trace: None)
         assert not result.ok
         assert result.mismatches[0].expected == "deny"
         assert result.mismatches[0].got == "allow"
@@ -159,16 +167,34 @@ class TestRunner:
         ids=["tag_personal", "grant"],
     )
     def test_rejected_admin_events_become_notes(self, shipped_config, event, note):
-        result = run_scenario(shipped_config, parse_scenario(scenario_dict([event])))
+        result = run_scenario(shipped_config, parse_scenario(scenario_dict([event])), lambda trace: None)
         assert result.ok
         assert len(result.notes) == 1 and result.notes[0].startswith(note)
         assert f"\n  note: {note}" in result.summary()
 
+    def test_each_trace_is_on_disk_as_it_is_decided(self, shipped_config, tmp_path):
+        path = tmp_path / "out.jsonl"
+        on_disk = []
+
+        def emit(trace):
+            append_trace(log, trace)
+            # A second handle sees what the OS holds, not the writer's buffer.
+            with open(path, encoding="utf-8") as reader:
+                on_disk.append(reader.read())
+
+        with open(path, "w", encoding="utf-8") as log:
+            run_scenario(shipped_config, load_scenario(SCENARIOS / "vehicle_ban.json"), emit)
+        assert len(on_disk) == 3
+        for n, text in enumerate(on_disk, 1):
+            assert text.endswith("\n") and len(text.splitlines()) == n
+        assert on_disk[-1] == path.read_text(encoding="utf-8")
+
     def test_simulated_clock_results_are_reproducible(self, shipped_config):
         script = load_scenario(SCENARIOS / "vehicle_ban.json")
-        first = run_scenario(shipped_config, script)
-        second = run_scenario(shipped_config, script)
-        assert [t.to_json() for t in first.traces] == [t.to_json() for t in second.traces]
+        first, second = [], []
+        run_scenario(shipped_config, script, first.append)
+        run_scenario(shipped_config, script, second.append)
+        assert [t.to_json() for t in first] == [t.to_json() for t in second]
 
 
 class TestCliValidate:
@@ -291,6 +317,33 @@ class TestCliRun:
         code, _ = self.run_scenario_file(tmp_path, extra=["--trace", str(tmp_path)])
         assert code == 2
         assert "cannot write traces" in capsys.readouterr().err
+
+    def test_a_failed_write_leaves_the_lines_decided_before_it(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def append_until_the_third(log, trace):
+            calls.append(trace.request_id)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return append_trace(log, trace)
+
+        monkeypatch.setattr(fetchguard.cli, "append_trace", append_until_the_third)
+        code, trace_path = self.run_scenario_file(tmp_path)
+        assert code == 2
+        assert "cannot write traces" in capsys.readouterr().err
+        assert len(trace_path.read_text(encoding="utf-8").splitlines()) == 2
+        traces = read_traces(trace_path)
+        assert [t.request_id for t in traces] == calls[:2]
+        assert all(verify_trace(t, default_config()).ok for t in traces)
+
+    def test_a_second_run_replaces_the_first_runs_log(self, tmp_path):
+        code, trace_path = self.run_scenario_file(tmp_path)
+        assert code == 0
+        assert self.run_scenario_file(tmp_path, name="baseline_allow.json")[0] == 0
+        fresh = tmp_path / "fresh.jsonl"
+        code = self.run_scenario_file(tmp_path, name="baseline_allow.json", extra=["--trace", str(fresh)])[0]
+        assert code == 0
+        assert trace_path.read_bytes() == fresh.read_bytes()
 
     def test_invalid_config_runs_nothing(self, tmp_path, capsys):
         data = default_config().to_dict()
