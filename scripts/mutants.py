@@ -192,6 +192,23 @@ MUTANTS = (
         'if fields.get("expect") is not None and fields["expect"] not in (ALLOW, DENY):',
         ("tests/test_scenario_cli.py::TestParsing::test_a_null_expect_is_refused",),
     ),
+    # A scenario's events: checked where they lie, each value of its exact
+    # JSON type.
+    Mutant(
+        "scenario events copied at parse", "src/fetchguard/scenario.py",
+        "events=tuple(raw_events))",
+        "events=tuple(dict(raw) for raw in raw_events))",
+        ("tests/test_scenario_cli.py::TestParsing::test_the_script_holds_the_events_it_was_given",),
+    ),
+    Mutant(
+        "scenario field type tested with isinstance", "src/fetchguard/scenario.py",
+        "        if type(fields[key]) not in types:\n",
+        "        if not isinstance(fields[key], types):\n",
+        (
+            "tests/test_scenario_cli.py::TestParsing::test_a_json_bool_is_not_a_number",
+            "tests/test_scenario_cli.py::TestParsing::test_a_subclass_of_a_json_type_is_refused",
+        ),
+    ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(
         "zone-table validation without the midpoint probes", "src/fetchguard/emotion.py",

@@ -391,12 +391,11 @@ class DecisionEngine:
         """Back to the configured initial state (fresh cool-downs, initial
         personal tags)."""
         self.cooldowns = CooldownState(scope=self.config.cooldown_scope, roster=self._roster)
-        registry = PersonalRegistry()
+        self.registry = PersonalRegistry()
         for tag in self.config.personal_tags:
-            registry.tag_personal(self.config.admin, tag.tagged_by, tag.object_id)
+            self.apply_tag(tag.tagged_by, tag.object_id)
             for grantee in sorted(tag.grants):
-                registry.grant_access(tag.tagged_by, tag.object_id, grantee)
-        self.registry = registry
+                self.apply_grant(tag.tagged_by, tag.object_id, grantee)
 
     def restore_state(self, pre_state: dict) -> None:
         """Install a pre-state as decide() writes it. Only its cool-down
@@ -411,7 +410,7 @@ class DecisionEngine:
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         self.cooldowns, self.registry = cooldowns, registry
 
-    # -- registry operations (scenario events) -------------------------------
+    # -- registry operations (initial tags, scenario events) -----------------
 
     def apply_tag(self, actor: str, object_id: str) -> None:
         if self.config.object_by_id(object_id) is None:

@@ -2,9 +2,12 @@
 
 A scenario is an ordered list of events (set_emotion, set_context, request,
 tag_personal, grant) with non-decreasing integer timestamps. Parsing is
-fail-fast: a malformed script raises before anything executes. Requests may
-carry an `expect` of "allow" or "deny"; mismatches are collected, not raised.
-The runner hands each trace to `emit` as it is decided and keeps none.
+fail-fast: a malformed script raises before anything executes. A parsed
+script holds the event dicts it was given, checked where they lie, not a copy;
+each value must be of its exact JSON type, so a true or false is no number.
+Requests may carry an `expect` of "allow" or "deny"; mismatches are
+collected, not raised. The runner hands each trace to `emit` as it is decided
+and keeps none.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .config import PolicyConfig
 from .emotion import EmotionSample
 from .engine import ALLOW, DENY, DecisionEngine, DecisionTrace, FetchRequest
 from .errors import FetchguardError, ScenarioParseError
-from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot, require_type
+from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot
 
 EVENT_TYPES = ("set_emotion", "set_context", "request", "tag_personal", "grant")
 
@@ -27,16 +30,10 @@ DEFAULT_ROOM = "unspecified"
 
 
 @dataclass(frozen=True)
-class Event:
-    t: int
-    type: str
-    fields: dict
-
-
-@dataclass(frozen=True)
 class ScenarioScript:
     name: str
-    events: tuple[Event, ...]
+    #: The event dicts as given, each checked by parse_scenario.
+    events: tuple[dict, ...]
 
 
 def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScript:
@@ -48,7 +45,6 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
     raw_events = data["events"]
     if not isinstance(raw_events, list):
         raise ScenarioParseError("'events' must be a list")
-    events: list[Event] = []
     last_t = 0
     for i, raw in enumerate(raw_events):
         where = f"event #{i}"
@@ -58,17 +54,15 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
         if etype not in EVENT_TYPES:
             raise ScenarioParseError(f"{where}: unknown event type {etype!r}")
         t = raw.get("t")
-        if not _typed(t, int) or t < 0:
+        if type(t) is not int or t < 0:
             raise ScenarioParseError(f"{where}: 't' must be a non-negative integer")
         if t >= INT_BOUND:  # bounded as a request's ints are, so that its trace writes
             raise ScenarioParseError(f"{where}: 't' has more than {MAX_INT_DIGITS} digits, which no trace can write")
         if t < last_t:
             raise ScenarioParseError(f"{where}: timestamps must be non-decreasing")
         last_t = t
-        fields = {k: v for k, v in raw.items() if k not in ("t", "type")}
-        _check_fields(etype, fields, where)
-        events.append(Event(t=t, type=etype, fields=fields))
-    return ScenarioScript(name=name, events=tuple(events))
+        _check_fields(etype, raw, where)
+    return ScenarioScript(name=name, events=tuple(raw_events))
 
 
 _REQUIRED_FIELDS = {
@@ -80,21 +74,11 @@ _REQUIRED_FIELDS = {
 }
 
 
-def _typed(value, *types: type) -> bool:
-    """Whether `require_type` takes the value: a JSON true/false passes only
-    where a bool is asked for."""
-    try:
-        require_type("value", value, *types)
-    except TypeError:
-        return False
-    return True
-
-
 def _check_fields(etype: str, fields: dict, where: str) -> None:
     for key, types in _REQUIRED_FIELDS[etype].items():
         if key not in fields:
             raise ScenarioParseError(f"{where}: {etype} needs field {key!r}")
-        if not _typed(fields[key], *types):
+        if type(fields[key]) not in types:
             raise ScenarioParseError(f"{where}: field {key!r} has the wrong type")
         if etype == "set_emotion" and key != "user":
             try:  # run_scenario takes a sensor value as a float
@@ -104,9 +88,9 @@ def _check_fields(etype: str, fields: dict, where: str) -> None:
     if etype == "request":
         if "expect" in fields and fields["expect"] not in (ALLOW, DENY):
             raise ScenarioParseError(f"{where}: expect must be 'allow' or 'deny'")
-        extra = set(fields) - {"user", "object", "expect"}
+        extra = set(fields) - {"t", "type", "user", "object", "expect"}
     else:
-        extra = set(fields) - set(_REQUIRED_FIELDS[etype])
+        extra = set(fields) - {"t", "type", *_REQUIRED_FIELDS[etype]}
     if extra:
         raise ScenarioParseError(f"{where}: unknown fields {sorted(extra)}")
 
@@ -165,38 +149,34 @@ def run_scenario(
     )
     seq = 0
     for event in script.events:
-        if event.type == "set_emotion":
-            emotions[event.fields["user"]] = EmotionSample(
-                float(event.fields["valence"]), float(event.fields["arousal"])
-            )
-        elif event.type == "set_context":
+        if event["type"] == "set_emotion":
+            emotions[event["user"]] = EmotionSample(float(event["valence"]), float(event["arousal"]))
+        elif event["type"] == "set_context":
             context = ContextSnapshot(
-                room=event.fields["room"],
-                adult_present=event.fields["adult_present"],
-                verbal_affirmation=event.fields["verbal_affirmation"],
-                timestamp=event.t,
+                room=event["room"],
+                adult_present=event["adult_present"],
+                verbal_affirmation=event["verbal_affirmation"],
+                timestamp=event["t"],
             )
-        elif event.type == "tag_personal":
+        elif event["type"] == "tag_personal":
             try:
-                engine.apply_tag(event.fields["actor"], event.fields["object"])
+                engine.apply_tag(event["actor"], event["object"])
             except FetchguardError as exc:
-                result.notes.append(f"t={event.t} tag_personal rejected: {exc}")
-        elif event.type == "grant":
+                result.notes.append(f"t={event['t']} tag_personal rejected: {exc}")
+        elif event["type"] == "grant":
             try:
-                engine.apply_grant(
-                    event.fields["actor"], event.fields["object"], event.fields["grantee"]
-                )
+                engine.apply_grant(event["actor"], event["object"], event["grantee"])
             except FetchguardError as exc:
-                result.notes.append(f"t={event.t} grant rejected: {exc}")
-        elif event.type == "request":
-            user = event.fields["user"]
+                result.notes.append(f"t={event['t']} grant rejected: {exc}")
+        elif event["type"] == "request":
+            user = event["user"]
             request = FetchRequest(
                 request_id=f"{script.name}:{seq:03d}",
                 user_id=user,
-                object_id=event.fields["object"],
+                object_id=event["object"],
                 emotion=emotions.get(user, EmotionSample(0.0, 0.0)),
                 context=context,
-                now=event.t,
+                now=event["t"],
             )
             seq += 1
             decision, trace = engine.decide(request)
@@ -205,7 +185,7 @@ def run_scenario(
                 result.allowed += 1
             else:
                 result.denied += 1
-            expect = event.fields.get("expect")
+            expect = event.get("expect")
             if expect is not None and expect != decision.verdict:
                 result.mismatches.append(
                     Mismatch(request_id=request.request_id, expected=expect, got=decision.verdict)

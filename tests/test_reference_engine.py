@@ -114,12 +114,12 @@ ACTORS = ["alice", "henry", "bob", "mallory"]
 WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3 + CATALOG + ["ghost"]
 
 
-def random_stream(rnd, points=(), gaps=GAPS):
+def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS):
     """Up to 20 events with their times: six requests to each tag or grant
     write. Each time is the last plus one of `gaps`, but never past the
-    last instant a request may name. Ids are roster users (dave is under
-    5), unknown users and catalog or unknown objects, and one in ten is any
-    short text. An emotion is one time in four any two sensor values: NaN,
+    last instant a request may name. Ids are `users` (the shipped roster's
+    dave is under 5), unknown users and catalog or unknown objects, and one
+    in ten is any short text; writes come from `actors`. An emotion is one time in four any two sensor values: NaN,
     +-inf, ints beyond float range, out of range or not; otherwise a point
     inside one of the shipped zones. With `points`, drawn for another zone
     table, one emotion in two is one of them, and any point of the square
@@ -136,9 +136,9 @@ def random_stream(rnd, points=(), gaps=GAPS):
         now = min(now + rnd.choice(gaps), INT_BOUND - 1)
         kind = rnd.choices(["request", "tag_personal", "grant"], weights=[6, 1, 1])[0]
         if kind == "tag_personal":
-            event = {"actor": rnd.choice(ACTORS), "object": pick(WRITTEN)}
+            event = {"actor": rnd.choice(actors), "object": pick(WRITTEN)}
         elif kind == "grant":
-            event = {"actor": rnd.choice(ACTORS), "object": pick(WRITTEN), "grantee": rnd.choice(ROSTER + ["ghost"])}
+            event = {"actor": rnd.choice(actors), "object": pick(WRITTEN), "grantee": rnd.choice(users + ["ghost"])}
         else:
             if points and rnd.random() < 0.5:
                 valence, arousal = rnd.choice(points)
@@ -147,7 +147,7 @@ def random_stream(rnd, points=(), gaps=GAPS):
             else:
                 valence, arousal = (rnd.uniform(-1, 1), rnd.uniform(-1, 1)) if points else rnd.choice(ZONE_POINTS)
             event = {
-                "user": pick(ROSTER + ["mallory", "stranger"]),
+                "user": pick(users + ["mallory", "stranger"]),
                 "object": pick(CATALOG + ["ghost"]),
                 "valence": valence,
                 "arousal": arousal,
@@ -289,3 +289,67 @@ class TestDrawnDurations:
         gaps = [0, 1] + [d + step for d in durations.values() for step in (-1, 0, 1)]
         for event in random_stream(rnd, gaps=gaps):
             _, state = step_both(engine, state, config_data, event)
+
+
+NAMES = ["alice", "bob", "carol", "dave", "erin", "grace", "henry", "ivan"]
+RELATIONSHIPS = ["household", "family", "friend", "unknown"]
+
+
+@st.composite
+def households(draw):
+    """The shipped catalog, rules, matrix and zone table with a drawn
+    household: an adult threshold of 14 or more; 1 to 8 users of any
+    relationship, whose ages are often under 5, 5, 12, 13, the threshold
+    less one or the threshold; an owner and designators among the household
+    users; and tags of catalog objects by the owner or a designator, with
+    grants to users of 5 or more. Objects and users state no personal_owner
+    or admin_role, which the config derives."""
+    threshold = draw(st.one_of(st.sampled_from([14, 19, 21]), st.integers(14, 130)))
+    ages = st.one_of(st.integers(0, 4), st.sampled_from([5, 12, 13, threshold - 1, threshold]), st.integers(0, 130))
+    users = [
+        {"user_id": user_id, "age_years": draw(ages), "relationship": draw(st.sampled_from(RELATIONSHIPS)),
+         "allergies": draw(st.sampled_from([[], ["peanut"]]))}
+        for user_id in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=8, unique=True))
+    ]
+    household = [user["user_id"] for user in users if user["relationship"] == "household"]
+    # With no household user, the owner is any user, which validate() refuses.
+    owner = draw(st.sampled_from(household or [users[0]["user_id"]]))
+    designators = draw(st.lists(st.sampled_from(household), unique=True)) if household else []
+    eligible = [user["user_id"] for user in users if user["age_years"] >= 5]
+    tags = [
+        {"object_id": object_id, "tagged_by": draw(st.sampled_from([owner, *designators])),
+         "grants": draw(st.lists(st.sampled_from(eligible), unique=True)) if eligible else []}
+        for object_id in draw(st.lists(st.sampled_from(CATALOG), max_size=3, unique=True))
+    ]
+    return {
+        **SHIPPED,
+        "region": {"name": "drawn", "adult_age_threshold": threshold},
+        "cooldown_scope": draw(st.sampled_from(["user", "roster"])),
+        "objects": [{k: v for k, v in obj.items() if k != "personal_owner"} for obj in SHIPPED["objects"]],
+        "users": users,
+        "admin": {"owner": owner, "designators": designators},
+        "personal_tags": tags,
+    }
+
+
+class TestDrawnHouseholds:
+    """The shipped tables under any household that validates: every step
+    of the engine and of the reference agrees, in plain and audit_all mode,
+    from the configured tags and grants on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=households(), rnd=st.randoms(use_true_random=True))
+    def test_every_step_of_any_stream(self, data, rnd):
+        config = PolicyConfig.from_dict(data)
+        assume(config.validate().ok)
+        config_data = config.to_dict()
+        users = [user["user_id"] for user in config_data["users"]]
+        # The designators, a user who may not tag if there is one, and a stranger.
+        designators = sorted(config.admin.all_designators())
+        actors = designators + [user for user in users if user not in designators][:1] + ["mallory"]
+        for audit_all in (False, True):
+            engine = DecisionEngine(config, audit_all=audit_all)
+            state = initial_state(config_data)
+            assert engine.registry.snapshot() == state["registry"]
+            for event in random_stream(rnd, users=users, actors=actors):
+                _, state = step_both(engine, state, config_data, event)

@@ -55,6 +55,12 @@ class TestParsing:
         assert script.name == "t"
         assert len(script.events) == 1
 
+    def test_the_script_holds_the_events_it_was_given(self):
+        data = scenario_dict([CONTEXT, {"t": 1, "type": "request", "user": "alice", "object": "towel", "expect": "allow"}])
+        script = parse_scenario(data)
+        assert len(script.events) == len(data["events"])
+        assert all(event is given for event, given in zip(script.events, data["events"]))
+
     def test_unknown_event_type_fails_fast(self):
         with pytest.raises(ScenarioParseError, match="unknown event type"):
             parse_scenario(scenario_dict([{"t": 0, "type": "teleport"}]))
@@ -119,6 +125,15 @@ class TestParsing:
         parse_scenario(scenario_dict([event]))
         with pytest.raises(ScenarioParseError, match=f"'{field}'"):
             parse_scenario(scenario_dict([dict(event, **{field: flag})]))
+
+    def test_a_subclass_of_a_json_type_is_refused(self):
+        # A scenario's values are what JSON decodes, each of its exact type.
+        class Name(str):
+            pass
+
+        event = {"t": 0, "type": "request", "user": Name("alice"), "object": "towel"}
+        with pytest.raises(ScenarioParseError, match="event #0: field 'user' has the wrong type"):
+            parse_scenario(scenario_dict([event]))
 
     @pytest.mark.parametrize(
         "t, message",
