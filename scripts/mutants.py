@@ -112,6 +112,12 @@ MUTANTS = (
         "            if False:",
         GRID,
     ),
+    Mutant(
+        "child tier without family and friend children", "src/fetchguard/model.py",
+        "CHILD_TIER = frozenset({UserGroup.HC, UserGroup.FAC, UserGroup.FRC})",
+        "CHILD_TIER = frozenset({UserGroup.HC})",
+        ("tests/test_matrix.py::TestCategoryChecks::test_child_tier_needs_adult_present",),
+    ),
     # The one sharing rule of the cool-down state.
     Mutant(
         "roster scope: requesters the roster lacks keep records of their own", "src/fetchguard/ordering.py",
@@ -208,6 +214,13 @@ MUTANTS = (
             "tests/test_scenario_cli.py::TestParsing::test_a_json_bool_is_not_a_number",
             "tests/test_scenario_cli.py::TestParsing::test_a_subclass_of_a_json_type_is_refused",
         ),
+    ),
+    # One id lookup: validate() describes the user the engine reads.
+    Mutant(
+        "config lookups keep the last of two equal ids", "src/fetchguard/config.py",
+        '{u.user_id: u for u in reversed(self.users)}',
+        '{u.user_id: u for u in self.users}',
+        ("tests/test_config.py::TestValidationFindings::test_findings_describe_the_first_of_two_equal_ids",),
     ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(

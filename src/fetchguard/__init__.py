@@ -33,7 +33,6 @@ from .engine import (
     FetchRequest,
     VerifyResult,
     redecide,
-    replay,
     verify_trace,
 )
 from .errors import (

@@ -65,13 +65,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_FAILURE
 
 
-_STAGE_TITLES = {
-    "eligibility": "eligibility",
-    "ordering": "ordering",
-    "emotion": "emotion/matrix",
-    "category_context": "category/context",
-    "personal": "personal",
-}
+#: The stages whose title is not their name.
+_STAGE_TITLES = {"emotion": "emotion/matrix", "category_context": "category/context"}
 
 
 def render_explanation(trace: DecisionTrace) -> str:
@@ -99,7 +94,7 @@ def render_explanation(trace: DecisionTrace) -> str:
     deciding = trace.decision.deciding_policy
     cooldowns = outcomes.get("ordering", {}).get("active_cooldowns")
     for stage in STAGES:
-        title = _STAGE_TITLES[stage]
+        title = _STAGE_TITLES.get(stage, stage)
         inputs = outcomes.get(stage)
         if inputs is None:
             out.append(f"  {title}: not evaluated")

@@ -464,14 +464,14 @@ class PolicyConfig:
         return report
 
     def _validate_admin_and_tags(self) -> Report:
+        # The engine's lookups: the first of two equal ids, as decide() reads.
         report = Report()
-        users = {u.user_id: u for u in self.users}
-        if self.admin.owner not in users:
+        if self.user_by_id(self.admin.owner) is None:
             report.add("unknown-owner", f"admin owner {self.admin.owner!r} is not registered")
         designators = self.admin.all_designators()
         # The owner can always tag, so is held to the designators' rule too.
         for d in sorted(designators):
-            u = users.get(d)
+            u = self.user_by_id(d)
             if u is None:
                 if d in self.admin.designators:
                     report.add("unknown-designator", f"designator {d!r} is not registered")
@@ -480,10 +480,9 @@ class PolicyConfig:
                     "non-household-designator",
                     f"designator {d!r} is not a household user",
                 )
-        object_ids = {o.object_id for o in self.objects}
         tagged: set[str] = set()
         for tag in self.personal_tags:
-            if tag.object_id not in object_ids:
+            if self.object_by_id(tag.object_id) is None:
                 report.add("unknown-tagged-object", f"tagged object {tag.object_id!r} not in catalog")
             if tag.object_id in tagged:
                 report.add("duplicate-tag", f"object {tag.object_id!r} is tagged personal twice")
@@ -494,7 +493,7 @@ class PolicyConfig:
                     f"{tag.tagged_by!r} tagged {tag.object_id!r} but is not a designator",
                 )
             for grantee in sorted(tag.grants):
-                u = users.get(grantee)
+                u = self.user_by_id(grantee)
                 if u is None:
                     report.add("unknown-grantee", f"grantee {grantee!r} is not registered")
                 elif u.age_years < MIN_ELIGIBLE_AGE:

@@ -80,8 +80,7 @@ class EmotionSample:
         (valence -1, arousal +1); any other value, +-inf included, clamps to
         the nearer boundary. Out-of-range sensor data must never crash or
         soften a decision. Returns (sample, whether anything changed); a
-        sample whose values come back as the very objects it holds is
-        returned itself.
+        sample strictly inside the square is returned itself.
         """
         # Strictly inside (-1, 1), min and max would give back the values
         # held. NaN fails these tests, and so does +-1.0, for which min or
@@ -92,8 +91,6 @@ class EmotionSample:
         # converts no int, so one beyond float range clamps like +-inf.
         v = -1.0 if self.valence != self.valence else min(1.0, max(-1.0, self.valence))
         a = 1.0 if self.arousal != self.arousal else min(1.0, max(-1.0, self.arousal))
-        if v is self.valence and a is self.arousal:
-            return self, False
         changed = not (v == self.valence and a == self.arousal)
         return EmotionSample(v, a), changed
 

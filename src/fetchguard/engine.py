@@ -677,14 +677,6 @@ def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Deci
         raise ReplayError(f"recorded request cannot be decided again: {exc!r}") from exc
 
 
-def replay(trace: DecisionTrace, config: PolicyConfig) -> Decision:
-    """Re-decide a recorded request from its recorded pre-state (redecide).
-
-    Raises ReplayError when the config fingerprint differs from the trace's
-    or the trace cannot be replayed."""
-    return redecide(trace, config)[0]
-
-
 @dataclass
 class VerifyResult:
     ok: bool

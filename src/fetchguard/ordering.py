@@ -93,18 +93,16 @@ class CooldownState:
     def on_granted(
         self, user_id: str, obj: ObjectSpec, now: Instant, durations: CooldownDurations
     ) -> None:
-        """Drop the record's closed windows (expiry <= now), the one place a
-        window is removed; remember the request; and arm a flagged object's
-        window for a full duration from now, whether or not one was running."""
+        """Called by decide() after either verdict. Drop the record's closed
+        windows (expiry <= now), the one place a window is removed; remember
+        the request; and arm a flagged object's window for a full duration
+        from now, whether or not one was running."""
         rec = self._record(user_id)
         if rec.active and min(rec.active.values()) <= now:
             rec.active = {cls: expiry for cls, expiry in rec.active.items() if expiry > now}
         rec.last_requested = obj.object_id
         if obj.safety_class in _FLAGGED:
             rec.active[obj.safety_class] = now + durations.for_class(obj.safety_class)
-
-    #: A denial re-arms the window just as a grant arms it.
-    on_denied = on_granted
 
     def active_cooldowns(self, user_id: str, now: Instant) -> frozenset[SafetyClass]:
         """Classes whose window is still open (expiry > now); only reads."""

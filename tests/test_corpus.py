@@ -8,7 +8,7 @@ import pytest
 from fetchguard import (
     DecisionTrace,
     load_scenario,
-    replay,
+    redecide,
     run_scenario,
     verify_trace,
 )
@@ -32,7 +32,7 @@ def test_every_trace_replays_byte_identically(shipped_config, path):
     traces = []
     run_scenario(shipped_config, load_scenario(path), traces.append)
     for trace in traces:
-        replayed = replay(trace, shipped_config)
+        replayed = redecide(trace, shipped_config)[0]
         assert canonical_json(replayed.to_dict()) == canonical_json(trace.decision.to_dict())
         assert verify_trace(trace, shipped_config).ok
 

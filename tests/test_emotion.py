@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -400,6 +401,16 @@ class TestClampedMatchesMinMax:
         ]
         assert changed is expected_changed
         assert (result is sample) is same
+
+    def test_a_clamped_sample_clamps_to_itself_unchanged(self):
+        # Its bounds may be the very constants clamped() returns.
+        for v, a in itertools.product(EDGE_VALUES, repeat=2):
+            once, _ = EmotionSample(v, a).clamped()
+            again, changed = once.clamped()
+            assert changed is False
+            assert [(repr(x), type(x)) for x in (again.valence, again.arousal)] == [
+                (repr(x), type(x)) for x in (once.valence, once.arousal)
+            ]
 
 
 class TestEscalation:

@@ -32,7 +32,7 @@ from fetchguard import (
     classify_user_group,
     default_config,
     node_names,
-    replay,
+    redecide,
     verify_trace,
     zone_of,
 )
@@ -760,14 +760,14 @@ class TestStateIsBoundedByTheRoster:
 class TestReplay:
     def test_replay_reproduces_decision(self, shipped_config, engine):
         decision, trace = engine.decide(make_request("alice", "knife", emotion=RED))
-        replayed = replay(trace, shipped_config)
+        replayed = redecide(trace, shipped_config)[0]
         assert replayed.to_dict() == decision.to_dict()
 
     def test_replay_of_mid_session_request(self, shipped_config, engine):
         engine.decide(make_request("alice", "knife", now=0))
         decision, trace = engine.decide(make_request("alice", "knife", now=60, request_id="req-001"))
         assert verify_trace(trace, shipped_config).ok
-        assert replay(trace, shipped_config).to_dict() == decision.to_dict()
+        assert redecide(trace, shipped_config)[0].to_dict() == decision.to_dict()
 
     def test_replay_refused_on_fingerprint_mismatch(self, engine):
         _, trace = engine.decide(make_request("alice", "towel"))
@@ -775,7 +775,7 @@ class TestReplay:
         data["durations"]["dangerous_s"] = 60
         edited = PolicyConfig.from_dict(data)
         with pytest.raises(ReplayError):
-            replay(trace, edited)
+            redecide(trace, edited)[0]
 
     def test_tampered_context_flips_decision_and_is_detected(self, shipped_config, engine):
         # A yellow-zone dangerous fetch passes only with verbal affirmation;

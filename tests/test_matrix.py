@@ -238,12 +238,13 @@ class TestCategoryChecks:
         result = category_checks(NONE, rules, PEANUT_JAR, g.HA, make_context(), ADULT)
         assert result.passed
 
-    def test_child_tier_needs_adult_present(self):
+    @pytest.mark.parametrize("group", [g.HC, g.FAC, g.FRC], ids=lambda group: group.name)
+    def test_child_tier_needs_adult_present(self, group):
         rules = [CategoryRule("craft", frozenset({"adult_present_for_child_tier"}))]
-        result = category_checks(NONE, rules, SCISSORS, g.HC, make_context(adult=False), ALLERGIC_CHILD)
+        result = category_checks(NONE, rules, SCISSORS, group, make_context(adult=False), ALLERGIC_CHILD)
         assert not result.passed
         assert result.failed_check == "adult_present_for_child_tier"
-        assert category_checks(NONE, rules, SCISSORS, g.HC, make_context(adult=True), ALLERGIC_CHILD).passed
+        assert category_checks(NONE, rules, SCISSORS, group, make_context(adult=True), ALLERGIC_CHILD).passed
 
     def test_adult_requester_skips_child_tier_check(self):
         rules = [CategoryRule("craft", frozenset({"adult_present_for_child_tier"}))]

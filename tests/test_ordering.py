@@ -52,19 +52,19 @@ class TestDeny:
         state = CooldownState()
         state.on_granted("alice", PILLS, -14200, DEFAULTS)  # expiry at t=200
         assert state.expiry("alice", M) == 200
-        state.on_denied("alice", PILLS, 100, DEFAULTS)
+        state.on_granted("alice", PILLS, 100, DEFAULTS)
         assert state.expiry("alice", M) == 100 + 14400
 
     def test_denied_neither_changes_no_cooldown(self):
         state = CooldownState()
         state.on_granted("alice", KNIFE, 0, DEFAULTS)
-        state.on_denied("alice", TOWEL, 100, DEFAULTS)
+        state.on_granted("alice", TOWEL, 100, DEFAULTS)
         assert state.expiry("alice", D) == 1800
         assert state.last_requested("alice") == "towel"
 
     def test_denied_dangerous_with_no_prior_cooldown_creates_one(self):
         state = CooldownState()
-        state.on_denied("alice", KNIFE, 50, DEFAULTS)
+        state.on_granted("alice", KNIFE, 50, DEFAULTS)
         assert state.expiry("alice", D) == 50 + 1800
 
 
@@ -123,7 +123,7 @@ class TestActiveWindows:
         state = CooldownState()
         state.on_granted("alice", KNIFE, 0, DEFAULTS)
         assert state.active_cooldowns("bob", 10) == frozenset()
-        state.on_denied("bob", PILLS, 10, DEFAULTS)
+        state.on_granted("bob", PILLS, 10, DEFAULTS)
         assert state.active_cooldowns("alice", 20) == {D}
         assert state.expiry("alice", M) is None
 
@@ -217,7 +217,7 @@ def test_randomized_sequences_match_oracle():
             if rng.random() < 0.5:
                 state.on_granted(user, obj, now, durations)
             else:
-                state.on_denied(user, obj, now, durations)
+                state.on_granted(user, obj, now, durations)
             oracle.apply(user, obj, now)
             probe = rng.choice(users)
             assert state.active_cooldowns(probe, now) == oracle.active(probe, now)
@@ -245,7 +245,7 @@ def test_denial_never_shortens_an_expiry(ops):
         if granted:
             state.on_granted("u", obj, now, DEFAULTS)
         else:
-            state.on_denied("u", obj, now, DEFAULTS)
+            state.on_granted("u", obj, now, DEFAULTS)
         if not granted and obj.safety_class in (D, M):
             old = before[obj.safety_class]
             new = state.expiry("u", obj.safety_class)

@@ -111,14 +111,14 @@ GAPS = [0, 1, 60, 1799, 1800, 1801, 14399, 14400, 14401]
 # Writes come from both designators and two others, and go mostly to a few
 # objects, so that grants land and tagged objects get requested.
 ACTORS = ["alice", "henry", "bob", "mallory"]
-WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3 + CATALOG + ["ghost"]
+OFTEN_WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3
 
 
-def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS):
+def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS, objects=CATALOG):
     """Up to 20 events with their times: six requests to each tag or grant
     write. Each time is the last plus one of `gaps`, but never past the
     last instant a request may name. Ids are `users` (the shipped roster's
-    dave is under 5), unknown users and catalog or unknown objects, and one
+    dave is under 5), unknown users and `objects` or unknown objects, and one
     in ten is any short text; writes come from `actors`. An emotion is one time in four any two sensor values: NaN,
     +-inf, ints beyond float range, out of range or not; otherwise a point
     inside one of the shipped zones. With `points`, drawn for another zone
@@ -131,14 +131,15 @@ def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS):
     def sensor():
         return rnd.choice(ODD_SENSOR_VALUES) if rnd.random() < 0.5 else rnd.uniform(-2, 2)
 
+    written = OFTEN_WRITTEN + objects + ["ghost"]
     now, events = 0, []
     for _ in range(rnd.randint(1, 20)):
         now = min(now + rnd.choice(gaps), INT_BOUND - 1)
         kind = rnd.choices(["request", "tag_personal", "grant"], weights=[6, 1, 1])[0]
         if kind == "tag_personal":
-            event = {"actor": rnd.choice(actors), "object": pick(WRITTEN)}
+            event = {"actor": rnd.choice(actors), "object": pick(written)}
         elif kind == "grant":
-            event = {"actor": rnd.choice(actors), "object": pick(WRITTEN), "grantee": rnd.choice(users + ["ghost"])}
+            event = {"actor": rnd.choice(actors), "object": pick(written), "grantee": rnd.choice(users + ["ghost"])}
         else:
             if points and rnd.random() < 0.5:
                 valence, arousal = rnd.choice(points)
@@ -148,7 +149,7 @@ def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS):
                 valence, arousal = (rnd.uniform(-1, 1), rnd.uniform(-1, 1)) if points else rnd.choice(ZONE_POINTS)
             event = {
                 "user": pick(users + ["mallory", "stranger"]),
-                "object": pick(CATALOG + ["ghost"]),
+                "object": pick(objects + ["ghost"]),
                 "valence": valence,
                 "arousal": arousal,
                 "room": rnd.choice(ROOMS),
@@ -352,4 +353,62 @@ class TestDrawnHouseholds:
             state = initial_state(config_data)
             assert engine.registry.snapshot() == state["registry"]
             for event in random_stream(rnd, users=users, actors=actors):
+                _, state = step_both(engine, state, config_data, event)
+
+
+#: Ids a drawn catalog takes besides the diary: the shipped ones and two new.
+OBJECT_IDS = [object_id for object_id in CATALOG if object_id != "diary"] + ["kite", "milk"]
+SAFETY_CLASSES = ["dangerous", "mind_altering", "neither"]
+CATEGORIES = ["vehicle", "craft", "food", "medicine", "kitchen"]
+ALLERGENS = ["peanut", "dairy"]
+CATEGORY_CHECKS = ["allergy_screen", "adult_present_for_child_tier", "verbal_affirmation"]
+
+
+@st.composite
+def catalogs(draw):
+    """The shipped household, matrix, zone table and tags with a drawn
+    catalog and category rules: 1 to 9 objects, the diary the shipped tag
+    names among them, each of any safety class, a category from CATEGORIES
+    and allergens among ALLERGENS; each user's allergies among ALLERGENS;
+    and 0 to 5 rules, each for a catalog category or `*`, with any extra
+    checks and either no rooms or any set of ROOMS. Objects and users state
+    no personal_owner or admin_role, which the config derives."""
+    object_ids = draw(st.lists(st.sampled_from(OBJECT_IDS), max_size=8, unique=True))
+    object_ids.insert(draw(st.integers(0, len(object_ids))), "diary")
+    allergens = st.lists(st.sampled_from(ALLERGENS), unique=True)
+    objects = [
+        {"object_id": object_id, "safety_class": draw(st.sampled_from(SAFETY_CLASSES)),
+         "category": draw(st.sampled_from(CATEGORIES)), "allergen_tags": draw(allergens)}
+        for object_id in object_ids
+    ]
+    rules = [
+        {"category": draw(st.sampled_from(sorted({obj["category"] for obj in objects}) + ["*"])),
+         "extra_checks": draw(st.lists(st.sampled_from(CATEGORY_CHECKS), unique=True)),
+         "appropriate_rooms": draw(st.none() | st.lists(st.sampled_from(ROOMS), unique=True))}
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    users = [
+        {**{k: v for k, v in user.items() if k != "admin_role"}, "allergies": draw(allergens)}
+        for user in SHIPPED["users"]
+    ]
+    return {**SHIPPED, "objects": objects, "category_rules": rules, "users": users}
+
+
+class TestDrawnCatalogs:
+    """The shipped household and tables under any catalog and category
+    rules that validate: every step of the engine and of the reference
+    agrees, in plain and audit_all mode, with requests and writes drawn
+    from the drawn catalog."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=catalogs(), rnd=st.randoms(use_true_random=True))
+    def test_every_step_of_any_stream(self, data, rnd):
+        config = PolicyConfig.from_dict(data)
+        assume(config.validate().ok)
+        config_data = config.to_dict()
+        objects = [obj["object_id"] for obj in config_data["objects"]]
+        for audit_all in (False, True):
+            engine = DecisionEngine(config, audit_all=audit_all)
+            state = initial_state(config_data)
+            for event in random_stream(rnd, objects=objects):
                 _, state = step_both(engine, state, config_data, event)

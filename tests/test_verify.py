@@ -30,7 +30,6 @@ from fetchguard import (
     UserGroup,
     default_config,
     read_traces,
-    replay,
     verify_trace,
 )
 from fetchguard.bt import TickListener
@@ -317,7 +316,7 @@ class TestEditedTracesFailClosed:
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith(named)
         with pytest.raises(ReplayError):
-            replay(edited, shipped_config)
+            redecide(edited, shipped_config)[0]
 
     @pytest.mark.parametrize("edit, named", EDITS, ids=lambda e: getattr(e, "__name__", ""))
     def test_next_verify_after_a_failed_one_is_unaffected(self, mid_session_trace, edit, named):
@@ -362,7 +361,7 @@ class TestEditedTracesFailClosed:
         assert (result.ok, result.decision, len(result.mismatches)) == (False, None, 1)
         assert result.mismatches[0].startswith("config is refused by the engine")
         with pytest.raises(ReplayError):
-            replay(line, config)
+            redecide(line, config)[0]
 
     @pytest.mark.parametrize("expiry", ["1800", 1800.9, True])
     def test_a_golden_expiry_that_is_not_an_int_is_refused(self, golden_config, expiry):
