@@ -121,7 +121,7 @@ MUTANTS = (
     # The one sharing rule of the cool-down state.
     Mutant(
         "roster scope: requesters the roster lacks keep records of their own", "src/fetchguard/ordering.py",
-        '        if self.scope == "roster" and user_id not in self.roster:',
+        "        if self.roster is not None and user_id not in self.roster:",
         "        if False:",
         ("tests/test_engine.py::TestStateIsBoundedByTheRoster",),
     ),
@@ -221,6 +221,27 @@ MUTANTS = (
         '{u.user_id: u for u in reversed(self.users)}',
         '{u.user_id: u for u in self.users}',
         ("tests/test_config.py::TestValidationFindings::test_findings_describe_the_first_of_two_equal_ids",),
+    ),
+    # One holder per fact: the audit pass starts after the failed stage's
+    # index, and one reader refuses every JSON file no loader can read.
+    Mutant(
+        "audit pass re-evaluates the failed stage", "src/fetchguard/engine.py",
+        "self._stages[st.failed + 1:]",
+        "self._stages[st.failed:]",
+        ("tests/test_engine.py::TestAuditMode::test_audit_mode_keeps_verdict_but_adds_events",),
+    ),
+    Mutant(
+        "JSON loader lets a too-deep file through", "src/fetchguard/model.py",
+        "        except (RecursionError, ValueError) as exc:\n",
+        "        except ValueError as exc:\n",
+        ("tests/test_scenario_cli.py::TestCliValidate::test_unparseable_config_exits_2[too_deep]",),
+    ),
+    # A context stamped after `now` fails closed.
+    Mutant(
+        "future-context rule deleted", "src/fetchguard/engine.py",
+        "        if context.timestamp > req.now:\n",
+        "        if False:\n",
+        ("tests/test_engine.py::TestTighteningLaws::test_a_context_stamped_after_now_reads_both_flags_false",),
     ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(

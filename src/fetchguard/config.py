@@ -8,7 +8,6 @@ not break trace replay but any semantic edit does.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -30,11 +29,12 @@ from .model import (
     Report,
     UserProfile,
     canonical_encoder,
+    load_json,
     member,
     require_type,
     validate_object_catalog,
 )
-from .ordering import COOLDOWN_SCOPES, UNKNOWN_SCOPE_KEY, CooldownDurations
+from .ordering import UNKNOWN_SCOPE_KEY, CooldownDurations
 from .privacy import AdminHierarchy
 
 #: The shipped household. It sits in a checkout, beside src/; a non-editable
@@ -42,8 +42,8 @@ from .privacy import AdminHierarchy
 SHIPPED_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "default.json"
 #: The fingerprint of SHIPPED_CONFIG, which every trace it decides embeds.
 SHIPPED_FINGERPRINT = "4be17d16502a6f12112338028a8f4502e4e3a5adf0dc1da134ff3485af8e5d04"
-#: The cool-down record key shared by many requesters, so no roster user may take it.
-RESERVED_USER_IDS = frozenset({UNKNOWN_SCOPE_KEY})
+#: What a config's cooldown_scope may be (see CooldownState).
+COOLDOWN_SCOPES = ("user", "roster")
 #: The keys each object of a config file may hold: exactly those to_dict writes.
 _KEYS = {
     "config": frozenset({
@@ -405,12 +405,7 @@ class PolicyConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, too many digits or too deep
-                raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(path, ConfigError))
 
     def canonical_bytes(self) -> bytes:
         return _canonical(self.to_dict()).encode("utf-8")
@@ -447,7 +442,7 @@ class PolicyConfig:
         for user in self.users:
             if user.user_id in seen:
                 report.add("duplicate-user-id", f"user id {user.user_id!r} appears twice")
-            if user.user_id in RESERVED_USER_IDS:
+            if user.user_id == UNKNOWN_SCOPE_KEY:
                 report.add("reserved-user-id", f"user id {user.user_id!r} names a shared cool-down record")
             seen.add(user.user_id)
         return report

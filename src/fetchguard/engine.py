@@ -339,9 +339,6 @@ class _EvalState:
     what it derives."""
 
     request: FetchRequest
-    #: The request as traces write it, built once by the knowledge step: it
-    #: is both that step's echo and the trace's `request`.
-    echo: dict | None = None
     profile: UserProfile | None = None
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
@@ -350,10 +347,15 @@ class _EvalState:
     active: frozenset[SafetyClass] = frozenset()
     restriction: Restriction | None = None
     matrix_entry: MatrixEntry | None = None
-    failed_stage: str | None = None
+    #: The context gate 4 reads: the request's, or, stamped after `now`, its
+    #: room with both flags false.
+    context: ContextSnapshot | None = None
+    #: The index in STAGES of the stage whose gate failed.
+    failed: int | None = None
     violation: tuple[str, str] | None = None
     warnings: list[str] = field(default_factory=list)
-    #: The trace events, appended by each leaf as it runs.
+    #: The trace events, appended by each leaf as it runs; the first, the
+    #: knowledge step's echo, holds the request as traces write it.
     events: list[dict] = field(default_factory=list)
 
 
@@ -375,10 +377,12 @@ class DecisionEngine:
         #: written once; bounded by the config.
         self._decisions: dict[tuple, Decision] = {}
         #: One _Event per event a leaf writes but the echo, keyed by every
-        #: fact it writes; bounded by the config, and filled as decide() goes.
+        #: fact it writes; bounded by the config. Each gate's violation event
+        #: is built with the gate, the others as decide() first writes them.
         self._events: dict[object, _Event] = {}
-        #: The ids a roster-scoped cool-down state keeps records of their own for.
-        self._roster = frozenset(u.user_id for u in config.users)
+        #: The ids that keep cool-down records of their own under scope
+        #: "roster"; None under "user", where every requester does.
+        self._roster = frozenset(u.user_id for u in config.users) if config.cooldown_scope == "roster" else None
         #: (stage, its `<stage>_ok` node, its evaluator), in STAGES order.
         self._stages = tuple((stage, f"{stage}_ok", getattr(self, f"_eval_{stage}")) for stage in STAGES)
         self.tree = self._build_tree()
@@ -390,7 +394,7 @@ class DecisionEngine:
     def reset(self) -> None:
         """Back to the configured initial state (fresh cool-downs, initial
         personal tags)."""
-        self.cooldowns = CooldownState(scope=self.config.cooldown_scope, roster=self._roster)
+        self.cooldowns = CooldownState(self._roster)
         self.registry = PersonalRegistry()
         for tag in self.config.personal_tags:
             self.apply_tag(tag.tagged_by, tag.object_id)
@@ -404,9 +408,7 @@ class DecisionEngine:
         verify_trace checks those two (formats.check_fixed_facts)."""
         # Both restores run before either is installed, so a pre-state that
         # fails to restore leaves the engine as it was.
-        cooldowns = CooldownState.restore(
-            pre_state["cooldowns"], scope=self.config.cooldown_scope, roster=self._roster
-        )
+        cooldowns = CooldownState.restore(pre_state["cooldowns"], self._roster)
         registry = PersonalRegistry.restore(pre_state["personal_registry"])
         self.cooldowns, self.registry = cooldowns, registry
 
@@ -432,27 +434,28 @@ class DecisionEngine:
             Action("knowledge_check", self._do_knowledge),
             Action("blackboard_update", self._do_blackboard_update),
         ]
-        for (_, gate_name), (stage, ok_name, evaluate) in zip(GATES, self._stages):
-            children.append(Fallback(gate_name, self._gate_leaves(stage, ok_name, evaluate)))
+        for i, (_, gate_name) in enumerate(GATES):
+            children.append(Fallback(gate_name, self._gate_leaves(i)))
         children.append(Action("accept", lambda st: SUCCESS))
         return Repeat("per_request", Sequence("decision_sequence", children))
 
-    def _gate_leaves(self, stage: str, ok_name: str, evaluate) -> list[Node]:
-        violation_name = f"{stage}_violation"
+    def _gate_leaves(self, i: int) -> list[Node]:
+        """The i-th stage's `<stage>_ok` condition and `<stage>_violation` action."""
+        stage, ok_name, evaluate = self._stages[i]
+        violation_event = self._events[f"{stage}_violation"] = _Event(node=f"{stage}_violation")
 
         def check(st: _EvalState) -> bool:
             event, violation = evaluate(st)
             st.events.append(event)
             if violation is not None:
-                st.failed_stage, st.violation = stage, violation
+                st.failed, st.violation = i, violation
             return violation is None
 
         def record_violation(st: _EvalState) -> NodeStatus:
-            event = self._events.get(violation_name)
-            st.events.append(event or self._events.setdefault(violation_name, _Event(node=violation_name)))
+            st.events.append(violation_event)
             return FAILURE
 
-        return [Condition(ok_name, check), Action(violation_name, record_violation)]
+        return [Condition(ok_name, check), Action(violation_event["node"], record_violation)]
 
     # -- leaf effects ----------------------------------------------------------
 
@@ -467,9 +470,13 @@ class DecisionEngine:
         emotion, clamped = req.emotion.clamped()
         if clamped:
             st.warnings.append(CLAMP_WARNING)
+        context = st.context = req.context
+        if context.timestamp > req.now:
+            # A reading from after the decision's time fails closed.
+            st.warnings.append(f"context stamped at {context.timestamp}, after now {req.now}: both flags read false")
+            st.context = ContextSnapshot(context.room, False, False, context.timestamp)
         st.base_zone = zone_of(emotion, self.config.zone_table)
-        echo = st.echo = req.to_dict()
-        st.events.append({"node": "knowledge_check", "request": echo})
+        st.events.append({"node": "knowledge_check", "request": req.to_dict()})
         return SUCCESS
 
     def _do_blackboard_update(self, st: _EvalState) -> NodeStatus:
@@ -527,7 +534,7 @@ class DecisionEngine:
         return event, None
 
     def _eval_emotion(self, st: _EvalState):
-        steps = st.restriction.escalation_steps if st.restriction else 0
+        steps = st.restriction.escalation_steps
         st.effective_zone = escalate(st.base_zone, steps) if steps else st.base_zone
         request_class = st.obj.safety_class
         # A plain tuple finds the same row as its MatrixKey, without
@@ -552,7 +559,7 @@ class DecisionEngine:
     def _eval_category_context(self, st: _EvalState):
         entry, category = st.matrix_entry, st.obj.category
         result = category_checks(
-            entry.required_checks, self.config.category_rules, st.obj, st.group, st.request.context, st.profile
+            entry.required_checks, self.config.category_rules, st.obj, st.group, st.context, st.profile
         )
         failed = result.failed_check
         key = ("category_context_ok", category, failed, result.failed_rule_category)
@@ -610,8 +617,8 @@ class DecisionEngine:
             if decision is None:
                 decision = self._decisions[key] = Decision(verdict, deciding, reason, effective_zone, allowed)
 
-        if self.audit_all and st.failed_stage is not None:
-            st.events.extend(self._audit_events(st))
+        if self.audit_all and st.failed is not None:
+            self._audit_events(st)
 
         # Cool-down bookkeeping happens after the verdict and is the same for
         # both verdicts; it is a decision's only write to the cool-down
@@ -623,26 +630,24 @@ class DecisionEngine:
             st.warnings.append("cool-down state untouched: unknown object")
 
         # The tick's state is dropped on return, so its warnings and events
-        # lists are the trace's own.
+        # lists are the trace's own, and so is its echo's request.
         trace = DecisionTrace(
-            request.request_id, self.fingerprint, self.audit_all, st.echo, pre_state, st.warnings, st.events, decision
+            request.request_id, self.fingerprint, self.audit_all, st.events[0]["request"], pre_state, st.warnings,
+            st.events, decision,
         )
         return decision, trace
 
-    def _audit_events(self, st: _EvalState) -> list[dict]:
+    def _audit_events(self, st: _EvalState) -> None:
         """In audit mode, evaluate the stages after the failed one purely
-        for the record; the verdict is already fixed. Each event is a plain
-        dict, the interned one's facts with its outcome."""
-        start = STAGES.index(st.failed_stage) + 1
-        events = []
-        for _, ok_name, evaluate in self._stages[start:]:
+        for the record; the verdict is already fixed. Each event appended is
+        a plain dict, the interned one's facts with its outcome."""
+        for _, ok_name, evaluate in self._stages[st.failed + 1:]:
             try:
                 event, violation = evaluate(st)
                 outcome = "success" if violation is None else "failure"
             except Exception:
                 event, outcome = {"node": ok_name, "note": "not evaluable after the deciding violation"}, "skipped"
-            events.append({**event, "outcome": outcome, "audit": True})
-        return events
+            st.events.append({**event, "outcome": outcome, "audit": True})
 
 
 def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, DecisionTrace]:

@@ -65,6 +65,16 @@ def canonical_encoder(allow_nan: bool):
     return lambda value: "".join(encode(value, 0))
 
 
+def load_json(path, error: type[Exception]):
+    """A JSON file's value. A file that is not JSON, not UTF-8, or has an int
+    of too many digits or too deep a nesting is refused with `error`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise error(f"cannot parse {path}: {exc}") from exc
+
+
 class _Text(str, enum.Enum):
     """A member is its text: it equals, hashes, sorts, prints and
     JSON-encodes as the string it stands for, so a trace or config writes

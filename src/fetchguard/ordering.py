@@ -21,8 +21,6 @@ VEHICLE_CATEGORY = "vehicle"
 
 #: State key every requester outside the roster shares under scope "roster".
 UNKNOWN_SCOPE_KEY = "__unknown__"
-#: What a config's cooldown_scope may be.
-COOLDOWN_SCOPES = ("user", "roster")
 
 _FLAGGED = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)
 #: The classes that have a cool-down, by the text a snapshot writes.
@@ -58,24 +56,22 @@ class _UserRecord:
 class CooldownState:
     """Tracks last requests and active cool-down expiries.
 
-    Scope is per-user by default; with scope="roster" each member of the
-    roster (the config's user ids) keeps their own record while every
-    requester outside it shares one, so there are at most roster + 1
-    records. Mutations are serialized by the owning engine instance.
+    With no roster (scope "user") every requester keeps a record of their
+    own. Given a roster (scope "roster": the config's user ids) only its
+    members do, while every requester outside it shares one, so there are
+    at most roster + 1 records. Mutations are serialized by the owning
+    engine instance.
     """
 
-    __slots__ = ("scope", "roster", "_records")
+    __slots__ = ("roster", "_records")
 
-    def __init__(self, scope: str = "user", roster: frozenset[str] = frozenset()):
-        if scope not in COOLDOWN_SCOPES:
-            raise ConfigError(f"cooldown scope must be one of {COOLDOWN_SCOPES}, got {scope!r}")
-        self.scope = scope
+    def __init__(self, roster: frozenset[str] | None = None):
         self.roster = roster
         self._records: dict[str, _UserRecord] = {}
 
     def _key(self, user_id: str) -> str:
         """The record a request by user_id reads and writes."""
-        if self.scope == "roster" and user_id not in self.roster:
+        if self.roster is not None and user_id not in self.roster:
             return UNKNOWN_SCOPE_KEY
         return user_id
 
@@ -119,9 +115,9 @@ class CooldownState:
 
     def snapshot(self, user_id: str | None = None) -> dict:
         """The whole state, or, given a user_id, only the record a decision
-        for that user reads: theirs or, under roster scope, the shared one
-        if the roster lacks them. A user with no record gets an empty slice.
-        The scope is the config's, so it is not written."""
+        for that user reads: theirs or, given a roster, the shared one if
+        the roster lacks them. A user with no record gets an empty slice.
+        The roster is the config's, so it is not written."""
         if user_id is None:
             return {
                 "users": {
@@ -139,11 +135,11 @@ class CooldownState:
         return {"users": {key: {"last_requested": rec.last_requested, "active": active}}}
 
     @classmethod
-    def restore(cls, snapshot: dict, *, scope: str, roster: frozenset[str] = frozenset()) -> "CooldownState":
-        """The state a snapshot wrote, under `scope`, which the snapshot
-        does not hold. Any record key is taken: a key that no request of
-        this scope would read is simply never read."""
-        state = cls(scope, roster)
+    def restore(cls, snapshot: dict, roster: frozenset[str] | None = None) -> "CooldownState":
+        """The state a snapshot wrote, sharing records by `roster`, which the
+        snapshot does not hold. Any record key is taken: a key that no
+        request would read is simply never read."""
+        state = cls(roster)
         records = state._records
         for uid, rec in snapshot["users"].items():
             last = rec["last_requested"]

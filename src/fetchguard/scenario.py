@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
-import json
 
 from .config import PolicyConfig
 from .emotion import EmotionSample
 from .engine import ALLOW, DENY, DecisionEngine, DecisionTrace, FetchRequest
 from .errors import FetchguardError, ScenarioParseError
-from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot
+from .model import INT_BOUND, MAX_INT_DIGITS, ContextSnapshot, load_json
 
 _REQUIRED_FIELDS = {
     "set_emotion": {"user": (str,), "valence": (int, float), "arousal": (int, float)},
@@ -96,12 +95,7 @@ def _check_fields(etype: str, fields: dict, where: str) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, too many digits or too deep
-            raise ScenarioParseError(f"cannot parse {path}: {exc}") from None
-    return parse_scenario(data, fallback_name=Path(path).stem)
+    return parse_scenario(load_json(path, ScenarioParseError), fallback_name=Path(path).stem)
 
 
 @dataclass

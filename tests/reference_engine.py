@@ -36,7 +36,8 @@ def reference_step(config, state, event):
     step copies nothing it does not write.
 
     A `request` event carries the requester, object, emotion values, context
-    and `now`; its outcome is the decision as the engine's block writes it.
+    and `now`, and may carry the context's `timestamp` (else it is `now`);
+    its outcome is the decision as the engine's block writes it.
     A `tag_personal` or `grant` event's outcome is whether it was applied.
     The state is `{"cooldowns": {key: record}, "registry": {object: entry}}`
     in the shapes of the engine's whole snapshots.
@@ -68,6 +69,10 @@ def reference_step(config, state, event):
         return True, {"cooldowns": cooldowns, "registry": {**registry, event["object"]: granted}}
 
     user_id, object_id, now = event["user"], event["object"], event["now"]
+    # A context stamped after `now` fails closed: it is read as its room with
+    # neither an adult present nor a verbal affirmation.
+    if event.get("timestamp", now) > now:
+        event = {**event, "adult_present": False, "verbal_affirmation": False}
     obj, profile = objects.get(object_id), users.get(user_id)
     # One record per requester; under "roster", every requester the roster
     # lacks shares one record.

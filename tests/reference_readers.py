@@ -128,8 +128,8 @@ def reference_trace_from_dict(data):
     return trace
 
 
-def reference_cooldowns_restore(snapshot, *, scope, roster=frozenset()):
-    state = CooldownState(scope=scope, roster=roster)
+def reference_cooldowns_restore(snapshot, roster=None):
+    state = CooldownState(roster)
     for uid, rec in snapshot["users"].items():
         last = rec["last_requested"]
         if last is not None and not isinstance(last, str):

@@ -224,11 +224,23 @@ def decided_grid(index) -> Grid:
     return Grid(engine, grid, disagreements, starts, plain)
 
 
-def audited_grid(index):
-    """The grid of CONFIGS[index] decided again in audit_all mode, from
-    decided_grid's starting states: the Tally of its lines, and each class
-    whose verdict or deciding policy differs from plain mode's, with both
-    decisions."""
+class AuditedGrid(NamedTuple):
+    """A config's grid decided again in audit_all mode (audited_grid)."""
+
+    #: The audit_all engine, whose intern table then holds every event the
+    #: audit pass reaches too.
+    engine: DecisionEngine
+    #: The audit_all lines' Tally.
+    tally: Tally
+    #: Each class whose verdict or deciding policy differs from plain
+    #: mode's, with both decisions.
+    differ: list
+
+
+@functools.cache
+def audited_grid(index) -> AuditedGrid:
+    """The grid of CONFIGS[index] decided again in audit_all mode, on one
+    engine, from decided_grid's starting states."""
     grid = decided_grid(index)
     engine = DecisionEngine(CONFIGS[index][1], audit_all=True)
     tally, differ = Tally(), []
@@ -240,13 +252,13 @@ def audited_grid(index):
             plain = grid.decisions[cls]
             if (decision.verdict, decision.deciding_policy) != (plain.verdict, plain.deciding_policy):
                 differ.append((cls, plain, decision))
-    return tally, differ
+    return AuditedGrid(engine, tally, differ)
 
 
 if __name__ == "__main__":
     from fetchguard.engine import TRACE_VERSION
 
     print(json.dumps(
-        {f"v{TRACE_VERSION}": {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited_grid(0)[0].as_dict()}},
+        {f"v{TRACE_VERSION}": {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited_grid(0).tally.as_dict()}},
         indent=2, sort_keys=True,
     ))

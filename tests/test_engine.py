@@ -42,10 +42,11 @@ from fetchguard.matrix import MATRIX_CHECKS, MatrixEntry
 from fetchguard.model import INT_BOUND
 from fetchguard.ordering import CooldownDurations
 from mix_traffic import decided_traces, mix
-from request_grid import decided_grid, stream_decisions
+from reference_engine import initial_state, reference_step
+from request_grid import audited_grid, decided_grid, stream_decisions
 from test_emotion import rebuilding_clamped
 from test_golden import GOLDEN_FILES, V3_FILES, V4_FILES, V6_FILES
-from test_reference_engine import CONFIGS, random_stream
+from test_reference_engine import CONFIGS, random_stream, step_both
 
 GREEN = EmotionSample(0.5, 0.0)
 YELLOW = EmotionSample(-0.3, 0.0)
@@ -449,10 +450,14 @@ class TestInternedEvents:
 
     @pytest.mark.parametrize("index", range(len(CONFIGS)))
     def test_long_streams_add_only_the_last_request_of_a_catalog_object(self, index):
-        # After the whole grid, the only facts an event can write that the
-        # grid did not are a requester's last request of another object.
+        # After the whole grid in both modes, the only facts an event can
+        # write that the grid did not are a requester's last request of
+        # another object. An audit pass can meet a failure no plain
+        # decision meets: on the drawn-matrix household, each row that admits
+        # a child to the craft scissors requires adult_present, which fails
+        # first, so their child-tier rule fails only in an audit pass.
         data, config = CONFIGS[index]
-        interned = decided_grid(index).engine._events
+        interned = {**decided_grid(index).engine._events, **audited_grid(index).engine._events}
         grid = {key for key, event in interned.items() if event["node"] != "blackboard_update"}
         catalog = {obj["object_id"] for obj in data["objects"]}
         engine, rnd = DecisionEngine(config), random.Random(index)
@@ -520,6 +525,26 @@ class TestInternedEvents:
                             edit(value)
             assert event.text == text == canonical_json(copy.deepcopy(event))
         assert lists > 0
+
+    @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
+    def test_each_violation_event_is_built_with_its_gate(self, shipped_config, audit_all):
+        # Before any decision, and each denial appends that very object.
+        denials = {
+            "eligibility": [("dave", "towel")],
+            "ordering": [("alice", "cough_syrup"), ("alice", "car_keys")],
+            "emotion": [("mallory", "knife")],
+            "category_context": [("carol", "peanut_butter")],
+            "personal": [("bob", "diary")],
+        }
+        assert list(denials) == list(STAGES)
+        for stage, requests in denials.items():
+            engine = DecisionEngine(shipped_config, audit_all=audit_all)
+            built = engine._events[f"{stage}_violation"]
+            assert type(built) is _Event and built == {"node": f"{stage}_violation"}
+            for i, (user, obj) in enumerate(requests):
+                decision, trace = engine.decide(make_request(user, obj, now=10 * i))
+            assert decision.verdict == DENY
+            assert [event for event in trace.events if event is built] == [built]
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit_all"])
     def test_copies_of_a_decided_trace_write_its_bytes(self, shipped_config, audit_all):
@@ -728,6 +753,12 @@ class TestStateIsBoundedByTheRoster:
         assert len(records) <= len(roster) + 1
         assert set(records) == {*roster, "__unknown__"}
 
+    def test_the_engine_hands_its_cooldowns_the_roster_under_roster_scope_only(self, shipped_config, golden_config):
+        assert golden_config.cooldown_scope == "user"
+        assert DecisionEngine(golden_config).cooldowns.roster is None
+        roster = DecisionEngine(shipped_config).cooldowns.roster
+        assert type(roster) is frozenset and roster == {user.user_id for user in shipped_config.users}
+
     def test_a_new_id_does_not_escape_an_open_window(self, engine):
         # mallory is denied the knife and the window opens all the same.
         assert engine.decide(make_request("mallory", "knife", now=0))[0].verdict == DENY
@@ -750,7 +781,7 @@ class TestStateIsBoundedByTheRoster:
             }
         )
         assert engine.cooldowns.snapshot()["users"] == made_up
-        assert engine.cooldowns.scope == "roster"
+        assert engine.cooldowns.roster == {user.user_id for user in shipped_config.users}
         decision, trace = engine.decide(make_request("remembered-00000", "towel", now=60))
         assert decision.verdict == ALLOW
         assert trace.pre_state["cooldowns"] == {"users": {}}
@@ -995,6 +1026,40 @@ class TestTighteningLaws:
         _, config = configs
         events = random_stream(rnd)
         assert outcomes(config, audit_all, events, shift) == outcomes(config, audit_all, events, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(configs=st.sampled_from(CONFIGS), audit_all=st.booleans(), rnd=st.randoms(use_true_random=True))
+    def test_a_context_stamped_after_now_reads_both_flags_false(self, configs, audit_all, rnd):
+        # Each request of a stream whose contexts are stamped up to 600 s
+        # ahead decides, events and state included, as the same request
+        # stamped at now with both flags false, but for one warning that
+        # names both times; its line writes the context as given and
+        # verifies, and the reference agrees.
+        config_data, config = configs
+        stamped, closed = (DecisionEngine(config, audit_all=audit_all) for _ in range(2))
+        state = initial_state(config_data)
+        for event in random_stream(rnd, ahead=True):
+            if event["type"] != "request":
+                step_both(closed, state, config_data, event)
+                _, state = step_both(stamped, state, config_data, event)
+                continue
+            now, stamp, flags = event["now"], event["timestamp"], (event["adult_present"], event["verbal_affirmation"])
+            emotion, given = EmotionSample(event["valence"], event["arousal"]), ContextSnapshot(event["room"], *flags, stamp)
+            request = FetchRequest("req", event["user"], event["object"], emotion, given, now)
+            ahead = stamp > now
+            context = ContextSnapshot(event["room"], False, False, now) if ahead else given
+            decision, trace = stamped.decide(request)
+            want, state = reference_step(config_data, state, event)
+            fresh, fresh_trace = closed.decide(dataclasses.replace(request, context=context))
+            assert decision.to_dict() == want
+            assert stamped.cooldowns.snapshot() == closed.cooldowns.snapshot() == {"users": state["cooldowns"]}
+            assert stamped.registry.snapshot() == closed.registry.snapshot() == state["registry"]
+            assert decision == fresh and trace.events[1:] == fresh_trace.events[1:]
+            warning = f"context stamped at {stamp}, after now {now}: both flags read false"
+            assert [w for w in trace.warnings if w != warning] == fresh_trace.warnings
+            assert trace.warnings.count(warning) == ahead
+            assert trace.request == request.to_dict() and trace.request["context"]["timestamp"] == stamp
+            assert verify_trace(trace, config).ok
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -319,7 +319,7 @@ class TestGateFourInOneFunction:
         context = make_context(room=room, adult=adult, verbal=verbal)
         profile = UserProfile("someone", 30, Relationship.HOUSEHOLD, allergies)
         state = SimpleNamespace(
-            matrix_entry=entry, obj=obj, group=group, profile=profile, request=SimpleNamespace(context=context)
+            matrix_entry=entry, obj=obj, group=group, profile=profile, context=context
         )
         # The engine hands gate 4 every rule of its config, as decide() does,
         # and its event is the reference's details beside its node.

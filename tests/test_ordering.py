@@ -170,12 +170,6 @@ class TestDurations:
         with pytest.raises(ConfigError):
             replace(DEFAULTS, mind_altering=-5)
 
-    def test_bad_scope_rejected(self):
-        # "household", one record for everyone, is retired.
-        for scope in ("planetary", "household"):
-            with pytest.raises(ConfigError):
-                CooldownState(scope=scope)
-
 
 # -- brute-force oracle ------------------------------------------------------
 

@@ -6,6 +6,7 @@ registry state after every event."""
 import copy
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from fetchguard import (
     FetchRequest,
     PolicyConfig,
 )
+from fetchguard.matrix import ALL_GROUPS, ALL_KEYS, MATRIX_CHECKS, _WALK
 from fetchguard.model import INT_BOUND
 from reference_engine import initial_state, reference_step
 
@@ -50,6 +52,40 @@ def with_adult_rows():
     return data, PolicyConfig.from_dict(data)
 
 
+def drawn_matrix(rnd):
+    """A matrix the tightening laws hold on, drawn with `rnd`, as a config
+    file's rows. The 48 keys are visited by (open classes, zone rank), so
+    that every key comes after each key one step looser (the neighbours of
+    matrix._WALK). A key's groups are a drawn subset of its looser
+    neighbours' intersection, or of ALL_GROUPS for a loosest key. A key
+    that admits nobody requires no checks; any other requires its looser
+    neighbours' checks, all of them live, and a drawn subset of
+    MATRIX_CHECKS."""
+    looser = {j: set() for j in range(len(ALL_KEYS))}
+    for _, i, j in _WALK:
+        if i != j:
+            looser[j].add(i)
+    rows = {}
+    for j in sorted(looser, key=lambda j: (len(ALL_KEYS[j].cooldown_profile), ALL_KEYS[j].zone)):
+        groups = set.intersection(*(rows[i][0] for i in looser[j])) if looser[j] else {g.value for g in ALL_GROUPS}
+        keep = rnd.choice([0.0] + [0.75] * 3 + [1.0] * 6)
+        groups = {g for g in sorted(groups) if rnd.random() < keep}
+        checks = {c for c in MATRIX_CHECKS if rnd.random() < 0.15}.union(*(rows[i][1] for i in looser[j]))
+        rows[j] = (groups, checks if groups else set())
+    return [
+        {"cooldown": sorted(c.value for c in key.cooldown_profile), "request_class": key.request_class.value,
+         "zone": key.zone.as_str(), "allowed_groups": sorted(rows[j][0]), "required_checks": sorted(rows[j][1])}
+        for j, key in enumerate(ALL_KEYS)
+    ]
+
+
+def with_drawn_matrix(seed):
+    """The shipped household with drawn_matrix's draw for `seed`."""
+    data = copy.deepcopy(SHIPPED)
+    data["matrix"] = drawn_matrix(random.Random(seed))
+    return data, PolicyConfig.from_dict(data)
+
+
 def with_short_roster(towel_tag):
     """The shipped "roster" household, with henry's towel tag if asked,
     whose roster keeps only alice, bob, dave (under 5) and henry: carol,
@@ -64,10 +100,11 @@ CONFIGS = (
     [shipped_with(scope, towel_tag) for scope in ("roster", "user") for towel_tag in (False, True)]
     + [with_adult_rows()]
     + [with_short_roster(towel_tag) for towel_tag in (False, True)]
+    + [with_drawn_matrix(0)]
 )
 #: One test id per household of CONFIGS.
 CONFIG_IDS = [f"{data['cooldown_scope']}-{len(data['personal_tags'])}-tags" for data, _ in CONFIGS[:4]] + [
-    "adult-rows", "short-roster-1-tags", "short-roster-2-tags"
+    "adult-rows", "short-roster-1-tags", "short-roster-2-tags", "drawn-matrix"
 ]
 
 
@@ -82,7 +119,9 @@ def step_both(engine, state, config_data, event):
             user_id=event["user"],
             object_id=event["object"],
             emotion=EmotionSample(event["valence"], event["arousal"]),
-            context=ContextSnapshot(event["room"], event["adult_present"], event["verbal_affirmation"], event["now"]),
+            context=ContextSnapshot(
+                event["room"], event["adult_present"], event["verbal_affirmation"], event.get("timestamp", event["now"])
+            ),
             now=event["now"],
         )
         got = engine.decide(request)[0].to_dict()
@@ -114,7 +153,7 @@ ACTORS = ["alice", "henry", "bob", "mallory"]
 OFTEN_WRITTEN = ["diary", "towel", "knife", "cough_syrup"] * 3
 
 
-def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS, objects=CATALOG):
+def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS, objects=CATALOG, ahead=False):
     """Up to 20 events with their times: six requests to each tag or grant
     write. Each time is the last plus one of `gaps`, but never past the
     last instant a request may name. Ids are `users` (the shipped roster's
@@ -123,7 +162,8 @@ def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS, object
     +-inf, ints beyond float range, out of range or not; otherwise a point
     inside one of the shipped zones. With `points`, drawn for another zone
     table, one emotion in two is one of them, and any point of the square
-    stands in for the shipped zones' points."""
+    stands in for the shipped zones' points. A request's context is stamped
+    at its `now`; with `ahead`, one in two is stamped 1 to 600 s later."""
 
     def pick(names):
         return "".join(rnd.choices("aé\x00 ", k=rnd.randint(0, 3))) if rnd.random() < 0.1 else rnd.choice(names)
@@ -157,6 +197,8 @@ def random_stream(rnd, points=(), gaps=GAPS, users=ROSTER, actors=ACTORS, object
                 "verbal_affirmation": rnd.random() < 0.5,
                 "now": now,
             }
+            if ahead:
+                event["timestamp"] = min(now + rnd.randint(1, 600), INT_BOUND - 1) if rnd.random() < 0.5 else now
         events.append({"type": kind, **event})
     return events
 
@@ -412,3 +454,34 @@ class TestDrawnCatalogs:
             state = initial_state(config_data)
             for event in random_stream(rnd, objects=objects):
                 _, state = step_both(engine, state, config_data, event)
+
+
+class TestDrawnMatrices:
+    """The shipped household, catalog, rules, zone table and tags under
+    either scope and any matrix drawn_matrix draws that validates: every
+    step of the engine and of the reference agrees, in plain and audit_all
+    mode."""
+
+    # Both draws are a Random that hypothesis seeds: it draws a matrix in
+    # about a millisecond, where hypothesis's own draws take fifty.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draw=st.randoms(use_true_random=True), scope=st.sampled_from(["user", "roster"]),
+        rnd=st.randoms(use_true_random=True),
+    )
+    def test_every_step_of_any_stream(self, draw, scope, rnd):
+        config_data = {**SHIPPED, "cooldown_scope": scope, "matrix": drawn_matrix(draw)}
+        config = PolicyConfig.from_dict(config_data)
+        assume(config.validate().ok)
+        for audit_all in (False, True):
+            engine = DecisionEngine(config, audit_all=audit_all)
+            state = initial_state(config_data)
+            for event in random_stream(rnd):
+                _, state = step_both(engine, state, config_data, event)
+
+    def test_the_drawn_household_has_rows_with_adult_present_and_with_every_check(self):
+        data, config = CONFIGS[CONFIG_IDS.index("drawn-matrix")]
+        assert config.validate().ok
+        checks = [set(row["required_checks"]) for row in data["matrix"]]
+        assert any("adult_present" in row for row in checks)
+        assert set(MATRIX_CHECKS) in checks

@@ -70,7 +70,7 @@ def test_the_shipped_grid_keeps_its_committed_bytes_in_both_modes():
     # lines of each mode, far more of what the engine can write than the
     # golden corpus holds.
     assert CONFIGS[0][1] == default_config()
-    audited, differ = audited_grid(0)
-    assert differ[:3] == []
+    audited = audited_grid(0)
+    assert audited.differ[:3] == []
     committed = json.loads(GRID_DIGESTS.read_text(encoding="utf-8"))[f"v{TRACE_VERSION}"]
-    assert {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited.as_dict()} == committed
+    assert {"plain": decided_grid(0).plain.as_dict(), "audit_all": audited.tally.as_dict()} == committed

@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import fetchguard.cli
 from fetchguard import (
+    ConfigError,
+    PolicyConfig,
     ScenarioParseError,
     append_trace,
     default_config,
@@ -147,6 +150,17 @@ class TestParsing:
     def test_a_t_no_trace_can_hold_is_refused(self, t, message):
         with pytest.raises(ScenarioParseError, match=f"event #1: {message}"):
             parse_scenario(scenario_dict([CONTEXT, dict(CONTEXT, t=t)]))
+
+    @pytest.mark.parametrize("content", UNREADABLE_FILES, ids=UNREADABLE_IDS)
+    @pytest.mark.parametrize("load, error", [(load_scenario, ScenarioParseError), (PolicyConfig.load, ConfigError)])
+    def test_an_unreadable_file_is_refused_with_its_cause(self, tmp_path, content, load, error):
+        # Both loaders read a file through one reader, which chains the
+        # decoder's refusal.
+        path = tmp_path / "junk.json"
+        path.write_bytes(content)
+        with pytest.raises(error, match=f"^cannot parse {re.escape(str(path))}: ") as refused:
+            load(path)
+        assert isinstance(refused.value.__cause__, (RecursionError, ValueError))
 
     def test_an_absent_name_is_the_files_stem(self, tmp_path):
         path = tmp_path / "kitchen_morning.json"

@@ -37,7 +37,7 @@ from fetchguard.errors import ConfigError, FetchguardError
 from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, canonical_json, redecide
 from fetchguard.cli import render_explanation
 from fetchguard.formats import CLAMP_WARNING, RESERVED, STEPS, _events_as_written, _to_version_6
-from fetchguard.ordering import COOLDOWN_SCOPES, CooldownState
+from fetchguard.ordering import CooldownState
 from fetchguard.privacy import PersonalRegistry
 from mix_traffic import decided_traces, mix
 from reference_readers import (
@@ -1044,13 +1044,14 @@ def _read_with(reader, data):
 READER_ROSTER = frozenset(user.user_id for user in default_config().users)
 
 
-def _cooldowns_read(restore, user_slice, snapshot, scope):
-    """What a cool-down restore under `scope` holds, and the one-record
-    slice it writes for each of its record keys and for a requester on and
-    off the roster; reprs, so that types and key order count too."""
-    state = restore(snapshot, scope=scope, roster=READER_ROSTER)
+def _cooldowns_read(restore, user_slice, snapshot, roster):
+    """What a cool-down restore sharing records by `roster` holds, and the
+    one-record slice it writes for each of its record keys and for a
+    requester on and off the roster; reprs, so that types and key order
+    count too."""
+    state = restore(snapshot, roster)
     slices = [user_slice(state, uid) for uid in [*state._records, "alice", "mallory"]]
-    return state.scope, state.roster, repr(state._records), repr(slices)
+    return state.roster, repr(state._records), repr(slices)
 
 
 def _registry_read(restore, snapshot):
@@ -1141,9 +1142,11 @@ class TestReadersAgreeWithTheReferences:
         assert _read_with(FetchRequest.from_dict, request) == _read_with(reference_request_from_dict, request)
         assert _read_with(Decision.from_dict, decision) == _read_with(reference_decision_from_dict, decision)
         cooldowns = _within(data, ("pre_state", "cooldowns"))
-        for scope in COOLDOWN_SCOPES:
-            ours = functools.partial(_cooldowns_read, CooldownState.restore, CooldownState.snapshot, scope=scope)
-            theirs = functools.partial(_cooldowns_read, reference_cooldowns_restore, reference_user_snapshot, scope=scope)
+        for roster in (None, READER_ROSTER):
+            ours = functools.partial(_cooldowns_read, CooldownState.restore, CooldownState.snapshot, roster=roster)
+            theirs = functools.partial(
+                _cooldowns_read, reference_cooldowns_restore, reference_user_snapshot, roster=roster
+            )
             assert _read_with(ours, cooldowns) == _read_with(theirs, cooldowns)
         registry = _within(data, ("pre_state", "personal_registry"))
         ours = functools.partial(_registry_read, PersonalRegistry.restore)
