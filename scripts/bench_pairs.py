@@ -21,8 +21,11 @@ least ten pairs ran, the change won at least nine tenths of them and its
 median beats the base's by more than the base quartile spread, `-`
 otherwise; and the bound column: `past` when the change's median is
 worse than the base's, in the direction the metric's `better` gives, by
-more than the metric's relative `bound`, `ok` when it is not, `-` for a
-metric with no bound.
+more than the metric's relative `bound`; otherwise `unresolved` when the
+larger of the two quartile spreads exceeds the bound times the base
+median, so that the runs cannot tell a move of the bound's size, unless
+every change run beats every base run; `ok` when neither holds; `-` for
+a metric with no bound.
 
 Each pair also reads the decision_digest line each run prints and says
 whether the two sides decided alike. That is only reported: a change that
@@ -98,8 +101,8 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     """One row per end-to-end metric: base and change medians, change/base,
     the base and change quartile spreads, the pairs the change won, whether
     a gain in the metric is met and whether the change's median is past the
-    metric's bound. `metrics` are BENCHMARK.json's end_to_end entries; `pairs` are
-    (base, change) results."""
+    metric's bound, or the runs spread too widely to tell. `metrics` are
+    BENCHMARK.json's end_to_end entries; `pairs` are (base, change) results."""
     rows = [("metric", "unit", "base", "change", "change/base", "base IQR", "change IQR", "change won", "claim", "bound")]
     for metric in metrics:
         name, lower_wins = metric["name"], metric["better"] == "lower"
@@ -111,12 +114,22 @@ def table(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> str:
         won = sum((c < b) if lower_wins else (c > b) for b, c in measured)
         ratio = f"{change_median / base_median:.4f}" if base_median else "-"
         bound, spread = metric.get("bound"), quartile_spread(base_values)
+        change_spread = quartile_spread(change_values)
         worse_by = change_median - base_median if lower_wins else base_median - change_median
         met = len(measured) >= 10 and 10 * won >= 9 * len(measured) and -worse_by > spread
+        if bound is None:
+            verdict = "-"
+        elif worse_by > bound * base_median:
+            verdict = "past"
+        elif max(spread, change_spread) > bound * base_median and not (
+            max(change_values) < min(base_values) if lower_wins else min(change_values) > max(base_values)
+        ):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append((
             name, metric["unit"], number(base_median), number(change_median), ratio,
-            number(spread), number(quartile_spread(change_values)), f"{won}/{len(measured)}", "met" if met else "-",
-            "-" if bound is None else "past" if worse_by > bound * base_median else "ok",
+            number(spread), number(change_spread), f"{won}/{len(measured)}", "met" if met else "-", verdict,
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(

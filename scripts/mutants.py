@@ -243,6 +243,32 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_engine.py::TestTighteningLaws::test_a_context_stamped_after_now_reads_both_flags_false",),
     ),
+    # A decision block read before: one Decision, for exactly the block it
+    # was decoded from; one of four shared sets of open windows.
+    Mutant(
+        "decoded block skips the key count", "src/fetchguard/engine.py",
+        "            if decision is not None and len(data) == 5:\n",
+        "            if decision is not None:\n",
+        (
+            "tests/test_verify.py::TestDecodedBlocksAreInterned"
+            "::test_a_sixth_key_is_refused_after_the_block_without_it_was_read",
+        ),
+    ),
+    Mutant(
+        "decoded block keyed by any value", "src/fetchguard/engine.py",
+        "        if (\n"
+        "            type(verdict) is str and type(policy) is str and type(reason) is str and type(zone_text) is str\n"
+        "            and type(texts) is list and all([type(text) is str for text in texts])\n"
+        "        ):\n",
+        "        if type(texts) is list:\n",
+        ("tests/test_verify.py::TestDecodedBlocksAreInterned::test_a_verdict_of_1_read_after_true_is_an_int",),
+    ),
+    Mutant(
+        "open-window sets swapped", "src/fetchguard/ordering.py",
+        "frozenset(), frozenset({SafetyClass.DANGEROUS}), frozenset({SafetyClass.MIND_ALTERING}), frozenset(_FLAGGED)",
+        "frozenset(), frozenset({SafetyClass.MIND_ALTERING}), frozenset({SafetyClass.DANGEROUS}), frozenset(_FLAGGED)",
+        ("tests/test_ordering.py::TestActiveWindows::test_open_windows_are_one_of_four_shared_sets",),
+    ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(
         "zone-table validation without the midpoint probes", "src/fetchguard/emotion.py",

@@ -1,7 +1,7 @@
 """Command-line front end: validate configs, run scenarios, explain decisions.
 
-Exit codes: 0 success, 1 validation or expectation failure, 2 I/O or parse
-error.
+Exit codes: 0 success, 1 validation or expectation failure or a line that
+does not verify, 2 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import PolicyConfig
-from .engine import ALLOW, STAGES, DecisionTrace
+from .engine import ALLOW, STAGES, DecisionTrace, verify_trace
 from .errors import ConfigError, ScenarioParseError
 from .formats import inputs_of
 from .log import append_trace, find_trace
@@ -128,6 +128,7 @@ def render_explanation(trace: DecisionTrace) -> str:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    config = None if args.config is None else _load_config(args.config)
     # A line the reader takes may still hold inner shapes the explanation
     # cannot walk: a request that is no object, an event without a node.
     try:
@@ -138,7 +139,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if trace is None:
         print(f"error: no decision with request id {args.request!r}", file=sys.stderr)
         return EXIT_FAILURE
+    if config is not None:
+        # Given a config, only a line that verifies is explained.
+        result = verify_trace(trace, config)
+        for mismatch in result.mismatches:
+            print(f"not verified: {mismatch}")
+        if not result.ok:
+            return EXIT_FAILURE
     print(explanation)
+    if config is not None:
+        print("verified")
     return EXIT_OK
 
 
@@ -163,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="explain one decision from a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--request", required=True)
+    p.add_argument("--config", help="verify the line against this config before explaining it")
     p.set_defaults(func=cmd_explain)
 
     return parser

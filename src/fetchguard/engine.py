@@ -205,9 +205,22 @@ class Decision:
     def from_dict(cls, data: dict) -> "Decision":
         """Refuses a block the engine would not write (a zone or group that
         is no member's text, a repeated or unsorted group), so equal
-        decisions mean equal blocks."""
+        decisions mean equal blocks. A block of exact texts read before
+        gives the Decision already built for it (_DECODED)."""
         verdict, policy, reason = data["verdict"], data["deciding_policy"], data["reason"]
-        zone = Zone.from_str(data["effective_zone"])
+        zone_text, texts = data["effective_zone"], data.get("allowed_groups_at_leaf")
+        # Exact texts only: JSON's true, 1 and 1.0 are equal keys, and each
+        # must decode, and write back, as itself.
+        key = None
+        if (
+            type(verdict) is str and type(policy) is str and type(reason) is str and type(zone_text) is str
+            and type(texts) is list and all([type(text) is str for text in texts])
+        ):
+            key = (verdict, policy, reason, zone_text, tuple(texts))
+            decision = _DECODED.get(key)
+            if decision is not None and len(data) == 5:
+                return decision
+        zone = Zone.from_str(zone_text)
         texts = data["allowed_groups_at_leaf"]
         try:
             groups = frozenset(map(GROUP_BY_TEXT.__getitem__, texts))
@@ -221,10 +234,21 @@ class Decision:
         # another key or its groups in another form.
         if len(data) != 5 or sorted(groups) != texts:
             raise ValueError(f"decision {data!r} is not in the form the engine writes")
-        return cls(verdict, policy, reason, zone, groups)
+        decision = cls(verdict, policy, reason, zone, groups)
+        if key is not None and len(_DECODED) < _DECODED_MAX:
+            _DECODED[key] = decision
+        return decision
 
 
-@dataclass
+#: The Decision each decision block of exact texts decodes to, keyed by the
+#: block's five values; frozen, so one is shared by every trace read with
+#: its block. A reason can name an unknown id, so the blocks a log holds are
+#: not bounded by the config: once _DECODED_MAX are kept, no more are.
+_DECODED: dict[tuple, Decision] = {}
+_DECODED_MAX = 1024
+
+
+@dataclass(slots=True)
 class DecisionTrace:
     """Full audit record of one decision; replaying it against the same
     config fingerprint must reproduce the identical decision and events.
@@ -682,7 +706,7 @@ def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Deci
         raise ReplayError(f"recorded request cannot be decided again: {exc!r}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyResult:
     ok: bool
     mismatches: list[str]

@@ -119,23 +119,43 @@ class TestTable:
         row = bench_pairs.table([setup], pairs).splitlines()[1].split()
         assert row == ["setup_s", "s", "0.0012855", "0.001095", "0.8518", "1.35e-05", "6.25e-06", "4/4", "-", "ok"]
 
+    LOWER = {"name": "m", "unit": "us", "better": "lower", "bound": 0.15}
+    HIGHER = {"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}
+    # Quartiles 90 and 110: a spread of 20, past 0.15 x the median of 100.
+    WIDE = [80.0, 90.0, 100.0, 110.0, 120.0]
+
     @pytest.mark.parametrize(
-        "metric, change, column",
+        "metric, bases, changes, column",
         [
             # Lower is better: past when the change's median exceeds 1.15 x 100.
-            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 116.0, "past"),
-            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 114.0, "ok"),
+            (LOWER, [100.0] * 3, [116.0] * 3, "past"),
+            (LOWER, [100.0] * 3, [114.0] * 3, "ok"),
             # Higher is better: past when it falls below 0.85 x 100.
-            ({"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}, 84.0, "past"),
-            ({"name": "m", "unit": "1/s", "better": "higher", "bound": 0.15}, 86.0, "ok"),
+            (HIGHER, [100.0] * 3, [84.0] * 3, "past"),
+            (HIGHER, [100.0] * 3, [86.0] * 3, "ok"),
             # A large gain is never past the bound.
-            ({"name": "m", "unit": "us", "better": "lower", "bound": 0.15}, 10.0, "ok"),
-            ({"name": "m", "unit": "us", "better": "lower"}, 116.0, "-"),
+            (LOWER, [100.0] * 3, [10.0] * 3, "ok"),
+            ({"name": "m", "unit": "us", "better": "lower"}, [100.0] * 3, [116.0] * 3, "-"),
+            # Either side's quartile spread wider than the bound: the runs
+            # cannot tell a move of the bound's size.
+            (LOWER, WIDE, [100.0] * 5, "unresolved"),
+            (LOWER, [100.0] * 5, WIDE, "unresolved"),
+            (HIGHER, [100.0] * 5, WIDE, "unresolved"),
+            # Past its bound is past, however wide the spread.
+            (LOWER, WIDE, [130.0] * 5, "past"),
+            # Unless every change run beats every base run.
+            (LOWER, WIDE, [70.0, 72.0, 74.0, 76.0, 78.0], "ok"),
+            (LOWER, WIDE, [70.0, 72.0, 74.0, 76.0, 80.0], "unresolved"),
+            (HIGHER, WIDE, [121.0] * 5, "ok"),
         ],
-        ids=["lower_past", "lower_within", "higher_past", "higher_within", "gain", "no_bound"],
+        ids=[
+            "lower_past", "lower_within", "higher_past", "higher_within", "gain", "no_bound",
+            "base_spread_wide", "change_spread_wide", "higher_change_spread_wide", "past_with_a_wide_spread",
+            "every_change_run_better", "one_change_run_tied", "higher_every_change_run_better",
+        ],
     )
-    def test_the_bound_column_says_whether_the_change_is_past_its_bound(self, metric, change, column):
-        pairs = [({"m": 100.0}, {"m": change})] * 3
+    def test_the_bound_column_says_whether_the_change_is_past_its_bound(self, metric, bases, changes, column):
+        pairs = [({"m": base}, {"m": change}) for base, change in zip(bases, changes)]
         assert bench_pairs.table([metric], pairs).splitlines()[1].split()[-1] == column
 
     def test_one_metric_past_its_bound_is_the_only_row_marked(self):

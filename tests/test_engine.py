@@ -406,6 +406,37 @@ class TestInternedDecisions:
         assert changed != decision and '"reason":"edited"' in changed._block
 
 
+class TestNoPerInstanceDict:
+    """A trace and a verify result keep their fields in slots; a copy,
+    deep copy, pickle or replace of either is an equal value."""
+
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+        "replace": dataclasses.replace,
+    }
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    @pytest.mark.parametrize("read", [False, True], ids=["fresh", "read"])
+    def test_a_copy_of_a_trace_is_equal_and_writes_the_same_line(self, shipped_config, how, read):
+        trace = DecisionEngine(shipped_config, audit_all=True).decide(make_request("alice", "knife"))[1]
+        line = trace.to_json()
+        if read:
+            trace = DecisionTrace.from_dict(json.loads(line))
+        assert not hasattr(trace, "__dict__")
+        copied = self.COPIES[how](trace)
+        assert copied == trace and copied.to_json() == line
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    def test_a_copy_of_a_verify_result_is_equal(self, shipped_config, how):
+        trace = DecisionEngine(shipped_config).decide(make_request("alice", "knife"))[1]
+        edited = dataclasses.replace(trace, request_id="edited")
+        for result in (verify_trace(trace, shipped_config), verify_trace(edited, shipped_config)):
+            assert not hasattr(result, "__dict__")
+            assert self.COPIES[how](result) == result
+
+
 DICT_MUTATORS = {
     "set": lambda d: operator.setitem(d, "node", "edited"),
     "del": lambda d: operator.delitem(d, "node"),

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fetchguard import (
@@ -16,6 +16,7 @@ from fetchguard import (
     default_config,
     ordering_restrictions,
 )
+from fetchguard.ordering import _OPEN_WINDOWS
 
 D = SafetyClass.DANGEROUS
 M = SafetyClass.MIND_ALTERING
@@ -118,6 +119,20 @@ class TestActiveWindows:
         before = state.snapshot()
         assert state.active_cooldowns("alice", now) == {cls for cls, expiry in ((D, 1800), (M, 14410)) if expiry > now}
         assert state.snapshot() == before
+
+    @given(
+        offsets=st.dictionaries(st.sampled_from([D, M]), st.integers(min_value=-3, max_value=3)),
+        now=st.integers(min_value=-10**6, max_value=10**6),
+    )
+    @example(offsets={D: 1}, now=0)
+    @example(offsets={M: 1, D: 0}, now=0)
+    def test_open_windows_are_one_of_four_shared_sets(self, offsets, now):
+        # Expiries around now, at now included.
+        windows = {cls: now + offset for cls, offset in offsets.items()}
+        users = {"alice": {"last_requested": None, "active": {cls.value: e for cls, e in windows.items()}}}
+        active = CooldownState.restore({"users": users}).active_cooldowns("alice", now)
+        assert any(active is shared for shared in _OPEN_WINDOWS)
+        assert active == frozenset(cls for cls, expiry in windows.items() if expiry > now)
 
     def test_per_user_isolation(self):
         state = CooldownState()

@@ -545,3 +545,57 @@ class TestCliExplain:
 
     def test_missing_trace_file_exits_2(self, tmp_path):
         assert main(["explain", "--trace", str(tmp_path / "ghost.jsonl"), "--request", "x"]) == 2
+
+
+#: A golden line of the oldest and of version 6, each with the config its
+#: fingerprint names.
+GOLDEN_LINES = [
+    (REPO_ROOT / "tests" / "golden" / "red_zone_dangerous.jsonl", REPO_ROOT / "tests" / "golden" / "config.json"),
+    (REPO_ROOT / "tests" / "golden" / "v6" / "red_zone_dangerous.jsonl", REPO_ROOT / "configs" / "default.json"),
+]
+
+
+class TestCliExplainVerifies:
+    """explain --config verifies the line first, and explains only a line
+    that verifies."""
+
+    @staticmethod
+    def explain(capsys, tmp_path, source, config, edit=None):
+        """explain's exit code and output for the first line of `source`,
+        edited by `edit` if it is given."""
+        doc = json.loads(source.read_text(encoding="utf-8").splitlines()[0])
+        if edit is not None:
+            edit(doc)
+            source = tmp_path / "edited.jsonl"
+            source.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["explain", "--trace", str(source), "--request", doc["request_id"], "--config", str(config)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("source, config", GOLDEN_LINES, ids=["v1", "v6"])
+    def test_a_golden_line_is_explained_then_verified(self, capsys, tmp_path, source, config):
+        code, out = self.explain(capsys, tmp_path, source, config)
+        assert code == 0
+        # The explanation is the one explain prints without a config.
+        assert main(["explain", "--trace", str(source), "--request", "red_zone_dangerous:000"]) == 0
+        assert out.out == capsys.readouterr().out + "verified\n"
+
+    @pytest.mark.parametrize("source, config", GOLDEN_LINES, ids=["v1", "v6"])
+    def test_an_edited_reason_exits_1_without_an_explanation(self, capsys, tmp_path, source, config):
+        code, out = self.explain(capsys, tmp_path, source, config, lambda doc: doc["decision"].update(reason="x"))
+        assert code == 1
+        assert out.out == "not verified: final decision differs from the recorded decision\n"
+
+    @pytest.mark.parametrize(
+        "source, other", [(GOLDEN_LINES[0][0], GOLDEN_LINES[1][1]), (GOLDEN_LINES[1][0], GOLDEN_LINES[0][1])],
+        ids=["v1", "v6"],
+    )
+    def test_a_line_against_the_other_config_names_the_fingerprint(self, capsys, tmp_path, source, other):
+        code, out = self.explain(capsys, tmp_path, source, other)
+        assert code == 1
+        assert out.out == "not verified: config fingerprint does not match the trace\n"
+
+    def test_a_config_that_cannot_be_loaded_exits_2(self, capsys, tmp_path):
+        code, out = self.explain(capsys, tmp_path, GOLDEN_LINES[1][0], tmp_path / "ghost.json")
+        assert code == 2
+        assert "cannot load config" in out.err and out.out == ""

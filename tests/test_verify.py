@@ -28,10 +28,12 @@ from fetchguard import (
     PolicyConfig,
     ReplayError,
     UserGroup,
+    Zone,
     default_config,
     read_traces,
     verify_trace,
 )
+import fetchguard.engine
 from fetchguard.bt import TickListener
 from fetchguard.errors import ConfigError, FetchguardError
 from fetchguard.engine import STAGES, TRACE_VERSION, _EvalState, canonical_json, redecide
@@ -562,6 +564,11 @@ def _groups_reversed(decision):
     decision["allowed_groups_at_leaf"].reverse()
 
 
+def _zone_unknown_without_groups(decision):
+    decision["effective_zone"] = "purple"
+    del decision["allowed_groups_at_leaf"]
+
+
 GROUP_NAMES = [g.value for g in UserGroup]
 ZONE_TEXTS = ["green", "yellow", "orange", "red", "GREEN", "Red"]
 DECISION_BLOCKS = st.fixed_dictionaries(
@@ -601,8 +608,10 @@ class TestDecisionBlockAsWritten:
             (_zone_upper_case, "unknown zone 'GREEN'"),
             (_group_repeated, "not in the form the engine writes"),
             (_groups_reversed, "not in the form the engine writes"),
+            # The zone is read before the groups.
+            (_zone_unknown_without_groups, "unknown zone 'purple'"),
         ],
-        ids=["_zone_upper_case", "_group_repeated", "_groups_reversed"],
+        ids=["_zone_upper_case", "_group_repeated", "_groups_reversed", "_zone_unknown_without_groups"],
     )
     def test_a_golden_decision_block_the_engine_would_not_write_is_refused(self, golden_config, edit, message):
         data = _golden_privacy_line()
@@ -628,6 +637,62 @@ class TestDecisionBlockAsWritten:
             assert canonical_json(a.to_dict()) == canonical_json(first)
         if a is not None and b is not None:
             assert (a != b) == (canonical_json(first) != canonical_json(second))
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """An empty table of decoded blocks, so that no earlier read fills it."""
+    table = {}
+    monkeypatch.setattr(fetchguard.engine, "_DECODED", table)
+    return table
+
+
+class TestDecodedBlocksAreInterned:
+    """A decision block of exact texts read before decodes to the Decision
+    already built for it; any other block is read as if it were new."""
+
+    def test_two_reads_of_one_block_give_one_decision(self, decoded):
+        block = _golden_privacy_line()["decision"]
+        first = Decision.from_dict(block)
+        assert Decision.from_dict(json.loads(json.dumps(block))) is first
+        assert list(decoded.values()) == [first]
+
+    def test_a_sixth_key_is_refused_after_the_block_without_it_was_read(self, decoded):
+        block = _golden_privacy_line()["decision"]
+        Decision.from_dict(block)
+        with pytest.raises(ValueError, match="not in the form the engine writes"):
+            Decision.from_dict({**block, "extra": None})
+        assert len(decoded) == 1
+
+    def test_a_verdict_of_1_read_after_true_is_an_int(self, decoded):
+        # true, 1 and 1.0 are equal keys; each decodes, and writes back, as itself.
+        line = (GOLDEN / "v6" / "baseline_allow.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        assert '"verdict":"allow"' in line
+        for text, kind in (("true", bool), ("1", int), ("1.0", float), ('"allow"', str)):
+            edited = line.replace('"verdict":"allow"', f'"verdict":{text}')
+            trace = DecisionTrace.from_dict(json.loads(edited))
+            assert type(trace.decision.verdict) is kind
+            assert trace.to_json() == edited
+        assert [type(key[0]) for key in decoded] == [str]
+
+    def test_at_most_1024_blocks_are_kept_and_every_one_decodes_equal(self, decoded):
+        # A reason can name any unknown object, so a log's blocks are unbounded.
+        def block(i):
+            return {
+                "verdict": "deny", "deciding_policy": "eligibility", "reason": f"unknown object 'ghost-{i}'",
+                "effective_zone": "green", "allowed_groups_at_leaf": [],
+            }
+
+        def built(i):
+            return Decision("deny", "eligibility", f"unknown object 'ghost-{i}'", Zone.GREEN, frozenset())
+
+        first = [Decision.from_dict(block(i)) for i in range(1100)]
+        assert len(decoded) == 1024
+        for i in range(1100):
+            again = Decision.from_dict(block(i))
+            assert again == first[i] == built(i)
+            assert (again is first[i]) == (i < 1024)
+        assert len(decoded) == 1024
 
 
 JSON_VALUES = st.recursive(
