@@ -264,10 +264,20 @@ MUTANTS = (
         ("tests/test_verify.py::TestDecodedBlocksAreInterned::test_a_verdict_of_1_read_after_true_is_an_int",),
     ),
     Mutant(
-        "open-window sets swapped", "src/fetchguard/ordering.py",
-        "frozenset(), frozenset({SafetyClass.DANGEROUS}), frozenset({SafetyClass.MIND_ALTERING}), frozenset(_FLAGGED)",
-        "frozenset(), frozenset({SafetyClass.MIND_ALTERING}), frozenset({SafetyClass.DANGEROUS}), frozenset(_FLAGGED)",
+        "open-window sets swapped", "src/fetchguard/matrix.py",
+        "    frozenset(), frozenset({SafetyClass.DANGEROUS}), frozenset({SafetyClass.MIND_ALTERING}),\n",
+        "    frozenset(), frozenset({SafetyClass.MIND_ALTERING}), frozenset({SafetyClass.DANGEROUS}),\n",
         ("tests/test_ordering.py::TestActiveWindows::test_open_windows_are_one_of_four_shared_sets",),
+    ),
+    # A verdict read from its findings.
+    Mutant(
+        "verify result ok despite mismatches", "src/fetchguard/engine.py",
+        "        return not self.mismatches\n",
+        "        return True\n",
+        (
+            "tests/test_verify.py::TestVerdictReadFromTheMismatches",
+            "tests/test_scenario_cli.py::TestCliExplainVerifies",
+        ),
     ),
     # Zone-table coverage: a gap narrower than the space between two edges.
     Mutant(

@@ -129,23 +129,26 @@ def render_explanation(trace: DecisionTrace) -> str:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     config = None if args.config is None else _load_config(args.config)
-    # A line the reader takes may still hold inner shapes the explanation
-    # cannot walk: a request that is no object, an event without a node.
     try:
         trace = find_trace(args.trace, args.request)
-        explanation = None if trace is None else render_explanation(trace)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _io_error(f"cannot read trace {args.trace}: {exc}")
     if trace is None:
         print(f"error: no decision with request id {args.request!r}", file=sys.stderr)
         return EXIT_FAILURE
     if config is not None:
-        # Given a config, only a line that verifies is explained.
+        # Given a config, only a line that verifies is walked and explained.
         result = verify_trace(trace, config)
         for mismatch in result.mismatches:
             print(f"not verified: {mismatch}")
         if not result.ok:
             return EXIT_FAILURE
+    # A line the reader takes may still hold inner shapes the explanation
+    # cannot walk: a request that is no object, an event without a node.
+    try:
+        explanation = render_explanation(trace)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _io_error(f"cannot read trace {args.trace}: {exc}")
     print(explanation)
     if config is not None:
         print("verified")

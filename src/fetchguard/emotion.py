@@ -42,14 +42,14 @@ class Zone(enum.IntEnum):
 #: Zone texts by rank; cheaper than the Enum `name` property on the hot path.
 _ZONE_NAMES = tuple(zone.name.lower() for zone in Zone)
 #: Zones by rank; indexing it is cheaper than calling Zone(rank).
-_ZONES = tuple(Zone)
+ALL_ZONES = tuple(Zone)
 #: Zones by their exact text; cheaper than Enum's Python-level Zone[name].
 _ZONE_BY_TEXT = {text: zone for text, zone in zip(_ZONE_NAMES, Zone)}
 
 
 def escalate(zone: Zone, steps: int) -> Zone:
     """Move a zone `steps` toward Red, saturating at Red."""
-    return _ZONES[min(int(Zone.RED), int(zone) + max(0, steps))]
+    return ALL_ZONES[min(int(Zone.RED), int(zone) + max(0, steps))]
 
 
 @dataclass(frozen=True)

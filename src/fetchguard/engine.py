@@ -367,6 +367,7 @@ class _EvalState:
     obj: ObjectSpec | None = None
     group: UserGroup | None = None
     base_zone: Zone | None = None
+    #: The base zone until gate 3 escalates it; the decision writes it.
     effective_zone: Zone | None = None
     active: frozenset[SafetyClass] = frozenset()
     restriction: Restriction | None = None
@@ -499,7 +500,7 @@ class DecisionEngine:
             # A reading from after the decision's time fails closed.
             st.warnings.append(f"context stamped at {context.timestamp}, after now {req.now}: both flags read false")
             st.context = ContextSnapshot(context.room, False, False, context.timestamp)
-        st.base_zone = zone_of(emotion, self.config.zone_table)
+        st.base_zone = st.effective_zone = zone_of(emotion, self.config.zone_table)
         st.events.append({"node": "knowledge_check", "request": req.to_dict()})
         return SUCCESS
 
@@ -565,8 +566,7 @@ class DecisionEngine:
         # NamedTuple's Python-level __new__.
         entry = st.matrix_entry = matrix_lookup(self.config.matrix, (st.active, request_class, st.effective_zone))
         # The row follows from the windows, the class and the effective zone.
-        # Keyed by the zones' ranks: Enum's hash is Python-level.
-        key = ("emotion_ok", st.active, request_class, int(st.base_zone), int(st.effective_zone))
+        key = ("emotion_ok", st.active, request_class, st.base_zone, st.effective_zone)
         event = self._events.get(key) or self._events.setdefault(key, _Event(
             node=key[0], base_zone=st.base_zone.as_str(), effective_zone=st.effective_zone.as_str(),
             request_class=request_class, allowed_groups=_List(entry.group_texts),
@@ -592,7 +592,7 @@ class DecisionEngine:
         event = self._events.get(key) or self._events.setdefault(
             key, _Event(**{name: fact for name, fact in zip(names, key) if fact is not None})
         )
-        if result.passed:
+        if failed is None:
             return event, None
         if result.failed_rule_category is None:
             return event, ("context", f"required check failed: {failed}")
@@ -627,19 +627,15 @@ class DecisionEngine:
                 "none",
                 "decision tree failed without a recorded violation",
             )
-        # knowledge_check always sets the base zone. Zone.GREEN is falsy
-        # (IntEnum 0), so an explicit None check here.
-        effective_zone = st.effective_zone if st.effective_zone is not None else st.base_zone
         allowed = st.matrix_entry.allowed_groups if st.matrix_entry is not None else frozenset()
         if st.obj is None:
             # Its reason names the unknown id, so it is not interned.
-            decision = Decision(verdict, deciding, reason, effective_zone, allowed)
+            decision = Decision(verdict, deciding, reason, st.effective_zone, allowed)
         else:
-            # Keyed by the zone's rank: Enum's hash is Python-level.
-            key = (verdict, deciding, reason, int(effective_zone), allowed)
+            key = (verdict, deciding, reason, st.effective_zone, allowed)
             decision = self._decisions.get(key)
             if decision is None:
-                decision = self._decisions[key] = Decision(verdict, deciding, reason, effective_zone, allowed)
+                decision = self._decisions[key] = Decision(verdict, deciding, reason, st.effective_zone, allowed)
 
         if self.audit_all and st.failed is not None:
             self._audit_events(st)
@@ -708,9 +704,12 @@ def redecide(trace: DecisionTrace, config: PolicyConfig) -> tuple[Decision, Deci
 
 @dataclass(slots=True)
 class VerifyResult:
-    ok: bool
     mismatches: list[str]
     decision: Decision | None
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
 
 def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
@@ -728,7 +727,7 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
     try:
         decision, fresh = redecide(trace, config)
     except ReplayError as exc:
-        return VerifyResult(False, [str(exc)], None)
+        return VerifyResult([str(exc)], None)
     mismatches = []
     # The re-run takes its id from the recorded request, so the line's own
     # id, which explain --request looks lines up by, is compared here.
@@ -745,4 +744,4 @@ def verify_trace(trace: DecisionTrace, config: PolicyConfig) -> VerifyResult:
         mismatches.append("warnings differ from the recorded warnings")
     if pre_state != trace.pre_state:
         mismatches.append("pre_state differs from the recorded pre_state")
-    return VerifyResult(not mismatches, mismatches, decision)
+    return VerifyResult(mismatches, decision)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .emotion import Zone, escalate
+from .emotion import ALL_ZONES, Zone, escalate
 from .errors import ConfigError
 from .model import (
     CHILD_TIER,
@@ -36,14 +36,13 @@ MATRIX_CHECKS = ("verbal_affirmation", "adult_present", "room_appropriate")
 _EVERY_CHECK = frozenset(MATRIX_CHECKS)
 CATEGORY_CHECKS = ("allergy_screen", "adult_present_for_child_tier", "verbal_affirmation")
 
+#: The four sets of open cool-down windows, each built once so it hashes once,
+#: indexed by 1 for an open dangerous window plus 2 for a mind-altering one.
 ALL_PROFILES: tuple[frozenset[SafetyClass], ...] = (
-    frozenset(),
-    frozenset({SafetyClass.DANGEROUS}),
-    frozenset({SafetyClass.MIND_ALTERING}),
+    frozenset(), frozenset({SafetyClass.DANGEROUS}), frozenset({SafetyClass.MIND_ALTERING}),
     frozenset({SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING}),
 )
-ALL_CLASSES = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING, SafetyClass.NEITHER)
-ALL_ZONES = (Zone.GREEN, Zone.YELLOW, Zone.ORANGE, Zone.RED)
+ALL_CLASSES = tuple(SafetyClass)
 
 ALL_GROUPS = frozenset(g for g in UserGroup if g is not UserGroup.INELIGIBLE)
 
@@ -164,13 +163,16 @@ def _key_str(key: MatrixKey) -> str:
 
 @dataclass(frozen=True)
 class CheckResult:
-    passed: bool
     failed_check: str | None = None
     failed_rule_category: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.failed_check is None
+
 
 #: Every passing gate-4 result is this one.
-_PASSED = CheckResult(True)
+_PASSED = CheckResult()
 
 
 def category_checks(
@@ -199,18 +201,18 @@ def category_checks(
             # The other row checks are named after the context flag they read.
             passed = getattr(context, check)
         if not passed:
-            return CheckResult(False, check)
+            return CheckResult(check)
     for rule in rules:
         if "allergy_screen" in rule.extra_checks:
             hits = obj.allergen_tags & requester.allergies
             if hits:
-                return CheckResult(False, "allergy_screen", rule.category)
+                return CheckResult("allergy_screen", rule.category)
         if "adult_present_for_child_tier" in rule.extra_checks:
             if requester_group in CHILD_TIER and not context.adult_present:
-                return CheckResult(False, "adult_present_for_child_tier", rule.category)
+                return CheckResult("adult_present_for_child_tier", rule.category)
         if "verbal_affirmation" in rule.extra_checks:
             if not context.verbal_affirmation:
-                return CheckResult(False, "verbal_affirmation", rule.category)
+                return CheckResult("verbal_affirmation", rule.category)
         if not rule.admits_room(context.room):
-            return CheckResult(False, "room_appropriate", rule.category)
+            return CheckResult("room_appropriate", rule.category)
     return _PASSED

@@ -81,7 +81,6 @@ class _Text(str, enum.Enum):
     it as it is. Reading a text back still goes through member(), since
     the engine compares members with `is`."""
 
-    __hash__ = str.__hash__
     __str__ = str.__str__
     __format__ = str.__format__
     __repr__ = str.__repr__

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .matrix import ALL_PROFILES
 from .model import Instant, ObjectSpec, SafetyClass, require_type, require_writable
 
 VEHICLE_CATEGORY = "vehicle"
@@ -25,11 +26,6 @@ UNKNOWN_SCOPE_KEY = "__unknown__"
 _FLAGGED = (SafetyClass.DANGEROUS, SafetyClass.MIND_ALTERING)
 #: The classes that have a cool-down, by the text a snapshot writes.
 _FLAGGED_BY_TEXT = {cls.value: cls for cls in _FLAGGED}
-#: The four sets of open windows there are, built once, so each hashes once:
-#: indexed by 1 for an open dangerous window plus 2 for a mind-altering one.
-_OPEN_WINDOWS = (
-    frozenset(), frozenset({SafetyClass.DANGEROUS}), frozenset({SafetyClass.MIND_ALTERING}), frozenset(_FLAGGED)
-)
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,13 @@ class CooldownState:
 
     def active_cooldowns(self, user_id: str, now: Instant) -> frozenset[SafetyClass]:
         """Classes whose window is still open (expiry > now), as one of the
-        four shared sets; only reads."""
+        shared sets of matrix.ALL_PROFILES; only reads."""
         rec = self._records.get(self._key(user_id))
         if rec is None or not rec.active:
-            return _OPEN_WINDOWS[0]
+            return ALL_PROFILES[0]
         # A class with no window reads as one that closes at now.
         active = rec.active
-        return _OPEN_WINDOWS[
+        return ALL_PROFILES[
             (active.get(SafetyClass.DANGEROUS, now) > now) + 2 * (active.get(SafetyClass.MIND_ALTERING, now) > now)
         ]
 

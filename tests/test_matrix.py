@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import fetchguard.matrix
 from fetchguard import (
     CategoryRule,
+    CheckResult,
     ConfigError,
     ContextSnapshot,
     DecisionEngine,
@@ -271,6 +272,13 @@ class TestCategoryChecks:
         rules = [CategoryRule("*", frozenset({"verbal_affirmation"}))]
         result = category_checks(NONE, rules, SCISSORS, g.HA, make_context(verbal=False), ADULT)
         assert not result.passed
+
+    def test_a_result_stores_no_verdict_of_its_own(self):
+        # passed is read from the failed check, so the two cannot disagree.
+        assert [f.name for f in dataclasses.fields(CheckResult)] == ["failed_check", "failed_rule_category"]
+        assert CheckResult().passed
+        assert not CheckResult("verbal_affirmation").passed
+        assert not CheckResult("allergy_screen", "food").passed
 
     def test_unknown_category_check_rejected(self):
         with pytest.raises(ConfigError):

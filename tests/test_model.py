@@ -20,7 +20,7 @@ from fetchguard import (
 )
 from fetchguard.emotion import Zone
 from fetchguard.engine import canonical_json
-from fetchguard.model import CLASS_BY_TEXT, GROUP_BY_TEXT, RELATIONSHIP_BY_TEXT, member as member_of, require_type
+from fetchguard.model import CLASS_BY_TEXT, GROUP_BY_TEXT, RELATIONSHIP_BY_TEXT, _Text, member as member_of, require_type
 
 CANADA = Region("canada", 19)
 USA = Region("usa", 21)
@@ -236,3 +236,19 @@ class TestIdentityHash:
             assert same is member
             assert table[same] == "entry"
         assert hash(member) == object.__hash__(member)
+
+
+class TestBuiltinHash:
+    """A zone hashes by int's hash and a text member by str's, both in C,
+    with no override of their own: a Python whose Enum put its Python-level
+    hash in their place would fail here rather than slow down unseen."""
+
+    def test_a_zone_hashes_as_its_rank(self):
+        assert Zone.__hash__ is int.__hash__
+        assert [hash(zone) for zone in Zone] == [hash(int(zone)) for zone in Zone]
+
+    @pytest.mark.parametrize("enum_type", [UserGroup, SafetyClass, Relationship], ids=lambda t: t.__name__)
+    def test_a_text_member_hashes_as_its_text(self, enum_type):
+        assert "__hash__" not in _Text.__dict__
+        assert enum_type.__hash__ is str.__hash__
+        assert [hash(member) for member in enum_type] == [hash(member.value) for member in enum_type]

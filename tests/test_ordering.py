@@ -16,7 +16,7 @@ from fetchguard import (
     default_config,
     ordering_restrictions,
 )
-from fetchguard.ordering import _OPEN_WINDOWS
+from fetchguard.matrix import ALL_PROFILES
 
 D = SafetyClass.DANGEROUS
 M = SafetyClass.MIND_ALTERING
@@ -131,7 +131,7 @@ class TestActiveWindows:
         windows = {cls: now + offset for cls, offset in offsets.items()}
         users = {"alice": {"last_requested": None, "active": {cls.value: e for cls, e in windows.items()}}}
         active = CooldownState.restore({"users": users}).active_cooldowns("alice", now)
-        assert any(active is shared for shared in _OPEN_WINDOWS)
+        assert any(active is shared for shared in ALL_PROFILES)
         assert active == frozenset(cls for cls, expiry in windows.items() if expiry > now)
 
     def test_per_user_isolation(self):

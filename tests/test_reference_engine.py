@@ -20,6 +20,9 @@ from fetchguard import (
     FetchguardError,
     FetchRequest,
     PolicyConfig,
+    UserGroup,
+    classify_user_group,
+    default_config,
 )
 from fetchguard.matrix import ALL_GROUPS, ALL_KEYS, MATRIX_CHECKS, _WALK
 from fetchguard.model import INT_BOUND
@@ -96,15 +99,32 @@ def with_short_roster(towel_tag):
     return data, PolicyConfig.from_dict(data)
 
 
+def with_every_group():
+    """The shipped household whose roster reaches every eligible group: a
+    family and a friend teen and child, which the shipped roster lacks, and
+    a user of unknown relationship (U) join it, beside dave, under 5. The
+    family child has carol's peanut allergy."""
+    data = copy.deepcopy(SHIPPED)
+    data["users"] += [
+        {"user_id": user_id, "age_years": age, "relationship": relationship, "allergies": allergies,
+         "admin_role": "none"}
+        for user_id, age, relationship, allergies in (
+            ("fern", 16, "family", []), ("finn", 7, "family", ["peanut"]),
+            ("tess", 14, "friend", []), ("toby", 9, "friend", []), ("uma", 30, "unknown", []),
+        )
+    ]
+    return data, PolicyConfig.from_dict(data)
+
+
 CONFIGS = (
     [shipped_with(scope, towel_tag) for scope in ("roster", "user") for towel_tag in (False, True)]
     + [with_adult_rows()]
     + [with_short_roster(towel_tag) for towel_tag in (False, True)]
-    + [with_drawn_matrix(0)]
+    + [with_drawn_matrix(0), with_every_group()]
 )
 #: One test id per household of CONFIGS.
 CONFIG_IDS = [f"{data['cooldown_scope']}-{len(data['personal_tags'])}-tags" for data, _ in CONFIGS[:4]] + [
-    "adult-rows", "short-roster-1-tags", "short-roster-2-tags", "drawn-matrix"
+    "adult-rows", "short-roster-1-tags", "short-roster-2-tags", "drawn-matrix", "every-group"
 ]
 
 
@@ -215,7 +235,9 @@ class TestEngineAgreesWithTheReference:
         config_data, config = configs
         engine = DecisionEngine(config, audit_all=audit_all)
         state = initial_state(config_data)
-        for event in random_stream(rnd):
+        # The shipped roster, then any user the household adds to it.
+        users = ROSTER + [user["user_id"] for user in config_data["users"] if user["user_id"] not in ROSTER]
+        for event in random_stream(rnd, users=users):
             _, state = step_both(engine, state, config_data, event)
 
     @pytest.mark.parametrize("audit_all", [False, True], ids=["plain", "audit"])
@@ -485,3 +507,14 @@ class TestDrawnMatrices:
         checks = [set(row["required_checks"]) for row in data["matrix"]]
         assert any("adult_present" in row for row in checks)
         assert set(MATRIX_CHECKS) in checks
+
+
+class TestEveryGroupHousehold:
+    def test_its_roster_reaches_every_eligible_group_and_an_under_5(self):
+        _, config = CONFIGS[CONFIG_IDS.index("every-group")]
+        assert config.validate().ok
+        groups = [classify_user_group(user, config.region) for user in config.users]
+        assert set(groups) == ALL_GROUPS | {UserGroup.INELIGIBLE}
+        # The shipped roster reaches U only through requesters it lacks.
+        shipped = {classify_user_group(user, config.region) for user in default_config().users}
+        assert set(groups) - shipped == {UserGroup.FAT, UserGroup.FAC, UserGroup.FRT, UserGroup.FRC, UserGroup.U}

@@ -22,6 +22,8 @@ POLICIES = {"none", "eligibility", "ordering", "emotion", "category", "context",
 def test_the_engine_agrees_with_the_reference_on_every_class(index):
     grid = decided_grid(index)
     assert grid.disagreements[:3] == []
+    # An audit pass only adds events: class by class it decides as plain mode.
+    assert audited_grid(index).differ[:3] == []
     # Every gate decides some class, and both verdicts are given.
     assert {d.deciding_policy for d in grid.engine._decisions.values()} == POLICIES
     assert {d.verdict for d in grid.decisions.values()} == {"allow", "deny"}

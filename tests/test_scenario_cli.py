@@ -595,6 +595,25 @@ class TestCliExplainVerifies:
         assert code == 1
         assert out.out == "not verified: config fingerprint does not match the trace\n"
 
+    @pytest.mark.parametrize(
+        "edit, mismatch",
+        [
+            (lambda doc: doc["events"][1].pop("node"), "event stream differs from the recorded events"),
+            (lambda doc: doc.update(trace_version=5), "recorded pre_state cannot be restored: KeyError('scope')"),
+        ],
+        ids=["node-dropped", "relabelled-5"],
+    )
+    def test_a_line_the_explanation_cannot_walk_exits_1_as_not_verified(self, capsys, tmp_path, edit, mismatch):
+        # Verified before it is walked: without a config the same line is
+        # one explain cannot read.
+        source = REPO_ROOT / "tests" / "golden" / "v6" / "baseline_allow.jsonl"
+        code, out = self.explain(capsys, tmp_path, source, REPO_ROOT / "configs" / "default.json", edit)
+        assert code == 1
+        assert (out.out, out.err) == (f"not verified: {mismatch}\n", "")
+        assert main(["explain", "--trace", str(tmp_path / "edited.jsonl"), "--request", "baseline_allow:000"]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read trace" in captured.err and captured.out == ""
+
     def test_a_config_that_cannot_be_loaded_exits_2(self, capsys, tmp_path):
         code, out = self.explain(capsys, tmp_path, GOLDEN_LINES[1][0], tmp_path / "ghost.json")
         assert code == 2

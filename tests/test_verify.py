@@ -28,6 +28,7 @@ from fetchguard import (
     PolicyConfig,
     ReplayError,
     UserGroup,
+    VerifyResult,
     Zone,
     default_config,
     read_traces,
@@ -375,6 +376,21 @@ class TestEditedTracesFailClosed:
         result = verify_trace(DecisionTrace.from_dict(data), golden_config)
         assert len(result.mismatches) == 1
         assert result.mismatches[0].startswith("recorded pre_state cannot be restored")
+
+
+class TestVerdictReadFromTheMismatches:
+    """A verify result stores its mismatches and the re-run's decision; ok
+    is read from the mismatches, so the two cannot disagree."""
+
+    def test_a_result_stores_no_verdict_of_its_own(self):
+        assert [f.name for f in dataclasses.fields(VerifyResult)] == ["mismatches", "decision"]
+
+    def test_ok_is_no_mismatches_on_a_verifying_and_on_a_failing_line(self, shipped_config, mid_session_trace):
+        edited = copy_of(mid_session_trace)
+        edited.decision = dataclasses.replace(edited.decision, reason="edited")
+        verified, failed = verify_trace(mid_session_trace, shipped_config), verify_trace(edited, shipped_config)
+        assert (verified.ok, verified.mismatches) == (True, [])
+        assert (failed.ok, failed.mismatches) == (False, ["final decision differs from the recorded decision"])
 
 
 def _golden_privacy_line():
